@@ -33,7 +33,8 @@ import numpy as np
 
 from . import subsets
 from .errors import CapacitiesError, DomainMismatch, UnknownAxiom
-from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, certify, make_extension
+from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
+from .integrals import _GRID_POINTS, _certificate, _grid_table
 from .set_function import DEFAULT_TOL, Capacity
 
 __all__ = [
@@ -651,16 +652,12 @@ def check_pseudo_product(op, cfg: AxiomCheckConfig | None = None) -> PseudoProdu
     """Sample the pseudo-product conditions for an operator on [0, 1]."""
     if cfg is None:
         cfg = AxiomCheckConfig()
-    pp = op if isinstance(op, PseudoProduct) else certify(op, tol=cfg.tol)
-    if pp.certificate is None or pp.certificate.tol != cfg.tol:
-        pp = certify(pp.op, pp.name, tol=cfg.tol)
+    pp = op if isinstance(op, PseudoProduct) else PseudoProduct(op)
     cert = pp.certificate
-    grid = cert.grid_points
-    xs = np.linspace(0.0, 1.0, grid)
-    table = np.empty((grid, grid))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            table[i, j] = pp.op(float(x), float(y))
+    recertify = cert is None or cert.tol != cfg.tol
+    xs, table = _grid_table(pp.op, _GRID_POINTS if recertify else cert.grid_points)
+    if recertify:
+        cert = _certificate(pp.op, xs, table, cfg.tol)
     tol = cfg.tol
 
     conditions = {}

@@ -42,10 +42,6 @@ from .set_function import (
 INTEGRAL_CHOICES = ("choquet", "sipos", "mle", "smle", "sugeno-prod", "cpt")
 
 
-def _extension_name(cli_name: str) -> str:
-    return "sugeno_product" if cli_name == "sugeno-prod" else cli_name
-
-
 class _UsageError(Exception):
     pass
 
@@ -78,10 +74,23 @@ def _load_json(path: str):
         raise CapacitiesError("%s is not valid JSON: %s" % (path, exc)) from exc
 
 
-def _load_capacity(path: str, tol: float = 1e-9):
-    obj = _load_json(path)
-    n, vals = vector_from_dict(obj)
-    return as_capacity(vals, n=n, tol=tol)
+def _load_capacity(path: str):
+    n, vals = vector_from_dict(_load_json(path))
+    return as_capacity(vals, n=n)
+
+
+def _load_extension(args):
+    """--capacity and the --integral extension on it (cpt alone takes --capacity2)."""
+    mu = _load_capacity(args.capacity)
+    name = "sugeno_product" if args.integral == "sugeno-prod" else args.integral
+    mu2 = None
+    if name == "cpt":
+        if args.capacity2 is None:
+            raise _UsageError("--integral cpt needs --capacity2")
+        mu2 = _load_capacity(args.capacity2)
+    elif args.capacity2 is not None:
+        raise _UsageError("--capacity2 only applies to --integral cpt")
+    return mu, make_extension(name, mu, mu2)
 
 
 def _scores_arg(text: str):
@@ -133,16 +142,7 @@ def _cmd_transform(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    mu = _load_capacity(args.capacity)
-    name = _extension_name(args.integral)
-    mu2 = None
-    if name == "cpt":
-        if args.capacity2 is None:
-            raise _UsageError("--integral cpt needs --capacity2")
-        mu2 = _load_capacity(args.capacity2)
-    elif args.capacity2 is not None:
-        raise _UsageError("--capacity2 only applies to --integral cpt")
-    ext = make_extension(name, mu, mu2)
+    _, ext = _load_extension(args)
     value = ext(np.asarray(args.scores))
     if args.format == "json":
         _print_json({"integral": args.integral, "scores": list(args.scores), "value": value})
@@ -186,25 +186,21 @@ def _verify_config(args) -> AxiomCheckConfig:
         kwargs["score_bounds"] = args.score_bounds
     if args.alpha_bounds is not None:
         kwargs["alpha_bounds"] = args.alpha_bounds
-    return AxiomCheckConfig(**kwargs)
+    try:
+        return AxiomCheckConfig(**kwargs)
+    except CapacitiesError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_verify(args) -> None:
-    mu = _load_capacity(args.capacity)
-    name = _extension_name(args.integral)
-    mu2 = None
-    if name == "cpt":
-        if args.capacity2 is None:
-            raise _UsageError("--integral cpt needs --capacity2")
-        mu2 = _load_capacity(args.capacity2)
-    ext = make_extension(name, mu, mu2)
+    cfg = _verify_config(args)
+    mu, ext = _load_extension(args)
     if args.axioms.strip().lower() == "all":
         wanted = list(AXIOM_NAMES)
     else:
         wanted = [a.strip() for a in args.axioms.split(",") if a.strip()]
         if not wanted:
             raise _UsageError("--axioms needs at least one axiom name")
-    cfg = _verify_config(args)
     reports = [check_axiom(axiom, ext, mu, cfg) for axiom in wanted]
     if args.format == "json":
         _print_json({"extension": ext.name, "axioms": [r.to_dict() for r in reports]})
@@ -223,11 +219,11 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    cfg = _verify_config(args)
     mu = _load_capacity(args.capacity)
     points = _load_json(args.scores_file)
     if not isinstance(points, list):
         raise CapacitiesError("scores file must hold a JSON array of score vectors")
-    cfg = _verify_config(args)
     table = compare_extensions(mu, points, cfg)
     if args.format == "json":
         _print_json(table.to_dict())

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import subsets
 from .errors import (
     CapacitiesError,
     DimensionMismatch,
@@ -76,25 +77,11 @@ def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(t, 0.0), np.maximum(-t, 0.0)
 
 
-def _min_over_subsets(t: np.ndarray) -> np.ndarray:
-    """table[A] = min of t over A, for every mask (inf at the empty set)."""
-    n = t.shape[0]
-    out = np.full(1 << n, np.inf)
-    for i in range(n):
-        bit = 1 << i
-        blocks = out.reshape(-1, 2 * bit)
-        np.minimum(blocks[:, :bit], t[i], out=blocks[:, bit:])
-    return out
-
-
-def _prod_over_subsets(t: np.ndarray) -> np.ndarray:
-    """table[A] = product of t over A, for every mask (1 at the empty set)."""
-    n = t.shape[0]
-    out = np.ones(1 << n)
-    for i in range(n):
-        bit = 1 << i
-        blocks = out.reshape(-1, 2 * bit)
-        np.multiply(blocks[:, :bit], t[i], out=blocks[:, bit:])
+def _over_subsets(ufunc: np.ufunc, t: np.ndarray, empty: float) -> np.ndarray:
+    """table[A] = ``ufunc`` folded over t on A for every mask; ``empty`` at the empty set."""
+    out = np.full(1 << t.shape[0], empty)
+    for i, lo, hi in subsets.halves(out):
+        ufunc(lo, t[i], out=hi)
     return out
 
 
@@ -118,7 +105,7 @@ def choquet(mu: Capacity, t) -> float:
 def choquet_mobius(m: MobiusRepr, t) -> float:
     """Choquet integral in coefficient form: sum of m(A) * min of t over A."""
     t = _scores(t, m.n)
-    minv = _min_over_subsets(t)
+    minv = _over_subsets(np.minimum, t, np.inf)
     return float(np.dot(m.coefficients[1:], minv[1:]))
 
 
@@ -166,8 +153,8 @@ def sipos_mobius(m: MobiusRepr, t) -> float:
     """Coefficient form of :func:`sipos`: sum of m(A) * (min t+ - min t-)."""
     t = _scores(t, m.n)
     tp, tn = _split(t)
-    mp = _min_over_subsets(tp)
-    mn = _min_over_subsets(tn)
+    mp = _over_subsets(np.minimum, tp, np.inf)
+    mn = _over_subsets(np.minimum, tn, np.inf)
     return float(np.dot(m.coefficients[1:], mp[1:] - mn[1:]))
 
 
@@ -178,7 +165,7 @@ def mle(m: MobiusRepr, t) -> float:
     (and is exactly what makes the extension misbehave there).
     """
     t = _scores(t, m.n)
-    prod = _prod_over_subsets(t)
+    prod = _over_subsets(np.multiply, t, 1.0)
     return float(np.dot(m.coefficients[1:], prod[1:]))
 
 
@@ -186,8 +173,8 @@ def smle(m: MobiusRepr, t) -> float:
     """Symmetric multilinear extension: products of t+ minus products of t-."""
     t = _scores(t, m.n)
     tp, tn = _split(t)
-    pp = _prod_over_subsets(tp)
-    pn = _prod_over_subsets(tn)
+    pp = _over_subsets(np.multiply, tp, 1.0)
+    pn = _over_subsets(np.multiply, tn, 1.0)
     return float(np.dot(m.coefficients[1:], pp[1:] - pn[1:]))
 
 
@@ -223,7 +210,7 @@ def symmetric_max_fold(values) -> float:
 
 
 def _sugeno_nonneg(m: OrdinalMobiusRepr, t: np.ndarray) -> float:
-    minv = _min_over_subsets(t)
+    minv = _over_subsets(np.minimum, t, np.inf)
     return float(np.max(m.coefficients[1:] * minv[1:]))
 
 
@@ -316,10 +303,45 @@ class PseudoProduct:
         return float(self.op(a, b))
 
 
+_GRID_POINTS = 21
+
+
+def _grid_table(op: Callable[[float, float], float], grid_points: int):
+    """Uniform grid xs on [0, 1] and the table op(xs[i], xs[j])."""
+    xs = np.linspace(0.0, 1.0, grid_points)
+    table = np.empty((grid_points, grid_points))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            table[i, j] = op(float(x), float(y))
+    return xs, table
+
+
+def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:
+    """Worst commutativity and associativity gaps of ``op`` on its grid table."""
+    comm_gap = float(np.max(np.abs(table - table.T)))
+    assoc_gap = 0.0
+    for i, x in enumerate(xs):
+        for j in range(xs.shape[0]):
+            for k, z in enumerate(xs):
+                left = op(float(table[i, j]), float(z))
+                right = op(float(x), float(table[j, k]))
+                gap = abs(left - right)
+                if gap > assoc_gap:
+                    assoc_gap = gap
+    return OperatorCertificate(
+        commutative=comm_gap <= tol,
+        associative=assoc_gap <= tol,
+        grid_points=xs.shape[0],
+        tol=tol,
+        max_commutativity_gap=comm_gap,
+        max_associativity_gap=assoc_gap,
+    )
+
+
 def certify(
     op: Callable[[float, float], float],
     name: str = "",
-    grid_points: int = 21,
+    grid_points: int = _GRID_POINTS,
     tol: float = DEFAULT_TOL,
 ) -> PseudoProduct:
     """Sample commutativity and associativity of ``op`` on a [0, 1] grid.
@@ -328,29 +350,7 @@ def certify(
     its cube. The certificate records the worst gaps; the operator counts
     as certified when both stay within ``tol``.
     """
-    xs = np.linspace(0.0, 1.0, grid_points)
-    table = np.empty((grid_points, grid_points))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            table[i, j] = op(float(x), float(y))
-    comm_gap = float(np.max(np.abs(table - table.T)))
-    assoc_gap = 0.0
-    for i, x in enumerate(xs):
-        for j in range(grid_points):
-            for k, z in enumerate(xs):
-                left = op(float(table[i, j]), float(z))
-                right = op(float(x), float(table[j, k]))
-                gap = abs(left - right)
-                if gap > assoc_gap:
-                    assoc_gap = gap
-    cert = OperatorCertificate(
-        commutative=comm_gap <= tol,
-        associative=assoc_gap <= tol,
-        grid_points=grid_points,
-        tol=tol,
-        max_commutativity_gap=comm_gap,
-        max_associativity_gap=assoc_gap,
-    )
+    cert = _certificate(op, *_grid_table(op, grid_points), tol)
     return PseudoProduct(op=op, name=name, certificate=cert)
 
 
@@ -375,16 +375,12 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
     t = _scores(t, m.n)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise OutOfDomain("pseudo-product extensions are defined on [0, 1]^n only")
-    size = 1 << m.n
-    folded = np.empty(size)
-    folded[0] = 0.0
-    for i in range(m.n):
-        folded[1 << i] = t[i]
-    f = op.op
-    for mask in range(3, size):
-        if mask & (mask - 1):
-            h = 1 << (mask.bit_length() - 1)
-            folded[mask] = f(float(folded[mask ^ h]), float(folded[h]))
+    folded = np.zeros(1 << m.n)
+    for i, lo, hi in subsets.halves(folded):
+        # Row 0 holds the masks whose highest member is criterion i + 1.
+        hi[0, 0] = t[i]
+        for k in range(1, 1 << i):
+            hi[0, k] = op.op(float(lo[0, k]), float(t[i]))
     return float(np.dot(m.coefficients[1:], folded[1:]))
 
 

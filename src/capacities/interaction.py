@@ -52,11 +52,8 @@ def interaction_index(mu: Capacity, coalition) -> float:
     amask = _coalition_mask(coalition, n)
     a = subsets.member_count(amask)
     vals = mu.values.copy()
-    for i in range(n):
-        if amask >> i & 1:
-            bit = 1 << i
-            blocks = vals.reshape(-1, 2 * bit)
-            blocks[:, bit:] -= blocks[:, :bit]
+    for _, lo, hi in subsets.halves(vals, amask):
+        hi -= lo
     masks = np.arange(1 << n)
     sel = (masks & amask) == amask
     b_sizes = subsets.popcounts(n)[sel] - a

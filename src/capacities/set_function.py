@@ -18,14 +18,14 @@ transform from the value domain:
   mu(A) where A is a strict local maximizer and 0 elsewhere, so mu(A)
   is the maximum of the kept coefficients inside A.
 
-All transforms run in O(n * 2**n) with in-place vectorized butterflies;
-n is capped at 24 to keep the dense tables reasonable.
+All transforms run in O(n * 2**n) as in-place butterflies over
+:func:`capacities.subsets.halves`; n is capped at 24 to keep the dense
+tables reasonable.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,17 +79,29 @@ def _coerce_vector(n: int, values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SetFunction:
-    """Real-valued function on subsets of N with v(empty) = 0."""
+    """Real-valued function on subsets of N with v(empty) = 0.
+
+    Also the base of every dense table type: ``values`` is a read-only
+    float vector of length 2**n indexed by bitmask. :class:`Capacity`
+    validates in its constructor; the coefficient tables differ only in
+    the invariant their ``_check`` enforces.
+    """
 
     n: int
     values: np.ndarray
 
+    _what = "values"
+
     def __post_init__(self):
         subsets.check_n(self.n)
-        arr = _coerce_vector(self.n, self.values, "values")
+        arr = _coerce_vector(self.n, self.values, self._what)
+        self._check(arr)
+        object.__setattr__(self, "values", arr)
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
         if arr[0] != 0.0:
             raise NotNormalized("v(empty) must be exactly 0, got %.17g" % arr[0])
-        object.__setattr__(self, "values", arr)
 
     @property
     def full_mask(self) -> int:
@@ -99,90 +111,75 @@ class SetFunction:
         return float(self.values[mask])
 
 
-@dataclass(frozen=True, eq=False)
-class Capacity:
+@dataclass(frozen=True, eq=False, init=False)
+class Capacity(SetFunction):
     """Normalized monotone set function.
 
-    Construction validates the invariants and raises the matching error
-    (:class:`NotNormalized`, :class:`NotMonotone`, or, when
-    ``strictly_positive_singletons`` is set, :class:`NonPositiveSingleton`).
+    Construction validates the invariants of the set function ``sf`` and
+    raises the matching error (:class:`NotNormalized`, :class:`NotMonotone`,
+    or, when ``strictly_positive_singletons`` is set,
+    :class:`NonPositiveSingleton`); the capacity shares its read-only table.
     ``tol`` is the absolute slack allowed on normalization and
     monotonicity; it is not stored.
     """
 
-    base: SetFunction
     strictly_positive_singletons: bool = False
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float):
-        err = _first_capacity_violation(self.base, tol, self.strictly_positive_singletons)
-        if err is not None:
-            raise err
+    def __init__(
+        self,
+        sf: SetFunction,
+        strictly_positive_singletons: bool = False,
+        tol: float = DEFAULT_TOL,
+    ):
+        _require_capacity(_values(sf), sf.n, tol, strictly_positive_singletons)
+        vars(self).update(
+            n=sf.n, values=sf.values, strictly_positive_singletons=strictly_positive_singletons
+        )
+
+
+def _checked_capacity(n: int, values: np.ndarray, strictly_positive_singletons: bool) -> Capacity:
+    """Wrap a table that already passed :func:`_first_capacity_violation`."""
+    cap = object.__new__(Capacity)
+    vars(cap).update(n=n, values=values, strictly_positive_singletons=strictly_positive_singletons)
+    return cap
+
+
+class _Coefficients(SetFunction):
+    """Coefficient-domain table; ``coefficients`` names its ``values``."""
+
+    _what = "coefficients"
 
     @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
-
-    @property
-    def full_mask(self) -> int:
-        return self.base.full_mask
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.base.values[mask])
+    def coefficients(self) -> np.ndarray:
+        return self.values
 
 
-@dataclass(frozen=True, eq=False)
-class MobiusRepr:
+class MobiusRepr(_Coefficients):
     """Coefficients of the alternating-sum transform; zeta inverts them."""
 
-    n: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        subsets.check_n(self.n)
-        arr = _coerce_vector(self.n, self.coefficients, "coefficients")
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
         if arr[0] != 0.0:
             raise NotNormalized("m(empty) must be exactly 0, got %.17g" % arr[0])
-        object.__setattr__(self, "coefficients", arr)
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.coefficients[mask])
 
 
-@dataclass(frozen=True, eq=False)
-class CoMobiusRepr:
+class CoMobiusRepr(_Coefficients):
     """Coefficients of the complement-based transform.
 
     Unlike the plain Mobius coefficients these need not vanish on the
     empty set: the coefficient at empty equals v(N).
     """
 
-    n: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        subsets.check_n(self.n)
-        arr = _coerce_vector(self.n, self.coefficients, "coefficients")
-        object.__setattr__(self, "coefficients", arr)
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.coefficients[mask])
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        pass
 
 
-@dataclass(frozen=True, eq=False)
-class OrdinalMobiusRepr:
+class OrdinalMobiusRepr(_Coefficients):
     """Nonnegative coefficients of the max-based transform of a capacity."""
 
-    n: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        subsets.check_n(self.n)
-        arr = _coerce_vector(self.n, self.coefficients, "coefficients")
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
         if arr[0] != 0.0:
             raise NotNormalized("coefficient at empty must be exactly 0, got %.17g" % arr[0])
         if np.any(arr < 0.0):
@@ -191,79 +188,46 @@ class OrdinalMobiusRepr:
                 "ordinal coefficients must be nonnegative, got %.17g at {%s}"
                 % (arr[bad], subsets.subset_key(bad))
             )
-        object.__setattr__(self, "coefficients", arr)
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.coefficients[mask])
 
 
-ValueFunction = Union[SetFunction, Capacity]
+def _values(v: SetFunction) -> np.ndarray:
+    """Value table of a set function; coefficient tables are refused."""
+    if not isinstance(v, SetFunction) or isinstance(v, _Coefficients):
+        raise TypeError("expected SetFunction or Capacity, got %r" % type(v).__name__)
+    return v.values
 
 
-def _as_values(v: ValueFunction) -> tuple[int, np.ndarray]:
-    if isinstance(v, Capacity):
-        return v.n, v.base.values
-    if isinstance(v, SetFunction):
-        return v.n, v.values
-    raise TypeError("expected SetFunction or Capacity, got %r" % type(v).__name__)
-
-
-# In-place subset-lattice butterflies. Writing the upper half of each
-# 2*bit block in terms of the lower half visits every (A, A | bit) pair
-# exactly once, hence O(n * 2**n) overall.
-
-
-def _subset_acc(a: np.ndarray, n: int) -> None:
-    for i in range(n):
-        bit = 1 << i
-        blocks = a.reshape(-1, 2 * bit)
-        blocks[:, bit:] += blocks[:, :bit]
-
-
-def _subset_diff(a: np.ndarray, n: int) -> None:
-    for i in range(n):
-        bit = 1 << i
-        blocks = a.reshape(-1, 2 * bit)
-        blocks[:, bit:] -= blocks[:, :bit]
-
-
-def _subset_max(a: np.ndarray, n: int) -> None:
-    for i in range(n):
-        bit = 1 << i
-        blocks = a.reshape(-1, 2 * bit)
-        np.maximum(blocks[:, bit:], blocks[:, :bit], out=blocks[:, bit:])
-
-
-def mobius(v: ValueFunction) -> MobiusRepr:
+def mobius(v: SetFunction) -> MobiusRepr:
     """Alternating-sum coefficients m(A) = sum over B in A of (-1)^|A-B| v(B)."""
-    n, vals = _as_values(v)
-    a = vals.copy()
-    _subset_diff(a, n)
-    return MobiusRepr(n, a)
+    a = _values(v).copy()
+    for _, lo, hi in subsets.halves(a):
+        hi -= lo
+    return MobiusRepr(v.n, a)
 
 
 def zeta(m: MobiusRepr) -> SetFunction:
     """Inverse of :func:`mobius`: v(A) = sum over B in A of m(B)."""
     a = m.coefficients.copy()
-    _subset_acc(a, m.n)
+    for _, lo, hi in subsets.halves(a):
+        hi += lo
     return SetFunction(m.n, a)
 
 
-def co_mobius(v: ValueFunction) -> CoMobiusRepr:
+def co_mobius(v: SetFunction) -> CoMobiusRepr:
     """Complement-based coefficients sum over B in A of (-1)^|B| v(N - B).
 
     Computed by reversing the value table (mask of N - B is the bitwise
     complement of B) and reusing the plain Mobius butterfly, which differs
     from the target sum only by the sign (-1)^|A|.
     """
-    n, vals = _as_values(v)
-    a = vals[::-1].copy()
-    _subset_diff(a, n)
-    sign = np.where(subsets.popcounts(n) % 2 == 0, 1.0, -1.0)
-    return CoMobiusRepr(n, a * sign)
+    a = _values(v)[::-1].copy()
+    for _, lo, hi in subsets.halves(a):
+        hi -= lo
+    sign = np.where(subsets.popcounts(v.n) % 2 == 0, 1.0, -1.0)
+    return CoMobiusRepr(v.n, a * sign)
 
 
-def ordinal_mobius(mu: ValueFunction) -> OrdinalMobiusRepr:
+def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     """Max-based coefficients: mu(A) where A is a strict step, else 0.
 
     A subset keeps its value exactly when removing any single member
@@ -271,68 +235,72 @@ def ordinal_mobius(mu: ValueFunction) -> OrdinalMobiusRepr:
     nonnegative monotone tables), for which the table is recovered as the
     maximum kept coefficient over subsets (:func:`ordinal_zeta`).
     """
-    n, vals = _as_values(mu)
-    keep = np.ones(1 << n, dtype=bool)
-    for i in range(n):
-        bit = 1 << i
-        vb = vals.reshape(-1, 2 * bit)
-        kb = keep.reshape(-1, 2 * bit)
-        kb[:, bit:] &= vb[:, bit:] > vb[:, :bit]
-    return OrdinalMobiusRepr(n, np.where(keep, vals, 0.0))
+    vals = _values(mu)
+    keep = np.ones(1 << mu.n, dtype=bool)
+    for (_, lo, hi), (_, _, kept) in zip(subsets.halves(vals), subsets.halves(keep)):
+        kept &= hi > lo
+    return OrdinalMobiusRepr(mu.n, np.where(keep, vals, 0.0))
 
 
 def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
     """Recover the value table: v(A) = max over B in A of the coefficients."""
     a = m.coefficients.copy()
-    _subset_max(a, m.n)
+    for _, lo, hi in subsets.halves(a):
+        np.maximum(hi, lo, out=hi)
     return SetFunction(m.n, a)
 
 
-def conjugate(v: ValueFunction):
+def conjugate(v: SetFunction) -> SetFunction:
     """Conjugate set function v(N) - v(N - A); an involution.
 
     Conjugating a :class:`Capacity` yields a :class:`Capacity` (the
     strict-singleton flag is not carried over, since it is not preserved).
     """
-    n, vals = _as_values(v)
-    out = vals[-1] - vals[::-1]
-    if isinstance(v, Capacity):
-        return Capacity(SetFunction(n, out))
-    return SetFunction(n, out)
+    vals = _values(v)
+    out = SetFunction(v.n, vals[-1] - vals[::-1])
+    return Capacity(out) if isinstance(v, Capacity) else out
 
 
-def _first_monotonicity_violation(vals: np.ndarray, n: int, tol: float):
-    """First (mask, criterion) pair with v(mask | bit) < v(mask) - tol.
-
-    Ordered by mask, then by criterion index, so diagnostics are stable.
-    """
-    best = None
-    for i in range(n):
-        bit = 1 << i
-        blocks = vals.reshape(-1, 2 * bit)
-        bad = np.argwhere(blocks[:, :bit] - blocks[:, bit:] > tol)
-        if bad.size:
-            row, col = bad[0]
-            mask = int(row) * 2 * bit + int(col)
-            if best is None or (mask, i) < (best[0], best[1]):
-                best = (mask, i, float(vals[mask]), float(vals[mask | bit]))
-    return best
-
-
-def _first_capacity_violation(sf: SetFunction, tol: float, require_positive_singletons: bool):
-    vals = sf.values
+def _first_capacity_violation(
+    vals: np.ndarray, n: int, tol: float, require_positive_singletons: bool
+) -> Exception | None:
+    if vals[0] != 0.0:
+        return NotNormalized("mu(empty) must be 0, got %.17g" % vals[0])
     if abs(vals[-1] - 1.0) > tol:
         return NotNormalized("mu(N) must be 1 within %g, got %.17g" % (tol, vals[-1]))
-    hit = _first_monotonicity_violation(vals, sf.n, tol)
-    if hit is not None:
-        mask, i, lo, hi = hit
-        return NotMonotone(subsets.subset_key(mask), i + 1, lo, hi)
+    # The first (mask, criterion) pair with v(mask | bit) < v(mask) - tol,
+    # ordered by mask, then by criterion index, so diagnostics are stable.
+    first = None
+    for i, lo, hi in subsets.halves(vals):
+        bad = np.argwhere(lo - hi > tol)
+        if bad.size:
+            mask = (int(bad[0, 0]) << (i + 1)) + int(bad[0, 1])
+            if first is None or mask < first[0]:
+                first = (mask, i)
+    if first is not None:
+        mask, i = first
+        return NotMonotone(
+            subsets.subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])
+        )
     if require_positive_singletons:
-        for i in range(sf.n):
+        for i in range(n):
             w = float(vals[1 << i])
             if not w > 0.0:
                 return NonPositiveSingleton(i + 1, w)
     return None
+
+
+def _require_capacity(
+    vals: np.ndarray, n: int, tol: float, require_positive_singletons: bool
+) -> None:
+    err = _first_capacity_violation(vals, n, tol, require_positive_singletons)
+    if err is not None:
+        try:
+            raise err
+        finally:
+            # Left bound, err would tie this frame and its table to the
+            # traceback in a cycle that only the garbage collector breaks.
+            del err
 
 
 @dataclass(frozen=True)
@@ -352,18 +320,18 @@ class ValidationResult:
     additive: bool
 
 
-def _diagnostic_flags(vals: np.ndarray, n: int, tol: float) -> tuple[bool, bool]:
-    strict = True
-    for i in range(n):
-        bit = 1 << i
-        blocks = vals.reshape(-1, 2 * bit)
-        if not np.all(blocks[:, bit:] > blocks[:, :bit]):
-            strict = False
-            break
-    m = vals.copy()
-    _subset_diff(m, n)
-    additive = bool(np.all(np.abs(m[subsets.popcounts(n) >= 2]) <= tol))
-    return strict, additive
+def _value_table(v, n: int | None) -> tuple[int, np.ndarray]:
+    """(n, read-only table) of a set function or of a raw vector."""
+    if isinstance(v, SetFunction):
+        return v.n, _values(v)
+    arr = np.asarray(v, dtype=np.float64)
+    if n is None:
+        if arr.ndim != 1 or arr.shape[0] < 2 or arr.shape[0] & (arr.shape[0] - 1):
+            raise DimensionMismatch(
+                "value table length must be a power of two, got shape %s" % (arr.shape,)
+            )
+        n = arr.shape[0].bit_length() - 1
+    return n, _coerce_vector(subsets.check_n(n), arr, "values")
 
 
 def validate(
@@ -379,34 +347,15 @@ def validate(
     for axiom violations; malformed vectors (wrong length, non-finite
     entries) do raise.
     """
-    if isinstance(v, (SetFunction, Capacity)):
-        _, vals = _as_values(v)
-        sf = v.base if isinstance(v, Capacity) else v
-    else:
-        arr = np.asarray(v, dtype=np.float64)
-        if n is None:
-            if arr.ndim != 1 or arr.shape[0] < 2 or arr.shape[0] & (arr.shape[0] - 1):
-                raise DimensionMismatch(
-                    "value table length must be a power of two, got shape %s" % (arr.shape,)
-                )
-            n = arr.shape[0].bit_length() - 1
-        vals = _coerce_vector(subsets.check_n(n), arr, "values")
-        if vals[0] != 0.0:
-            strict, additive = _diagnostic_flags(vals, n, tol)
-            return ValidationResult(
-                False,
-                None,
-                NotNormalized("mu(empty) must be 0, got %.17g" % vals[0]),
-                strict,
-                additive,
-            )
-        sf = SetFunction(n, vals)
-    err = _first_capacity_violation(sf, tol, require_positive_singletons)
-    strict, additive = _diagnostic_flags(vals, sf.n, tol)
-    if err is not None:
-        return ValidationResult(False, None, err, strict, additive)
-    cap = Capacity(sf, strictly_positive_singletons=require_positive_singletons, tol=tol)
-    return ValidationResult(True, cap, None, strict, additive)
+    n, vals = _value_table(v, n)
+    err = _first_capacity_violation(vals, n, tol, require_positive_singletons)
+    strict = all(np.all(hi > lo) for _, lo, hi in subsets.halves(vals))
+    m = vals.copy()
+    for _, lo, hi in subsets.halves(m):
+        hi -= lo
+    additive = bool(np.all(np.abs(m[subsets.popcounts(n) >= 2]) <= tol))
+    cap = None if err is not None else _checked_capacity(n, vals, require_positive_singletons)
+    return ValidationResult(err is None, cap, err, strict, additive)
 
 
 def as_capacity(
@@ -416,10 +365,9 @@ def as_capacity(
     tol: float = DEFAULT_TOL,
 ) -> Capacity:
     """Like :func:`validate` but raises the first violated constraint."""
-    result = validate(v, n=n, require_positive_singletons=require_positive_singletons, tol=tol)
-    if not result.ok:
-        raise result.error
-    return result.capacity
+    n, vals = _value_table(v, n)
+    _require_capacity(vals, n, tol, require_positive_singletons)
+    return _checked_capacity(n, vals, require_positive_singletons)
 
 
 # -- JSON schema ---------------------------------------------------------
@@ -430,15 +378,11 @@ def as_capacity(
 # all 2**n keys are required.
 
 
-def to_dict(v) -> dict:
+def to_dict(v: SetFunction) -> dict:
     """Canonical JSON-ready dict for any of the table-backed types."""
-    if isinstance(v, (SetFunction, Capacity)):
-        n, vals = _as_values(v)
-    elif isinstance(v, (MobiusRepr, CoMobiusRepr, OrdinalMobiusRepr)):
-        n, vals = v.n, v.coefficients
-    else:
+    if not isinstance(v, SetFunction):
         raise TypeError("cannot serialize %r" % type(v).__name__)
-    return {"n": n, "values_by_mask": [float(x) for x in vals]}
+    return {"n": v.n, "values_by_mask": v.values.tolist()}
 
 
 def _number(x, where: str) -> float:

@@ -81,3 +81,17 @@ def parse_subset_key(key: str, n: int) -> int:
 def popcounts(n: int) -> np.ndarray:
     """Vector of |A| for every mask A in 0..2**n - 1."""
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+
+
+def halves(a: np.ndarray, bits: int | None = None):
+    """Yield ``(i, lo, hi)`` for each bit i of a bitmask-indexed table ``a``.
+
+    ``lo`` and ``hi`` are views of ``a`` that pair every mask A without bit
+    i with A | bit i, element by element. Bits run in ascending order, only
+    over the set bits of ``bits`` when it is given. In-place updates of
+    ``hi`` from ``lo`` are the O(n * 2**n) subset-lattice butterflies.
+    """
+    for i in range(a.shape[0].bit_length() - 1):
+        if bits is None or bits >> i & 1:
+            blocks = a.reshape(-1, 2 << i)
+            yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]

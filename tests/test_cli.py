@@ -191,6 +191,36 @@ class TestVerify:
                      "--allow-out-of-domain"]) == 0
         assert "FAIL" in capsys.readouterr().out
 
+    def test_second_capacity_only_for_cpt(self, overlap_file, capsys):
+        assert main(["verify", "--capacity", overlap_file, "--integral", "choquet",
+                     "--capacity2", overlap_file, "--axioms", "HE"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_negative_bounds_take_equals_form(self, overlap_file, capsys):
+        assert main(["verify", "--capacity", overlap_file, "--integral", "sipos",
+                     "--axioms", "M", "--samples", "100", "--score-bounds=-1:1"]) == 0
+        assert "pass" in capsys.readouterr().out
+
+
+BAD_SAMPLING_FLAGS = [
+    ["--samples", "0"],
+    ["--tol", "0"],
+    ["--score-bounds", "1:-1"],
+    ["--alpha-bounds", "2:1"],
+]
+
+
+@pytest.mark.parametrize("flags", BAD_SAMPLING_FLAGS, ids=lambda f: f[0])
+@pytest.mark.parametrize("subcommand", ["verify", "compare"])
+def test_bad_sampling_flags_are_usage_errors(subcommand, flags, overlap_file, write_json, capsys):
+    if subcommand == "verify":
+        argv = ["verify", "--integral", "sipos", "--capacity", overlap_file]
+    else:
+        argv = ["compare", "--capacity", overlap_file,
+                "--scores-file", write_json("scores.json", [[1.0, 1.0]])]
+    assert main(argv + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_text_table(self, overlap_file, write_json, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from capacities import (
     Capacity,
+    CoMobiusRepr,
     InvalidFormat,
     MobiusRepr,
     NonPositiveSingleton,
@@ -28,6 +29,7 @@ from capacities import (
     vector_from_dict,
     zeta,
 )
+from capacities.subsets import halves
 from helpers import random_capacity, random_set_function
 
 TOL = 1e-12
@@ -79,6 +81,26 @@ class TestConstruction:
         assert mu[0b01] == 0.3
         assert mu[0b11] == 1.0
         assert mu.full_mask == 3
+
+
+class TestHalves:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_visits_every_pair_once(self, n):
+        for bits in [None] + list(range(1 << n)):
+            table = np.arange(1 << n)
+            pairs = []
+            for i, lo, hi in halves(table, bits):
+                assert np.all(hi == lo | (1 << i))
+                pairs += [(i, int(a), int(b)) for a, b in zip(lo.ravel(), hi.ravel())]
+            wanted = range(n) if bits is None else [i for i in range(n) if bits >> i & 1]
+            want = [(i, a, a | 1 << i) for i in wanted for a in range(1 << n) if not a >> i & 1]
+            assert sorted(pairs) == want
+
+    def test_views_write_through(self):
+        table = np.zeros(8)
+        for _, lo, hi in halves(table, 0b010):
+            hi += 1.0
+        assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
 
 class TestValidate:
@@ -255,6 +277,15 @@ class TestConjugate:
         assert out[0b01] == pytest.approx(2.0 - 0.25)
 
 
+class TestCoefficientTables:
+    @pytest.mark.parametrize("transform", [mobius, co_mobius, ordinal_mobius, conjugate])
+    def test_value_transforms_refuse_coefficient_tables(self, transform):
+        mu = as_capacity([0.0, 0.3, 0.6, 1.0])
+        for table in (mobius(mu), co_mobius(mu), ordinal_mobius(mu)):
+            with pytest.raises(TypeError):
+                transform(table)
+
+
 class TestJson:
     def test_keyed_form(self):
         n, vals = vector_from_dict(
@@ -268,6 +299,22 @@ class TestJson:
         sf = set_function_from_dict(payload)
         again = json.loads(json.dumps(to_dict(sf)))
         assert again == payload
+
+    def test_to_dict_round_trips_every_kind(self):
+        mu = as_capacity([0.0, 0.3, 0.6, 1.0])
+        sf = SetFunction(2, [0.0, 0.5, -0.25, 2.0])
+        for table, kind in [
+            (sf, SetFunction),
+            (mu, Capacity),
+            (mobius(sf), MobiusRepr),
+            (co_mobius(sf), CoMobiusRepr),
+            (ordinal_mobius(mu), OrdinalMobiusRepr),
+        ]:
+            payload = json.loads(json.dumps(to_dict(table)))
+            n, vals = vector_from_dict(payload)
+            again = Capacity(SetFunction(n, vals)) if kind is Capacity else kind(n, vals)
+            assert type(again) is kind and again.n == table.n
+            assert np.array_equal(again.values, table.values)
 
     def test_missing_subset_is_named(self):
         with pytest.raises(InvalidFormat, match='"2"'):
