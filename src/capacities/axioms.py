@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import subsets
-from .errors import CapacitiesError, DomainMismatch, UnknownAxiom
+from .errors import CapacitiesError, DomainMismatch, OutOfDomain, UnknownAxiom
 from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
 from .integrals import _GRID_POINTS, _certificate, _grid_table
 from .set_function import DEFAULT_TOL, Capacity
@@ -74,8 +74,8 @@ class AxiomCheckConfig:
         if self.tol <= 0.0:
             raise CapacitiesError("tol must be positive, got %r" % (self.tol,))
         lo, hi = self.score_bounds
-        if not lo < hi:
-            raise CapacitiesError("score_bounds must be an increasing pair, got %r" % (self.score_bounds,))
+        if not 0.0 < hi - lo < np.inf:
+            raise CapacitiesError("score_bounds must span a finite increasing range, got %r" % ((lo, hi),))
         alo, ahi = self.alpha_bounds
         if not 0.0 < alo <= ahi:
             raise CapacitiesError(
@@ -185,14 +185,18 @@ def _scan(probes, sampler, evaluate, cfg, random_trials=None):
     tested = 0
     skipped = 0
     trials = itertools.chain(probes, (sampler(rng) for _ in range(count)))
-    for trial in trials:
-        res = evaluate(trial)
-        if res is _SKIP:
-            skipped += 1
-            continue
-        tested += 1
-        if res is not None:
-            return False, tested, skipped, res
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in trials:
+            try:
+                res = evaluate(trial)
+            except OutOfDomain:
+                res = _SKIP
+            if res is _SKIP or (res is not None and not np.isfinite([res.expected, res.got]).all()):
+                skipped += 1
+                continue
+            tested += 1
+            if res is not None:
+                return False, tested, skipped, res
     return True, tested, skipped, None
 
 

@@ -22,11 +22,12 @@ from .axioms import (
     check_axiom,
     compare_extensions,
 )
-from .errors import CapacitiesError
+from .errors import CapacitiesError, InvalidFormat
 from .integrals import make_extension
 from .interaction import interaction_index, interaction_report
 from .model import acts_from_obj, model_from_dict, rank_acts
 from .set_function import (
+    DEFAULT_TOL,
     MobiusRepr,
     SetFunction,
     as_capacity,
@@ -151,6 +152,8 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_interaction(args) -> None:
+    if args.coalition is not None and (args.max_order is not None or args.tol is not None):
+        raise _UsageError("--max-order and --tol do not apply to --coalition")
     mu = _load_capacity(args.capacity)
     if args.coalition is not None:
         mask = subsets.parse_subset_key(args.coalition, mu.n)
@@ -160,7 +163,11 @@ def _cmd_interaction(args) -> None:
         else:
             print(_fmt(value))
         return
-    report = interaction_report(mu, max_order=args.max_order, tol=args.tol)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    try:
+        report = interaction_report(mu, max_order=args.max_order, tol=tol)
+    except InvalidFormat as exc:
+        raise _UsageError(str(exc)) from None
     if args.format == "json":
         _print_json(report.to_dict())
         return
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", required=True)
     p.add_argument("--coalition", default=None, metavar="1,3", help="single coalition to evaluate")
     p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None, help="non-interactive band (default 1e-9)")
     _add_format(p)
     p.set_defaults(func=_cmd_interaction)
 

@@ -16,6 +16,7 @@ t+ = max(t, 0) and t- = max(-t, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,6 +62,9 @@ __all__ = [
     "make_extension",
 ]
 
+# Extension turns an overflowing coefficient form into OutOfDomain, so numpy need not warn.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def _scores(t, n: int) -> np.ndarray:
     arr = np.asarray(t, dtype=np.float64)
@@ -102,6 +106,7 @@ def choquet(mu: Capacity, t) -> float:
     return acc
 
 
+@_quiet
 def choquet_mobius(m: MobiusRepr, t) -> float:
     """Choquet integral in coefficient form: sum of m(A) * min of t over A."""
     t = _scores(t, m.n)
@@ -158,6 +163,7 @@ def sipos_mobius(m: MobiusRepr, t) -> float:
     return float(np.dot(m.coefficients[1:], mp[1:] - mn[1:]))
 
 
+@_quiet
 def mle(m: MobiusRepr, t) -> float:
     """Multilinear extension: sum of m(A) * product of t over A.
 
@@ -169,6 +175,7 @@ def mle(m: MobiusRepr, t) -> float:
     return float(np.dot(m.coefficients[1:], prod[1:]))
 
 
+@_quiet
 def smle(m: MobiusRepr, t) -> float:
     """Symmetric multilinear extension: products of t+ minus products of t-."""
     t = _scores(t, m.n)
@@ -396,6 +403,7 @@ class Extension:
     ``domain`` tags where samplers may draw scores: "reals" for the
     sign-splitting integrals, "unit" for the multilinear ones (which are
     still evaluable anywhere, just not well behaved outside the cube).
+    A call raises :class:`OutOfDomain` when the value is not finite.
     """
 
     name: str
@@ -404,7 +412,10 @@ class Extension:
     fn: Aggregator
 
     def __call__(self, t) -> float:
-        return self.fn(t)
+        value = self.fn(t)
+        if not math.isfinite(value):
+            raise OutOfDomain("%s overflows at these scores (got %r)" % (self.name, value))
+        return value
 
 
 def make_extension(

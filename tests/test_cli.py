@@ -77,6 +77,12 @@ class TestEval:
                      "--capacity2", overlap_file, "--scores", "1,-1"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_overflowing_value_is_out_of_domain(self, write_json, capsys):
+        path = write_json("graded.json", GRADED)
+        assert main(["eval", "--integral", "choquet", "--capacity", path,
+                     "--scores", "1e308,-1e308"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_scores_rejected_by_parser(self, overlap_file, capsys):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--integral", "mle", "--capacity", overlap_file,
@@ -135,6 +141,25 @@ class TestInteraction:
         assert payload["shapley"] == [0.5, 0.5]
         assert payload["values"]["1,2"] == -0.8
         assert payload["labels"]["1,2"] == "negative"
+
+    @pytest.mark.parametrize("flags", [
+        ["--coalition", "1,2", "--max-order", "2"],
+        ["--coalition", "1,2", "--tol", "0.5"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--tol", "inf"],
+        ["--max-order", "0"],
+        ["--max-order", "3"],
+    ], ids=["coalition-max-order", "coalition-tol", "tol-nan", "tol-negative", "tol-inf",
+            "max-order-0", "max-order-above-n"])
+    def test_flags_that_cannot_apply_are_usage_errors(self, overlap_file, capsys, flags):
+        assert main(["interaction", "--capacity", overlap_file] + flags) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_zero_tol(self, overlap_file, capsys):
+        assert main(["interaction", "--capacity", overlap_file, "--tol", "0",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
 
 class TestVerify:
@@ -196,6 +221,16 @@ class TestVerify:
                      "--capacity2", overlap_file, "--axioms", "HE"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_overflowing_trials_are_skipped(self, write_json, capsys):
+        path = write_json("graded.json", GRADED)
+        assert main(["verify", "--capacity", path, "--integral", "choquet",
+                     "--axioms", "C1", "--samples", "200",
+                     "--score-bounds=-1e307:1e307", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (report,) = json.loads(out)["axioms"]
+        assert report["passed"] and report["skipped"] > 0 and report["samples_tested"] > 0
+
     def test_negative_bounds_take_equals_form(self, overlap_file, capsys):
         assert main(["verify", "--capacity", overlap_file, "--integral", "sipos",
                      "--axioms", "M", "--samples", "100", "--score-bounds=-1:1"]) == 0
@@ -222,6 +257,13 @@ def test_bad_sampling_flags_are_usage_errors(subcommand, flags, overlap_file, wr
     assert "usage error" in capsys.readouterr().err
 
 
+def test_score_bounds_must_span_a_finite_range(overlap_file, capsys):
+    # hi - lo overflows, which the sampler cannot draw from
+    assert main(["verify", "--integral", "sipos", "--capacity", overlap_file,
+                 "--score-bounds=-1e308:1e308"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_text_table(self, overlap_file, write_json, capsys):
         scores = write_json("scores.json", [[1.0, 1.0], [3.0, 3.0]])
@@ -240,6 +282,12 @@ class TestCompare:
         assert payload["operators"] == ["choquet", "sipos", "mle", "smle",
                                         "sugeno_product"]
         assert payload["table"][0] == [1.0] * 5
+
+    def test_overflowing_point_is_out_of_domain_without_warning(self, overlap_file, write_json, capsys):
+        scores = write_json("scores.json", [[1e308, 1e308]])
+        assert main(["compare", "--capacity", overlap_file, "--scores-file",
+                     scores, "--samples", "100"]) == 1
+        assert capsys.readouterr().err.startswith("error: mle overflows")
 
     def test_scores_file_must_be_array(self, overlap_file, write_json, capsys):
         scores = write_json("scores.json", {"not": "an array"})

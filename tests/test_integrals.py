@@ -419,6 +419,18 @@ class TestExtensions:
         assert make_extension("smle", OVERLAP).domain == "unit"
         assert make_extension("sugeno_product", OVERLAP).domain == "reals"
 
+    @pytest.mark.parametrize("name", ["choquet", "sipos", "mle", "smle", "sugeno_product", "cpt"])
+    @pytest.mark.parametrize("t", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308], [1.7e308] * 3])
+    def test_overflow_is_out_of_domain_without_warning(self, name, t):
+        # RuntimeWarnings are errors in this suite, so a leaked one fails here
+        mu = as_capacity([0.0, 0.6, 0.6, 1.0, 0.6, 1.0, 1.0, 1.0], n=3)  # sum of |m| > 1
+        ext = make_extension(name, mu, mu if name == "cpt" else None)
+        try:
+            value = ext(t)
+        except OutOfDomain:
+            return
+        assert np.isfinite(value)
+
     def test_extensions_agree_on_vertices(self):
         rng = np.random.default_rng(22)
         mu = random_capacity(rng, 3)
