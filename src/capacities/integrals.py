@@ -17,6 +17,7 @@ t+ = max(t, 0) and t- = max(-t, 0).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -312,6 +313,13 @@ class PseudoProduct:
 
 _GRID_POINTS = 21
 
+# Seeded off-grid triples (x, y, z); their (x, y) pairs are the off-grid pairs.
+# They keep an operator that agrees with an associative one only on the grid
+# from being certified. The stdlib generator spares the import of numpy.random.
+_rng = random.Random(2008)
+_OFF_GRID = [(_rng.random(), _rng.random(), _rng.random()) for _ in range(64)]
+del _rng
+
 
 def _grid_table(op: Callable[[float, float], float], grid_points: int):
     """Uniform grid xs on [0, 1] and the table op(xs[i], xs[j])."""
@@ -324,7 +332,8 @@ def _grid_table(op: Callable[[float, float], float], grid_points: int):
 
 
 def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:
-    """Worst commutativity and associativity gaps of ``op`` on its grid table."""
+    """Worst commutativity and associativity gaps of ``op`` on its grid table
+    and on the off-grid pairs and triples."""
     comm_gap = float(np.max(np.abs(table - table.T)))
     assoc_gap = 0.0
     for i, x in enumerate(xs):
@@ -335,6 +344,10 @@ def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorC
                 gap = abs(left - right)
                 if gap > assoc_gap:
                     assoc_gap = gap
+    for x, y, z in _OFF_GRID:
+        xy = float(op(x, y))
+        comm_gap = max(comm_gap, abs(xy - float(op(y, x))))
+        assoc_gap = max(assoc_gap, abs(op(xy, z) - op(x, float(op(y, z)))))
     return OperatorCertificate(
         commutative=comm_gap <= tol,
         associative=assoc_gap <= tol,
@@ -354,8 +367,9 @@ def certify(
     """Sample commutativity and associativity of ``op`` on a [0, 1] grid.
 
     Pairs come from a uniform grid of ``grid_points`` values, triples from
-    its cube. The certificate records the worst gaps; the operator counts
-    as certified when both stay within ``tol``.
+    its cube, plus a fixed seeded set of off-grid pairs and triples. The
+    certificate records the worst gaps; the operator counts as certified
+    when both stay within ``tol``.
     """
     cert = _certificate(op, *_grid_table(op, grid_points), tol)
     return PseudoProduct(op=op, name=name, certificate=cert)
@@ -366,7 +380,7 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
 
     Each coalition contributes m(A) times the left fold of ``op`` over its
     scores in ascending criterion order (the certificate makes the order
-    immaterial on the sampled grid).
+    immaterial on the sampled points).
     """
     if not isinstance(op, PseudoProduct):
         raise UncertifiedOperator("operator must be wrapped by certify() before use")

@@ -144,13 +144,7 @@ class AggregationModel:
             by_criterion.get(i, default_scale(i)) for i in range(1, n + 1)
         )
         object.__setattr__(self, "scales", full)
-        evaluator = make_extension(
-            self.extension,
-            self.capacity,
-            self.capacity_losses if self.extension == "cpt" else None,
-        )
-        if self.extension != "cpt" and self.capacity_losses is not None:
-            raise CapacitiesError("only the cpt extension takes capacity_losses")
+        evaluator = make_extension(self.extension, self.capacity, self.capacity_losses)
         object.__setattr__(self, "_evaluator", evaluator)
 
     @property

@@ -19,6 +19,7 @@ from capacities import (
     mle,
     mobius,
 )
+from capacities.subsets import parse_subset_key
 from helpers import random_additive_capacity, random_capacity
 
 OVERLAP = as_capacity([0.0, 0.9, 0.9, 1.0])
@@ -168,6 +169,46 @@ class TestHarness:
         assert rep.passed
         assert rep.skipped > 0
         assert rep.samples_tested > 0
+
+
+class TestSampledHomogeneity:
+    # Above 2**10 masks HE probes only {1} and N, then draws random trials.
+    MU11 = random_capacity(np.random.default_rng(11), 11)
+
+    def test_choquet_passes_with_random_trials(self):
+        ext = make_extension("choquet", self.MU11)
+        rep = check_axiom("HE", ext, self.MU11, CFG)
+        sweep = 1 + 5 + 21  # 0, the alpha probes 1e-3, 1e3, 1, 0.5, 2, 21 steps
+        assert rep.passed
+        assert rep.samples_tested == 2 * sweep + CFG.samples
+        assert rep.skipped == 0
+
+    def test_multilinear_fails_on_unit_cube(self):
+        ext = make_extension("mle", self.MU11)
+        rep = check_axiom("HE", ext, self.MU11, UNIT_CFG)
+        assert not rep.passed
+        ce = rep.counterexample
+        mask = parse_subset_key(ce.inputs["subset"], 11)
+        assert ce.expected == pytest.approx(ce.inputs["alpha"] * self.MU11[mask])
+        assert ext(ce.inputs["t"]) == ce.got
+
+
+class TestAffineInvarianceAtHugeScores:
+    # The sides of C1 carry roundoff of the size of alpha * t + beta, which
+    # can dwarf a Choquet value that cancels to near 0.
+    MU = as_capacity([0.0, 0.3, 0.5, 1.0])
+
+    def test_choquet_passes(self):
+        ext = make_extension("choquet", self.MU)
+        cfg = AxiomCheckConfig(score_bounds=(-1e307, 1e307))
+        assert check_axiom("C1", ext, self.MU, cfg).passed
+
+    def test_sipos_still_fails(self):
+        ext = make_extension("sipos", self.MU)
+        cfg = AxiomCheckConfig(score_bounds=(-1e300, 1e300))
+        rep = check_axiom("C1", ext, self.MU, cfg)
+        assert not rep.passed
+        assert rep.counterexample.discrepancy > 1e-3 * abs(rep.counterexample.expected)
 
 
 class TestEquivalence:

@@ -401,6 +401,18 @@ class TestPseudoProduct:
         op = certify(lambda a, b: a, "left-projection")
         assert op.certificate.max_commutativity_gap == pytest.approx(1.0)
 
+    def test_operator_associative_only_on_the_grid_is_refused(self):
+        def grid_min(a, b):
+            on_grid = all(abs(20.0 * x - round(20.0 * x)) < 1e-9 for x in (a, b))
+            return min(a, b) if on_grid else (a + b) / 2.0
+
+        op = certify(grid_min, "grid-min")
+        assert op.certificate.grid_points == 21
+        assert op.certificate.commutative
+        assert not op.certificate.associative
+        with pytest.raises(UncertifiedOperator):
+            pseudo_product_extension(mobius(OVERLAP), op, [0.5, 0.5])
+
 
 class TestExtensions:
     def test_unknown_name(self):
