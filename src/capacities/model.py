@@ -9,6 +9,7 @@ aggregate of the binary act that is good on A and neutral elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,7 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
     return as_capacity(vals, n=n, require_positive_singletons=True)
 
 
-def _utilities(model: AggregationModel, act) -> np.ndarray:
+def _utilities(model: AggregationModel, act) -> list:
     if not isinstance(act, Act):
         act = Act(tuple(act))
     n = model.n
@@ -199,13 +200,10 @@ def _utilities(model: AggregationModel, act) -> np.ndarray:
         raise DimensionMismatch(
             "act has %d entries but the model has %d criteria" % (len(act.entries), n)
         )
-    out = np.empty(n)
-    for i, entry in enumerate(act.entries):
-        if isinstance(entry, str):
-            out[i] = model.scales[i].utility(entry)
-        else:
-            out[i] = float(entry)
-    return out
+    return [
+        model.scales[i].utility(entry) if isinstance(entry, str) else float(entry)
+        for i, entry in enumerate(act.entries)
+    ]
 
 
 def evaluate_act(model: AggregationModel, act) -> float:
@@ -237,16 +235,20 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
 
     Adjacent scores within ``tol`` of each other form an indifference
     chain: within a chain acts keep their input order and all but the
-    first are flagged. The result is a list of :class:`RankedAct`.
+    first are flagged. The result is a list of :class:`RankedAct`. All acts
+    are scored in one batch (``Extension.many``).
     """
+    if not 0.0 <= tol < math.inf:
+        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
     acts = [a if isinstance(a, Act) else Act(tuple(a)) for a in acts]
     if not acts:
         raise CapacitiesError("no acts to rank")
-    scored = [(evaluate_act(model, a), k) for k, a in enumerate(acts)]
-    order = sorted(range(len(acts)), key=lambda k: (-scored[k][0], k))
+    utilities = np.array([_utilities(model, a) for a in acts], dtype=np.float64)
+    scores = model._evaluator.many(utilities).tolist()
+    order = sorted(range(len(acts)), key=lambda k: (-scores[k], k))
     groups = []
     for k in order:
-        score = scored[k][0]
+        score = scores[k]
         if groups and groups[-1][-1][0] - score <= tol:
             groups[-1].append((score, k))
         else:

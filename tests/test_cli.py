@@ -329,6 +329,21 @@ class TestRank:
         assert [r["score"] for r in ranking] == [1.0, 0.5, 0.5, 0.0]
         assert ranking[2]["indifferent_to_previous"] is True
 
+    @pytest.mark.parametrize("extension", ["choquet", "mle"])
+    @pytest.mark.parametrize("entries", [["good"], ["good", "stellar"], [1e308, -1e308]])
+    def test_bad_act_exits_1(self, write_json, capsys, extension, entries):
+        model = write_json("model.json", {"capacity": GRADED, "extension": extension})
+        acts = write_json("acts.json", [["good", "neutral"], entries])
+        assert main(["rank", "--model", model, "--acts", acts]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Warning" not in err
+
+    def test_missing_acts_flag_exits_2(self, model_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["rank", "--model", model_file])
+        assert err.value.code == 2
+
 
 class TestDiagnostics:
     def test_invalid_capacity_exit_code(self, write_json, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from capacities import (
     DimensionMismatch,
+    Extension,
     MobiusRepr,
     OutOfDomain,
     PseudoProduct,
@@ -30,6 +31,7 @@ from capacities import (
     symmetric_max,
     symmetric_max_fold,
 )
+from capacities import integrals
 from helpers import random_additive_capacity, random_capacity
 
 TOL = 1e-9
@@ -437,11 +439,12 @@ class TestExtensions:
         # RuntimeWarnings are errors in this suite, so a leaked one fails here
         mu = as_capacity([0.0, 0.6, 0.6, 1.0, 0.6, 1.0, 1.0, 1.0], n=3)  # sum of |m| > 1
         ext = make_extension(name, mu, mu if name == "cpt" else None)
-        try:
-            value = ext(t)
-        except OutOfDomain:
-            return
-        assert np.isfinite(value)
+        for evaluate in (ext, lambda t: ext.many([[0.1, 0.2, 0.3], t])[1]):
+            try:
+                value = evaluate(t)
+            except OutOfDomain:
+                continue
+            assert np.isfinite(value)
 
     def test_extensions_agree_on_vertices(self):
         rng = np.random.default_rng(22)
@@ -452,3 +455,116 @@ class TestExtensions:
             t = [1.0 if mask >> i & 1 else 0.0 for i in range(3)]
             for ext in exts:
                 assert ext(t) == pytest.approx(mu[mask] if mask else 0.0, abs=TOL)
+
+
+def wobbly_capacity(rng, n):
+    """A capacity that is monotone and normalized only within the default tol."""
+    v = random_capacity(rng, n, lo=0.0).values.copy()
+    v[1:] += rng.uniform(-2.5e-10, 2.5e-10, v.shape[0] - 1)
+    return as_capacity(v, n=n)
+
+
+def coarse_capacity(rng, n):
+    """Values on a 0.1 grid: many plateaus, so few strict steps."""
+    v = np.round(random_capacity(rng, n, lo=0.0).values, 1)
+    v[-1] = 1.0
+    return as_capacity(v, n=n)
+
+
+CAPACITY_KINDS = {"random": random_capacity, "wobbly": wobbly_capacity, "coarse": coarse_capacity}
+
+
+def naive_extension(name, mu, losses, t):
+    """The tests' enumerators for mle, smle and cpt at one score vector."""
+    n = mu.n
+    tp, tn = np.maximum(t, 0.0), np.maximum(-t, 0.0)
+    if name == "mle":
+        return oracles.naive_owen_mle(list(mu.values), n, list(t))
+    if name == "smle":
+        vals = list(mu.values)
+        owen = oracles.naive_owen_mle
+        return owen(vals, n, list(tp)) - owen(vals, n, list(tn))
+    m1 = oracles.naive_mobius(list(mu.values), n)
+    m2 = oracles.naive_mobius(list(losses.values), n)
+    return oracles.naive_min_form(m1, n, list(tp)) - oracles.naive_min_form(m2, n, list(tn))
+
+
+class TestBatchKernels:
+    """``Extension.many`` against the scalar kernels and the naive enumerators."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        k=st.sampled_from([1, 2, 5, 9]),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(sorted(CAPACITY_KINDS)),
+        lo=st.sampled_from([-1.0, 0.0]),
+        decimals=st.sampled_from([None, 1]),
+    )
+    def test_batch_matches_scalar_and_oracles(self, n, k, seed, kind, lo, decimals):
+        rng = np.random.default_rng(seed)
+        mu = CAPACITY_KINDS[kind](rng, n)
+        losses = CAPACITY_KINDS[kind](rng, n)
+        t = rng.uniform(lo, 1.0, (k, n))
+        if decimals is not None:
+            t = np.round(t, decimals)  # ties, zeros and sign changes at 0
+        for name in ("choquet", "sipos", "sugeno_product"):
+            ext = make_extension(name, mu)
+            assert np.array_equal(ext.many(t), [ext(row) for row in t]), name
+        for name in ("mle", "smle", "cpt"):
+            got = make_extension(name, mu, losses if name == "cpt" else None).many(t)
+            for row, value in zip(t, got):
+                want = naive_extension(name, mu, losses, row)
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), name
+
+    @pytest.mark.parametrize("chunk", [integrals._CHUNK, 1 << 9])
+    @pytest.mark.parametrize("k", [1, 3, 7, 200, 513])
+    @pytest.mark.parametrize("name", ["mle", "smle", "cpt"])
+    def test_duplicate_rows_score_alike_anywhere_in_the_batch(self, name, k, chunk, monkeypatch):
+        # 1 << 9 puts two rows in each matrix product at n = 16
+        monkeypatch.setattr(integrals, "_CHUNK", chunk)
+        rng = np.random.default_rng(k)
+        mu = random_capacity(rng, 16)
+        ext = make_extension(name, mu, random_capacity(rng, 16) if name == "cpt" else None)
+        t = rng.uniform(-1.5, 2.5, (k, 16))
+        where = sorted({0, k // 2, k - 1})
+        t[where] = rng.uniform(-1.5, 2.5, 16)
+        got = ext.many(t)
+        assert len({got[j] for j in where}) == 1
+        assert got[0] == pytest.approx(ext(t[0]), rel=1e-9, abs=1e-9)
+
+    def test_sugeno_product_is_the_max_over_upper_sets(self):
+        mu = as_capacity([0.0, 0.3, 0.6, 1.0])
+        # t = (0.5, 0.2): max(0.2 * mu(N), 0.5 * mu({1}))
+        assert make_extension("sugeno_product", mu).many([[0.5, 0.2]])[0] == 0.2
+        assert make_extension("sugeno_product", mu).many([[0.9, 0.2]])[0] == pytest.approx(0.27)
+
+    def test_empty_batch(self):
+        for name in ("choquet", "sipos", "mle", "smle", "sugeno_product", "cpt"):
+            ext = make_extension(name, OVERLAP, OVERLAP if name == "cpt" else None)
+            assert ext.many(np.empty((0, 2))).shape == (0,)
+
+    def test_shape_and_finiteness_are_checked(self):
+        ext = make_extension("choquet", OVERLAP)
+        with pytest.raises(DimensionMismatch):
+            ext.many([0.5, 0.2])
+        with pytest.raises(DimensionMismatch):
+            ext.many([[0.5, 0.2, 0.1]])
+        with pytest.raises(OutOfDomain):
+            ext.many([[0.5, 0.2], [np.inf, 0.0]])
+        with pytest.raises(OutOfDomain):
+            ext.many([[np.nan, 0.0]])
+
+    def test_extension_without_batch_loops_the_scalar_function(self):
+        calls = []
+
+        def fn(t):
+            calls.append(list(t))
+            return float(np.sum(t))
+
+        ext = Extension("sum", 2, "reals", fn)
+        assert ext.batch is None
+        assert ext.many([[1.0, 2.0], [3.0, -4.0]]).tolist() == [3.0, -1.0]
+        assert calls == [[1.0, 2.0], [3.0, -4.0]]
+        with pytest.raises(OutOfDomain, match="row 1"):
+            Extension("big", 1, "reals", lambda t: float(t[0]) * 1e308).many([[1.0], [10.0]])

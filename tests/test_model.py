@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import capacities.model
 from capacities import (
     Act,
     AggregationModel,
     CapacitiesError,
     DimensionMismatch,
+    Extension,
     InvalidFormat,
     NonPositiveSingleton,
     NotNormalized,
+    OutOfDomain,
     UnknownLevel,
     UtilityScale,
     acts_from_obj,
@@ -16,6 +21,7 @@ from capacities import (
     capacity_from_binary_acts,
     default_scale,
     evaluate_act,
+    make_extension,
     model_from_dict,
     rank_acts,
 )
@@ -208,6 +214,63 @@ class TestRanking:
             "score": pytest.approx(0.5),
             "indifferent_to_previous": False,
         }
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol used to drop the indifference flag of exact duplicates
+        with pytest.raises(InvalidFormat, match="tol"):
+            rank_acts(sipos_model(), [Y, Y], tol=tol)
+
+    def test_zero_tol_still_chains_exact_duplicates(self):
+        ranked = rank_acts(sipos_model(), [Y, Z, Y], tol=0.0)
+        assert [(r.index, r.indifferent_to_previous) for r in ranked] == [
+            (1, False), (0, False), (2, True)
+        ]
+
+    def test_scores_match_evaluate_act(self):
+        rng = np.random.default_rng(5)
+        mu = random_capacity(rng, 5)
+        entries = ["good", "neutral", 0.25, -1.5]
+        acts = [tuple(entries[j] for j in rng.integers(0, 4, 5)) for _ in range(30)]
+        for name in ("choquet", "sipos", "mle", "smle", "sugeno_product", "cpt"):
+            model = AggregationModel(mu, name, capacity_losses=mu if name == "cpt" else None)
+            for r in rank_acts(model, acts):
+                assert r.score == pytest.approx(evaluate_act(model, acts[r.index]), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["choquet", "mle"])
+    def test_overflowing_act_is_out_of_domain_without_warning(self, name):
+        # m({1, 2}) = 0.1: the product t1 * t2 overflows in every form
+        model = AggregationModel(capacity=as_capacity([0.0, 0.3, 0.6, 1.0]), extension=name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain):
+                rank_acts(model, [(0.5, 0.5), (1e308, -1e308)])
+
+    def test_errors_name_the_bad_act_kind(self):
+        with pytest.raises(DimensionMismatch):
+            rank_acts(sipos_model(), [X, ("good",)])
+        with pytest.raises(UnknownLevel):
+            rank_acts(sipos_model(), [X, ("good", "stellar")])
+        with pytest.raises(OutOfDomain):
+            rank_acts(sipos_model(), [X, (float("inf"), 0.0)])
+
+    def test_extension_without_batch_ranks_through_the_scalar_fallback(self, monkeypatch):
+        calls = []
+
+        def plain(name, mu, losses=None):
+            ext = make_extension(name, mu, losses)
+
+            def fn(t):
+                calls.append(1)
+                return ext(t)
+
+            return Extension(ext.name, ext.n, ext.domain, fn)
+
+        monkeypatch.setattr(capacities.model, "make_extension", plain)
+        ranked = rank_acts(sipos_model(), [X, Y, Z, T])
+        assert len(calls) == 4
+        assert [r.act.label for r in ranked] == ["z", "y", "t", "x"]
+        assert [r.indifferent_to_previous for r in ranked] == [False, False, True, False]
 
 
 class TestModelParsing:
