@@ -71,7 +71,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CapacitiesError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
         raise CapacitiesError("%s is not valid JSON: %s" % (path, exc)) from exc
 
 

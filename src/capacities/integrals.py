@@ -25,6 +25,7 @@ product over the low and high halves of the criteria.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -105,10 +106,11 @@ def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _over_subsets(ufunc: np.ufunc, t: np.ndarray, empty: float) -> np.ndarray:
-    """table[A] = ``ufunc`` folded over t on A for every mask; ``empty`` at the empty set."""
-    out = np.full(1 << t.shape[0], empty)
-    for i, lo, hi in subsets.halves(out):
-        ufunc(lo, t[i], out=hi)
+    """table[..., A] = ``ufunc`` folded over t[..., :] on A, criteria ascending, for
+    every mask A (row by row for a matrix t); ``empty`` at the empty set."""
+    out = np.full(t.shape[:-1] + (1 << t.shape[-1],), empty)
+    for i in range(t.shape[-1]):
+        ufunc(out[..., : 1 << i], t[..., i : i + 1], out=out[..., 1 << i : 2 << i])
     return out
 
 
@@ -252,7 +254,7 @@ def sugeno_product(m: OrdinalMobiusRepr, t) -> float:
     """
     t = _scores(t, m.n)
     if np.all(t >= 0.0):
-        return _sugeno_nonneg(m, t)
+        return _sugeno_nonneg(m, t) + 0.0  # a zero value is +0.0, as symmetric_max gives
     tp, tn = _split(t)
     return symmetric_max(_sugeno_nonneg(m, tp), -_sugeno_nonneg(m, tn))
 
@@ -479,14 +481,6 @@ def _sugeno_rows(nu: SetFunction, t: np.ndarray) -> np.ndarray:
 _CHUNK = 1 << 18  # rows per matrix product times 2**(n - n // 2): 2 MiB temporaries
 
 
-def _products(t: np.ndarray) -> np.ndarray:
-    """Row-wise table of the product of t over every mask of its columns."""
-    out = np.ones((t.shape[0], 1 << t.shape[1]))
-    for i in range(t.shape[1]):
-        np.multiply(out[:, : 1 << i], t[:, i : i + 1], out=out[:, 1 << i : 2 << i])
-    return out
-
-
 @_quiet
 def _mle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
     """Sum over A of m(A) * product of t over A, for every row of t.
@@ -507,8 +501,8 @@ def _mle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK >> (n - h))
     for s in range(0, rows.shape[0], step):
         r = rows[s : s + step]
-        low = _products(r[:, :h]) @ mat.T
-        out[s : s + step] = np.sum(low * _products(r[:, h:]), axis=1)
+        low = _over_subsets(np.multiply, r[:, :h], 1.0) @ mat.T
+        out[s : s + step] = np.sum(low * _over_subsets(np.multiply, r[:, h:], 1.0), axis=1)
     return out[inverse]
 
 
@@ -517,6 +511,27 @@ def _smle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
     k = t.shape[0]
     both = _mle_rows(m, np.concatenate(_split(t)))
     return both[:k] - both[k:]
+
+
+@_quiet
+def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
+    """The scalar coefficient forms row by row, bit for bit: per row, one np.dot of
+    m's coefficients with the table of ``ufunc`` folded over t, or with ``signed``
+    over t+ minus that over t- (``smle``), as the one-vector call builds them."""
+    coef = m.coefficients[1:]
+    out = np.empty(t.shape[0])
+    step = max(1, _CHUNK >> (t.shape[1] + 2))  # tables of 512 KiB
+    for s in range(0, t.shape[0], step):
+        r = t[s : s + step]
+        if signed:
+            tp, tn = _split(r)
+            table = _over_subsets(ufunc, tp, empty)
+            table -= _over_subsets(ufunc, tn, empty)
+        else:
+            table = _over_subsets(ufunc, r, empty)
+        for j, row in enumerate(table, s):
+            out[j] = np.dot(coef, row[1:])
+    return out
 
 
 EXTENSION_NAMES = ("choquet", "sipos", "mle", "smle", "sugeno_product", "cpt")
@@ -535,6 +550,8 @@ class Extension:
     A call raises :class:`OutOfDomain` when the value is not finite.
     ``batch``, when set, maps a finite (k, n) score matrix to the k values
     at once; :meth:`many` falls back to calling ``fn`` row by row without it.
+    ``rows`` is the axiom harness's kernel: like ``batch``, but equal to
+    ``fn`` bit for bit on every row (see :meth:`_values`).
     """
 
     name: str
@@ -542,6 +559,7 @@ class Extension:
     domain: str
     fn: Aggregator
     batch: BatchAggregator | None = None
+    rows: BatchAggregator | None = None
 
     def __call__(self, t) -> float:
         value = self.fn(t)
@@ -568,6 +586,26 @@ class Extension:
             )
         return values
 
+    @_quiet
+    def _values(self, t: np.ndarray) -> np.ndarray:
+        """``fn`` at every row of a (k, n) matrix, bit for bit, with a non-finite
+        value wherever the one-vector call raises :class:`OutOfDomain`."""
+        finite = np.isfinite(t).all(axis=1)
+        t = np.where(finite[:, None], t, 0.0)
+        if self.rows is not None:
+            values = self.rows(t)
+        else:
+            values = np.array([_or_nan(self.fn, row) for row in t], dtype=np.float64)
+        values[~finite] = np.nan
+        return values
+
+
+def _or_nan(fn: Aggregator, t: np.ndarray) -> float:
+    try:
+        return fn(t)
+    except OutOfDomain:
+        return math.nan
+
 
 def make_extension(
     name: str, mu: Capacity, mu_losses: Capacity | None = None
@@ -579,34 +617,42 @@ def make_extension(
         )
     if name != "cpt" and mu_losses is not None:
         raise CapacitiesError("only the cpt extension takes a second capacity")
+    # The sort-based batches of choquet, sipos and sugeno_product match their
+    # scalar calls bit for bit, so they serve as row kernels too.
     if name == "choquet":
-        return Extension(
-            name, mu.n, "reals", lambda t: choquet(mu, t), lambda t: _choquet_rows(mu, t)
-        )
+        batch = functools.partial(_choquet_rows, mu)
+        return Extension(name, mu.n, "reals", lambda t: choquet(mu, t), batch, batch)
     if name == "sipos":
-        return Extension(
-            name, mu.n, "reals", lambda t: sipos(mu, t), lambda t: _split_choquet_rows(mu, mu, t)
-        )
+        batch = functools.partial(_split_choquet_rows, mu, mu)
+        return Extension(name, mu.n, "reals", lambda t: sipos(mu, t), batch, batch)
     if name == "mle":
         m = mobius(mu)
-        return Extension(name, mu.n, "unit", lambda t: mle(m, t), lambda t: _mle_rows(m, t))
+        rows = functools.partial(_mobius_rows, m, np.multiply, 1.0)
+        return Extension(name, mu.n, "unit", lambda t: mle(m, t), lambda t: _mle_rows(m, t), rows)
     if name == "smle":
         m = mobius(mu)
-        return Extension(name, mu.n, "unit", lambda t: smle(m, t), lambda t: _smle_rows(m, t))
+        rows = functools.partial(_mobius_rows, m, np.multiply, 1.0, signed=True)
+        return Extension(name, mu.n, "unit", lambda t: smle(m, t), lambda t: _smle_rows(m, t), rows)
     if name == "sugeno_product":
         mv = ordinal_mobius(mu)
         nu = ordinal_zeta(mv)
-        return Extension(
-            name, mu.n, "reals", lambda t: sugeno_product(mv, t), lambda t: _sugeno_rows(nu, t)
-        )
+        batch = functools.partial(_sugeno_rows, nu)
+        return Extension(name, mu.n, "reals", lambda t: sugeno_product(mv, t), batch, batch)
     if mu_losses is None:
         raise CapacitiesError("the cpt extension needs a second capacity for losses")
     m1 = mobius(mu)
     m2 = mobius(mu_losses)
+
+    @_quiet
+    def rows(t):
+        tp, tn = _split(t)
+        return _mobius_rows(m1, np.minimum, np.inf, tp) - _mobius_rows(m2, np.minimum, np.inf, tn)
+
     return Extension(
         name,
         mu.n,
         "reals",
         lambda t: cpt(m1, m2, t),
         lambda t: _split_choquet_rows(mu, mu_losses, t),
+        rows,
     )

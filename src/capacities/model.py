@@ -23,7 +23,7 @@ from .errors import (
     UnknownLevel,
 )
 from .integrals import EXTENSION_NAMES, make_extension
-from .set_function import DEFAULT_TOL, Capacity, as_capacity, capacity_from_dict
+from .set_function import DEFAULT_TOL, Capacity, _number, as_capacity, capacity_from_dict
 
 __all__ = [
     "NEUTRAL",
@@ -63,9 +63,7 @@ class UtilityScale:
         for name, value in levels.items():
             if not isinstance(name, str):
                 raise InvalidFormat("level names must be strings, got %r" % (name,))
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidFormat("level %r must map to a number, got %r" % (name, value))
-            levels[name] = float(value)
+            levels[name] = _number(value, "level %r" % (name,))
         if levels.get(NEUTRAL) != 0.0:
             raise InvalidFormat(
                 'scale for criterion %d must map "%s" to 0' % (self.criterion, NEUTRAL)
@@ -97,8 +95,8 @@ class Act:
     def __post_init__(self):
         entries = tuple(self.entries)
         for e in entries:
-            if isinstance(e, bool) or not isinstance(e, (str, int, float)):
-                raise InvalidFormat("act entries must be level names or numbers, got %r" % (e,))
+            if not isinstance(e, str):
+                _number(e, "an act entry that is not a level name")
         object.__setattr__(self, "entries", entries)
 
 
@@ -176,13 +174,8 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
             mask = subsets.mask_of(key, n)
         if seen[mask]:
             raise InvalidFormat("duplicate entry for subset {%s}" % subsets.subset_key(mask))
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidFormat(
-                "attractiveness of {%s} must be a number, got %r"
-                % (subsets.subset_key(mask), value)
-            )
+        vals[mask] = _number(value, "attractiveness of {%s}" % subsets.subset_key(mask))
         seen[mask] = True
-        vals[mask] = float(value)
     if not seen.all():
         missing = int(np.argmin(seen))
         raise InvalidFormat(

@@ -386,9 +386,14 @@ def to_dict(v: SetFunction) -> dict:
 
 
 def _number(x, where: str) -> float:
+    """A parsed JSON number as a float; :class:`InvalidFormat` for anything else,
+    bools and integers too large for a double included."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidFormat("%s must be a number, got %r" % (where, x))
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidFormat("%s is an integer too large for a double" % where) from None
 
 
 def vector_from_dict(obj) -> tuple[int, np.ndarray]:

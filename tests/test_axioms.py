@@ -211,6 +211,23 @@ class TestAffineInvarianceAtHugeScores:
         assert rep.counterexample.discrepancy > 1e-3 * abs(rep.counterexample.expected)
 
 
+class TestAffineInvarianceOutOfDomain:
+    def test_mle_of_an_additive_capacity_fails_by_rounding(self):
+        # A documented limitation: the Mobius coefficients of order >= 2 of an
+        # additive capacity come out as rounding noise (up to 5.6e-17), and mle
+        # multiplies them by score products near (alpha * max|t|)**|B|, ~4e15 here.
+        mu = random_additive_capacity(np.random.default_rng(204), 4)
+        cfg = AxiomCheckConfig(samples=120, seed=3, allow_out_of_domain=True)
+        rep = check_axiom("C1", make_extension("mle", mu), mu, cfg)
+        assert not rep.passed
+        ce = rep.counterexample
+        assert ce.inputs["alpha"] == pytest.approx(973.8492179540754)
+        assert ce.expected == pytest.approx(1979.197352, abs=1e-6)
+        assert ce.got == pytest.approx(1979.197333, abs=1e-6)
+        higher = [mask for mask in range(16) if mask.bit_count() >= 2]
+        assert np.abs(mobius(mu).coefficients[higher]).max() < 1e-16
+
+
 class TestEquivalence:
     def test_sipos_bundles_both_pass(self):
         ext = make_extension("sipos", OVERLAP)
@@ -299,3 +316,45 @@ class TestCompareExtensions:
 
         cmpres = compare_extensions(OVERLAP, [(0.5, 0.2)], CFG)
         json.dumps(cmpres.to_dict())
+
+
+def _rounded(obj):
+    """Every float rounded to 12 significant digits, as the CLI prints them."""
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _rounded(x) for k, x in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(x) for x in obj]
+    return obj
+
+
+# sha256 of the reports below, serialized by ``_rounded`` and sorted-key JSON.
+# Any change to a verdict, a count or a counterexample's 12 digits moves it.
+REPORT_DIGEST = "f87b78287b185c1f5b74e51c2891909e07d915594a47add175cf89993d87821b"
+
+
+def test_report_digest_is_pinned():
+    import hashlib
+    import json
+
+    configs = (
+        AxiomCheckConfig(samples=24, score_bounds=(0.0, 1.0), alpha_bounds=(1e-3, 1.0)),
+        AxiomCheckConfig(samples=24, allow_out_of_domain=True),
+        AxiomCheckConfig(samples=24, score_bounds=(-1e300, 1e300), allow_out_of_domain=True),
+    )
+    rng = np.random.default_rng(20080)
+    reports = []
+    for n in (1, 2, 3, 5, 7):
+        mu = random_capacity(rng, n)
+        losses = random_capacity(rng, n)
+        for i, name in enumerate(("choquet", "sipos", "mle", "smle", "sugeno_product", "cpt")):
+            ext = make_extension(name, mu, losses if name == "cpt" else None)
+            for k, cfg in enumerate(configs):
+                if k == (n + i) % 3:
+                    continue  # two of the three configs per extension and n
+                cfg = dataclasses.replace(cfg, seed=10 * n + k)
+                reports += [check_axiom(ax, ext, mu, cfg).to_dict() for ax in AXIOM_NAMES]
+    assert len(reports) == 540
+    blob = json.dumps(_rounded(reports), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_DIGEST

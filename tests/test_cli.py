@@ -376,3 +376,48 @@ class TestDiagnostics:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+def huge_capacity(digits=400):
+    return '{"n": 2, "values_by_mask": [0, 0.3, %s, 1]}' % ("9" * digits)
+
+
+class TestHugeIntegers:
+    """A JSON integer no double can hold is a domain error: exit 1, one line, no traceback."""
+
+    @staticmethod
+    def write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    @staticmethod
+    def assert_one_error_line(capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("digits", [400, 5000])  # 5000 passes Python's int-parsing limit
+    def test_capacity_value_in_eval_and_verify(self, tmp_path, capsys, digits):
+        huge = self.write(tmp_path, "huge.json", huge_capacity(digits))
+        self.assert_one_error_line(
+            capsys, ["eval", "--integral", "choquet", "--capacity", huge, "--scores", "1,1"]
+        )
+        self.assert_one_error_line(capsys, ["verify", "--integral", "choquet", "--capacity", huge])
+
+    @pytest.mark.parametrize(
+        "capacity, level, entry",
+        [
+            (huge_capacity(), "-1", "0"),
+            (json.dumps(GRADED), "9" * 400, "0"),
+            (json.dumps(GRADED), "-1", "9" * 400),
+        ],
+        ids=["capacity", "level", "act"],
+    )
+    def test_rank(self, tmp_path, capsys, capacity, level, entry):
+        scales = '{"1": {"neutral": 0, "good": 1, "bad": %s}}' % level
+        model = '{"capacity": %s, "extension": "sipos", "scales": %s}' % (capacity, scales)
+        model_file = self.write(tmp_path, "model.json", model)
+        acts_file = self.write(tmp_path, "acts.json", "[[1, %s]]" % entry)
+        self.assert_one_error_line(capsys, ["rank", "--model", model_file, "--acts", acts_file])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capacities import (
+    EXTENSION_NAMES,
     DimensionMismatch,
     Extension,
     MobiusRepr,
@@ -568,3 +569,76 @@ class TestBatchKernels:
         assert calls == [[1.0, 2.0], [3.0, -4.0]]
         with pytest.raises(OutOfDomain, match="row 1"):
             Extension("big", 1, "reals", lambda t: float(t[0]) * 1e308).many([[1.0], [10.0]])
+
+
+def scalar_or_none(ext, t):
+    """The one-vector call, or None where it raises OutOfDomain."""
+    try:
+        return ext(t)
+    except OutOfDomain:
+        return None
+
+
+def same_bits(value, want) -> bool:
+    if want is None:
+        return not np.isfinite(value)
+    return np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
+class TestRowKernels:
+    """``Extension._values``, the axiom harness's kernel, against the one-vector call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(sorted(CAPACITY_KINDS)),
+        lo=st.sampled_from([-1.0, 0.0]),
+        decimals=st.sampled_from([None, 0, 1]),
+        zeros=st.booleans(),
+        scale=st.sampled_from([1.0, 1e3, 1e120, 1e307]),
+    )
+    def test_equal_to_the_scalar_call_bit_for_bit(
+        self, n, k, seed, kind, lo, decimals, zeros, scale
+    ):
+        rng = np.random.default_rng(seed)
+        mu = CAPACITY_KINDS[kind](rng, n)
+        losses = CAPACITY_KINDS[kind](rng, n)
+        t = rng.uniform(lo, 1.0, (k, n))
+        if decimals is not None:
+            t = np.round(t, decimals)  # ties, and zeros of either sign
+        if zeros:
+            t[rng.random((k, n)) < 0.3] = 0.0
+            t[rng.random((k, n)) < 0.3] = -0.0
+        t *= scale  # large scales overflow the coefficient forms
+        for name in EXTENSION_NAMES:
+            ext = make_extension(name, mu, losses if name == "cpt" else None)
+            for row, value in zip(t, ext._values(t)):
+                assert same_bits(value, scalar_or_none(ext, row)), (name, row.tolist())
+
+    def test_zero_times_infinity_is_not_finite(self):
+        # m({1, 2}) = 0 meets the product 1e308 * -1e308 = -inf: 0 * inf is NaN
+        ext = make_extension("mle", as_capacity([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(OutOfDomain):
+            ext([1e308, -1e308])
+        assert np.isnan(ext._values(np.array([[1e308, -1e308]]))[0])
+
+    def test_rows_with_non_finite_scores_are_nan(self):
+        for name in EXTENSION_NAMES:
+            ext = make_extension(name, OVERLAP, OVERLAP if name == "cpt" else None)
+            got = ext._values(np.array([[0.5, 0.2], [np.inf, 0.0], [np.nan, 0.1], [0.2, 0.5]]))
+            assert np.isnan(got[1:3]).all(), name
+            assert same_bits(got[0], ext([0.5, 0.2])) and same_bits(got[3], ext([0.2, 0.5])), name
+
+    def test_extension_without_a_row_kernel_calls_fn_per_row(self):
+        def fn(t):
+            if t[0] > 1.0:
+                raise OutOfDomain("above 1")
+            return float(t[0] - t[1])
+
+        ext = Extension("diff", 2, "reals", fn)
+        assert ext.rows is None
+        got = ext._values(np.array([[0.5, 0.25], [2.0, 0.0], [np.inf, 0.0], [0.1, 0.3]]))
+        assert got[0] == 0.25 and got[3] == fn([0.1, 0.3])
+        assert np.isnan(got[1]) and np.isnan(got[2])
