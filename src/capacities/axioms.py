@@ -233,7 +233,7 @@ def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             alpha=float(alpha[j]), subset=subsets.subset_key(int(mask[j])), t=t[j].tolist()
         )
 
-    probes = [(a, mask) for a in _alpha_sweep(alo, ahi) for mask in masks]
+    probes = ((a, mask) for a in _alpha_sweep(alo, ahi) for mask in masks)
     return probes, sampler, 0 if every_mask else cfg.samples, False, sides
 
 

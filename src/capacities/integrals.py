@@ -13,14 +13,16 @@ t+ = max(t, 0) and t- = max(-t, 0).
 ``pseudo_product_extension`` generalizes the minimum in the Mobius form of
 ``choquet`` to any certified commutative associative operator on [0, 1].
 
-Each extension also has a batch kernel mapping a (k, n) score matrix to k
-values (``Extension.many``). The sort-based ones read the capacity at the
-upper sets A_(j) of each row's ranking, in O(n log n) per row: ``choquet``
-and ``sipos`` bit for bit as the scalar loop, ``sugeno_product`` as
-max_j t_(j) * nu(A_(j)) with nu the max-closure of its ordinal
-coefficients, and ``cpt`` as choquet(mu_gains, t+) - choquet(mu_losses, t-).
-``mle`` and ``smle`` keep the coefficient form, factored into one matrix
-product over the low and high halves of the criteria.
+Each extension has one row kernel, from a (k, n) score matrix to k values,
+and the one-vector call is that kernel on one row: ``choquet`` and ``sipos``
+read the capacity at the upper sets A_(j) of each row's ranking (O(n log n)
+per row), ``sugeno_product`` takes max_j t_(j) * nu(A_(j)) with nu the
+max-closure of its ordinal coefficients, and the coefficient forms take one
+np.dot per row with a table over all subsets. ``Extension.many`` may run a
+faster batch kernel, equal up to rounding: ``cpt`` as choquet(mu_gains, t+)
+minus choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product
+over the low and high halves of the criteria. Scalar ``sugeno_product``,
+``sipos_closed_form`` and ``pseudo_product_extension`` stay as references.
 """
 
 from __future__ import annotations
@@ -120,30 +122,17 @@ def choquet(mu: Capacity, t) -> float:
     Sorts t ascending (ties broken by criterion index) and accumulates
     t(1) * mu(N) + sum of (t(k) - t(k-1)) * mu({criteria ranked k..n}).
     """
-    t = _scores(t, mu.n)
-    order = np.argsort(t, kind="stable")
-    vals = mu.values
-    acc = float(t[order[0]]) * float(vals[-1])
-    mask = mu.full_mask
-    for k in range(1, mu.n):
-        mask ^= 1 << int(order[k - 1])
-        acc += (float(t[order[k]]) - float(t[order[k - 1]])) * float(vals[mask])
-    return acc
+    return float(_choquet_rows(mu, _scores(t, mu.n)[None])[0])
 
 
-@_quiet
 def choquet_mobius(m: MobiusRepr, t) -> float:
     """Choquet integral in coefficient form: sum of m(A) * min of t over A."""
-    t = _scores(t, m.n)
-    minv = _over_subsets(np.minimum, t, np.inf)
-    return float(np.dot(m.coefficients[1:], minv[1:]))
+    return float(_mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None])[0])
 
 
 def sipos(mu: Capacity, t) -> float:
     """Symmetric integral: Choquet of the gains minus Choquet of the losses."""
-    t = _scores(t, mu.n)
-    tp, tn = _split(t)
-    return choquet(mu, tp) - choquet(mu, tn)
+    return float(_split_choquet_rows(mu, mu, _scores(t, mu.n)[None])[0])
 
 
 def sipos_closed_form(mu: Capacity, t) -> float:
@@ -181,33 +170,21 @@ def sipos_closed_form(mu: Capacity, t) -> float:
 
 def sipos_mobius(m: MobiusRepr, t) -> float:
     """Coefficient form of :func:`sipos`: sum of m(A) * (min t+ - min t-)."""
-    t = _scores(t, m.n)
-    tp, tn = _split(t)
-    mp = _over_subsets(np.minimum, tp, np.inf)
-    mn = _over_subsets(np.minimum, tn, np.inf)
-    return float(np.dot(m.coefficients[1:], mp[1:] - mn[1:]))
+    return float(_mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None], signed=True)[0])
 
 
-@_quiet
 def mle(m: MobiusRepr, t) -> float:
     """Multilinear extension: sum of m(A) * product of t over A.
 
     The natural domain is the unit cube; evaluation outside it is allowed
     (and is exactly what makes the extension misbehave there).
     """
-    t = _scores(t, m.n)
-    prod = _over_subsets(np.multiply, t, 1.0)
-    return float(np.dot(m.coefficients[1:], prod[1:]))
+    return float(_mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None])[0])
 
 
-@_quiet
 def smle(m: MobiusRepr, t) -> float:
     """Symmetric multilinear extension: products of t+ minus products of t-."""
-    t = _scores(t, m.n)
-    tp, tn = _split(t)
-    pp = _over_subsets(np.multiply, tp, 1.0)
-    pn = _over_subsets(np.multiply, tn, 1.0)
-    return float(np.dot(m.coefficients[1:], pp[1:] - pn[1:]))
+    return float(_mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None], signed=True)[0])
 
 
 def symmetric_max(a: float, b: float) -> float:
@@ -269,9 +246,7 @@ def cpt(m_gains: MobiusRepr, m_losses: MobiusRepr, t) -> float:
         raise DimensionMismatch(
             "coefficient tables disagree on n: %d vs %d" % (m_gains.n, m_losses.n)
         )
-    t = _scores(t, m_gains.n)
-    tp, tn = _split(t)
-    return choquet_mobius(m_gains, tp) - choquet_mobius(m_losses, tn)
+    return float(_cpt_rows(m_gains, m_losses, _scores(t, m_gains.n)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -429,7 +404,7 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
     return float(np.dot(m.coefficients[1:], folded[1:]))
 
 
-# -- batch kernels: a (k, n) score matrix in, k values out ------------------------
+# -- row and batch kernels: a (k, n) score matrix in, k values out ----------------
 
 
 def _ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,7 +417,7 @@ def _ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @_quiet
 def _choquet_rows(mu: Capacity, t: np.ndarray) -> np.ndarray:
-    # Column by column, in the order of the scalar loop, so rows match it bit for bit.
+    # Column by column: np.cumsum along the short last axis loops row by row, slower.
     ts, upper = _ranked(t)
     v = mu.values[upper]
     acc = ts[:, 0] * v[:, 0]
@@ -515,9 +490,9 @@ def _smle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
 
 @_quiet
 def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
-    """The scalar coefficient forms row by row, bit for bit: per row, one np.dot of
-    m's coefficients with the table of ``ufunc`` folded over t, or with ``signed``
-    over t+ minus that over t- (``smle``), as the one-vector call builds them."""
+    """Per row of t, one np.dot of m's coefficients with the table of ``ufunc``
+    folded over t on each subset, or with ``signed`` over t+ minus that over t-,
+    so a row of a block has the bits of the same row alone."""
     coef = m.coefficients[1:]
     out = np.empty(t.shape[0])
     step = max(1, _CHUNK >> (t.shape[1] + 2))  # tables of 512 KiB
@@ -534,6 +509,13 @@ def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, si
     return out
 
 
+@_quiet
+def _cpt_rows(m1: MobiusRepr, m2: MobiusRepr, t: np.ndarray) -> np.ndarray:
+    """:func:`cpt` per row, in coefficient form."""
+    tp, tn = _split(t)
+    return _mobius_rows(m1, np.minimum, np.inf, tp) - _mobius_rows(m2, np.minimum, np.inf, tn)
+
+
 EXTENSION_NAMES = ("choquet", "sipos", "mle", "smle", "sugeno_product", "cpt")
 
 Aggregator = Callable[[np.ndarray], float]
@@ -548,10 +530,10 @@ class Extension:
     sign-splitting integrals, "unit" for the multilinear ones (which are
     still evaluable anywhere, just not well behaved outside the cube).
     A call raises :class:`OutOfDomain` when the value is not finite.
-    ``batch``, when set, maps a finite (k, n) score matrix to the k values
-    at once; :meth:`many` falls back to calling ``fn`` row by row without it.
-    ``rows`` is the axiom harness's kernel: like ``batch``, but equal to
-    ``fn`` bit for bit on every row (see :meth:`_values`).
+    ``rows`` maps a finite (k, n) score matrix to k values, each equal to
+    ``fn`` on its row bit for bit; ``batch`` is what :meth:`many` runs,
+    equal to ``rows`` up to rounding. Without ``batch``, :meth:`many` runs
+    :meth:`_values`; without ``rows``, that calls ``fn`` row by row.
     """
 
     name: str
@@ -574,10 +556,7 @@ class Extension:
         :class:`OutOfDomain` on non-finite scores or values.
         """
         t = _score_matrix(t, self.n)
-        if self.batch is None:
-            values = np.array([self.fn(row) for row in t], dtype=np.float64)
-        else:
-            values = self.batch(t)
+        values = self._values(t) if self.batch is None else self.batch(t)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise OutOfDomain(
@@ -610,49 +589,33 @@ def _or_nan(fn: Aggregator, t: np.ndarray) -> float:
 def make_extension(
     name: str, mu: Capacity, mu_losses: Capacity | None = None
 ) -> Extension:
-    """Bind an extension by name, precomputing the coefficients it needs."""
+    """Bind an extension by name, precomputing the coefficients it needs: its row
+    kernel, with the one-vector call as that kernel on one row, and its batch."""
     if name not in EXTENSION_NAMES:
         raise InvalidFormat(
             "unknown extension %r, expected one of %s" % (name, ", ".join(EXTENSION_NAMES))
         )
     if name != "cpt" and mu_losses is not None:
         raise CapacitiesError("only the cpt extension takes a second capacity")
-    # The sort-based batches of choquet, sipos and sugeno_product match their
-    # scalar calls bit for bit, so they serve as row kernels too.
+    n = mu.n
+    domain = "reals"
     if name == "choquet":
-        batch = functools.partial(_choquet_rows, mu)
-        return Extension(name, mu.n, "reals", lambda t: choquet(mu, t), batch, batch)
-    if name == "sipos":
-        batch = functools.partial(_split_choquet_rows, mu, mu)
-        return Extension(name, mu.n, "reals", lambda t: sipos(mu, t), batch, batch)
-    if name == "mle":
+        rows = batch = functools.partial(_choquet_rows, mu)
+    elif name == "sipos":
+        rows = batch = functools.partial(_split_choquet_rows, mu, mu)
+    elif name in ("mle", "smle"):
         m = mobius(mu)
-        rows = functools.partial(_mobius_rows, m, np.multiply, 1.0)
-        return Extension(name, mu.n, "unit", lambda t: mle(m, t), lambda t: _mle_rows(m, t), rows)
-    if name == "smle":
-        m = mobius(mu)
-        rows = functools.partial(_mobius_rows, m, np.multiply, 1.0, signed=True)
-        return Extension(name, mu.n, "unit", lambda t: smle(m, t), lambda t: _smle_rows(m, t), rows)
-    if name == "sugeno_product":
-        mv = ordinal_mobius(mu)
-        nu = ordinal_zeta(mv)
-        batch = functools.partial(_sugeno_rows, nu)
-        return Extension(name, mu.n, "reals", lambda t: sugeno_product(mv, t), batch, batch)
-    if mu_losses is None:
+        signed = name == "smle"
+        rows = functools.partial(_mobius_rows, m, np.multiply, 1.0, signed=signed)
+        batch = functools.partial(_smle_rows if signed else _mle_rows, m)
+        domain = "unit"
+    elif name == "sugeno_product":
+        rows = batch = functools.partial(_sugeno_rows, ordinal_zeta(ordinal_mobius(mu)))
+    elif mu_losses is None:
         raise CapacitiesError("the cpt extension needs a second capacity for losses")
-    m1 = mobius(mu)
-    m2 = mobius(mu_losses)
-
-    @_quiet
-    def rows(t):
-        tp, tn = _split(t)
-        return _mobius_rows(m1, np.minimum, np.inf, tp) - _mobius_rows(m2, np.minimum, np.inf, tn)
-
-    return Extension(
-        name,
-        mu.n,
-        "reals",
-        lambda t: cpt(m1, m2, t),
-        lambda t: _split_choquet_rows(mu, mu_losses, t),
-        rows,
-    )
+    elif mu_losses.n != n:
+        raise DimensionMismatch("capacities disagree on n: %d vs %d" % (n, mu_losses.n))
+    else:
+        rows = functools.partial(_cpt_rows, mobius(mu), mobius(mu_losses))
+        batch = functools.partial(_split_choquet_rows, mu, mu_losses)
+    return Extension(name, n, domain, lambda t: float(rows(_scores(t, n)[None])[0]), batch, rows)

@@ -22,7 +22,7 @@ from .errors import (
     NonPositiveSingleton,
     UnknownLevel,
 )
-from .integrals import EXTENSION_NAMES, make_extension
+from .integrals import make_extension
 from .set_function import DEFAULT_TOL, Capacity, _number, as_capacity, capacity_from_dict
 
 __all__ = [
@@ -118,11 +118,6 @@ class AggregationModel:
     capacity_losses: Capacity | None = None
 
     def __post_init__(self):
-        if self.extension not in EXTENSION_NAMES:
-            raise InvalidFormat(
-                "unknown extension %r, expected one of %s"
-                % (self.extension, ", ".join(EXTENSION_NAMES))
-            )
         n = self.capacity.n
         for i in range(n):
             w = float(self.capacity.values[1 << i])

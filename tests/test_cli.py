@@ -77,6 +77,14 @@ class TestEval:
                      "--capacity2", overlap_file, "--scores", "1,-1"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_cpt_capacities_must_agree_on_n(self, overlap_file, write_json, capsys):
+        single = write_json("single.json", {"n": 1, "values_by_mask": [0.0, 1.0]})
+        for argv in (["eval", "--scores", "1,-1"], ["verify", "--axioms", "HE"]):
+            assert main(argv + ["--integral", "cpt", "--capacity", overlap_file,
+                                "--capacity2", single]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "disagree on n" in err
+
     def test_overflowing_value_is_out_of_domain(self, write_json, capsys):
         path = write_json("graded.json", GRADED)
         assert main(["eval", "--integral", "choquet", "--capacity", path,

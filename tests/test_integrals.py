@@ -1,3 +1,6 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,60 @@ from helpers import random_additive_capacity, random_capacity
 TOL = 1e-9
 
 OVERLAP = as_capacity([0.0, 0.9, 0.9, 1.0])
+
+
+OVERFLOW_MU = as_capacity([0.0, 0.6, 0.6, 1.0, 0.6, 1.0, 1.0, 1.0], n=3)  # sum of |m| > 1
+OVERFLOW_POINTS = [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308], [1.7e308] * 3]
+
+
+def one_vector_calls(name, mu, losses):
+    """The extension's one-vector call, then the public functions of its form."""
+    m = mobius(mu)
+    public = {
+        "choquet": [functools.partial(choquet, mu), functools.partial(choquet_mobius, m)],
+        "sipos": [functools.partial(sipos, mu), functools.partial(sipos_mobius, m)],
+        "mle": [functools.partial(mle, m)],
+        "smle": [functools.partial(smle, m)],
+        "sugeno_product": [functools.partial(sugeno_product, ordinal_mobius(mu))],
+        "cpt": [functools.partial(cpt, m, mobius(losses))],
+    }[name]
+    return [make_extension(name, mu, losses if name == "cpt" else None), *public]
+
+
+def one_vector_digest(name):
+    """sha256 over the bytes of every one-vector value at the overflow points and at
+    five score vectors for each n in (1, 2, 5, 8, 16); "OutOfDomain" where it raises."""
+    cases = [(OVERFLOW_MU, OVERFLOW_MU, np.array(OVERFLOW_POINTS))]
+    for n in (1, 2, 5, 8, 16):
+        rng = np.random.default_rng(n)
+        mu, losses = random_capacity(rng, n), random_capacity(rng, n)
+        t = rng.uniform(-1.0, 1.0, (5, n))
+        t[1] = np.abs(t[1])
+        t[2] = np.round(t[2], 1)  # ties
+        t[3] = np.round(t[3], 0)  # ties, and zeros of either sign
+        t[4] *= 1e3
+        cases.append((mu, losses, t))
+    digest = hashlib.sha256()
+    for mu, losses, t in cases:
+        for call in one_vector_calls(name, mu, losses):
+            for row in t:
+                try:
+                    digest.update(np.float64(call(row)).tobytes())
+                except OutOfDomain:
+                    digest.update(b"OutOfDomain")
+    return digest.hexdigest()
+
+
+# one_vector_digest per extension, as computed when each one-vector call was still
+# its own scalar loop; any change to a bit of those values moves it.
+ONE_VECTOR_DIGESTS = {
+    "choquet": "b30d366b8fba9c5ffb07a06cff8fd3a1dd9969429c5e9194448fe90cade3c3c3",
+    "sipos": "721ce133965795faf7ea0af70e30459fb07feacc11f69a4bee72d2f2ed1b1db7",
+    "mle": "159de174d001e78cfeadbfc945c0bad4b8f8b09d628e19c9590ccca518ebeb8d",
+    "smle": "a376032644f7f104c1a146c074b55d837b727c29eeb1cd044b887c8192a0683b",
+    "sugeno_product": "bc4b0991c57eb6f318d123feaba11cd0d64b6e28dc8db6fe40ce513ecf0a178c",
+    "cpt": "cd4a5d018ee11bdb717daad2e21e311cb93fdd8face3237541837d27bb632fae",
+}
 
 
 def comonotone_pair(rng, n):
@@ -345,10 +402,11 @@ class TestCpt:
         assert bad.mismatches[0][2] == pytest.approx(0.1)
 
     def test_dimension_mismatch(self):
-        m1 = mobius(OVERLAP)
-        m2 = mobius(random_capacity(np.random.default_rng(19), 3))
+        losses = random_capacity(np.random.default_rng(19), 3)
         with pytest.raises(DimensionMismatch):
-            cpt(m1, m2, [1.0, 2.0])
+            cpt(mobius(OVERLAP), mobius(losses), [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            make_extension("cpt", OVERLAP, losses)
 
 
 class TestPseudoProduct:
@@ -435,10 +493,10 @@ class TestExtensions:
         assert make_extension("sugeno_product", OVERLAP).domain == "reals"
 
     @pytest.mark.parametrize("name", ["choquet", "sipos", "mle", "smle", "sugeno_product", "cpt"])
-    @pytest.mark.parametrize("t", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308], [1.7e308] * 3])
+    @pytest.mark.parametrize("t", OVERFLOW_POINTS)
     def test_overflow_is_out_of_domain_without_warning(self, name, t):
         # RuntimeWarnings are errors in this suite, so a leaked one fails here
-        mu = as_capacity([0.0, 0.6, 0.6, 1.0, 0.6, 1.0, 1.0, 1.0], n=3)  # sum of |m| > 1
+        mu = OVERFLOW_MU
         ext = make_extension(name, mu, mu if name == "cpt" else None)
         for evaluate in (ext, lambda t: ext.many([[0.1, 0.2, 0.3], t])[1]):
             try:
@@ -446,6 +504,10 @@ class TestExtensions:
             except OutOfDomain:
                 continue
             assert np.isfinite(value)
+
+    @pytest.mark.parametrize("name", EXTENSION_NAMES)
+    def test_one_vector_values_are_pinned(self, name):
+        assert one_vector_digest(name) == ONE_VECTOR_DIGESTS[name]
 
     def test_extensions_agree_on_vertices(self):
         rng = np.random.default_rng(22)
@@ -476,7 +538,7 @@ CAPACITY_KINDS = {"random": random_capacity, "wobbly": wobbly_capacity, "coarse"
 
 
 def naive_extension(name, mu, losses, t):
-    """The tests' enumerators for mle, smle and cpt at one score vector."""
+    """The tests' enumerators for every extension but sugeno_product at one score vector."""
     n = mu.n
     tp, tn = np.maximum(t, 0.0), np.maximum(-t, 0.0)
     if name == "mle":
@@ -486,7 +548,9 @@ def naive_extension(name, mu, losses, t):
         owen = oracles.naive_owen_mle
         return owen(vals, n, list(tp)) - owen(vals, n, list(tn))
     m1 = oracles.naive_mobius(list(mu.values), n)
-    m2 = oracles.naive_mobius(list(losses.values), n)
+    if name == "choquet":
+        return oracles.naive_min_form(m1, n, list(t))
+    m2 = m1 if name == "sipos" else oracles.naive_mobius(list(losses.values), n)
     return oracles.naive_min_form(m1, n, list(tp)) - oracles.naive_min_form(m2, n, list(tn))
 
 
@@ -512,7 +576,10 @@ class TestBatchKernels:
         for name in ("choquet", "sipos", "sugeno_product"):
             ext = make_extension(name, mu)
             assert np.array_equal(ext.many(t), [ext(row) for row in t]), name
-        for name in ("mle", "smle", "cpt"):
+        mv = ordinal_mobius(mu)
+        want = np.array([sugeno_product(mv, row) for row in t])
+        assert make_extension("sugeno_product", mu).many(t).tobytes() == want.tobytes()
+        for name in ("choquet", "sipos", "mle", "smle", "cpt"):
             got = make_extension(name, mu, losses if name == "cpt" else None).many(t)
             for row, value in zip(t, got):
                 want = naive_extension(name, mu, losses, row)
