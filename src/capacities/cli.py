@@ -31,6 +31,7 @@ from .set_function import (
     MobiusRepr,
     SetFunction,
     as_capacity,
+    capacity_from_dict,
     co_mobius,
     conjugate,
     mobius,
@@ -76,8 +77,7 @@ def _load_json(path: str):
 
 
 def _load_capacity(path: str):
-    n, vals = vector_from_dict(_load_json(path))
-    return as_capacity(vals, n=n)
+    return capacity_from_dict(_load_json(path))
 
 
 def _load_extension(args):

@@ -21,10 +21,21 @@ transform from the value domain:
 All transforms run in O(n * 2**n) as in-place butterflies over
 :func:`capacities.subsets.halves`; n is capped at 24 to keep the dense
 tables reasonable.
+
+Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
+allocates its output and no other array of that size; beside it, one
+bool or uint8 table (one byte per subset) and a bool buffer of half that
+length are alive at most. The monotonicity scan of :func:`as_capacity`,
+:func:`validate` and the conjugate of a capacity uses one half-length
+float buffer and one half-length bool buffer for all bits, and
+:func:`validate` one Mobius table. Public constructors copy the arrays
+they are given; tables the package has just built are wrapped without a
+copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +75,7 @@ __all__ = [
 
 
 def _coerce_vector(n: int, values, what: str) -> np.ndarray:
+    """A read-only copy of a caller's vector of length 2**n."""
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionMismatch("%s must be a flat vector, got shape %s" % (what, arr.shape))
@@ -71,7 +83,12 @@ def _coerce_vector(n: int, values, what: str) -> np.ndarray:
         raise DimensionMismatch(
             "%s must have length 2**%d = %d, got %d" % (what, n, 1 << n, arr.shape[0])
         )
-    if not np.all(np.isfinite(arr)):
+    return _finite(arr, what)
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself, made read-only once it is known to hold only finite numbers."""
+    if not np.isfinite(arr).all():
         raise InvalidFormat("%s must contain only finite numbers" % what)
     arr.flags.writeable = False
     return arr
@@ -97,6 +114,15 @@ class SetFunction:
         arr = _coerce_vector(self.n, self.values, self._what)
         self._check(arr)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _own(cls, n: int, arr: np.ndarray):
+        """Wrap ``arr``, a float table of length 2**n that the package has just
+        built and nothing else holds, without copying it."""
+        cls._check(_finite(arr, cls._what))
+        table = object.__new__(cls)
+        vars(table).update(n=n, values=arr)
+        return table
 
     @staticmethod
     def _check(arr: np.ndarray) -> None:
@@ -182,7 +208,7 @@ class OrdinalMobiusRepr(_Coefficients):
     def _check(arr: np.ndarray) -> None:
         if arr[0] != 0.0:
             raise NotNormalized("coefficient at empty must be exactly 0, got %.17g" % arr[0])
-        if np.any(arr < 0.0):
+        if arr.min() < 0.0:
             bad = int(np.argmax(arr < 0.0))
             raise InvalidFormat(
                 "ordinal coefficients must be nonnegative, got %.17g at {%s}"
@@ -202,7 +228,7 @@ def mobius(v: SetFunction) -> MobiusRepr:
     a = _values(v).copy()
     for _, lo, hi in subsets.halves(a):
         hi -= lo
-    return MobiusRepr(v.n, a)
+    return MobiusRepr._own(v.n, a)
 
 
 def zeta(m: MobiusRepr) -> SetFunction:
@@ -210,7 +236,7 @@ def zeta(m: MobiusRepr) -> SetFunction:
     a = m.coefficients.copy()
     for _, lo, hi in subsets.halves(a):
         hi += lo
-    return SetFunction(m.n, a)
+    return SetFunction._own(m.n, a)
 
 
 def co_mobius(v: SetFunction) -> CoMobiusRepr:
@@ -218,13 +244,17 @@ def co_mobius(v: SetFunction) -> CoMobiusRepr:
 
     Computed by reversing the value table (mask of N - B is the bitwise
     complement of B) and reusing the plain Mobius butterfly, which differs
-    from the target sum only by the sign (-1)^|A|.
+    from the target sum only by the sign (-1)^|A|: the odd-size masks are
+    negated in place afterwards, which keeps the sign of every zero.
     """
     a = _values(v)[::-1].copy()
     for _, lo, hi in subsets.halves(a):
         hi -= lo
-    sign = np.where(subsets.popcounts(v.n) % 2 == 0, 1.0, -1.0)
-    return CoMobiusRepr(v.n, a * sign)
+    odd = subsets.popcounts(v.n)
+    np.bitwise_and(odd, 1, out=odd)
+    np.negative(a, out=a, where=odd.view(bool))
+    del odd  # before the finiteness check allocates its own byte per subset
+    return CoMobiusRepr._own(v.n, a)
 
 
 def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
@@ -237,9 +267,12 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     """
     vals = _values(mu)
     keep = np.ones(1 << mu.n, dtype=bool)
+    steps = _scratch(vals, bool)
     for (_, lo, hi), (_, _, kept) in zip(subsets.halves(vals), subsets.halves(keep)):
-        kept &= hi > lo
-    return OrdinalMobiusRepr(mu.n, np.where(keep, vals, 0.0))
+        kept &= np.greater(hi, lo, out=steps(lo))
+    a = np.where(keep, vals, 0.0)
+    del keep, steps  # before the finiteness check allocates its own byte per subset
+    return OrdinalMobiusRepr._own(mu.n, a)
 
 
 def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
@@ -247,7 +280,7 @@ def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
     a = m.coefficients.copy()
     for _, lo, hi in subsets.halves(a):
         np.maximum(hi, lo, out=hi)
-    return SetFunction(m.n, a)
+    return SetFunction._own(m.n, a)
 
 
 def conjugate(v: SetFunction) -> SetFunction:
@@ -257,13 +290,23 @@ def conjugate(v: SetFunction) -> SetFunction:
     strict-singleton flag is not carried over, since it is not preserved).
     """
     vals = _values(v)
-    out = SetFunction(v.n, vals[-1] - vals[::-1])
+    out = SetFunction._own(v.n, vals[-1] - vals[::-1])
     return Capacity(out) if isinstance(v, Capacity) else out
+
+
+def _scratch(vals: np.ndarray, dtype):
+    """One buffer of half the length of ``vals``, handed out as an array shaped
+    like the ``lo`` view of each bit; every call returns the same memory."""
+    buf = np.empty(vals.shape[0] >> 1, dtype)
+    return lambda lo: buf.reshape(lo.shape)
 
 
 def _first_capacity_violation(
     vals: np.ndarray, n: int, tol: float, require_positive_singletons: bool
 ) -> Exception | None:
+    """The first violated capacity constraint, or None; a bad ``tol`` raises."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
     if vals[0] != 0.0:
         return NotNormalized("mu(empty) must be 0, got %.17g" % vals[0])
     if abs(vals[-1] - 1.0) > tol:
@@ -271,10 +314,13 @@ def _first_capacity_violation(
     # The first (mask, criterion) pair with v(mask | bit) < v(mask) - tol,
     # ordered by mask, then by criterion index, so diagnostics are stable.
     first = None
+    drop, bad = _scratch(vals, np.float64), _scratch(vals, bool)
     for i, lo, hi in subsets.halves(vals):
-        bad = np.argwhere(lo - hi > tol)
-        if bad.size:
-            mask = (int(bad[0, 0]) << (i + 1)) + int(bad[0, 1])
+        flags = np.greater(np.subtract(lo, hi, out=drop(lo)), tol, out=bad(lo))
+        k = int(flags.argmax())  # row-major, so the smallest mask for this bit
+        if flags.flat[k]:
+            row, col = divmod(k, 1 << i)
+            mask = (row << (i + 1)) + col
             if first is None or mask < first[0]:
                 first = (mask, i)
     if first is not None:
@@ -345,15 +391,19 @@ def validate(
     Accepts a :class:`SetFunction`, a :class:`Capacity`, or a raw vector of
     length 2**n (``n`` inferred from the length when omitted). Never raises
     for axiom violations; malformed vectors (wrong length, non-finite
-    entries) do raise.
+    entries) and a ``tol`` that is not finite and >= 0 do raise.
     """
     n, vals = _value_table(v, n)
     err = _first_capacity_violation(vals, n, tol, require_positive_singletons)
-    strict = all(np.all(hi > lo) for _, lo, hi in subsets.halves(vals))
+    steps = _scratch(vals, bool)
+    strict = all(np.greater(hi, lo, out=steps(lo)).all() for _, lo, hi in subsets.halves(vals))
+    # Additive: every Mobius coefficient of two or more criteria is within tol of 0.
     m = vals.copy()
     for _, lo, hi in subsets.halves(m):
         hi -= lo
-    additive = bool(np.all(np.abs(m[subsets.popcounts(n) >= 2]) <= tol))
+    m[0] = 0.0
+    m[1 << np.arange(n)] = 0.0
+    additive = bool(np.abs(m, out=m).max() <= tol)
     cap = None if err is not None else _checked_capacity(n, vals, require_positive_singletons)
     return ValidationResult(err is None, cap, err, strict, additive)
 
@@ -436,11 +486,13 @@ def vector_from_dict(obj) -> tuple[int, np.ndarray]:
 
 def set_function_from_dict(obj) -> SetFunction:
     n, arr = vector_from_dict(obj)
-    return SetFunction(n, arr)
+    return SetFunction._own(n, arr)
 
 
 def capacity_from_dict(
     obj, require_positive_singletons: bool = False, tol: float = DEFAULT_TOL
 ) -> Capacity:
     n, arr = vector_from_dict(obj)
-    return as_capacity(arr, n=n, require_positive_singletons=require_positive_singletons, tol=tol)
+    vals = _finite(arr, "values")
+    _require_capacity(vals, n, tol, require_positive_singletons)
+    return _checked_capacity(n, vals, require_positive_singletons)

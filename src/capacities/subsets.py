@@ -79,8 +79,15 @@ def parse_subset_key(key: str, n: int) -> int:
 
 
 def popcounts(n: int) -> np.ndarray:
-    """Vector of |A| for every mask A in 0..2**n - 1."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    """uint8 vector of |A| for every mask A in 0..2**n - 1.
+
+    Built by doubling, |A | bit i| = |A| + 1 for every A below bit i, so no
+    table wider than the uint8 result is allocated.
+    """
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(out[: 1 << i], 1, out=out[1 << i : 2 << i])
+    return out
 
 
 def halves(a: np.ndarray, bits: int | None = None):

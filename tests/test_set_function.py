@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capacities import (
+    CapacitiesError,
     Capacity,
     CoMobiusRepr,
     InvalidFormat,
@@ -29,7 +32,7 @@ from capacities import (
     vector_from_dict,
     zeta,
 )
-from capacities.subsets import halves
+from capacities.subsets import halves, popcounts, subset_key
 from helpers import random_capacity, random_set_function
 
 TOL = 1e-12
@@ -102,6 +105,12 @@ class TestHalves:
             hi += 1.0
         assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_popcounts(self, n):
+        got = popcounts(n)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [bin(mask).count("1") for mask in range(1 << n)]
+
 
 class TestValidate:
     def test_valid_capacity(self):
@@ -144,6 +153,46 @@ class TestValidate:
     def test_requires_power_of_two_length(self):
         with pytest.raises(Exception, match="power of two"):
             validate([0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, tol):
+        # Not monotone, and mu(N) = 0.3: no tol may wave it through.
+        vals = [0.0, 0.9, 0.2, 1.0, 0.1, 0.0, 0.0, 0.3]
+        calls = [
+            lambda: as_capacity(vals, tol=tol),
+            lambda: validate(vals, tol=tol),
+            lambda: Capacity(SetFunction(3, vals), tol=tol),
+            lambda: capacity_from_dict({"n": 3, "values_by_mask": vals}, tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidFormat, match="tol must be finite and >= 0"):
+                call()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_not_monotone_names_the_smallest_pair(self, n):
+        # Several bits violate monotonicity; the error names the first pair
+        # ordered by mask, then by criterion.
+        rng = np.random.default_rng(30 + n)
+        for _ in range(5):
+            vals = random_capacity(rng, n).values.copy()
+            vals[rng.integers(1, (1 << n) - 1)] = 0.0  # below each nonempty subset
+            vals[rng.integers(1, (1 << n) - 1, 2)] = 1.5  # above each superset
+            want = min(
+                (mask, i)
+                for mask in range(1 << n)
+                for i in range(n)
+                if not mask >> i & 1 and vals[mask] - vals[mask | 1 << i] > 1e-9
+            )
+            with pytest.raises(NotMonotone) as err:
+                as_capacity(vals, n=n)
+            assert (err.value.subset_key, err.value.criterion) == (subset_key(want[0]), want[1] + 1)
+
+    def test_not_monotone_prefers_the_smaller_criterion_at_a_tied_mask(self):
+        # {1} -> {1,2} and {1} -> {1,3} both drop, as does {2} -> {1,2} (bit 0, at a larger mask)
+        vals = [0.0, 0.5, 0.6, 0.4, 0.3, 0.2, 0.7, 1.0]
+        with pytest.raises(NotMonotone) as err:
+            as_capacity(vals)
+        assert (err.value.subset_key, err.value.criterion) == ("1", 2)
 
 
 class TestMobius:
@@ -286,6 +335,98 @@ class TestCoefficientTables:
                 transform(table)
 
 
+class TestTableContract:
+    def test_public_constructors_copy_caller_arrays(self):
+        vals = np.array([0.0, 0.3, 0.6, 1.0])
+        tables = [SetFunction(2, vals), as_capacity(vals), validate(vals).capacity, MobiusRepr(2, vals)]
+        vals[1] = 0.9
+        for table in tables:
+            assert table.values.tolist() == [0.0, 0.3, 0.6, 1.0]
+
+    BUILDERS = {
+        "mobius": mobius,
+        "co_mobius": co_mobius,
+        "ordinal_mobius": ordinal_mobius,
+        "conjugate of a capacity": conjugate,
+        "zeta": lambda mu: zeta(mobius(mu)),
+        "ordinal_zeta": lambda mu: ordinal_zeta(ordinal_mobius(mu)),
+        "conjugate": lambda mu: conjugate(SetFunction(mu.n, mu.values)),
+        "set_function_from_dict": lambda mu: set_function_from_dict(to_dict(mu)),
+        "capacity_from_dict": lambda mu: capacity_from_dict(to_dict(mu)),
+    }
+
+    @pytest.mark.parametrize("transform", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_outputs_are_read_only(self, transform):
+        out = transform(random_capacity(np.random.default_rng(16), 4))
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[1] = 0.5
+
+    @pytest.mark.parametrize(
+        "transform",
+        [mobius, co_mobius, conjugate, lambda v: zeta(MobiusRepr(2, np.abs(v.values)))],
+        ids=["mobius", "co_mobius", "conjugate", "zeta"],
+    )
+    def test_overflowing_output_is_rejected(self, transform):
+        v = SetFunction(2, [0.0, -1e308, -1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidFormat, match="must contain only finite numbers"):
+                transform(v)
+
+
+# numpy's ufunc buffers for strided operands: at most four operands of
+# np.getbufsize() doubles each, the same whatever n is.
+UFUNC_BUFFERS = 4 * 8 * np.getbufsize()
+
+
+def _peak_above_input(call):
+    """Peak traced bytes while ``call`` ran, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak allocation of each op at n = 16, in bytes per subset beside UFUNC_BUFFERS."""
+
+    N = 16
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        mu = random_capacity(np.random.default_rng(17), self.N)
+        return {
+            "mu": mu,
+            "sf": SetFunction(self.N, mu.values),
+            "m": mobius(mu),
+            "om": ordinal_mobius(mu),
+        }
+
+    # op, its input, and the bytes per subset it may allocate: a transform its
+    # 8-byte output plus one bool or uint8 table; the monotonicity scan half a
+    # float and half a bool table; validate one Mobius table and half a bool table.
+    OPS = [
+        ("mobius", "mu", mobius, 9),
+        ("zeta", "m", zeta, 9),
+        ("co_mobius", "mu", co_mobius, 9),
+        ("ordinal_mobius", "mu", ordinal_mobius, 9),
+        ("ordinal_zeta", "om", ordinal_zeta, 9),
+        ("conjugate", "sf", conjugate, 9),
+        ("conjugate of a capacity", "mu", conjugate, 8 + 4.5),
+        ("as_capacity", "sf", as_capacity, 4.5),
+        ("validate", "mu", validate, 8.5),
+    ]
+
+    @pytest.mark.parametrize("op", OPS, ids=[op[0] for op in OPS])
+    def test_peak_stays_within_its_budget(self, tables, op):
+        _, arg, call, per_subset = op
+        peak = _peak_above_input(lambda: call(tables[arg]))
+        assert peak <= per_subset * (1 << self.N) + UFUNC_BUFFERS
+
+
 class TestJson:
     def test_keyed_form(self):
         n, vals = vector_from_dict(
@@ -339,3 +480,94 @@ class TestJson:
     def test_rejects_non_numeric_values(self):
         with pytest.raises(InvalidFormat):
             vector_from_dict({"n": 1, "values_by_mask": [0.0, "x"]})
+
+
+def pinned_tables(n):
+    """Raw value tables at ``n``: a capacity, the same capacity rounded to one
+    decimal (ties, flat steps) with a zero singleton, an additive capacity, a small-integer table with
+    zeros of either sign (its transforms are exact, with many signed zeros), a
+    non-monotone table and one whose Mobius transform overflows."""
+    rng = np.random.default_rng(100 + n)
+    mu = random_capacity(rng, n).values
+    additive = np.zeros(1 << n)
+    w = rng.uniform(0.1, 1.0, n)
+    for i, lo, hi in halves(additive):
+        np.add(lo, w[i] / w.sum(), out=hi)
+    signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
+    signed[signed == 0.0] = -0.0
+    signed[0] = 0.0
+    flat = np.round(mu, 1)
+    if n > 1:
+        flat[1] = 0.0  # a zero singleton
+    non_monotone = rng.uniform(0.0, 1.0, 1 << n)
+    non_monotone[0], non_monotone[-1] = 0.0, 1.0
+    overflow = rng.choice([-1e308, 1e308], 1 << n)
+    overflow[0] = 0.0
+    return [mu, flat, additive, signed, non_monotone, overflow]
+
+
+def _outcomes(v, n):
+    """Every transform of ``v`` (as a set function and as a capacity) and every
+    ``validate`` result on it, as (label, table or exception) pairs."""
+    sf = SetFunction(n, v)
+    cap = lambda: as_capacity(v, n=n)
+    calls = {
+        "mobius": lambda: mobius(sf),
+        "zeta": lambda: zeta(mobius(sf)),
+        "co_mobius": lambda: co_mobius(sf),
+        "ordinal_mobius": lambda: ordinal_mobius(sf),
+        "ordinal_zeta": lambda: ordinal_zeta(ordinal_mobius(sf)),
+        "conjugate": lambda: conjugate(sf),
+        "as_capacity": cap,
+        "conjugate(capacity)": lambda: conjugate(cap()),
+        "ordinal_mobius(capacity)": lambda: ordinal_mobius(cap()),
+    }
+    for label, call in calls.items():
+        try:
+            yield label, call()
+        except CapacitiesError as exc:
+            yield label, exc
+    for tol in (0.0, 1e-9):
+        for positive in (False, True):
+            res = validate(v, n=n, require_positive_singletons=positive, tol=tol)
+            yield "validate", (res.ok, res.strictly_monotone, res.additive, res.error, res.capacity)
+
+
+def transform_digest(n):
+    """sha256 over the type and bytes of every outcome of ``_outcomes`` on
+    ``pinned_tables(n)``, error types and texts included."""
+    digest = hashlib.sha256()
+
+    def update(x):
+        if isinstance(x, tuple):
+            for item in x:
+                update(item)
+        elif isinstance(x, SetFunction):
+            digest.update(type(x).__name__.encode() + x.values.tobytes())
+        else:
+            digest.update(("%s:%s;" % (type(x).__name__, x)).encode())
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in pinned_tables(n):
+            for label, outcome in _outcomes(v, n):
+                digest.update(label.encode())
+                update(outcome)
+    return digest.hexdigest()
+
+
+# transform_digest per n, as computed while every transform still copied its
+# output a second time; any change to a bit of a table, a flag or an error text
+# moves it.
+TRANSFORM_DIGESTS = {
+    1: "de4ed96841e9a7de0442c50ef2db1fd132ac639f4891bb3f53c33f1e6c00ef01",
+    2: "1d1eb2c449308683e629ce4a9a59b198389d53d20b9f175a5ff4df3194b6de1b",
+    5: "248f7f9e4de122e035fd1e00b2c6160e920ebae6c24566502482076179c00bbb",
+    8: "f643758bfecaaacd236cd67ee3df1560124e380d732eefd8e29d96271a299ca8",
+    12: "40680bd8560c36b1a1c9f081bc3fc6adb225c8796089a4e52dc9cfd9de38011d",
+    16: "1ee76a8a19ce819e73c9f5c9317dc932e6eb5e52ba20a4f21178408becc26491",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 16])
+def test_transform_outcomes_are_pinned(n):
+    assert transform_digest(n) == TRANSFORM_DIGESTS[n]
