@@ -70,11 +70,17 @@ def _all_indices(mu: Capacity) -> np.ndarray:
     m = mobius(mu).values
     nodes, weights = np.polynomial.legendre.leggauss(mu.n // 2 + 1)
     out = np.zeros_like(m)
+    t = np.empty_like(m)
+    buf = np.empty(m.shape[0] >> 1)  # the tile of t, and x * hi for each bit
     for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
-        t = m.copy()
-        for _, lo, hi in subsets.halves(t):
-            lo += x * hi
-        out += w * t
+
+        def step(lo, hi):
+            lo += np.multiply(hi, x, out=subsets.tail(buf, hi))
+
+        np.copyto(t, m)
+        subsets.lattice(step, t, tiles=(buf,))
+        t *= w
+        out += t
     return out
 
 

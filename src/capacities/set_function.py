@@ -18,19 +18,26 @@ transform from the value domain:
   mu(A) where A is a strict local maximizer and 0 elsewhere, so mu(A)
   is the maximum of the kept coefficients inside A.
 
-All transforms run in O(n * 2**n) as in-place butterflies over
-:func:`capacities.subsets.halves`; n is capped at 24 to keep the dense
-tables reasonable.
+All transforms run in O(n * 2**n) as in-place butterflies through
+:func:`capacities.subsets.lattice`, which runs the low bits of a table of
+2**18 entries or more on a cache-sized transposed tile; the results are
+those of the plain per-bit loop, bit for bit. n is capped at 24 to keep
+the dense tables reasonable. Overflow inside a pass is not reported as a
+numpy warning: an output that is not finite raises :class:`InvalidFormat`.
 
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
 allocates its output and no other array of that size; beside it, one
-bool or uint8 table (one byte per subset) and a bool buffer of half that
-length are alive at most. The monotonicity scan of :func:`as_capacity`,
-:func:`validate` and the conjugate of a capacity uses one half-length
-float buffer and one half-length bool buffer for all bits, and
-:func:`validate` one Mobius table. Public constructors copy the arrays
-they are given; tables the package has just built are wrapped without a
-copy.
+bool or uint8 table (one byte per subset) and the lattice tile (at most
+1/16 of a table and 512 KiB) are alive at most. :func:`ordinal_mobius`
+keeps its tiles and per-bit flags in its output's memory until it fills
+it. The monotonicity scan of :func:`as_capacity`, :func:`validate` and
+the conjugate of a capacity holds one half-length float buffer, whose
+head is the tile, and finds each bit's largest drop v(A) - v(A | bit);
+only where that exceeds tol does a natural-layout pass over those bits,
+with a half-length bool buffer beside the float one, name the first
+offending pair. :func:`validate` reads strict monotonicity off the same
+drops and builds one Mobius table. Public constructors copy the arrays they are given;
+tables the package has just built are wrapped without a copy.
 """
 
 from __future__ import annotations
@@ -223,19 +230,29 @@ def _values(v: SetFunction) -> np.ndarray:
     return v.values
 
 
+def _subtract(lo, hi):
+    hi -= lo
+
+
+def _add(lo, hi):
+    hi += lo
+
+
+def _maximum(lo, hi):
+    np.maximum(hi, lo, out=hi)
+
+
 def mobius(v: SetFunction) -> MobiusRepr:
     """Alternating-sum coefficients m(A) = sum over B in A of (-1)^|A-B| v(B)."""
     a = _values(v).copy()
-    for _, lo, hi in subsets.halves(a):
-        hi -= lo
+    subsets.lattice(_subtract, a)
     return MobiusRepr._own(v.n, a)
 
 
 def zeta(m: MobiusRepr) -> SetFunction:
     """Inverse of :func:`mobius`: v(A) = sum over B in A of m(B)."""
     a = m.coefficients.copy()
-    for _, lo, hi in subsets.halves(a):
-        hi += lo
+    subsets.lattice(_add, a)
     return SetFunction._own(m.n, a)
 
 
@@ -248,8 +265,7 @@ def co_mobius(v: SetFunction) -> CoMobiusRepr:
     negated in place afterwards, which keeps the sign of every zero.
     """
     a = _values(v)[::-1].copy()
-    for _, lo, hi in subsets.halves(a):
-        hi -= lo
+    subsets.lattice(_subtract, a)
     odd = subsets.popcounts(v.n)
     np.bitwise_and(odd, 1, out=odd)
     np.negative(a, out=a, where=odd.view(bool))
@@ -266,20 +282,28 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     maximum kept coefficient over subsets (:func:`ordinal_zeta`).
     """
     vals = _values(mu)
-    keep = np.ones(1 << mu.n, dtype=bool)
-    steps = _scratch(vals, bool)
-    for (_, lo, hi), (_, _, kept) in zip(subsets.halves(vals), subsets.halves(keep)):
-        kept &= np.greater(hi, lo, out=steps(lo))
-    a = np.where(keep, vals, 0.0)
-    del keep, steps  # before the finiteness check allocates its own byte per subset
+    # Until it is filled, the output's bytes hold the tile of vals (its head),
+    # the tile of flat (from its middle) and the flags of each bit (its tail;
+    # each tile and flag set takes at most 1/16 of them), so only ``flat`` is
+    # allocated beside it.
+    a = np.empty(1 << mu.n)
+    raw = a.view(bool)
+    flat = np.zeros(1 << mu.n, dtype=bool)  # some member does not raise the value
+
+    def flat_step(lo, hi, _, flat_hi):
+        flat_hi |= np.less_equal(hi, lo, out=subsets.tail(raw, lo))
+
+    subsets.lattice(flat_step, vals, flat, tiles=(a, raw[a.nbytes >> 1 :]))
+    np.copyto(a, vals)
+    np.putmask(a, flat, 0.0)
+    del flat  # before the finiteness check allocates its own byte per subset
     return OrdinalMobiusRepr._own(mu.n, a)
 
 
 def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
     """Recover the value table: v(A) = max over B in A of the coefficients."""
     a = m.coefficients.copy()
-    for _, lo, hi in subsets.halves(a):
-        np.maximum(hi, lo, out=hi)
+    subsets.lattice(_maximum, a)
     return SetFunction._own(m.n, a)
 
 
@@ -290,50 +314,81 @@ def conjugate(v: SetFunction) -> SetFunction:
     strict-singleton flag is not carried over, since it is not preserved).
     """
     vals = _values(v)
-    out = SetFunction._own(v.n, vals[-1] - vals[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # _own rejects what overflowed
+        table = vals[-1] - vals[::-1]
+    out = SetFunction._own(v.n, table)
     return Capacity(out) if isinstance(v, Capacity) else out
 
 
-def _scratch(vals: np.ndarray, dtype):
-    """One buffer of half the length of ``vals``, handed out as an array shaped
-    like the ``lo`` view of each bit; every call returns the same memory."""
-    buf = np.empty(vals.shape[0] >> 1, dtype)
-    return lambda lo: buf.reshape(lo.shape)
+def _largest_drops(vals: np.ndarray) -> np.ndarray:
+    """For each bit, the largest v(A) - v(A | bit) over the masks A without it.
+
+    The table is monotone within tol where these are at most tol, and
+    strictly monotone where they are below 0: for finite values, lo - hi < 0
+    exactly when hi > lo, as a difference of distinct doubles never rounds
+    to zero.
+    """
+    drop = np.empty(vals.shape[0] >> 1)  # its head holds the tile of vals
+
+    def largest(lo, hi):
+        return np.subtract(lo, hi, out=subsets.tail(drop, lo)).max()
+
+    return np.array([max(r) for r in subsets.lattice(largest, vals, tiles=(drop,))])
 
 
 def _first_capacity_violation(
-    vals: np.ndarray, n: int, tol: float, require_positive_singletons: bool
+    vals: np.ndarray,
+    n: int,
+    tol: float,
+    require_positive_singletons: bool,
+    drops: np.ndarray | None = None,
 ) -> Exception | None:
-    """The first violated capacity constraint, or None; a bad ``tol`` raises."""
+    """The first violated capacity constraint, or None; a bad ``tol`` raises.
+
+    ``drops`` are the :func:`_largest_drops` of ``vals`` when already known.
+    """
     if not 0.0 <= tol < math.inf:
         raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
     if vals[0] != 0.0:
         return NotNormalized("mu(empty) must be 0, got %.17g" % vals[0])
     if abs(vals[-1] - 1.0) > tol:
         return NotNormalized("mu(N) must be 1 within %g, got %.17g" % (tol, vals[-1]))
-    # The first (mask, criterion) pair with v(mask | bit) < v(mask) - tol,
-    # ordered by mask, then by criterion index, so diagnostics are stable.
-    first = None
-    drop, bad = _scratch(vals, np.float64), _scratch(vals, bool)
-    for i, lo, hi in subsets.halves(vals):
-        flags = np.greater(np.subtract(lo, hi, out=drop(lo)), tol, out=bad(lo))
-        k = int(flags.argmax())  # row-major, so the smallest mask for this bit
-        if flags.flat[k]:
-            row, col = divmod(k, 1 << i)
-            mask = (row << (i + 1)) + col
-            if first is None or mask < first[0]:
-                first = (mask, i)
-    if first is not None:
-        mask, i = first
-        return NotMonotone(
-            subsets.subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])
-        )
+    if drops is None:
+        drops = _largest_drops(vals)
+    bits = np.flatnonzero(drops > tol)
+    if bits.size:
+        return _first_drop(vals, tol, sum(1 << int(i) for i in bits))
     if require_positive_singletons:
         for i in range(n):
             w = float(vals[1 << i])
             if not w > 0.0:
                 return NonPositiveSingleton(i + 1, w)
     return None
+
+
+def _first_drop(vals: np.ndarray, tol: float, bits: int) -> NotMonotone:
+    """The first (mask, criterion) pair with v(mask | bit) < v(mask) - tol,
+    ordered by mask, then by criterion index, so diagnostics are stable.
+    Only the set bits of ``bits`` are searched, in the natural layout; one
+    of them must have such a pair."""
+    first = None
+    drop = np.empty(vals.shape[0] >> 1)
+    bad = np.empty(drop.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, lo, hi in subsets.halves(vals, bits):
+            flags = np.greater(
+                np.subtract(lo, hi, out=drop.reshape(lo.shape)), tol, out=bad.reshape(lo.shape)
+            )
+            k = int(flags.argmax())  # row-major, so the smallest mask for this bit
+            if flags.flat[k]:
+                row, col = divmod(k, 1 << i)
+                mask = (row << (i + 1)) + col
+                if first is None or mask < first[0]:
+                    first = (mask, i)
+    mask, i = first
+    return NotMonotone(
+        subsets.subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])
+    )
 
 
 def _require_capacity(
@@ -394,18 +449,16 @@ def validate(
     entries) and a ``tol`` that is not finite and >= 0 do raise.
     """
     n, vals = _value_table(v, n)
-    err = _first_capacity_violation(vals, n, tol, require_positive_singletons)
-    steps = _scratch(vals, bool)
-    strict = all(np.greater(hi, lo, out=steps(lo)).all() for _, lo, hi in subsets.halves(vals))
+    drops = _largest_drops(vals)
+    err = _first_capacity_violation(vals, n, tol, require_positive_singletons, drops)
     # Additive: every Mobius coefficient of two or more criteria is within tol of 0.
     m = vals.copy()
-    for _, lo, hi in subsets.halves(m):
-        hi -= lo
+    subsets.lattice(_subtract, m)
     m[0] = 0.0
     m[1 << np.arange(n)] = 0.0
     additive = bool(np.abs(m, out=m).max() <= tol)
     cap = None if err is not None else _checked_capacity(n, vals, require_positive_singletons)
-    return ValidationResult(err is None, cap, err, strict, additive)
+    return ValidationResult(err is None, cap, err, bool(drops.max() < 0.0), additive)
 
 
 def as_capacity(

@@ -2,6 +2,12 @@
 
 Subsets are encoded as Python ints: bit i-1 set means criterion i belongs
 to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
+
+Two passes walk the subset lattice of a table indexed by mask. ``halves``
+yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
+calls an elementwise op on the same pairs in the same bit order, running
+the bits below 12 of a large table on a cache-sized transposed tile, where
+their rows are long and contiguous; every table transform goes through it.
 """
 
 from __future__ import annotations
@@ -102,3 +108,77 @@ def halves(a: np.ndarray, bits: int | None = None):
         if bits is None or bits >> i & 1:
             blocks = a.reshape(-1, 2 << i)
             yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
+
+
+# lattice runs the bits below min(TILE_BITS, n - 8) on a tile of TILE_ROWS rows
+# once a table has 2**TILE_MIN_N entries. A tile holds at most 2**16 entries
+# (512 KiB of floats) and 1/16 of the table. A table of 1 MiB or less fits in
+# the L2 cache of a current x86 core, where a tile only adds copies; from bit
+# TILE_BITS up, each row of a view holds 4096 or more contiguous entries,
+# which is fast as it is.
+TILE_MIN_N = 18
+TILE_BITS = 12
+TILE_ROWS = 16
+
+
+def tail(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The last ``like.size`` entries of the flat ``buf``, shaped like ``like``.
+
+    Scratch for the ``lo`` or ``hi`` views of :func:`lattice`: in a tiled pass
+    those are half a tile, so a buffer of half the table's length whose head
+    holds the tile keeps its tail clear of it.
+    """
+    return buf[buf.shape[0] - like.size :].reshape(like.shape)
+
+
+def lattice(op, *tables, tiles=None) -> list:
+    """Call ``op(lo, hi, lo2, hi2, ...)`` for every bit of equal-length
+    bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
+    the list of what those calls returned.
+
+    Each ``(lo, hi)`` pairs every mask A without the bit with A | bit, as in
+    :func:`halves`, and an elementwise ``op`` gets the same results as in a
+    loop over :func:`halves`, bit for bit. With 2**n entries, n >= TILE_MIN_N,
+    the L = min(TILE_BITS, n - 8) low bits run block by block on tiles: the
+    TILE_ROWS rows of 2**L consecutive masks of a block are copied transposed
+    into a tile, where bit i has contiguous rows of TILE_ROWS * 2**i
+    entries, and copied back into the tables that are writable. There, op
+    is called once per block for each low bit. Bits from L up run on views
+    of the tables. ``tiles`` gives one flat array per table, of its dtype,
+    whose head is to hold the tile; by default the tiles are allocated.
+    Overflow is not reported: callers check their results for finiteness.
+    """
+    n = tables[0].shape[0].bit_length() - 1
+    low = min(TILE_BITS, n - 8) if n >= TILE_MIN_N else 0
+    out = [[] for _ in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if low:
+            size = TILE_ROWS << low
+            if tiles is None:
+                tiles = [np.empty(size, t.dtype) for t in tables]
+            tiles = [t[:size] for t in tiles]
+            blocks = [t.reshape(-1, TILE_ROWS << low) for t in tables]
+            # Tile entry [j, k] is mask j of block row k, so bit i of a mask
+            # is bit i + log2(TILE_ROWS) of the flat tile index.
+            shift = TILE_ROWS.bit_length() - 1
+            for b in range(blocks[0].shape[0]):
+                rows = [t[b].reshape(TILE_ROWS, -1) for t in blocks]
+                for tile, r in zip(tiles, rows):
+                    np.copyto(tile.reshape(-1, TILE_ROWS), r.T)
+                _calls(op, tiles, ((1 << low) - 1) << shift, out, shift)
+                for tile, r in zip(tiles, rows):
+                    if r.flags.writeable:
+                        np.copyto(r, tile.reshape(-1, TILE_ROWS).T)
+        _calls(op, tables, (1 << n) - (1 << low), out, 0)
+    return out
+
+
+def _calls(op, tables, bits, out, shift):
+    """``op`` on the (lo, hi) views of ``tables`` for the set bits of ``bits``;
+    the result of bit i goes to ``out[i - shift]``."""
+    if len(tables) == 1:  # the common case, without the zip
+        for i, lo, hi in halves(tables[0], bits):
+            out[i - shift].append(op(lo, hi))
+        return
+    for views in zip(*(halves(t, bits) for t in tables)):
+        out[views[0][0] - shift].append(op(*[x for _, lo, hi in views for x in (lo, hi)]))

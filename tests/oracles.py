@@ -1,12 +1,18 @@
 """Naive reference implementations used as oracles in tests.
 
-Everything here enumerates subsets directly with itertools, independent of
-the vectorized butterflies in the package, and is deliberately slow:
+The naive oracles enumerate subsets directly with itertools, independent of
+the vectorized butterflies in the package, and are deliberately slow:
 O(3**n) for the transforms and worse for the interaction index.
+
+The ``loop_*`` references at the end are the per-bit loops the package ran
+on views of the whole table before its passes were tiled. They do the same
+arithmetic in the same order, so the package must match them byte for byte.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def members(mask):
@@ -86,3 +92,94 @@ def naive_interaction(mu_values, n, amask):
                     inner += (-1.0) ** (a - s) * mu_values[kmask | bmask]
             total += coeff * inner
     return total
+
+
+# -- natural-layout references ---------------------------------------------------
+
+
+def _halves(a):
+    """(i, lo, hi) for every bit i: every mask without bit i beside mask | bit i."""
+    for i in range(a.shape[0].bit_length() - 1):
+        blocks = a.reshape(-1, 2 << i)
+        yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
+
+
+def loop_mobius(values):
+    a = np.array(values, dtype=np.float64)
+    for _, lo, hi in _halves(a):
+        hi -= lo
+    return a
+
+
+def loop_zeta(coeffs):
+    a = np.array(coeffs, dtype=np.float64)
+    for _, lo, hi in _halves(a):
+        hi += lo
+    return a
+
+
+def loop_co_mobius(values):
+    a = loop_mobius(np.asarray(values)[::-1])
+    odd = np.bitwise_count(np.arange(a.shape[0])) & 1
+    np.negative(a, out=a, where=odd.astype(bool))
+    return a
+
+
+def loop_ordinal_mobius(values):
+    vals = np.asarray(values, dtype=np.float64)
+    keep = np.ones(vals.shape[0], dtype=bool)
+    for (_, lo, hi), (_, _, kept) in zip(_halves(vals), _halves(keep)):
+        kept &= hi > lo
+    return np.where(keep, vals, 0.0)
+
+
+def loop_ordinal_zeta(coeffs):
+    a = np.array(coeffs, dtype=np.float64)
+    for _, lo, hi in _halves(a):
+        np.maximum(hi, lo, out=hi)
+    return a
+
+
+def loop_conjugate(values):
+    vals = np.asarray(values, dtype=np.float64)
+    return vals[-1] - vals[::-1]
+
+
+def loop_first_drop(values, tol):
+    """The first (mask, bit) with v(mask | 1 << bit) < v(mask) - tol, by mask
+    and then by bit, or None."""
+    vals = np.asarray(values, dtype=np.float64)
+    first = None
+    for i, lo, hi in _halves(vals):
+        flags = (lo - hi) > tol
+        if flags.any():
+            row, col = divmod(int(flags.argmax()), 1 << i)
+            mask = (row << (i + 1)) + col
+            if first is None or mask < first[0]:
+                first = (mask, i)
+    return first
+
+
+def loop_strictly_monotone(values):
+    vals = np.asarray(values, dtype=np.float64)
+    return all(bool((hi > lo).all()) for _, lo, hi in _halves(vals))
+
+
+def loop_additive(values, tol):
+    """Every Mobius coefficient of two or more criteria within tol of 0."""
+    m = loop_mobius(values)
+    sizes = np.bitwise_count(np.arange(m.shape[0]))
+    return bool(np.all(np.abs(m[sizes >= 2]) <= tol))
+
+
+def loop_all_indices(m_coeffs, n):
+    """Every interaction index from the Mobius table by Gauss-Legendre nodes."""
+    m = np.asarray(m_coeffs, dtype=np.float64)
+    nodes, weights = np.polynomial.legendre.leggauss(n // 2 + 1)
+    out = np.zeros_like(m)
+    for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
+        t = m.copy()
+        for _, lo, hi in _halves(t):
+            lo += x * hi
+        out += w * t
+    return out

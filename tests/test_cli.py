@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -121,6 +122,15 @@ class TestTransform:
         assert lines[0].split() == ["{}", "0"]
         assert lines[1].split() == ["{1}", "0.1"]
         assert lines[3].split() == ["{1,2}", "1"]
+
+    def test_overflowing_transform_is_one_error_line(self, write_json, capsys):
+        table = write_json("big.json", {"n": 2, "values_by_mask": [0, -1e308, -1e308, 1e308]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # as on a terminal: shown, not raised
+            assert main(["transform", "mobius", "--input", table]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_ordinal_requires_capacity(self, write_json, capsys):
         bad = write_json("bad.json", {"n": 2, "values_by_mask": [0.0, 0.5, 0.4, 0.3]})

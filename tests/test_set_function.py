@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capacities import (
+    DEFAULT_TOL,
     CapacitiesError,
     Capacity,
     CoMobiusRepr,
@@ -32,7 +33,8 @@ from capacities import (
     vector_from_dict,
     zeta,
 )
-from capacities.subsets import halves, popcounts, subset_key
+from capacities.interaction import _all_indices
+from capacities.subsets import TILE_BITS, TILE_MIN_N, halves, lattice, popcounts, subset_key
 from helpers import random_capacity, random_set_function
 
 TOL = 1e-12
@@ -104,6 +106,40 @@ class TestHalves:
         for _, lo, hi in halves(table, 0b010):
             hi += 1.0
         assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("n", [1, 5, TILE_MIN_N, TILE_BITS + 8])
+    def test_lattice_visits_every_pair_once_in_bit_order(self, n):
+        # The entries are the masks themselves, so each (lo, hi) of a call,
+        # on a tile or on views, tells which pairs it covers.
+        table = np.arange(1 << n, dtype=np.float64)
+        table.flags.writeable = False
+        last_bit = np.full(1 << n, -1)
+        visits = np.zeros(1 << n, dtype=np.int64)
+
+        def op(lo, hi):
+            lo, hi = lo.astype(np.int64).ravel(), hi.astype(np.int64).ravel()
+            bit = int(hi[0] - lo[0]).bit_length() - 1
+            assert np.all(hi == lo | 1 << bit) and not np.any(lo >> bit & 1)
+            assert np.all(last_bit[lo] < bit) and np.all(last_bit[hi] < bit)
+            last_bit[lo] = last_bit[hi] = bit
+            visits[lo] += 1
+            visits[hi] += 1
+            return bit
+
+        results = lattice(op, table)
+        assert np.all(visits == n) and np.all(last_bit == n - 1)
+        assert [set(r) for r in results] == [{i} for i in range(n)]
+
+    @pytest.mark.parametrize("n", [3, TILE_MIN_N])
+    def test_lattice_writes_back_only_to_writable_tables(self, n):
+        values = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n)
+        want = oracles.loop_mobius(values)
+        reads = values.copy()
+        reads.flags.writeable = False
+        writes = values.copy()
+        lattice(lambda lo, hi, wlo, whi: np.subtract(whi, wlo, out=whi), reads, writes)
+        assert np.array_equal(reads, values)
+        assert writes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_popcounts(self, n):
@@ -369,9 +405,131 @@ class TestTableContract:
     )
     def test_overflowing_output_is_rejected(self, transform):
         v = SetFunction(2, [0.0, -1e308, -1e308, 1e308])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidFormat, match="must contain only finite numbers"):
-                transform(v)
+        with pytest.raises(InvalidFormat, match="must contain only finite numbers"):
+            transform(v)
+
+
+# n just below, at and just above each switch of the lattice tile: tiles start
+# at TILE_MIN_N and run TILE_BITS low bits from n = TILE_BITS + 8 on.
+TILE_SIZES = sorted(
+    {TILE_MIN_N - 1, TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 7, TILE_BITS + 8, TILE_BITS + 9}
+)
+
+
+def _drop_text(vals, tol):
+    """The NotMonotone text of the reference scan, or None."""
+    first = oracles.loop_first_drop(vals, tol)
+    if first is None:
+        return None
+    mask, i = first
+    return str(NotMonotone(subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])))
+
+
+class TestTiledPasses:
+    """Every op that runs through ``lattice`` against the natural-layout loops
+    of ``oracles``, byte for byte, on both sides of every tile switch."""
+
+    @staticmethod
+    def tables(n):
+        """Capacities (random, rounded to one decimal, additive) and set functions
+        (small integers with zeros of either sign, the same times 1e300)."""
+        rng = np.random.default_rng(200 + n)
+        mu = random_capacity(rng, n).values
+        additive = np.zeros(1 << n)
+        w = rng.uniform(0.1, 1.0, n)
+        for i, lo, hi in halves(additive):
+            np.add(lo, w[i] / w.sum(), out=hi)
+        additive[-1] = 1.0
+        signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
+        signed[(signed == 0.0) & (rng.uniform(size=1 << n) < 0.5)] = -0.0
+        signed[0] = 0.0
+        return {"mu": mu, "flat": np.round(mu, 1), "additive": additive}, {
+            "signed": signed,
+            "huge": signed * 1e300,
+        }
+
+    @staticmethod
+    def same(got, want):
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", TILE_SIZES)
+    def test_transforms_match_the_natural_loops(self, n):
+        caps, others = self.tables(n)
+        for v in [*caps.values(), *others.values()]:
+            sf = SetFunction(n, v)
+            self.same(mobius(sf), oracles.loop_mobius(v))
+            self.same(zeta(MobiusRepr(n, v)), oracles.loop_zeta(v))
+            self.same(co_mobius(sf), oracles.loop_co_mobius(v))
+            self.same(conjugate(sf), oracles.loop_conjugate(v))
+            a = np.abs(v)
+            self.same(ordinal_mobius(SetFunction(n, a)), oracles.loop_ordinal_mobius(a))
+            self.same(ordinal_zeta(OrdinalMobiusRepr(n, a)), oracles.loop_ordinal_zeta(a))
+        for v in caps.values():
+            mu = as_capacity(v, n=n)
+            self.same(mu, v)
+            self.same(conjugate(mu), oracles.loop_conjugate(v))
+        want = oracles.loop_all_indices(oracles.loop_mobius(caps["mu"]), n)
+        assert _all_indices(as_capacity(caps["mu"], n=n)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", TILE_SIZES)
+    def test_validate_flags_match_the_natural_loops(self, n):
+        caps, others = self.tables(n)
+        for name, v in [*caps.items(), *others.items()]:
+            for tol in (0.0, 1e-9):
+                res = validate(v, n=n, tol=tol)
+                assert res.strictly_monotone == oracles.loop_strictly_monotone(v), name
+                assert res.additive == oracles.loop_additive(v, tol), name
+                if name in caps:
+                    assert (None if res.ok else str(res.error)) == _drop_text(v, tol), name
+        assert validate(caps["additive"], n=n).additive
+        assert not validate(caps["flat"], n=n).strictly_monotone
+
+
+class TestFirstViolation:
+    """Planted drops, on the tiled low bits and on the high bits, named as the
+    natural-layout scan names them."""
+
+    @staticmethod
+    def planted(n, pairs):
+        """An additive capacity whose weights rise with the criterion index,
+        lowered at mask | bit by bit's weight and a quarter of the smallest
+        weight gap for each (mask, bit) of ``pairs``. With bit below every
+        member of mask, that pair is the only one into mask | bit that drops."""
+        w = np.arange(n, 2 * n, dtype=np.float64)
+        w /= w.sum()
+        v = np.zeros(1 << n)
+        for i, lo, hi in halves(v):
+            np.add(lo, w[i], out=hi)
+        v[-1] = 1.0
+        for mask, bit in pairs:
+            assert mask & ((2 << bit) - 1) == 0
+            v[mask | 1 << bit] -= w[bit] + (w[1] - w[0]) / 4
+        return v
+
+    @staticmethod
+    def cases(n):
+        top, high = 1 << (n - 1), n - 2
+        return {
+            "low bit only": ([(top, 1)], (top, 1)),
+            "high bit only": ([(top, high)], (top, high)),
+            "smaller mask on the high bit": ([(top | 1 << (n - 3), 1), (top, high)], (top, high)),
+            "one mask, two criteria": ([(top, high), (top, 1)], (top, 1)),
+        }
+
+    @pytest.mark.parametrize("n", [8, TILE_MIN_N, TILE_BITS + 8])
+    def test_not_monotone_texts_match_the_reference_scan(self, n):
+        for name, (pairs, first) in self.cases(n).items():
+            v = self.planted(n, pairs)
+            assert oracles.loop_first_drop(v, DEFAULT_TOL) == first, name
+            text = _drop_text(v, DEFAULT_TOL)
+            with pytest.raises(NotMonotone) as err:
+                as_capacity(v, n=n)
+            assert str(err.value) == text, name
+            assert str(validate(v, n=n).error) == text, name
+            conj = conjugate(SetFunction(n, v))
+            with pytest.raises(NotMonotone) as err:
+                Capacity(conj)
+            assert str(err.value) == _drop_text(conj.values, DEFAULT_TOL), name
 
 
 # numpy's ufunc buffers for strided operands: at most four operands of
@@ -406,8 +564,9 @@ class TestMemory:
         }
 
     # op, its input, and the bytes per subset it may allocate: a transform its
-    # 8-byte output plus one bool or uint8 table; the monotonicity scan half a
-    # float and half a bool table; validate one Mobius table and half a bool table.
+    # 8-byte output plus one bool or uint8 table, or the tile of at most half a
+    # byte per subset; the monotonicity scan half a float and half a bool
+    # table; validate one Mobius table and its tile.
     OPS = [
         ("mobius", "mu", mobius, 9),
         ("zeta", "m", zeta, 9),
@@ -425,6 +584,13 @@ class TestMemory:
         _, arg, call, per_subset = op
         peak = _peak_above_input(lambda: call(tables[arg]))
         assert peak <= per_subset * (1 << self.N) + UFUNC_BUFFERS
+
+
+class TestMemoryAtTheTileCap(TestMemory):
+    """The same budgets at n = 20, where the lattice tile reaches its cap and
+    UFUNC_BUFFERS is a quarter of a byte per subset."""
+
+    N = 20
 
 
 class TestJson:
@@ -547,11 +713,10 @@ def transform_digest(n):
         else:
             digest.update(("%s:%s;" % (type(x).__name__, x)).encode())
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v in pinned_tables(n):
-            for label, outcome in _outcomes(v, n):
-                digest.update(label.encode())
-                update(outcome)
+    for v in pinned_tables(n):
+        for label, outcome in _outcomes(v, n):
+            digest.update(label.encode())
+            update(outcome)
     return digest.hexdigest()
 
 
