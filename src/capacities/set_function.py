@@ -32,11 +32,12 @@ bool or uint8 table (one byte per subset) and the lattice tile (at most
 keeps its tiles and per-bit flags in its output's memory until it fills
 it. The monotonicity scan of :func:`as_capacity`, :func:`validate` and
 the conjugate of a capacity holds one half-length float buffer, whose
-head is the tile, and finds each bit's largest drop v(A) - v(A | bit);
-only where that exceeds tol does a natural-layout pass over those bits,
-with a half-length bool buffer beside the float one, name the first
-offending pair. :func:`validate` reads strict monotonicity off the same
-drops and builds one Mobius table. Public constructors copy the arrays they are given;
+head is the tile, and finds each bit's largest drop v(A) - v(A | bit).
+Where that exceeds tol, the same pass names the first offending pair: on
+views of the whole table with a half-length bool buffer, on tiled bits by
+a natural-layout search of the first block of masks that drops.
+:func:`validate` reads strict monotonicity off the same drops and builds
+one Mobius table. Public constructors copy the arrays they are given;
 tables the package has just built are wrapped without a copy.
 """
 
@@ -320,20 +321,49 @@ def conjugate(v: SetFunction) -> SetFunction:
     return Capacity(out) if isinstance(v, Capacity) else out
 
 
-def _largest_drops(vals: np.ndarray) -> np.ndarray:
-    """For each bit, the largest v(A) - v(A | bit) over the masks A without it.
+def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """For each bit, the largest v(A) - v(A | bit) over the masks A without
+    it; and the first (A, bit) pair, by A and then by bit, whose drop exceeds
+    tol, or None. A ``tol`` that is not finite and >= 0 raises.
 
-    The table is monotone within tol where these are at most tol, and
+    The table is monotone within tol where the drops are at most tol, and
     strictly monotone where they are below 0: for finite values, lo - hi < 0
     exactly when hi > lo, as a difference of distinct doubles never rounds
     to zero.
     """
-    drop = np.empty(vals.shape[0] >> 1)  # its head holds the tile of vals
+    if not 0.0 <= tol < math.inf:
+        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
+    half = vals.shape[0] >> 1
+    drop = np.empty(half)  # its head holds the tile of vals
 
     def largest(lo, hi):
-        return np.subtract(lo, hi, out=subsets.tail(drop, lo)).max()
+        d = np.subtract(lo, hi, out=subsets.tail(drop, lo))
+        m = d.max()
+        # Views of the whole table are in the natural layout: locate the drop now.
+        return m, _first_over(d, tol) if m > tol and d.size == half else None
 
-    return np.array([max(r) for r in subsets.lattice(largest, vals, tiles=(drop,))])
+    drops, first = [], None
+    for i, calls in enumerate(subsets.lattice(largest, vals, tiles=(drop,))):
+        drops.append(max(m for m, _ in calls))
+        if drops[-1] <= tol:
+            continue
+        b = next(b for b, (m, _) in enumerate(calls) if m > tol)
+        mask = calls[b][1]
+        if mask is None:  # a tile: search its block of masks in the natural layout
+            size = vals.shape[0] // len(calls)
+            _, lo, hi = next(subsets.halves(vals[b * size : (b + 1) * size], 1 << i))
+            with np.errstate(over="ignore"):
+                mask = b * size + _first_over(lo - hi, tol)
+        if first is None or mask < first[0]:
+            first = (mask, i)
+    return np.array(drops), first
+
+
+def _first_over(d: np.ndarray, tol: float) -> int:
+    """The first mask A, counted from the start of its block, with d[A] > tol;
+    ``d`` is shaped as a :func:`subsets.halves` ``lo`` view of that block."""
+    k = int(np.argmax(d > tol))  # row-major, so the smallest A
+    return k + k // d.shape[1] * d.shape[1]
 
 
 def _first_capacity_violation(
@@ -341,23 +371,19 @@ def _first_capacity_violation(
     n: int,
     tol: float,
     require_positive_singletons: bool,
-    drops: np.ndarray | None = None,
+    first_drop: tuple[int, int] | None,
 ) -> Exception | None:
-    """The first violated capacity constraint, or None; a bad ``tol`` raises.
-
-    ``drops`` are the :func:`_largest_drops` of ``vals`` when already known.
-    """
-    if not 0.0 <= tol < math.inf:
-        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
+    """The first violated capacity constraint, or None; ``first_drop`` is the
+    pair that :func:`_drops` found."""
     if vals[0] != 0.0:
         return NotNormalized("mu(empty) must be 0, got %.17g" % vals[0])
     if abs(vals[-1] - 1.0) > tol:
         return NotNormalized("mu(N) must be 1 within %g, got %.17g" % (tol, vals[-1]))
-    if drops is None:
-        drops = _largest_drops(vals)
-    bits = np.flatnonzero(drops > tol)
-    if bits.size:
-        return _first_drop(vals, tol, sum(1 << int(i) for i in bits))
+    if first_drop is not None:
+        mask, i = first_drop
+        return NotMonotone(
+            subsets.subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])
+        )
     if require_positive_singletons:
         for i in range(n):
             w = float(vals[1 << i])
@@ -366,35 +392,11 @@ def _first_capacity_violation(
     return None
 
 
-def _first_drop(vals: np.ndarray, tol: float, bits: int) -> NotMonotone:
-    """The first (mask, criterion) pair with v(mask | bit) < v(mask) - tol,
-    ordered by mask, then by criterion index, so diagnostics are stable.
-    Only the set bits of ``bits`` are searched, in the natural layout; one
-    of them must have such a pair."""
-    first = None
-    drop = np.empty(vals.shape[0] >> 1)
-    bad = np.empty(drop.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, lo, hi in subsets.halves(vals, bits):
-            flags = np.greater(
-                np.subtract(lo, hi, out=drop.reshape(lo.shape)), tol, out=bad.reshape(lo.shape)
-            )
-            k = int(flags.argmax())  # row-major, so the smallest mask for this bit
-            if flags.flat[k]:
-                row, col = divmod(k, 1 << i)
-                mask = (row << (i + 1)) + col
-                if first is None or mask < first[0]:
-                    first = (mask, i)
-    mask, i = first
-    return NotMonotone(
-        subsets.subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])
-    )
-
-
 def _require_capacity(
     vals: np.ndarray, n: int, tol: float, require_positive_singletons: bool
 ) -> None:
-    err = _first_capacity_violation(vals, n, tol, require_positive_singletons)
+    _, first_drop = _drops(vals, tol)
+    err = _first_capacity_violation(vals, n, tol, require_positive_singletons, first_drop)
     if err is not None:
         try:
             raise err
@@ -449,8 +451,8 @@ def validate(
     entries) and a ``tol`` that is not finite and >= 0 do raise.
     """
     n, vals = _value_table(v, n)
-    drops = _largest_drops(vals)
-    err = _first_capacity_violation(vals, n, tol, require_positive_singletons, drops)
+    drops, first_drop = _drops(vals, tol)
+    err = _first_capacity_violation(vals, n, tol, require_positive_singletons, first_drop)
     # Additive: every Mobius coefficient of two or more criteria is within tol of 0.
     m = vals.copy()
     subsets.lattice(_subtract, m)

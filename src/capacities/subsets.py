@@ -134,7 +134,10 @@ def tail(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
 def lattice(op, *tables, tiles=None) -> list:
     """Call ``op(lo, hi, lo2, hi2, ...)`` for every bit of equal-length
     bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
-    the list of what those calls returned.
+    the list of what those calls returned. A bit's calls run on blocks of
+    consecutive masks, listed in ascending order; a bit that runs on views
+    of the tables has one block, the whole table, and only its views hold
+    half a table's entries.
 
     Each ``(lo, hi)`` pairs every mask A without the bit with A | bit, as in
     :func:`halves`, and an elementwise ``op`` gets the same results as in a
@@ -176,9 +179,9 @@ def lattice(op, *tables, tiles=None) -> list:
 def _calls(op, tables, bits, out, shift):
     """``op`` on the (lo, hi) views of ``tables`` for the set bits of ``bits``;
     the result of bit i goes to ``out[i - shift]``."""
-    if len(tables) == 1:  # the common case, without the zip
-        for i, lo, hi in halves(tables[0], bits):
-            out[i - shift].append(op(lo, hi))
-        return
-    for views in zip(*(halves(t, bits) for t in tables)):
-        out[views[0][0] - shift].append(op(*[x for _, lo, hi in views for x in (lo, hi)]))
+    others = [halves(t, bits) for t in tables[1:]]
+    for i, lo, hi in halves(tables[0], bits):
+        views = [lo, hi]
+        for other in others:
+            views += next(other)[1:]
+        out[i - shift].append(op(*views))

@@ -481,6 +481,10 @@ class TestTiledPasses:
                 assert res.additive == oracles.loop_additive(v, tol), name
                 if name in caps:
                     assert (None if res.ok else str(res.error)) == _drop_text(v, tol), name
+        for name, v in others.items():
+            w = v.copy()
+            w[-1] = 1.0  # normalized, so the first drop is the error
+            assert str(validate(w, n=n).error) == _drop_text(w, 0.0), name
         assert validate(caps["additive"], n=n).additive
         assert not validate(caps["flat"], n=n).strictly_monotone
 
@@ -514,6 +518,7 @@ class TestFirstViolation:
             "high bit only": ([(top, high)], (top, high)),
             "smaller mask on the high bit": ([(top | 1 << (n - 3), 1), (top, high)], (top, high)),
             "one mask, two criteria": ([(top, high), (top, 1)], (top, 1)),
+            "two low bits, the later one first": ([(top | 1 << (n - 3), 1), (top, 2)], (top, 2)),
         }
 
     @pytest.mark.parametrize("n", [8, TILE_MIN_N, TILE_BITS + 8])
