@@ -38,9 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import subsets
-from .errors import CapacitiesError, DomainMismatch, UnknownAxiom
+from .errors import CapacitiesError, DomainMismatch, InvalidFormat, UnknownAxiom
 from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
-from .integrals import _GRID_POINTS, _certificate, _grid_table
+from .integrals import _certificate, _grid_table
 from .set_function import DEFAULT_TOL, Capacity
 
 __all__ = [
@@ -77,15 +77,16 @@ class AxiomCheckConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise CapacitiesError("samples must be >= 1, got %r" % (self.samples,))
-        if self.tol <= 0.0:
-            raise CapacitiesError("tol must be positive, got %r" % (self.tol,))
+        if not 0.0 < self.tol < np.inf:
+            raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
         lo, hi = self.score_bounds
         if not 0.0 < hi - lo < np.inf:
             raise CapacitiesError("score_bounds must span a finite increasing range, got %r" % ((lo, hi),))
         alo, ahi = self.alpha_bounds
-        if not 0.0 < alo <= ahi:
+        if not 0.0 < alo <= ahi < np.inf:
             raise CapacitiesError(
-                "alpha_bounds must be positive and increasing, got %r" % (self.alpha_bounds,)
+                "alpha_bounds must be positive, finite and increasing, got %r"
+                % (self.alpha_bounds,)
             )
 
 
@@ -595,11 +596,8 @@ def check_pseudo_product(op, cfg: AxiomCheckConfig | None = None) -> PseudoProdu
     if cfg is None:
         cfg = AxiomCheckConfig()
     pp = op if isinstance(op, PseudoProduct) else PseudoProduct(op)
-    cert = pp.certificate
-    recertify = cert is None or cert.tol != cfg.tol
-    xs, table = _grid_table(pp.op, _GRID_POINTS if recertify else cert.grid_points)
-    if recertify:
-        cert = _certificate(pp.op, xs, table, cfg.tol)
+    xs, table = _grid_table(pp.op)
+    cert = _certificate(pp.op, xs, table, cfg.tol)
     tol = cfg.tol
 
     conditions = {}
@@ -693,17 +691,22 @@ def compare_extensions(
 ) -> ExtensionComparison:
     """Evaluate every one-capacity extension on the given score vectors.
 
-    ``points`` is an iterable of length-n vectors. Axiom verdicts cover
-    A1, A2, I, and M for each operator under a shared config.
+    ``points`` is an iterable of length-n vectors of numbers; any other
+    point raises :class:`InvalidFormat`, naming its index. Axiom verdicts
+    cover A1, A2, I, and M for each operator under a shared config.
     """
     operators = tuple(name for name in EXTENSION_NAMES if name != "cpt")
     exts = [make_extension(name, mu) for name in operators]
     pts = []
-    for p in points:
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.shape != (mu.n,):
-            raise CapacitiesError(
-                "comparison points must have length %d, got shape %s" % (mu.n, arr.shape)
+    for k, p in enumerate(points):
+        try:
+            arr = np.asarray(p)
+        except ValueError:  # ragged nesting
+            arr = None
+        # Strings, nested lists, objects and integers past int64 are no scores.
+        if arr is None or arr.dtype.kind not in "biuf" or arr.shape != (mu.n,):
+            raise InvalidFormat(
+                "comparison point %d must be a vector of %d numbers" % (k, mu.n)
             )
         pts.append(tuple(float(x) for x in arr))
     if cfg is None:

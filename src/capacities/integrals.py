@@ -320,10 +320,10 @@ _OFF_GRID = [(_rng.random(), _rng.random(), _rng.random()) for _ in range(64)]
 del _rng
 
 
-def _grid_table(op: Callable[[float, float], float], grid_points: int):
-    """Uniform grid xs on [0, 1] and the table op(xs[i], xs[j])."""
-    xs = np.linspace(0.0, 1.0, grid_points)
-    table = np.empty((grid_points, grid_points))
+def _grid_table(op: Callable[[float, float], float]):
+    """Uniform grid xs of _GRID_POINTS values on [0, 1], and op(xs[i], xs[j])."""
+    xs = np.linspace(0.0, 1.0, _GRID_POINTS)
+    table = np.empty((_GRID_POINTS, _GRID_POINTS))
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
             table[i, j] = op(float(x), float(y))
@@ -358,19 +358,16 @@ def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorC
 
 
 def certify(
-    op: Callable[[float, float], float],
-    name: str = "",
-    grid_points: int = _GRID_POINTS,
-    tol: float = DEFAULT_TOL,
+    op: Callable[[float, float], float], name: str = "", tol: float = DEFAULT_TOL
 ) -> PseudoProduct:
     """Sample commutativity and associativity of ``op`` on a [0, 1] grid.
 
-    Pairs come from a uniform grid of ``grid_points`` values, triples from
-    its cube, plus a fixed seeded set of off-grid pairs and triples. The
-    certificate records the worst gaps; the operator counts as certified
-    when both stay within ``tol``.
+    Pairs come from a uniform grid of 21 values, triples from its cube,
+    plus a fixed seeded set of off-grid pairs and triples. The certificate
+    records the worst gaps; the operator counts as certified when both stay
+    within ``tol``.
     """
-    cert = _certificate(op, *_grid_table(op, grid_points), tol)
+    cert = _certificate(op, *_grid_table(op), tol)
     return PseudoProduct(op=op, name=name, certificate=cert)
 
 

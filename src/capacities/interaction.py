@@ -71,14 +71,14 @@ def _all_indices(mu: Capacity) -> np.ndarray:
     nodes, weights = np.polynomial.legendre.leggauss(mu.n // 2 + 1)
     out = np.zeros_like(m)
     t = np.empty_like(m)
-    buf = np.empty(m.shape[0] >> 1)  # the tile of t, and x * hi for each bit
+    buf = np.empty(m.shape[0] >> 1)  # x * hi for each bit
     for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
 
         def step(lo, hi):
-            lo += np.multiply(hi, x, out=subsets.tail(buf, hi))
+            lo += np.multiply(hi, x, out=buf[: hi.size].reshape(hi.shape))
 
         np.copyto(t, m)
-        subsets.lattice(step, t, tiles=(buf,))
+        subsets.lattice(step, t)
         t *= w
         out += t
     return out

@@ -26,19 +26,19 @@ the dense tables reasonable. Overflow inside a pass is not reported as a
 numpy warning: an output that is not finite raises :class:`InvalidFormat`.
 
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
-allocates its output and no other array of that size; beside it, one
-bool or uint8 table (one byte per subset) and the lattice tile (at most
-1/16 of a table and 512 KiB) are alive at most. :func:`ordinal_mobius`
-keeps its tiles and per-bit flags in its output's memory until it fills
-it. The monotonicity scan of :func:`as_capacity`, :func:`validate` and
-the conjugate of a capacity holds one half-length float buffer, whose
-head is the tile, and finds each bit's largest drop v(A) - v(A | bit).
-Where that exceeds tol, the same pass names the first offending pair: on
-views of the whole table with a half-length bool buffer, on tiled bits by
-a natural-layout search of the first block of masks that drops.
-:func:`validate` reads strict monotonicity off the same drops and builds
-one Mobius table. Public constructors copy the arrays they are given;
-tables the package has just built are wrapped without a copy.
+allocates its output and no other array of that size. Beside it, a pass
+holds one lattice tile per table it walks (each at most 1/16 of a table
+and 512 KiB), and the finiteness check of the output holds one bool per
+subset; :func:`ordinal_mobius` adds one bool table after its pass. The
+monotonicity scan of :func:`as_capacity`, :func:`validate` and the
+conjugate of a capacity holds one half-length float buffer and finds
+each bit's largest drop v(A) - v(A | bit). Where that exceeds tol, the
+same pass names the first offending pair: on views of the whole table
+with a half-length bool buffer, on tiled bits by a natural-layout search
+of the first block of masks that drops. :func:`validate` reads strict
+monotonicity off the same drops and builds one Mobius table. Public
+constructors copy the arrays they are given; tables the package has just
+built are wrapped without a copy.
 """
 
 from __future__ import annotations
@@ -262,16 +262,23 @@ def co_mobius(v: SetFunction) -> CoMobiusRepr:
 
     Computed by reversing the value table (mask of N - B is the bitwise
     complement of B) and reusing the plain Mobius butterfly, which differs
-    from the target sum only by the sign (-1)^|A|: the odd-size masks are
-    negated in place afterwards, which keeps the sign of every zero.
+    from the target sum only by the sign (-1)^|A|. With the table as rows
+    of 2**min(n, 12) masks, that sign is the parity of the column times the
+    parity of the row: two exact multiplications by +-1 apply it, keeping
+    the sign of every zero.
     """
     a = _values(v)[::-1].copy()
     subsets.lattice(_subtract, a)
-    odd = subsets.popcounts(v.n)
-    np.bitwise_and(odd, 1, out=odd)
-    np.negative(a, out=a, where=odd.view(bool))
-    del odd  # before the finiteness check allocates its own byte per subset
+    low = min(v.n, 12)
+    cols, rows = (1.0 - 2.0 * (subsets.popcounts(k) & 1) for k in (low, v.n - low))
+    grid = a.reshape(-1, 1 << low)  # mask = row * 2**low + column
+    grid *= cols
+    grid *= rows[:, None]
     return CoMobiusRepr._own(v.n, a)
+
+
+def _below(lo, _, __, a_hi):
+    np.maximum(a_hi, lo, out=a_hi)
 
 
 def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
@@ -283,18 +290,9 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     maximum kept coefficient over subsets (:func:`ordinal_zeta`).
     """
     vals = _values(mu)
-    # Until it is filled, the output's bytes hold the tile of vals (its head),
-    # the tile of flat (from its middle) and the flags of each bit (its tail;
-    # each tile and flag set takes at most 1/16 of them), so only ``flat`` is
-    # allocated beside it.
-    a = np.empty(1 << mu.n)
-    raw = a.view(bool)
-    flat = np.zeros(1 << mu.n, dtype=bool)  # some member does not raise the value
-
-    def flat_step(lo, hi, _, flat_hi):
-        flat_hi |= np.less_equal(hi, lo, out=subsets.tail(raw, lo))
-
-    subsets.lattice(flat_step, vals, flat, tiles=(a, raw[a.nbytes >> 1 :]))
+    a = np.full(1 << mu.n, -np.inf)
+    subsets.lattice(_below, vals, a)  # a(A): the largest mu(A - i) over members i
+    flat = np.less_equal(vals, a)  # some member does not raise the value
     np.copyto(a, vals)
     np.putmask(a, flat, 0.0)
     del flat  # before the finiteness check allocates its own byte per subset
@@ -334,16 +332,16 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     if not 0.0 <= tol < math.inf:
         raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
     half = vals.shape[0] >> 1
-    drop = np.empty(half)  # its head holds the tile of vals
+    drop = np.empty(half)
 
     def largest(lo, hi):
-        d = np.subtract(lo, hi, out=subsets.tail(drop, lo))
+        d = np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
         m = d.max()
         # Views of the whole table are in the natural layout: locate the drop now.
         return m, _first_over(d, tol) if m > tol and d.size == half else None
 
     drops, first = [], None
-    for i, calls in enumerate(subsets.lattice(largest, vals, tiles=(drop,))):
+    for i, calls in enumerate(subsets.lattice(largest, vals)):
         drops.append(max(m for m, _ in calls))
         if drops[-1] <= tol:
             continue

@@ -8,6 +8,8 @@ yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
 calls an elementwise op on the same pairs in the same bit order, running
 the bits below 12 of a large table on a cache-sized transposed tile, where
 their rows are long and contiguous; every table transform goes through it.
+It allocates its own tile for each table it walks, at most 1/16 of the
+table and 512 KiB, and frees it when the pass ends.
 """
 
 from __future__ import annotations
@@ -121,17 +123,7 @@ TILE_BITS = 12
 TILE_ROWS = 16
 
 
-def tail(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The last ``like.size`` entries of the flat ``buf``, shaped like ``like``.
-
-    Scratch for the ``lo`` or ``hi`` views of :func:`lattice`: in a tiled pass
-    those are half a tile, so a buffer of half the table's length whose head
-    holds the tile keeps its tail clear of it.
-    """
-    return buf[buf.shape[0] - like.size :].reshape(like.shape)
-
-
-def lattice(op, *tables, tiles=None) -> list:
+def lattice(op, *tables) -> list:
     """Call ``op(lo, hi, lo2, hi2, ...)`` for every bit of equal-length
     bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
     the list of what those calls returned. A bit's calls run on blocks of
@@ -147,8 +139,7 @@ def lattice(op, *tables, tiles=None) -> list:
     into a tile, where bit i has contiguous rows of TILE_ROWS * 2**i
     entries, and copied back into the tables that are writable. There, op
     is called once per block for each low bit. Bits from L up run on views
-    of the tables. ``tiles`` gives one flat array per table, of its dtype,
-    whose head is to hold the tile; by default the tiles are allocated.
+    of the tables. The pass allocates one tile per table, of its dtype.
     Overflow is not reported: callers check their results for finiteness.
     """
     n = tables[0].shape[0].bit_length() - 1
@@ -156,10 +147,7 @@ def lattice(op, *tables, tiles=None) -> list:
     out = [[] for _ in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):
         if low:
-            size = TILE_ROWS << low
-            if tiles is None:
-                tiles = [np.empty(size, t.dtype) for t in tables]
-            tiles = [t[:size] for t in tiles]
+            tiles = [np.empty(TILE_ROWS << low, t.dtype) for t in tables]
             blocks = [t.reshape(-1, TILE_ROWS << low) for t in tables]
             # Tile entry [j, k] is mask j of block row k, so bit i of a mask
             # is bit i + log2(TILE_ROWS) of the flat tile index.

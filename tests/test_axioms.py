@@ -46,6 +46,12 @@ class TestConfig:
             AxiomCheckConfig(score_bounds=(2.0, 1.0))
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(alpha_bounds=(0.0, 1.0))
+        for tol in (np.nan, np.inf):
+            with pytest.raises(CapacitiesError):
+                AxiomCheckConfig(tol=tol)
+        for bounds in ((1.0, np.inf), (np.inf, np.inf)):
+            with pytest.raises(CapacitiesError):
+                AxiomCheckConfig(alpha_bounds=bounds)
 
     def test_defaults(self):
         cfg = AxiomCheckConfig()

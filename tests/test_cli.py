@@ -260,6 +260,11 @@ BAD_SAMPLING_FLAGS = [
     ["--tol", "0"],
     ["--score-bounds", "1:-1"],
     ["--alpha-bounds", "2:1"],
+    # Left through, nan flips verdicts, inf passes every axiom, and an
+    # infinite alpha bound makes the alpha sweep warn.
+    ["--tol=nan"],
+    ["--tol=inf"],
+    ["--alpha-bounds=1:inf"],
 ]
 
 
@@ -306,6 +311,17 @@ class TestCompare:
         assert main(["compare", "--capacity", overlap_file, "--scores-file",
                      scores, "--samples", "100"]) == 1
         assert capsys.readouterr().err.startswith("error: mle overflows")
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.5, "ab"]], [[0.5, [1, 2]]], [{"a": 1}], [[0.5, 10**400]]],
+        ids=["string", "nested", "object", "huge-int"],
+    )
+    def test_point_that_is_not_a_vector_of_numbers(self, points, overlap_file, write_json, capsys):
+        scores = write_json("scores.json", points)
+        assert main(["compare", "--capacity", overlap_file, "--scores-file", scores]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: comparison point 0 ") and err.count("\n") == 1
 
     def test_scores_file_must_be_array(self, overlap_file, write_json, capsys):
         scores = write_json("scores.json", {"not": "an array"})
