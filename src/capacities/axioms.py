@@ -32,7 +32,6 @@ score products near (alpha * max|t|)**|B|; the tolerance is not widened for it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +40,7 @@ from . import subsets
 from .errors import CapacitiesError, DomainMismatch, InvalidFormat, UnknownAxiom
 from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
 from .integrals import _certificate, _grid_table
-from .set_function import DEFAULT_TOL, Capacity
+from .set_function import DEFAULT_TOL, Capacity, _number
 
 __all__ = [
     "AXIOM_NAMES",
@@ -172,8 +171,87 @@ def _alpha_sweep(lo: float, hi: float) -> list[float]:
     return [0.0] + _alpha_probes(lo, hi) + [float(a) for a in np.geomspace(lo, hi, 21)]
 
 
-def _log_uniform(rng, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+_LOW = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+class _Stream:
+    """The draws of a fresh numpy ``Generator``, decoded a block of trials at a time.
+
+    ``take(k, outcomes)`` returns, one row per trial, the values that k trials
+    drawing one value per entry of ``outcomes`` get from scalar calls in the same
+    order: 0 stands for ``uniform()``, a double in [0, 1), and 1 <= m < 2**32
+    for ``integers(m)``. They are decoded from ``bit_generator.random_raw`` by
+    the rules of numpy's ``Generator`` on 64-bit words:
+
+    * a double is the top 53 bits of a fresh word, times 2**-53;
+    * ``integers(m)`` is Lemire's method on a 32-bit draw x: m * x >> 32, drawn
+      again while the low 32 bits of m * x fall below (2**32 - m) % m. A 32-bit
+      draw takes the low half of a fresh word and leaves its high half to the
+      next 32-bit draw; doubles do not touch that half. ``integers(1)`` draws
+      nothing.
+
+    NEP 19 lets a numpy release change these streams; the test of these draws
+    against the scalar calls and the golden verify file would then fail.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._words = np.empty(0, dtype=np.uint64)  # read past a rejected draw
+        self._half = np.empty(0, dtype=np.uint64)  # a high half left by a 32-bit draw
+
+    def _next(self, count: int) -> np.ndarray:
+        if count > self._words.size:
+            self._words = np.concatenate([self._words, self._raw(count - self._words.size)])
+        out, self._words = self._words[:count], self._words[count:]
+        return out
+
+    def take(self, k: int, outcomes) -> np.ndarray:
+        m = np.tile(np.asarray(outcomes, dtype=np.uint64), k)
+        out = np.zeros(m.size)
+        drawn = np.flatnonzero(m != 1)
+        out[drawn] = self._draws(m[drawn])
+        return out.reshape(k, -1)
+
+    def _draws(self, m: np.ndarray) -> np.ndarray:
+        """One value per entry of m, as ``take`` describes, with no m of 1. Each
+        pass decodes every draw as if none were rejected and keeps those before
+        the first rejection; the next pass starts again at that draw."""
+        out = np.empty(m.size)
+        start = 0
+        while start < m.size:
+            ev = m[start:]
+            fresh = ev == 0
+            doubles = np.flatnonzero(fresh)
+            ints = np.flatnonzero(~fresh)
+            opens = (np.arange(ints.size) + self._half.size) % 2 == 0  # takes a low half
+            fresh[ints[opens]] = True
+            at = np.cumsum(fresh) - 1  # the word read by each fresh draw
+            words = self._next(int(at[-1]) + 1)
+            opened = words[at[ints[opens]]]
+            halves = np.append(self._half, np.column_stack([opened & _LOW, opened >> _32]))
+            mi = ev[ints]
+            scaled = halves[: ints.size] * mi
+            rejected = np.flatnonzero((scaled & _LOW) < (np.uint64(1 << 32) - mi) % mi)
+            vals = np.empty(ev.size)
+            vals[doubles] = (words[at[doubles]] >> np.uint64(11)) * 2.0**-53
+            vals[ints] = scaled >> _32
+            if rejected.size == 0:
+                out[start:] = vals
+                self._half = halves[ints.size :]
+                return out
+            j = rejected[0]
+            r = ints[j]
+            out[start : start + r] = vals[:r]
+            self._words = np.concatenate([words[at[r] + 1 :], self._words])
+            self._half = halves[j + 1 : j + 2] if opens[j] else halves[:0]
+            start += r
+        return out
+
+
+def _scaled(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``uniform(lo, hi)`` from the doubles x of ``uniform()``."""
+    return lo + (hi - lo) * x
 
 
 def _indicators(masks: np.ndarray, n: int) -> np.ndarray:
@@ -207,24 +285,30 @@ def _ratio(f: np.ndarray, want: np.ndarray, tol: float):
     return (wa - wb) / (wc - wd), (fa - fb) / (fc - fd), valid
 
 
-# One spec per axiom: ``spec(ext, mu, cfg)`` returns the probe trials, a
-# sampler drawing one random trial (a tuple) from the rng, how many to draw,
-# whether only got > expected is a violation (M, M1), and ``sides``. That takes
-# a block of trials as one array per tuple field and returns ``(expected, got,
-# scale, valid, inputs)``: per trial, the gap may reach tol * max(1, scale);
-# ``valid`` is False for a degenerate trial or one where the extension is not
-# finite; ``inputs(j)`` builds the inputs of a counterexample at trial j.
+# One spec per axiom: ``spec(ext, mu, cfg, stream)`` returns the probe trials as
+# a tuple of columns, one array per trial field with one row per trial;
+# ``draw(k)``, the same columns for the next k random trials from ``stream``;
+# how many random trials to draw; whether only got > expected is a violation
+# (M, M1); and ``sides``. That takes a block of those columns and returns
+# ``(expected, got, scale, valid, inputs)``: per trial, the gap may reach
+# tol * max(1, scale); ``valid`` is False for a degenerate trial or one where
+# the extension is not finite; ``inputs(j)`` builds the inputs of a
+# counterexample at trial j. A random trial draws its fields in the order that
+# ``draw`` lists them in ``stream.take``; a log-uniform alpha is the exp of a
+# uniform draw between the logs of the alpha bounds.
 
 
-def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     alo, ahi = _alpha_range(ext, cfg)
+    logs = np.log(alo), np.log(ahi)
     n = mu.n
     size = 1 << n
     every_mask = size <= 1024
-    masks = range(1, size) if every_mask else (1, size - 1)
+    masks = np.arange(1, size) if every_mask else np.array([1, size - 1])
 
-    def sampler(rng):
-        return _log_uniform(rng, alo, ahi), int(rng.integers(1, size))
+    def draw(k):
+        x = stream.take(k, (0, size - 1))
+        return np.exp(_scaled(x[:, 0], *logs)), 1 + x[:, 1].astype(np.int64)
 
     def sides(alpha, mask):
         t = alpha[:, None] * _indicators(mask, n)
@@ -234,18 +318,20 @@ def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             alpha=float(alpha[j]), subset=subsets.subset_key(int(mask[j])), t=t[j].tolist()
         )
 
-    probes = ((a, mask) for a in _alpha_sweep(alo, ahi) for mask in masks)
-    return probes, sampler, 0 if every_mask else cfg.samples, False, sides
+    sweep = _alpha_sweep(alo, ahi)
+    probes = np.repeat(sweep, masks.size), np.tile(masks, len(sweep))
+    return probes, draw, 0 if every_mask else cfg.samples, False, sides
 
 
-def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     n = mu.n
     unit_values = ext._values(np.eye(n))
     probe_as = [a for a in (-1.0, -0.5, 0.5, 2.0, lo, hi) if lo <= a <= hi]
 
-    def sampler(rng):
-        return int(rng.integers(n)), float(rng.uniform(lo, hi))
+    def draw(k):
+        x = stream.take(k, (n, 0))
+        return x[:, 0].astype(np.int64), _scaled(x[:, 1], lo, hi)
 
     def sides(i, a):
         t = _units(i, a, n)
@@ -255,22 +341,24 @@ def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             criterion=int(i[j]) + 1, value=float(a[j]), t=t[j].tolist()
         )
 
-    probes = [(i, a) for i in range(n) for a in probe_as]
-    return probes, sampler, cfg.samples, False, sides
+    probes = np.repeat(np.arange(n), len(probe_as)), np.tile(probe_as, n)
+    return probes, draw, cfg.samples, False, sides
 
 
-def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     n = mu.n
-    probes = [(np.full(n, lo), np.full(n, hi))]
+    levels = [(lo, hi)]
     if lo <= 0.0 and hi >= 1.0:
-        probes.append((np.zeros(n), np.ones(n)))
+        levels.append((0.0, 1.0))
     if lo <= 1.0 and hi >= 3.0:
-        probes.append((np.ones(n), np.full(n, 3.0)))
+        levels.append((1.0, 3.0))
+    below, above = (np.repeat(col[:, None], n, axis=1) for col in np.array(levels).T)
 
-    def sampler(rng):
-        t = rng.uniform(lo, hi, n)
-        return t, t + rng.uniform(0.0, 1.0, n) * (hi - t)
+    def draw(k):
+        x = stream.take(k, (0,) * (2 * n))
+        t = _scaled(x[:, :n], lo, hi)
+        return t, t + x[:, n:] * (hi - t)
 
     def sides(t, u):
         below, above = _at(ext, t, u)
@@ -278,17 +366,19 @@ def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             t=t[j].tolist(), t_above=u[j].tolist()
         )
 
-    return probes, sampler, cfg.samples, True, sides
+    return (below, above), draw, cfg.samples, True, sides
 
 
-def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     n = mu.n
-    pair_cands = [(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (lo, hi)]
+    pairs = [(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (lo, hi)]
+    pairs = [(a, b) for a, b in pairs if lo <= a <= b <= hi]
 
-    def sampler(rng):
-        a, b = np.sort(rng.uniform(lo, hi, 2))
-        return int(rng.integers(n)), float(a), float(b)
+    def draw(k):
+        x = stream.take(k, (0, 0, n))
+        a, b = np.sort(_scaled(x[:, :2], lo, hi), axis=1).T
+        return x[:, 2].astype(np.int64), a, b
 
     def sides(i, a, b):
         below, above = _at(ext, _units(i, a, n), _units(i, b, n))
@@ -296,16 +386,17 @@ def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             criterion=int(i[j]) + 1, value=float(a[j]), value_above=float(b[j])
         )
 
-    probes = [(i, a, b) for i in range(n) for a, b in pair_cands if lo <= a <= b <= hi]
-    return probes, sampler, cfg.samples, True, sides
+    a, b = np.tile(np.reshape(pairs, (-1, 2)), (n, 1)).T
+    return (np.repeat(np.arange(n), len(pairs)), a, b), draw, cfg.samples, True, sides
 
 
-def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     alo, ahi = _alpha_range(ext, cfg)
+    logs = np.log(alo), np.log(ahi)
     n = mu.n
 
-    def sampler(rng):
-        return (_log_uniform(rng, alo, ahi),)
+    def draw(k):
+        return (np.exp(_scaled(stream.take(k, (0,))[:, 0], *logs)),)
 
     def sides(alpha):
         got = ext._values(np.repeat(alpha[:, None], n, axis=1))
@@ -313,22 +404,23 @@ def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             alpha=float(alpha[j]), t=[float(alpha[j])] * n
         )
 
-    return [(a,) for a in _alpha_sweep(alo, ahi)], sampler, cfg.samples, False, sides
+    return (np.array(_alpha_sweep(alo, ahi)),), draw, cfg.samples, False, sides
 
 
-def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     alo, ahi = _alpha_range(ext, cfg)
+    logs = np.log(alo), np.log(ahi)
     n = mu.n
     if lo < 0.0:
         quads = [(1.0, -1.0, 1.0, 0.0), (2.0, -1.0, 1.0, 0.0), (1.0, -2.0, 2.0, 1.0)]
     else:
         quads = [(1.0, 0.25, 0.75, 0.0), (0.9, 0.1, 0.5, 0.0)]
-    quads = [q for q in quads if all(lo <= x <= hi for x in q)]
+    quads = np.reshape([q for q in quads if all(lo <= x <= hi for x in q)], (-1, 4))
 
-    def sampler(rng):
-        q = tuple(float(x) for x in rng.uniform(lo, hi, 4))
-        return int(rng.integers(n)), _log_uniform(rng, alo, ahi), q
+    def draw(k):
+        x = stream.take(k, (0, 0, 0, 0, n, 0))
+        return x[:, 4].astype(np.int64), np.exp(_scaled(x[:, 5], *logs)), _scaled(x[:, :4], lo, hi)
 
     def sides(i, alpha, q):
         t = _units(np.repeat(i, 4), (alpha[:, None] * q).ravel(), n)
@@ -341,20 +433,29 @@ def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             f_values=f[j].tolist(),
         )
 
-    probes = [(i, alpha, q) for i in range(n) for alpha in _alpha_probes(alo, ahi) for q in quads]
-    return probes, sampler, cfg.samples, False, sides
+    alphas = _alpha_probes(alo, ahi)
+    per_i = len(alphas) * len(quads)
+    probes = (
+        np.repeat(np.arange(n), per_i),
+        np.tile(np.repeat(alphas, len(quads)), n),
+        np.tile(quads, (n * len(alphas), 1)),
+    )
+    return probes, draw, cfg.samples, False, sides
 
 
-def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     alo, ahi = _alpha_range(ext, cfg)
+    logs = np.log(alo), np.log(ahi)
     n = mu.n
     size = 1 << n
     full = size - 1
     quads = [(full, 0, 1, 0), (3, 0, 1, 0), (full, 1, 2, 0), (3, 1, 2, 0), (5, 2, 3, 4)]
+    # Only the quadruples whose subsets exist for this n.
+    quads = np.array([q for q in quads if max(q) < size])
 
-    def sampler(rng):
-        masks = tuple(int(x) for x in rng.integers(0, size, 4))
-        return _log_uniform(rng, alo, ahi), masks
+    def draw(k):
+        x = stream.take(k, (size,) * 4 + (0,))
+        return np.exp(_scaled(x[:, 4], *logs)), x[:, :4].astype(np.int64)
 
     def sides(alpha, q):
         t = alpha[:, None, None] * _indicators(q, n)
@@ -366,32 +467,25 @@ def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             f_values=f[j].tolist(),
         )
 
-    # Only the quadruples whose subsets exist for this n.
-    probes = [(alpha, q) for alpha in _alpha_probes(alo, ahi) for q in quads if max(q) < size]
-    return probes, sampler, cfg.samples, False, sides
+    alphas = _alpha_probes(alo, ahi)
+    probes = np.repeat(alphas, len(quads)), np.tile(quads, (len(alphas), 1))
+    return probes, draw, cfg.samples, False, sides
 
 
-def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     alo, ahi = _alpha_range(ext, cfg)
+    logs = np.log(alo), np.log(ahi)
     n = mu.n
     unit = ext.domain == "unit" and not cfg.allow_out_of_domain
 
     def clamp_beta(alpha, beta):
-        return min(max(beta, 0.0), max(0.0, 1.0 - alpha)) if unit else beta
+        return np.minimum(np.maximum(beta, 0.0), np.maximum(0.0, 1.0 - alpha)) if unit else beta
 
-    base_t = np.linspace(lo, hi, n + 2)[1:-1]
-    probes = [
-        (base_t, alpha, clamp_beta(alpha, beta))
-        for alpha in _alpha_probes(alo, ahi)
-        for beta in (-3.0, 0.0, 0.1)
-        if unit or lo <= beta <= hi
-    ]
-
-    def sampler(rng):
-        t = rng.uniform(lo, hi, n)
-        alpha = _log_uniform(rng, alo, ahi)
-        return t, alpha, clamp_beta(alpha, float(rng.uniform(lo, hi)))
+    def draw(k):
+        x = stream.take(k, (0,) * (n + 2))
+        alpha = np.exp(_scaled(x[:, n], *logs))
+        return _scaled(x[:, :n], lo, hi), alpha, clamp_beta(alpha, _scaled(x[:, n + 1], lo, hi))
 
     def sides(t, alpha, beta):
         f_t, got = _at(ext, t, alpha[:, None] * t + beta[:, None])
@@ -403,28 +497,28 @@ def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             t=t[j].tolist(), alpha=float(alpha[j]), beta=float(beta[j])
         )
 
-    return probes, sampler, cfg.samples, False, sides
+    alphas = _alpha_probes(alo, ahi)
+    betas = [beta for beta in (-3.0, 0.0, 0.1) if unit or lo <= beta <= hi]
+    alpha = np.repeat(alphas, len(betas))
+    base_t = np.linspace(lo, hi, n + 2)[1:-1]
+    probes = np.tile(base_t, (alpha.size, 1)), alpha, clamp_beta(alpha, np.tile(betas, len(alphas)))
+    return probes, draw, cfg.samples, False, sides
 
 
-def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     alo, ahi = _alpha_range(ext, cfg)
+    logs = np.log(alo), np.log(ahi)
     n = mu.n
     signed = lo < 0.0
-    base_t = np.linspace(lo, hi, n + 2)[1:-1]
-    probes = [
-        (t, alpha)
-        for t in _units(np.arange(n), np.full(n, min(1.0, hi)), n)
-        for alpha in ((-1.0, -2.5, 0.5) if signed else (0.5,))
-    ]
-    probes += [(base_t, alpha) for alpha in (-1.0, -0.5, 0.0, 0.5) if signed or alpha >= 0.0]
 
-    def sampler(rng):
-        t = rng.uniform(lo, hi, n)
-        alpha = _log_uniform(rng, alo, ahi)
-        if signed and rng.integers(2):
-            alpha = -alpha
-        return t, alpha
+    def draw(k):
+        # A signed check flips alpha's sign on one more draw, integers(2).
+        x = stream.take(k, (0,) * (n + 1) + (2,) * signed)
+        alpha = np.exp(_scaled(x[:, n], *logs))
+        if signed:
+            alpha = np.where(x[:, n + 1] == 1, -alpha, alpha)
+        return _scaled(x[:, :n], lo, hi), alpha
 
     def sides(t, alpha):
         f_t, got = _at(ext, t, alpha[:, None] * t)
@@ -433,7 +527,15 @@ def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
             t=t[j].tolist(), alpha=float(alpha[j])
         )
 
-    return probes, sampler, cfg.samples, False, sides
+    unit_alphas = (-1.0, -2.5, 0.5) if signed else (0.5,)
+    base_alphas = [a for a in (-1.0, -0.5, 0.0, 0.5) if signed or a >= 0.0]
+    units = _units(np.arange(n), np.full(n, min(1.0, hi)), n)
+    base_t = np.linspace(lo, hi, n + 2)[1:-1]
+    t = np.concatenate(
+        [np.repeat(units, len(unit_alphas), axis=0), np.tile(base_t, (len(base_alphas), 1))]
+    )
+    probes = t, np.concatenate([np.tile(unit_alphas, n), base_alphas])
+    return probes, draw, cfg.samples, False, sides
 
 
 _SPECS = {
@@ -452,13 +554,20 @@ _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
 
 
-def _blocks(trials):
-    """Lists of consecutive trials, doubling in length from ``_FIRST_BLOCK``, so
-    that an early counterexample costs few evaluations and draws past it."""
-    size = _FIRST_BLOCK
-    while block := list(itertools.islice(trials, size)):
+def _blocks(probes: tuple, draw, count: int):
+    """The trial columns in blocks: the probes, then ``count`` random trials from
+    ``draw``, in blocks doubling in length from ``_FIRST_BLOCK``, so that an early
+    counterexample costs few evaluations and draws past it."""
+    p = len(probes[0])
+    start, size = 0, _FIRST_BLOCK
+    while start < p + count:
+        end = min(start + size, p + count)
+        block = tuple(col[start:end] for col in probes)
+        if end > p:
+            drawn = draw(end - max(start, p))
+            block = drawn if start >= p else tuple(map(np.concatenate, zip(block, drawn)))
         yield block
-        size = min(2 * size, _MAX_BLOCK)
+        start, size = end, min(2 * size, _MAX_BLOCK)
 
 
 def check_axiom(
@@ -469,12 +578,14 @@ def check_axiom(
 ) -> AxiomReport:
     """Sample one axiom on an extension built from ``mu``.
 
-    The probes run first, then random trials drawn one at a time from
-    ``cfg.seed``, evaluated in blocks with one call of the extension's row
-    kernel each. That kernel equals the one-vector call bit for bit, so the
-    report is the one of a trial-by-trial scan: the first failing trial is
-    the counterexample, and a trial is skipped where a point has no finite
-    value, a ratio (A1, A2) is degenerate, or a failing side is not finite.
+    The probes run first, then random trials from ``cfg.seed``, evaluated in
+    blocks with one call of the extension's row kernel each. A block's random
+    trials are drawn together when it is reached, and each gets the values that
+    drawing the trials one at a time in the same order gives. The row kernel
+    equals the one-vector call bit for bit, so the report is the one of a
+    trial-by-trial scan: the first failing trial is the counterexample, and a
+    trial is skipped where a point has no finite value, a ratio (A1, A2) is
+    degenerate, or a failing side is not finite.
 
     The extension and the capacity must belong together (the HE and A2
     expected sides read mu directly). Raises :class:`UnknownAxiom` for bad
@@ -491,20 +602,19 @@ def check_axiom(
         )
     if cfg is None:
         cfg = AxiomCheckConfig()
-    probes, sampler, random_trials, one_sided, sides = _SPECS[axiom](extension, mu, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    stream = _Stream(np.random.default_rng(cfg.seed))
+    probes, draw, random_trials, one_sided, sides = _SPECS[axiom](extension, mu, cfg, stream)
     tested = 0
     skipped = 0
     counterexample = None
-    trials = itertools.chain(probes, (sampler(rng) for _ in range(random_trials)))
     with np.errstate(all="ignore"):
-        for block in _blocks(trials):
-            expected, got, scale, valid, inputs = sides(*(np.array(col) for col in zip(*block)))
+        for block in _blocks(probes, draw, random_trials):
+            expected, got, scale, valid, inputs = sides(*block)
             gap = got - expected if one_sided else np.abs(got - expected)
             ok = valid & (gap <= cfg.tol * np.maximum(1.0, scale))
             failed = np.flatnonzero(valid & ~ok & _finite(expected, got))
             hit = failed.size > 0
-            end = int(failed[0]) + 1 if hit else len(block)
+            end = int(failed[0]) + 1 if hit else len(block[0])
             counted = int(np.count_nonzero(ok[:end])) + hit
             tested += counted
             skipped += end - counted
@@ -699,16 +809,15 @@ def compare_extensions(
     exts = [make_extension(name, mu) for name in operators]
     pts = []
     for k, p in enumerate(points):
+        bad = "comparison point %d must be a vector of %d numbers" % (k, mu.n)
+        if isinstance(p, np.ndarray):
+            p = p.tolist()
+        if not isinstance(p, (list, tuple)) or len(p) != mu.n:
+            raise InvalidFormat(bad)
         try:
-            arr = np.asarray(p)
-        except ValueError:  # ragged nesting
-            arr = None
-        # Strings, nested lists, objects and integers past int64 are no scores.
-        if arr is None or arr.dtype.kind not in "biuf" or arr.shape != (mu.n,):
-            raise InvalidFormat(
-                "comparison point %d must be a vector of %d numbers" % (k, mu.n)
-            )
-        pts.append(tuple(float(x) for x in arr))
+            pts.append(tuple(_number(x, "a score") for x in p))
+        except InvalidFormat:  # bools, strings, nesting, integers past a double
+            raise InvalidFormat(bad) from None
     if cfg is None:
         cfg = AxiomCheckConfig()
     table = np.column_stack([ext._values(np.array(pts).reshape(-1, mu.n)) for ext in exts])

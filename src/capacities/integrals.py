@@ -17,8 +17,9 @@ Each extension has one row kernel, from a (k, n) score matrix to k values,
 and the one-vector call is that kernel on one row: ``choquet`` and ``sipos``
 read the capacity at the upper sets A_(j) of each row's ranking (O(n log n)
 per row), ``sugeno_product`` takes max_j t_(j) * nu(A_(j)) with nu the
-max-closure of its ordinal coefficients, and the coefficient forms take one
-np.dot per row with a table over all subsets. ``Extension.many`` may run a
+max-closure of its ordinal coefficients, and the coefficient forms take the
+dot product of each row's table over all subsets with the coefficients, one
+``np.vecdot`` per block of rows. ``Extension.many`` may run a
 faster batch kernel, equal up to rounding: ``cpt`` as choquet(mu_gains, t+)
 minus choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product
 over the low and high halves of the criteria. Scalar ``sugeno_product``,
@@ -487,9 +488,11 @@ def _smle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
 
 @_quiet
 def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
-    """Per row of t, one np.dot of m's coefficients with the table of ``ufunc``
-    folded over t on each subset, or with ``signed`` over t+ minus that over t-,
-    so a row of a block has the bits of the same row alone."""
+    """Per row of t, the dot product of m's coefficients with the table of ``ufunc``
+    folded over t on each subset, or with ``signed`` over t+ minus that over t-.
+    ``np.vecdot`` runs the kernel of a one-row ``np.dot`` on every row, so a row
+    of a block has the bits of the same row alone; a one-term dot (n = 1) is the
+    product itself, as ``np.dot`` keeps its sign where ``vecdot`` turns -0.0 to +0.0."""
     coef = m.coefficients[1:]
     out = np.empty(t.shape[0])
     step = max(1, _CHUNK >> (t.shape[1] + 2))  # tables of 512 KiB
@@ -501,8 +504,10 @@ def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, si
             table -= _over_subsets(ufunc, tn, empty)
         else:
             table = _over_subsets(ufunc, r, empty)
-        for j, row in enumerate(table, s):
-            out[j] = np.dot(coef, row[1:])
+        if coef.size == 1:
+            out[s : s + step] = table[:, 1] * coef[0]
+        else:
+            out[s : s + step] = np.vecdot(table[:, 1:], coef)
     return out
 
 

@@ -4,9 +4,12 @@ The naive oracles enumerate subsets directly with itertools, independent of
 the vectorized butterflies in the package, and are deliberately slow:
 O(3**n) for the transforms and worse for the interaction index.
 
-The ``loop_*`` references at the end are the per-bit loops the package ran
-on views of the whole table before its passes were tiled. They do the same
-arithmetic in the same order, so the package must match them byte for byte.
+The ``loop_*`` references are the per-bit loops the package ran on views of
+the whole table before its passes were tiled, and the per-row dot of the
+coefficient forms. They do the same arithmetic in the same order, so the
+package must match them byte for byte. ``scalar_sampler`` draws the random
+trials of the axiom checks one at a time, as the package once did; its
+block draws must give the same values.
 """
 
 import itertools
@@ -183,3 +186,66 @@ def loop_all_indices(m_coeffs, n):
             lo += x * hi
         out += w * t
     return out
+
+
+def loop_mobius_rows(coefficients, table):
+    """Per row of a table over all subsets, np.dot of the coefficients with it,
+    both without the empty set."""
+    coef = np.asarray(coefficients, dtype=np.float64)[1:]
+    return np.array([np.dot(coef, row[1:]) for row in table])
+
+
+# -- one-trial samplers ------------------------------------------------------------
+
+
+def scalar_sampler(axiom, n, score_bounds, alpha_bounds, unit=False):
+    """A function drawing one random trial of ``axiom`` from a numpy Generator, as
+    a tuple of its fields, with scalar calls. ``unit`` clamps C1's shift to keep
+    the scores in [0, 1]."""
+    lo, hi = map(float, score_bounds)
+    alo, ahi = map(float, alpha_bounds)
+    size = 1 << n
+
+    def log_uniform(rng):
+        return float(np.exp(rng.uniform(np.log(alo), np.log(ahi))))
+
+    def he(rng):
+        return log_uniform(rng), int(rng.integers(1, size))
+
+    def a(rng):
+        return int(rng.integers(n)), float(rng.uniform(lo, hi))
+
+    def m(rng):
+        t = rng.uniform(lo, hi, n)
+        return t, t + rng.uniform(0.0, 1.0, n) * (hi - t)
+
+    def m1(rng):
+        a, b = np.sort(rng.uniform(lo, hi, 2))
+        return int(rng.integers(n)), float(a), float(b)
+
+    def i(rng):
+        return (log_uniform(rng),)
+
+    def a1(rng):
+        q = tuple(float(x) for x in rng.uniform(lo, hi, 4))
+        return int(rng.integers(n)), log_uniform(rng), q
+
+    def a2(rng):
+        masks = tuple(int(x) for x in rng.integers(0, size, 4))
+        return log_uniform(rng), masks
+
+    def c1(rng):
+        t = rng.uniform(lo, hi, n)
+        alpha = log_uniform(rng)
+        beta = float(rng.uniform(lo, hi))
+        return t, alpha, min(max(beta, 0.0), max(0.0, 1.0 - alpha)) if unit else beta
+
+    def s1(rng):
+        t = rng.uniform(lo, hi, n)
+        alpha = log_uniform(rng)
+        if lo < 0.0 and rng.integers(2):
+            alpha = -alpha
+        return t, alpha
+
+    samplers = {"HE": he, "A": a, "M": m, "M1": m1, "I": i, "A1": a1, "A2": a2, "C1": c1, "S1": s1}
+    return samplers[axiom]

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from capacities import (
     AXIOM_NAMES,
     AxiomCheckConfig,
@@ -19,6 +20,7 @@ from capacities import (
     mle,
     mobius,
 )
+from capacities import axioms
 from capacities.subsets import parse_subset_key
 from helpers import random_additive_capacity, random_capacity
 
@@ -364,3 +366,92 @@ def test_report_digest_is_pinned():
     assert len(reports) == 540
     blob = json.dumps(_rounded(reports), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == REPORT_DIGEST
+
+
+# -- block draws against the scalar samplers ------------------------------------
+
+
+SIGNED = ("choquet", AxiomCheckConfig())
+UNIT = ("mle", AxiomCheckConfig(score_bounds=(0.0, 1.0), alpha_bounds=(1e-3, 1.0)))
+
+
+def _draw(axiom, name, cfg, n, rng):
+    """The block draw of ``axiom``'s random trials from ``rng``, beside the scalar
+    sampler of the same trials."""
+    mu = random_capacity(np.random.default_rng(n), n)
+    ext = make_extension(name, mu)
+    draw = axioms._SPECS[axiom](ext, mu, cfg, axioms._Stream(rng))[1]
+    unit = ext.domain == "unit" and not cfg.allow_out_of_domain
+    return draw, oracles.scalar_sampler(axiom, n, cfg.score_bounds, cfg.alpha_bounds, unit)
+
+
+def _assert_same_draws(draw, sampler, rng, sizes):
+    """Blocks of ``sizes`` trials from ``draw`` against as many scalar trials from
+    ``rng``, column by column and bit for bit."""
+    for k in sizes:
+        want = [np.array(col) for col in zip(*(sampler(rng) for _ in range(k)))]
+        got = draw(k)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), (k, g, w)
+
+
+def _word_at(position, word):
+    """A PCG64 generator whose raw word number ``position`` (from 0) is ``word``.
+    PCG64 outputs the xor of the two 64-bit halves of its state, rotated right
+    by the top 6 bits; ``advance`` then steps back ``position`` + 1 words."""
+    hi = 0x9E3779B97F4A7C15
+    rot = hi >> 58
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
+    bits = np.random.PCG64(7)
+    state = bits.state
+    state["state"]["state"] = hi << 64 | lo
+    bits.state = state
+    bits.advance((1 << 128) - position - 1)
+    return bits
+
+
+class TestBlockDraws:
+    """``draw(k)`` of every spec gives the trials its scalar sampler draws."""
+
+    @pytest.mark.parametrize("axiom", AXIOM_NAMES)
+    @pytest.mark.parametrize("bounds", [SIGNED, UNIT], ids=["signed", "unit"])
+    def test_equal_to_the_scalar_sampler(self, axiom, bounds):
+        name, cfg = bounds
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 11):
+            for seed in range(5):
+                draw, sampler = _draw(axiom, name, cfg, n, np.random.default_rng(seed))
+                # Odd blocks carry a 32-bit half from one block to the next.
+                _assert_same_draws(draw, sampler, np.random.default_rng(seed), (1, 32, 37))
+
+    # (axiom, n, bounds, position of the crafted word, the word), where a 32-bit
+    # draw reads the word's zero halves
+    @pytest.mark.parametrize(
+        "axiom, n, bounds, position, word",
+        [
+            ("A", 3, SIGNED, 0, 0xDEADBEEF << 32),  # the first draw; its retry takes the high half
+            ("A", 3, SIGNED, 0, 0xDEADBEEF),  # the high half, in trial 1
+            ("A", 3, SIGNED, 60, 0),  # both halves of a word, in trial 40
+            ("M1", 5, SIGNED, 2, 0xDEADBEEF << 32),  # after the two doubles of a trial
+            ("A1", 7, UNIT, 444, 0xDEADBEEF << 32),  # in trial 80, the fourth block
+            ("HE", 11, SIGNED, 1, 0xDEADBEEF << 32),  # integers(1, 2**11)
+        ],
+    )
+    def test_lemire_rejection(self, axiom, n, bounds, position, word):
+        # m = n (or 2**11 - 1) is not a power of two, so (2**32 - m) % m > 0 and a
+        # zero half is always below it: the draw is rejected and drawn again.
+        assert _word_at(position, word).random_raw(position + 1)[-1] == word
+        name, cfg = bounds
+        draw, sampler = _draw(axiom, name, cfg, n, np.random.Generator(_word_at(position, word)))
+        rng = np.random.Generator(_word_at(position, word))
+        _assert_same_draws(draw, sampler, rng, (1, 32, 37, 64))
+
+    @pytest.mark.parametrize("axiom, words", [("A", 1), ("HE", 1), ("M1", 2), ("A1", 5)])
+    def test_a_single_outcome_draws_nothing(self, axiom, words):
+        # At n = 1, integers(1) and integers(1, 2) return 0 and 1 from no bits.
+        rng = np.random.default_rng(5)
+        draw, sampler = _draw(axiom, *SIGNED, 1, rng)
+        _assert_same_draws(draw, sampler, np.random.default_rng(5), (3, 32))
+        after = np.random.default_rng(5).bit_generator.random_raw(35 * words + 1)[-1]
+        assert rng.bit_generator.random_raw() == after

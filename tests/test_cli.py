@@ -314,8 +314,8 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "points",
-        [[[0.5, "ab"]], [[0.5, [1, 2]]], [{"a": 1}], [[0.5, 10**400]]],
-        ids=["string", "nested", "object", "huge-int"],
+        [[[0.5, "ab"]], [[0.5, [1, 2]]], [{"a": 1}], [[0.5, 10**400]], [[True, 0.5]]],
+        ids=["string", "nested", "object", "huge-int", "bool"],
     )
     def test_point_that_is_not_a_vector_of_numbers(self, points, overlap_file, write_json, capsys):
         scores = write_json("scores.json", points)

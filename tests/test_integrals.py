@@ -684,6 +684,30 @@ class TestRowKernels:
             for row, value in zip(t, ext._values(t)):
                 assert same_bits(value, scalar_or_none(ext, row)), (name, row.tolist())
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_coefficient_forms_equal_a_dot_per_row(self, n):
+        # Zeros of either sign make zero terms; at n = 1, m({1}) = -0.5 times a
+        # score of +0.0 is a one-term dot of -0.0.
+        rng = np.random.default_rng(n)
+        coef = [-0.5] if n == 1 else rng.uniform(-1.0, 1.0, (1 << n) - 1)
+        m = MobiusRepr(n, np.append(0.0, coef))
+        t = rng.uniform(-1.0, 1.0, (max(4, 4096 >> n), n))
+        t[rng.random(t.shape) < 0.3] = 0.0
+        t[rng.random(t.shape) < 0.3] = -0.0
+        t[0] = 0.0
+        for ufunc, empty in ((np.multiply, 1.0), (np.minimum, np.inf)):
+            tp, tn = integrals._split(t)
+            with np.errstate(invalid="ignore"):  # inf - inf at the empty set, not in the dot
+                gains, losses = (integrals._over_subsets(ufunc, x, empty) for x in (tp, tn))
+                tables = [integrals._over_subsets(ufunc, t, empty), gains - losses]
+            for signed, table in zip((False, True), tables):
+                got = integrals._mobius_rows(m, ufunc, empty, t, signed=signed)
+                want = oracles.loop_mobius_rows(m.coefficients, table)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        if n == 1:
+            assert np.signbit(integrals._mobius_rows(m, np.multiply, 1.0, t[:1]))[0]
+
     def test_zero_times_infinity_is_not_finite(self):
         # m({1, 2}) = 0 meets the product 1e308 * -1e308 = -inf: 0 * inf is NaN
         ext = make_extension("mle", as_capacity([0.0, 0.5, 0.5, 1.0]))
