@@ -76,6 +76,8 @@ class AxiomCheckConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise CapacitiesError("samples must be >= 1, got %r" % (self.samples,))
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise CapacitiesError("seed must be >= 0, got %r" % (self.seed,))
         if not 0.0 < self.tol < np.inf:
             raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
         lo, hi = self.score_bounds

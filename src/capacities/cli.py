@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -174,7 +175,7 @@ def _cmd_interaction(args) -> None:
     for i in range(mu.n):
         print("shapley %d  %s" % (i + 1, _fmt(report.shapley[i])))
     for mask in sorted(report.values):
-        if subsets.member_count(mask) < 2:
+        if mask.bit_count() < 2:
             continue
         print(
             "interaction %-12s %-16s %s"
@@ -183,18 +184,8 @@ def _cmd_interaction(args) -> None:
 
 
 def _verify_config(args) -> AxiomCheckConfig:
-    kwargs = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-        "allow_out_of_domain": args.allow_out_of_domain,
-    }
-    if args.score_bounds is not None:
-        kwargs["score_bounds"] = args.score_bounds
-    if args.alpha_bounds is not None:
-        kwargs["alpha_bounds"] = args.alpha_bounds
     try:
-        return AxiomCheckConfig(**kwargs)
+        return AxiomCheckConfig(**{f.name: getattr(args, f.name) for f in fields(AxiomCheckConfig)})
     except CapacitiesError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -267,12 +258,13 @@ def _add_format(p) -> None:
 
 
 def _add_verify_flags(p) -> None:
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--score-bounds", type=_bounds_arg, default=None, metavar="LO:HI")
-    p.add_argument("--alpha-bounds", type=_bounds_arg, default=None, metavar="LO:HI")
-    p.add_argument("--allow-out-of-domain", action="store_true")
+    cfg = AxiomCheckConfig()
+    p.add_argument("--samples", type=int, default=cfg.samples)
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument("--score-bounds", type=_bounds_arg, default=cfg.score_bounds, metavar="LO:HI")
+    p.add_argument("--alpha-bounds", type=_bounds_arg, default=cfg.alpha_bounds, metavar="LO:HI")
+    p.add_argument("--allow-out-of-domain", action="store_true", default=cfg.allow_out_of_domain)
 
 
 def build_parser() -> argparse.ArgumentParser:

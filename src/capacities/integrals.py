@@ -50,6 +50,7 @@ from .set_function import (
     MobiusRepr,
     OrdinalMobiusRepr,
     SetFunction,
+    _tol,
     mobius,
     ordinal_mobius,
     ordinal_zeta,
@@ -82,23 +83,12 @@ __all__ = [
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-def _scores(t, n: int) -> np.ndarray:
+def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
+    """``t`` as a finite float score vector of length n, or (k, n) matrix with ``ndim=2``."""
     arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise DimensionMismatch(
-            "score vector must have length %d, got shape %s" % (n, arr.shape)
-        )
-    if not np.all(np.isfinite(arr)):
-        raise OutOfDomain("scores must be finite")
-    return arr
-
-
-def _score_matrix(t, n: int) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise DimensionMismatch(
-            "score matrix must have shape (k, %d), got shape %s" % (n, arr.shape)
-        )
+    if arr.ndim != ndim or arr.shape[-1] != n:
+        want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
+        raise DimensionMismatch(("score " + want + ", got shape %s") % (n, arr.shape))
     if not np.all(np.isfinite(arr)):
         raise OutOfDomain("scores must be finite")
     return arr
@@ -264,11 +254,12 @@ class CptCompatibility:
 def cpt_compatible(
     mu_gains: Capacity, mu_losses: Capacity, tol: float = DEFAULT_TOL
 ) -> CptCompatibility:
-    """Check mu_losses({i}) = mu_gains({i}) for every criterion.
+    """Check mu_losses({i}) = mu_gains({i}) within ``tol`` (finite, >= 0) for every criterion.
 
     When this holds the two-capacity form behaves like the one-capacity
     symmetric integrals on vectors supported on a single sign.
     """
+    tol = _tol(tol)
     if mu_gains.n != mu_losses.n:
         raise DimensionMismatch(
             "capacities disagree on n: %d vs %d" % (mu_gains.n, mu_losses.n)
@@ -366,8 +357,9 @@ def certify(
     Pairs come from a uniform grid of 21 values, triples from its cube,
     plus a fixed seeded set of off-grid pairs and triples. The certificate
     records the worst gaps; the operator counts as certified when both stay
-    within ``tol``.
+    within ``tol``, which must be finite and >= 0.
     """
+    tol = _tol(tol)
     cert = _certificate(op, *_grid_table(op), tol)
     return PseudoProduct(op=op, name=name, certificate=cert)
 
@@ -557,7 +549,7 @@ class Extension:
         Raises :class:`DimensionMismatch` on a wrong shape and
         :class:`OutOfDomain` on non-finite scores or values.
         """
-        t = _score_matrix(t, self.n)
+        t = _scores(t, self.n, ndim=2)
         values = self._values(t) if self.batch is None else self.batch(t)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:

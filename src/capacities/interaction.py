@@ -17,7 +17,7 @@ import numpy as np
 
 from . import subsets
 from .errors import EmptyCoalition, InvalidFormat
-from .set_function import DEFAULT_TOL, Capacity, mobius
+from .set_function import DEFAULT_TOL, Capacity, _tol, mobius
 
 __all__ = [
     "interaction_index",
@@ -28,20 +28,9 @@ __all__ = [
 ]
 
 
-def _coalition_mask(coalition, n: int) -> int:
-    if isinstance(coalition, int) and not isinstance(coalition, bool):
-        if not 0 <= coalition < (1 << n):
-            raise InvalidFormat("coalition mask %d out of range for n = %d" % (coalition, n))
-        mask = coalition
-    else:
-        mask = subsets.mask_of(coalition, n)
-    if mask == 0:
-        raise EmptyCoalition("the interaction index needs a nonempty coalition")
-    return mask
-
-
 def interaction_index(mu: Capacity, coalition) -> float:
-    """Interaction index I(A) of a coalition (mask or iterable of indices).
+    """Interaction index I(A) of a nonempty coalition: a comma key such as "1,3",
+    a mask int or an iterable of 1-based indices (see :func:`subsets.mask_of`).
 
     Runs one restricted Mobius butterfly over the bits of A, leaving at
     every superset M of A the alternating difference over K inside A of
@@ -49,8 +38,10 @@ def interaction_index(mu: Capacity, coalition) -> float:
     (n - |B| - |A|)! |B|! / (n - |A| + 1)! where B = M - A.
     """
     n = mu.n
-    amask = _coalition_mask(coalition, n)
-    a = subsets.member_count(amask)
+    amask = subsets.mask_of(coalition, n)
+    if amask == 0:
+        raise EmptyCoalition("the interaction index needs a nonempty coalition")
+    a = amask.bit_count()
     vals = mu.values.copy()
     for _, lo, hi in subsets.halves(vals, amask):
         hi -= lo
@@ -91,7 +82,8 @@ def shapley(mu: Capacity) -> np.ndarray:
 
 
 def classify(value: float, tol: float = DEFAULT_TOL) -> str:
-    """Label an index value as positive, negative, or non-interactive."""
+    """Label a value positive or negative beyond ``tol`` (finite, >= 0), else non-interactive."""
+    tol = _tol(tol)
     if value > tol:
         return "positive"
     if value < -tol:
@@ -148,8 +140,7 @@ def interaction_report(
         max_order = min(n, 2)
     if not 1 <= max_order <= n:
         raise InvalidFormat("max_order must be in 1..%d, got %r" % (n, max_order))
-    if not 0.0 <= tol < math.inf:
-        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
+    tol = _tol(tol)
     table = _all_indices(mu)
     masks = np.flatnonzero(subsets.popcounts(n) <= max_order)[1:]  # without the empty set
     values = dict(zip(masks.tolist(), table[masks].tolist()))

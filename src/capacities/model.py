@@ -9,7 +9,6 @@ aggregate of the binary act that is good on A and neutral elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     UnknownLevel,
 )
 from .integrals import make_extension
-from .set_function import DEFAULT_TOL, Capacity, _number, as_capacity, capacity_from_dict
+from .set_function import DEFAULT_TOL, Capacity, _number, _tol, as_capacity, capacity_from_dict
 
 __all__ = [
     "NEUTRAL",
@@ -149,9 +148,9 @@ class AggregationModel:
 def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
     """Build the capacity from the aggregates of the good-on-A binary acts.
 
-    ``attractiveness`` maps every subset of N (as a mask, an iterable of
-    indices, or a canonical comma key) to a real value; the empty set must
-    map to 0 and N to 1, the map must be monotone, and every singleton
+    ``attractiveness`` maps every subset of N, in a form that
+    :func:`capacities.subsets.mask_of` reads, to a real value; the empty set
+    must map to 0 and N to 1, the map must be monotone, and every singleton
     strictly positive. Raises the matching validation error otherwise.
     """
     subsets.check_n(n)
@@ -159,14 +158,7 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
     vals = np.empty(size)
     seen = np.zeros(size, dtype=bool)
     for key, value in attractiveness.items():
-        if isinstance(key, str):
-            mask = subsets.parse_subset_key(key, n)
-        elif isinstance(key, int) and not isinstance(key, bool):
-            if not 0 <= key < size:
-                raise InvalidFormat("subset mask %d out of range for n = %d" % (key, n))
-            mask = key
-        else:
-            mask = subsets.mask_of(key, n)
+        mask = subsets.mask_of(key, n)
         if seen[mask]:
             raise InvalidFormat("duplicate entry for subset {%s}" % subsets.subset_key(mask))
         vals[mask] = _number(value, "attractiveness of {%s}" % subsets.subset_key(mask))
@@ -226,8 +218,7 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     first are flagged. The result is a list of :class:`RankedAct`. All acts
     are scored in one batch (``Extension.many``).
     """
-    if not 0.0 <= tol < math.inf:
-        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
+    tol = _tol(tol)
     acts = [a if isinstance(a, Act) else Act(tuple(a)) for a in acts]
     if not acts:
         raise CapacitiesError("no acts to rank")

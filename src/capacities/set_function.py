@@ -329,8 +329,7 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     exactly when hi > lo, as a difference of distinct doubles never rounds
     to zero.
     """
-    if not 0.0 <= tol < math.inf:
-        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
+    tol = _tol(tol)
     half = vals.shape[0] >> 1
     drop = np.empty(half)
 
@@ -497,6 +496,13 @@ def _number(x, where: str) -> float:
         return float(x)
     except OverflowError:
         raise InvalidFormat("%s is an integer too large for a double" % where) from None
+
+
+def _tol(tol) -> float:
+    """An absolute tolerance, checked to be finite and >= 0 (:class:`InvalidFormat` if not)."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
+    return tol
 
 
 def vector_from_dict(obj) -> tuple[int, np.ndarray]:

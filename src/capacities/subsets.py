@@ -14,6 +14,8 @@ table and 512 KiB, and frees it when the pass ends.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .errors import InvalidFormat
@@ -29,14 +31,6 @@ def check_n(n: int) -> int:
     return n
 
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
-def member_count(mask: int) -> int:
-    return mask.bit_count()
-
-
 def members(mask: int) -> tuple[int, ...]:
     """1-based criterion indices contained in ``mask``, ascending."""
     out = []
@@ -49,10 +43,21 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_of(indices, n: int) -> int:
-    """Mask for an iterable of 1-based criterion indices."""
+def mask_of(subset, n: int) -> int:
+    """Mask of a subset of N = {1, ..., n} given in one of three forms: a comma
+    key such as "1,3" (read by :func:`parse_subset_key`), a mask int in
+    0..2**n - 1 (bools are not masks), or an iterable of 1-based indices.
+    Anything else raises :class:`InvalidFormat`."""
+    if isinstance(subset, str):
+        return parse_subset_key(subset, n)
+    if isinstance(subset, int) and not isinstance(subset, bool):
+        if not 0 <= subset < 1 << n:
+            raise InvalidFormat("subset mask %d out of range for n = %d" % (subset, n))
+        return subset
+    if not isinstance(subset, Iterable):
+        raise InvalidFormat("a subset must be a comma key, a mask or indices, got %r" % (subset,))
     mask = 0
-    for i in indices:
+    for i in subset:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
             raise InvalidFormat("criterion index %r out of range 1..%d" % (i, n))
         mask |= 1 << (i - 1)

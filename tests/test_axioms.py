@@ -42,6 +42,9 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(samples=0)
+        for seed in (-1, np.int64(-1)):  # numpy's seeding raised a bare ValueError
+            with pytest.raises(CapacitiesError, match="seed must be >= 0"):
+                AxiomCheckConfig(seed=seed)
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(tol=0.0)
         with pytest.raises(CapacitiesError):

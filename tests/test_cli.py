@@ -1,9 +1,11 @@
+import hashlib
 import json
 import warnings
 
 import pytest
 
-from capacities.cli import main
+from capacities import AxiomCheckConfig
+from capacities.cli import _verify_config, build_parser, main
 
 OVERLAP = {"n": 2, "values_by_mask": [0.0, 0.9, 0.9, 1.0]}
 GRADED = {"n": 2, "values_by_mask": [0.0, 0.3, 0.6, 1.0]}
@@ -265,6 +267,8 @@ BAD_SAMPLING_FLAGS = [
     ["--tol=nan"],
     ["--tol=inf"],
     ["--alpha-bounds=1:inf"],
+    # A negative seed made numpy's seeding raise a traceback.
+    ["--seed=-1"],
 ]
 
 
@@ -278,6 +282,14 @@ def test_bad_sampling_flags_are_usage_errors(subcommand, flags, overlap_file, wr
                 "--scores-file", write_json("scores.json", [[1.0, 1.0]])]
     assert main(argv + flags) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--capacity", "mu.json", "--integral", "choquet"],
+    ["compare", "--capacity", "mu.json", "--scores-file", "points.json"],
+], ids=["verify", "compare"])
+def test_bare_sampling_flags_build_the_default_config(argv):
+    assert _verify_config(build_parser().parse_args(argv)) == AxiomCheckConfig()
 
 
 def test_score_bounds_must_span_a_finite_range(overlap_file, capsys):
@@ -455,3 +467,101 @@ class TestHugeIntegers:
         model_file = self.write(tmp_path, "model.json", model)
         acts_file = self.write(tmp_path, "acts.json", "[[1, %s]]" % entry)
         self.assert_one_error_line(capsys, ["rank", "--model", model_file, "--acts", acts_file])
+
+
+# The stdout of one invocation per subcommand case, in both formats, pinned
+# by sha256. Every file is written by ``corpus_files``; no output names a path.
+CORPUS_CAPACITY = {"n": 3, "values_by_mask": [0.0, 0.2, 0.35, 0.6, 0.1, 0.45, 0.5, 1.0]}
+CORPUS_LOSSES = {"n": 3, "values": {"": 0, "1": 0.3, "2": 0.3, "1,2": 0.5, "3": 0.2,
+                                    "1,3": 0.6, "2,3": 0.4, "1,2,3": 1}}
+CORPUS_MOBIUS = {"n": 3, "values_by_mask": [0.0, 0.2, 0.35, 0.05, 0.1, 0.15, 0.05, 0.1]}
+CORPUS_POINTS = [[0.7, -0.2, 0.4], [0.1, 0.5, 0.9], [1.0, 1.0, 1.0]]
+CORPUS_MODEL = {
+    "capacity": CORPUS_CAPACITY,
+    "extension": "choquet",
+    "scales": {"2": {"neutral": 0, "good": 1, "bad": -0.5, "great": 1.5}},
+}
+CORPUS_ACTS = [
+    {"entries": ["good", "bad", "neutral"], "label": "p"},
+    {"entries": ["neutral", "great", 0.25], "label": "q"},
+    ["good", "good", "neutral"],
+    {"entries": [0.6, "good", "neutral"], "label": "r"},
+    [1, 1, 1],
+    ["neutral", "good", "good"],
+]
+
+CLI_CORPUS = {
+    **{"transform-" + op: ["transform", op, "--input", "{capacity}"]
+       for op in ("mobius", "comobius", "ordinal", "conjugate")},
+    "transform-zeta": ["transform", "zeta", "--input", "{mobius}"],
+    **{"eval-" + integral: ["eval", "--integral", integral, "--capacity", "{capacity}",
+                            "--scores=0.7,-0.2,0.4"]
+       for integral in ("choquet", "sipos", "mle", "smle", "sugeno-prod")},
+    "eval-cpt": ["eval", "--integral", "cpt", "--capacity", "{capacity}",
+                 "--capacity2", "{losses}", "--scores=0.7,-0.2,0.4"],
+    "interaction-report": ["interaction", "--capacity", "{capacity}", "--max-order", "3",
+                           "--tol", "0.15"],
+    "interaction-coalition": ["interaction", "--capacity", "{capacity}", "--coalition", "1,3"],
+    "verify": ["verify", "--capacity", "{capacity}", "--integral", "choquet", "--samples", "300",
+               "--seed", "7"],
+    "compare": ["compare", "--capacity", "{capacity}", "--scores-file", "{points}",
+                "--samples", "200"],
+    "rank": ["rank", "--model", "{model}", "--acts", "{acts}"],
+}
+
+CLI_CORPUS_SHA256 = {
+    ('compare', 'text'): "7e24c001d16f78395ce2056eec4238197ac7a412370345630be185ba59ac4338",
+    ('compare', 'json'): "7bb7ab59cb175786fff5113c1046098a9863a4f75eb437a2ccabddd7f96aad9b",
+    ('eval-choquet', 'text'): "342a2d9e91ecb95d736e0a0cd7540c7b4637173ebc0f3a12a09839873b863e56",
+    ('eval-choquet', 'json'): "849ebdc90f57b3bab9e8b4156dfac6ece857de3648a28af831d4d9a1cf984006",
+    ('eval-cpt', 'text'): "d5019abbdc8a5f2919e9e3510391891cd7fbdf0765bf16ec83caa779f370116d",
+    ('eval-cpt', 'json'): "d96b50e261c1555c8b7b78f814d409c47b8d2e65205c386af63c980cfa21d426",
+    ('eval-mle', 'text'): "5d97db8fadf0f5815c8d11a071385abbcd07900a5eb8ebbd56a6fe93dd56161c",
+    ('eval-mle', 'json'): "140f9c82fe9036377d7ddfdc12e8e82a91749a527f456db527ce99c3cffbc85d",
+    ('eval-sipos', 'text'): "84ee4798483725f50df0487f6ba7ef7eae4944f53cde26b46f2a5df8e70c6a84",
+    ('eval-sipos', 'json'): "2b9807aebf7ddce171ce89d7267acdc405dd302d6b362b008ccc1eba766f75f8",
+    ('eval-smle', 'text'): "a094b02106c26377f1d2b3211fa0052b8b9f4190c1a52d6761672f094a709617",
+    ('eval-smle', 'json'): "de8eb7b3826cbbc9a679a0ef3ff46e82e5c8db4a7a2133eb5ad0113f71733fe4",
+    ('eval-sugeno-prod', 'text'): "d5019abbdc8a5f2919e9e3510391891cd7fbdf0765bf16ec83caa779f370116d",
+    ('eval-sugeno-prod', 'json'): "b766008855801a8d58f6a675ba92d2e465fb86509f006ecc9ff74a742ca66985",
+    ('interaction-coalition', 'text'): "88930bd051d214a973581b9492a5ca110aea3fdd5dc65a68bc444b6173877bbd",
+    ('interaction-coalition', 'json'): "e2d1c1d23429f94e83f62853ac9f655788e7f90801a7a5d135154814a2318dc7",
+    ('interaction-report', 'text'): "552b67b41ba75d7905d6861ab35c27dd41f5c6340a57032764f35a32a5b80af4",
+    ('interaction-report', 'json'): "991e3d2cf926a0628229129fcdc18ff034118ae43c1e16331916fffff4fac4a5",
+    ('rank', 'text'): "f27c284de4541d5505fe9d962275f8a37f0c66460e6fe2f65b8b479ad32cbca9",
+    ('rank', 'json'): "57e8973515cf208cc7df6ebe07fa26947a75472814d10b00dd25b7ff782ad332",
+    ('transform-comobius', 'text'): "f2061ef6880ceee4d29b70982dcf73a2233f169738e6e7189ec1d1b2e44aee3e",
+    ('transform-comobius', 'json'): "03aa9394422b4e3e73dacb59081ce7988865a8cbaad8ba0321cb6616e1ecf0ae",
+    ('transform-conjugate', 'text'): "6f2a16189ca54ddfc8faa3f4a69b0b730d93ebde8e4e92a681b8a56044a1811b",
+    ('transform-conjugate', 'json'): "0c1e4fe11c4ee5070819762abc5a38bdf44a70d00fe45b3c550444eb83284f48",
+    ('transform-mobius', 'text'): "4426b0bfd519c34ca949220802fda1e2c44f4bdbbda67bf858d3b6d4ef38f565",
+    ('transform-mobius', 'json'): "828d0be22da9924e0f7dca20c12c711702f084fbcbe3ab3a3f792bd952251272",
+    ('transform-ordinal', 'text'): "ee3bd2204d4de778dc1fcb24df5a0d911537322de48447a71d5f1b5dd7a9323a",
+    ('transform-ordinal', 'json'): "675349ad6addc39c6d757c5c58d7e2a3e2a21b556ecd55c669e0916d11891efe",
+    ('transform-zeta', 'text'): "ee3bd2204d4de778dc1fcb24df5a0d911537322de48447a71d5f1b5dd7a9323a",
+    ('transform-zeta', 'json'): "675349ad6addc39c6d757c5c58d7e2a3e2a21b556ecd55c669e0916d11891efe",
+    ('verify', 'text'): "2fb3c1157f397bc02909a8c9d96e9e697f2204342c907892a1709b9200956a3e",
+    ('verify', 'json'): "a4a23cb96e9f0a00d997fb7cf3ce6a8029de26faf4611a05f2371cd6747c7816",
+}
+
+
+@pytest.fixture
+def corpus_files(write_json):
+    return {
+        "capacity": write_json("capacity.json", CORPUS_CAPACITY),
+        "losses": write_json("losses.json", CORPUS_LOSSES),
+        "mobius": write_json("mobius.json", CORPUS_MOBIUS),
+        "points": write_json("points.json", CORPUS_POINTS),
+        "model": write_json("model.json", CORPUS_MODEL),
+        "acts": write_json("acts.json", CORPUS_ACTS),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(CLI_CORPUS))
+def test_cli_output_is_pinned(case, fmt, corpus_files, capsys):
+    argv = [arg.format(**corpus_files) for arg in CLI_CORPUS[case]] + ["--format", fmt]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_CORPUS_SHA256[case, fmt]

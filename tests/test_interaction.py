@@ -65,6 +65,20 @@ class TestInteractionIndex:
     def test_accepts_mask_or_iterable(self):
         mu = random_capacity(np.random.default_rng(3), 4)
         assert interaction_index(mu, 0b0101) == interaction_index(mu, (1, 3))
+        assert interaction_index(mu, "1,2") == interaction_index(mu, 3) == interaction_index(
+            mu, [1, 2]
+        )
+
+    @pytest.mark.parametrize(
+        "coalition, match",
+        [(True, "a subset must be"), (3.0, "a subset must be"), (None, "a subset must be"),
+         (16, "subset mask 16 out of range for n = 4"), ("1,5", "bad subset key")],
+        ids=["bool", "float", "none", "mask-out-of-range", "key-out-of-range"],
+    )
+    def test_what_is_not_a_subset_is_invalid_format(self, coalition, match):
+        mu = random_capacity(np.random.default_rng(3), 4)
+        with pytest.raises(InvalidFormat, match=match):
+            interaction_index(mu, coalition)
 
     def test_empty_coalition_rejected(self):
         mu = random_capacity(np.random.default_rng(4), 3)
@@ -72,6 +86,8 @@ class TestInteractionIndex:
             interaction_index(mu, 0)
         with pytest.raises(EmptyCoalition):
             interaction_index(mu, ())
+        with pytest.raises(EmptyCoalition):
+            interaction_index(mu, "")
 
 
 class TestShapley:

@@ -126,6 +126,16 @@ class TestBinaryActs:
         with pytest.raises(InvalidFormat, match=r"\{2\}"):
             capacity_from_binary_acts(2, {"": 0.0, "1": 0.3, "1,2": 1.0})
 
+    @pytest.mark.parametrize(
+        "key, match",
+        [(True, "a subset must be"), (3.0, "a subset must be"), (None, "a subset must be"),
+         (2, "subset mask 2 out of range for n = 1")],
+        ids=["bool", "float", "none", "mask-out-of-range"],
+    )
+    def test_key_that_is_not_a_subset_rejected(self, key, match):
+        with pytest.raises(InvalidFormat, match=match):
+            capacity_from_binary_acts(1, {0: 0.0, key: 1.0})
+
     def test_duplicate_subset_rejected(self):
         with pytest.raises(InvalidFormat, match="duplicate"):
             capacity_from_binary_acts(2, {"1": 0.3, (1,): 0.4, "": 0.0, "2": 0.6, "1,2": 1.0})

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from capacities import (
     DEFAULT_TOL,
+    AggregationModel,
     CapacitiesError,
     Capacity,
     CoMobiusRepr,
@@ -22,11 +23,16 @@ from capacities import (
     SetFunction,
     as_capacity,
     capacity_from_dict,
+    certify,
+    classify,
     co_mobius,
     conjugate,
+    cpt_compatible,
+    interaction_report,
     mobius,
     ordinal_mobius,
     ordinal_zeta,
+    rank_acts,
     set_function_from_dict,
     to_dict,
     validate,
@@ -190,18 +196,27 @@ class TestValidate:
         with pytest.raises(Exception, match="power of two"):
             validate([0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, -1e-12])
     def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, tol):
         # Not monotone, and mu(N) = 0.3: no tol may wave it through.
         vals = [0.0, 0.9, 0.2, 1.0, 0.1, 0.0, 0.0, 0.3]
+        mu = as_capacity([0.0, 0.9, 0.9, 1.0])
         calls = [
             lambda: as_capacity(vals, tol=tol),
             lambda: validate(vals, tol=tol),
             lambda: Capacity(SetFunction(3, vals), tol=tol),
             lambda: capacity_from_dict({"n": 3, "values_by_mask": vals}, tol=tol),
+            lambda: interaction_report(mu, tol=tol),
+            lambda: rank_acts(AggregationModel(mu, "sipos"), [("good", "good")] * 2, tol=tol),
+            # These three read no tol before: a NaN labelled every index
+            # non-interactive and passed singletons 0.9 and 0.1 as compatible,
+            # and an infinite tol certified a - b as a pseudo-product.
+            lambda: classify(0.5, tol),
+            lambda: cpt_compatible(mu, conjugate(mu), tol=tol),
+            lambda: certify(lambda a, b: a - b, tol=tol),
         ]
         for call in calls:
-            with pytest.raises(InvalidFormat, match="tol must be finite and >= 0"):
+            with pytest.raises(InvalidFormat, match=r"tol must be finite and >= 0, got"):
                 call()
 
     @pytest.mark.parametrize("n", range(2, 9))
