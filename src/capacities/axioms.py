@@ -74,9 +74,12 @@ class AxiomCheckConfig:
     allow_out_of_domain: bool = False
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            if not subsets._is_int(getattr(self, name)):
+                raise CapacitiesError("%s must be an integer, got %r" % (name, getattr(self, name)))
         if self.samples < 1:
             raise CapacitiesError("samples must be >= 1, got %r" % (self.samples,))
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+        if self.seed < 0:
             raise CapacitiesError("seed must be >= 0, got %r" % (self.seed,))
         if not 0.0 < self.tol < np.inf:
             raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
@@ -108,12 +111,7 @@ class Counterexample:
         return abs(self.got - self.expected)
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "expected": self.expected,
-            "got": self.got,
-            "discrepancy": self.discrepancy,
-        }
+        return {**vars(self), "discrepancy": self.discrepancy}
 
 
 @dataclass(frozen=True)
@@ -126,16 +124,8 @@ class AxiomReport:
     counterexample: Counterexample | None
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "extension": self.extension,
-            "passed": self.passed,
-            "samples_tested": self.samples_tested,
-            "skipped": self.skipped,
-            "counterexample": None
-            if self.counterexample is None
-            else self.counterexample.to_dict(),
-        }
+        cx = self.counterexample
+        return {**vars(self), "counterexample": None if cx is None else cx.to_dict()}
 
 
 def _score_range(ext: Extension, cfg: AxiomCheckConfig) -> tuple[float, float]:
@@ -647,14 +637,10 @@ class EquivalenceReport:
 
     def to_dict(self) -> dict:
         return {
+            **vars(self),
             "ratio_bundle": {k: r.to_dict() for k, r in self.ratio_bundle.items()},
-            "homogeneity_bundle": {
-                k: r.to_dict() for k, r in self.homogeneity_bundle.items()
-            },
+            "homogeneity_bundle": {k: r.to_dict() for k, r in self.homogeneity_bundle.items()},
             "monotone": self.monotone.to_dict(),
-            "ratio_passed": self.ratio_passed,
-            "homogeneity_passed": self.homogeneity_passed,
-            "consistent": self.consistent,
         }
 
 
@@ -694,13 +680,8 @@ class PseudoProductReport:
     max_min_gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "conditions": dict(self.conditions),
-            "witnesses": dict(self.witnesses),
-            "acts_as_min": self.acts_as_min,
-            "max_min_gap": self.max_min_gap,
-        }
+        return {**vars(self), "conditions": dict(self.conditions),
+                "witnesses": dict(self.witnesses)}
 
 
 def check_pseudo_product(op, cfg: AxiomCheckConfig | None = None) -> PseudoProductReport:

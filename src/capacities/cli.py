@@ -184,8 +184,9 @@ def _cmd_interaction(args) -> None:
 
 
 def _verify_config(args) -> AxiomCheckConfig:
+    cfg = {f.name: getattr(args, f.name, f.default) for f in fields(AxiomCheckConfig)}
     try:
-        return AxiomCheckConfig(**{f.name: getattr(args, f.name) for f in fields(AxiomCheckConfig)})
+        return AxiomCheckConfig(**cfg)
     except CapacitiesError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -264,7 +265,6 @@ def _add_verify_flags(p) -> None:
     p.add_argument("--tol", type=float, default=cfg.tol)
     p.add_argument("--score-bounds", type=_bounds_arg, default=cfg.score_bounds, metavar="LO:HI")
     p.add_argument("--alpha-bounds", type=_bounds_arg, default=cfg.alpha_bounds, metavar="LO:HI")
-    p.add_argument("--allow-out-of-domain", action="store_true", default=cfg.allow_out_of_domain)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integral", choices=INTEGRAL_CHOICES, required=True)
     p.add_argument("--axioms", default="all", metavar="HE,A1,...")
     _add_verify_flags(p)
+    # compare always samples its verdicts out of domain, so only verify takes the flag.
+    p.add_argument("--allow-out-of-domain", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

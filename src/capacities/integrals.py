@@ -85,9 +85,12 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 
 def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
     """``t`` as a finite float score vector of length n, or (k, n) matrix with ``ndim=2``."""
-    arr = np.asarray(t, dtype=np.float64)
+    want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
+    try:
+        arr = np.asarray(t, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # strings, ragged rows, huge integers
+        raise InvalidFormat(("score " + want + " and hold only numbers") % n) from None
     if arr.ndim != ndim or arr.shape[-1] != n:
-        want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
         raise DimensionMismatch(("score " + want + ", got shape %s") % (n, arr.shape))
     if not np.all(np.isfinite(arr)):
         raise OutOfDomain("scores must be finite")
@@ -315,11 +318,7 @@ del _rng
 def _grid_table(op: Callable[[float, float], float]):
     """Uniform grid xs of _GRID_POINTS values on [0, 1], and op(xs[i], xs[j])."""
     xs = np.linspace(0.0, 1.0, _GRID_POINTS)
-    table = np.empty((_GRID_POINTS, _GRID_POINTS))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            table[i, j] = op(float(x), float(y))
-    return xs, table
+    return xs, np.frompyfunc(op, 2, 1).outer(xs, xs).astype(np.float64)
 
 
 def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:

@@ -223,31 +223,18 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     if not acts:
         raise CapacitiesError("no acts to rank")
     utilities = np.array([_utilities(model, a) for a in acts], dtype=np.float64)
-    scores = model._evaluator.many(utilities).tolist()
-    order = sorted(range(len(acts)), key=lambda k: (-scores[k], k))
-    groups = []
-    for k in order:
-        score = scores[k]
-        if groups and groups[-1][-1][0] - score <= tol:
-            groups[-1].append((score, k))
-        else:
-            groups.append([(score, k)])
-    out = []
-    position = 0
-    for group in groups:
-        group.sort(key=lambda item: item[1])
-        for j, (score, k) in enumerate(group):
-            position += 1
-            out.append(
-                RankedAct(
-                    position=position,
-                    index=k,
-                    act=acts[k],
-                    score=score,
-                    indifferent_to_previous=j > 0,
-                )
-            )
-    return out
+    scores = model._evaluator.many(utilities)
+    order = np.argsort(-scores, kind="stable")
+    # A chain id counts the drops > tol so far; an inf gap (near +-1e308) is one, unwarned.
+    with np.errstate(over="ignore"):
+        chain = np.cumsum(np.diff(scores[order], prepend=scores[order[0]]) < -tol)
+    ranked = np.lexsort((order, chain))
+    chain, order, values = chain[ranked].tolist(), order[ranked].tolist(), scores.tolist()
+    return [
+        RankedAct(position=p + 1, index=k, act=acts[k], score=values[k],
+                  indifferent_to_previous=p > 0 and chain[p] == chain[p - 1])
+        for p, k in enumerate(order)
+    ]
 
 
 def model_from_dict(obj) -> AggregationModel:

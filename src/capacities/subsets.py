@@ -46,22 +46,26 @@ def members(mask: int) -> tuple[int, ...]:
 def mask_of(subset, n: int) -> int:
     """Mask of a subset of N = {1, ..., n} given in one of three forms: a comma
     key such as "1,3" (read by :func:`parse_subset_key`), a mask int in
-    0..2**n - 1 (bools are not masks), or an iterable of 1-based indices.
-    Anything else raises :class:`InvalidFormat`."""
+    0..2**n - 1, or an iterable of 1-based indices. Python and numpy integers
+    both count as ints; bools do not. Anything else raises :class:`InvalidFormat`."""
     if isinstance(subset, str):
         return parse_subset_key(subset, n)
-    if isinstance(subset, int) and not isinstance(subset, bool):
+    if _is_int(subset):
         if not 0 <= subset < 1 << n:
             raise InvalidFormat("subset mask %d out of range for n = %d" % (subset, n))
-        return subset
+        return int(subset)
     if not isinstance(subset, Iterable):
         raise InvalidFormat("a subset must be a comma key, a mask or indices, got %r" % (subset,))
     mask = 0
     for i in subset:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
+        if not _is_int(i) or not 1 <= i <= n:
             raise InvalidFormat("criterion index %r out of range 1..%d" % (i, n))
-        mask |= 1 << (i - 1)
+        mask |= 1 << (int(i) - 1)
     return mask
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def subset_key(mask: int) -> str:

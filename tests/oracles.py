@@ -9,7 +9,9 @@ the whole table before its passes were tiled, and the per-row dot of the
 coefficient forms. They do the same arithmetic in the same order, so the
 package must match them byte for byte. ``scalar_sampler`` draws the random
 trials of the axiom checks one at a time, as the package once did; its
-block draws must give the same values.
+block draws must give the same values. ``loop_indifference_chains`` is the
+grouping loop ``rank_acts`` ran before it ranked by stable sorts, and
+``loop_grid_table`` the cell loop that filled the pseudo-product grid.
 """
 
 import itertools
@@ -193,6 +195,37 @@ def loop_mobius_rows(coefficients, table):
     both without the empty set."""
     coef = np.asarray(coefficients, dtype=np.float64)[1:]
     return np.array([np.dot(coef, row[1:]) for row in table])
+
+
+def loop_grid_table(op):
+    """The 21 x 21 pseudo-product grid on [0, 1] filled one cell at a time, row by row."""
+    xs = np.linspace(0.0, 1.0, 21)
+    table = np.empty((21, 21))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            table[i, j] = op(float(x), float(y))
+    return xs, table
+
+
+def loop_indifference_chains(scores, tol):
+    """(position, index, score, indifferent_to_previous) for each act, as the
+    ranking once built them: acts sorted by descending score and input index,
+    grouped while the previous score exceeds the next by at most tol, and each
+    group put back in input order."""
+    order = sorted(range(len(scores)), key=lambda k: (-scores[k], k))
+    groups = []
+    for k in order:
+        score = scores[k]
+        if groups and groups[-1][-1][0] - score <= tol:
+            groups[-1].append((score, k))
+        else:
+            groups.append([(score, k)])
+    out = []
+    for group in groups:
+        group.sort(key=lambda item: item[1])
+        for j, (score, k) in enumerate(group):
+            out.append((len(out) + 1, k, score, j > 0))
+    return out
 
 
 # -- one-trial samplers ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from capacities import (
     AxiomCheckConfig,
     CapacitiesError,
     DomainMismatch,
+    PseudoProductReport,
     UnknownAxiom,
     as_capacity,
     certify,
@@ -42,6 +44,11 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(samples=0)
+        # a float ran into slicing or SeedSequence; True ran as 1 sample
+        for field, value in (("samples", 2.5), ("samples", True), ("seed", 1.5),
+                             ("seed", True), ("seed", None)):
+            with pytest.raises(CapacitiesError, match="%s must be an integer" % field):
+                AxiomCheckConfig(**{field: value})
         for seed in (-1, np.int64(-1)):  # numpy's seeding raised a bare ValueError
             with pytest.raises(CapacitiesError, match="seed must be >= 0"):
                 AxiomCheckConfig(seed=seed)
@@ -302,6 +309,55 @@ class TestPseudoProductChecker:
         rep = check_pseudo_product(certify(lambda a, b: a, "left-projection"))
         assert not rep.conditions["commutative"]
         assert rep.witnesses["commutative"]["max_gap"] == pytest.approx(1.0)
+
+
+def _counterexample_dict(c):
+    return {"inputs": c.inputs, "expected": c.expected, "got": c.got,
+            "discrepancy": c.discrepancy}
+
+
+def _axiom_dict(r):
+    return {
+        "axiom": r.axiom,
+        "extension": r.extension,
+        "passed": r.passed,
+        "samples_tested": r.samples_tested,
+        "skipped": r.skipped,
+        "counterexample": None if r.counterexample is None
+        else _counterexample_dict(r.counterexample),
+    }
+
+
+def _equivalence_dict(e):
+    return {
+        "ratio_bundle": {k: _axiom_dict(r) for k, r in e.ratio_bundle.items()},
+        "homogeneity_bundle": {k: _axiom_dict(r) for k, r in e.homogeneity_bundle.items()},
+        "monotone": _axiom_dict(e.monotone),
+        "ratio_passed": e.ratio_passed,
+        "homogeneity_passed": e.homogeneity_passed,
+        "consistent": e.consistent,
+    }
+
+
+def _pseudo_product_dict(p):
+    return {"name": p.name, "conditions": dict(p.conditions), "witnesses": dict(p.witnesses),
+            "acts_as_min": p.acts_as_min, "max_min_gap": p.max_min_gap}
+
+
+@pytest.mark.parametrize("report, spelled_out", [
+    (lambda: check_axiom("S1", make_extension("choquet", OVERLAP), OVERLAP, CFG), _axiom_dict),
+    (lambda: check_axiom("M", make_extension("choquet", OVERLAP), OVERLAP, CFG), _axiom_dict),
+    (lambda: check_equivalence(make_extension("choquet", OVERLAP), OVERLAP, CFG),
+     _equivalence_dict),
+    (lambda: check_pseudo_product(certify(lambda a, b: a * b, "product")),
+     _pseudo_product_dict),
+], ids=["failing", "passing", "equivalence", "pseudo-product"])
+def test_to_dict_is_the_fields_written_out(report, spelled_out):
+    rep = report()
+    d, want = rep.to_dict(), spelled_out(rep)
+    assert json.dumps(d) == json.dumps(want)  # same values in the same key order
+    if isinstance(rep, PseudoProductReport):
+        assert d["conditions"] is not rep.conditions and d["witnesses"] is not rep.witnesses
 
 
 class TestCompareExtensions:

@@ -335,6 +335,15 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: comparison point 0 ") and err.count("\n") == 1
 
+    def test_out_of_domain_flag_is_not_taken(self, overlap_file, write_json, capsys):
+        # compare samples its verdicts out of domain whatever the flag says
+        scores = write_json("scores.json", [[1.0, 1.0]])
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--capacity", overlap_file, "--scores-file", scores,
+                  "--allow-out-of-domain"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --allow-out-of-domain" in capsys.readouterr().err
+
     def test_scores_file_must_be_array(self, overlap_file, write_json, capsys):
         scores = write_json("scores.json", {"not": "an array"})
         assert main(["compare", "--capacity", overlap_file,

@@ -60,7 +60,7 @@ SUBCOMMANDS = {
     "verify": ["--capacity", "--capacity2", "--integral", "--axioms", "--samples", "--seed",
                "--tol", "--score-bounds", "--alpha-bounds", "--allow-out-of-domain"],
     "compare": ["--capacity", "--scores-file", "--samples", "--seed", "--tol", "--score-bounds",
-                "--alpha-bounds", "--allow-out-of-domain"],
+                "--alpha-bounds"],
     "rank": ["--model", "--acts"],
 }
 FILE_FLAGS = {"--input": "capacity", "--capacity": "capacity", "--capacity2": "losses",

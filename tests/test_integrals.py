@@ -11,12 +11,14 @@ from capacities import (
     EXTENSION_NAMES,
     DimensionMismatch,
     Extension,
+    InvalidFormat,
     MobiusRepr,
     OutOfDomain,
     PseudoProduct,
     UncertifiedOperator,
     as_capacity,
     certify,
+    check_pseudo_product,
     choquet,
     choquet_mobius,
     conjugate,
@@ -35,7 +37,7 @@ from capacities import (
     symmetric_max,
     symmetric_max_fold,
 )
-from capacities import integrals
+from capacities import axioms, integrals
 from helpers import random_additive_capacity, random_capacity
 
 TOL = 1e-9
@@ -474,6 +476,23 @@ class TestPseudoProduct:
         with pytest.raises(UncertifiedOperator):
             pseudo_product_extension(mobius(OVERLAP), op, [0.5, 0.5])
 
+    @pytest.mark.parametrize("op", [
+        min,
+        lambda a, b: a * b,
+        lambda a, b: max(0.0, a + b - 1.0),
+        lambda a, b: int(a == 1.0 and b == 1.0),  # returns ints
+    ], ids=["min", "product", "lukasiewicz", "int-valued"])
+    def test_grid_matches_the_cell_loop(self, op, monkeypatch):
+        calls, want_calls = [], []
+        grid = integrals._grid_table(lambda a, b: calls.append((type(a), a, b)) or op(a, b))
+        want = oracles.loop_grid_table(lambda a, b: want_calls.append((type(a), a, b)) or op(a, b))
+        assert calls == want_calls
+        assert grid[1].dtype == np.float64 and grid[1].tobytes() == want[1].tobytes()
+        new = (certify(op).certificate, check_pseudo_product(op).to_dict())
+        monkeypatch.setattr(integrals, "_grid_table", oracles.loop_grid_table)
+        monkeypatch.setattr(axioms, "_grid_table", oracles.loop_grid_table)
+        assert new == (certify(op).certificate, check_pseudo_product(op).to_dict())
+
 
 class TestExtensions:
     def test_unknown_name(self):
@@ -622,6 +641,19 @@ class TestBatchKernels:
             ext.many([[0.5, 0.2], [np.inf, 0.0]])
         with pytest.raises(OutOfDomain):
             ext.many([[np.nan, 0.0]])
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: choquet(OVERLAP, ["a", 1]), r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, [10**400, 1]), r"score vector must have length 2 and hold only"),
+        (lambda: make_extension("choquet", OVERLAP).many([[1, "x"]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        (lambda: make_extension("choquet", OVERLAP).many([[1, 2], [3]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+    ], ids=["string", "huge-integer", "string-in-matrix", "ragged-matrix"])
+    def test_scores_that_are_not_numbers_are_invalid_format(self, call, match):
+        # numpy's bare ValueError or OverflowError used to escape
+        with pytest.raises(InvalidFormat, match=match):
+            call()
 
     def test_extension_without_batch_loops_the_scalar_function(self):
         calls = []

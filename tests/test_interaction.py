@@ -68,12 +68,22 @@ class TestInteractionIndex:
         assert interaction_index(mu, "1,2") == interaction_index(mu, 3) == interaction_index(
             mu, [1, 2]
         )
+        # numpy integers, as a mask or as indices, read like Python ints
+        assert interaction_index(mu, np.int64(3)) == interaction_index(mu, 3)
+        assert interaction_index(mu, np.array([1, 2])) == interaction_index(mu, [1, 2])
+        assert interaction_index(mu, np.uint8(5)) == interaction_index(mu, (1, 3))
 
     @pytest.mark.parametrize(
         "coalition, match",
         [(True, "a subset must be"), (3.0, "a subset must be"), (None, "a subset must be"),
-         (16, "subset mask 16 out of range for n = 4"), ("1,5", "bad subset key")],
-        ids=["bool", "float", "none", "mask-out-of-range", "key-out-of-range"],
+         (16, "subset mask 16 out of range for n = 4"), ("1,5", "bad subset key"),
+         (np.bool_(True), "a subset must be"), (np.float64(3.0), "a subset must be"),
+         (np.int64(16), "subset mask 16 out of range for n = 4"),
+         (np.array([True, False]), "criterion index np.True_ out of range"),
+         (np.array([1, 5]), r"criterion index np.int64\(5\) out of range")],
+        ids=["bool", "float", "none", "mask-out-of-range", "key-out-of-range", "numpy-bool",
+             "numpy-float", "numpy-mask-out-of-range", "numpy-bool-indices",
+             "numpy-index-out-of-range"],
     )
     def test_what_is_not_a_subset_is_invalid_format(self, coalition, match):
         mu = random_capacity(np.random.default_rng(3), 4)

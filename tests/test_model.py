@@ -1,9 +1,11 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 import capacities.model
+import oracles
 from capacities import (
     Act,
     AggregationModel,
@@ -255,6 +257,33 @@ class TestRanking:
             warnings.simplefilter("error")
             with pytest.raises(OutOfDomain):
                 rank_acts(model, [(0.5, 0.5), (1e308, -1e308)])
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e300])
+    def test_chains_match_the_grouping_loop(self, tol):
+        # Under mu = [0, 1] on one criterion, choquet scores the act [s] as exactly s.
+        model = AggregationModel(capacity=as_capacity([0.0, 1.0]), extension="choquet")
+        pool = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 1.0 + 1e-9, 1.0 - 5e-10, -3.5]
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            scores = [pool[k] for k in rng.integers(0, len(pool), rng.integers(1, 13))]
+            got = [
+                (r.position, r.index, type(r.score), struct.pack("d", r.score),
+                 r.indifferent_to_previous)
+                for r in rank_acts(model, [(s,) for s in scores], tol=tol)
+            ]
+            want = [
+                (p, k, float, struct.pack("d", s), flag)
+                for p, k, s, flag in oracles.loop_indifference_chains(scores, tol)
+            ]
+            assert got == want, scores
+
+    def test_an_infinite_gap_breaks_the_chain_without_warning(self):
+        # 1e308 - (-1e308) overflows to inf in the adjacent differences.
+        model = AggregationModel(capacity=as_capacity([0.0, 1.0]), extension="choquet")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranked = rank_acts(model, [(-1e308,), (1e308,)], tol=1e300)
+        assert [(r.index, r.indifferent_to_previous) for r in ranked] == [(1, False), (0, False)]
 
     def test_errors_name_the_bad_act_kind(self):
         with pytest.raises(DimensionMismatch):
