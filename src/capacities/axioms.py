@@ -81,8 +81,13 @@ class AxiomCheckConfig:
             raise CapacitiesError("samples must be >= 1, got %r" % (self.samples,))
         if self.seed < 0:
             raise CapacitiesError("seed must be >= 0, got %r" % (self.seed,))
-        if not 0.0 < self.tol < np.inf:
+        if not subsets._is_real(self.tol) or not 0.0 < self.tol < np.inf:
             raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
+        for name in ("score_bounds", "alpha_bounds"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(subsets._is_real, pair))):
+                raise CapacitiesError("%s must be a pair of numbers, got %r" % (name, pair))
         lo, hi = self.score_bounds
         if not 0.0 < hi - lo < np.inf:
             raise CapacitiesError("score_bounds must span a finite increasing range, got %r" % ((lo, hi),))

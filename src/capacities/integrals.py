@@ -13,16 +13,16 @@ t+ = max(t, 0) and t- = max(-t, 0).
 ``pseudo_product_extension`` generalizes the minimum in the Mobius form of
 ``choquet`` to any certified commutative associative operator on [0, 1].
 
-Each extension has one row kernel, from a (k, n) score matrix to k values,
-and the one-vector call is that kernel on one row: ``choquet`` and ``sipos``
-read the capacity at the upper sets A_(j) of each row's ranking (O(n log n)
-per row), ``sugeno_product`` takes max_j t_(j) * nu(A_(j)) with nu the
-max-closure of its ordinal coefficients, and the coefficient forms take the
-dot product of each row's table over all subsets with the coefficients, one
-``np.vecdot`` per block of rows. ``Extension.many`` may run a
-faster batch kernel, equal up to rounding: ``cpt`` as choquet(mu_gains, t+)
-minus choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product
-over the low and high halves of the criteria. Scalar ``sugeno_product``,
+An :class:`Extension` is its exact row kernel ``fn``, from a (k, n) score
+matrix to k values, and the one-vector call is ``fn`` on one row: ``choquet``
+and ``sipos`` read the capacity at the upper sets A_(j) of each row's ranking
+(O(n log n) per row), ``sugeno_product`` takes max_j t_(j) * nu(A_(j)) with nu
+the max-closure of its ordinal coefficients, and the coefficient forms take
+the dot product of each row's table over all subsets with the coefficients,
+one ``np.vecdot`` per block. ``Extension.many`` may run a faster ``batch``,
+equal up to rounding: ``cpt`` as choquet(mu_gains, t+) minus
+choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product over the
+low and high halves of the criteria. Scalar ``sugeno_product``,
 ``sipos_closed_form`` and ``pseudo_product_extension`` stay as references.
 """
 
@@ -316,9 +316,14 @@ del _rng
 
 
 def _grid_table(op: Callable[[float, float], float]):
-    """Uniform grid xs of _GRID_POINTS values on [0, 1], and op(xs[i], xs[j])."""
+    """Uniform grid xs of _GRID_POINTS values on [0, 1], and op(xs[i], xs[j]), all real."""
     xs = np.linspace(0.0, 1.0, _GRID_POINTS)
-    return xs, np.frompyfunc(op, 2, 1).outer(xs, xs).astype(np.float64)
+    table = np.frompyfunc(op, 2, 1).outer(xs, xs)
+    for k, v in enumerate(table.flat):
+        if type(v) is not float and not subsets._is_real(v):  # the ABC check is slow
+            i, j = divmod(k, _GRID_POINTS)
+            raise InvalidFormat("op(%g, %g) = %r is not a real number" % (xs[i], xs[j], v))
+    return xs, table.astype(np.float64)
 
 
 def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:
@@ -511,9 +516,6 @@ def _cpt_rows(m1: MobiusRepr, m2: MobiusRepr, t: np.ndarray) -> np.ndarray:
 
 EXTENSION_NAMES = ("choquet", "sipos", "mle", "smle", "sugeno_product", "cpt")
 
-Aggregator = Callable[[np.ndarray], float]
-BatchAggregator = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class Extension:
@@ -522,22 +524,22 @@ class Extension:
     ``domain`` tags where samplers may draw scores: "reals" for the
     sign-splitting integrals, "unit" for the multilinear ones (which are
     still evaluable anywhere, just not well behaved outside the cube).
-    A call raises :class:`OutOfDomain` when the value is not finite.
-    ``rows`` maps a finite (k, n) score matrix to k values, each equal to
-    ``fn`` on its row bit for bit; ``batch`` is what :meth:`many` runs,
-    equal to ``rows`` up to rounding. Without ``batch``, :meth:`many` runs
-    :meth:`_values`; without ``rows``, that calls ``fn`` row by row.
+    ``fn`` is the row kernel: it maps a finite (k, n) score matrix to k
+    values, each exact for its row alone. A call runs it on one row;
+    :meth:`_values` runs it on a whole matrix. ``batch`` is what
+    :meth:`many` runs, equal to ``fn`` up to rounding; without it,
+    :meth:`many` runs ``fn``. A call raises :class:`OutOfDomain` when the
+    value is not finite.
     """
 
     name: str
     n: int
     domain: str
-    fn: Aggregator
-    batch: BatchAggregator | None = None
-    rows: BatchAggregator | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t) -> float:
-        value = self.fn(t)
+        value = float(self.fn(_scores(t, self.n)[None])[0])
         if not math.isfinite(value):
             raise OutOfDomain("%s overflows at these scores (got %r)" % (self.name, value))
         return value
@@ -549,7 +551,7 @@ class Extension:
         :class:`OutOfDomain` on non-finite scores or values.
         """
         t = _scores(t, self.n, ndim=2)
-        values = self._values(t) if self.batch is None else self.batch(t)
+        values = (self.fn if self.batch is None else self.batch)(t)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise OutOfDomain(
@@ -558,32 +560,18 @@ class Extension:
             )
         return values
 
-    @_quiet
     def _values(self, t: np.ndarray) -> np.ndarray:
-        """``fn`` at every row of a (k, n) matrix, bit for bit, with a non-finite
-        value wherever the one-vector call raises :class:`OutOfDomain`."""
+        """``fn`` at every row of a (k, n) matrix, NaN on the rows with a non-finite score."""
         finite = np.isfinite(t).all(axis=1)
-        t = np.where(finite[:, None], t, 0.0)
-        if self.rows is not None:
-            values = self.rows(t)
-        else:
-            values = np.array([_or_nan(self.fn, row) for row in t], dtype=np.float64)
+        values = self.fn(np.where(finite[:, None], t, 0.0))
         values[~finite] = np.nan
         return values
-
-
-def _or_nan(fn: Aggregator, t: np.ndarray) -> float:
-    try:
-        return fn(t)
-    except OutOfDomain:
-        return math.nan
 
 
 def make_extension(
     name: str, mu: Capacity, mu_losses: Capacity | None = None
 ) -> Extension:
-    """Bind an extension by name, precomputing the coefficients it needs: its row
-    kernel, with the one-vector call as that kernel on one row, and its batch."""
+    """Bind an extension by name, precomputing the coefficients its two kernels need."""
     if name not in EXTENSION_NAMES:
         raise InvalidFormat(
             "unknown extension %r, expected one of %s" % (name, ", ".join(EXTENSION_NAMES))
@@ -611,4 +599,4 @@ def make_extension(
     else:
         rows = functools.partial(_cpt_rows, mobius(mu), mobius(mu_losses))
         batch = functools.partial(_split_choquet_rows, mu, mu_losses)
-    return Extension(name, n, domain, lambda t: float(rows(_scores(t, n)[None])[0]), batch, rows)
+    return Extension(name, n, domain, rows, batch)

@@ -138,7 +138,7 @@ def interaction_report(
     n = mu.n
     if max_order is None:
         max_order = min(n, 2)
-    if not 1 <= max_order <= n:
+    if not subsets._is_int(max_order) or not 1 <= max_order <= n:
         raise InvalidFormat("max_order must be in 1..%d, got %r" % (n, max_order))
     tol = _tol(tol)
     table = _all_indices(mu)
@@ -153,5 +153,5 @@ def interaction_report(
         values=values,
         labels=labels,
         tol=tol,
-        max_order=max_order,
+        max_order=int(max_order),
     )

@@ -44,7 +44,6 @@ built are wrapped without a copy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -500,8 +499,8 @@ def _number(x, where: str) -> float:
 
 
 def _tol(tol) -> float:
-    """An absolute tolerance, checked to be a finite real >= 0 (:class:`InvalidFormat` if not)."""
-    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+    """An absolute tolerance: a finite real >= 0, not a bool (:class:`InvalidFormat` if not)."""
+    if not subsets._is_real(tol) or not 0.0 <= tol < math.inf:
         raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
     return tol
 

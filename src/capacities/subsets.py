@@ -14,6 +14,7 @@ table and 512 KiB, and frees it when the pass ends.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable
 
 import numpy as np
@@ -66,6 +67,10 @@ def mask_of(subset, n: int) -> int:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def subset_key(mask: int) -> str:

@@ -64,6 +64,13 @@ class TestConfig:
         for bounds in ((1.0, np.inf), (np.inf, np.inf)):
             with pytest.raises(CapacitiesError):
                 AxiomCheckConfig(alpha_bounds=bounds)
+        # a string tol or bound raised a bare TypeError, three bounds a bare
+        # ValueError; True ran as tol 1
+        for field, value in (("tol", "x"), ("tol", True), ("score_bounds", ("a", "b")),
+                             ("alpha_bounds", (1, "b")), ("score_bounds", (1, 2, 3)),
+                             ("score_bounds", (False, True)), ("alpha_bounds", 1.0)):
+            with pytest.raises(CapacitiesError, match=field):
+                AxiomCheckConfig(**{field: value})
 
     def test_defaults(self):
         cfg = AxiomCheckConfig()

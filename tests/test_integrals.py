@@ -493,6 +493,18 @@ class TestPseudoProduct:
         monkeypatch.setattr(axioms, "_grid_table", oracles.loop_grid_table)
         assert new == (certify(op).certificate, check_pseudo_product(op).to_dict())
 
+    @pytest.mark.parametrize("op, match", [
+        (lambda a, b: None, r"op\(0, 0\) = None"),
+        (lambda a, b: "x", r"op\(0, 0\) = 'x'"),
+        (lambda a, b: a < b, r"op\(0, 0\) = False"),  # a bool is no number, as for _number
+        (lambda a, b: None if b == 1.0 else min(a, b), r"op\(0, 1\) = None"),
+    ], ids=["none", "string", "bool", "none-at-the-edge"])
+    def test_operator_values_that_are_not_numbers_are_invalid_format(self, op, match):
+        # None raised a bare TypeError, a string a bare ValueError
+        for call in (certify, check_pseudo_product):
+            with pytest.raises(InvalidFormat, match=match + " is not a real number"):
+                call(op)
+
 
 class TestExtensions:
     def test_unknown_name(self):
@@ -655,19 +667,20 @@ class TestBatchKernels:
         with pytest.raises(InvalidFormat, match=match):
             call()
 
-    def test_extension_without_batch_loops_the_scalar_function(self):
+    def test_extension_without_batch_runs_fn_on_the_whole_matrix(self):
         calls = []
 
         def fn(t):
-            calls.append(list(t))
-            return float(np.sum(t))
+            calls.append(t.tolist())
+            return t.sum(axis=1)
 
         ext = Extension("sum", 2, "reals", fn)
         assert ext.batch is None
         assert ext.many([[1.0, 2.0], [3.0, -4.0]]).tolist() == [3.0, -1.0]
-        assert calls == [[1.0, 2.0], [3.0, -4.0]]
+        assert calls == [[[1.0, 2.0], [3.0, -4.0]]]
+        big = Extension("big", 1, "reals", lambda t: np.where(t[:, 0] > 5.0, np.inf, t[:, 0]))
         with pytest.raises(OutOfDomain, match="row 1"):
-            Extension("big", 1, "reals", lambda t: float(t[0]) * 1e308).many([[1.0], [10.0]])
+            big.many([[1.0], [10.0]])
 
 
 def scalar_or_none(ext, t):
@@ -754,14 +767,15 @@ class TestRowKernels:
             assert np.isnan(got[1:3]).all(), name
             assert same_bits(got[0], ext([0.5, 0.2])) and same_bits(got[3], ext([0.2, 0.5])), name
 
-    def test_extension_without_a_row_kernel_calls_fn_per_row(self):
+    def test_values_runs_fn_once_with_non_finite_rows_zeroed(self):
+        calls = []
+
         def fn(t):
-            if t[0] > 1.0:
-                raise OutOfDomain("above 1")
-            return float(t[0] - t[1])
+            calls.append(t.tolist())
+            return t[:, 0] - t[:, 1]
 
         ext = Extension("diff", 2, "reals", fn)
-        assert ext.rows is None
-        got = ext._values(np.array([[0.5, 0.25], [2.0, 0.0], [np.inf, 0.0], [0.1, 0.3]]))
-        assert got[0] == 0.25 and got[3] == fn([0.1, 0.3])
-        assert np.isnan(got[1]) and np.isnan(got[2])
+        got = ext._values(np.array([[0.5, 0.25], [np.inf, 0.0], [np.nan, 0.1], [0.1, 0.3]]))
+        assert calls == [[[0.5, 0.25], [0.0, 0.0], [0.0, 0.0], [0.1, 0.3]]]
+        assert np.isnan(got).tolist() == [False, True, True, False]
+        assert got[0] == 0.25 and got[3] == 0.1 - 0.3

@@ -215,8 +215,12 @@ class TestAllIndicesTransform:
         rep = interaction_report(mu, max_order=1)
         assert rep.values == {1: 1.0}
         assert rep.pair_matrix.tolist() == [[1.0]]
-        with pytest.raises(InvalidFormat):
-            interaction_report(mu, max_order=2)
+        # 1.5 reached the report as is, True ran as 1 and "2" raised a bare TypeError
+        pair = as_capacity([0.0, 0.9, 0.9, 1.0])
+        for m, order in ((mu, 2), (mu, True), (mu, 1.0), (pair, 1.5), (pair, "2")):
+            with pytest.raises(InvalidFormat, match="max_order must be in 1..%d" % m.n):
+                interaction_report(m, max_order=order)
+        assert type(interaction_report(pair, max_order=np.int64(2)).max_order) is int  # JSON-ready
 
     def test_two_criteria_closed_forms(self):
         rng = np.random.default_rng(10)

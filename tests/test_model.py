@@ -293,21 +293,21 @@ class TestRanking:
         with pytest.raises(OutOfDomain):
             rank_acts(sipos_model(), [X, (float("inf"), 0.0)])
 
-    def test_extension_without_batch_ranks_through_the_scalar_fallback(self, monkeypatch):
+    def test_extension_without_batch_ranks_in_one_fn_call(self, monkeypatch):
         calls = []
 
         def plain(name, mu, losses=None):
             ext = make_extension(name, mu, losses)
 
             def fn(t):
-                calls.append(1)
-                return ext(t)
+                calls.append(t.shape)
+                return ext.fn(t)
 
             return Extension(ext.name, ext.n, ext.domain, fn)
 
         monkeypatch.setattr(capacities.model, "make_extension", plain)
         ranked = rank_acts(sipos_model(), [X, Y, Z, T])
-        assert len(calls) == 4
+        assert calls == [(4, 2)]
         assert [r.act.label for r in ranked] == ["z", "y", "t", "x"]
         assert [r.indifferent_to_previous for r in ranked] == [False, False, True, False]
 

@@ -196,7 +196,7 @@ class TestValidate:
         with pytest.raises(Exception, match="power of two"):
             validate([0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, -1e-12, "x", None])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, -1e-12, "x", None, True])
     def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, tol):
         # Not monotone, and mu(N) = 0.3: no tol may wave it through.
         vals = [0.0, 0.9, 0.2, 1.0, 0.1, 0.0, 0.0, 0.3]
