@@ -4,96 +4,15 @@ Value tables over the subset lattice, the Mobius-family transforms, the
 Choquet / symmetric / multilinear integral extensions, interaction and
 Shapley indices, an executable axiom-check harness, and a small
 aggregation model for ranking acts on named utility scales.
+
+The package namespace is the ``__all__`` of each module below.
 """
 
-from .axioms import (
-    AXIOM_NAMES,
-    AxiomCheckConfig,
-    AxiomReport,
-    Counterexample,
-    EquivalenceReport,
-    ExtensionComparison,
-    PseudoProductReport,
-    check_axiom,
-    check_equivalence,
-    check_pseudo_product,
-    compare_extensions,
-)
-from .errors import (
-    CapacitiesError,
-    DimensionMismatch,
-    DomainMismatch,
-    EmptyCoalition,
-    InvalidFormat,
-    NonPositiveSingleton,
-    NotMonotone,
-    NotNormalized,
-    OutOfDomain,
-    UncertifiedOperator,
-    UnknownAxiom,
-    UnknownLevel,
-)
-from .integrals import (
-    EXTENSION_NAMES,
-    CptCompatibility,
-    Extension,
-    OperatorCertificate,
-    PseudoProduct,
-    certify,
-    choquet,
-    choquet_mobius,
-    cpt,
-    cpt_compatible,
-    make_extension,
-    mle,
-    pseudo_product_extension,
-    sipos,
-    sipos_closed_form,
-    sipos_mobius,
-    smle,
-    sugeno_product,
-    symmetric_max,
-    symmetric_max_fold,
-)
-from .interaction import (
-    InteractionReport,
-    classify,
-    interaction_index,
-    interaction_report,
-    shapley,
-)
-from .model import (
-    Act,
-    AggregationModel,
-    RankedAct,
-    UtilityScale,
-    acts_from_obj,
-    capacity_from_binary_acts,
-    default_scale,
-    evaluate_act,
-    model_from_dict,
-    rank_acts,
-)
-from .set_function import (
-    DEFAULT_TOL,
-    Capacity,
-    CoMobiusRepr,
-    MobiusRepr,
-    OrdinalMobiusRepr,
-    SetFunction,
-    ValidationResult,
-    as_capacity,
-    capacity_from_dict,
-    co_mobius,
-    conjugate,
-    mobius,
-    ordinal_mobius,
-    ordinal_zeta,
-    set_function_from_dict,
-    to_dict,
-    validate,
-    vector_from_dict,
-    zeta,
-)
+from .axioms import *
+from .errors import *
+from .integrals import *
+from .interaction import *
+from .model import *
+from .set_function import *
 
 __version__ = "0.1.0"

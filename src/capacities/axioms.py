@@ -57,8 +57,6 @@ __all__ = [
     "compare_extensions",
 ]
 
-AXIOM_NAMES = ("HE", "A", "M", "M1", "I", "A1", "A2", "C1", "S1")
-
 COMPARISON_AXIOMS = ("A1", "A2", "I", "M")
 
 
@@ -89,7 +87,9 @@ class AxiomCheckConfig:
                     and all(map(subsets._is_real, pair))):
                 raise CapacitiesError("%s must be a pair of numbers, got %r" % (name, pair))
         lo, hi = self.score_bounds
-        if not 0.0 < hi - lo < np.inf:
+        with np.errstate(over="ignore"):  # numpy floats overflow to inf quietly too
+            span = hi - lo
+        if not 0.0 < span < np.inf:
             raise CapacitiesError("score_bounds must span a finite increasing range, got %r" % ((lo, hi),))
         alo, ahi = self.alpha_bounds
         if not 0.0 < alo <= ahi < np.inf:
@@ -546,6 +546,8 @@ _SPECS = {
     "C1": _spec_c1,
     "S1": _spec_s1,
 }
+
+AXIOM_NAMES = tuple(_SPECS)
 
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024

@@ -2,6 +2,21 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CapacitiesError",
+    "InvalidFormat",
+    "NotNormalized",
+    "NotMonotone",
+    "NonPositiveSingleton",
+    "DimensionMismatch",
+    "EmptyCoalition",
+    "OutOfDomain",
+    "UncertifiedOperator",
+    "UnknownAxiom",
+    "DomainMismatch",
+    "UnknownLevel",
+]
+
 
 class CapacitiesError(ValueError):
     """Base class for every domain error raised by this package."""

@@ -87,7 +87,10 @@ def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
     """``t`` as a finite float score vector of length n, or (k, n) matrix with ``ndim=2``."""
     want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
     try:
-        arr = np.asarray(t, dtype=np.float64)
+        arr = np.asarray(t)
+        if arr.dtype.kind in "SU":  # numpy would parse numeric strings
+            raise TypeError
+        arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):  # strings, ragged rows, huge integers
         raise InvalidFormat(("score " + want + " and hold only numbers") % n) from None
     if arr.ndim != ndim or arr.shape[-1] != n:

@@ -56,7 +56,7 @@ class UtilityScale:
     levels: dict
 
     def __post_init__(self):
-        if not isinstance(self.criterion, int) or self.criterion < 1:
+        if not subsets._is_int(self.criterion) or self.criterion < 1:
             raise InvalidFormat("criterion must be a 1-based index, got %r" % (self.criterion,))
         levels = dict(self.levels)
         for name, value in levels.items():
@@ -71,7 +71,7 @@ class UtilityScale:
             raise InvalidFormat(
                 'scale for criterion %d must map "%s" to 1' % (self.criterion, GOOD)
             )
-        object.__setattr__(self, "levels", levels)
+        vars(self).update(criterion=int(self.criterion), levels=levels)
 
     def utility(self, level: str) -> float:
         try:
@@ -153,7 +153,7 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
     must map to 0 and N to 1, the map must be monotone, and every singleton
     strictly positive. Raises the matching validation error otherwise.
     """
-    subsets.check_n(n)
+    n = subsets.check_n(n)
     size = 1 << n
     vals = np.empty(size)
     seen = np.zeros(size, dtype=bool)

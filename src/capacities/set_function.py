@@ -118,10 +118,10 @@ class SetFunction:
     _what = "values"
 
     def __post_init__(self):
-        subsets.check_n(self.n)
-        arr = _coerce_vector(self.n, self.values, self._what)
+        n = subsets.check_n(self.n)
+        arr = _coerce_vector(n, self.values, self._what)
         self._check(arr)
-        object.__setattr__(self, "values", arr)
+        vars(self).update(n=n, values=arr)
 
     @classmethod
     def _own(cls, n: int, arr: np.ndarray):
@@ -431,7 +431,8 @@ def _value_table(v, n: int | None) -> tuple[int, np.ndarray]:
                 "value table length must be a power of two, got shape %s" % (arr.shape,)
             )
         n = arr.shape[0].bit_length() - 1
-    return n, _coerce_vector(subsets.check_n(n), arr, "values")
+    n = subsets.check_n(n)
+    return n, _coerce_vector(n, arr, "values")
 
 
 def validate(
@@ -487,10 +488,15 @@ def to_dict(v: SetFunction) -> dict:
     return {"n": v.n, "values_by_mask": v.values.tolist()}
 
 
+# Built once, so a call looks up no numpy type; JSON's int and float come first.
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
 def _number(x, where: str) -> float:
-    """A parsed JSON number as a float; :class:`InvalidFormat` for anything else,
-    bools and integers too large for a double included."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    """A parsed JSON number, or a numpy integer or float scalar, as a float;
+    :class:`InvalidFormat` for anything else, bools and integers too large for
+    a double included."""
+    if isinstance(x, bool) or not isinstance(x, _NUMBER_TYPES):
         raise InvalidFormat("%s must be a number, got %r" % (where, x))
     try:
         return float(x)

@@ -25,11 +25,11 @@ MAX_CRITERIA = 24
 
 
 def check_n(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise InvalidFormat("criteria count n must be an integer, got %r" % (n,))
     if not 1 <= n <= MAX_CRITERIA:
         raise InvalidFormat("criteria count n must be in 1..%d, got %r" % (MAX_CRITERIA, n))
-    return n
+    return int(n)
 
 
 def members(mask: int) -> tuple[int, ...]:

@@ -54,8 +54,10 @@ class TestConfig:
                 AxiomCheckConfig(seed=seed)
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(tol=0.0)
-        with pytest.raises(CapacitiesError):
-            AxiomCheckConfig(score_bounds=(2.0, 1.0))
+        # a numpy-float span that overflows printed a RuntimeWarning first
+        for bounds in ((2.0, 1.0), (np.float64(-1e308), np.float64(1e308))):
+            with pytest.raises(CapacitiesError, match="score_bounds"):
+                AxiomCheckConfig(score_bounds=bounds)
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(alpha_bounds=(0.0, 1.0))
         for tol in (np.nan, np.inf):

@@ -661,7 +661,14 @@ class TestBatchKernels:
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
         (lambda: make_extension("choquet", OVERLAP).many([[1, 2], [3]]),
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
-    ], ids=["string", "huge-integer", "string-in-matrix", "ragged-matrix"])
+        # numpy parsed numeric strings and bytes as numbers
+        (lambda: choquet(OVERLAP, ["0.5", "0.25"]), r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, np.array([b"0.5", b"0.25"])),
+         r"score vector must have length 2 and hold only"),
+        (lambda: make_extension("choquet", OVERLAP).many([["0.5", "0.25"]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+    ], ids=["string", "huge-integer", "string-in-matrix", "ragged-matrix", "numeric-string",
+            "numeric-bytes", "numeric-string-matrix"])
     def test_scores_that_are_not_numbers_are_invalid_format(self, call, match):
         # numpy's bare ValueError or OverflowError used to escape
         with pytest.raises(InvalidFormat, match=match):

@@ -63,8 +63,23 @@ class TestUtilityScale:
             s.utility("excellent")
 
     def test_level_values_must_be_numbers(self):
-        with pytest.raises(InvalidFormat):
-            UtilityScale(1, {"neutral": 0.0, "good": 1.0, "odd": "high"})
+        for value in ("high", True, np.bool_(True)):
+            with pytest.raises(InvalidFormat, match="level 'odd' must be a number"):
+                UtilityScale(1, {"neutral": 0.0, "good": 1.0, "odd": value})
+
+    def test_numpy_scalars_are_numbers(self):
+        # np.int64 criteria and levels and np.float32 levels were refused
+        s = UtilityScale(np.int64(2), {"neutral": np.int64(0), "good": np.float32(1.0),
+                                       "bad": np.float32(-0.5)})
+        assert type(s.criterion) is int and s.criterion == 2
+        assert s.levels == {"neutral": 0.0, "good": 1.0, "bad": -0.5}
+        assert all(type(u) is float for u in s.levels.values())
+
+    @pytest.mark.parametrize("criterion", [True, np.bool_(True), 1.0, 0])
+    def test_criterion_must_be_a_positive_integer(self, criterion):
+        # True was taken as criterion 1
+        with pytest.raises(InvalidFormat, match="criterion must be a 1-based index"):
+            UtilityScale(criterion, {"neutral": 0.0, "good": 1.0})
 
 
 class TestModelConstruction:
@@ -91,6 +106,10 @@ class TestModelConstruction:
         )
         assert model.scales[0].criterion == 1
         assert model.scales[1].utility("bad") == -1.0
+        model = AggregationModel(capacity=HALF, extension="sipos",
+                                 scales=(UtilityScale(np.int64(2), model.scales[1].levels),))
+        assert [type(s.criterion) for s in model.scales] == [int, int]
+        assert [s.criterion for s in model.scales] == [1, 2]
 
     def test_duplicate_scales_rejected(self):
         with pytest.raises(InvalidFormat):
@@ -108,6 +127,16 @@ class TestBinaryActs:
         )
         assert mu[0b01] == 0.3
         assert mu[0b10] == 0.6
+        # np.int64 n and values and np.float32 values were refused
+        mu = capacity_from_binary_acts(
+            np.int64(2), {"": np.int64(0), "1": np.float32(0.25), "2": 0.6, "1,2": np.int64(1)}
+        )
+        assert type(mu.n) is int and mu.values.tolist() == [0.0, 0.25, 0.6, 1.0]
+
+    @pytest.mark.parametrize("value", ["x", True, np.bool_(True), None])
+    def test_value_that_is_not_a_number_rejected(self, value):
+        with pytest.raises(InvalidFormat, match=r"attractiveness of \{1\} must be a number"):
+            capacity_from_binary_acts(2, {"": 0.0, "1": value, "2": 0.6, "1,2": 1.0})
 
     def test_zero_singleton_rejected(self):
         with pytest.raises(NonPositiveSingleton) as err:
@@ -344,6 +373,12 @@ class TestModelParsing:
         )
         assert acts[0].entries == ("good", "neutral")
         assert acts[1].label == "direct"
+        # np.int64 and np.float32 entries were refused; a numpy bool still is
+        (act,) = acts_from_obj([[np.int64(1), np.float32(0.5)]])
+        assert evaluate_act(sipos_model(), act) == 0.75
+        for entry in (True, np.bool_(True)):
+            with pytest.raises(InvalidFormat, match="an act entry that is not a level name"):
+                acts_from_obj([[entry, 0.5]])
         with pytest.raises(InvalidFormat):
             acts_from_obj({"entries": []})
         with pytest.raises(InvalidFormat):

@@ -60,6 +60,17 @@ class TestConstruction:
             SetFunction(0, [0.0])
         with pytest.raises(InvalidFormat):
             SetFunction(25, np.zeros(1 << 25))
+        for n in (True, np.bool_(True), 2.0):
+            with pytest.raises(InvalidFormat, match="criteria count n must be an integer"):
+                SetFunction(n, [0.0, 1.0])
+
+    def test_numpy_integer_n_is_stored_as_int(self):
+        # np.int64(2) was refused as "criteria count n must be an integer"
+        v = [0.0, 0.3, 0.5, 1.0]
+        for table in (SetFunction(np.int64(2), v), MobiusRepr(np.uint8(2), v),
+                      as_capacity(v, n=np.int64(2))):
+            assert type(table.n) is int and table.n == 2
+            assert json.loads(json.dumps(to_dict(table))) == {"n": 2, "values_by_mask": v}
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidFormat):
