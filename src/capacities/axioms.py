@@ -81,17 +81,22 @@ class AxiomCheckConfig:
             raise CapacitiesError("seed must be >= 0, got %r" % (self.seed,))
         if not subsets._is_real(self.tol) or not 0.0 < self.tol < np.inf:
             raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
+        bounds = {}
         for name in ("score_bounds", "alpha_bounds"):
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and all(map(subsets._is_real, pair))):
                 raise CapacitiesError("%s must be a pair of numbers, got %r" % (name, pair))
-        lo, hi = self.score_bounds
-        with np.errstate(over="ignore"):  # numpy floats overflow to inf quietly too
-            span = hi - lo
-        if not 0.0 < span < np.inf:
-            raise CapacitiesError("score_bounds must span a finite increasing range, got %r" % ((lo, hi),))
-        alo, ahi = self.alpha_bounds
+            try:  # Python floats, whose span overflows to inf quietly
+                bounds[name] = [float(x) for x in pair]
+            except OverflowError:  # an integer too large for a double fails its range check
+                bounds[name] = [np.nan, np.nan]
+        lo, hi = bounds["score_bounds"]
+        if not 0.0 < hi - lo < np.inf:
+            raise CapacitiesError(
+                "score_bounds must span a finite increasing range, got %r" % (tuple(self.score_bounds),)
+            )
+        alo, ahi = bounds["alpha_bounds"]
         if not 0.0 < alo <= ahi < np.inf:
             raise CapacitiesError(
                 "alpha_bounds must be positive, finite and increasing, got %r"

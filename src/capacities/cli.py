@@ -10,6 +10,7 @@ errors. All numbers are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -267,6 +268,7 @@ def _add_verify_flags(p) -> None:
     p.add_argument("--alpha-bounds", type=_bounds_arg, default=cfg.alpha_bounds, metavar="LO:HI")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capacities",
@@ -325,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except _UsageError as exc:

@@ -88,10 +88,14 @@ def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
     want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
     try:
         arr = np.asarray(t)
-        if arr.dtype.kind in "SU":  # numpy would parse numeric strings
+        # numpy would parse numeric strings, read bools as 0/1, drop imaginary
+        # parts and store None as NaN
+        if arr.dtype.kind in "SUbc" or (
+            arr.dtype.kind == "O" and not all(map(subsets._is_real, arr.flat))
+        ):
             raise TypeError
         arr = arr.astype(np.float64, copy=False)
-    except (TypeError, ValueError, OverflowError):  # strings, ragged rows, huge integers
+    except (TypeError, ValueError, OverflowError):  # also ragged rows, huge integers
         raise InvalidFormat(("score " + want + " and hold only numbers") % n) from None
     if arr.ndim != ndim or arr.shape[-1] != n:
         raise DimensionMismatch(("score " + want + ", got shape %s") % (n, arr.shape))

@@ -55,24 +55,21 @@ def interaction_index(mu: Capacity, coalition) -> float:
     return float(np.dot(weights[b_sizes], vals[sel]))
 
 
-def _all_indices(mu: Capacity) -> np.ndarray:
-    """I(A) for every mask A: sum over B >= A of m(B) x^|B - A| has degree <= n
-    in x, so floor(n/2) + 1 Gauss-Legendre nodes integrate it over [0, 1] exactly."""
+def _all_indices(mu: Capacity, max_order: int) -> np.ndarray:
+    """I(A) at every mask A of size 1..max(max_order, 2), else 0: for each order k,
+    one superset pass over m(B) / max(|B| - k + 1, 1) leaves I(A) at every |A| = k."""
     m = mobius(mu).values
-    nodes, weights = np.polynomial.legendre.leggauss(mu.n // 2 + 1)
+    sizes = subsets.popcounts(mu.n)
     out = np.zeros_like(m)
-    t = np.empty_like(m)
-    buf = np.empty(m.shape[0] >> 1)  # x * hi for each bit
-    for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
-
-        def step(lo, hi):
-            lo += np.multiply(hi, x, out=buf[: hi.size].reshape(hi.shape))
-
-        np.copyto(t, m)
-        subsets.lattice(step, t)
-        t *= w
-        out += t
+    for k in range(1, min(max(max_order, 2), mu.n) + 1):
+        t = m / np.maximum(sizes - (k - 1.0), 1.0)  # a float k: sizes is uint8
+        subsets.lattice(_up, t)
+        np.copyto(out, t, where=sizes == k)
     return out
+
+
+def _up(lo, hi):
+    lo += hi
 
 
 def shapley(mu: Capacity) -> np.ndarray:
@@ -131,8 +128,8 @@ def interaction_report(
 ) -> InteractionReport:
     """Compute interaction values for every coalition up to ``max_order``.
 
-    All 2**n indices come from one transform of O(n**2 * 2**n) work
-    whatever ``max_order`` is; the default reports up to pairs. ``tol`` is
+    Each order 1..max(``max_order``, 2) takes one superset pass of
+    O(n * 2**n) work; the default reports up to pairs. ``tol`` is
     the half-width of the non-interactive band and must be finite and >= 0.
     """
     n = mu.n
@@ -141,7 +138,7 @@ def interaction_report(
     if not subsets._is_int(max_order) or not 1 <= max_order <= n:
         raise InvalidFormat("max_order must be in 1..%d, got %r" % (n, max_order))
     tol = _tol(tol)
-    table = _all_indices(mu)
+    table = _all_indices(mu, max_order)
     masks = np.flatnonzero(subsets.popcounts(n) <= max_order)[1:]  # without the empty set
     values = dict(zip(masks.tolist(), table[masks].tolist()))
     labels = {mask: classify(val, tol) for mask, val in values.items()}

@@ -177,16 +177,17 @@ def loop_additive(values, tol):
     return bool(np.all(np.abs(m[sizes >= 2]) <= tol))
 
 
-def loop_all_indices(m_coeffs, n):
-    """Every interaction index from the Mobius table by Gauss-Legendre nodes."""
+def loop_all_indices(m_coeffs, max_order):
+    """I(A) at every mask A of size 1..max(max_order, 2), 0 elsewhere: for each
+    order k, the Mobius table over max(|B| - k + 1, 1) summed over supersets."""
     m = np.asarray(m_coeffs, dtype=np.float64)
-    nodes, weights = np.polynomial.legendre.leggauss(n // 2 + 1)
+    sizes = np.bitwise_count(np.arange(m.shape[0])).astype(np.float64)
     out = np.zeros_like(m)
-    for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
-        t = m.copy()
+    for k in range(1, min(max(max_order, 2), m.shape[0].bit_length() - 1) + 1):
+        t = m / np.maximum(sizes - k + 1, 1.0)
         for _, lo, hi in _halves(t):
-            lo += x * hi
-        out += w * t
+            lo += hi
+        out[sizes == k] = t[sizes == k]
     return out
 
 

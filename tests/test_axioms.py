@@ -60,6 +60,12 @@ class TestConfig:
                 AxiomCheckConfig(score_bounds=bounds)
         with pytest.raises(CapacitiesError):
             AxiomCheckConfig(alpha_bounds=(0.0, 1.0))
+        # an integer bound too large for a double passed, and check_axiom then
+        # raised a bare OverflowError
+        for field, value in (("score_bounds", (0, 10**400)), ("score_bounds", (-(10**400), 0)),
+                             ("alpha_bounds", (1, 10**400))):
+            with pytest.raises(CapacitiesError, match=field):
+                AxiomCheckConfig(**{field: value})
         for tol in (np.nan, np.inf):
             with pytest.raises(CapacitiesError):
                 AxiomCheckConfig(tol=tol)

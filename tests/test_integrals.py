@@ -667,8 +667,25 @@ class TestBatchKernels:
          r"score vector must have length 2 and hold only"),
         (lambda: make_extension("choquet", OVERLAP).many([["0.5", "0.25"]]),
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        # bools ran as 0/1, complex numbers lost their imaginary part with a
+        # ComplexWarning, and None ran as NaN into "scores must be finite"
+        (lambda: choquet(OVERLAP, np.array([True, False])),
+         r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, [True, False]), r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, np.array([1 + 0j, 0.5])),
+         r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, [None, None]), r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, np.array([np.True_, 0.5], dtype=object)),
+         r"score vector must have length 2 and hold only"),
+        (lambda: make_extension("choquet", OVERLAP).many(np.array([[True, False]])),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        (lambda: make_extension("choquet", OVERLAP).many([[1 + 0j, 0.5]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        (lambda: make_extension("choquet", OVERLAP).many([[0.5, None]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
     ], ids=["string", "huge-integer", "string-in-matrix", "ragged-matrix", "numeric-string",
-            "numeric-bytes", "numeric-string-matrix"])
+            "numeric-bytes", "numeric-string-matrix", "bool-array", "bool-list", "complex",
+            "none", "numpy-bool-object", "bool-matrix", "complex-matrix", "none-in-matrix"])
     def test_scores_that_are_not_numbers_are_invalid_format(self, call, match):
         # numpy's bare ValueError or OverflowError used to escape
         with pytest.raises(InvalidFormat, match=match):

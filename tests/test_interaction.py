@@ -234,6 +234,25 @@ class TestAllIndicesTransform:
             assert rep.shapley == pytest.approx(phi, abs=1e-15)
             assert shapley(mu) == pytest.approx(phi, abs=1e-15)
 
+    def test_sixteen_criteria_against_naive_oracle(self):
+        n = 16
+        rng = np.random.default_rng(12)
+        mu = random_capacity(rng, n)
+        rep = interaction_report(mu, max_order=3)
+        vals = list(mu.values)
+        for size in (1, 2, 3):
+            masks = [mask for mask in rep.values if mask.bit_count() == size]
+            for mask in rng.choice(masks, 5, replace=False).tolist():
+                want = oracles.naive_interaction(vals, n, mask)
+                assert abs(rep.values[mask] - want) <= 1e-12
+
+    def test_pair_matrix_does_not_depend_on_max_order(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 8):
+            mu = random_capacity(rng, n)
+            want = interaction_report(mu, max_order=2).pair_matrix
+            assert np.array_equal(interaction_report(mu, max_order=1).pair_matrix, want)
+
     def test_sixteen_criteria_against_per_coalition_index(self):
         n = 16
         mu = random_capacity(np.random.default_rng(11), n)

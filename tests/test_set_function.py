@@ -494,8 +494,10 @@ class TestTiledPasses:
             mu = as_capacity(v, n=n)
             self.same(mu, v)
             self.same(conjugate(mu), oracles.loop_conjugate(v))
-        want = oracles.loop_all_indices(oracles.loop_mobius(caps["mu"]), n)
-        assert _all_indices(as_capacity(caps["mu"], n=n)).tobytes() == want.tobytes()
+        m = oracles.loop_mobius(caps["mu"])
+        for order in (1, 3):
+            want = oracles.loop_all_indices(m, order)
+            assert _all_indices(as_capacity(caps["mu"], n=n), order).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", TILE_SIZES)
     def test_validate_flags_match_the_natural_loops(self, n):
