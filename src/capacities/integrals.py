@@ -29,6 +29,7 @@ low and high halves of the criteria. Scalar ``sugeno_product``,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -81,6 +82,7 @@ __all__ = [
 
 # Extension turns an overflowing coefficient form into OutOfDomain, so numpy need not warn.
 _quiet = np.errstate(over="ignore", invalid="ignore")
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
@@ -88,12 +90,15 @@ def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
     want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
     try:
         arr = np.asarray(t)
-        # numpy would parse numeric strings, read bools as 0/1, drop imaginary
-        # parts and store None as NaN
-        if arr.dtype.kind in "SUbc" or (
-            arr.dtype.kind == "O" and not all(map(subsets._is_real, arr.flat))
-        ):
+        kind = arr.dtype.kind
+        # numpy would parse numeric strings, read bools as 0/1 (also mixed into
+        # a list of numbers), drop imaginary parts and store None as NaN
+        if kind in "SUbc" or (kind == "O" and not all(map(subsets._is_real, arr.flat))):
             raise TypeError
+        if kind != "O" and isinstance(t, (list, tuple)):
+            flat = itertools.chain.from_iterable(t) if arr.ndim == 2 else t
+            if not _BOOLS.isdisjoint(map(type, flat)):
+                raise TypeError
         arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):  # also ragged rows, huge integers
         raise InvalidFormat(("score " + want + " and hold only numbers") % n) from None

@@ -41,6 +41,8 @@ __all__ = [
 
 NEUTRAL = "neutral"
 GOOD = "good"
+# Act entries of exactly these types need no number check.
+_PLAIN_ENTRY_TYPES = frozenset((float, str))
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,10 @@ class Act:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        for e in entries:
-            if not isinstance(e, str):
-                _number(e, "an act entry that is not a level name")
+        if not _PLAIN_ENTRY_TYPES.issuperset(map(type, entries)):
+            for e in entries:
+                if not isinstance(e, str):
+                    _number(e, "an act entry that is not a level name")
         object.__setattr__(self, "entries", entries)
 
 
@@ -186,6 +189,26 @@ def _utilities(model: AggregationModel, act) -> list:
     ]
 
 
+def _utility_matrix(model: AggregationModel, acts: list) -> np.ndarray:
+    """The (k, n) utilities of ``acts``, read one criterion column at a time:
+    a level name becomes its value and a number stays as it is. Where the
+    columns do not make a real matrix, the per-act reader raises the first
+    error (or reads what numpy would not, such as integers past 64 bits)."""
+    rows = [a.entries for a in acts]
+    if set(map(len, rows)) == {model.n}:
+        try:
+            # Inferred, not forced, dtype: float64 would parse an unknown level "1.5".
+            columns = np.array(
+                [list(map(s.levels.get, col, col)) for s, col in zip(model.scales, zip(*rows))]
+            )
+        except (ValueError, TypeError, OverflowError):
+            pass
+        else:
+            if columns.dtype.kind in "iuf":
+                return np.ascontiguousarray(columns.T, dtype=np.float64)
+    return np.array([_utilities(model, a) for a in acts], dtype=np.float64)
+
+
 def evaluate_act(model: AggregationModel, act) -> float:
     """Aggregate one act with the model's extension."""
     return float(model._evaluator(_utilities(model, act)))
@@ -222,19 +245,22 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     acts = [a if isinstance(a, Act) else Act(tuple(a)) for a in acts]
     if not acts:
         raise CapacitiesError("no acts to rank")
-    utilities = np.array([_utilities(model, a) for a in acts], dtype=np.float64)
-    scores = model._evaluator.many(utilities)
+    scores = model._evaluator.many(_utility_matrix(model, acts))
     order = np.argsort(-scores, kind="stable")
     # A chain id counts the drops > tol so far; an inf gap (near +-1e308) is one, unwarned.
     with np.errstate(over="ignore"):
         chain = np.cumsum(np.diff(scores[order], prepend=scores[order[0]]) < -tol)
     ranked = np.lexsort((order, chain))
-    chain, order, values = chain[ranked].tolist(), order[ranked].tolist(), scores.tolist()
-    return [
-        RankedAct(position=p + 1, index=k, act=acts[k], score=values[k],
-                  indifferent_to_previous=p > 0 and chain[p] == chain[p - 1])
-        for p, k in enumerate(order)
-    ]
+    chain, order, values = chain[ranked], order[ranked].tolist(), scores.tolist()
+    flags = [False] + (chain[1:] == chain[:-1]).tolist()
+    out = []
+    # Filled in place: the frozen __init__ sets each field through object.__setattr__.
+    for p, k in enumerate(order):
+        ranked_act = object.__new__(RankedAct)
+        vars(ranked_act).update(position=p + 1, index=k, act=acts[k], score=values[k],
+                                indifferent_to_previous=flags[p])
+        out.append(ranked_act)
+    return out
 
 
 def model_from_dict(obj) -> AggregationModel:

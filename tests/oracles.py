@@ -10,14 +10,18 @@ coefficient forms. They do the same arithmetic in the same order, so the
 package must match them byte for byte. ``scalar_sampler`` draws the random
 trials of the axiom checks one at a time, as the package once did; its
 block draws must give the same values. ``loop_indifference_chains`` is the
-grouping loop ``rank_acts`` ran before it ranked by stable sorts, and
-``loop_grid_table`` the cell loop that filled the pseudo-product grid.
+grouping loop ``rank_acts`` ran before it ranked by stable sorts,
+``loop_grid_table`` the cell loop that filled the pseudo-product grid, and
+``loop_utilities`` the act-by-act loop that read the utility matrix before
+``rank_acts`` read it column by column.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from capacities.errors import DimensionMismatch
 
 
 def members(mask):
@@ -227,6 +231,24 @@ def loop_indifference_chains(scores, tol):
         for j, (score, k) in enumerate(group):
             out.append((len(out) + 1, k, score, j > 0))
     return out
+
+
+def loop_utilities(model, acts):
+    """The (k, n) utility matrix of ``acts`` (Act objects), read act by act and
+    entry by entry: a level name through its criterion's scale, a number
+    through ``float``. The first act of the wrong length or with an unknown
+    level raises."""
+    rows = []
+    for act in acts:
+        if len(act.entries) != model.n:
+            raise DimensionMismatch(
+                "act has %d entries but the model has %d criteria" % (len(act.entries), model.n)
+            )
+        rows.append([
+            model.scales[i].utility(entry) if isinstance(entry, str) else float(entry)
+            for i, entry in enumerate(act.entries)
+        ])
+    return np.array(rows, dtype=np.float64)
 
 
 # -- one-trial samplers ------------------------------------------------------------

@@ -683,13 +683,35 @@ class TestBatchKernels:
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
         (lambda: make_extension("choquet", OVERLAP).many([[0.5, None]]),
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        # bools mixed into a list of numbers ran as 0/1
+        (lambda: choquet(OVERLAP, [True, 0.5]), r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, (0.5, np.True_)),
+         r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, [1, False]), r"score vector must have length 2 and hold only"),
+        (lambda: make_extension("choquet", OVERLAP).many([[True, 0.5]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        (lambda: make_extension("choquet", OVERLAP).many([[0.5, 0.5], (0.25, np.False_)]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        (lambda: make_extension("choquet", OVERLAP).many([[0.5, 0.5], np.array([True, False])]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
     ], ids=["string", "huge-integer", "string-in-matrix", "ragged-matrix", "numeric-string",
             "numeric-bytes", "numeric-string-matrix", "bool-array", "bool-list", "complex",
-            "none", "numpy-bool-object", "bool-matrix", "complex-matrix", "none-in-matrix"])
+            "none", "numpy-bool-object", "bool-matrix", "complex-matrix", "none-in-matrix",
+            "bool-in-float-list", "numpy-bool-in-tuple", "bool-in-int-list",
+            "bool-in-matrix", "numpy-bool-in-matrix-row", "bool-array-row"])
     def test_scores_that_are_not_numbers_are_invalid_format(self, call, match):
         # numpy's bare ValueError or OverflowError used to escape
         with pytest.raises(InvalidFormat, match=match):
             call()
+
+    def test_number_lists_score_and_float_arrays_are_not_copied(self):
+        ext = make_extension("choquet", OVERLAP)
+        want = ext(np.array([1.0, 0.5]))
+        assert choquet(OVERLAP, [1, 0.5]) == choquet(OVERLAP, (np.int64(1), 0.5)) == want
+        assert ext.many([[1, 0.5], np.array([1.0, 0.5])]).tolist() == [want, want]
+        t = np.array([[1.0, 0.5], [0.25, -2.0]])
+        assert integrals._scores(t, 2, ndim=2) is t
+        assert np.shares_memory(integrals._scores(t[0], 2), t)
 
     def test_extension_without_batch_runs_fn_on_the_whole_matrix(self):
         calls = []

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import warnings
 
@@ -16,6 +17,7 @@ from capacities import (
     NonPositiveSingleton,
     NotNormalized,
     OutOfDomain,
+    RankedAct,
     UnknownLevel,
     UtilityScale,
     acts_from_obj,
@@ -315,10 +317,11 @@ class TestRanking:
         assert [(r.index, r.indifferent_to_previous) for r in ranked] == [(1, False), (0, False)]
 
     def test_errors_name_the_bad_act_kind(self):
-        with pytest.raises(DimensionMismatch):
-            rank_acts(sipos_model(), [X, ("good",)])
-        with pytest.raises(UnknownLevel):
-            rank_acts(sipos_model(), [X, ("good", "stellar")])
+        # the first bad act raises, whatever follows it
+        with pytest.raises(DimensionMismatch, match="^act has 1 entries but the model has 2 criteria$"):
+            rank_acts(sipos_model(), [X, ("good",), ("good", "stellar"), ("good", 0.5, 1.0)])
+        with pytest.raises(UnknownLevel, match="^criterion 2 has no level named 'stellar'$"):
+            rank_acts(sipos_model(), [X, ("good", "stellar"), ("good",)])
         with pytest.raises(OutOfDomain):
             rank_acts(sipos_model(), [X, (float("inf"), 0.0)])
 
@@ -339,6 +342,136 @@ class TestRanking:
         assert calls == [(4, 2)]
         assert [r.act.label for r in ranked] == ["z", "y", "t", "x"]
         assert [r.indifferent_to_previous for r in ranked] == [False, False, True, False]
+
+
+    def test_ranked_acts_are_the_constructor_built_ones(self):
+        acts = [X, Y, Z, T, Y]
+        ranked = rank_acts(sipos_model(), acts)
+        for r in ranked:
+            built = RankedAct(position=r.position, index=r.index, act=acts[r.index],
+                              score=r.score, indifferent_to_previous=r.indifferent_to_previous)
+            assert r == built
+            assert repr(r) == repr(built)
+            assert r.to_dict() == built.to_dict()
+            assert [type(getattr(r, f.name)) for f in dataclasses.fields(RankedAct)] == [
+                int, int, Act, float, bool
+            ]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.score = 2.0
+        assert ranked[-1].to_dict() == {
+            "position": 5,
+            "index": 0,
+            "label": "x",
+            "entries": ["neutral", "neutral"],
+            "score": 0.0,
+            "indifferent_to_previous": False,
+        }
+
+
+# level names of the bench-style scales below, besides "neutral" and "good"
+LEVELS = ("neutral", "good", "bad", "poor", "fair", "great")
+
+
+def bench_style_model(rng, n, name="choquet"):
+    """A model with four extra levels per criterion, as in the rank workload."""
+    scales = tuple(
+        UtilityScale(i, {
+            "neutral": 0, "good": 1, "bad": -round(rng.uniform(0.5, 1.5), 3),
+            "poor": -round(rng.uniform(0.05, 0.4), 3), "fair": round(rng.uniform(0.3, 0.7), 3),
+            "great": round(rng.uniform(1.2, 2.0), 3),
+        })
+        for i in range(1, n + 1)
+    )
+    return AggregationModel(random_capacity(rng, n), name, scales=scales)
+
+
+def bench_style_entries(rng, n, count):
+    """Acts as lists of entries: about 60 % level names, the rest numbers, with
+    about 15 % exact repeats of an earlier act."""
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.15:
+            out.append(list(out[rng.integers(len(out))]))
+        else:
+            out.append([
+                LEVELS[rng.integers(len(LEVELS))] if rng.random() < 0.6
+                else round(float(rng.uniform(-1.5, 2.5)), 3)
+                for _ in range(n)
+            ])
+    return out
+
+
+# entries that must be read exactly as float() reads them, or rejected as the loop rejects them
+ODD_ENTRIES = (
+    "1.5", "stellar", "Good", "", " good", np.str_("fair"),
+    2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70, -(2**63) - 1, 2**53 + 1, 7, 0, -3,
+    10**400, -(10**400), 2**1024,
+    np.float32(0.1), np.float32(-2.5), np.int64(-7), np.int64(2**62 + 1), np.uint64(2**64 - 1),
+    np.uint64(2**53 + 1), np.float64(0.3), np.float16(0.1), np.longdouble(1.1),
+    -0.0, 0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324, 1e308,
+)
+
+
+def mutate(rng, entries, n):
+    """One of: an odd entry in place of one, an act one entry short or long, a
+    repeated act, or a whole act of one odd entry."""
+    kind = rng.integers(5)
+    k = rng.integers(len(entries))
+    if kind < 2:
+        if entries[k]:
+            entries[k][rng.integers(len(entries[k]))] = ODD_ENTRIES[rng.integers(len(ODD_ENTRIES))]
+    elif kind == 2:
+        entries[k] = entries[k][:-1] if rng.random() < 0.5 else entries[k] + ["good"]
+    elif kind == 3:
+        entries.insert(rng.integers(len(entries) + 1), list(entries[k]))
+    else:
+        entries[k] = [ODD_ENTRIES[rng.integers(len(ODD_ENTRIES))]] * n
+
+
+def read_with(reader, model, entries):
+    """The utility matrix's dtype, shape and bytes, or the first error's type and text."""
+    try:
+        acts = [Act(tuple(e)) for e in entries]
+        utilities = reader(model, acts)
+    except CapacitiesError as exc:
+        return type(exc), str(exc)
+    return utilities.dtype, utilities.shape, utilities.tobytes(), utilities.flags.c_contiguous
+
+
+class TestUtilityMatrix:
+    """``rank_acts``'s column reader against the act-by-act loop it replaced."""
+
+    def test_columns_match_the_act_loop(self):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for case in range(400):
+            n = (1, 2, 3, 6)[case % 4]
+            model = bench_style_model(rng, n)
+            entries = bench_style_entries(rng, n, int(rng.integers(1, 13)))
+            for _ in range(rng.integers(4)):
+                mutate(rng, entries, n)
+            got = read_with(capacities.model._utility_matrix, model, entries)
+            want = read_with(oracles.loop_utilities, model, entries)
+            assert got == want, entries
+            outcomes.add(got[0])
+        # every outcome was drawn, a whole matrix included
+        assert outcomes == {np.dtype(np.float64), DimensionMismatch, UnknownLevel, InvalidFormat}
+
+    def test_level_names_are_read_without_the_act_loop(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        model = bench_style_model(rng, 6)
+        entries = bench_style_entries(rng, 6, 200)
+        monkeypatch.setattr(capacities.model, "_utilities", None)
+        got = capacities.model._utility_matrix(model, [Act(tuple(e)) for e in entries])
+        want = oracles.loop_utilities(model, [Act(tuple(e)) for e in entries])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry", ["1.5", "inf", "nan", "0"])
+    def test_numeric_unknown_level_names_raise_unknown_level(self, entry):
+        # a float64 dtype would have parsed them as numbers
+        with pytest.raises(UnknownLevel) as raised:
+            rank_acts(sipos_model(), [X, ("good", entry), ("good", "stellar")])
+        assert str(raised.value) == str(UnknownLevel(2, entry))
 
 
 class TestModelParsing:
