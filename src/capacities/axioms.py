@@ -39,7 +39,7 @@ import numpy as np
 from . import subsets
 from .errors import CapacitiesError, DomainMismatch, InvalidFormat, UnknownAxiom
 from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
-from .integrals import _certificate, _grid_table
+from .integrals import _certificate, _grid_table, _quiet
 from .set_function import DEFAULT_TOL, Capacity, _number
 
 __all__ = [
@@ -696,6 +696,7 @@ class PseudoProductReport:
                 "witnesses": dict(self.witnesses)}
 
 
+@_quiet
 def check_pseudo_product(op, cfg: AxiomCheckConfig | None = None) -> PseudoProductReport:
     """Sample the pseudo-product conditions for an operator on [0, 1]."""
     if cfg is None:
@@ -705,55 +706,26 @@ def check_pseudo_product(op, cfg: AxiomCheckConfig | None = None) -> PseudoProdu
     cert = _certificate(pp.op, xs, table, cfg.tol)
     tol = cfg.tol
 
-    conditions = {}
-    witnesses = {}
-
-    def record(name, ok, witness):
-        conditions[name] = bool(ok)
-        if not ok:
-            witnesses[name] = witness
-
-    record(
-        "commutative",
-        cert.commutative,
-        {"max_gap": cert.max_commutativity_gap},
-    )
-    record(
-        "associative",
-        cert.associative,
-        {"max_gap": cert.max_associativity_gap},
-    )
-
-    row_drops = table[:, :-1] - table[:, 1:]
-    col_drops = table[:-1, :] - table[1:, :]
-    worst = max(float(row_drops.max(initial=0.0)), float(col_drops.max(initial=0.0)))
-    record("nondecreasing", worst <= tol, {"max_drop": worst})
-
-    record("zero_zero", abs(table[0, 0]) <= tol, {"value": float(table[0, 0])})
-    record(
-        "one_one", abs(table[-1, -1] - 1.0) <= tol, {"value": float(table[-1, -1])}
-    )
-
+    drop = max(float((table[:, :-1] - table[:, 1:]).max(initial=0.0)),
+               float((table[:-1, :] - table[1:, :]).max(initial=0.0)))
     zero_gap = max(float(np.abs(table[:, 0]).max()), float(np.abs(table[0, :]).max()))
-    k = int(np.argmax(np.abs(table[:, 0])))
-    record("alpha_zero", zero_gap <= tol, {"alpha": float(xs[k]), "max_gap": zero_gap})
-
     diag_gap = np.abs(np.diag(table) - xs)
-    k = int(np.argmax(diag_gap))
-    record(
-        "idempotent",
-        float(diag_gap.max()) <= tol,
-        {"alpha": float(xs[k]), "value": float(table[k, k])},
-    )
-
     neutral_gap = np.maximum(np.abs(table[-1, :] - xs), np.abs(table[:, -1] - xs))
-    k = int(np.argmax(neutral_gap))
-    record(
-        "one_neutral",
-        float(neutral_gap.max()) <= tol,
-        {"alpha": float(xs[k]), "value": float(table[-1, k])},
-    )
-
+    # witness alphas: where the zero column, the diagonal and the neutral gaps are worst
+    z, d, e = map(np.argmax, (np.abs(table[:, 0]), diag_gap, neutral_gap))
+    # condition -> (gap, witness): it holds when gap <= tol, else the witness is reported
+    gaps = {
+        "commutative": (cert.max_commutativity_gap, {"max_gap": cert.max_commutativity_gap}),
+        "associative": (cert.max_associativity_gap, {"max_gap": cert.max_associativity_gap}),
+        "nondecreasing": (drop, {"max_drop": drop}),
+        "zero_zero": (abs(table[0, 0]), {"value": float(table[0, 0])}),
+        "one_one": (abs(table[-1, -1] - 1.0), {"value": float(table[-1, -1])}),
+        "alpha_zero": (zero_gap, {"alpha": float(xs[z]), "max_gap": zero_gap}),
+        "idempotent": (diag_gap.max(), {"alpha": float(xs[d]), "value": float(table[d, d])}),
+        "one_neutral": (neutral_gap.max(), {"alpha": float(xs[e]), "value": float(table[-1, e])}),
+    }
+    conditions = {name: bool(gap <= tol) for name, (gap, _) in gaps.items()}
+    witnesses = {name: w for name, (_, w) in gaps.items() if not conditions[name]}
     min_gap = float(np.abs(table - np.minimum.outer(xs, xs)).max())
     acts_as_min = all(conditions.values()) and min_gap <= tol
     return PseudoProductReport(

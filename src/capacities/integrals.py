@@ -12,6 +12,8 @@ t+ = max(t, 0) and t- = max(-t, 0).
 
 ``pseudo_product_extension`` generalizes the minimum in the Mobius form of
 ``choquet`` to any certified commutative associative operator on [0, 1].
+The operator runs through ``np.frompyfunc``, one outer call for the grid, one per
+side of its cube of triples and one per criterion of the fold, warnings off.
 
 An :class:`Extension` is its exact row kernel ``fn``, from a (k, n) score
 matrix to k values, and the one-vector call is ``fn`` on one row: ``choquet``
@@ -80,9 +82,10 @@ __all__ = [
     "make_extension",
 ]
 
-# Extension turns an overflowing coefficient form into OutOfDomain, so numpy need not warn.
+# Extension turns an overflow into OutOfDomain, a certificate keeps NaN gaps: numpy need not warn.
 _quiet = np.errstate(over="ignore", invalid="ignore")
-_BOOLS = frozenset((bool, np.bool_))
+# A list entry reads as its type, or as its dtype if a numpy scalar or 0-d array.
+_BOOLS = frozenset((bool, np.dtype(bool)))
 
 
 def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
@@ -97,7 +100,7 @@ def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
             raise TypeError
         if kind != "O" and isinstance(t, (list, tuple)):
             flat = itertools.chain.from_iterable(t) if arr.ndim == 2 else t
-            if not _BOOLS.isdisjoint(map(type, flat)):
+            if not _BOOLS.isdisjoint(getattr(e, "dtype", type(e)) for e in flat):
                 raise TypeError
         arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):  # also ragged rows, huge integers
@@ -340,21 +343,17 @@ def _grid_table(op: Callable[[float, float], float]):
 
 def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:
     """Worst commutativity and associativity gaps of ``op`` on its grid table
-    and on the off-grid pairs and triples."""
+    and on the off-grid pairs and triples. A NaN associativity gap is skipped;
+    a NaN commutativity gap on the grid leaves the operator uncertified."""
     comm_gap = float(np.max(np.abs(table - table.T)))
-    assoc_gap = 0.0
-    for i, x in enumerate(xs):
-        for j in range(xs.shape[0]):
-            for k, z in enumerate(xs):
-                left = op(float(table[i, j]), float(z))
-                right = op(float(x), float(table[j, k]))
-                gap = abs(left - right)
-                if gap > assoc_gap:
-                    assoc_gap = gap
+    # |op(op(x, y), z) - op(x, op(y, z))| at [i, j, k], in the type op returns
+    ufunc = np.frompyfunc(op, 2, 1)
+    gaps = np.abs(ufunc.outer(table, xs) - ufunc.outer(xs, table)).astype(np.float64)
+    assoc_gap = float(np.fmax.reduce(gaps, axis=None, initial=0.0))
     for x, y, z in _OFF_GRID:
         xy = float(op(x, y))
         comm_gap = max(comm_gap, abs(xy - float(op(y, x))))
-        assoc_gap = max(assoc_gap, abs(op(xy, z) - op(x, float(op(y, z)))))
+        assoc_gap = max(assoc_gap, float(abs(op(xy, z) - op(x, float(op(y, z))))))
     return OperatorCertificate(
         commutative=comm_gap <= tol,
         associative=assoc_gap <= tol,
@@ -365,6 +364,7 @@ def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorC
     )
 
 
+@_quiet
 def certify(
     op: Callable[[float, float], float], name: str = "", tol: float = DEFAULT_TOL
 ) -> PseudoProduct:
@@ -373,13 +373,15 @@ def certify(
     Pairs come from a uniform grid of 21 values, triples from its cube,
     plus a fixed seeded set of off-grid pairs and triples. The certificate
     records the worst gaps; the operator counts as certified when both stay
-    within ``tol``, which must be finite and >= 0.
+    within ``tol``, which must be finite and >= 0. Both gaps are floats, and
+    numpy reports no warning for what ``op`` returns.
     """
     tol = _tol(tol)
     cert = _certificate(op, *_grid_table(op), tol)
     return PseudoProduct(op=op, name=name, certificate=cert)
 
 
+@_quiet
 def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
     """Mobius-form extension with ``op`` in place of the minimum, on [0, 1]^n.
 
@@ -401,12 +403,12 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
     t = _scores(t, m.n)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise OutOfDomain("pseudo-product extensions are defined on [0, 1]^n only")
+    fold = np.frompyfunc(op.op, 2, 1)
     folded = np.zeros(1 << m.n)
     for i, lo, hi in subsets.halves(folded):
         # Row 0 holds the masks whose highest member is criterion i + 1.
         hi[0, 0] = t[i]
-        for k in range(1, 1 << i):
-            hi[0, k] = op.op(float(lo[0, k]), float(t[i]))
+        hi[0, 1:] = fold(lo[0, 1:], t[i])
     return float(np.dot(m.coefficients[1:], folded[1:]))
 
 

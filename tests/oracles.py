@@ -11,7 +11,9 @@ package must match them byte for byte. ``scalar_sampler`` draws the random
 trials of the axiom checks one at a time, as the package once did; its
 block draws must give the same values. ``loop_indifference_chains`` is the
 grouping loop ``rank_acts`` ran before it ranked by stable sorts,
-``loop_grid_table`` the cell loop that filled the pseudo-product grid, and
+``loop_grid_table`` the cell loop that filled the pseudo-product grid,
+``loop_certificate`` the triple loop that walked its associativity cube,
+``loop_pseudo_product_fold`` the mask-by-mask fold of a pseudo-product, and
 ``loop_utilities`` the act-by-act loop that read the utility matrix before
 ``rank_acts`` read it column by column.
 """
@@ -22,6 +24,7 @@ import math
 import numpy as np
 
 from capacities.errors import DimensionMismatch
+from capacities.integrals import _OFF_GRID, OperatorCertificate
 
 
 def members(mask):
@@ -210,6 +213,44 @@ def loop_grid_table(op):
         for j, y in enumerate(xs):
             table[i, j] = op(float(x), float(y))
     return xs, table
+
+
+def loop_certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:
+    """Worst commutativity and associativity gaps of ``op`` on its grid table
+    and on the off-grid pairs and triples."""
+    comm_gap = float(np.max(np.abs(table - table.T)))
+    assoc_gap = 0.0
+    for i, x in enumerate(xs):
+        for j in range(xs.shape[0]):
+            for k, z in enumerate(xs):
+                left = op(float(table[i, j]), float(z))
+                right = op(float(x), float(table[j, k]))
+                gap = abs(left - right)
+                if gap > assoc_gap:
+                    assoc_gap = gap
+    for x, y, z in _OFF_GRID:
+        xy = float(op(x, y))
+        comm_gap = max(comm_gap, abs(xy - float(op(y, x))))
+        assoc_gap = max(assoc_gap, abs(op(xy, z) - op(x, float(op(y, z)))))
+    return OperatorCertificate(
+        commutative=comm_gap <= tol,
+        associative=assoc_gap <= tol,
+        grid_points=xs.shape[0],
+        tol=tol,
+        max_commutativity_gap=comm_gap,
+        max_associativity_gap=assoc_gap,
+    )
+
+
+def loop_pseudo_product_fold(op, t):
+    """Table over all masks of the left fold of ``op`` over t on each mask, criteria
+    ascending, filled one mask at a time; 0 at the empty set."""
+    folded = np.zeros(1 << len(t))
+    for i in range(len(t)):
+        folded[1 << i] = t[i]
+        for k in range(1, 1 << i):
+            folded[(1 << i) + k] = op(float(folded[k]), float(t[i]))
+    return folded
 
 
 def loop_indifference_chains(scores, tol):

@@ -1,5 +1,7 @@
 import functools
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +413,21 @@ class TestCpt:
             make_extension("cpt", OVERLAP, losses)
 
 
+def grid_min(a, b):
+    """min on the 21-point grid and the mean off it: associative on the grid only."""
+    on_grid = all(abs(20.0 * x - round(20.0 * x)) < 1e-9 for x in (a, b))
+    return min(a, b) if on_grid else (a + b) / 2.0
+
+
+# Operators whose values are infinite or NaN somewhere on the grid or its cube,
+# and a certified min whose every call raises the floating-point invalid flag.
+NON_FINITE_OPS = {
+    "inf-valued": lambda a, b: math.inf if a + b > 1.5 else a * b,
+    "nan-valued": lambda a, b: (a * math.inf) * b if a < 0.5 else min(a, b),
+    "flagging-min": lambda a, b: min(a, b) if math.inf - math.inf != 0.0 else 0.0,
+}
+
+
 class TestPseudoProduct:
     def test_min_reproduces_choquet_on_unit_cube(self):
         op = certify(min, "min")
@@ -465,10 +482,6 @@ class TestPseudoProduct:
         assert op.certificate.max_commutativity_gap == pytest.approx(1.0)
 
     def test_operator_associative_only_on_the_grid_is_refused(self):
-        def grid_min(a, b):
-            on_grid = all(abs(20.0 * x - round(20.0 * x)) < 1e-9 for x in (a, b))
-            return min(a, b) if on_grid else (a + b) / 2.0
-
         op = certify(grid_min, "grid-min")
         assert op.certificate.grid_points == 21
         assert op.certificate.commutative
@@ -492,6 +505,77 @@ class TestPseudoProduct:
         monkeypatch.setattr(integrals, "_grid_table", oracles.loop_grid_table)
         monkeypatch.setattr(axioms, "_grid_table", oracles.loop_grid_table)
         assert new == (certify(op).certificate, check_pseudo_product(op).to_dict())
+
+    @pytest.mark.parametrize("op", [
+        min,
+        lambda a, b: a * b,
+        lambda a, b: max(0.0, a + b - 1.0),
+        lambda a, b: (a + b) / 2.0,
+        lambda a, b: int(a * 3) + int(b * 3),
+        lambda a, b: np.float32(a * b),
+        *NON_FINITE_OPS.values(),
+        grid_min,
+    ], ids=["min", "product", "lukasiewicz", "mean", "int-valued", "float32-valued",
+            *NON_FINITE_OPS, "grid-min"])
+    def test_certificate_matches_the_triple_loop(self, op):
+        xs, table = oracles.loop_grid_table(op)
+        with np.errstate(all="ignore"):
+            want = oracles.loop_certificate(op, xs, table, 1e-9)
+        got = certify(op).certificate
+        assert (got.commutative, got.associative) == (want.commutative, want.associative)
+        for gap in ("max_commutativity_gap", "max_associativity_gap"):
+            # value for value, NaN in the same places
+            np.testing.assert_array_equal(getattr(got, gap), float(getattr(want, gap)))
+
+    @pytest.mark.parametrize("op, gap", [
+        (lambda a, b: int(a * 3) + int(b * 3), 6.0),
+        (lambda a, b: np.float32(a * b), float(np.float32(2.0**-24))),
+    ], ids=["int-valued", "float32-valued"])
+    def test_certificate_gaps_are_python_floats(self, op, gap):
+        # the int-valued gap was the int 6, the float32-valued one an np.float32
+        cert = certify(op).certificate
+        witness = check_pseudo_product(op).to_dict()["witnesses"]["associative"]["max_gap"]
+        for value in (cert.max_commutativity_gap, cert.max_associativity_gap, witness):
+            assert type(value) is float
+        assert cert.max_associativity_gap == witness == gap
+
+    @pytest.mark.parametrize("op", NON_FINITE_OPS.values(), ids=NON_FINITE_OPS)
+    def test_non_finite_operator_values_leak_no_numpy_warning(self, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pp = certify(op)
+            report = check_pseudo_product(op)
+            if pp.is_certified:
+                value = pseudo_product_extension(mobius(OVERLAP), pp, [0.5, 0.25])
+        if pp.is_certified:
+            assert report.acts_as_min and value == pytest.approx(choquet(OVERLAP, [0.5, 0.25]), abs=TOL)
+        else:  # a NaN commutativity gap still leaves the operator uncertified
+            assert math.isnan(pp.certificate.max_commutativity_gap)
+            assert not report.conditions["commutative"]
+
+    @pytest.mark.parametrize("op, tol", [
+        (min, 1e-9),
+        (lambda a, b: a * b, 1e-9),
+        (lambda a, b: max(0.0, a + b - 1.0), 1e-9),
+        (lambda a, b: int(a == 1.0 and b == 1.0), 1e-9),  # returns ints
+        (lambda a, b: np.float32(a * b), 1e-6),
+    ], ids=["min", "product", "lukasiewicz", "int-valued", "float32-valued"])
+    def test_fold_matches_the_mask_loop(self, op, tol):
+        pp = certify(op, tol=tol)
+        assert pp.is_certified
+        rng = np.random.default_rng(24)
+        for n in range(1, 11):
+            m = mobius(random_capacity(rng, n))
+            t = rng.uniform(0.0, 1.0, n)
+            calls, want_calls = [], []
+            recording = PseudoProduct(lambda a, b: calls.append((type(a), a, b)) or op(a, b),
+                                      certificate=pp.certificate)
+            got = pseudo_product_extension(m, recording, t)
+            folded = oracles.loop_pseudo_product_fold(
+                lambda a, b: want_calls.append((type(a), a, b)) or op(a, b), t)
+            want = float(np.dot(m.coefficients[1:], folded[1:]))
+            assert calls == want_calls
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("op, match", [
         (lambda a, b: None, r"op\(0, 0\) = None"),
@@ -694,11 +778,19 @@ class TestBatchKernels:
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
         (lambda: make_extension("choquet", OVERLAP).many([[0.5, 0.5], np.array([True, False])]),
          r"score matrix must have shape \(k, 2\) and hold only numbers"),
+        # a 0-d bool array in a list of numbers ran as 0/1
+        (lambda: choquet(OVERLAP, [np.array(True), 0.5]),
+         r"score vector must have length 2 and hold only"),
+        (lambda: choquet(OVERLAP, (0.5, np.array(False))),
+         r"score vector must have length 2 and hold only"),
+        (lambda: make_extension("choquet", OVERLAP).many([[np.array(True), 0.5]]),
+         r"score matrix must have shape \(k, 2\) and hold only numbers"),
     ], ids=["string", "huge-integer", "string-in-matrix", "ragged-matrix", "numeric-string",
             "numeric-bytes", "numeric-string-matrix", "bool-array", "bool-list", "complex",
             "none", "numpy-bool-object", "bool-matrix", "complex-matrix", "none-in-matrix",
             "bool-in-float-list", "numpy-bool-in-tuple", "bool-in-int-list",
-            "bool-in-matrix", "numpy-bool-in-matrix-row", "bool-array-row"])
+            "bool-in-matrix", "numpy-bool-in-matrix-row", "bool-array-row",
+            "0d-bool-array-in-list", "0d-bool-array-in-tuple", "0d-bool-array-in-matrix"])
     def test_scores_that_are_not_numbers_are_invalid_format(self, call, match):
         # numpy's bare ValueError or OverflowError used to escape
         with pytest.raises(InvalidFormat, match=match):
@@ -708,6 +800,7 @@ class TestBatchKernels:
         ext = make_extension("choquet", OVERLAP)
         want = ext(np.array([1.0, 0.5]))
         assert choquet(OVERLAP, [1, 0.5]) == choquet(OVERLAP, (np.int64(1), 0.5)) == want
+        assert choquet(OVERLAP, [np.array(1.0), np.float32(0.5)]) == want
         assert ext.many([[1, 0.5], np.array([1.0, 0.5])]).tolist() == [want, want]
         t = np.array([[1.0, 0.5], [0.25, -2.0]])
         assert integrals._scores(t, 2, ndim=2) is t
