@@ -12,8 +12,9 @@ t+ = max(t, 0) and t- = max(-t, 0).
 
 ``pseudo_product_extension`` generalizes the minimum in the Mobius form of
 ``choquet`` to any certified commutative associative operator on [0, 1].
-The operator runs through ``np.frompyfunc``, one outer call for the grid, one per
-side of its cube of triples and one per criterion of the fold, warnings off.
+The operator runs through ``np.frompyfunc``, one call for the grid, one per side
+of its cube of triples, five off the grid and one per criterion of the fold,
+warnings off; each value it returns must be a real number.
 
 An :class:`Extension` is its exact row kernel ``fn``, from a (k, n) score
 matrix to k values, and the one-vector call is ``fn`` on one row: ``choquet``
@@ -330,30 +331,38 @@ _OFF_GRID = [(_rng.random(), _rng.random(), _rng.random()) for _ in range(64)]
 del _rng
 
 
+def _op_values(op: Callable[[float, float], float], x, y) -> np.ndarray:
+    """``op`` at each pair of ``x`` and ``y`` broadcast together, as the object
+    array of what it returns; :class:`InvalidFormat` names the first pair whose
+    value is not a real number."""
+    values = np.frompyfunc(op, 2, 1)(x, y)
+    if set(map(type, values.flat)) != {float}:  # the ABC check is slow
+        for k, v in enumerate(values.flat):
+            if not subsets._is_real(v):
+                a, b = (np.broadcast_to(arg, values.shape).flat[k] for arg in (x, y))
+                raise InvalidFormat("op(%g, %g) = %r is not a real number" % (a, b, v))
+    return values
+
+
 def _grid_table(op: Callable[[float, float], float]):
     """Uniform grid xs of _GRID_POINTS values on [0, 1], and op(xs[i], xs[j]), all real."""
     xs = np.linspace(0.0, 1.0, _GRID_POINTS)
-    table = np.frompyfunc(op, 2, 1).outer(xs, xs)
-    for k, v in enumerate(table.flat):
-        if type(v) is not float and not subsets._is_real(v):  # the ABC check is slow
-            i, j = divmod(k, _GRID_POINTS)
-            raise InvalidFormat("op(%g, %g) = %r is not a real number" % (xs[i], xs[j], v))
-    return xs, table.astype(np.float64)
+    return xs, _op_values(op, xs[:, None], xs).astype(np.float64)
 
 
 def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorCertificate:
     """Worst commutativity and associativity gaps of ``op`` on its grid table
-    and on the off-grid pairs and triples. A NaN associativity gap is skipped;
-    a NaN commutativity gap on the grid leaves the operator uncertified."""
-    comm_gap = float(np.max(np.abs(table - table.T)))
-    # |op(op(x, y), z) - op(x, op(y, z))| at [i, j, k], in the type op returns
-    ufunc = np.frompyfunc(op, 2, 1)
-    gaps = np.abs(ufunc.outer(table, xs) - ufunc.outer(xs, table)).astype(np.float64)
-    assoc_gap = float(np.fmax.reduce(gaps, axis=None, initial=0.0))
-    for x, y, z in _OFF_GRID:
-        xy = float(op(x, y))
-        comm_gap = max(comm_gap, abs(xy - float(op(y, x))))
-        assoc_gap = max(assoc_gap, float(abs(op(xy, z) - op(x, float(op(y, z))))))
+    and on the off-grid pairs and triples. A NaN gap is skipped, except a NaN
+    commutativity gap on the grid, which leaves the operator uncertified."""
+    x, y, z = np.array(_OFF_GRID).T
+    xy, yx, yz = (_op_values(op, a, b).astype(np.float64) for a, b in ((x, y), (y, x), (y, z)))
+    comm_gap = max(float(np.max(np.abs(table - table.T))),
+                   float(np.fmax.reduce(np.abs(xy - yx), initial=0.0)))
+    # |op(op(x, y), z) - op(x, op(y, z))| on the cube, at [i, j, k], and at the
+    # off-grid triples, in the type op returns
+    cube = _op_values(op, table[:, :, None], xs) - _op_values(op, xs[:, None, None], table)
+    gaps = np.abs(np.append(cube, _op_values(op, xy, z) - _op_values(op, x, yz)))
+    assoc_gap = float(np.fmax.reduce(gaps.astype(np.float64), initial=0.0))
     return OperatorCertificate(
         commutative=comm_gap <= tol,
         associative=assoc_gap <= tol,
@@ -403,13 +412,16 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
     t = _scores(t, m.n)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise OutOfDomain("pseudo-product extensions are defined on [0, 1]^n only")
-    fold = np.frompyfunc(op.op, 2, 1)
     folded = np.zeros(1 << m.n)
     for i, lo, hi in subsets.halves(folded):
         # Row 0 holds the masks whose highest member is criterion i + 1.
         hi[0, 0] = t[i]
-        hi[0, 1:] = fold(lo[0, 1:], t[i])
-    return float(np.dot(m.coefficients[1:], folded[1:]))
+        hi[0, 1:] = _op_values(op.op, lo[0, 1:], t[i])
+    value = float(np.dot(m.coefficients[1:], folded[1:]))
+    if not math.isfinite(value):  # as is the sum when a fold value is not finite
+        raise OutOfDomain("the extension by operator %r is not finite at these scores (got %r)"
+                          % (op.name or "<unnamed>", value))
+    return value
 
 
 # -- row and batch kernels: a (k, n) score matrix in, k values out ----------------

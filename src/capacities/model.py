@@ -18,11 +18,11 @@ from .errors import (
     CapacitiesError,
     DimensionMismatch,
     InvalidFormat,
-    NonPositiveSingleton,
     UnknownLevel,
 )
 from .integrals import make_extension
-from .set_function import DEFAULT_TOL, Capacity, _number, _tol, as_capacity, capacity_from_dict
+from .set_function import (DEFAULT_TOL, Capacity, _checked_capacity, _finite,
+                           _nonpositive_singleton, _number, _tol, capacity_from_dict)
 
 __all__ = [
     "NEUTRAL",
@@ -121,10 +121,9 @@ class AggregationModel:
 
     def __post_init__(self):
         n = self.capacity.n
-        for i in range(n):
-            w = float(self.capacity.values[1 << i])
-            if not w > 0.0:
-                raise NonPositiveSingleton(i + 1, w)
+        singleton_error = _nonpositive_singleton(self.capacity.values, n)
+        if singleton_error is not None:
+            raise singleton_error
         by_criterion = {}
         for scale in self.scales:
             if not isinstance(scale, UtilityScale):
@@ -172,7 +171,7 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
             "missing attractiveness for subset {%s} (all %d subsets are required)"
             % (subsets.subset_key(missing), size)
         )
-    return as_capacity(vals, n=n, require_positive_singletons=True)
+    return _checked_capacity(_finite(vals, "values"), n, DEFAULT_TOL, True)
 
 
 def _utilities(model: AggregationModel, act) -> list:

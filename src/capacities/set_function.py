@@ -30,9 +30,10 @@ allocates its output and no other array of that size. Beside it, a pass
 holds one lattice tile per table it walks (each at most 1/16 of a table
 and 512 KiB), and the finiteness check of the output holds one bool per
 subset; :func:`ordinal_mobius` adds one bool table after its pass. The
-monotonicity scan of :func:`as_capacity`, :func:`validate` and the
-conjugate of a capacity holds one half-length float buffer and finds
-each bit's largest drop v(A) - v(A | bit). Where that exceeds tol, the
+monotonicity scan of the capacity constructors and :func:`validate`
+holds one half-length float buffer and finds each bit's largest drop
+v(A) - v(A | bit); the conjugate of a capacity, which inherits its
+invariants, is not scanned. Where a drop exceeds tol, the
 same pass names the first offending pair: on views of the whole table
 with a half-length bool buffer, on tiled bits by a natural-layout search
 of the first block of masks that drops. :func:`validate` reads strict
@@ -165,14 +166,12 @@ class Capacity(SetFunction):
         strictly_positive_singletons: bool = False,
         tol: float = DEFAULT_TOL,
     ):
-        _require_capacity(_values(sf), sf.n, tol, strictly_positive_singletons)
-        vars(self).update(
-            n=sf.n, values=sf.values, strictly_positive_singletons=strictly_positive_singletons
-        )
+        cap = _checked_capacity(_values(sf), sf.n, tol, strictly_positive_singletons)
+        vars(self).update(vars(cap))
 
 
-def _checked_capacity(n: int, values: np.ndarray, strictly_positive_singletons: bool) -> Capacity:
-    """Wrap a table that already passed :func:`_first_capacity_violation`."""
+def _wrapped_capacity(n: int, values: np.ndarray, strictly_positive_singletons: bool) -> Capacity:
+    """Wrap a table that satisfies the capacity constraints, without a copy."""
     cap = object.__new__(Capacity)
     vars(cap).update(n=n, values=values, strictly_positive_singletons=strictly_positive_singletons)
     return cap
@@ -309,14 +308,16 @@ def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
 def conjugate(v: SetFunction) -> SetFunction:
     """Conjugate set function v(N) - v(N - A); an involution.
 
-    Conjugating a :class:`Capacity` yields a :class:`Capacity` (the
-    strict-singleton flag is not carried over, since it is not preserved).
+    Conjugating a :class:`Capacity` yields a :class:`Capacity`, unscanned, as
+    it inherits the invariants the original passed with: conj(empty) = 0
+    exactly, conj(N) = v(N), and each drop of the conjugate is a drop of v up
+    to one rounding. The strict-singleton flag is not carried over, since it
+    is not preserved.
     """
     vals = _values(v)
     with np.errstate(over="ignore", invalid="ignore"):  # _own rejects what overflowed
         table = vals[-1] - vals[::-1]
-    out = SetFunction._own(v.n, table)
-    return Capacity(out) if isinstance(v, Capacity) else out
+    return (Capacity if isinstance(v, Capacity) else SetFunction)._own(v.n, table)
 
 
 def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -381,26 +382,29 @@ def _first_capacity_violation(
         return NotMonotone(
             subsets.subset_key(mask), i + 1, float(vals[mask]), float(vals[mask | 1 << i])
         )
-    if require_positive_singletons:
-        for i in range(n):
-            w = float(vals[1 << i])
-            if not w > 0.0:
-                return NonPositiveSingleton(i + 1, w)
-    return None
+    return _nonpositive_singleton(vals, n) if require_positive_singletons else None
 
 
-def _require_capacity(
-    vals: np.ndarray, n: int, tol: float, require_positive_singletons: bool
-) -> None:
-    _, first_drop = _drops(vals, tol)
-    err = _first_capacity_violation(vals, n, tol, require_positive_singletons, first_drop)
-    if err is not None:
-        try:
-            raise err
-        finally:
-            # Left bound, err would tie this frame and its table to the
-            # traceback in a cycle that only the garbage collector breaks.
-            del err
+def _nonpositive_singleton(vals: np.ndarray, n: int) -> NonPositiveSingleton | None:
+    """The error naming the first singleton whose value is not > 0, or None."""
+    w = vals[1 << np.arange(n)]
+    bad = np.flatnonzero(~(w > 0.0))
+    return NonPositiveSingleton(int(bad[0]) + 1, float(w[bad[0]])) if bad.size else None
+
+
+def _checked_capacity(vals: np.ndarray, n: int, tol: float, positive: bool) -> Capacity:
+    """``vals``, a finite read-only table of length 2**n, wrapped as a :class:`Capacity`
+    without a copy; raises the first violated constraint, with singletons > 0 if
+    ``positive``."""
+    err = _first_capacity_violation(vals, n, tol, positive, _drops(vals, tol)[1])
+    if err is None:
+        return _wrapped_capacity(n, vals, positive)
+    try:
+        raise err
+    finally:
+        # Left bound, err would tie this frame and its table to the
+        # traceback in a cycle that only the garbage collector breaks.
+        del err
 
 
 @dataclass(frozen=True)
@@ -457,7 +461,7 @@ def validate(
     m[0] = 0.0
     m[1 << np.arange(n)] = 0.0
     additive = bool(np.abs(m, out=m).max() <= tol)
-    cap = None if err is not None else _checked_capacity(n, vals, require_positive_singletons)
+    cap = None if err is not None else _wrapped_capacity(n, vals, require_positive_singletons)
     return ValidationResult(err is None, cap, err, bool(drops.max() < 0.0), additive)
 
 
@@ -469,8 +473,7 @@ def as_capacity(
 ) -> Capacity:
     """Like :func:`validate` but raises the first violated constraint."""
     n, vals = _value_table(v, n)
-    _require_capacity(vals, n, tol, require_positive_singletons)
-    return _checked_capacity(n, vals, require_positive_singletons)
+    return _checked_capacity(vals, n, tol, require_positive_singletons)
 
 
 # -- JSON schema ---------------------------------------------------------
@@ -558,6 +561,4 @@ def capacity_from_dict(
     obj, require_positive_singletons: bool = False, tol: float = DEFAULT_TOL
 ) -> Capacity:
     n, arr = vector_from_dict(obj)
-    vals = _finite(arr, "values")
-    _require_capacity(vals, n, tol, require_positive_singletons)
-    return _checked_capacity(n, vals, require_positive_singletons)
+    return _checked_capacity(_finite(arr, "values"), n, tol, require_positive_singletons)

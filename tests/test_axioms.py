@@ -10,6 +10,7 @@ from capacities import (
     AxiomCheckConfig,
     CapacitiesError,
     DomainMismatch,
+    Extension,
     PseudoProductReport,
     UnknownAxiom,
     as_capacity,
@@ -159,6 +160,12 @@ class TestCounterexamples:
         assert ce is not None
         assert ce.expected == pytest.approx(ce.inputs["alpha"] * OVERLAP[0b11], abs=1e-9)
 
+    def test_m1_witness_names_the_criterion_and_both_values(self):
+        ext = Extension("neg", 2, "reals", lambda x: -x.sum(axis=1))
+        ce = check_axiom("M1", ext, OVERLAP, CFG).counterexample
+        assert ce.inputs == {"criterion": 1, "value": -1.0, "value_above": 1.0}
+        assert (ce.got, ce.expected, ce.discrepancy) == (ext([-1.0, 0.0]), ext([1.0, 0.0]), 2.0)
+
     def test_to_dict_shape(self):
         ext = make_extension("choquet", OVERLAP)
         d = check_axiom("S1", ext, OVERLAP, CFG).to_dict()
@@ -183,10 +190,16 @@ class TestHarness:
         with pytest.raises(CapacitiesError):
             check_axiom("M", ext, mu3, CFG)
 
-    def test_unit_domain_guard(self):
+    @pytest.mark.parametrize("axiom, cfg, match", [
+        ("M", CFG, r"samples scores on \[0, 1\]"),
+        # on [0, 1] scores, the scaling factors above 1 of the default alpha bounds
+        *((axiom, AxiomCheckConfig(score_bounds=(0.0, 1.0)), "scaling factors above 1")
+          for axiom in ("HE", "I", "A2")),
+    ], ids=["M", "HE", "I", "A2"])
+    def test_unit_domain_guard(self, axiom, cfg, match):
         ext = make_extension("mle", OVERLAP)
-        with pytest.raises(DomainMismatch):
-            check_axiom("M", ext, OVERLAP, CFG)
+        with pytest.raises(DomainMismatch, match=match):
+            check_axiom(axiom, ext, OVERLAP, cfg)
 
     def test_deterministic_given_seed(self):
         ext = make_extension("choquet", OVERLAP)
@@ -392,6 +405,13 @@ class TestCompareExtensions:
         assert not cmpres.verdicts["mle"]["M"]
         assert cmpres.verdicts["sipos"]["A1"]
         assert not cmpres.verdicts["choquet"]["A1"]
+
+    def test_numpy_array_points_read_as_lists(self):
+        points = [[0.5, 0.2], [1.0, -1.0]]
+        got = compare_extensions(OVERLAP, np.array(points), CFG)
+        want = compare_extensions(OVERLAP, points, CFG)
+        assert got.points == want.points == ((0.5, 0.2), (1.0, -1.0))
+        assert got.table.tobytes() == want.table.tobytes() and got.verdicts == want.verdicts
 
     def test_to_dict_is_json_friendly(self):
         import json

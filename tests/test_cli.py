@@ -94,11 +94,16 @@ class TestEval:
                      "--scores", "1e308,-1e308"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_scores_rejected_by_parser(self, overlap_file, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--integral", "mle", "--scores", "1,abc"], "argument --scores"),
+        (["verify", "--integral", "sipos", "--score-bounds=a:b"],
+         "argument --score-bounds: bounds must be numeric, got 'a:b'"),
+    ], ids=["scores", "score-bounds"])
+    def test_bad_scores_rejected_by_parser(self, argv, message, overlap_file, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["eval", "--integral", "mle", "--capacity", overlap_file,
-                  "--scores", "1,abc"])
+            main(argv + ["--capacity", overlap_file])
         assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTransform:

@@ -589,6 +589,29 @@ class TestPseudoProduct:
             with pytest.raises(InvalidFormat, match=match + " is not a real number"):
                 call(op)
 
+    GRID = np.linspace(0.0, 1.0, 21).tolist()
+
+    @pytest.mark.parametrize("where, bad, error, match", [
+        ("off the grid", None, InvalidFormat, r"= None is not a real number"),
+        ("off the grid", "x", InvalidFormat, r"= 'x' is not a real number"),
+        ("in the fold", None, InvalidFormat, r"op\(0.123, 0.5\) = None is not a real number"),
+        ("in the fold", "x", InvalidFormat, r"op\(0.123, 0.5\) = 'x' is not a real number"),
+        ("in the fold", math.nan, OutOfDomain, r"not finite at these scores \(got nan\)"),
+    ], ids=["grid-only-none", "grid-only-string", "fold-none", "fold-string", "fold-nan"])
+    def test_every_value_an_operator_returns_is_checked(self, where, bad, error, match):
+        # Off the grid, None raised a bare TypeError and a string a bare ValueError;
+        # in the fold, None and NaN gave a NaN and a string a bare ValueError.
+        if where == "off the grid":
+            def op(a, b):
+                return min(a, b) if a in self.GRID and b in self.GRID else bad
+            for call in (certify, check_pseudo_product):
+                with pytest.raises(error, match=match):
+                    call(op)
+        else:
+            pp = certify(lambda a, b: bad if a == 0.123 else min(a, b))
+            with pytest.raises(error, match=match):
+                pseudo_product_extension(mobius(as_capacity([0, 0.3, 0.6, 1])), pp, [0.123, 0.5])
+
 
 class TestExtensions:
     def test_unknown_name(self):

@@ -89,10 +89,18 @@ class TestModelConstruction:
         with pytest.raises(InvalidFormat, match="unknown extension"):
             AggregationModel(capacity=HALF, extension="median")
 
-    def test_rejects_zero_singleton(self):
-        mu = as_capacity([0.0, 0.0, 0.6, 1.0])
-        with pytest.raises(NonPositiveSingleton):
+    @pytest.mark.parametrize("values, text", [
+        ([0.0, 0.0, 0.6, 1.0], r"^singleton weight mu\(\{1\}\) = 0 is not strictly positive$"),
+        ([0.0, 0.3, -0.0, 1.0], r"^singleton weight mu\(\{2\}\) = -0 is not strictly positive$"),
+    ], ids=["first", "negative-zero-second"])
+    def test_rejects_zero_singleton(self, values, text):
+        # built without the singleton rule, the capacity meets it in the model,
+        # with the text its constructors give
+        mu = as_capacity(values)
+        with pytest.raises(NonPositiveSingleton, match=text):
             AggregationModel(capacity=mu, extension="sipos")
+        with pytest.raises(NonPositiveSingleton, match=text):
+            as_capacity(values, require_positive_singletons=True)
 
     def test_cpt_requires_loss_capacity(self):
         with pytest.raises(CapacitiesError, match="second capacity"):
@@ -148,6 +156,10 @@ class TestBinaryActs:
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalized):
             capacity_from_binary_acts(2, {"": 0.1, "1": 0.3, "2": 0.6, "1,2": 1.0})
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(InvalidFormat, match="values must contain only finite numbers"):
+            capacity_from_binary_acts(2, {"": 0.0, "1": 0.3, "2": float("nan"), "1,2": 1.0})
 
     def test_mixed_key_styles(self):
         mu = capacity_from_binary_acts(
@@ -499,6 +511,25 @@ class TestModelParsing:
         }
         model = model_from_dict(obj)
         assert evaluate_act(model, (1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: UtilityScale(1, {"neutral": 0, "good": 1, 3: 0.5}), InvalidFormat,
+         r"^level names must be strings, got 3$"),
+        (lambda: AggregationModel(HALF, "sipos", scales=({"neutral": 0, "good": 1},)),
+         InvalidFormat, r"^scales must be UtilityScale objects, got \{"),
+        (lambda: AggregationModel(HALF, "sipos", scales=(default_scale(3),)), DimensionMismatch,
+         r"^scale for criterion 3 but the capacity has n = 2$"),
+        (lambda: model_from_dict([]), InvalidFormat, r"^model must be a JSON object, got 'list'$"),
+        (lambda: model_from_dict({"capacity": {"n": 1, "values_by_mask": [0, 1]},
+                                  "extension": "sipos", "scales": {"first": {}}}),
+         InvalidFormat, r"^scale key 'first' is not a criterion number$"),
+        (lambda: acts_from_obj([{"entries": "ab"}]), InvalidFormat,
+         r'^act 0: "entries" must be an array$'),
+    ], ids=["level-name", "scale-object", "scale-criterion", "model-list", "scale-key",
+            "entries-string"])
+    def test_values_of_the_wrong_kind_are_named(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
 
     def test_acts_from_obj(self):
         acts = acts_from_obj(

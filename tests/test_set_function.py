@@ -14,6 +14,7 @@ from capacities import (
     CapacitiesError,
     Capacity,
     CoMobiusRepr,
+    DimensionMismatch,
     InvalidFormat,
     MobiusRepr,
     NonPositiveSingleton,
@@ -75,6 +76,18 @@ class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidFormat):
             SetFunction(1, [0.0, np.nan])
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: SetFunction(2, [[0, 1], [0, 1]]), DimensionMismatch,
+         r"^values must be a flat vector, got shape \(2, 2\)$"),
+        (lambda: MobiusRepr(1, [0.5, 1]), NotNormalized,
+         r"^m\(empty\) must be exactly 0, got 0.5$"),
+        (lambda: OrdinalMobiusRepr(1, [0.5, 1]), NotNormalized,
+         r"^coefficient at empty must be exactly 0, got 0.5$"),
+    ], ids=["nested", "mobius-at-empty", "ordinal-at-empty"])
+    def test_malformed_tables_name_their_fault(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
 
     def test_values_are_read_only(self):
         sf = SetFunction(1, [0.0, 1.0])
@@ -377,6 +390,14 @@ class TestConjugate:
         mu = random_capacity(np.random.default_rng(15), 5)
         assert isinstance(conjugate(mu), Capacity)
 
+    @pytest.mark.parametrize("values", [[0.0, 1.0004, 0.3, 1.0], [0.0, 0.3, 0.6, 1.0005]],
+                             ids=["drop-within-tol", "total-within-tol"])
+    def test_capacity_built_with_a_loose_tol_conjugates(self, values):
+        # The conjugate was scanned again at the default tol: NotMonotone, NotNormalized.
+        conj = conjugate(as_capacity(values, tol=1e-3))
+        assert type(conj) is Capacity and not conj.strictly_positive_singletons
+        assert conj.values.tobytes() == oracles.loop_conjugate(values).tobytes()
+
     def test_additive_is_self_conjugate(self):
         mu = as_capacity([0.0, 0.4, 0.6, 1.0])
         assert conjugate(mu).values == pytest.approx([0.0, 0.4, 0.6, 1.0], abs=TOL)
@@ -607,7 +628,7 @@ class TestMemory:
         ("ordinal_mobius", "mu", ordinal_mobius, 9),
         ("ordinal_zeta", "om", ordinal_zeta, 9),
         ("conjugate", "sf", conjugate, 9),
-        ("conjugate of a capacity", "mu", conjugate, 8 + 4.5),
+        ("conjugate of a capacity", "mu", conjugate, 9),
         ("as_capacity", "sf", as_capacity, 4.5),
         ("validate", "mu", validate, 8.5),
     ]
@@ -671,6 +692,16 @@ class TestJson:
             vector_from_dict({"n": 1, "values": {"": 0, "1": 1}, "values_by_mask": [0, 1]})
         with pytest.raises(InvalidFormat):
             vector_from_dict({"n": 1})
+
+    @pytest.mark.parametrize("obj, match", [
+        ({"n": 1, "values": [0.0, 1.0]}, r'^"values" must be an object keyed by subsets$'),
+        ({"n": 1, "values": {"": 0.0, 1: 1.0}}, r"^subset keys must be strings, got 1$"),
+        ({"n": 1, "values": {"": 0.0, "1": 1.0, "01": 1.0}}, r"^duplicate subset key for \{1\}$"),
+        ({"n": 2, "values": {"": 0.0, "1,a": 1.0}}, r"^bad subset key '1,a': 'a' is not an index$"),
+    ], ids=["list", "non-string-key", "two-keys-of-one-subset", "key-with-a-letter"])
+    def test_keyed_form_faults_are_named(self, obj, match):
+        with pytest.raises(InvalidFormat, match=match):
+            vector_from_dict(obj)
 
     def test_capacity_from_dict_validates(self):
         with pytest.raises(NotMonotone):
