@@ -79,7 +79,8 @@ class AxiomCheckConfig:
             raise CapacitiesError("samples must be >= 1, got %r" % (self.samples,))
         if self.seed < 0:
             raise CapacitiesError("seed must be >= 0, got %r" % (self.seed,))
-        if not subsets._is_real(self.tol) or not 0.0 < self.tol < np.inf:
+        tol = _number(self.tol, "tol") if subsets._is_real(self.tol) else np.nan
+        if not 0.0 < tol < np.inf:
             raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
         bounds = {}
         for name in ("score_bounds", "alpha_bounds"):
@@ -596,7 +597,7 @@ def check_axiom(
     names and :class:`DomainMismatch` when the config would sample outside
     the extension's domain without ``allow_out_of_domain``.
     """
-    if axiom not in _SPECS:
+    if not isinstance(axiom, str) or axiom not in _SPECS:
         raise UnknownAxiom(
             "unknown axiom %r, expected one of %s" % (axiom, ", ".join(AXIOM_NAMES))
         )
@@ -777,14 +778,10 @@ def compare_extensions(
     pts = []
     for k, p in enumerate(points):
         bad = "comparison point %d must be a vector of %d numbers" % (k, mu.n)
-        if isinstance(p, np.ndarray):
-            p = p.tolist()
-        if not isinstance(p, (list, tuple)) or len(p) != mu.n:
+        row = subsets._reals(p, bad)
+        if row.shape != (mu.n,):
             raise InvalidFormat(bad)
-        try:
-            pts.append(tuple(_number(x, "a score") for x in p))
-        except InvalidFormat:  # bools, strings, nesting, integers past a double
-            raise InvalidFormat(bad) from None
+        pts.append(tuple(row.tolist()))
     if cfg is None:
         cfg = AxiomCheckConfig()
     table = np.column_stack([ext._values(np.array(pts).reshape(-1, mu.n)) for ext in exts])

@@ -14,7 +14,13 @@ t+ = max(t, 0) and t- = max(-t, 0).
 ``choquet`` to any certified commutative associative operator on [0, 1].
 The operator runs through ``np.frompyfunc``, one call for the grid, one per side
 of its cube of triples, five off the grid and one per criterion of the fold,
-warnings off; each value it returns must be a real number.
+warnings off; each value it returns must be a number by the rule of
+:mod:`capacities.subsets`, and so may not be an integer past a double.
+
+Score vectors and matrices are read by ``subsets._reals``, the arguments of
+``symmetric_max`` and of a ``PseudoProduct`` call by ``set_function._number``.
+Every scalar integral, like the call of an :class:`Extension`, returns a finite
+float or raises :class:`OutOfDomain`.
 
 An :class:`Extension` is its exact row kernel ``fn``, from a (k, n) score
 matrix to k values, and the one-vector call is ``fn`` on one row: ``choquet``
@@ -32,7 +38,6 @@ low and high halves of the criteria. Scalar ``sugeno_product``,
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -54,6 +59,7 @@ from .set_function import (
     MobiusRepr,
     OrdinalMobiusRepr,
     SetFunction,
+    _number,
     _tol,
     mobius,
     ordinal_mobius,
@@ -83,34 +89,27 @@ __all__ = [
     "make_extension",
 ]
 
-# Extension turns an overflow into OutOfDomain, a certificate keeps NaN gaps: numpy need not warn.
+# A value that overflows is OutOfDomain, a certificate keeps NaN gaps: numpy need not warn.
 _quiet = np.errstate(over="ignore", invalid="ignore")
-# A list entry reads as its type, or as its dtype if a numpy scalar or 0-d array.
-_BOOLS = frozenset((bool, np.dtype(bool)))
 
 
 def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
     """``t`` as a finite float score vector of length n, or (k, n) matrix with ``ndim=2``."""
     want = "vector must have length %d" if ndim == 1 else "matrix must have shape (k, %d)"
-    try:
-        arr = np.asarray(t)
-        kind = arr.dtype.kind
-        # numpy would parse numeric strings, read bools as 0/1 (also mixed into
-        # a list of numbers), drop imaginary parts and store None as NaN
-        if kind in "SUbc" or (kind == "O" and not all(map(subsets._is_real, arr.flat))):
-            raise TypeError
-        if kind != "O" and isinstance(t, (list, tuple)):
-            flat = itertools.chain.from_iterable(t) if arr.ndim == 2 else t
-            if not _BOOLS.isdisjoint(getattr(e, "dtype", type(e)) for e in flat):
-                raise TypeError
-        arr = arr.astype(np.float64, copy=False)
-    except (TypeError, ValueError, OverflowError):  # also ragged rows, huge integers
-        raise InvalidFormat(("score " + want + " and hold only numbers") % n) from None
+    arr = subsets._reals(t, ("score " + want + " and hold only numbers") % n)
     if arr.ndim != ndim or arr.shape[-1] != n:
         raise DimensionMismatch(("score " + want + ", got shape %s") % (n, arr.shape))
     if not np.all(np.isfinite(arr)):
         raise OutOfDomain("scores must be finite")
     return arr
+
+
+def _finite_value(name: str, value) -> float:
+    """``value``, a value of ``name``, as a finite float, or :class:`OutOfDomain`."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise OutOfDomain("%s overflows at these scores (got %r)" % (name, value))
+    return value
 
 
 def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,17 +131,18 @@ def choquet(mu: Capacity, t) -> float:
     Sorts t ascending (ties broken by criterion index) and accumulates
     t(1) * mu(N) + sum of (t(k) - t(k-1)) * mu({criteria ranked k..n}).
     """
-    return float(_choquet_rows(mu, _scores(t, mu.n)[None])[0])
+    return _finite_value("choquet", _choquet_rows(mu, _scores(t, mu.n)[None])[0])
 
 
 def choquet_mobius(m: MobiusRepr, t) -> float:
     """Choquet integral in coefficient form: sum of m(A) * min of t over A."""
-    return float(_mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None])[0])
+    return _finite_value("choquet_mobius",
+                         _mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None])[0])
 
 
 def sipos(mu: Capacity, t) -> float:
     """Symmetric integral: Choquet of the gains minus Choquet of the losses."""
-    return float(_split_choquet_rows(mu, mu, _scores(t, mu.n)[None])[0])
+    return _finite_value("sipos", _split_choquet_rows(mu, mu, _scores(t, mu.n)[None])[0])
 
 
 def sipos_closed_form(mu: Capacity, t) -> float:
@@ -175,12 +175,13 @@ def sipos_closed_form(mu: Capacity, t) -> float:
         for k in range(p + 1, n):
             mask ^= 1 << int(order[k - 1])
             acc += (float(ts[k]) - float(ts[k - 1])) * float(vals[mask])
-    return acc
+    return _finite_value("sipos_closed_form", acc)
 
 
 def sipos_mobius(m: MobiusRepr, t) -> float:
     """Coefficient form of :func:`sipos`: sum of m(A) * (min t+ - min t-)."""
-    return float(_mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None], signed=True)[0])
+    return _finite_value("sipos_mobius",
+                         _mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None], signed=True)[0])
 
 
 def mle(m: MobiusRepr, t) -> float:
@@ -189,12 +190,13 @@ def mle(m: MobiusRepr, t) -> float:
     The natural domain is the unit cube; evaluation outside it is allowed
     (and is exactly what makes the extension misbehave there).
     """
-    return float(_mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None])[0])
+    return _finite_value("mle", _mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None])[0])
 
 
 def smle(m: MobiusRepr, t) -> float:
     """Symmetric multilinear extension: products of t+ minus products of t-."""
-    return float(_mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None], signed=True)[0])
+    return _finite_value("smle",
+                         _mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None], signed=True)[0])
 
 
 def symmetric_max(a: float, b: float) -> float:
@@ -203,8 +205,9 @@ def symmetric_max(a: float, b: float) -> float:
     Associative only within a sign class, so folds must group positives and
     negatives first (see :func:`symmetric_max_fold`).
     """
-    a = float(a)
-    b = float(b)
+    a, b = (_number(x, "a symmetric_max argument") for x in (a, b))
+    if not math.isfinite(a) or not math.isfinite(b):
+        raise OutOfDomain("values must be finite")
     if abs(a) > abs(b):
         return a
     if b == -a:
@@ -218,7 +221,7 @@ def symmetric_max_fold(values) -> float:
     Positives fold to their maximum, negatives to their minimum, and the two
     results are combined once. The empty fold is 0.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = subsets._reals(values, "values must be an array of numbers")
     if arr.size and not np.all(np.isfinite(arr)):
         raise OutOfDomain("values must be finite")
     pos = arr[arr > 0.0]
@@ -233,6 +236,7 @@ def _sugeno_nonneg(m: OrdinalMobiusRepr, t: np.ndarray) -> float:
     return float(np.max(m.coefficients[1:] * minv[1:]))
 
 
+@_quiet
 def sugeno_product(m: OrdinalMobiusRepr, t) -> float:
     """Max over nonempty A of m(A) * min of t over A, for nonnegative t.
 
@@ -241,7 +245,8 @@ def sugeno_product(m: OrdinalMobiusRepr, t) -> float:
     """
     t = _scores(t, m.n)
     if np.all(t >= 0.0):
-        return _sugeno_nonneg(m, t) + 0.0  # a zero value is +0.0, as symmetric_max gives
+        # a zero value is +0.0, as symmetric_max gives
+        return _finite_value("sugeno_product", _sugeno_nonneg(m, t) + 0.0)
     tp, tn = _split(t)
     return symmetric_max(_sugeno_nonneg(m, tp), -_sugeno_nonneg(m, tn))
 
@@ -256,7 +261,7 @@ def cpt(m_gains: MobiusRepr, m_losses: MobiusRepr, t) -> float:
         raise DimensionMismatch(
             "coefficient tables disagree on n: %d vs %d" % (m_gains.n, m_losses.n)
         )
-    return float(_cpt_rows(m_gains, m_losses, _scores(t, m_gains.n)[None])[0])
+    return _finite_value("cpt", _cpt_rows(m_gains, m_losses, _scores(t, m_gains.n)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -317,8 +322,10 @@ class PseudoProduct:
         c = self.certificate
         return c is not None and c.commutative and c.associative
 
+    @_quiet
     def __call__(self, a: float, b: float) -> float:
-        return float(self.op(a, b))
+        x, y = (_number(v, "a pseudo-product argument") for v in (a, b))
+        return _finite_value("op(%g, %g)" % (x, y), _op_values(self.op, [x], [y])[0])
 
 
 _GRID_POINTS = 21
@@ -334,13 +341,15 @@ del _rng
 def _op_values(op: Callable[[float, float], float], x, y) -> np.ndarray:
     """``op`` at each pair of ``x`` and ``y`` broadcast together, as the object
     array of what it returns; :class:`InvalidFormat` names the first pair whose
-    value is not a real number."""
+    value is not a real number or is an integer too large for a double."""
     values = np.frompyfunc(op, 2, 1)(x, y)
-    if set(map(type, values.flat)) != {float}:  # the ABC check is slow
+    if set(map(type, values.flat)) != {float}:  # a float needs no check
         for k, v in enumerate(values.flat):
-            if not subsets._is_real(v):
+            try:
+                _number(v, "")
+            except InvalidFormat:
                 a, b = (np.broadcast_to(arg, values.shape).flat[k] for arg in (x, y))
-                raise InvalidFormat("op(%g, %g) = %r is not a real number" % (a, b, v))
+                raise InvalidFormat("op(%g, %g) = %r is not a real number" % (a, b, v)) from None
     return values
 
 
@@ -565,10 +574,7 @@ class Extension:
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t) -> float:
-        value = float(self.fn(_scores(t, self.n)[None])[0])
-        if not math.isfinite(value):
-            raise OutOfDomain("%s overflows at these scores (got %r)" % (self.name, value))
-        return value
+        return _finite_value(self.name, self.fn(_scores(t, self.n)[None])[0])
 
     def many(self, t) -> np.ndarray:
         """Values at every row of a (k, n) score matrix, as a (k,) array.

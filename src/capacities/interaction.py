@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subsets
-from .errors import EmptyCoalition, InvalidFormat
-from .set_function import DEFAULT_TOL, Capacity, _tol, mobius
+from .errors import EmptyCoalition, InvalidFormat, OutOfDomain
+from .set_function import DEFAULT_TOL, Capacity, _number, _tol, mobius
 
 __all__ = [
     "interaction_index",
@@ -78,14 +78,17 @@ def shapley(mu: Capacity) -> np.ndarray:
     return np.array([hi.sum() for _, _, hi in subsets.halves(m)])
 
 
+# A value's label, at (value > tol) + 2 * (value < -tol): the rule of classify.
+_LABELS = ("non-interactive", "positive", "negative")
+
+
 def classify(value: float, tol: float = DEFAULT_TOL) -> str:
-    """Label a value positive or negative beyond ``tol`` (finite, >= 0), else non-interactive."""
+    """Label a finite number positive or negative beyond ``tol`` (finite, >= 0), else neither."""
     tol = _tol(tol)
-    if value > tol:
-        return "positive"
-    if value < -tol:
-        return "negative"
-    return "non-interactive"
+    value = _number(value, "the value to classify")
+    if not math.isfinite(value):
+        raise OutOfDomain("the value to classify must be finite, got %r" % value)
+    return _LABELS[(value > tol) + 2 * (value < -tol)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +144,8 @@ def interaction_report(
     table = _all_indices(mu, max_order)
     masks = np.flatnonzero(subsets.popcounts(n) <= max_order)[1:]  # without the empty set
     values = dict(zip(masks.tolist(), table[masks].tolist()))
-    labels = {mask: classify(val, tol) for mask, val in values.items()}
+    kinds = (table[masks] > tol) + 2 * (table[masks] < -tol)
+    labels = dict(zip(values, map(_LABELS.__getitem__, kinds.tolist())))
     bits = 1 << np.arange(n)
     return InteractionReport(
         n=n,

@@ -84,8 +84,8 @@ __all__ = [
 
 
 def _coerce_vector(n: int, values, what: str) -> np.ndarray:
-    """A read-only copy of a caller's vector of length 2**n."""
-    arr = np.array(values, dtype=np.float64)
+    """A read-only copy of a caller's vector of numbers of length 2**n."""
+    arr = np.array(subsets._reals(values, "%s must be a vector of numbers" % what))
     if arr.ndim != 1:
         raise DimensionMismatch("%s must be a flat vector, got shape %s" % (what, arr.shape))
     if arr.shape[0] != (1 << n):
@@ -428,7 +428,7 @@ def _value_table(v, n: int | None) -> tuple[int, np.ndarray]:
     """(n, read-only table) of a set function or of a raw vector."""
     if isinstance(v, SetFunction):
         return v.n, _values(v)
-    arr = np.asarray(v, dtype=np.float64)
+    arr = subsets._reals(v, "values must be a vector of numbers")
     if n is None:
         if arr.ndim != 1 or arr.shape[0] < 2 or arr.shape[0] & (arr.shape[0] - 1):
             raise DimensionMismatch(
@@ -491,15 +491,13 @@ def to_dict(v: SetFunction) -> dict:
     return {"n": v.n, "values_by_mask": v.values.tolist()}
 
 
-# Built once, so a call looks up no numpy type; JSON's int and float come first.
-_NUMBER_TYPES = (int, float, np.integer, np.floating)
-
-
 def _number(x, where: str) -> float:
-    """A parsed JSON number, or a numpy integer or float scalar, as a float;
-    :class:`InvalidFormat` for anything else, bools and integers too large for
-    a double included."""
-    if isinstance(x, bool) or not isinstance(x, _NUMBER_TYPES):
+    """A number by :func:`subsets._is_real` (a parsed JSON number, or a numpy
+    integer or float scalar) as a float; :class:`InvalidFormat` for anything
+    else, bools and integers too large for a double included."""
+    if type(x) is float:  # the common case, without a call
+        return x
+    if not subsets._is_real(x):
         raise InvalidFormat("%s must be a number, got %r" % (where, x))
     try:
         return float(x)
@@ -508,10 +506,11 @@ def _number(x, where: str) -> float:
 
 
 def _tol(tol) -> float:
-    """An absolute tolerance: a finite real >= 0, not a bool (:class:`InvalidFormat` if not)."""
-    if not subsets._is_real(tol) or not 0.0 <= tol < math.inf:
+    """An absolute tolerance, a finite number >= 0, as a float (:class:`InvalidFormat` if not)."""
+    value = _number(tol, "tol") if subsets._is_real(tol) else math.nan
+    if not 0.0 <= value < math.inf:
         raise InvalidFormat("tol must be finite and >= 0, got %r" % (tol,))
-    return tol
+    return value
 
 
 def vector_from_dict(obj) -> tuple[int, np.ndarray]:

@@ -1,4 +1,11 @@
-"""Bitmask helpers for subsets of the criteria set N = {1, ..., n}.
+"""Bitmask helpers for subsets of the criteria set N = {1, ..., n}, and the
+number rule of the library boundary.
+
+A number is a Python or numpy integer or float and not a bool (``_is_real``).
+``_reals`` reads an array argument by that rule: numeric strings and bytes,
+bools beside numbers, complex numbers, None, ragged rows and integers past a
+double raise :class:`InvalidFormat`, and a float64 array is read without a
+copy. Scalars are read by ``set_function._number``, which asks ``_is_real``.
 
 Subsets are encoded as Python ints: bit i-1 set means criterion i belongs
 to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
@@ -14,7 +21,7 @@ table and 512 KiB, and frees it when the pass ends.
 
 from __future__ import annotations
 
-import numbers
+import itertools
 from collections.abc import Iterable
 
 import numpy as np
@@ -55,7 +62,7 @@ def mask_of(subset, n: int) -> int:
         if not 0 <= subset < 1 << n:
             raise InvalidFormat("subset mask %d out of range for n = %d" % (subset, n))
         return int(subset)
-    if not isinstance(subset, Iterable):
+    if not isinstance(subset, Iterable) or getattr(subset, "ndim", 1) == 0:  # a 0-d array
         raise InvalidFormat("a subset must be a comma key, a mask or indices, got %r" % (subset,))
     mask = 0
     for i in subset:
@@ -69,8 +76,30 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+# Built once, so a call looks up no numpy type; Python's int and float come first.
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+# A list entry reads as its type, or as its dtype if a numpy scalar or 0-d array.
+_BOOLS = frozenset((bool, np.dtype(bool)))
+
+
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return isinstance(x, _NUMBER_TYPES) and not isinstance(x, bool)
+
+
+def _reals(x, error: str) -> np.ndarray:
+    """``x`` as a float array, ``x`` itself if float64; :class:`InvalidFormat` with ``error``."""
+    try:
+        arr = np.asarray(x)
+        kind = arr.dtype.kind
+        if kind not in "iufO" or (kind == "O" and not all(map(_is_real, arr.flat))):
+            raise TypeError
+        if kind != "O" and isinstance(x, (list, tuple)):
+            flat = itertools.chain.from_iterable(x) if arr.ndim == 2 else x
+            if not _BOOLS.isdisjoint(getattr(e, "dtype", type(e)) for e in flat):
+                raise TypeError
+        return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):  # also ragged rows, huge integers
+        raise InvalidFormat(error) from None
 
 
 def subset_key(mask: int) -> str:

@@ -1,0 +1,262 @@
+"""Fuzz the library boundary with one strategy of boundary values.
+
+Every number or array argument of the public entry points is fed values that
+Python or numpy would read loosely: bools and numpy bools, numeric strings and
+bytes, None, complex numbers, fractions, integers past a double, NaN and the
+infinities, signed zeros and the extremes of a double, 0-d, ragged and 2-d
+arrays, and dicts. Whatever the value, a call returns, every number it returns
+being finite, or raises a ``CapacitiesError`` subclass; no other exception and
+no warning escapes.
+
+``test_loose_numbers_are_refused`` pins calls that read such values as numbers,
+or let a bare ``TypeError``, ``ValueError`` or ``OverflowError`` escape, before
+one rule, ``subsets._is_real`` and ``subsets._reals``, decided what a number is.
+"""
+
+import functools
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capacities import (
+    EXTENSION_NAMES,
+    Act,
+    AggregationModel,
+    AxiomCheckConfig,
+    CapacitiesError,
+    Capacity,
+    CoMobiusRepr,
+    InvalidFormat,
+    MobiusRepr,
+    OrdinalMobiusRepr,
+    OutOfDomain,
+    PseudoProduct,
+    SetFunction,
+    UtilityScale,
+    as_capacity,
+    capacity_from_binary_acts,
+    capacity_from_dict,
+    certify,
+    check_axiom,
+    check_pseudo_product,
+    choquet,
+    choquet_mobius,
+    classify,
+    compare_extensions,
+    cpt,
+    cpt_compatible,
+    default_scale,
+    evaluate_act,
+    interaction_index,
+    interaction_report,
+    make_extension,
+    mle,
+    mobius,
+    ordinal_mobius,
+    pseudo_product_extension,
+    rank_acts,
+    set_function_from_dict,
+    sipos,
+    sipos_closed_form,
+    sipos_mobius,
+    smle,
+    sugeno_product,
+    symmetric_max,
+    symmetric_max_fold,
+    validate,
+    vector_from_dict,
+)
+
+SCALARS = [
+    0, 1, -3, 0.5, -0.25, 0.0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+    np.float32(0.5), np.float64(0.25), np.int64(2), np.uint64(2**64 - 1), 10**400, -10**400,
+    True, False, np.bool_(True), "0.5", "1", "", b"1", None, 1j, complex(0.5, 0.0),
+    Fraction(1, 2), np.array(0.5), np.array(True),
+]
+SHAPES = [[], [0.5], [[0.0], [0.5, 1.0]], np.zeros((2, 2)), np.array([[0.5, 0.25]]), {"1": 0.5}, {}]
+# The one strategy of boundary values.
+boundary = st.sampled_from(SCALARS + SHAPES)
+DTYPES = [np.float32, np.int64, np.uint8, object, bool, str, complex]
+
+
+def odd(good):
+    """``good``, or a boundary value in its place."""
+    return st.one_of(st.just(good), boundary)
+
+
+def entries(base):
+    """``base``, or ``base`` with one entry a boundary value, as a list or a tuple."""
+    put = st.tuples(st.integers(0, len(base) - 1), boundary).map(
+        lambda kv: base[: kv[0]] + [kv[1]] + base[kv[0] + 1 :]
+    )
+    return st.one_of(st.just(base), put, put.map(tuple))
+
+
+def vectors(base):
+    """:func:`entries` of ``base``, a boundary value in its place, or ``base`` as an
+    array of some dtype."""
+    typed = st.sampled_from(DTYPES).map(lambda dtype: np.array(base).astype(dtype))
+    return st.one_of(entries(base), boundary, typed)
+
+
+def rows(base):
+    """A list of one to three vectors from ``base``."""
+    return st.lists(vectors(base), min_size=1, max_size=3)
+
+
+MU = as_capacity([0.0, 0.3, 0.6, 1.0])
+M = mobius(MU)
+PP = certify(min)
+MODEL = AggregationModel(MU, "sipos", (UtilityScale(1, {"neutral": 0, "good": 1, "bad": -1}),))
+SMALL = AxiomCheckConfig(samples=5)
+
+VALUES = vectors([0.0, 0.3, 0.6, 1.0])
+SCORES = vectors([0.5, -0.25])
+NUMBER = odd(0.5)
+TOL = odd(1e-9)
+
+
+def _op(value):
+    """min on the lower half of the grid, ``value`` above it."""
+    return lambda a, b: value if a + b > 1.5 else min(a, b)
+
+
+def _binary_acts(n, value):
+    return capacity_from_binary_acts(n, {"": 0, "1": value, "2": 0.6, "1,2": 1})
+
+
+# name -> (call, one strategy per argument)
+ENTRY_POINTS = {
+    "SetFunction": (SetFunction, odd(2), VALUES),
+    "MobiusRepr": (MobiusRepr, odd(2), VALUES),
+    "CoMobiusRepr": (CoMobiusRepr, odd(2), VALUES),
+    "OrdinalMobiusRepr": (OrdinalMobiusRepr, odd(2), VALUES),
+    "Capacity": (lambda tol: Capacity(SetFunction(2, [0.0, 0.3, 0.6, 1.0]), tol=tol), TOL),
+    "as_capacity": (lambda v, n, tol: as_capacity(v, n=n, tol=tol), VALUES, odd(None), TOL),
+    "validate": (lambda v, n, tol: validate(v, n=n, tol=tol), VALUES, odd(None), TOL),
+    # a parser: the table constructors check that its table is finite
+    "vector_from_dict": (
+        lambda v: SetFunction(*vector_from_dict({"n": 2, "values_by_mask": v})), VALUES),
+    "set_function_from_dict": (
+        lambda n, v: set_function_from_dict({"n": n, "values": {"": 0, "1": v, "2": 1, "1,2": 1}}),
+        odd(2), NUMBER),
+    "capacity_from_dict": (
+        lambda v, tol: capacity_from_dict({"n": 2, "values_by_mask": v}, tol=tol), VALUES, TOL),
+    "choquet": (functools.partial(choquet, MU), SCORES),
+    "choquet_mobius": (functools.partial(choquet_mobius, M), SCORES),
+    "sipos": (functools.partial(sipos, MU), SCORES),
+    "sipos_closed_form": (functools.partial(sipos_closed_form, MU), SCORES),
+    "sipos_mobius": (functools.partial(sipos_mobius, M), SCORES),
+    "mle": (functools.partial(mle, M), SCORES),
+    "smle": (functools.partial(smle, M), SCORES),
+    "sugeno_product": (functools.partial(sugeno_product, ordinal_mobius(MU)), SCORES),
+    "cpt": (functools.partial(cpt, M, M), SCORES),
+    "Extension": (
+        lambda name, t: make_extension(name, MU, MU if name == "cpt" else None)(t),
+        st.sampled_from(EXTENSION_NAMES), SCORES),
+    "Extension.many": (
+        lambda name, t: make_extension(name, MU, MU if name == "cpt" else None).many(t),
+        st.sampled_from(EXTENSION_NAMES), st.one_of(boundary, rows([0.5, -0.25]))),
+    "pseudo_product_extension": (
+        functools.partial(pseudo_product_extension, M, PP), vectors([0.5, 0.25])),
+    "symmetric_max": (symmetric_max, NUMBER, NUMBER),
+    "symmetric_max_fold": (symmetric_max_fold, SCORES),
+    "classify": (classify, NUMBER, TOL),
+    "cpt_compatible": (functools.partial(cpt_compatible, MU, MU), TOL),
+    "interaction_index": (functools.partial(interaction_index, MU), odd(3)),
+    "interaction_report": (functools.partial(interaction_report, MU), odd(2), TOL),
+    "certify": (lambda value, tol: certify(_op(value), tol=tol), NUMBER, TOL),
+    "check_pseudo_product": (lambda value: check_pseudo_product(_op(value), SMALL), NUMBER),
+    "PseudoProduct": (PP, NUMBER, NUMBER),
+    "PseudoProduct value": (lambda value: PseudoProduct(_op(value))(1.0, 1.0), NUMBER),
+    "check_axiom": (
+        lambda name: check_axiom(name, make_extension("choquet", MU), MU, SMALL), odd("M")),
+    "compare_extensions": (
+        lambda points: compare_extensions(MU, points, SMALL), rows([0.5, -0.25])),
+    "AxiomCheckConfig": (
+        lambda samples, seed, tol, score, alpha: AxiomCheckConfig(samples, seed, tol, score, alpha),
+        odd(5), odd(1), TOL, vectors([-1.0, 1.0]), vectors([0.5, 2.0])),
+    "UtilityScale": (
+        lambda criterion, level: UtilityScale(criterion, {"neutral": 0, "good": 1, "x": level}),
+        odd(1), NUMBER),
+    "default_scale": (default_scale, odd(1)),
+    "Act": (lambda act: evaluate_act(MODEL, Act(act)), entries(["good", 0.5])),
+    "rank_acts": (
+        lambda act, tol: rank_acts(MODEL, [act, ["bad", 1]], tol), entries(["good", 0.5]), TOL),
+    "capacity_from_binary_acts": (_binary_acts, odd(2), NUMBER),
+}
+
+
+def _assert_finite(value):
+    """Every number in what a call returned is finite: a float, the entries of a
+    float array or of a set function's table, and those of a tuple or list."""
+    if isinstance(value, SetFunction):
+        value = value.values
+    if isinstance(value, (float, np.floating)):
+        assert math.isfinite(value), value
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        assert np.isfinite(value).all(), value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _assert_finite(v)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_call_returns_finite_numbers_or_raises_a_named_error(name, data):
+    call, *strategies = ENTRY_POINTS[name]
+    args = [data.draw(s) for s in strategies]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except CapacitiesError:
+            result = None
+    assert not caught, [str(w.message) for w in caught]
+    _assert_finite(result)
+
+
+HOLES = [
+    ("as_capacity bool", lambda: as_capacity([0, True]), InvalidFormat),
+    ("SetFunction bool", lambda: SetFunction(1, [0, True]), InvalidFormat),
+    ("validate strings", lambda: validate(["0", "0.5", "0.5", "1"]), InvalidFormat),
+    ("SetFunction bytes", lambda: SetFunction(1, [b"0", b"1"]), InvalidFormat),
+    ("as_capacity complex", lambda: as_capacity([0, 1j]), InvalidFormat),
+    ("SetFunction object", lambda: SetFunction(1, [0, object()]), InvalidFormat),
+    ("MobiusRepr dict", lambda: MobiusRepr(1, {"a": 1}), InvalidFormat),
+    ("as_capacity ragged", lambda: as_capacity([[0], [1, 2]]), InvalidFormat),
+    ("validate ragged", lambda: validate([[0], [1, 2]]), InvalidFormat),
+    ("symmetric_max string and bool", lambda: symmetric_max("1", True), InvalidFormat),
+    ("symmetric_max nan", lambda: symmetric_max(math.nan, 1), OutOfDomain),
+    ("symmetric_max None", lambda: symmetric_max(None, 1), InvalidFormat),
+    ("symmetric_max_fold bool and string", lambda: symmetric_max_fold([True, "2"]), InvalidFormat),
+    ("classify string", lambda: classify("x"), InvalidFormat),
+    ("classify bool", lambda: classify(True), InvalidFormat),
+    ("classify nan", lambda: classify(math.nan), OutOfDomain),
+    ("PseudoProduct None", lambda: certify(min)(0.5, None), InvalidFormat),
+    ("PseudoProduct string", lambda: certify(min)("0.5", 0.2), InvalidFormat),
+    ("certify huge integer", lambda: certify(lambda a, b: 10**400), InvalidFormat),
+]
+
+
+@pytest.mark.parametrize("call, error", [h[1:] for h in HOLES], ids=[h[0] for h in HOLES])
+def test_loose_numbers_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify(Fraction(1, 10)),
+    lambda: classify(0.5, tol=Fraction(1, 10)),
+    lambda: choquet(MU, [Fraction(1, 2), 0.25]),
+    lambda: UtilityScale(1, {"neutral": 0, "good": 1, "x": Fraction(1, 2)}),
+], ids=["value", "tol", "score", "level"])
+def test_a_fraction_is_refused_everywhere(call):
+    with pytest.raises(InvalidFormat):
+        call()

@@ -184,6 +184,13 @@ class TestHarness:
         with pytest.raises(UnknownAxiom):
             check_axiom("Z9", ext, OVERLAP, CFG)
 
+    @pytest.mark.parametrize("name", [["HE"], None, 1, {"HE": 1}], ids=str)
+    def test_a_name_that_is_not_a_string_is_an_unknown_axiom(self, name):
+        # a list or a dict raised a bare TypeError: unhashable type
+        ext = make_extension("choquet", OVERLAP)
+        with pytest.raises(UnknownAxiom, match=r"^unknown axiom .*, expected one of HE, A, "):
+            check_axiom(name, ext, OVERLAP, CFG)
+
     def test_dimension_guard(self):
         ext = make_extension("choquet", OVERLAP)
         mu3 = random_capacity(np.random.default_rng(1), 3)

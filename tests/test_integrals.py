@@ -90,14 +90,15 @@ def one_vector_digest(name):
 
 
 # one_vector_digest per extension, as computed when each one-vector call was still
-# its own scalar loop; any change to a bit of those values moves it.
+# its own scalar loop, with a value that is not finite read as OutOfDomain; any
+# change to a bit of those values moves it.
 ONE_VECTOR_DIGESTS = {
-    "choquet": "b30d366b8fba9c5ffb07a06cff8fd3a1dd9969429c5e9194448fe90cade3c3c3",
-    "sipos": "721ce133965795faf7ea0af70e30459fb07feacc11f69a4bee72d2f2ed1b1db7",
-    "mle": "159de174d001e78cfeadbfc945c0bad4b8f8b09d628e19c9590ccca518ebeb8d",
-    "smle": "a376032644f7f104c1a146c074b55d837b727c29eeb1cd044b887c8192a0683b",
+    "choquet": "abdc3a0f530edd6d031c6c89964cab6bbf11fb665a581666b303cd242cc582e4",
+    "sipos": "7e21534fa156c766cc595f0cf8b0afe53ba8e83e7e47af46358ca6fce93ec819",
+    "mle": "727707efc21ce72745a19c94c74c31aadeacab7eb09075b8768b13e4f40f4778",
+    "smle": "8e325a00dcb6c0604aa13b8b129d951008053a2a0fc34f7d89875d43e57f53fe",
     "sugeno_product": "bc4b0991c57eb6f318d123feaba11cd0d64b6e28dc8db6fe40ce513ecf0a178c",
-    "cpt": "cd4a5d018ee11bdb717daad2e21e311cb93fdd8face3237541837d27bb632fae",
+    "cpt": "e20fca2da94a0021bd4a683ec066ada9d7dee7f87071116c99e51f40bece6198",
 }
 
 
@@ -582,12 +583,31 @@ class TestPseudoProduct:
         (lambda a, b: "x", r"op\(0, 0\) = 'x'"),
         (lambda a, b: a < b, r"op\(0, 0\) = False"),  # a bool is no number, as for _number
         (lambda a, b: None if b == 1.0 else min(a, b), r"op\(0, 1\) = None"),
-    ], ids=["none", "string", "bool", "none-at-the-edge"])
+        (lambda a, b: 10**400, r"op\(0, 0\) = 1000*0"),
+        (lambda a, b: 10**400 if b == 1.0 else 0, r"op\(0, 1\) = 1000*0"),
+    ], ids=["none", "string", "bool", "none-at-the-edge", "huge-int", "huge-int-at-the-edge"])
     def test_operator_values_that_are_not_numbers_are_invalid_format(self, op, match):
-        # None raised a bare TypeError, a string a bare ValueError
+        # None raised a bare TypeError, a string a bare ValueError, an integer past
+        # a double a bare OverflowError
         for call in (certify, check_pseudo_product):
             with pytest.raises(InvalidFormat, match=match + " is not a real number"):
                 call(op)
+
+    def test_a_call_reads_both_arguments_and_the_value(self):
+        pp = certify(min)
+        value = pp(1, np.float32(0.5))
+        assert value == 0.5 and type(value) is float
+        assert type(PseudoProduct(lambda a, b: 1)(0.5, 0.5)) is float
+        assert pp(0.5, math.nan) == 0.5  # without numpy's warning of a NaN comparison
+        for a, b in ((0.5, None), ("0.5", 0.2), (True, 0.5), (0.5, [0.5])):
+            with pytest.raises(InvalidFormat, match="^a pseudo-product argument must be a number"):
+                pp(a, b)
+        with pytest.raises(InvalidFormat, match=r"^op\(0.5, 0.25\) = None is not a real number"):
+            PseudoProduct(lambda a, b: None)(0.5, 0.25)
+        with pytest.raises(InvalidFormat, match=r"^op\(0.5, 0.25\) = 1000*0 is not a real number"):
+            PseudoProduct(lambda a, b: 10**400)(0.5, 0.25)
+        with pytest.raises(OutOfDomain, match=r"^op\(0.5, 0.25\) overflows at .* \(got nan\)"):
+            PseudoProduct(lambda a, b: math.nan)(0.5, 0.25)
 
     GRID = np.linspace(0.0, 1.0, 21).tolist()
 
@@ -597,7 +617,11 @@ class TestPseudoProduct:
         ("in the fold", None, InvalidFormat, r"op\(0.123, 0.5\) = None is not a real number"),
         ("in the fold", "x", InvalidFormat, r"op\(0.123, 0.5\) = 'x' is not a real number"),
         ("in the fold", math.nan, OutOfDomain, r"not finite at these scores \(got nan\)"),
-    ], ids=["grid-only-none", "grid-only-string", "fold-none", "fold-string", "fold-nan"])
+        ("off the grid", 10**400, InvalidFormat, r"= 1000*0 is not a real number"),
+        ("in the fold", 10**400, InvalidFormat,
+         r"op\(0.123, 0.5\) = 1000*0 is not a real number"),
+    ], ids=["grid-only-none", "grid-only-string", "fold-none", "fold-string", "fold-nan",
+            "grid-only-huge-int", "fold-huge-int"])
     def test_every_value_an_operator_returns_is_checked(self, where, bad, error, match):
         # Off the grid, None raised a bare TypeError and a string a bare ValueError;
         # in the fold, None and NaN gave a NaN and a string a bare ValueError.
@@ -635,8 +659,10 @@ class TestExtensions:
     def test_overflow_is_out_of_domain_without_warning(self, name, t):
         # RuntimeWarnings are errors in this suite, so a leaked one fails here
         mu = OVERFLOW_MU
-        ext = make_extension(name, mu, mu if name == "cpt" else None)
-        for evaluate in (ext, lambda t: ext.many([[0.1, 0.2, 0.3], t])[1]):
+        ext, *public = one_vector_calls(name, mu, mu)
+        if name == "sipos":
+            public.append(functools.partial(sipos_closed_form, mu))
+        for evaluate in (ext, lambda t: ext.many([[0.1, 0.2, 0.3], t])[1], *public):
             try:
                 value = evaluate(t)
             except OutOfDomain:

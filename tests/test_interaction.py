@@ -9,6 +9,7 @@ import oracles
 from capacities import (
     EmptyCoalition,
     InvalidFormat,
+    OutOfDomain,
     as_capacity,
     classify,
     interaction_index,
@@ -135,6 +136,33 @@ class TestClassify:
         assert classify(1e-12) == "non-interactive"
         assert classify(-1e-12) == "non-interactive"
         assert classify(2e-9, tol=1e-9) == "positive"
+        assert classify(-0.0, tol=0.0) == "non-interactive"
+        assert classify(np.int64(-1)) == "negative"
+
+    @pytest.mark.parametrize("value, error", [
+        ("0.5", InvalidFormat), (True, InvalidFormat), (None, InvalidFormat), (1j, InvalidFormat),
+        (10**400, InvalidFormat), (math.nan, OutOfDomain), (-math.inf, OutOfDomain),
+    ], ids=["string", "bool", "none", "complex", "huge-int", "nan", "-inf"])
+    def test_a_value_that_is_not_a_finite_number_is_refused(self, value, error):
+        with pytest.raises(error, match="^the value to classify (must be|is an integer too large)"):
+            classify(value)
+
+
+class TestReportLabels:
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05, 0.3])
+    def test_labels_are_those_of_classify(self, tol):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 4, 6):
+            mu = random_capacity(rng, n)
+            rep = interaction_report(mu, max_order=n, tol=tol)
+            want = {mask: classify(v, tol) for mask, v in rep.values.items()}
+            assert list(rep.labels.items()) == list(want.items())
+
+    def test_a_negative_zero_is_non_interactive(self):
+        mu = as_capacity([0.0, 0.0, 0.0, -0.0], tol=1.0)  # I({1, 2}) = -0.0 - 0.0
+        rep = interaction_report(mu, tol=0.0)
+        assert math.copysign(1.0, rep.values[0b11]) == -1.0
+        assert rep.labels[0b11] == "non-interactive"
 
 
 class TestInteractionReport:

@@ -426,6 +426,14 @@ class TestTableContract:
         for table in tables:
             assert table.values.tolist() == [0.0, 0.3, 0.6, 1.0]
 
+    def test_public_constructors_copy_views_of_a_callers_buffer(self):
+        vals = np.array([0.0, 0.3, 0.6, 1.0, 2.0])
+        views = [vals[:4], memoryview(vals)[:4]]
+        tables = [make(v) for v in views for make in (lambda v: SetFunction(2, v), as_capacity)]
+        vals[1] = 0.9
+        for table in tables:
+            assert table.values.tolist() == [0.0, 0.3, 0.6, 1.0]
+
     BUILDERS = {
         "mobius": mobius,
         "co_mobius": co_mobius,
