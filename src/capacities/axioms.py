@@ -72,22 +72,24 @@ class AxiomCheckConfig:
     allow_out_of_domain: bool = False
 
     def __post_init__(self):
+        shown = subsets._shown
         for name in ("samples", "seed"):
-            if not subsets._is_int(getattr(self, name)):
-                raise CapacitiesError("%s must be an integer, got %r" % (name, getattr(self, name)))
+            value = getattr(self, name)
+            if not subsets._is_int(value):
+                raise CapacitiesError("%s must be an integer, got %s" % (name, shown(value)))
         if self.samples < 1:
-            raise CapacitiesError("samples must be >= 1, got %r" % (self.samples,))
+            raise CapacitiesError("samples must be >= 1, got %s" % shown(self.samples))
         if self.seed < 0:
-            raise CapacitiesError("seed must be >= 0, got %r" % (self.seed,))
+            raise CapacitiesError("seed must be >= 0, got %s" % shown(self.seed))
         tol = _number(self.tol, "tol") if subsets._is_real(self.tol) else np.nan
         if not 0.0 < tol < np.inf:
-            raise CapacitiesError("tol must be positive and finite, got %r" % (self.tol,))
+            raise CapacitiesError("tol must be positive and finite, got %s" % shown(self.tol))
         bounds = {}
         for name in ("score_bounds", "alpha_bounds"):
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and all(map(subsets._is_real, pair))):
-                raise CapacitiesError("%s must be a pair of numbers, got %r" % (name, pair))
+                raise CapacitiesError("%s must be a pair of numbers, got %s" % (name, shown(pair)))
             try:  # Python floats, whose span overflows to inf quietly
                 bounds[name] = [float(x) for x in pair]
             except OverflowError:  # an integer too large for a double fails its range check
@@ -95,13 +97,14 @@ class AxiomCheckConfig:
         lo, hi = bounds["score_bounds"]
         if not 0.0 < hi - lo < np.inf:
             raise CapacitiesError(
-                "score_bounds must span a finite increasing range, got %r" % (tuple(self.score_bounds),)
+                "score_bounds must span a finite increasing range, got %s"
+                % shown(tuple(self.score_bounds))
             )
         alo, ahi = bounds["alpha_bounds"]
         if not 0.0 < alo <= ahi < np.inf:
             raise CapacitiesError(
-                "alpha_bounds must be positive, finite and increasing, got %r"
-                % (self.alpha_bounds,)
+                "alpha_bounds must be positive, finite and increasing, got %s"
+                % shown(self.alpha_bounds)
             )
 
 
@@ -599,7 +602,7 @@ def check_axiom(
     """
     if not isinstance(axiom, str) or axiom not in _SPECS:
         raise UnknownAxiom(
-            "unknown axiom %r, expected one of %s" % (axiom, ", ".join(AXIOM_NAMES))
+            "unknown axiom %s, expected one of %s" % (subsets._shown(axiom), ", ".join(AXIOM_NAMES))
         )
     if extension.n != mu.n:
         raise CapacitiesError(

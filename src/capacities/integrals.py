@@ -349,7 +349,9 @@ def _op_values(op: Callable[[float, float], float], x, y) -> np.ndarray:
                 _number(v, "")
             except InvalidFormat:
                 a, b = (np.broadcast_to(arg, values.shape).flat[k] for arg in (x, y))
-                raise InvalidFormat("op(%g, %g) = %r is not a real number" % (a, b, v)) from None
+                raise InvalidFormat(
+                    "op(%g, %g) = %s is not a real number" % (a, b, subsets._shown(v))
+                ) from None
     return values
 
 

@@ -139,7 +139,7 @@ def interaction_report(
     if max_order is None:
         max_order = min(n, 2)
     if not subsets._is_int(max_order) or not 1 <= max_order <= n:
-        raise InvalidFormat("max_order must be in 1..%d, got %r" % (n, max_order))
+        raise InvalidFormat("max_order must be in 1..%d, got %s" % (n, subsets._shown(max_order)))
     tol = _tol(tol)
     table = _all_indices(mu, max_order)
     masks = np.flatnonzero(subsets.popcounts(n) <= max_order)[1:]  # without the empty set

@@ -59,19 +59,29 @@ class UtilityScale:
 
     def __post_init__(self):
         if not subsets._is_int(self.criterion) or self.criterion < 1:
-            raise InvalidFormat("criterion must be a 1-based index, got %r" % (self.criterion,))
-        levels = dict(self.levels)
+            raise InvalidFormat(
+                "criterion must be a 1-based index, got %s" % subsets._shown(self.criterion)
+            )
+        try:
+            levels = dict(self.levels)
+        except (TypeError, ValueError):
+            raise InvalidFormat(
+                "levels must be a dict of level names to numbers, got %r"
+                % type(self.levels).__name__
+            ) from None
         for name, value in levels.items():
             if not isinstance(name, str):
                 raise InvalidFormat("level names must be strings, got %r" % (name,))
             levels[name] = _number(value, "level %r" % (name,))
         if levels.get(NEUTRAL) != 0.0:
             raise InvalidFormat(
-                'scale for criterion %d must map "%s" to 0' % (self.criterion, NEUTRAL)
+                'scale for criterion %s must map "%s" to 0'
+                % (subsets._shown(int(self.criterion)), NEUTRAL)
             )
         if levels.get(GOOD) != 1.0:
             raise InvalidFormat(
-                'scale for criterion %d must map "%s" to 1' % (self.criterion, GOOD)
+                'scale for criterion %s must map "%s" to 1'
+                % (subsets._shown(int(self.criterion)), GOOD)
             )
         vars(self).update(criterion=int(self.criterion), levels=levels)
 
@@ -94,7 +104,13 @@ class Act:
     label: str = ""
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        try:
+            entries = tuple(self.entries)
+        except TypeError:
+            raise InvalidFormat(
+                "act entries must be a sequence of level names and numbers, got %r"
+                % type(self.entries).__name__
+            ) from None
         if not _PLAIN_ENTRY_TYPES.issuperset(map(type, entries)):
             for e in entries:
                 if not isinstance(e, str):
@@ -130,7 +146,8 @@ class AggregationModel:
                 raise InvalidFormat("scales must be UtilityScale objects, got %r" % (scale,))
             if scale.criterion > n:
                 raise DimensionMismatch(
-                    "scale for criterion %d but the capacity has n = %d" % (scale.criterion, n)
+                    "scale for criterion %s but the capacity has n = %d"
+                    % (subsets._shown(scale.criterion), n)
                 )
             if scale.criterion in by_criterion:
                 raise InvalidFormat("duplicate scale for criterion %d" % scale.criterion)
@@ -159,7 +176,14 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
     size = 1 << n
     vals = np.empty(size)
     seen = np.zeros(size, dtype=bool)
-    for key, value in attractiveness.items():
+    try:
+        items = attractiveness.items()
+    except AttributeError:
+        raise InvalidFormat(
+            "attractiveness must be a dict of subsets to numbers, got %r"
+            % type(attractiveness).__name__
+        ) from None
+    for key, value in items:
         mask = subsets.mask_of(key, n)
         if seen[mask]:
             raise InvalidFormat("duplicate entry for subset {%s}" % subsets.subset_key(mask))
@@ -176,7 +200,7 @@ def capacity_from_binary_acts(n: int, attractiveness) -> Capacity:
 
 def _utilities(model: AggregationModel, act) -> list:
     if not isinstance(act, Act):
-        act = Act(tuple(act))
+        act = Act(act)
     n = model.n
     if len(act.entries) != n:
         raise DimensionMismatch(
@@ -241,7 +265,7 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     are scored in one batch (``Extension.many``).
     """
     tol = _tol(tol)
-    acts = [a if isinstance(a, Act) else Act(tuple(a)) for a in acts]
+    acts = [a if isinstance(a, Act) else Act(a) for a in acts]
     if not acts:
         raise CapacitiesError("no acts to rank")
     scores = model._evaluator.many(_utility_matrix(model, acts))
@@ -311,7 +335,7 @@ def acts_from_obj(obj) -> list:
     acts = []
     for k, item in enumerate(obj):
         if isinstance(item, list):
-            acts.append(Act(tuple(item)))
+            acts.append(Act(item))
         elif isinstance(item, dict):
             if "entries" not in item:
                 raise InvalidFormat('act %d is missing "entries"' % k)
@@ -320,7 +344,7 @@ def acts_from_obj(obj) -> list:
             label = item.get("label", "")
             if not isinstance(label, str):
                 raise InvalidFormat('act %d: "label" must be a string' % k)
-            acts.append(Act(tuple(item["entries"]), label=label))
+            acts.append(Act(item["entries"], label=label))
         else:
             raise InvalidFormat("act %d must be an array or an object" % k)
     return acts

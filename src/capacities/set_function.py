@@ -19,11 +19,14 @@ transform from the value domain:
   is the maximum of the kept coefficients inside A.
 
 All transforms run in O(n * 2**n) as in-place butterflies through
-:func:`capacities.subsets.lattice`, which runs the low bits of a table of
-2**18 entries or more on a cache-sized transposed tile; the results are
-those of the plain per-bit loop, bit for bit. n is capped at 24 to keep
-the dense tables reasonable. Overflow inside a pass is not reported as a
-numpy warning: an output that is not finite raises :class:`InvalidFormat`.
+:func:`capacities.subsets.lattice`, which runs each bit on tiles, columns
+or views: the low bits of a table of 2**18 entries or more on a
+cache-sized transposed tile, bits 0 to 3 of a table of 2**12 to 2**17
+entries on strided columns, and the rest on views of the whole table; the
+results are those of the plain per-bit loop, bit for bit. n is capped at
+24 to keep the dense tables reasonable. Overflow inside a pass is not
+reported as a numpy warning: an output that is not finite raises
+:class:`InvalidFormat`.
 
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
 allocates its output and no other array of that size. Beside it, a pass
@@ -33,10 +36,10 @@ subset; :func:`ordinal_mobius` adds one bool table after its pass. The
 monotonicity scan of the capacity constructors and :func:`validate`
 holds one half-length float buffer and finds each bit's largest drop
 v(A) - v(A | bit); the conjugate of a capacity, which inherits its
-invariants, is not scanned. Where a drop exceeds tol, the
-same pass names the first offending pair: on views of the whole table
-with a half-length bool buffer, on tiled bits by a natural-layout search
-of the first block of masks that drops. :func:`validate` reads strict
+invariants, is not scanned. Where a bit's largest drop exceeds tol, a
+natural-layout search through the same float buffer and a half-length bool
+buffer names its first offending pair: over the whole table, or on a tiled
+bit over the first block of masks that drops. :func:`validate` reads strict
 monotonicity off the same drops and builds one Mobius table. Public
 constructors copy the arrays they are given; tables the package has just
 built are wrapped without a copy.
@@ -331,27 +334,27 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     to zero.
     """
     tol = _tol(tol)
-    half = vals.shape[0] >> 1
-    drop = np.empty(half)
+    drop = np.empty(vals.shape[0] >> 1)
 
     def largest(lo, hi):
-        d = np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
-        m = d.max()
-        # Views of the whole table are in the natural layout: locate the drop now.
-        return m, _first_over(d, tol) if m > tol and d.size == half else None
+        return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape)).max()
 
+    tiled = subsets.tile_bits(vals.shape[0].bit_length() - 1)
     drops, first = [], None
     for i, calls in enumerate(subsets.lattice(largest, vals)):
-        drops.append(max(m for m, _ in calls))
+        drops.append(max(calls))
         if drops[-1] <= tol:
             continue
-        b = next(b for b, (m, _) in enumerate(calls) if m > tol)
-        mask = calls[b][1]
-        if mask is None:  # a tile: search its block of masks in the natural layout
-            size = vals.shape[0] // len(calls)
-            _, lo, hi = next(subsets.halves(vals[b * size : (b + 1) * size], 1 << i))
-            with np.errstate(over="ignore"):
-                mask = b * size + _first_over(lo - hi, tol)
+        # Search the natural layout for the first drop: the whole table, or on a
+        # tiled bit the first block of masks whose call drops.
+        start, size = 0, vals.shape[0]
+        if i < tiled:
+            size //= len(calls)
+            start = size * next(b for b, m in enumerate(calls) if m > tol)
+        _, lo, hi = next(subsets.halves(vals[start : start + size], 1 << i))
+        with np.errstate(over="ignore"):
+            d = np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
+        mask = start + _first_over(d, tol)
         if first is None or mask < first[0]:
             first = (mask, i)
     return np.array(drops), first
@@ -514,7 +517,8 @@ def _tol(tol) -> float:
 
 
 def vector_from_dict(obj) -> tuple[int, np.ndarray]:
-    """Parse ``{"n": ..., "values_by_mask": [...]}`` or the keyed form."""
+    """Parse ``{"n": ..., "values_by_mask": [...]}`` or the keyed form into n and
+    a read-only table of finite numbers."""
     if not isinstance(obj, dict):
         raise InvalidFormat("expected a JSON object, got %r" % type(obj).__name__)
     if "n" not in obj:
@@ -529,7 +533,7 @@ def vector_from_dict(obj) -> tuple[int, np.ndarray]:
         if not isinstance(dense, list) or len(dense) != size:
             raise InvalidFormat('"values_by_mask" must be a list of length 2**%d = %d' % (n, size))
         arr = np.array([_number(x, '"values_by_mask" entry') for x in dense])
-        return n, arr
+        return n, _finite(arr, "values")
     if not isinstance(keyed, dict):
         raise InvalidFormat('"values" must be an object keyed by subsets')
     arr = np.empty(size)
@@ -548,7 +552,7 @@ def vector_from_dict(obj) -> tuple[int, np.ndarray]:
             'missing value for subset "%s" (all %d subsets are required)'
             % (subsets.subset_key(missing), size)
         )
-    return n, arr
+    return n, _finite(arr, "values")
 
 
 def set_function_from_dict(obj) -> SetFunction:
@@ -560,4 +564,4 @@ def capacity_from_dict(
     obj, require_positive_singletons: bool = False, tol: float = DEFAULT_TOL
 ) -> Capacity:
     n, arr = vector_from_dict(obj)
-    return _checked_capacity(_finite(arr, "values"), n, tol, require_positive_singletons)
+    return _checked_capacity(arr, n, tol, require_positive_singletons)

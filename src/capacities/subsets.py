@@ -12,11 +12,15 @@ to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
 
 Two passes walk the subset lattice of a table indexed by mask. ``halves``
 yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
-calls an elementwise op on the same pairs in the same bit order, running
-the bits below 12 of a large table on a cache-sized transposed tile, where
-their rows are long and contiguous; every table transform goes through it.
-It allocates its own tile for each table it walks, at most 1/16 of the
-table and 512 KiB, and frees it when the pass ends.
+calls an elementwise op on the same pairs in the same bit order; every
+table transform goes through it. Each bit runs on tiles, on columns or on
+views. The bits below 12 of a table of 2**18 entries or more run on a
+cache-sized transposed tile, where their rows are long and contiguous.
+Bits 0 to 3 of a table of 2**12 to 2**17 entries run on strided columns,
+as a view of them would have rows of 1 to 8 entries. Every other bit runs
+on views of the whole table. The pass allocates its own tile for each
+table it walks, at most 1/16 of the table and 512 KiB, and frees it when
+the pass ends; columns and views allocate nothing.
 """
 
 from __future__ import annotations
@@ -33,10 +37,21 @@ MAX_CRITERIA = 24
 
 def check_n(n: int) -> int:
     if not _is_int(n):
-        raise InvalidFormat("criteria count n must be an integer, got %r" % (n,))
+        raise InvalidFormat("criteria count n must be an integer, got %s" % _shown(n))
     if not 1 <= n <= MAX_CRITERIA:
-        raise InvalidFormat("criteria count n must be in 1..%d, got %r" % (MAX_CRITERIA, n))
+        raise InvalidFormat("criteria count n must be in 1..%d, got %s" % (MAX_CRITERIA, _shown(n)))
     return int(n)
+
+
+def _shown(x) -> str:
+    """``repr(x)`` for an error text. An int too long for Python to print as
+    digits is shown by its bit length, and a container holding one by its type."""
+    try:
+        return repr(x)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        if isinstance(x, int):
+            return "an integer of %d bits" % x.bit_length()
+        return "a %s holding an integer too long to print" % type(x).__name__
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -60,14 +75,14 @@ def mask_of(subset, n: int) -> int:
         return parse_subset_key(subset, n)
     if _is_int(subset):
         if not 0 <= subset < 1 << n:
-            raise InvalidFormat("subset mask %d out of range for n = %d" % (subset, n))
+            raise InvalidFormat("subset mask %s out of range for n = %d" % (_shown(int(subset)), n))
         return int(subset)
     if not isinstance(subset, Iterable) or getattr(subset, "ndim", 1) == 0:  # a 0-d array
         raise InvalidFormat("a subset must be a comma key, a mask or indices, got %r" % (subset,))
     mask = 0
     for i in subset:
         if not _is_int(i) or not 1 <= i <= n:
-            raise InvalidFormat("criterion index %r out of range 1..%d" % (i, n))
+            raise InvalidFormat("criterion index %s out of range 1..%d" % (_shown(i), n))
         mask |= 1 << (int(i) - 1)
     return mask
 
@@ -160,41 +175,53 @@ def halves(a: np.ndarray, bits: int | None = None):
 # (512 KiB of floats) and 1/16 of the table. A table of 1 MiB or less fits in
 # the L2 cache of a current x86 core, where a tile only adds copies; from bit
 # TILE_BITS up, each row of a view holds 4096 or more contiguous entries,
-# which is fast as it is.
+# which is fast as it is. Untiled, a bit i with 2**i < TILE_ROWS runs on
+# columns once a table has 2**TILE_BITS entries: numpy walks a view of rows of
+# 2**i entries slower than 2**i strided columns of 2**(n - i - 1) entries.
 TILE_MIN_N = 18
 TILE_BITS = 12
 TILE_ROWS = 16
 
 
+def tile_bits(n: int) -> int:
+    """How many low bits :func:`lattice` runs on tiles for a table of 2**n entries."""
+    return min(TILE_BITS, n - 8) if n >= TILE_MIN_N else 0
+
+
 def lattice(op, *tables) -> list:
     """Call ``op(lo, hi, lo2, hi2, ...)`` for every bit of equal-length
     bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
-    the list of what those calls returned. A bit's calls run on blocks of
-    consecutive masks, listed in ascending order; a bit that runs on views
-    of the tables has one block, the whole table, and only its views hold
-    half a table's entries.
+    the list of what those calls returned. A bit's calls run on tiles, on
+    columns, or on the whole table: on tiles, one call per block of
+    consecutive masks, blocks in ascending order; on columns, one call per
+    column; on the whole table, one call on views that hold half a table's
+    entries each.
 
     Each ``(lo, hi)`` pairs every mask A without the bit with A | bit, as in
     :func:`halves`, and an elementwise ``op`` gets the same results as in a
     loop over :func:`halves`, bit for bit. With 2**n entries, n >= TILE_MIN_N,
-    the L = min(TILE_BITS, n - 8) low bits run block by block on tiles: the
+    the L = :func:`tile_bits` low bits run block by block on tiles: the
     TILE_ROWS rows of 2**L consecutive masks of a block are copied transposed
     into a tile, where bit i has contiguous rows of TILE_ROWS * 2**i
     entries, and copied back into the tables that are writable. There, op
     is called once per block for each low bit. Bits from L up run on views
-    of the tables. The pass allocates one tile per table, of its dtype.
-    Overflow is not reported: callers check their results for finiteness.
+    of the tables. A bit i that is not tiled, with 2**i < TILE_ROWS and
+    n >= TILE_BITS, runs on columns instead: op is called 2**i times, on the
+    1-D strided views ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]`` for
+    j = 0..2**i - 1. The pass allocates one tile per table, of its dtype, and
+    nothing on columns or views. Overflow is not reported: callers check
+    their results for finiteness.
     """
     n = tables[0].shape[0].bit_length() - 1
-    low = min(TILE_BITS, n - 8) if n >= TILE_MIN_N else 0
+    low = tile_bits(n)
+    shift = TILE_ROWS.bit_length() - 1  # the bits i with 2**i < TILE_ROWS lie below it
     out = [[] for _ in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):
         if low:
             tiles = [np.empty(TILE_ROWS << low, t.dtype) for t in tables]
             blocks = [t.reshape(-1, TILE_ROWS << low) for t in tables]
             # Tile entry [j, k] is mask j of block row k, so bit i of a mask
-            # is bit i + log2(TILE_ROWS) of the flat tile index.
-            shift = TILE_ROWS.bit_length() - 1
+            # is bit i + shift of the flat tile index.
             for b in range(blocks[0].shape[0]):
                 rows = [t[b].reshape(TILE_ROWS, -1) for t in blocks]
                 for tile, r in zip(tiles, rows):
@@ -203,16 +230,20 @@ def lattice(op, *tables) -> list:
                 for tile, r in zip(tiles, rows):
                     if r.flags.writeable:
                         np.copyto(r, tile.reshape(-1, TILE_ROWS).T)
-        _calls(op, tables, (1 << n) - (1 << low), out, 0)
+        _calls(op, tables, (1 << n) - (1 << low), out, 0, shift if n >= TILE_BITS else 0)
     return out
 
 
-def _calls(op, tables, bits, out, shift):
+def _calls(op, tables, bits, out, shift, columns=0):
     """``op`` on the (lo, hi) views of ``tables`` for the set bits of ``bits``;
-    the result of bit i goes to ``out[i - shift]``."""
+    the result of bit i goes to ``out[i - shift]``. A bit i below ``columns``
+    runs as one call per column j of its (rows, 2**i) views."""
     others = [halves(t, bits) for t in tables[1:]]
     for i, lo, hi in halves(tables[0], bits):
         views = [lo, hi]
         for other in others:
             views += next(other)[1:]
-        out[i - shift].append(op(*views))
+        if i < columns:
+            out[i].extend(op(*(v[:, j] for v in views)) for j in range(1 << i))
+        else:
+            out[i - shift].append(op(*views))

@@ -31,12 +31,14 @@ from capacities import (
     CapacitiesError,
     Capacity,
     CoMobiusRepr,
+    DimensionMismatch,
     InvalidFormat,
     MobiusRepr,
     OrdinalMobiusRepr,
     OutOfDomain,
     PseudoProduct,
     SetFunction,
+    UnknownAxiom,
     UtilityScale,
     as_capacity,
     capacity_from_binary_acts,
@@ -75,6 +77,7 @@ from capacities import (
 SCALARS = [
     0, 1, -3, 0.5, -0.25, 0.0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
     np.float32(0.5), np.float64(0.25), np.int64(2), np.uint64(2**64 - 1), 10**400, -10**400,
+    10**5000, -10**5000,
     True, False, np.bool_(True), "0.5", "1", "", b"1", None, 1j, complex(0.5, 0.0),
     Fraction(1, 2), np.array(0.5), np.array(True),
 ]
@@ -249,6 +252,47 @@ HOLES = [
 def test_loose_numbers_are_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+# Past the 4,300 digits Python prints by default: these texts raised a bare
+# ValueError while formatting the number.
+TOO_LONG = 10**5000
+LONG_INTEGERS = [
+    ("check_n", lambda: as_capacity([0, 1], n=TOO_LONG), InvalidFormat, "integer of 16610 bits"),
+    ("certify", lambda: certify(lambda a, b: TOO_LONG), InvalidFormat, "integer of 16610 bits"),
+    ("subset mask", lambda: interaction_index(MU, TOO_LONG), InvalidFormat,
+     "integer of 16610 bits"),
+    ("criterion index", lambda: interaction_index(MU, [TOO_LONG]), InvalidFormat,
+     "integer of 16610 bits"),
+    ("max_order", lambda: interaction_report(MU, max_order=TOO_LONG), InvalidFormat,
+     "integer of 16610 bits"),
+    ("scale criterion", lambda: UtilityScale(-TOO_LONG, {}), InvalidFormat,
+     "integer of 16610 bits"),
+    ("model scale", lambda: AggregationModel(MU, "sipos", (default_scale(TOO_LONG),)),
+     DimensionMismatch, "integer of 16610 bits"),
+    ("axiom samples", lambda: AxiomCheckConfig(samples=-TOO_LONG), CapacitiesError,
+     "integer of 16610 bits"),
+    ("axiom bounds", lambda: AxiomCheckConfig(score_bounds=(0, TOO_LONG)), CapacitiesError,
+     "a tuple holding an integer too long to print"),
+    ("axiom name", lambda: check_axiom(TOO_LONG, make_extension("choquet", MU), MU),
+     UnknownAxiom, "integer of 16610 bits"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", [c[1:] for c in LONG_INTEGERS],
+                         ids=[c[0] for c in LONG_INTEGERS])
+def test_an_integer_too_long_to_print_is_named_by_its_size(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
+
+
+def test_ordinary_integers_keep_their_texts():
+    with pytest.raises(InvalidFormat, match=r"^criteria count n must be in 1\.\.24, got 25$"):
+        as_capacity([0, 1], n=25)
+    with pytest.raises(InvalidFormat, match=r"^op\(0, 0\) = 10{400} is not a real number$"):
+        certify(lambda a, b: 10**400)
+    with pytest.raises(InvalidFormat, match=r"^subset mask 4 out of range for n = 2$"):
+        interaction_index(MU, np.int64(4))
 
 
 @pytest.mark.parametrize("call", [

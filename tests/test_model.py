@@ -525,8 +525,22 @@ class TestModelParsing:
          InvalidFormat, r"^scale key 'first' is not a criterion number$"),
         (lambda: acts_from_obj([{"entries": "ab"}]), InvalidFormat,
          r'^act 0: "entries" must be an array$'),
+        # these raised a bare TypeError or AttributeError
+        (lambda: Act(None), InvalidFormat,
+         r"^act entries must be a sequence of level names and numbers, got 'NoneType'$"),
+        (lambda: evaluate_act(sipos_model(), 0.5), InvalidFormat,
+         r"^act entries must be a sequence of level names and numbers, got 'float'$"),
+        (lambda: rank_acts(sipos_model(), [X, None]), InvalidFormat,
+         r"^act entries must be a sequence of level names and numbers, got 'NoneType'$"),
+        (lambda: UtilityScale(1, 5), InvalidFormat,
+         r"^levels must be a dict of level names to numbers, got 'int'$"),
+        (lambda: UtilityScale(1, ["abc"]), InvalidFormat,
+         r"^levels must be a dict of level names to numbers, got 'list'$"),
+        (lambda: capacity_from_binary_acts(2, [1]), InvalidFormat,
+         r"^attractiveness must be a dict of subsets to numbers, got 'list'$"),
     ], ids=["level-name", "scale-object", "scale-criterion", "model-list", "scale-key",
-            "entries-string"])
+            "entries-string", "act-none", "act-float", "ranked-act-none", "levels-int",
+            "levels-list", "attractiveness-list"])
     def test_values_of_the_wrong_kind_are_named(self, build, error, match):
         with pytest.raises(error, match=match):
             build()

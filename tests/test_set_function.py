@@ -137,10 +137,10 @@ class TestHalves:
             hi += 1.0
         assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
-    @pytest.mark.parametrize("n", [1, 5, TILE_MIN_N, TILE_BITS + 8])
+    @pytest.mark.parametrize("n", [1, 5, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8])
     def test_lattice_visits_every_pair_once_in_bit_order(self, n):
         # The entries are the masks themselves, so each (lo, hi) of a call,
-        # on a tile or on views, tells which pairs it covers.
+        # on a tile, on columns or on views, tells which pairs it covers.
         table = np.arange(1 << n, dtype=np.float64)
         table.flags.writeable = False
         last_bit = np.full(1 << n, -1)
@@ -464,11 +464,13 @@ class TestTableContract:
             transform(v)
 
 
-# n just below, at and just above each switch of the lattice tile: tiles start
-# at TILE_MIN_N and run TILE_BITS low bits from n = TILE_BITS + 8 on.
-TILE_SIZES = sorted(
-    {TILE_MIN_N - 1, TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 7, TILE_BITS + 8, TILE_BITS + 9}
-)
+# n just below, at and just above each switch of the lattice: the short-row
+# bits run on columns from n = TILE_BITS on, tiles start at TILE_MIN_N and run
+# TILE_BITS low bits from n = TILE_BITS + 8 on; n = 16 is the analyze size.
+TILE_SIZES = sorted({
+    TILE_BITS - 1, TILE_BITS, 16,
+    TILE_MIN_N - 1, TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 7, TILE_BITS + 8, TILE_BITS + 9,
+})
 
 
 def _drop_text(vals, tol):
@@ -519,14 +521,13 @@ class TestTiledPasses:
             a = np.abs(v)
             self.same(ordinal_mobius(SetFunction(n, a)), oracles.loop_ordinal_mobius(a))
             self.same(ordinal_zeta(OrdinalMobiusRepr(n, a)), oracles.loop_ordinal_zeta(a))
+            for order in (1, 3):  # the superset pass of interaction._up
+                want = oracles.loop_all_indices(oracles.loop_mobius(v), order)
+                assert _all_indices(sf, order).tobytes() == want.tobytes()
         for v in caps.values():
             mu = as_capacity(v, n=n)
             self.same(mu, v)
             self.same(conjugate(mu), oracles.loop_conjugate(v))
-        m = oracles.loop_mobius(caps["mu"])
-        for order in (1, 3):
-            want = oracles.loop_all_indices(m, order)
-            assert _all_indices(as_capacity(caps["mu"], n=n), order).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", TILE_SIZES)
     def test_validate_flags_match_the_natural_loops(self, n):
@@ -547,8 +548,8 @@ class TestTiledPasses:
 
 
 class TestFirstViolation:
-    """Planted drops, on the tiled low bits and on the high bits, named as the
-    natural-layout scan names them."""
+    """Planted drops, on the low bits (tiled, on columns or on views) and on the
+    high bits, named as the natural-layout scan names them."""
 
     @staticmethod
     def planted(n, pairs):
@@ -578,7 +579,7 @@ class TestFirstViolation:
             "two low bits, the later one first": ([(top | 1 << (n - 3), 1), (top, 2)], (top, 2)),
         }
 
-    @pytest.mark.parametrize("n", [8, TILE_MIN_N, TILE_BITS + 8])
+    @pytest.mark.parametrize("n", [8, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8])
     def test_not_monotone_texts_match_the_reference_scan(self, n):
         for name, (pairs, first) in self.cases(n).items():
             v = self.planted(n, pairs)
@@ -718,6 +719,14 @@ class TestJson:
     def test_rejects_non_numeric_values(self):
         with pytest.raises(InvalidFormat):
             vector_from_dict({"n": 1, "values_by_mask": [0.0, "x"]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # the table was returned as it was: only the constructors refused it
+        for obj in ({"n": 1, "values_by_mask": [0.0, bad]},
+                    {"n": 1, "values": {"": 0.0, "1": bad}}):
+            with pytest.raises(InvalidFormat, match="^values must contain only finite numbers$"):
+                vector_from_dict(obj)
 
 
 def pinned_tables(n):
