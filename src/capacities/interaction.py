@@ -17,7 +17,7 @@ import numpy as np
 
 from . import subsets
 from .errors import EmptyCoalition, InvalidFormat, OutOfDomain
-from .set_function import DEFAULT_TOL, Capacity, _number, _tol, mobius
+from .set_function import DEFAULT_TOL, Capacity, _mobius_table, _number, _tol, _values
 
 __all__ = [
     "interaction_index",
@@ -37,12 +37,12 @@ def interaction_index(mu: Capacity, coalition) -> float:
     mu((M - A) | K); those are then averaged with exact factorial weights
     (n - |B| - |A|)! |B|! / (n - |A| + 1)! where B = M - A.
     """
+    vals = _values(mu).copy()
     n = mu.n
     amask = subsets.mask_of(coalition, n)
     if amask == 0:
         raise EmptyCoalition("the interaction index needs a nonempty coalition")
     a = amask.bit_count()
-    vals = mu.values.copy()
     for _, lo, hi in subsets.halves(vals, amask):
         hi -= lo
     masks = np.arange(1 << n)
@@ -55,17 +55,27 @@ def interaction_index(mu: Capacity, coalition) -> float:
     return float(np.dot(weights[b_sizes], vals[sel]))
 
 
-def _all_indices(mu: Capacity, max_order: int) -> np.ndarray:
-    """I(A) at every mask A of size 1..max(max_order, 2), else 0: for each order k,
-    one superset pass over m(B) / max(|B| - k + 1, 1) leaves I(A) at every |A| = k."""
-    m = mobius(mu).values
-    sizes = subsets.popcounts(mu.n)
-    out = np.zeros_like(m)
-    for k in range(1, min(max(max_order, 2), mu.n) + 1):
-        t = m / np.maximum(sizes - (k - 1.0), 1.0)  # a float k: sizes is uint8
+def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masks A of size 1..K = min(max(max_order, 2), n), ascending, and I(A) at
+    each; ``sizes`` is :func:`subsets.popcounts` of n. For each order k, one
+    superset pass over m(B) / max(|B| - k + 1, 1) leaves I(A) at every |A| = k.
+    The passes share one scratch table, and the last one runs in the Mobius table."""
+    top = min(max(max_order, 2), mu.n)
+    masks = np.flatnonzero(sizes <= top)[1:]  # without the empty set
+    at = sizes[masks]
+    values = np.empty(masks.size)
+    m = _mobius_table(mu)
+    scratch = np.empty_like(m) if top > 1 else m
+    d = np.empty_like(sizes)
+    for k in range(1, top + 1):
+        t = m if k == top else scratch
+        np.maximum(sizes, k, out=d)
+        d -= k - 1  # max(|B|, k) - (k - 1) = max(|B| - k + 1, 1), exact in uint8
+        np.divide(m, d, out=t)
         subsets.lattice(_up, t)
-        np.copyto(out, t, where=sizes == k)
-    return out
+        here = at == k
+        values[here] = t[masks[here]]
+    return masks, values
 
 
 def _up(lo, hi):
@@ -73,8 +83,13 @@ def _up(lo, hi):
 
 
 def shapley(mu: Capacity) -> np.ndarray:
-    """Shapley values phi_i = I({i}) = sum over B containing i of m(B) / |B|; they sum to mu(N)."""
-    m = mobius(mu).values / np.maximum(subsets.popcounts(mu.n), 1)
+    """Shapley values phi_i = I({i}) = sum over B containing i of m(B) / |B|; they sum to mu(N).
+
+    The sums run outside :func:`subsets.lattice`, at numpy's own buffer size,
+    which sets the order in which a buffered sum adds."""
+    m = _mobius_table(mu)
+    sizes = subsets.popcounts(mu.n)
+    m /= np.maximum(sizes, 1, out=sizes)
     return np.array([hi.sum() for _, _, hi in subsets.halves(m)])
 
 
@@ -135,22 +150,25 @@ def interaction_report(
     O(n * 2**n) work; the default reports up to pairs. ``tol`` is
     the half-width of the non-interactive band and must be finite and >= 0.
     """
+    _values(mu)  # refuse what is not a value table before reading its n
     n = mu.n
     if max_order is None:
         max_order = min(n, 2)
     if not subsets._is_int(max_order) or not 1 <= max_order <= n:
         raise InvalidFormat("max_order must be in 1..%d, got %s" % (n, subsets._shown(max_order)))
     tol = _tol(tol)
-    table = _all_indices(mu, max_order)
-    masks = np.flatnonzero(subsets.popcounts(n) <= max_order)[1:]  # without the empty set
-    values = dict(zip(masks.tolist(), table[masks].tolist()))
-    kinds = (table[masks] > tol) + 2 * (table[masks] < -tol)
+    sizes = subsets.popcounts(n)
+    masks, table = _all_indices(mu, max_order, sizes)
+    shown = sizes[masks] <= max_order
+    values = dict(zip(masks[shown].tolist(), table[shown].tolist()))
+    kinds = (table[shown] > tol) + 2 * (table[shown] < -tol)
     labels = dict(zip(values, map(_LABELS.__getitem__, kinds.tolist())))
     bits = 1 << np.arange(n)
+    pairs = np.searchsorted(masks, bits[:, None] | bits)  # singletons on the diagonal
     return InteractionReport(
         n=n,
-        shapley=table[bits],
-        pair_matrix=table[bits[:, None] | bits],
+        shapley=table[pairs.diagonal()],
+        pair_matrix=table[pairs],
         values=values,
         labels=labels,
         tol=tol,

@@ -22,8 +22,9 @@ All transforms run in O(n * 2**n) as in-place butterflies through
 :func:`capacities.subsets.lattice`, which runs each bit on tiles, columns
 or views: the low bits of a table of 2**18 entries or more on a
 cache-sized transposed tile, bits 0 to 3 of a table of 2**12 to 2**17
-entries on strided columns, and the rest on views of the whole table; the
-results are those of the plain per-bit loop, bit for bit. n is capped at
+entries on strided columns, and the rest on views of the whole table, with
+a small ufunc buffer that spares numpy a copy of each view; the results are
+those of the plain per-bit loop, bit for bit. n is capped at
 24 to keep the dense tables reasonable. Overflow inside a pass is not
 reported as a numpy warning: an output that is not finite raises
 :class:`InvalidFormat`.
@@ -40,7 +41,11 @@ invariants, is not scanned. Where a bit's largest drop exceeds tol, a
 natural-layout search through the same float buffer and a half-length bool
 buffer names its first offending pair: over the whole table, or on a tiled
 bit over the first block of masks that drops. :func:`validate` reads strict
-monotonicity off the same drops and builds one Mobius table. Public
+monotonicity off the same drops and builds one Mobius table. The Shapley
+values and interaction reports of :mod:`capacities.interaction` start from
+one writable Mobius table, checked as :func:`mobius` checks its output, and
+scale it in place: ``shapley`` holds it and one byte per subset, and a
+report one scratch table more and two bytes per subset. Public
 constructors copy the arrays they are given; tables the package has just
 built are wrapped without a copy.
 """
@@ -132,6 +137,11 @@ class SetFunction:
         """Wrap ``arr``, a float table of length 2**n that the package has just
         built and nothing else holds, without copying it."""
         cls._check(_finite(arr, cls._what))
+        return cls._wrap(n, arr)
+
+    @classmethod
+    def _wrap(cls, n: int, arr: np.ndarray):
+        """Wrap ``arr``, a read-only table that has passed ``_check``, as it is."""
         table = object.__new__(cls)
         vars(table).update(n=n, values=arr)
         return table
@@ -227,9 +237,10 @@ class OrdinalMobiusRepr(_Coefficients):
 
 
 def _values(v: SetFunction) -> np.ndarray:
-    """Value table of a set function; coefficient tables are refused."""
+    """Value table of a set function; anything else, coefficient tables included,
+    raises :class:`InvalidFormat`."""
     if not isinstance(v, SetFunction) or isinstance(v, _Coefficients):
-        raise TypeError("expected SetFunction or Capacity, got %r" % type(v).__name__)
+        raise InvalidFormat("expected SetFunction or Capacity, got %r" % type(v).__name__)
     return v.values
 
 
@@ -247,9 +258,19 @@ def _maximum(lo, hi):
 
 def mobius(v: SetFunction) -> MobiusRepr:
     """Alternating-sum coefficients m(A) = sum over B in A of (-1)^|A-B| v(B)."""
+    a = _mobius_table(v)
+    a.flags.writeable = False
+    return MobiusRepr._wrap(v.n, a)
+
+
+def _mobius_table(v: SetFunction) -> np.ndarray:
+    """The Mobius coefficients of a value table as a new writable table, which the
+    caller may scale in place; refused as :func:`mobius` refuses them."""
     a = _values(v).copy()
     subsets.lattice(_subtract, a)
-    return MobiusRepr._own(v.n, a)
+    MobiusRepr._check(_finite(a, MobiusRepr._what))
+    a.flags.writeable = True  # _finite froze it
+    return a
 
 
 def zeta(m: MobiusRepr) -> SetFunction:

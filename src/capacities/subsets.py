@@ -20,7 +20,13 @@ Bits 0 to 3 of a table of 2**12 to 2**17 entries run on strided columns,
 as a view of them would have rows of 1 to 8 entries. Every other bit runs
 on views of the whole table. The pass allocates its own tile for each
 table it walks, at most 1/16 of the table and 512 KiB, and frees it when
-the pass ends; columns and views allocate nothing.
+the pass ends; columns and views allocate nothing. The pass runs with a
+ufunc buffer of ``BUFSIZE`` = 512 entries, and restores numpy's buffer
+size when it returns or raises: with its default of 8192, numpy copies a
+view whose rows hold 256 to 4096 entries through the buffer, which makes
+the op two to four times slower. Since the buffer size sets the order in
+which a buffered reduction adds, ops in the pass are elementwise or exact
+reductions such as max; sums run outside it.
 """
 
 from __future__ import annotations
@@ -181,6 +187,10 @@ def halves(a: np.ndarray, bits: int | None = None):
 TILE_MIN_N = 18
 TILE_BITS = 12
 TILE_ROWS = 16
+# lattice's ufunc buffer in entries, not numpy's 8192: numpy copies a 2-D
+# strided operand through its buffer when the operand's rows are shorter than
+# about half of it. Rows of 64 entries or fewer are copied at either size.
+BUFSIZE = 512
 
 
 def tile_bits(n: int) -> int:
@@ -210,13 +220,16 @@ def lattice(op, *tables) -> list:
     1-D strided views ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]`` for
     j = 0..2**i - 1. The pass allocates one tile per table, of its dtype, and
     nothing on columns or views. Overflow is not reported: callers check
-    their results for finiteness.
+    their results for finiteness. ``op`` runs with a ufunc buffer of BUFSIZE
+    entries, so it may only make elementwise updates and exact reductions;
+    numpy's buffer size is restored when the pass returns or raises.
     """
     n = tables[0].shape[0].bit_length() - 1
     low = tile_bits(n)
     shift = TILE_ROWS.bit_length() - 1  # the bits i with 2**i < TILE_ROWS lie below it
     out = [[] for _ in range(n)]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # restores the buffer size too
+        np.setbufsize(BUFSIZE)
         if low:
             tiles = [np.empty(TILE_ROWS << low, t.dtype) for t in tables]
             blocks = [t.reshape(-1, TILE_ROWS << low) for t in tables]

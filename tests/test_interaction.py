@@ -10,12 +10,15 @@ from capacities import (
     EmptyCoalition,
     InvalidFormat,
     OutOfDomain,
+    SetFunction,
     as_capacity,
     classify,
     interaction_index,
     interaction_report,
+    mobius,
     shapley,
 )
+from capacities.subsets import halves, lattice, popcounts
 from helpers import random_additive_capacity, random_capacity
 
 TOL = 1e-9
@@ -291,3 +294,49 @@ class TestAllIndicesTransform:
         phi = shapley(mu)
         for i in range(n):
             assert abs(phi[i] - interaction_index(mu, 1 << i)) <= 1e-12
+
+
+class TestPinnedToTheTableFormulas:
+    """Shapley values and reports byte for byte against the formulas they were
+    first computed by: a new Mobius table over the clamped sizes, summed per
+    bit, and one new scaled table per order, read at the masks of that order."""
+
+    @staticmethod
+    def tables(n):
+        """A capacity, and set functions of small integers with zeros of either sign,
+        the same times 1e300."""
+        rng = np.random.default_rng(300 + n)
+        signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
+        signed[(signed == 0.0) & (rng.uniform(size=1 << n) < 0.5)] = -0.0
+        signed[0] = 0.0
+        return [random_capacity(rng, n), SetFunction(n, signed), SetFunction(n, signed * 1e300)]
+
+    @staticmethod
+    def want_shapley(mu):
+        m = mobius(mu).values / np.maximum(popcounts(mu.n), 1)
+        return np.array([hi.sum() for _, _, hi in halves(m)])
+
+    @staticmethod
+    def want_indices(mu, max_order):
+        m = mobius(mu).values
+        sizes = popcounts(mu.n)
+        out = np.zeros_like(m)
+        for k in range(1, min(max(max_order, 2), mu.n) + 1):
+            t = m / np.maximum(sizes - (k - 1.0), 1.0)
+            lattice(lambda lo, hi: np.add(lo, hi, out=lo), t)
+            np.copyto(out, t, where=sizes == k)
+        return out
+
+    @pytest.mark.parametrize("n", [4, 12, 16, 18])
+    def test_bytes_are_those_of_the_table_formulas(self, n):
+        bits = 1 << np.arange(n)
+        for mu in self.tables(n):
+            assert shapley(mu).tobytes() == self.want_shapley(mu).tobytes()
+            for order in {1, 2, 3, n} if n <= 12 else (2,):
+                want = self.want_indices(mu, order)
+                rep = interaction_report(mu, max_order=order)
+                masks = [a for a in range(1, 1 << n) if a.bit_count() <= order]
+                assert list(rep.values) == masks
+                assert np.array(list(rep.values.values())).tobytes() == want[masks].tobytes()
+                assert rep.shapley.tobytes() == want[bits].tobytes()
+                assert rep.pair_matrix.tobytes() == want[bits[:, None] | bits].tobytes()

@@ -29,19 +29,22 @@ from capacities import (
     co_mobius,
     conjugate,
     cpt_compatible,
+    interaction_index,
     interaction_report,
     mobius,
     ordinal_mobius,
     ordinal_zeta,
     rank_acts,
     set_function_from_dict,
+    shapley,
     to_dict,
     validate,
     vector_from_dict,
     zeta,
 )
 from capacities.interaction import _all_indices
-from capacities.subsets import TILE_BITS, TILE_MIN_N, halves, lattice, popcounts, subset_key
+from capacities.subsets import (BUFSIZE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
+                                subset_key)
 from helpers import random_capacity, random_set_function
 
 TOL = 1e-12
@@ -170,6 +173,25 @@ class TestHalves:
         lattice(lambda lo, hi, wlo, whi: np.subtract(whi, wlo, out=whi), reads, writes)
         assert np.array_equal(reads, values)
         assert writes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 16, TILE_MIN_N])
+    def test_lattice_restores_the_ufunc_buffer_size(self, n):
+        table = random_capacity(np.random.default_rng(n), n).values.copy()
+        before = np.getbufsize()
+        assert lattice(lambda lo, hi: np.getbufsize(), table)[0][0] == BUFSIZE != before
+        assert np.getbufsize() == before
+
+        def fails(lo, hi):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            lattice(fails, table)
+        assert np.getbufsize() == before
+        drop = table.copy()
+        drop[1] = 1.5
+        with pytest.raises(NotMonotone):
+            as_capacity(drop)
+        assert np.getbufsize() == before
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_popcounts(self, n):
@@ -410,11 +432,22 @@ class TestConjugate:
 
 
 class TestCoefficientTables:
-    @pytest.mark.parametrize("transform", [mobius, co_mobius, ordinal_mobius, conjugate])
+    VALUE_OPS = {
+        "mobius": mobius,
+        "co_mobius": co_mobius,
+        "ordinal_mobius": ordinal_mobius,
+        "conjugate": conjugate,
+        "shapley": shapley,
+        "interaction_report": interaction_report,
+        "interaction_index": lambda table: interaction_index(table, 3),
+    }
+
+    @pytest.mark.parametrize("transform", VALUE_OPS.values(), ids=VALUE_OPS.keys())
     def test_value_transforms_refuse_coefficient_tables(self, transform):
+        # interaction_index(mobius(mu), 3) returned -0.8, read as if it were mu
         mu = as_capacity([0.0, 0.3, 0.6, 1.0])
-        for table in (mobius(mu), co_mobius(mu), ordinal_mobius(mu)):
-            with pytest.raises(TypeError):
+        for table in (mobius(mu), co_mobius(mu), ordinal_mobius(mu), [0.0, 0.3, 0.6, 1.0], None):
+            with pytest.raises(InvalidFormat, match="^expected SetFunction or Capacity, got "):
                 transform(table)
 
 
@@ -521,9 +554,12 @@ class TestTiledPasses:
             a = np.abs(v)
             self.same(ordinal_mobius(SetFunction(n, a)), oracles.loop_ordinal_mobius(a))
             self.same(ordinal_zeta(OrdinalMobiusRepr(n, a)), oracles.loop_ordinal_zeta(a))
+            sizes = popcounts(n)
             for order in (1, 3):  # the superset pass of interaction._up
                 want = oracles.loop_all_indices(oracles.loop_mobius(v), order)
-                assert _all_indices(sf, order).tobytes() == want.tobytes()
+                masks, got = _all_indices(sf, order, sizes)
+                assert np.array_equal(masks, np.flatnonzero((sizes > 0) & (sizes <= max(order, 2))))
+                assert got.tobytes() == want[masks].tobytes()
         for v in caps.values():
             mu = as_capacity(v, n=n)
             self.same(mu, v)
@@ -629,7 +665,9 @@ class TestMemory:
     # op, its input, and the bytes per subset it may allocate: a transform its
     # 8-byte output plus one bool or uint8 table, or the tile of at most half a
     # byte per subset; the monotonicity scan half a float and half a bool
-    # table; validate one Mobius table and its tile.
+    # table; validate one Mobius table and its tile; shapley one Mobius table
+    # and its sizes; a report one Mobius table, one scratch table, the sizes
+    # and their scaled copy, and one bool table or a tile.
     OPS = [
         ("mobius", "mu", mobius, 9),
         ("zeta", "m", zeta, 9),
@@ -640,6 +678,8 @@ class TestMemory:
         ("conjugate of a capacity", "mu", conjugate, 9),
         ("as_capacity", "sf", as_capacity, 4.5),
         ("validate", "mu", validate, 8.5),
+        ("shapley", "mu", shapley, 9),
+        ("interaction_report", "mu", interaction_report, 19),
     ]
 
     @pytest.mark.parametrize("op", OPS, ids=[op[0] for op in OPS])
