@@ -104,23 +104,18 @@ class Act:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _act_entries(self.entries))
-
-
-def _act_entries(entries) -> tuple:
-    """An act's entries as a tuple of level names and numbers; :class:`InvalidFormat` if not."""
-    try:
-        entries = tuple(entries)
-    except TypeError:
-        raise InvalidFormat(
-            "act entries must be a sequence of level names and numbers, got %r"
-            % type(entries).__name__
-        ) from None
-    if not _PLAIN_ENTRY_TYPES.issuperset(map(type, entries)):
-        for e in entries:
-            if not isinstance(e, str):
-                _number(e, "an act entry that is not a level name")
-    return entries
+        try:
+            entries = tuple(self.entries)
+        except TypeError:
+            raise InvalidFormat(
+                "act entries must be a sequence of level names and numbers, got %r"
+                % type(self.entries).__name__
+            ) from None
+        if not _PLAIN_ENTRY_TYPES.issuperset(map(type, entries)):
+            for e in entries:
+                if not isinstance(e, str):
+                    _number(e, "an act entry that is not a level name")
+        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,20 +334,17 @@ def acts_from_obj(obj) -> list:
         raise InvalidFormat("acts must be a JSON array")
     acts = []
     for k, item in enumerate(obj):
-        entries, label = item, ""
-        if isinstance(item, dict):
+        if isinstance(item, list):
+            acts.append(Act(item))
+        elif isinstance(item, dict):
             if "entries" not in item:
                 raise InvalidFormat('act %d is missing "entries"' % k)
-            entries, label = item["entries"], item.get("label", "")
-            if not isinstance(entries, list):
+            if not isinstance(item["entries"], list):
                 raise InvalidFormat('act %d: "entries" must be an array' % k)
+            label = item.get("label", "")
             if not isinstance(label, str):
                 raise InvalidFormat('act %d: "label" must be a string' % k)
-        elif not isinstance(item, list):
+            acts.append(Act(item["entries"], label=label))
+        else:
             raise InvalidFormat("act %d must be an array or an object" % k)
-        # Filled in place, as rank_acts fills RankedAct: cheaper than the frozen __init__.
-        act = object.__new__(Act)
-        object.__setattr__(act, "entries", _act_entries(entries))
-        object.__setattr__(act, "label", label)
-        acts.append(act)
     return acts

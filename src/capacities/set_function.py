@@ -137,11 +137,6 @@ class SetFunction:
         """Wrap ``arr``, a float table of length 2**n that the package has just
         built and nothing else holds, without copying it."""
         cls._check(_finite(arr, cls._what))
-        return cls._wrap(n, arr)
-
-    @classmethod
-    def _wrap(cls, n: int, arr: np.ndarray):
-        """Wrap ``arr``, a read-only table that has passed ``_check``, as it is."""
         table = object.__new__(cls)
         vars(table).update(n=n, values=arr)
         return table
@@ -258,18 +253,17 @@ def _maximum(lo, hi):
 
 def mobius(v: SetFunction) -> MobiusRepr:
     """Alternating-sum coefficients m(A) = sum over B in A of (-1)^|A-B| v(B)."""
-    a = _mobius_table(v)
-    a.flags.writeable = False
-    return MobiusRepr._wrap(v.n, a)
+    a = _values(v).copy()
+    subsets.lattice(_subtract, a)
+    return MobiusRepr._own(v.n, a)
 
 
 def _mobius_table(v: SetFunction) -> np.ndarray:
     """The Mobius coefficients of a value table as a new writable table, which the
-    caller may scale in place; refused as :func:`mobius` refuses them."""
-    a = _values(v).copy()
-    subsets.lattice(_subtract, a)
-    MobiusRepr._check(_finite(a, MobiusRepr._what))
-    a.flags.writeable = True  # _finite froze it
+    caller may scale in place: :func:`mobius`'s own table, checked there and
+    held by nothing else."""
+    a = mobius(v).coefficients
+    a.flags.writeable = True
     return a
 
 

@@ -561,20 +561,3 @@ class TestModelParsing:
             acts_from_obj({"entries": []})
         with pytest.raises(InvalidFormat):
             acts_from_obj([{"label": "no entries"}])
-
-    def test_acts_from_obj_builds_what_act_builds(self):
-        # acts_from_obj fills each act in place, without the frozen __init__
-        for entries, label in [(["good", 0.5], ""), ([np.int64(1), np.float32(0.25)], "x"),
-                               ([], ""), (["neutral", -0.0, 2], "two words")]:
-            for item in ({"entries": entries, "label": label},) + ((entries,) if not label else ()):
-                (got,) = acts_from_obj([item])
-                want = Act(entries, label)
-                assert type(got) is Act and got == want and vars(got) == vars(want)
-                assert type(got.entries) is tuple
-        for entries in ([True, 0.5], [None], ["good", 10**400], [np.bool_(False)], [[0.5]]):
-            with pytest.raises(InvalidFormat) as want:
-                Act(entries)
-            for item in (entries, {"entries": entries}):
-                with pytest.raises(InvalidFormat) as got:
-                    acts_from_obj([item])
-                assert str(got.value) == str(want.value)

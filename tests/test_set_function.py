@@ -180,6 +180,10 @@ class TestHalves:
         before = np.getbufsize()
         assert lattice(lambda lo, hi: np.getbufsize(), table)[0][0] == BUFSIZE != before
         assert np.getbufsize() == before
+        mu = as_capacity(table)
+        for call in (mobius, shapley, interaction_report):
+            call(mu)
+            assert np.getbufsize() == before, call.__name__
 
         def fails(lo, hi):
             raise ZeroDivisionError
