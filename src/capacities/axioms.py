@@ -563,19 +563,17 @@ _MAX_BLOCK = 1024
 
 
 def _blocks(probes: tuple, draw, count: int):
-    """The trial columns in blocks: the probes, then ``count`` random trials from
-    ``draw``, in blocks doubling in length from ``_FIRST_BLOCK``, so that an early
-    counterexample costs few evaluations and draws past it."""
+    """The trial columns: the probes, then ``count`` random trials from ``draw``, in
+    a block of ``_FIRST_BLOCK`` trials, then blocks of ``_MAX_BLOCK``. A failing trial
+    among the first costs one short block; a later one, at most one long block past it."""
     p = len(probes[0])
-    start, size = 0, _FIRST_BLOCK
-    while start < p + count:
-        end = min(start + size, p + count)
+    ends = [*range(min(_FIRST_BLOCK, p + count), p + count, _MAX_BLOCK), p + count]
+    for start, end in zip([0] + ends, ends):
         block = tuple(col[start:end] for col in probes)
         if end > p:
             drawn = draw(end - max(start, p))
             block = drawn if start >= p else tuple(map(np.concatenate, zip(block, drawn)))
         yield block
-        start, size = end, min(2 * size, _MAX_BLOCK)
 
 
 def check_axiom(

@@ -19,8 +19,10 @@ warnings off; each value it returns must be a number by the rule of
 
 Score vectors and matrices are read by ``subsets._reals``, the arguments of
 ``symmetric_max`` and of a ``PseudoProduct`` call by ``set_function._number``.
-Every scalar integral, like the call of an :class:`Extension`, returns a finite
-float or raises :class:`OutOfDomain`.
+A value table is read by ``set_function._values`` and a coefficient table by
+``set_function._coefficients``, which names the class each form takes; the row
+kernels take the bare tables. Every scalar integral, like the call of an
+:class:`Extension`, returns a finite float or raises :class:`OutOfDomain`.
 
 An :class:`Extension` is its exact row kernel ``fn``, from a (k, n) score
 matrix to k values, and the one-vector call is ``fn`` on one row: ``choquet``
@@ -58,9 +60,10 @@ from .set_function import (
     Capacity,
     MobiusRepr,
     OrdinalMobiusRepr,
-    SetFunction,
+    _coefficients,
     _number,
     _tol,
+    _values,
     mobius,
     ordinal_mobius,
     ordinal_zeta,
@@ -131,18 +134,19 @@ def choquet(mu: Capacity, t) -> float:
     Sorts t ascending (ties broken by criterion index) and accumulates
     t(1) * mu(N) + sum of (t(k) - t(k-1)) * mu({criteria ranked k..n}).
     """
-    return _finite_value("choquet", _choquet_rows(mu, _scores(t, mu.n)[None])[0])
+    return _finite_value("choquet", _choquet_rows(_values(mu), _scores(t, mu.n)[None])[0])
 
 
 def choquet_mobius(m: MobiusRepr, t) -> float:
     """Choquet integral in coefficient form: sum of m(A) * min of t over A."""
-    return _finite_value("choquet_mobius",
-                         _mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None])[0])
+    return _finite_value("choquet_mobius", _mobius_rows(
+        _coefficients(m, MobiusRepr), np.minimum, np.inf, _scores(t, m.n)[None])[0])
 
 
 def sipos(mu: Capacity, t) -> float:
     """Symmetric integral: Choquet of the gains minus Choquet of the losses."""
-    return _finite_value("sipos", _split_choquet_rows(mu, mu, _scores(t, mu.n)[None])[0])
+    vals = _values(mu)
+    return _finite_value("sipos", _split_choquet_rows(vals, vals, _scores(t, mu.n)[None])[0])
 
 
 def sipos_closed_form(mu: Capacity, t) -> float:
@@ -152,9 +156,9 @@ def sipos_closed_form(mu: Capacity, t) -> float:
     block telescopes through the capacities of the leading subsets and the
     nonnegative block through the trailing ones.
     """
+    vals = _values(mu)
     t = _scores(t, mu.n)
     n = mu.n
-    vals = mu.values
     order = np.argsort(t, kind="stable")
     ts = t[order]
     p = int(np.sum(ts < 0.0))
@@ -180,8 +184,8 @@ def sipos_closed_form(mu: Capacity, t) -> float:
 
 def sipos_mobius(m: MobiusRepr, t) -> float:
     """Coefficient form of :func:`sipos`: sum of m(A) * (min t+ - min t-)."""
-    return _finite_value("sipos_mobius",
-                         _mobius_rows(m, np.minimum, np.inf, _scores(t, m.n)[None], signed=True)[0])
+    return _finite_value("sipos_mobius", _mobius_rows(
+        _coefficients(m, MobiusRepr), np.minimum, np.inf, _scores(t, m.n)[None], signed=True)[0])
 
 
 def mle(m: MobiusRepr, t) -> float:
@@ -190,13 +194,14 @@ def mle(m: MobiusRepr, t) -> float:
     The natural domain is the unit cube; evaluation outside it is allowed
     (and is exactly what makes the extension misbehave there).
     """
-    return _finite_value("mle", _mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None])[0])
+    return _finite_value("mle", _mobius_rows(
+        _coefficients(m, MobiusRepr), np.multiply, 1.0, _scores(t, m.n)[None])[0])
 
 
 def smle(m: MobiusRepr, t) -> float:
     """Symmetric multilinear extension: products of t+ minus products of t-."""
-    return _finite_value("smle",
-                         _mobius_rows(m, np.multiply, 1.0, _scores(t, m.n)[None], signed=True)[0])
+    return _finite_value("smle", _mobius_rows(
+        _coefficients(m, MobiusRepr), np.multiply, 1.0, _scores(t, m.n)[None], signed=True)[0])
 
 
 def symmetric_max(a: float, b: float) -> float:
@@ -231,9 +236,9 @@ def symmetric_max_fold(values) -> float:
     return symmetric_max(hi, lo)
 
 
-def _sugeno_nonneg(m: OrdinalMobiusRepr, t: np.ndarray) -> float:
+def _sugeno_nonneg(coef: np.ndarray, t: np.ndarray) -> float:
     minv = _over_subsets(np.minimum, t, np.inf)
-    return float(np.max(m.coefficients[1:] * minv[1:]))
+    return float(np.max(coef[1:] * minv[1:]))
 
 
 @_quiet
@@ -243,12 +248,13 @@ def sugeno_product(m: OrdinalMobiusRepr, t) -> float:
     Signed scores are handled symmetrically: the values for t+ and t- are
     combined with :func:`symmetric_max`.
     """
+    coef = _coefficients(m, OrdinalMobiusRepr)
     t = _scores(t, m.n)
     if np.all(t >= 0.0):
         # a zero value is +0.0, as symmetric_max gives
-        return _finite_value("sugeno_product", _sugeno_nonneg(m, t) + 0.0)
+        return _finite_value("sugeno_product", _sugeno_nonneg(coef, t) + 0.0)
     tp, tn = _split(t)
-    return symmetric_max(_sugeno_nonneg(m, tp), -_sugeno_nonneg(m, tn))
+    return symmetric_max(_sugeno_nonneg(coef, tp), -_sugeno_nonneg(coef, tn))
 
 
 def cpt(m_gains: MobiusRepr, m_losses: MobiusRepr, t) -> float:
@@ -257,11 +263,12 @@ def cpt(m_gains: MobiusRepr, m_losses: MobiusRepr, t) -> float:
     Gains (t+) are integrated against the first coefficient set and losses
     (t-) against the second: sum of m1(A) min t+ minus sum of m2(A) min t-.
     """
+    gains, losses = (_coefficients(m, MobiusRepr) for m in (m_gains, m_losses))
     if m_gains.n != m_losses.n:
         raise DimensionMismatch(
             "coefficient tables disagree on n: %d vs %d" % (m_gains.n, m_losses.n)
         )
-    return _finite_value("cpt", _cpt_rows(m_gains, m_losses, _scores(t, m_gains.n)[None])[0])
+    return _finite_value("cpt", _cpt_rows(gains, losses, _scores(t, m_gains.n)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -420,6 +427,7 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
         raise UncertifiedOperator(
             "operator %r is not certified (%s)" % (op.name or "<unnamed>", detail)
         )
+    coef = _coefficients(m, MobiusRepr)
     t = _scores(t, m.n)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise OutOfDomain("pseudo-product extensions are defined on [0, 1]^n only")
@@ -428,7 +436,7 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
         # Row 0 holds the masks whose highest member is criterion i + 1.
         hi[0, 0] = t[i]
         hi[0, 1:] = _op_values(op.op, lo[0, 1:], t[i])
-    value = float(np.dot(m.coefficients[1:], folded[1:]))
+    value = float(np.dot(coef[1:], folded[1:]))
     if not math.isfinite(value):  # as is the sum when a fold value is not finite
         raise OutOfDomain("the extension by operator %r is not finite at these scores (got %r)"
                           % (op.name or "<unnamed>", value))
@@ -447,31 +455,31 @@ def _ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_quiet
-def _choquet_rows(mu: Capacity, t: np.ndarray) -> np.ndarray:
+def _choquet_rows(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Column by column: np.cumsum along the short last axis loops row by row, slower.
     ts, upper = _ranked(t)
-    v = mu.values[upper]
+    v = vals[upper]
     acc = ts[:, 0] * v[:, 0]
     for j in range(1, t.shape[1]):
         acc += (ts[:, j] - ts[:, j - 1]) * v[:, j]
     return acc
 
 
-def _split_choquet_rows(mu_gains: Capacity, mu_losses: Capacity, t: np.ndarray) -> np.ndarray:
-    """Choquet of t+ against ``mu_gains`` minus Choquet of t- against
-    ``mu_losses``: :func:`sipos` when the two are one, :func:`cpt` otherwise."""
+def _split_choquet_rows(gains: np.ndarray, losses: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Choquet of t+ against the value table ``gains`` minus Choquet of t- against
+    ``losses``: :func:`sipos` when the two are one, :func:`cpt` otherwise."""
     tp, tn = _split(t)
-    return _choquet_rows(mu_gains, tp) - _choquet_rows(mu_losses, tn)
+    return _choquet_rows(gains, tp) - _choquet_rows(losses, tn)
 
 
-def _sugeno_upper(nu: SetFunction, t: np.ndarray) -> np.ndarray:
+def _sugeno_upper(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     ts, upper = _ranked(t)
-    return np.max(ts * nu.values[upper], axis=1)
+    return np.max(ts * nu[upper], axis=1)
 
 
 @_quiet
-def _sugeno_rows(nu: SetFunction, t: np.ndarray) -> np.ndarray:
-    """:func:`sugeno_product` per row from nu = ordinal_zeta(ordinal_mobius(mu)).
+def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`sugeno_product` per row from the table nu = ordinal_zeta(ordinal_mobius(mu)).
 
     For nonnegative t, min of t over A is t_(j) with j the lowest rank in A,
     and A lies in A_(j), so the maximum over A of m(A) * min t is
@@ -488,7 +496,7 @@ _CHUNK = 1 << 18  # rows per matrix product times 2**(n - n // 2): 2 MiB tempora
 
 
 @_quiet
-def _mle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
+def _mle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sum over A of m(A) * product of t over A, for every row of t.
 
     With h = n // 2, a mask splits into its low h bits and its high n - h
@@ -499,7 +507,7 @@ def _mle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
     """
     n = t.shape[1]
     h = n // 2
-    mat = m.coefficients.reshape(1 << (n - h), 1 << h)
+    mat = coef.reshape(1 << (n - h), 1 << h)
     keys = np.ascontiguousarray(t).view(np.dtype((np.void, 8 * n))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rows = t[first]
@@ -513,20 +521,20 @@ def _mle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _smle_rows(m: MobiusRepr, t: np.ndarray) -> np.ndarray:
+def _smle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     k = t.shape[0]
-    both = _mle_rows(m, np.concatenate(_split(t)))
+    both = _mle_rows(coef, np.concatenate(_split(t)))
     return both[:k] - both[k:]
 
 
 @_quiet
-def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
-    """Per row of t, the dot product of m's coefficients with the table of ``ufunc``
+def _mobius_rows(coef: np.ndarray, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
+    """Per row of t, the dot product of the coefficients ``coef`` with the table of ``ufunc``
     folded over t on each subset, or with ``signed`` over t+ minus that over t-.
     ``np.vecdot`` runs the kernel of a one-row ``np.dot`` on every row, so a row
     of a block has the bits of the same row alone; a one-term dot (n = 1) is the
     product itself, as ``np.dot`` keeps its sign where ``vecdot`` turns -0.0 to +0.0."""
-    coef = m.coefficients[1:]
+    coef = coef[1:]
     out = np.empty(t.shape[0])
     step = max(1, _CHUNK >> (t.shape[1] + 2))  # tables of 512 KiB
     for s in range(0, t.shape[0], step):
@@ -545,7 +553,7 @@ def _mobius_rows(m: MobiusRepr, ufunc: np.ufunc, empty: float, t: np.ndarray, si
 
 
 @_quiet
-def _cpt_rows(m1: MobiusRepr, m2: MobiusRepr, t: np.ndarray) -> np.ndarray:
+def _cpt_rows(m1: np.ndarray, m2: np.ndarray, t: np.ndarray) -> np.ndarray:
     """:func:`cpt` per row, in coefficient form."""
     tp, tn = _split(t)
     return _mobius_rows(m1, np.minimum, np.inf, tp) - _mobius_rows(m2, np.minimum, np.inf, tn)
@@ -612,25 +620,27 @@ def make_extension(
         )
     if name != "cpt" and mu_losses is not None:
         raise CapacitiesError("only the cpt extension takes a second capacity")
+    vals = _values(mu)
+    losses = None if mu_losses is None else _values(mu_losses)
     n = mu.n
     domain = "reals"
     if name == "choquet":
-        rows = batch = functools.partial(_choquet_rows, mu)
+        rows = batch = functools.partial(_choquet_rows, vals)
     elif name == "sipos":
-        rows = batch = functools.partial(_split_choquet_rows, mu, mu)
+        rows = batch = functools.partial(_split_choquet_rows, vals, vals)
     elif name in ("mle", "smle"):
-        m = mobius(mu)
+        coef = mobius(mu).coefficients
         signed = name == "smle"
-        rows = functools.partial(_mobius_rows, m, np.multiply, 1.0, signed=signed)
-        batch = functools.partial(_smle_rows if signed else _mle_rows, m)
+        rows = functools.partial(_mobius_rows, coef, np.multiply, 1.0, signed=signed)
+        batch = functools.partial(_smle_rows if signed else _mle_rows, coef)
         domain = "unit"
     elif name == "sugeno_product":
-        rows = batch = functools.partial(_sugeno_rows, ordinal_zeta(ordinal_mobius(mu)))
-    elif mu_losses is None:
+        rows = batch = functools.partial(_sugeno_rows, ordinal_zeta(ordinal_mobius(mu)).values)
+    elif losses is None:
         raise CapacitiesError("the cpt extension needs a second capacity for losses")
     elif mu_losses.n != n:
         raise DimensionMismatch("capacities disagree on n: %d vs %d" % (n, mu_losses.n))
     else:
-        rows = functools.partial(_cpt_rows, mobius(mu), mobius(mu_losses))
-        batch = functools.partial(_split_choquet_rows, mu, mu_losses)
+        rows = functools.partial(_cpt_rows, mobius(mu).coefficients, mobius(mu_losses).coefficients)
+        batch = functools.partial(_split_choquet_rows, vals, losses)
     return Extension(name, n, domain, rows, batch)

@@ -239,6 +239,15 @@ def _values(v: SetFunction) -> np.ndarray:
     return v.values
 
 
+def _coefficients(m: _Coefficients, cls: type) -> np.ndarray:
+    """Coefficient table of ``m``, which must be a ``cls`` (a coefficient class);
+    anything else, another coefficient class or a value table included, raises
+    :class:`InvalidFormat`."""
+    if not isinstance(m, cls):
+        raise InvalidFormat("expected %s, got %r" % (cls.__name__, type(m).__name__))
+    return m.values
+
+
 def _subtract(lo, hi):
     hi -= lo
 
@@ -269,7 +278,7 @@ def _mobius_table(v: SetFunction) -> np.ndarray:
 
 def zeta(m: MobiusRepr) -> SetFunction:
     """Inverse of :func:`mobius`: v(A) = sum over B in A of m(B)."""
-    a = m.coefficients.copy()
+    a = _coefficients(m, MobiusRepr).copy()
     subsets.lattice(_add, a)
     return SetFunction._own(m.n, a)
 
@@ -318,7 +327,7 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
 
 def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
     """Recover the value table: v(A) = max over B in A of the coefficients."""
-    a = m.coefficients.copy()
+    a = _coefficients(m, OrdinalMobiusRepr).copy()
     subsets.lattice(_maximum, a)
     return SetFunction._own(m.n, a)
 

@@ -11,6 +11,8 @@ no warning escapes.
 ``test_loose_numbers_are_refused`` pins calls that read such values as numbers,
 or let a bare ``TypeError``, ``ValueError`` or ``OverflowError`` escape, before
 one rule, ``subsets._is_real`` and ``subsets._reals``, decided what a number is.
+``test_a_table_of_another_class_is_refused`` pins calls that read a table of
+another class as their own, before each role had one reader in ``set_function``.
 """
 
 import functools
@@ -60,6 +62,7 @@ from capacities import (
     mle,
     mobius,
     ordinal_mobius,
+    ordinal_zeta,
     pseudo_product_extension,
     rank_acts,
     set_function_from_dict,
@@ -72,6 +75,7 @@ from capacities import (
     symmetric_max_fold,
     validate,
     vector_from_dict,
+    zeta,
 )
 
 SCALARS = [
@@ -252,6 +256,47 @@ HOLES = [
 def test_loose_numbers_are_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+OM = ordinal_mobius(MU)
+T = [0.1, 0.2]
+# Each call read its table whatever its class: a wrong number where the table
+# has another class's values (choquet(M, T) was 0.07 against 0.16), a bare
+# AttributeError where it is a value table.
+WRONG_TABLES = [
+    ("choquet", lambda: choquet(M, T), "SetFunction or Capacity"),
+    ("sipos", lambda: sipos(M, [0.2, 0.1]), "SetFunction or Capacity"),
+    ("sipos_closed_form", lambda: sipos_closed_form(M, [0.2, 0.1]), "SetFunction or Capacity"),
+    ("make_extension", lambda: make_extension("choquet", M), "SetFunction or Capacity"),
+    ("make_extension sipos", lambda: make_extension("sipos", OM), "SetFunction or Capacity"),
+    ("make_extension list", lambda: make_extension("choquet", [0, 0.3, 0.6, 1]),
+     "SetFunction or Capacity"),
+    ("mle ordinal", lambda: mle(OM, [0.5, 0.5]), "MobiusRepr"),
+    ("choquet_mobius ordinal", lambda: choquet_mobius(OM, T), "MobiusRepr"),
+    ("sugeno_product Mobius", lambda: sugeno_product(M, [0.9, 0.9]), "OrdinalMobiusRepr"),
+    ("zeta ordinal", lambda: zeta(OM), "MobiusRepr"),
+    ("zeta", lambda: zeta(MU), "MobiusRepr"),
+    ("ordinal_zeta", lambda: ordinal_zeta(MU), "OrdinalMobiusRepr"),
+    ("choquet_mobius", lambda: choquet_mobius(MU, T), "MobiusRepr"),
+    ("sipos_mobius", lambda: sipos_mobius(MU, T), "MobiusRepr"),
+    ("mle", lambda: mle(MU, T), "MobiusRepr"),
+    ("smle", lambda: smle(OM, T), "MobiusRepr"),
+    ("cpt", lambda: cpt(M, OM, T), "MobiusRepr"),
+    ("pseudo_product_extension", lambda: pseudo_product_extension(OM, PP, T), "MobiusRepr"),
+]
+
+
+@pytest.mark.parametrize("call, expected", [w[1:] for w in WRONG_TABLES],
+                         ids=[w[0] for w in WRONG_TABLES])
+def test_a_table_of_another_class_is_refused(call, expected):
+    with pytest.raises(InvalidFormat, match="^expected %s, got '" % expected):
+        call()
+
+
+def test_value_table_integrals_take_a_plain_set_function():
+    v = SetFunction(2, [0.0, 0.5, 0.2, 1.0])  # not monotone
+    assert choquet(v, T) == make_extension("choquet", v)(T) == sipos(v, T)
+    assert sipos_closed_form(v, [-0.1, 0.2]) == sipos(v, [-0.1, 0.2])
 
 
 # Past the 4,300 digits Python prints by default: these texts raised a bare

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import oracles
 from capacities import (
     AXIOM_NAMES,
+    EXTENSION_NAMES,
     AxiomCheckConfig,
     CapacitiesError,
     DomainMismatch,
@@ -556,3 +558,48 @@ class TestBlockDraws:
         _assert_same_draws(draw, sampler, np.random.default_rng(5), (3, 32))
         after = np.random.default_rng(5).bit_generator.random_raw(35 * words + 1)[-1]
         assert rng.bit_generator.random_raw() == after
+
+
+# -- the block schedule -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["choquet", "mle"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_kernel_calls_per_axiom(name, n):
+    # One row-kernel call for the first 32 trials, then one per 1,024 trials,
+    # up to the counterexample if there is one. A reads F(e_i) in one call more,
+    # before its trials.
+    mu = random_capacity(np.random.default_rng(n), n)
+    ext = make_extension(name, mu)
+    calls = []
+
+    def counting(t):
+        calls.append(t.shape[0])
+        return ext.fn(t)
+
+    counted = dataclasses.replace(ext, fn=counting)
+    cfg = dataclasses.replace(UNIT_CFG if ext.domain == "unit" else CFG, samples=250)
+    for axiom in AXIOM_NAMES:
+        calls.clear()
+        report = check_axiom(axiom, counted, mu, cfg)
+        trials = report.samples_tested + report.skipped
+        blocks = 1 + math.ceil(max(0, trials - 32) / 1024)
+        assert len(calls) == (axiom == "A") + blocks, (axiom, trials, calls)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_reports_do_not_depend_on_the_block_schedule(n, monkeypatch):
+    # At tol 1e-15 roundoff fails A1, A2 or S1 at a random trial, past the first
+    # block for some, so the counterexample and the skips depend on every draw.
+    rng = np.random.default_rng(n)
+    mu, losses = random_capacity(rng, n), random_capacity(rng, n)
+    checks = []
+    for name in EXTENSION_NAMES:
+        ext = make_extension(name, mu, losses if name == "cpt" else None)
+        base = UNIT[1] if ext.domain == "unit" else SIGNED[1]
+        cfg = dataclasses.replace(base, samples=40, tol=1e-15)
+        checks += [(axiom, ext, cfg) for axiom in AXIOM_NAMES]
+    blocked = [check_axiom(axiom, ext, mu, cfg) for axiom, ext, cfg in checks]
+    monkeypatch.setattr(axioms, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(axioms, "_MAX_BLOCK", 1)
+    assert [check_axiom(axiom, ext, mu, cfg) for axiom, ext, cfg in checks] == blocked
