@@ -332,7 +332,7 @@ def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
     lo, hi = _score_range(ext, cfg)
     n = mu.n
-    unit_values = ext._values(np.eye(n))
+    unit_values = None  # F(e_i), read with the first block's trials
     probe_as = [a for a in (-1.0, -0.5, 0.5, 2.0, lo, hi) if lo <= a <= hi]
 
     def draw(k):
@@ -340,9 +340,13 @@ def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         return x[:, 0].astype(np.int64), _scaled(x[:, 1], lo, hi)
 
     def sides(i, a):
+        nonlocal unit_values
         t = _units(i, a, n)
+        if unit_values is None:
+            unit_values, got = np.split(ext._values(np.concatenate([np.eye(n), t])), [n])
+        else:
+            got = ext._values(t)
         expected = a * unit_values[i]
-        got = ext._values(t)
         return expected, got, np.abs(expected), _finite(unit_values[i], got), lambda j: dict(
             criterion=int(i[j]) + 1, value=float(a[j]), t=t[j].tolist()
         )

@@ -18,6 +18,7 @@ import numpy as np
 from . import subsets
 from .errors import EmptyCoalition, InvalidFormat, OutOfDomain
 from .set_function import DEFAULT_TOL, Capacity, _mobius_table, _number, _tol, _values
+from .set_function import _subtract
 
 __all__ = [
     "interaction_index",
@@ -43,8 +44,7 @@ def interaction_index(mu: Capacity, coalition) -> float:
     if amask == 0:
         raise EmptyCoalition("the interaction index needs a nonempty coalition")
     a = amask.bit_count()
-    for _, lo, hi in subsets.halves(vals, amask):
-        hi -= lo
+    subsets.lattice(_subtract, vals, bits=amask)
     masks = np.arange(1 << n)
     sel = (masks & amask) == amask
     b_sizes = subsets.popcounts(n)[sel] - a
@@ -59,16 +59,18 @@ def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.nd
     """The masks A of size 1..K = min(max(max_order, 2), n), ascending, and I(A) at
     each; ``sizes`` is :func:`subsets.popcounts` of n. For each order k, one
     superset pass over m(B) / max(|B| - k + 1, 1) leaves I(A) at every |A| = k.
-    The passes share one scratch table, and the last one runs in the Mobius table."""
+    The passes share one scratch table. The last one runs in the Mobius table
+    when that is writable; a live :func:`mobius` table is read-only, and is only read."""
     top = min(max(max_order, 2), mu.n)
     masks = np.flatnonzero(sizes <= top)[1:]  # without the empty set
     at = sizes[masks]
     values = np.empty(masks.size)
     m = _mobius_table(mu)
-    scratch = np.empty_like(m) if top > 1 else m
+    own = m.flags.writeable
+    scratch = m if top == 1 and own else np.empty_like(m)
     d = np.empty_like(sizes)
     for k in range(1, top + 1):
-        t = m if k == top else scratch
+        t = m if k == top and own else scratch
         np.maximum(sizes, k, out=d)
         d -= k - 1  # max(|B|, k) - (k - 1) = max(|B| - k + 1, 1), exact in uint8
         np.divide(m, d, out=t)
@@ -85,11 +87,13 @@ def _up(lo, hi):
 def shapley(mu: Capacity) -> np.ndarray:
     """Shapley values phi_i = I({i}) = sum over B containing i of m(B) / |B|; they sum to mu(N).
 
-    The sums run outside :func:`subsets.lattice`, at numpy's own buffer size,
+    Reads the table of a :func:`mobius` result of ``mu`` that the caller still
+    holds, and divides it into a new table without writing it; otherwise it
+    divides its own Mobius table in place. The sums run outside :func:`subsets.lattice`, at numpy's own buffer size,
     which sets the order in which a buffered sum adds."""
     m = _mobius_table(mu)
     sizes = subsets.popcounts(mu.n)
-    m /= np.maximum(sizes, 1, out=sizes)
+    m = np.divide(m, np.maximum(sizes, 1, out=sizes), out=m if m.flags.writeable else None)
     return np.array([hi.sum() for _, _, hi in subsets.halves(m)])
 
 
@@ -149,6 +153,9 @@ def interaction_report(
     Each order 1..max(``max_order``, 2) takes one superset pass of
     O(n * 2**n) work; the default reports up to pairs. ``tol`` is
     the half-width of the non-interactive band and must be finite and >= 0.
+    The passes start from the table of a :func:`mobius` result of ``mu``
+    that the caller still holds, which they read and never write, or else
+    from a Mobius table of their own.
     """
     _values(mu)  # refuse what is not a value table before reading its n
     n = mu.n

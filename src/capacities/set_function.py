@@ -45,14 +45,18 @@ monotonicity off the same drops and builds one Mobius table. The Shapley
 values and interaction reports of :mod:`capacities.interaction` start from
 one writable Mobius table, checked as :func:`mobius` checks its output, and
 scale it in place: ``shapley`` holds it and one byte per subset, and a
-report one scratch table more and two bytes per subset. Public
-constructors copy the arrays they are given; tables the package has just
-built are wrapped without a copy.
+report one scratch table more and two bytes per subset. While the caller
+holds the result of ``mobius(v)``, they read its read-only table instead,
+found through a weak registry that keeps no table alive: ``shapley``
+scales it into a new table, and a report runs every order in its scratch
+table. Public constructors copy the arrays they are given; tables the
+package has just built are wrapped without a copy.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,19 +264,42 @@ def _maximum(lo, hi):
     np.maximum(hi, lo, out=hi)
 
 
+# Each value table that :func:`mobius` was called on, mapped to a weak reference
+# to the last result: a live result is read, never written, by _mobius_table.
+_live_mobius = weakref.WeakKeyDictionary()
+
+
 def mobius(v: SetFunction) -> MobiusRepr:
-    """Alternating-sum coefficients m(A) = sum over B in A of (-1)^|A-B| v(B)."""
+    """Alternating-sum coefficients m(A) = sum over B in A of (-1)^|A-B| v(B).
+
+    While the caller holds the result, :func:`capacities.interaction.shapley`
+    and :func:`capacities.interaction.interaction_report` on ``v`` read its
+    table, which they never write, instead of building their own."""
+    a = _mobius_pass(v)
+    m = MobiusRepr._own(v.n, a)
+    _live_mobius[v] = weakref.ref(m)
+    return m
+
+
+def _mobius_pass(v: SetFunction) -> np.ndarray:
+    """The Mobius coefficients of a value table as a new writable table, unchecked."""
     a = _values(v).copy()
     subsets.lattice(_subtract, a)
-    return MobiusRepr._own(v.n, a)
+    return a
 
 
 def _mobius_table(v: SetFunction) -> np.ndarray:
-    """The Mobius coefficients of a value table as a new writable table, which the
-    caller may scale in place: :func:`mobius`'s own table, checked there and
-    held by nothing else."""
-    a = mobius(v).coefficients
-    a.flags.writeable = True
+    """The Mobius coefficients of a value table, checked as :func:`mobius` checks
+    them: the read-only table of the live result of ``mobius(v)`` if the caller
+    still holds one, else a new writable table that the caller may scale in place."""
+    _values(v)  # refuse what is not a value table before the lookup
+    ref = _live_mobius.get(v)
+    m = None if ref is None else ref()
+    if m is not None:
+        return m.values
+    a = _mobius_pass(v)
+    if not np.isfinite(a).all():
+        raise InvalidFormat("%s must contain only finite numbers" % MobiusRepr._what)
     return a
 
 

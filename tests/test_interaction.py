@@ -18,6 +18,7 @@ from capacities import (
     mobius,
     shapley,
 )
+from capacities import set_function
 from capacities.subsets import halves, lattice, popcounts
 from helpers import random_additive_capacity, random_capacity
 
@@ -340,3 +341,77 @@ class TestPinnedToTheTableFormulas:
                 assert np.array(list(rep.values.values())).tobytes() == want[masks].tobytes()
                 assert rep.shapley.tobytes() == want[bits].tobytes()
                 assert rep.pair_matrix.tobytes() == want[bits[:, None] | bits].tobytes()
+
+
+class TestIndexThroughTheLattice:
+    """``interaction_index`` byte for byte against its first form: a restricted
+    butterfly walked bit by bit over :func:`halves`."""
+
+    @staticmethod
+    def halves_index(mu, amask):
+        vals = mu.values.copy()
+        for _, lo, hi in halves(vals, amask):
+            hi -= lo
+        n, a = mu.n, amask.bit_count()
+        sel = (np.arange(1 << n) & amask) == amask
+        den = math.factorial(n - a + 1)
+        weights = np.array(
+            [math.factorial(n - b - a) * math.factorial(b) / den for b in range(n - a + 1)]
+        )
+        return np.dot(weights[popcounts(n)[sel] - a], vals[sel])
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_bytes_are_those_of_the_halves_loop(self, n):
+        for mu in TestPinnedToTheTableFormulas.tables(n):
+            for coalition in ({1, 2}, {3, 4}, set(range(1, 6)), {n}):
+                amask = sum(1 << (i - 1) for i in coalition)
+                want = self.halves_index(mu, amask)
+                assert np.float64(interaction_index(mu, coalition)).tobytes() == want.tobytes()
+
+    def test_lattice_runs_only_the_selected_bits(self):
+        v = random_capacity(np.random.default_rng(14), 18).values
+        for amask in (0b11, 0b1100, 0b11111, 1 << 17, 1 << 12 | 1):
+            want = v.copy()
+            for _, lo, hi in halves(want, amask):
+                hi -= lo
+            got = v.copy()
+            calls = lattice(lambda lo, hi: np.subtract(hi, lo, out=hi), got, bits=amask)
+            assert got.tobytes() == want.tobytes()
+            assert [bool(c) for c in calls] == [bool(amask >> i & 1) for i in range(18)]
+
+
+class TestLiveMobiusTable:
+    """While the caller holds ``mobius(mu)``, ``shapley`` and ``interaction_report``
+    read its table and leave it as it was; their results keep every byte."""
+
+    @staticmethod
+    def outputs(mu, orders):
+        reports = [interaction_report(mu, max_order=order) for order in orders]
+        return [shapley(mu).tobytes()] + [
+            (r.shapley.tobytes(), r.pair_matrix.tobytes(), list(r.values),
+             np.array(list(r.values.values())).tobytes(), r.labels)
+            for r in reports
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_results_and_the_live_table_keep_their_bytes(self, n):
+        orders = sorted({1, 2, 3, n} & set(range(1, n + 1)))
+        for mu in TestPinnedToTheTableFormulas.tables(n):
+            fresh = self.outputs(mu, orders)
+            m = mobius(mu)
+            held = m.values.tobytes()
+            assert self.outputs(mu, orders) == fresh
+            assert m.values.tobytes() == held
+            assert not m.values.flags.writeable
+
+    def test_no_mobius_pass_runs_while_the_table_is_live(self, monkeypatch):
+        mu = random_capacity(np.random.default_rng(15), 8)
+        m = mobius(mu)
+        passes = []
+        run = set_function._mobius_pass
+        monkeypatch.setattr(set_function, "_mobius_pass", lambda v: passes.append(v) or run(v))
+        shapley(mu), interaction_report(mu)
+        assert passes == []
+        del m
+        shapley(mu), interaction_report(mu)
+        assert passes == [mu, mu]

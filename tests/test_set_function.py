@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -43,6 +45,7 @@ from capacities import (
     zeta,
 )
 from capacities.interaction import _all_indices
+from capacities.set_function import _live_mobius
 from capacities.subsets import (BUFSIZE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
                                 subset_key)
 from helpers import random_capacity, random_set_function
@@ -660,7 +663,8 @@ class TestMemory:
     def tables(self):
         mu = random_capacity(np.random.default_rng(17), self.N)
         return {
-            "mu": mu,
+            "mu": mu,  # its Mobius table "m" stays live
+            "fresh": Capacity(mu),  # the same table, with no live Mobius table
             "sf": SetFunction(self.N, mu.values),
             "m": mobius(mu),
             "om": ordinal_mobius(mu),
@@ -671,9 +675,11 @@ class TestMemory:
     # byte per subset; the monotonicity scan half a float and half a bool
     # table; validate one Mobius table and its tile; shapley one Mobius table
     # and its sizes; a report one Mobius table, one scratch table, the sizes
-    # and their scaled copy, and one bool table or a tile.
+    # and their scaled copy, and one bool table or a tile. With a live Mobius
+    # table, shapley allocates its scaled copy in place of a Mobius table, and
+    # a report only the scratch table, the sizes, their copy and a bool table.
     OPS = [
-        ("mobius", "mu", mobius, 9),
+        ("mobius", "fresh", mobius, 9),
         ("zeta", "m", zeta, 9),
         ("co_mobius", "mu", co_mobius, 9),
         ("ordinal_mobius", "mu", ordinal_mobius, 9),
@@ -682,15 +688,30 @@ class TestMemory:
         ("conjugate of a capacity", "mu", conjugate, 9),
         ("as_capacity", "sf", as_capacity, 4.5),
         ("validate", "mu", validate, 8.5),
-        ("shapley", "mu", shapley, 9),
-        ("interaction_report", "mu", interaction_report, 19),
+        ("shapley", "fresh", shapley, 9),
+        ("interaction_report", "fresh", interaction_report, 19),
+        ("shapley with a live Mobius table", "mu", shapley, 9),
+        ("interaction_report with a live Mobius table", "mu", interaction_report, 11),
     ]
 
     @pytest.mark.parametrize("op", OPS, ids=[op[0] for op in OPS])
     def test_peak_stays_within_its_budget(self, tables, op):
         _, arg, call, per_subset = op
+        assert _live_mobius[tables["mu"]]() is tables["m"]
+        fresh = _live_mobius.get(tables["fresh"])  # set, dead, by the mobius row
+        assert fresh is None or fresh() is None
         peak = _peak_above_input(lambda: call(tables[arg]))
         assert peak <= per_subset * (1 << self.N) + UFUNC_BUFFERS
+
+    def test_a_dropped_mobius_table_is_not_kept(self):
+        mu = random_capacity(np.random.default_rng(18), self.N)
+        m = mobius(mu)
+        live = _peak_above_input(lambda: interaction_report(mu))
+        del m
+        assert _live_mobius[mu]() is None
+        fresh = _peak_above_input(lambda: interaction_report(mu))
+        assert fresh <= 19 * (1 << self.N) + UFUNC_BUFFERS
+        assert fresh - live >= 8 * (1 << self.N)  # a Mobius table of its own again
 
 
 class TestMemoryAtTheTileCap(TestMemory):
@@ -698,6 +719,30 @@ class TestMemoryAtTheTileCap(TestMemory):
     UFUNC_BUFFERS is a quarter of a byte per subset."""
 
     N = 20
+
+
+class TestLiveMobiusRegistry:
+    """The registry of live :func:`mobius` results lives outside the tables."""
+
+    def test_a_capacity_with_a_live_table_pickles_and_copies(self):
+        mu = random_capacity(np.random.default_rng(19), 6)
+        m = mobius(mu)
+        for again in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
+            assert type(again) is Capacity and again.n == mu.n
+            assert again.values.tobytes() == mu.values.tobytes()
+            assert shapley(again).tobytes() == shapley(mu).tobytes()
+        assert _live_mobius[mu]() is m
+
+    @pytest.mark.parametrize("call", [shapley, interaction_report])
+    def test_what_is_not_a_value_table_keeps_its_error_text(self, call):
+        mu = random_capacity(np.random.default_rng(20), 3)
+        m = mobius(mu)
+        for bad in (m, co_mobius(mu), mu.values, [0.0, 1.0], None):
+            text = "^expected SetFunction or Capacity, got '%s'$" % type(bad).__name__
+            with pytest.raises(InvalidFormat, match=text):
+                call(bad)
+        with pytest.raises(InvalidFormat, match="^coefficients must contain only finite numbers$"):
+            call(SetFunction(2, [0.0, -1e308, -1e308, 1e308]))
 
 
 class TestJson:
