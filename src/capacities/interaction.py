@@ -59,18 +59,15 @@ def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.nd
     """The masks A of size 1..K = min(max(max_order, 2), n), ascending, and I(A) at
     each; ``sizes`` is :func:`subsets.popcounts` of n. For each order k, one
     superset pass over m(B) / max(|B| - k + 1, 1) leaves I(A) at every |A| = k.
-    The passes share one scratch table. The last one runs in the Mobius table
-    when that is writable; a live :func:`mobius` table is read-only, and is only read."""
+    The passes share one scratch table, so the Mobius table is only read."""
     top = min(max(max_order, 2), mu.n)
     masks = np.flatnonzero(sizes <= top)[1:]  # without the empty set
     at = sizes[masks]
     values = np.empty(masks.size)
     m = _mobius_table(mu)
-    own = m.flags.writeable
-    scratch = m if top == 1 and own else np.empty_like(m)
+    t = np.empty_like(m)
     d = np.empty_like(sizes)
     for k in range(1, top + 1):
-        t = m if k == top and own else scratch
         np.maximum(sizes, k, out=d)
         d -= k - 1  # max(|B|, k) - (k - 1) = max(|B| - k + 1, 1), exact in uint8
         np.divide(m, d, out=t)

@@ -55,6 +55,7 @@ package has just built are wrapped without a copy.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -264,9 +265,23 @@ def _maximum(lo, hi):
     np.maximum(hi, lo, out=hi)
 
 
-# Each value table that :func:`mobius` was called on, mapped to a weak reference
-# to the last result: a live result is read, never written, by _mobius_table.
-_live_mobius = weakref.WeakKeyDictionary()
+# Each value table that :func:`mobius` was called on, by id, mapped to weak
+# references to the table and to the last result; the entry goes when either
+# dies. Keyed by identity, so a table need not be hashable. A live result is
+# read, never written, by _mobius_table.
+_live_mobius = {}
+
+
+def _live(v: SetFunction) -> MobiusRepr | None:
+    """The last :func:`mobius` result of ``v`` while the caller still holds it, else None."""
+    refs = _live_mobius.get(id(v))
+    return refs[1]() if refs is not None and refs[0]() is v else None
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    refs = _live_mobius.get(key)
+    if refs is not None and any(r is ref for r in refs):
+        del _live_mobius[key]
 
 
 def mobius(v: SetFunction) -> MobiusRepr:
@@ -275,15 +290,16 @@ def mobius(v: SetFunction) -> MobiusRepr:
     While the caller holds the result, :func:`capacities.interaction.shapley`
     and :func:`capacities.interaction.interaction_report` on ``v`` read its
     table, which they never write, instead of building their own."""
-    a = _mobius_pass(v)
+    a = _mobius_pass(_values(v))
     m = MobiusRepr._own(v.n, a)
-    _live_mobius[v] = weakref.ref(m)
+    forget = functools.partial(_forget, id(v))
+    _live_mobius[id(v)] = weakref.ref(v, forget), weakref.ref(m, forget)
     return m
 
 
-def _mobius_pass(v: SetFunction) -> np.ndarray:
-    """The Mobius coefficients of a value table as a new writable table, unchecked."""
-    a = _values(v).copy()
+def _mobius_pass(values: np.ndarray) -> np.ndarray:
+    """The Mobius coefficients of a value table's ``values`` as a new writable table, unchecked."""
+    a = values.copy()
     subsets.lattice(_subtract, a)
     return a
 
@@ -292,12 +308,11 @@ def _mobius_table(v: SetFunction) -> np.ndarray:
     """The Mobius coefficients of a value table, checked as :func:`mobius` checks
     them: the read-only table of the live result of ``mobius(v)`` if the caller
     still holds one, else a new writable table that the caller may scale in place."""
-    _values(v)  # refuse what is not a value table before the lookup
-    ref = _live_mobius.get(v)
-    m = None if ref is None else ref()
+    values = _values(v)  # refuse what is not a value table before the lookup
+    m = _live(v)
     if m is not None:
         return m.values
-    a = _mobius_pass(v)
+    a = _mobius_pass(values)
     if not np.isfinite(a).all():
         raise InvalidFormat("%s must contain only finite numbers" % MobiusRepr._what)
     return a
