@@ -40,7 +40,7 @@ from . import subsets
 from .errors import CapacitiesError, DomainMismatch, InvalidFormat, UnknownAxiom
 from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
 from .integrals import _certificate, _grid_table, _quiet
-from .set_function import DEFAULT_TOL, Capacity, _number
+from .set_function import DEFAULT_TOL, Capacity, _number, _values
 
 __all__ = [
     "AXIOM_NAMES",
@@ -213,6 +213,8 @@ class _Stream:
         return out
 
     def take(self, k: int, outcomes) -> np.ndarray:
+        if not any(outcomes):  # all doubles: one fresh word each, no 32-bit half touched
+            return ((self._next(k * len(outcomes)) >> np.uint64(11)) * 2.0**-53).reshape(k, -1)
         m = np.tile(np.asarray(outcomes, dtype=np.uint64), k)
         out = np.zeros(m.size)
         drawn = np.flatnonzero(m != 1)
@@ -272,9 +274,9 @@ def _units(i: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return t
 
 
-def _at(ext: Extension, *ts: np.ndarray) -> list[np.ndarray]:
-    """``ext`` at the rows of each (k, n) block, from one kernel call."""
-    return np.split(ext._values(np.concatenate(ts)), len(ts))
+def _at(*ts: np.ndarray):
+    """The values at the rows of each (k, n) block, sent back for their one yielded matrix."""
+    return np.split((yield np.concatenate(ts)), len(ts))
 
 
 def _finite(*xs: np.ndarray) -> np.ndarray:
@@ -295,11 +297,12 @@ def _ratio(f: np.ndarray, want: np.ndarray, tol: float):
 # a tuple of columns, one array per trial field with one row per trial;
 # ``draw(k)``, the same columns for the next k random trials from ``stream``;
 # how many random trials to draw; whether only got > expected is a violation
-# (M, M1); and ``sides``. That takes a block of those columns and returns
-# ``(expected, got, scale, valid, inputs)``: per trial, the gap may reach
-# tol * max(1, scale); ``valid`` is False for a degenerate trial or one where
-# the extension is not finite; ``inputs(j)`` builds the inputs of a
-# counterexample at trial j. A random trial draws its fields in the order that
+# (M, M1); and ``sides``. That takes a block of those columns and is a
+# generator: it yields the block's point matrix, is sent the extension's values
+# at its rows and returns ``(expected, got, scale, valid, inputs)``: per trial,
+# the gap may reach tol * max(1, scale); ``valid`` is False for a degenerate
+# trial or one where the extension is not finite; ``inputs(j)`` builds the
+# inputs of a counterexample at trial j. A random trial draws its fields in the order that
 # ``draw`` lists them in ``stream.take``; a log-uniform alpha is the exp of a
 # uniform draw between the logs of the alpha bounds.
 
@@ -319,7 +322,7 @@ def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
     def sides(alpha, mask):
         t = alpha[:, None] * _indicators(mask, n)
         expected = alpha * mu.values[mask]
-        got = ext._values(t)
+        got = yield t
         return expected, got, np.abs(expected), _finite(got), lambda j: dict(
             alpha=float(alpha[j]), subset=subsets.subset_key(int(mask[j])), t=t[j].tolist()
         )
@@ -343,9 +346,9 @@ def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         nonlocal unit_values
         t = _units(i, a, n)
         if unit_values is None:
-            unit_values, got = np.split(ext._values(np.concatenate([np.eye(n), t])), [n])
+            unit_values, got = np.split((yield np.concatenate([np.eye(n), t])), [n])
         else:
-            got = ext._values(t)
+            got = yield t
         expected = a * unit_values[i]
         return expected, got, np.abs(expected), _finite(unit_values[i], got), lambda j: dict(
             criterion=int(i[j]) + 1, value=float(a[j]), t=t[j].tolist()
@@ -371,7 +374,7 @@ def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         return t, t + x[:, n:] * (hi - t)
 
     def sides(t, u):
-        below, above = _at(ext, t, u)
+        below, above = yield from _at(t, u)
         return above, below, np.abs(above), _finite(below, above), lambda j: dict(
             t=t[j].tolist(), t_above=u[j].tolist()
         )
@@ -391,7 +394,7 @@ def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return x[:, 2].astype(np.int64), a, b
 
     def sides(i, a, b):
-        below, above = _at(ext, _units(i, a, n), _units(i, b, n))
+        below, above = yield from _at(_units(i, a, n), _units(i, b, n))
         return above, below, np.abs(above), _finite(below, above), lambda j: dict(
             criterion=int(i[j]) + 1, value=float(a[j]), value_above=float(b[j])
         )
@@ -409,7 +412,7 @@ def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         return (np.exp(_scaled(stream.take(k, (0,))[:, 0], *logs)),)
 
     def sides(alpha):
-        got = ext._values(np.repeat(alpha[:, None], n, axis=1))
+        got = yield np.repeat(alpha[:, None], n, axis=1)
         return alpha, got, np.abs(alpha), _finite(got), lambda j: dict(
             alpha=float(alpha[j]), t=[float(alpha[j])] * n
         )
@@ -434,7 +437,7 @@ def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 
     def sides(i, alpha, q):
         t = _units(np.repeat(i, 4), (alpha[:, None] * q).ravel(), n)
-        f = ext._values(t).reshape(-1, 4)
+        f = (yield t).reshape(-1, 4)
         expected, got, valid = _ratio(f, q, cfg.tol)
         return expected, got, np.abs(expected), valid, lambda j: dict(
             criterion=int(i[j]) + 1,
@@ -469,7 +472,7 @@ def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 
     def sides(alpha, q):
         t = alpha[:, None, None] * _indicators(q, n)
-        f = ext._values(t.reshape(-1, n)).reshape(-1, 4)
+        f = (yield t.reshape(-1, n)).reshape(-1, 4)
         expected, got, valid = _ratio(f, mu.values[q], cfg.tol)
         return expected, got, np.abs(expected), valid, lambda j: dict(
             alpha=float(alpha[j]),
@@ -498,7 +501,7 @@ def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return _scaled(x[:, :n], lo, hi), alpha, clamp_beta(alpha, _scaled(x[:, n + 1], lo, hi))
 
     def sides(t, alpha, beta):
-        f_t, got = _at(ext, t, alpha[:, None] * t + beta[:, None])
+        f_t, got = yield from _at(t, alpha[:, None] * t + beta[:, None])
         expected = alpha * f_t + beta
         # Both sides carry the roundoff of the shifted scores, which can
         # dwarf a value that cancels to near 0.
@@ -531,7 +534,7 @@ def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return _scaled(x[:, :n], lo, hi), alpha
 
     def sides(t, alpha):
-        f_t, got = _at(ext, t, alpha[:, None] * t)
+        f_t, got = yield from _at(t, alpha[:, None] * t)
         expected = alpha * f_t
         return expected, got, np.abs(expected), _finite(f_t, got), lambda j: dict(
             t=t[j].tolist(), alpha=float(alpha[j])
@@ -580,6 +583,97 @@ def _blocks(probes: tuple, draw, count: int):
         yield block
 
 
+def _config(cfg) -> AxiomCheckConfig:
+    if cfg is None:
+        return AxiomCheckConfig()
+    if not isinstance(cfg, AxiomCheckConfig):
+        raise InvalidFormat("expected AxiomCheckConfig, got %r" % type(cfg).__name__)
+    return cfg
+
+
+def _grouped(ext: Extension, points: list) -> list:
+    """``ext._values`` at the rows of every matrix in ``points``, from row-kernel
+    calls on groups of whole matrices, none longer than the longest matrix:
+    first fit, longest first."""
+    cap = max(map(len, points))
+    groups = []  # [rows, indices]
+    for i in sorted(range(len(points)), key=lambda i: -len(points[i])):
+        group = next((g for g in groups if g[0] + len(points[i]) <= cap), None)
+        if group is None:
+            group = [0, []]
+            groups.append(group)
+        group[0] += len(points[i])
+        group[1].append(i)
+    out = [None] * len(points)
+    for _, members in groups:
+        values = ext._values(np.concatenate([points[i] for i in members]))
+        for i in members:
+            out[i], values = values[: len(points[i])], values[len(points[i]) :]
+    return out
+
+
+def _check(name: str, ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
+    """The scan of one axiom, as a generator: it yields the point matrix of each
+    block, is sent the extension's values at its rows and returns the report."""
+    stream = _Stream(np.random.default_rng(cfg.seed))
+    probes, draw, random_trials, one_sided, sides = _SPECS[name](ext, mu, cfg, stream)
+    tested = 0
+    skipped = 0
+    for block in _blocks(probes, draw, random_trials):
+        expected, got, scale, valid, inputs = yield from sides(*block)
+        gap = got - expected if one_sided else np.abs(got - expected)
+        ok = valid & (gap <= cfg.tol * np.maximum(1.0, scale))
+        failed = np.flatnonzero(valid & ~ok & _finite(expected, got))
+        hit = failed.size > 0
+        end = int(failed[0]) + 1 if hit else len(block[0])
+        counted = int(np.count_nonzero(ok[:end])) + hit
+        tested += counted
+        skipped += end - counted
+        if hit:
+            j = failed[0]
+            counterexample = Counterexample(inputs(j), float(expected[j]), float(got[j]))
+            return AxiomReport(name, ext.name, False, tested, skipped, counterexample)
+    return AxiomReport(name, ext.name, True, tested, skipped, None)
+
+
+def _scan(names, extension: Extension, mu: Capacity, cfg: AxiomCheckConfig | None) -> list:
+    """:func:`check_axiom` of each name in ``names``, in that order. Each axiom's
+    spec and first block are set up in turn, so errors come in ``names`` order,
+    before any kernel call. Round r then evaluates the r-th block of every axiom
+    still running through :func:`_grouped`: the row kernel is exact for each row
+    alone, so every report is that of the axiom's own scan."""
+    scans, points = [], []
+    with np.errstate(all="ignore"):
+        for name in names:
+            if not isinstance(name, str) or name not in _SPECS:
+                raise UnknownAxiom("unknown axiom %s, expected one of %s"
+                                   % (subsets._shown(name), ", ".join(AXIOM_NAMES)))
+            if not isinstance(extension, Extension):
+                raise InvalidFormat("expected Extension, got %r" % type(extension).__name__)
+            _values(mu)  # refuses what is not a value table
+            if extension.n != mu.n:
+                raise CapacitiesError(
+                    "extension is over %d criteria but capacity has %d" % (extension.n, mu.n)
+                )
+            scans.append(_check(name, extension, mu, _config(cfg)))
+            points.append(next(scans[-1]))
+        reports = [None] * len(scans)
+        running = list(range(len(scans)))
+        while running:
+            values = _grouped(extension, points)
+            points, still = [], []
+            for k, v in zip(running, values):
+                try:
+                    matrix = scans[k].send(v)
+                except StopIteration as done:
+                    reports[k] = done.value
+                    continue
+                points.append(matrix)
+                still.append(k)
+            running = still
+    return reports
+
+
 def check_axiom(
     axiom: str,
     extension: Extension,
@@ -599,41 +693,12 @@ def check_axiom(
 
     The extension and the capacity must belong together (the HE and A2
     expected sides read mu directly). Raises :class:`UnknownAxiom` for bad
-    names and :class:`DomainMismatch` when the config would sample outside
-    the extension's domain without ``allow_out_of_domain``.
+    names, :class:`InvalidFormat` when ``extension``, ``mu`` or ``cfg`` is not
+    an :class:`Extension`, a value table or an :class:`AxiomCheckConfig`, and
+    :class:`DomainMismatch` when the config would sample outside the
+    extension's domain without ``allow_out_of_domain``.
     """
-    if not isinstance(axiom, str) or axiom not in _SPECS:
-        raise UnknownAxiom(
-            "unknown axiom %s, expected one of %s" % (subsets._shown(axiom), ", ".join(AXIOM_NAMES))
-        )
-    if extension.n != mu.n:
-        raise CapacitiesError(
-            "extension is over %d criteria but capacity has %d" % (extension.n, mu.n)
-        )
-    if cfg is None:
-        cfg = AxiomCheckConfig()
-    stream = _Stream(np.random.default_rng(cfg.seed))
-    probes, draw, random_trials, one_sided, sides = _SPECS[axiom](extension, mu, cfg, stream)
-    tested = 0
-    skipped = 0
-    counterexample = None
-    with np.errstate(all="ignore"):
-        for block in _blocks(probes, draw, random_trials):
-            expected, got, scale, valid, inputs = sides(*block)
-            gap = got - expected if one_sided else np.abs(got - expected)
-            ok = valid & (gap <= cfg.tol * np.maximum(1.0, scale))
-            failed = np.flatnonzero(valid & ~ok & _finite(expected, got))
-            hit = failed.size > 0
-            end = int(failed[0]) + 1 if hit else len(block[0])
-            counted = int(np.count_nonzero(ok[:end])) + hit
-            tested += counted
-            skipped += end - counted
-            if hit:
-                j = failed[0]
-                counterexample = Counterexample(inputs(j), float(expected[j]), float(got[j]))
-                break
-    passed = counterexample is None
-    return AxiomReport(axiom, extension.name, passed, tested, skipped, counterexample)
+    return _scan((axiom,), extension, mu, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -665,10 +730,11 @@ class EquivalenceReport:
 def check_equivalence(
     extension: Extension, mu: Capacity, cfg: AxiomCheckConfig | None = None
 ) -> EquivalenceReport:
-    """Check {A1, A2, I} against {HE, A} on identical sampling configs."""
-    ratio = {ax: check_axiom(ax, extension, mu, cfg) for ax in ("A1", "A2", "I")}
-    homog = {ax: check_axiom(ax, extension, mu, cfg) for ax in ("HE", "A")}
-    mono = check_axiom("M", extension, mu, cfg)
+    """Check {A1, A2, I} against {HE, A} on identical sampling configs, in one
+    scan of the six axioms; errors as in :func:`check_axiom`."""
+    a1, a2, i, he, a, mono = _scan(("A1", "A2", "I", "HE", "A", "M"), extension, mu, cfg)
+    ratio = {"A1": a1, "A2": a2, "I": i}
+    homog = {"HE": he, "A": a}
     left = all(r.passed for r in ratio.values())
     right = all(r.passed for r in homog.values())
     return EquivalenceReport(
@@ -705,8 +771,7 @@ class PseudoProductReport:
 @_quiet
 def check_pseudo_product(op, cfg: AxiomCheckConfig | None = None) -> PseudoProductReport:
     """Sample the pseudo-product conditions for an operator on [0, 1]."""
-    if cfg is None:
-        cfg = AxiomCheckConfig()
+    cfg = _config(cfg)
     pp = op if isinstance(op, PseudoProduct) else PseudoProduct(op)
     xs, table = _grid_table(pp.op)
     cert = _certificate(pp.op, xs, table, cfg.tol)
@@ -775,11 +840,19 @@ def compare_extensions(
     """Evaluate every one-capacity extension on the given score vectors.
 
     ``points`` is an iterable of length-n vectors of numbers; any other
-    point raises :class:`InvalidFormat`, naming its index. Axiom verdicts
+    point raises :class:`InvalidFormat`, naming its index, as does a
+    ``points`` that is not iterable or a ``cfg`` that is not an
+    :class:`AxiomCheckConfig`. Axiom verdicts
     cover A1, A2, I, and M for each operator under a shared config.
     """
     operators = tuple(name for name in EXTENSION_NAMES if name != "cpt")
     exts = [make_extension(name, mu) for name in operators]
+    try:
+        points = iter(points)
+    except TypeError:
+        raise InvalidFormat(
+            "expected an iterable of score vectors, got %r" % type(points).__name__
+        ) from None
     pts = []
     for k, p in enumerate(points):
         bad = "comparison point %d must be a vector of %d numbers" % (k, mu.n)
@@ -787,8 +860,7 @@ def compare_extensions(
         if row.shape != (mu.n,):
             raise InvalidFormat(bad)
         pts.append(tuple(row.tolist()))
-    if cfg is None:
-        cfg = AxiomCheckConfig()
+    cfg = _config(cfg)
     table = np.column_stack([ext._values(np.array(pts).reshape(-1, mu.n)) for ext in exts])
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
@@ -796,7 +868,7 @@ def compare_extensions(
         exts[bad[0, 1]](np.array(pts[bad[0, 0]]))
     vcfg = replace(cfg, allow_out_of_domain=True)
     verdicts = {
-        ext.name: {ax: check_axiom(ax, ext, mu, vcfg).passed for ax in COMPARISON_AXIOMS}
+        ext.name: {r.axiom: r.passed for r in _scan(COMPARISON_AXIOMS, ext, mu, vcfg)}
         for ext in exts
     }
     return ExtensionComparison(

@@ -21,7 +21,7 @@ from . import subsets
 from .axioms import (
     AXIOM_NAMES,
     AxiomCheckConfig,
-    check_axiom,
+    _scan,
     compare_extensions,
 )
 from .errors import CapacitiesError, InvalidFormat
@@ -201,7 +201,7 @@ def _cmd_verify(args) -> None:
         wanted = [a.strip() for a in args.axioms.split(",") if a.strip()]
         if not wanted:
             raise _UsageError("--axioms needs at least one axiom name")
-    reports = [check_axiom(axiom, ext, mu, cfg) for axiom in wanted]
+    reports = _scan(wanted, ext, mu, cfg)
     if args.format == "json":
         _print_json({"extension": ext.name, "axioms": [r.to_dict() for r in reports]})
         return

@@ -14,8 +14,12 @@ t+ = max(t, 0) and t- = max(-t, 0).
 ``choquet`` to any certified commutative associative operator on [0, 1].
 The operator runs through ``np.frompyfunc``, one call for the grid, one per side
 of its cube of triples, five off the grid and one per criterion of the fold,
-warnings off; each value it returns must be a number by the rule of
-:mod:`capacities.subsets`, and so may not be an integer past a double.
+warnings off. A certificate runs it 441 times on the grid and 320 times off it;
+each side of the cube runs it once per pair of a distinct grid-table value and a
+grid value, 21 * u times for u distinct values, and gathers its 9,261 cells from
+those: ``certify(min)`` runs it 1,643 times. Each value it returns must be a
+number by the rule of :mod:`capacities.subsets`, and so may not be an integer
+past a double.
 
 Score vectors and matrices are read by ``subsets._reals``, the arguments of
 ``symmetric_max`` and of a ``PseudoProduct`` call by ``set_function._number``.
@@ -345,12 +349,21 @@ _OFF_GRID = [(_rng.random(), _rng.random(), _rng.random()) for _ in range(64)]
 del _rng
 
 
-def _op_values(op: Callable[[float, float], float], x, y) -> np.ndarray:
+def _op_values(op: Callable[[float, float], float], x, y, at=None) -> np.ndarray:
     """``op`` at each pair of ``x`` and ``y`` broadcast together, as the object
     array of what it returns; :class:`InvalidFormat` names the first pair whose
-    value is not a real number or is an integer too large for a double."""
-    values = np.frompyfunc(op, 2, 1)(x, y)
-    if set(map(type, values.flat)) != {float}:  # a float needs no check
+    value is not a real number or is an integer too large for a double. With
+    ``at``, a pair of index arrays into the 1-d ``x`` and ``y``, ``op`` runs once
+    per pair of their outer product and the result is op(x[at[0]], y[at[1]]),
+    gathered from those values: a float64 array when every value is a float."""
+    call = np.frompyfunc(op, 2, 1)
+    values = computed = call(x, y) if at is None else call.outer(x, y)
+    floats = set(map(type, computed.flat)) == {float}  # a float needs no check
+    if at is not None:
+        if floats:
+            return computed.astype(np.float64)[at]
+        values, x, y = computed[at], x[at[0]], y[at[1]]
+    if not floats:
         for k, v in enumerate(values.flat):
             try:
                 _number(v, "")
@@ -377,10 +390,16 @@ def _certificate(op, xs: np.ndarray, table: np.ndarray, tol: float) -> OperatorC
     comm_gap = max(float(np.max(np.abs(table - table.T))),
                    float(np.fmax.reduce(np.abs(xy - yx), initial=0.0)))
     # |op(op(x, y), z) - op(x, op(y, z))| on the cube, at [i, j, k], and at the
-    # off-grid triples, in the type op returns
-    cube = _op_values(op, table[:, :, None], xs) - _op_values(op, xs[:, None, None], table)
-    gaps = np.abs(np.append(cube, _op_values(op, xy, z) - _op_values(op, x, yz)))
-    assoc_gap = float(np.fmax.reduce(gaps.astype(np.float64), initial=0.0))
+    # off-grid triples, in the type op returns. The cube runs op once per distinct
+    # table value, told apart by its bits (0.0 and -0.0, NaN payloads), and grid value.
+    _, first, inverse = np.unique(table.view(np.uint64).ravel(), return_index=True,
+                                  return_inverse=True)
+    distinct, cells, grid = table.ravel()[first], inverse.reshape(table.shape), np.arange(xs.size)
+    cube = (_op_values(op, distinct, xs, at=(cells[:, :, None], grid))
+            - _op_values(op, xs, distinct, at=(grid[:, None, None], cells)))
+    off_grid = _op_values(op, xy, z) - _op_values(op, x, yz)
+    assoc_gap = max(float(np.fmax.reduce(np.abs(gaps).astype(np.float64), axis=None, initial=0.0))
+                    for gaps in (cube, off_grid))
     return OperatorCertificate(
         commutative=comm_gap <= tol,
         associative=assoc_gap <= tol,

@@ -266,14 +266,15 @@ def _maximum(lo, hi):
 
 
 # Each value table that :func:`mobius` was called on, by id, mapped to weak
-# references to the table and to the last result; the entry goes when either
-# dies. Keyed by identity, so a table need not be hashable. A live result is
-# read, never written, by _mobius_table.
+# references to the table and to a result; the entry goes when either dies, and
+# a new result is registered only when there is no live one. Keyed by identity,
+# so a table need not be hashable. A live result is read, never written, by
+# _mobius_table.
 _live_mobius = {}
 
 
 def _live(v: SetFunction) -> MobiusRepr | None:
-    """The last :func:`mobius` result of ``v`` while the caller still holds it, else None."""
+    """The registered :func:`mobius` result of ``v`` while the caller still holds it, else None."""
     refs = _live_mobius.get(id(v))
     return refs[1]() if refs is not None and refs[0]() is v else None
 
@@ -292,8 +293,9 @@ def mobius(v: SetFunction) -> MobiusRepr:
     table, which they never write, instead of building their own."""
     a = _mobius_pass(_values(v))
     m = MobiusRepr._own(v.n, a)
-    forget = functools.partial(_forget, id(v))
-    _live_mobius[id(v)] = weakref.ref(v, forget), weakref.ref(m, forget)
+    if _live(v) is None:
+        forget = functools.partial(_forget, id(v))
+        _live_mobius[id(v)] = weakref.ref(v, forget), weakref.ref(m, forget)
     return m
 
 

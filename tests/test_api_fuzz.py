@@ -47,6 +47,7 @@ from capacities import (
     capacity_from_dict,
     certify,
     check_axiom,
+    check_equivalence,
     check_pseudo_product,
     choquet,
     choquet_mobius,
@@ -119,6 +120,8 @@ def rows(base):
 MU = as_capacity([0.0, 0.3, 0.6, 1.0])
 M = mobius(MU)
 PP = certify(min)
+OM = ordinal_mobius(MU)
+EXT = make_extension("choquet", MU)
 MODEL = AggregationModel(MU, "sipos", (UtilityScale(1, {"neutral": 0, "good": 1, "bad": -1}),))
 SMALL = AxiomCheckConfig(samples=5)
 
@@ -183,6 +186,10 @@ ENTRY_POINTS = {
     "PseudoProduct value": (lambda value: PseudoProduct(_op(value))(1.0, 1.0), NUMBER),
     "check_axiom": (
         lambda name: check_axiom(name, make_extension("choquet", MU), MU, SMALL), odd("M")),
+    "check_axiom arguments": (
+        lambda ext, mu, cfg: check_axiom("HE", ext, mu, cfg),
+        st.sampled_from([EXT, None, MU, M, [0.5, 0.25]]), st.sampled_from([MU, None, M, OM, EXT]),
+        st.sampled_from([SMALL, None, 5, {}])),
     "compare_extensions": (
         lambda points: compare_extensions(MU, points, SMALL), rows([0.5, -0.25])),
     "AxiomCheckConfig": (
@@ -258,7 +265,6 @@ def test_loose_numbers_are_refused(call, error):
         call()
 
 
-OM = ordinal_mobius(MU)
 T = [0.1, 0.2]
 # Each call read its table whatever its class: a wrong number where the table
 # has another class's values (choquet(M, T) was 0.07 against 0.16), a bare
@@ -289,6 +295,30 @@ WRONG_TABLES = [
 @pytest.mark.parametrize("call, expected", [w[1:] for w in WRONG_TABLES],
                          ids=[w[0] for w in WRONG_TABLES])
 def test_a_table_of_another_class_is_refused(call, expected):
+    with pytest.raises(InvalidFormat, match="^expected %s, got '" % expected):
+        call()
+
+
+# Each raised a bare AttributeError (the first six) or TypeError on an argument
+# of the wrong type; a coefficient table as the capacity was read as a value
+# table.
+WRONG_ARGUMENTS = [
+    ("check_axiom extension", lambda: check_axiom("HE", None, MU), "Extension"),
+    ("check_axiom capacity", lambda: check_axiom("HE", EXT, None), "SetFunction or Capacity"),
+    ("check_axiom config", lambda: check_axiom("HE", EXT, MU, 5), "AxiomCheckConfig"),
+    ("check_equivalence", lambda: check_equivalence(None, MU), "Extension"),
+    ("check_equivalence config", lambda: check_equivalence(EXT, MU, {}), "AxiomCheckConfig"),
+    ("check_pseudo_product config", lambda: check_pseudo_product(min, 3), "AxiomCheckConfig"),
+    ("compare_extensions points", lambda: compare_extensions(MU, 0),
+     "an iterable of score vectors"),
+    ("compare_extensions config", lambda: compare_extensions(MU, [T], "x"), "AxiomCheckConfig"),
+    ("check_axiom coefficient table", lambda: check_axiom("M", EXT, M), "SetFunction or Capacity"),
+]
+
+
+@pytest.mark.parametrize("call, expected", [w[1:] for w in WRONG_ARGUMENTS],
+                         ids=[w[0] for w in WRONG_ARGUMENTS])
+def test_an_argument_of_another_type_is_refused(call, expected):
     with pytest.raises(InvalidFormat, match="^expected %s, got '" % expected):
         call()
 

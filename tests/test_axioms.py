@@ -559,6 +559,22 @@ class TestBlockDraws:
         after = np.random.default_rng(5).bit_generator.random_raw(35 * words + 1)[-1]
         assert rng.bit_generator.random_raw() == after
 
+    @pytest.mark.parametrize("half", [False, True], ids=["no-half", "half-pending"])
+    @pytest.mark.parametrize("width", [1, 6])
+    def test_an_all_doubles_take_is_the_general_decode(self, half, width):
+        # The one-step decode of M, I, C1 and unsigned S1 against the rejection
+        # loop, after a 32-bit draw that may leave a high half for later.
+        fast, general = (axioms._Stream(np.random.default_rng(11)) for _ in range(2))
+        for stream in (fast, general):
+            stream.take(1, (3,) * (2 - half))  # one 32-bit draw leaves a high half
+        for k in (1, 32, 37):
+            got = fast.take(k, (0,) * width)
+            want = general._draws(np.zeros(k * width, dtype=np.uint64)).reshape(k, width)
+            assert got.tobytes() == want.tobytes()
+        # the next mixed take reads the same words and the same pending half
+        mixed = (7, 0, 3, 0, 1, 5)
+        assert fast.take(40, mixed).tobytes() == general.take(40, mixed).tobytes()
+
 
 # -- the block schedule -------------------------------------------------------------
 
@@ -602,3 +618,65 @@ def test_reports_do_not_depend_on_the_block_schedule(n, monkeypatch):
     monkeypatch.setattr(axioms, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(axioms, "_MAX_BLOCK", 1)
     assert [check_axiom(axiom, ext, mu, cfg) for axiom, ext, cfg in checks] == blocked
+
+
+# -- one scan per suite -------------------------------------------------------------
+
+
+# Reordered, with repeats: each name gets its own stream and its own report.
+SUITE = AXIOM_NAMES[::-1] + ("M", "HE", "M")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_a_suite_scan_gives_each_axiom_its_own_report(n):
+    # 1,100 random trials run three rounds of unequal blocks; at tol 1e-15
+    # roundoff fails some axioms past the first block, and the others run on.
+    rng = np.random.default_rng(40 + n)
+    mu, losses = random_capacity(rng, n), random_capacity(rng, n)
+    configs = [dataclasses.replace(base, samples=1100 if n < 8 else 200, seed=n, tol=tol)
+               for base in (UNIT[1], dataclasses.replace(SIGNED[1], allow_out_of_domain=True))
+               for tol in (1e-9, 1e-15)]
+    for name in EXTENSION_NAMES:
+        ext = make_extension(name, mu, losses if name == "cpt" else None)
+        for cfg in configs:
+            scanned = axioms._scan(SUITE, ext, mu, cfg)
+            # repr tells every float apart, -0.0 from 0.0 included
+            assert list(map(repr, scanned)) == [repr(check_axiom(a, ext, mu, cfg)) for a in SUITE]
+
+
+# Row-kernel calls of one suite of every axiom at 250 samples, against one per
+# block and axiom (the sum of ``test_kernel_calls_per_axiom``'s counts).
+SUITE_CALLS = {("choquet", 4): (9, 15), ("choquet", 8): (15, 21), ("mle", 4): (8, 13),
+               ("mle", 8): (9, 14)}
+
+
+@pytest.mark.parametrize("name, n", sorted(SUITE_CALLS))
+def test_kernel_calls_per_suite(name, n):
+    mu = random_capacity(np.random.default_rng(n), n)
+    ext = make_extension(name, mu)
+    calls = []
+
+    def counting(t):
+        calls.append(t.shape[0])
+        return ext.fn(t)
+
+    counted = dataclasses.replace(ext, fn=counting)
+    cfg = dataclasses.replace(UNIT_CFG if ext.domain == "unit" else CFG, samples=250)
+    reports = axioms._scan(AXIOM_NAMES, counted, mu, cfg)
+    scanned = list(calls)
+    calls.clear()
+    assert reports == [check_axiom(axiom, counted, mu, cfg) for axiom in AXIOM_NAMES]
+    assert (len(scanned), len(calls)) == SUITE_CALLS[name, n]
+    # the same rows, in groups no longer than the longest block of one axiom
+    assert sum(scanned) == sum(calls) and max(scanned) == max(calls)
+
+
+def test_a_suite_scan_raises_the_first_error_in_name_order():
+    mu = random_capacity(np.random.default_rng(3), 3)
+    ext = make_extension("mle", mu)  # samples on [0, 1]: the signed bounds are refused
+    with pytest.raises(DomainMismatch, match="'mle' samples scores on"):
+        axioms._scan(("M", "I", "bogus"), ext, mu, CFG)
+    with pytest.raises(DomainMismatch, match="scaling factors above 1"):
+        axioms._scan(("I", "M", "bogus"), ext, mu, CFG)
+    with pytest.raises(UnknownAxiom, match="'bogus'"):
+        axioms._scan(("bogus", "M", "I"), ext, mu, CFG)

@@ -415,3 +415,18 @@ class TestLiveMobiusTable:
         del m
         shapley(mu), interaction_report(mu)
         assert [a is mu.values for a in passes] == [True, True]
+
+    def test_a_dropped_second_result_leaves_the_held_one_live(self, monkeypatch):
+        # The second result used to replace the first in the registry and die at
+        # once, so both calls below ran a Mobius pass of their own.
+        mu = random_capacity(np.random.default_rng(16), 8)
+        m1 = mobius(mu)
+        again = mobius(mu)
+        assert again is not m1 and again.values.tobytes() == m1.values.tobytes()
+        del again
+        assert set_function._live(mu) is m1
+        passes = []
+        run = set_function._mobius_pass
+        monkeypatch.setattr(set_function, "_mobius_pass", lambda a: passes.append(a) or run(a))
+        shapley(mu), interaction_report(mu)
+        assert passes == []
