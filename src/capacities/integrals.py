@@ -295,14 +295,14 @@ def cpt_compatible(
     symmetric integrals on vectors supported on a single sign.
     """
     tol = _tol(tol)
+    gains, losses = _values(mu_gains), _values(mu_losses)
     if mu_gains.n != mu_losses.n:
         raise DimensionMismatch(
             "capacities disagree on n: %d vs %d" % (mu_gains.n, mu_losses.n)
         )
     bad = []
     for i in range(mu_gains.n):
-        a = float(mu_gains.values[1 << i])
-        b = float(mu_losses.values[1 << i])
+        a, b = float(gains[1 << i]), float(losses[1 << i])
         if abs(a - b) > tol:
             bad.append((i + 1, a, b))
     return CptCompatibility(not bad, tuple(bad))
@@ -355,7 +355,10 @@ def _op_values(op: Callable[[float, float], float], x, y, at=None) -> np.ndarray
     value is not a real number or is an integer too large for a double. With
     ``at``, a pair of index arrays into the 1-d ``x`` and ``y``, ``op`` runs once
     per pair of their outer product and the result is op(x[at[0]], y[at[1]]),
-    gathered from those values: a float64 array when every value is a float."""
+    gathered from those values: a float64 array when every value is a float.
+    An ``op`` that is not callable raises :class:`InvalidFormat`."""
+    if not callable(op):
+        raise InvalidFormat("expected a callable operator, got %r" % type(op).__name__)
     call = np.frompyfunc(op, 2, 1)
     values = computed = call(x, y) if at is None else call.outer(x, y)
     floats = set(map(type, computed.flat)) == {float}  # a float needs no check

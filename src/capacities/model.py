@@ -22,7 +22,7 @@ from .errors import (
 )
 from .integrals import make_extension
 from .set_function import (DEFAULT_TOL, Capacity, _checked_capacity, _finite,
-                           _nonpositive_singleton, _number, _tol, capacity_from_dict)
+                           _nonpositive_singleton, _number, _tol, _values, capacity_from_dict)
 
 __all__ = [
     "NEUTRAL",
@@ -136,8 +136,8 @@ class AggregationModel:
     capacity_losses: Capacity | None = None
 
     def __post_init__(self):
-        n = self.capacity.n
-        singleton_error = _nonpositive_singleton(self.capacity.values, n)
+        vals, n = _values(self.capacity), self.capacity.n
+        singleton_error = _nonpositive_singleton(vals, n)
         if singleton_error is not None:
             raise singleton_error
         by_criterion = {}
@@ -232,9 +232,16 @@ def _utility_matrix(model: AggregationModel, acts: list) -> np.ndarray:
     return np.array([_utilities(model, a) for a in acts], dtype=np.float64)
 
 
+def _evaluator(model: AggregationModel):
+    """The extension of ``model``, which must be an :class:`AggregationModel`."""
+    if not isinstance(model, AggregationModel):
+        raise InvalidFormat("expected AggregationModel, got %r" % type(model).__name__)
+    return model._evaluator
+
+
 def evaluate_act(model: AggregationModel, act) -> float:
     """Aggregate one act with the model's extension."""
-    return float(model._evaluator(_utilities(model, act)))
+    return float(_evaluator(model)(_utilities(model, act)))
 
 
 @dataclass(frozen=True)
@@ -265,10 +272,14 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     are scored in one batch (``Extension.many``).
     """
     tol = _tol(tol)
-    acts = [a if isinstance(a, Act) else Act(a) for a in acts]
+    try:
+        items = iter(acts)
+    except TypeError:
+        raise InvalidFormat("expected an iterable of acts, got %r" % type(acts).__name__) from None
+    acts = [a if isinstance(a, Act) else Act(a) for a in items]
     if not acts:
         raise CapacitiesError("no acts to rank")
-    scores = model._evaluator.many(_utility_matrix(model, acts))
+    scores = _evaluator(model).many(_utility_matrix(model, acts))
     order = np.argsort(-scores, kind="stable")
     # A chain id counts the drops > tol so far; an inf gap (near +-1e308) is one, unwarned.
     with np.errstate(over="ignore"):

@@ -47,7 +47,8 @@ one writable Mobius table, checked as :func:`mobius` checks its output, and
 scale it in place: ``shapley`` holds it and one byte per subset, and a
 report one scratch table more and two bytes per subset. While the caller
 holds the result of ``mobius(v)``, they read its read-only table instead,
-found through a weak registry that keeps no table alive: ``shapley``
+found through the weak reference that ``mobius`` leaves on ``v``, which keeps
+no table alive and which a copy or a pickle of ``v`` leaves out: ``shapley``
 scales it into a new table, and a report runs every order in its scratch
 table. Public constructors copy the arrays they are given; tables the
 package has just built are wrapped without a copy.
@@ -55,7 +56,6 @@ package has just built are wrapped without a copy.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -157,6 +157,10 @@ class SetFunction:
 
     def __getitem__(self, mask: int) -> float:
         return float(self.values[mask])
+
+    def __getstate__(self):
+        """A copy or a pickle carries no live Mobius table."""
+        return {k: x for k, x in vars(self).items() if k != "_mobius"}
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -265,24 +269,10 @@ def _maximum(lo, hi):
     np.maximum(hi, lo, out=hi)
 
 
-# Each value table that :func:`mobius` was called on, by id, mapped to weak
-# references to the table and to a result; the entry goes when either dies, and
-# a new result is registered only when there is no live one. Keyed by identity,
-# so a table need not be hashable. A live result is read, never written, by
-# _mobius_table.
-_live_mobius = {}
-
-
 def _live(v: SetFunction) -> MobiusRepr | None:
-    """The registered :func:`mobius` result of ``v`` while the caller still holds it, else None."""
-    refs = _live_mobius.get(id(v))
-    return refs[1]() if refs is not None and refs[0]() is v else None
-
-
-def _forget(key: int, ref: weakref.ref) -> None:
-    refs = _live_mobius.get(key)
-    if refs is not None and any(r is ref for r in refs):
-        del _live_mobius[key]
+    """The live result of ``mobius(v)``, which ``v`` refers to weakly, else None."""
+    ref = vars(v).get("_mobius")
+    return None if ref is None else ref()
 
 
 def mobius(v: SetFunction) -> MobiusRepr:
@@ -294,8 +284,7 @@ def mobius(v: SetFunction) -> MobiusRepr:
     a = _mobius_pass(_values(v))
     m = MobiusRepr._own(v.n, a)
     if _live(v) is None:
-        forget = functools.partial(_forget, id(v))
-        _live_mobius[id(v)] = weakref.ref(v, forget), weakref.ref(m, forget)
+        vars(v)["_mobius"] = weakref.ref(m)
     return m
 
 
@@ -337,8 +326,7 @@ def co_mobius(v: SetFunction) -> CoMobiusRepr:
     parity of the row: two exact multiplications by +-1 apply it, keeping
     the sign of every zero.
     """
-    a = _values(v)[::-1].copy()
-    subsets.lattice(_subtract, a)
+    a = _mobius_pass(_values(v)[::-1])
     low = min(v.n, 12)
     cols, rows = (1.0 - 2.0 * (subsets.popcounts(k) & 1) for k in (low, v.n - low))
     grid = a.reshape(-1, 1 << low)  # mask = row * 2**low + column
@@ -496,9 +484,13 @@ class ValidationResult:
 
 
 def _value_table(v, n: int | None) -> tuple[int, np.ndarray]:
-    """(n, read-only table) of a set function or of a raw vector."""
+    """(n, read-only table) of a set function or of a raw vector; a given ``n``
+    must be that of the table."""
     if isinstance(v, SetFunction):
-        return v.n, _values(v)
+        vals = _values(v)
+        if n is None or subsets.check_n(n) == v.n:
+            return v.n, vals
+        v = vals  # over another n: refused below as a raw vector would be
     arr = subsets._reals(v, "values must be a vector of numbers")
     if n is None:
         if arr.ndim != 1 or arr.shape[0] < 2 or arr.shape[0] & (arr.shape[0] - 1):
@@ -519,16 +511,16 @@ def validate(
     """Check the capacity axioms on a set function or a raw value table.
 
     Accepts a :class:`SetFunction`, a :class:`Capacity`, or a raw vector of
-    length 2**n (``n`` inferred from the length when omitted). Never raises
-    for axiom violations; malformed vectors (wrong length, non-finite
-    entries) and a ``tol`` that is not finite and >= 0 do raise.
+    length 2**n (``n`` inferred from the length when omitted; a given ``n``
+    must be that of the table). Never raises for axiom violations; malformed
+    vectors (wrong length, non-finite entries) and a ``tol`` that is not
+    finite and >= 0 do raise.
     """
     n, vals = _value_table(v, n)
     drops, first_drop = _drops(vals, tol)
     err = _first_capacity_violation(vals, n, tol, require_positive_singletons, first_drop)
     # Additive: every Mobius coefficient of two or more criteria is within tol of 0.
-    m = vals.copy()
-    subsets.lattice(_subtract, m)
+    m = _mobius_pass(vals)
     m[0] = 0.0
     m[1 << np.arange(n)] = 0.0
     additive = bool(np.abs(m, out=m).max() <= tol)
@@ -558,7 +550,7 @@ def as_capacity(
 def to_dict(v: SetFunction) -> dict:
     """Canonical JSON-ready dict for any of the table-backed types."""
     if not isinstance(v, SetFunction):
-        raise TypeError("cannot serialize %r" % type(v).__name__)
+        raise InvalidFormat("expected SetFunction or a subclass, got %r" % type(v).__name__)
     return {"n": v.n, "values_by_mask": v.values.tolist()}
 
 

@@ -4,9 +4,11 @@ Every number or array argument of the public entry points is fed values that
 Python or numpy would read loosely: bools and numpy bools, numeric strings and
 bytes, None, complex numbers, fractions, integers past a double, NaN and the
 infinities, signed zeros and the extremes of a double, 0-d, ragged and 2-d
-arrays, and dicts. Whatever the value, a call returns, every number it returns
-being finite, or raises a ``CapacitiesError`` subclass; no other exception and
-no warning escapes.
+arrays, and dicts. Every object argument is fed objects of another kind: each
+table class in place of another, a table, an extension and a model over another
+n, None, a list, an ndarray, a dict and an operator that is not callable.
+Whatever the value, a call returns, every number it returns being finite, or
+raises a ``CapacitiesError`` subclass; no other exception and no warning escapes.
 
 ``test_loose_numbers_are_refused`` pins calls that read such values as numbers,
 or let a bare ``TypeError``, ``ValueError`` or ``OverflowError`` escape, before
@@ -52,7 +54,9 @@ from capacities import (
     choquet,
     choquet_mobius,
     classify,
+    co_mobius,
     compare_extensions,
+    conjugate,
     cpt,
     cpt_compatible,
     default_scale,
@@ -67,6 +71,7 @@ from capacities import (
     pseudo_product_extension,
     rank_acts,
     set_function_from_dict,
+    shapley,
     sipos,
     sipos_closed_form,
     sipos_mobius,
@@ -74,6 +79,7 @@ from capacities import (
     sugeno_product,
     symmetric_max,
     symmetric_max_fold,
+    to_dict,
     validate,
     vector_from_dict,
     zeta,
@@ -95,6 +101,11 @@ DTYPES = [np.float32, np.int64, np.uint8, object, bool, str, complex]
 def odd(good):
     """``good``, or a boundary value in its place."""
     return st.one_of(st.just(good), boundary)
+
+
+def obj(good):
+    """``good``, or an object of another kind in its place."""
+    return st.one_of(st.just(good), objects)
 
 
 def entries(base):
@@ -124,8 +135,21 @@ OM = ordinal_mobius(MU)
 EXT = make_extension("choquet", MU)
 MODEL = AggregationModel(MU, "sipos", (UtilityScale(1, {"neutral": 0, "good": 1, "bad": -1}),))
 SMALL = AxiomCheckConfig(samples=5)
+MU3 = as_capacity([0.0, 0.2, 0.3, 0.5, 0.4, 0.6, 0.7, 1.0])
 
-VALUES = vectors([0.0, 0.3, 0.6, 1.0])
+# Objects in place of an object argument: each table class, an extension, a
+# model and a pseudo-product, some over another n, and what is none of these.
+OBJECTS = [
+    MU, SetFunction(2, [0.0, 0.5, 0.2, 1.0]), M, co_mobius(MU), OM, MU3, mobius(MU3),
+    EXT, make_extension("sipos", MU3), MODEL, AggregationModel(MU3, "choquet"), PP,
+    None, 3, "min", [0.0, 0.3, 0.6, 1.0], np.array([0.0, 0.3, 0.6, 1.0]),
+    {"n": 2, "values_by_mask": [0.0, 0.3, 0.6, 1.0]},
+]
+objects = st.sampled_from(OBJECTS)
+# An operator, or an object that is not callable in its place.
+operators = st.sampled_from([min] + [o for o in OBJECTS if not callable(o)])
+
+VALUES = st.one_of(vectors([0.0, 0.3, 0.6, 1.0]), objects)
 SCORES = vectors([0.5, -0.25])
 NUMBER = odd(0.5)
 TOL = odd(1e-9)
@@ -146,7 +170,13 @@ ENTRY_POINTS = {
     "MobiusRepr": (MobiusRepr, odd(2), VALUES),
     "CoMobiusRepr": (CoMobiusRepr, odd(2), VALUES),
     "OrdinalMobiusRepr": (OrdinalMobiusRepr, odd(2), VALUES),
-    "Capacity": (lambda tol: Capacity(SetFunction(2, [0.0, 0.3, 0.6, 1.0]), tol=tol), TOL),
+    "Capacity": (lambda sf, tol: Capacity(sf, tol=tol), obj(SetFunction(2, [0.0, 0.3, 0.6, 1.0])),
+                 TOL),
+    "transforms": (
+        lambda call, v: call(v),
+        st.sampled_from([mobius, zeta, co_mobius, ordinal_mobius, ordinal_zeta, conjugate, to_dict,
+                         shapley]),
+        obj(MU)),
     "as_capacity": (lambda v, n, tol: as_capacity(v, n=n, tol=tol), VALUES, odd(None), TOL),
     "validate": (lambda v, n, tol: validate(v, n=n, tol=tol), VALUES, odd(None), TOL),
     # a parser: the table constructors check that its table is finite
@@ -157,15 +187,15 @@ ENTRY_POINTS = {
         odd(2), NUMBER),
     "capacity_from_dict": (
         lambda v, tol: capacity_from_dict({"n": 2, "values_by_mask": v}, tol=tol), VALUES, TOL),
-    "choquet": (functools.partial(choquet, MU), SCORES),
-    "choquet_mobius": (functools.partial(choquet_mobius, M), SCORES),
-    "sipos": (functools.partial(sipos, MU), SCORES),
-    "sipos_closed_form": (functools.partial(sipos_closed_form, MU), SCORES),
-    "sipos_mobius": (functools.partial(sipos_mobius, M), SCORES),
-    "mle": (functools.partial(mle, M), SCORES),
-    "smle": (functools.partial(smle, M), SCORES),
-    "sugeno_product": (functools.partial(sugeno_product, ordinal_mobius(MU)), SCORES),
-    "cpt": (functools.partial(cpt, M, M), SCORES),
+    "choquet": (choquet, obj(MU), SCORES),
+    "choquet_mobius": (choquet_mobius, obj(M), SCORES),
+    "sipos": (sipos, obj(MU), SCORES),
+    "sipos_closed_form": (sipos_closed_form, obj(MU), SCORES),
+    "sipos_mobius": (sipos_mobius, obj(M), SCORES),
+    "mle": (mle, obj(M), SCORES),
+    "smle": (smle, obj(M), SCORES),
+    "sugeno_product": (sugeno_product, obj(OM), SCORES),
+    "cpt": (cpt, obj(M), obj(M), SCORES),
     "Extension": (
         lambda name, t: make_extension(name, MU, MU if name == "cpt" else None)(t),
         st.sampled_from(EXTENSION_NAMES), SCORES),
@@ -173,25 +203,30 @@ ENTRY_POINTS = {
         lambda name, t: make_extension(name, MU, MU if name == "cpt" else None).many(t),
         st.sampled_from(EXTENSION_NAMES), st.one_of(boundary, rows([0.5, -0.25]))),
     "pseudo_product_extension": (
-        functools.partial(pseudo_product_extension, M, PP), vectors([0.5, 0.25])),
+        pseudo_product_extension, obj(M), obj(PP), vectors([0.5, 0.25])),
     "symmetric_max": (symmetric_max, NUMBER, NUMBER),
     "symmetric_max_fold": (symmetric_max_fold, SCORES),
     "classify": (classify, NUMBER, TOL),
-    "cpt_compatible": (functools.partial(cpt_compatible, MU, MU), TOL),
-    "interaction_index": (functools.partial(interaction_index, MU), odd(3)),
-    "interaction_report": (functools.partial(interaction_report, MU), odd(2), TOL),
+    "cpt_compatible": (cpt_compatible, obj(MU), obj(MU), TOL),
+    "interaction_index": (interaction_index, obj(MU), odd(3)),
+    "interaction_report": (interaction_report, obj(MU), odd(2), TOL),
     "certify": (lambda value, tol: certify(_op(value), tol=tol), NUMBER, TOL),
     "check_pseudo_product": (lambda value: check_pseudo_product(_op(value), SMALL), NUMBER),
     "PseudoProduct": (PP, NUMBER, NUMBER),
     "PseudoProduct value": (lambda value: PseudoProduct(_op(value))(1.0, 1.0), NUMBER),
+    "operators": (
+        lambda call, op: call(op),
+        st.sampled_from([certify, lambda op: check_pseudo_product(op, SMALL),
+                         lambda op: PseudoProduct(op)(0.5, 0.5)]),
+        operators),
     "check_axiom": (
         lambda name: check_axiom(name, make_extension("choquet", MU), MU, SMALL), odd("M")),
     "check_axiom arguments": (
-        lambda ext, mu, cfg: check_axiom("HE", ext, mu, cfg),
-        st.sampled_from([EXT, None, MU, M, [0.5, 0.25]]), st.sampled_from([MU, None, M, OM, EXT]),
-        st.sampled_from([SMALL, None, 5, {}])),
+        lambda call, ext, mu, cfg: call(ext, mu, cfg),
+        st.sampled_from([functools.partial(check_axiom, "HE"), check_equivalence]),
+        obj(EXT), obj(MU), st.sampled_from([SMALL, None, 5, {}])),
     "compare_extensions": (
-        lambda points: compare_extensions(MU, points, SMALL), rows([0.5, -0.25])),
+        lambda mu, points: compare_extensions(mu, points, SMALL), obj(MU), rows([0.5, -0.25])),
     "AxiomCheckConfig": (
         lambda samples, seed, tol, score, alpha: AxiomCheckConfig(samples, seed, tol, score, alpha),
         odd(5), odd(1), TOL, vectors([-1.0, 1.0]), vectors([0.5, 2.0])),
@@ -199,9 +234,17 @@ ENTRY_POINTS = {
         lambda criterion, level: UtilityScale(criterion, {"neutral": 0, "good": 1, "x": level}),
         odd(1), NUMBER),
     "default_scale": (default_scale, odd(1)),
-    "Act": (lambda act: evaluate_act(MODEL, Act(act)), entries(["good", 0.5])),
+    # make_extension reads the capacities of a model
+    "AggregationModel": (
+        lambda mu, name, losses: AggregationModel(mu, name, capacity_losses=losses),
+        obj(MU), st.sampled_from(EXTENSION_NAMES), st.one_of(st.none(), objects)),
+    "Act": (lambda model, act: evaluate_act(model, Act(act)), obj(MODEL), entries(["good", 0.5])),
     "rank_acts": (
-        lambda act, tol: rank_acts(MODEL, [act, ["bad", 1]], tol), entries(["good", 0.5]), TOL),
+        lambda model, act, tol: rank_acts(model, [act, ["bad", 1]], tol),
+        obj(MODEL), entries(["good", 0.5]), TOL),
+    "rank_acts acts": (
+        lambda acts: rank_acts(MODEL, acts),
+        st.one_of(objects, st.lists(entries(["good", 0.5]), min_size=1, max_size=3))),
     "capacity_from_binary_acts": (_binary_acts, odd(2), NUMBER),
 }
 
@@ -313,6 +356,23 @@ WRONG_ARGUMENTS = [
      "an iterable of score vectors"),
     ("compare_extensions config", lambda: compare_extensions(MU, [T], "x"), "AxiomCheckConfig"),
     ("check_axiom coefficient table", lambda: check_axiom("M", EXT, M), "SetFunction or Capacity"),
+]
+# These raised a bare AttributeError (the first four), TypeError: ... not iterable
+# (rank_acts), TypeError: cannot serialize (to_dict), or numpy's TypeError:
+# function must be callable (the operators).
+WRONG_ARGUMENTS += [
+    ("rank_acts model", lambda: rank_acts(None, [["good", 0.5]]), "AggregationModel"),
+    ("evaluate_act model", lambda: evaluate_act(None, ["good", 0.5]), "AggregationModel"),
+    ("AggregationModel capacity", lambda: AggregationModel(None, "choquet"),
+     "SetFunction or Capacity"),
+    ("cpt_compatible", lambda: cpt_compatible(None, MU), "SetFunction or Capacity"),
+    ("rank_acts None", lambda: rank_acts(MODEL, None), "an iterable of acts"),
+    ("rank_acts int", lambda: rank_acts(MODEL, 5), "an iterable of acts"),
+    ("to_dict", lambda: to_dict([0, 1]), "SetFunction or a subclass"),
+    ("certify None", lambda: certify(None), "a callable operator"),
+    ("certify int", lambda: certify(3), "a callable operator"),
+    ("check_pseudo_product None", lambda: check_pseudo_product(None), "a callable operator"),
+    ("PseudoProduct None", lambda: PseudoProduct(None)(0.5, 0.5), "a callable operator"),
 ]
 
 

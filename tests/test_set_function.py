@@ -3,6 +3,7 @@ import hashlib
 import json
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from capacities import (
     zeta,
 )
 from capacities.interaction import _all_indices
-from capacities.set_function import _live, _live_mobius
+from capacities.set_function import _live
 from capacities.subsets import (BUFSIZE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
                                 subset_key)
 from helpers import random_capacity, random_set_function
@@ -220,6 +221,25 @@ class TestValidate:
     def test_additive_flag(self):
         res = validate([0.0, 0.4, 0.6, 1.0])
         assert res.ok and res.additive
+
+    @pytest.mark.parametrize("call", [validate, as_capacity])
+    def test_a_given_n_must_be_that_of_the_table(self, call):
+        # validate(sf, n=3) returned ok=True and as_capacity(sf, n="x") a Capacity:
+        # a given n was ignored for a table, and checked only for a raw vector.
+        sf = SetFunction(2, [0.0, 0.3, 0.6, 1.0])
+        for table in (sf, as_capacity(sf.values)):
+            with pytest.raises(DimensionMismatch, match=r"^values must have length 2\*\*3 = 8, got 4$"):
+                call(table, n=3)
+            with pytest.raises(InvalidFormat, match="^criteria count n must be an integer, got 'x'$"):
+                call(table, n="x")
+            with pytest.raises(InvalidFormat, match=r"^criteria count n must be in 1\.\.24, got 0$"):
+                call(table, n=0)
+        for n in (None, 2, np.int64(2)):
+            again = call(sf, n=n)
+            mu = again.capacity if call is validate else again
+            assert mu.n == 2 and mu.values is sf.values
+        with pytest.raises(InvalidFormat, match="^expected SetFunction or Capacity, got 'MobiusRepr'$"):
+            call(mobius(sf), n="x")  # the table's class is checked first, as before
 
     def test_flat_step_is_not_strict(self):
         res = validate([0.0, 0.3, 0.6, 0.6, 0.3, 0.6, 0.9, 1.0], n=3)
@@ -708,7 +728,7 @@ class TestMemory:
         m = mobius(mu)
         live = _peak_above_input(lambda: interaction_report(mu))
         del m
-        assert _live(mu) is None and id(mu) not in _live_mobius
+        assert _live(mu) is None
         fresh = _peak_above_input(lambda: interaction_report(mu))
         assert fresh <= 19 * (1 << self.N) + UFUNC_BUFFERS
         # a Mobius table of its own again; the peaks also hold a few small
@@ -729,7 +749,8 @@ class _HashedCapacity(Capacity):
 
 
 class TestLiveMobiusRegistry:
-    """The registry of live :func:`mobius` results lives outside the tables."""
+    """A table refers to its live :func:`mobius` result by a weak reference,
+    which keeps neither alive and which copies and pickles leave out."""
 
     def test_a_table_that_cannot_be_hashed_is_registered(self):
         mu = random_capacity(np.random.default_rng(21), 5)
@@ -744,10 +765,10 @@ class TestLiveMobiusRegistry:
     def test_the_entry_goes_with_the_table(self):
         mu = random_capacity(np.random.default_rng(22), 5)
         m = mobius(mu)
-        key = id(mu)
+        table = weakref.ref(mu)
         assert _live(mu) is m
         del mu
-        assert key not in _live_mobius
+        assert table() is None and m.n == 5  # the held m keeps no table alive
 
     def test_a_capacity_with_a_live_table_pickles_and_copies(self):
         mu = random_capacity(np.random.default_rng(19), 6)
@@ -756,6 +777,23 @@ class TestLiveMobiusRegistry:
             assert type(again) is Capacity and again.n == mu.n
             assert again.values.tobytes() == mu.values.tobytes()
             assert shapley(again).tobytes() == shapley(mu).tobytes()
+        assert _live(mu) is m
+
+    def test_copies_and_pickles_carry_no_live_table(self):
+        mu = as_capacity(random_capacity(np.random.default_rng(23), 6).values,
+                         require_positive_singletons=True)
+        m = mobius(mu)
+        assert mu.strictly_positive_singletons and _live(mu) is m
+
+        def outputs(v):
+            r = interaction_report(v)
+            return (shapley(v).tobytes(), r.shapley.tobytes(), r.pair_matrix.tobytes(),
+                    np.array(list(r.values.values())).tobytes(), r.labels)
+
+        for again in (copy.copy(mu), copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+            assert _live(again) is None
+            assert type(again) is Capacity and again.strictly_positive_singletons
+            assert outputs(again) == outputs(mu)
         assert _live(mu) is m
 
     @pytest.mark.parametrize("call", [shapley, interaction_report])
