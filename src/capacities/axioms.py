@@ -40,7 +40,7 @@ from . import subsets
 from .errors import CapacitiesError, DomainMismatch, InvalidFormat, UnknownAxiom
 from .integrals import EXTENSION_NAMES, Extension, PseudoProduct, make_extension
 from .integrals import _certificate, _grid_table, _quiet
-from .set_function import DEFAULT_TOL, Capacity, _number, _values
+from .set_function import DEFAULT_TOL, Capacity, _flag, _number, _values
 
 __all__ = [
     "AXIOM_NAMES",
@@ -77,6 +77,8 @@ class AxiomCheckConfig:
             value = getattr(self, name)
             if not subsets._is_int(value):
                 raise CapacitiesError("%s must be an integer, got %s" % (name, shown(value)))
+        flag = _flag(self.allow_out_of_domain, "allow_out_of_domain", CapacitiesError)
+        object.__setattr__(self, "allow_out_of_domain", flag)
         if self.samples < 1:
             raise CapacitiesError("samples must be >= 1, got %s" % shown(self.samples))
         if self.seed < 0:

@@ -18,7 +18,6 @@ import numpy as np
 from . import subsets
 from .errors import EmptyCoalition, InvalidFormat, OutOfDomain
 from .set_function import DEFAULT_TOL, Capacity, _mobius_table, _number, _tol, _values
-from .set_function import _subtract
 
 __all__ = [
     "interaction_index",
@@ -33,26 +32,24 @@ def interaction_index(mu: Capacity, coalition) -> float:
     """Interaction index I(A) of a nonempty coalition: a comma key such as "1,3",
     a mask int or an iterable of 1-based indices (see :func:`subsets.mask_of`).
 
-    Runs one restricted Mobius butterfly over the bits of A, leaving at
-    every superset M of A the alternating difference over K inside A of
-    mu((M - A) | K); those are then averaged with exact factorial weights
-    (n - |B| - |A|)! |B|! / (n - |A| + 1)! where B = M - A.
+    On the table as a (2,) * n array, where criterion i is axis n - i, one
+    difference along each member's axis, in ascending order, leaves at every
+    superset M of A, in mask order, the alternating difference over K inside
+    A of mu((M - A) | K). With B = M - A, they are averaged with the exact
+    factorial weights (n - |B| - |A|)! |B|! / (n - |A| + 1)!.
     """
-    vals = _values(mu).copy()
+    d = _values(mu)  # refuse what is not a value table before reading its n
     n = mu.n
     amask = subsets.mask_of(coalition, n)
     if amask == 0:
         raise EmptyCoalition("the interaction index needs a nonempty coalition")
-    a = amask.bit_count()
-    subsets.lattice(_subtract, vals, bits=amask)
-    masks = np.arange(1 << n)
-    sel = (masks & amask) == amask
-    b_sizes = subsets.popcounts(n)[sel] - a
-    den = math.factorial(n - a + 1)
-    weights = np.array(
-        [math.factorial(n - b - a) * math.factorial(b) / den for b in range(n - a + 1)]
-    )
-    return float(np.dot(weights[b_sizes], vals[sel]))
+    d, k = d.reshape((2,) * n), n - amask.bit_count()  # k = |N - A|, the most |B| can be
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a lattice pass
+        for i in subsets.members(amask):
+            d = np.diff(d, axis=n - i)
+    f = math.factorial
+    weights = np.array([f(k - b) * f(b) / f(k + 1) for b in range(k + 1)])
+    return float(np.dot(weights[subsets.popcounts(k)], d.ravel()))
 
 
 def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,15 +19,10 @@ transform from the value domain:
   is the maximum of the kept coefficients inside A.
 
 All transforms run in O(n * 2**n) as in-place butterflies through
-:func:`capacities.subsets.lattice`, which runs each bit on tiles, columns
-or views: the low bits of a table of 2**18 entries or more on a
-cache-sized transposed tile, bits 0 to 3 of a table of 2**12 to 2**17
-entries on strided columns, and the rest on views of the whole table, with
-a small ufunc buffer that spares numpy a copy of each view; the results are
-those of the plain per-bit loop, bit for bit. n is capped at
-24 to keep the dense tables reasonable. Overflow inside a pass is not
-reported as a numpy warning: an output that is not finite raises
-:class:`InvalidFormat`.
+:func:`capacities.subsets.lattice`, whose results are those of the plain
+per-bit loop, bit for bit. n is capped at 24 to keep the dense tables
+reasonable. Overflow inside a pass is not reported as a numpy warning: an
+output that is not finite raises :class:`InvalidFormat`.
 
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
 allocates its output and no other array of that size. Beside it, a pass
@@ -156,7 +151,13 @@ class SetFunction:
         return (1 << self.n) - 1
 
     def __getitem__(self, mask: int) -> float:
-        return float(self.values[mask])
+        """v(A) at the mask A, a Python or numpy int (not a bool) in 0..2**n - 1."""
+        if subsets._is_int(mask) and 0 <= mask < len(self.values):
+            return float(self.values[mask])
+        shown = subsets._shown(int(mask) if subsets._is_int(mask) else mask)
+        raise InvalidFormat("subset mask %s out of range for n = %d" % (shown, self.n))
+
+    __iter__ = None  # a table is indexed by mask, not walked as a sequence
 
     def __getstate__(self):
         """A copy or a pickle carries no live Mobius table."""
@@ -183,7 +184,8 @@ class Capacity(SetFunction):
         strictly_positive_singletons: bool = False,
         tol: float = DEFAULT_TOL,
     ):
-        cap = _checked_capacity(_values(sf), sf.n, tol, strictly_positive_singletons)
+        positive = _flag(strictly_positive_singletons, "strictly_positive_singletons")
+        cap = _checked_capacity(_values(sf), sf.n, tol, positive)
         vars(self).update(vars(cap))
 
 
@@ -517,14 +519,15 @@ def validate(
     finite and >= 0 do raise.
     """
     n, vals = _value_table(v, n)
+    positive = _flag(require_positive_singletons, "require_positive_singletons")
     drops, first_drop = _drops(vals, tol)
-    err = _first_capacity_violation(vals, n, tol, require_positive_singletons, first_drop)
+    err = _first_capacity_violation(vals, n, tol, positive, first_drop)
     # Additive: every Mobius coefficient of two or more criteria is within tol of 0.
     m = _mobius_pass(vals)
     m[0] = 0.0
     m[1 << np.arange(n)] = 0.0
     additive = bool(np.abs(m, out=m).max() <= tol)
-    cap = None if err is not None else _wrapped_capacity(n, vals, require_positive_singletons)
+    cap = None if err is not None else _wrapped_capacity(n, vals, positive)
     return ValidationResult(err is None, cap, err, bool(drops.max() < 0.0), additive)
 
 
@@ -536,7 +539,8 @@ def as_capacity(
 ) -> Capacity:
     """Like :func:`validate` but raises the first violated constraint."""
     n, vals = _value_table(v, n)
-    return _checked_capacity(vals, n, tol, require_positive_singletons)
+    positive = _flag(require_positive_singletons, "require_positive_singletons")
+    return _checked_capacity(vals, n, tol, positive)
 
 
 # -- JSON schema ---------------------------------------------------------
@@ -566,6 +570,14 @@ def _number(x, where: str) -> float:
         return float(x)
     except OverflowError:
         raise InvalidFormat("%s is an integer too large for a double" % where) from None
+
+
+def _flag(x, name: str, error: type = InvalidFormat) -> bool:
+    """A bool or numpy bool as a Python bool; ``error`` for anything else, which a
+    truth test would misread ("no" and 0.0 are not False)."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise error("expected a bool for %s, got %r" % (name, type(x).__name__))
+    return bool(x)
 
 
 def _tol(tol) -> float:
@@ -624,4 +636,5 @@ def capacity_from_dict(
     obj, require_positive_singletons: bool = False, tol: float = DEFAULT_TOL
 ) -> Capacity:
     n, arr = vector_from_dict(obj)
-    return _checked_capacity(arr, n, tol, require_positive_singletons)
+    positive = _flag(require_positive_singletons, "require_positive_singletons")
+    return _checked_capacity(arr, n, tol, positive)

@@ -12,21 +12,11 @@ to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
 
 Two passes walk the subset lattice of a table indexed by mask. ``halves``
 yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
-calls an elementwise op on the same pairs in the same bit order; every
-table transform goes through it. Each bit runs on tiles, on columns or on
-views. The bits below 12 of a table of 2**18 entries or more run on a
-cache-sized transposed tile, where their rows are long and contiguous.
-Bits 0 to 3 of a table of 2**12 to 2**17 entries run on strided columns,
-as a view of them would have rows of 1 to 8 entries. Every other bit runs
-on views of the whole table. A pass that runs a tiled bit allocates its
-own tile for each table it walks, at most 1/16 of the table and 512 KiB,
-and frees it when the pass ends; columns and views allocate nothing. The
-pass runs with a ufunc buffer of ``BUFSIZE`` = 512 entries, and restores
-numpy's buffer size when it returns or raises: with its default of 8192,
-numpy copies a view whose rows hold 256 to 4096 entries through the
-buffer, which makes the op two to four times slower. Since the buffer size
-sets the order in which a buffered reduction adds, ops in the pass are
-elementwise or exact reductions such as max; sums run outside it.
+calls an elementwise op on the same pairs in the same bit order, on tiles,
+columns or views of the table; every table transform goes through it. It
+runs with a ufunc buffer of ``BUFSIZE`` = 512 entries, and since the
+buffer size sets the order in which a buffered reduction adds, ops in the
+pass are elementwise or exact reductions such as max; sums run outside it.
 """
 
 from __future__ import annotations
@@ -198,15 +188,14 @@ def tile_bits(n: int) -> int:
     return min(TILE_BITS, n - 8) if n >= TILE_MIN_N else 0
 
 
-def lattice(op, *tables, bits: int | None = None) -> list:
+def lattice(op, *tables) -> list:
     """Call ``op(lo, hi, lo2, hi2, ...)`` for every bit of equal-length
-    bitmask-indexed ``tables``, or only for the set bits of ``bits`` when it
-    is given, in ascending bit order; return, for each bit, the list of what
-    those calls returned, empty for a bit that is not selected. A bit's calls
-    run on tiles, on columns, or on the whole table: on tiles, one call per
-    block of consecutive masks, blocks in ascending order; on columns, one
-    call per column; on the whole table, one call on views that hold half a
-    table's entries each.
+    bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
+    the list of what those calls returned. A bit's calls run on tiles, on
+    columns, or on the whole table: on tiles, one call per block of
+    consecutive masks, blocks in ascending order; on columns, one call per
+    column; on the whole table, one call on views that hold half a table's
+    entries each.
 
     Each ``(lo, hi)`` pairs every mask A without the bit with A | bit, as in
     :func:`halves`, and an elementwise ``op`` gets the same results as in a
@@ -215,26 +204,24 @@ def lattice(op, *tables, bits: int | None = None) -> list:
     TILE_ROWS rows of 2**L consecutive masks of a block are copied transposed
     into a tile, where bit i has contiguous rows of TILE_ROWS * 2**i
     entries, and copied back into the tables that are writable. There, op
-    is called once per block for each selected low bit. Bits from L up run
-    on views of the tables. A bit i that is not tiled, with 2**i < TILE_ROWS
-    and n >= TILE_BITS, runs on columns instead: op is called 2**i times, on
+    is called once per block for each low bit. Bits from L up run on views
+    of the tables. A bit i that is not tiled, with 2**i < TILE_ROWS and
+    n >= TILE_BITS, runs on columns instead: op is called 2**i times, on
     the 1-D strided views ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]``
-    for j = 0..2**i - 1. The pass allocates one tile per table, of its
-    dtype, when a low bit is selected, and nothing on columns or views. Overflow is not reported: callers check
-    their results for finiteness. ``op`` runs with a ufunc buffer of BUFSIZE
-    entries, so it may only make elementwise updates and exact reductions;
-    numpy's buffer size is restored when the pass returns or raises.
+    for j = 0..2**i - 1. A tiled pass allocates one tile per table, of its
+    dtype, and nothing on columns or views. Overflow is not reported:
+    callers check their results for finiteness. ``op`` runs with a ufunc
+    buffer of BUFSIZE entries, so it may only make elementwise updates and
+    exact reductions; numpy's buffer size is restored when the pass returns
+    or raises.
     """
     n = tables[0].shape[0].bit_length() - 1
     low = tile_bits(n)
-    if bits is None:
-        bits = (1 << n) - 1
-    tiled = bits & ((1 << low) - 1)
     shift = TILE_ROWS.bit_length() - 1  # the bits i with 2**i < TILE_ROWS lie below it
     out = [[] for _ in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # restores the buffer size too
         np.setbufsize(BUFSIZE)
-        if tiled:
+        if low:
             tiles = [np.empty(TILE_ROWS << low, t.dtype) for t in tables]
             blocks = [t.reshape(-1, TILE_ROWS << low) for t in tables]
             # Tile entry [j, k] is mask j of block row k, so bit i of a mask
@@ -243,11 +230,11 @@ def lattice(op, *tables, bits: int | None = None) -> list:
                 rows = [t[b].reshape(TILE_ROWS, -1) for t in blocks]
                 for tile, r in zip(tiles, rows):
                     np.copyto(tile.reshape(-1, TILE_ROWS), r.T)
-                _calls(op, tiles, tiled << shift, out, shift)
+                _calls(op, tiles, ((1 << low) - 1) << shift, out, shift)
                 for tile, r in zip(tiles, rows):
                     if r.flags.writeable:
                         np.copyto(r, tile.reshape(-1, TILE_ROWS).T)
-        _calls(op, tables, bits >> low << low, out, 0, shift if n >= TILE_BITS else 0)
+        _calls(op, tables, (1 << n) - (1 << low), out, 0, shift if n >= TILE_BITS else 0)
     return out
 
 

@@ -374,13 +374,40 @@ WRONG_ARGUMENTS += [
     ("check_pseudo_product None", lambda: check_pseudo_product(None), "a callable operator"),
     ("PseudoProduct None", lambda: PseudoProduct(None)(0.5, 0.5), "a callable operator"),
 ]
+# A flag was read by its truth value: "no" let mle sample outside [0, 1], 0.0
+# was stored as the flag, and "no" switched the singleton check on. The config
+# raises CapacitiesError, as for its other fields.
+WRONG_ARGUMENTS += [
+    ("AxiomCheckConfig flag", lambda: AxiomCheckConfig(allow_out_of_domain="no"),
+     "a bool for allow_out_of_domain", CapacitiesError),
+    ("Capacity flag", lambda: Capacity(MU, strictly_positive_singletons=0.0),
+     "a bool for strictly_positive_singletons"),
+    ("validate flag", lambda: validate(MU, require_positive_singletons="no"),
+     "a bool for require_positive_singletons"),
+    ("as_capacity flag", lambda: as_capacity(MU, require_positive_singletons=0.0),
+     "a bool for require_positive_singletons"),
+    ("capacity_from_dict flag",
+     lambda: capacity_from_dict(to_dict(MU), require_positive_singletons=None),
+     "a bool for require_positive_singletons"),
+]
 
 
-@pytest.mark.parametrize("call, expected", [w[1:] for w in WRONG_ARGUMENTS],
+@pytest.mark.parametrize("call, expected, error",
+                         [(w[1], w[2], w[3] if len(w) > 3 else InvalidFormat)
+                          for w in WRONG_ARGUMENTS],
                          ids=[w[0] for w in WRONG_ARGUMENTS])
-def test_an_argument_of_another_type_is_refused(call, expected):
-    with pytest.raises(InvalidFormat, match="^expected %s, got '" % expected):
+def test_an_argument_of_another_type_is_refused(call, expected, error):
+    with pytest.raises(error, match="^expected %s, got '" % expected):
         call()
+
+
+def test_a_flag_is_stored_as_a_python_bool():
+    assert AxiomCheckConfig(allow_out_of_domain=np.True_).allow_out_of_domain is True
+    assert Capacity(MU, strictly_positive_singletons=np.False_).strictly_positive_singletons is False
+    for cap in (as_capacity(MU, require_positive_singletons=np.True_),
+                validate(MU, require_positive_singletons=np.True_).capacity,
+                capacity_from_dict(to_dict(MU), require_positive_singletons=np.True_)):
+        assert cap.strictly_positive_singletons is True
 
 
 def test_value_table_integrals_take_a_plain_set_function():

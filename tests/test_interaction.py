@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,7 +346,9 @@ class TestPinnedToTheTableFormulas:
 
 class TestIndexThroughTheLattice:
     """``interaction_index`` byte for byte against its first form: a restricted
-    butterfly walked bit by bit over :func:`halves`."""
+    butterfly walked bit by bit over :func:`halves`, then a gather of the
+    supersets of A by a full mask. The differences along A's axes of the
+    (2,) * n table are that butterfly's ``hi - lo``, in the same bit order."""
 
     @staticmethod
     def halves_index(mu, amask):
@@ -360,24 +363,29 @@ class TestIndexThroughTheLattice:
         )
         return np.dot(weights[popcounts(n)[sel] - a], vals[sel])
 
-    @pytest.mark.parametrize("n", range(12, 19))
+    @pytest.mark.parametrize("n", range(1, 19))
     def test_bytes_are_those_of_the_halves_loop(self, n):
+        everyone = set(range(1, n + 1))
+        coalitions = [c for c in ({1, 2}, {3, 4}, set(range(1, 6)), {n}) if c <= everyone]
         for mu in TestPinnedToTheTableFormulas.tables(n):
-            for coalition in ({1, 2}, {3, 4}, set(range(1, 6)), {n}):
+            for coalition in coalitions + [everyone]:
                 amask = sum(1 << (i - 1) for i in coalition)
                 want = self.halves_index(mu, amask)
                 assert np.float64(interaction_index(mu, coalition)).tobytes() == want.tobytes()
 
-    def test_lattice_runs_only_the_selected_bits(self):
-        v = random_capacity(np.random.default_rng(14), 18).values
-        for amask in (0b11, 0b1100, 0b11111, 1 << 17, 1 << 12 | 1):
-            want = v.copy()
-            for _, lo, hi in halves(want, amask):
-                hi -= lo
-            got = v.copy()
-            calls = lattice(lambda lo, hi: np.subtract(hi, lo, out=hi), got, bits=amask)
-            assert got.tobytes() == want.tobytes()
-            assert [bool(c) for c in calls] == [bool(amask >> i & 1) for i in range(18)]
+    def test_memory_peaks_at_one_table(self):
+        # The butterfly ran on a copy of the table and gathered the supersets
+        # through a full-length index and mask: about 3.2 tables at its peak.
+        n = 20
+        mu = random_capacity(np.random.default_rng(20), n)
+        for coalition in ({1}, {n}, {1, 2}, set(range(1, n + 1))):
+            tracemalloc.start()
+            try:
+                interaction_index(mu, coalition)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * 8 * (1 << n), (coalition, peak)
 
 
 class TestLiveMobiusTable:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 import tracemalloc
 import weakref
 from dataclasses import dataclass
@@ -123,7 +124,22 @@ class TestConstruction:
         mu = as_capacity([0.0, 0.3, 0.6, 1.0])
         assert mu[0b01] == 0.3
         assert mu[0b11] == 1.0
+        assert mu[np.int64(2)] == 0.6
         assert mu.full_mask == 3
+
+    def test_getitem_takes_only_a_mask_in_range(self):
+        # mu[-1] read v(N); the others raised a bare IndexError or TypeError.
+        mu = as_capacity([0.0, 0.3, 0.6, 1.0])
+        for key, shown in ((-1, "-1"), (4, "4"), (np.int64(4), "4"), ("a", "'a'"),
+                           (1.0, "1.0"), (None, "None"), (True, "True")):
+            with pytest.raises(InvalidFormat, match=r"^subset mask %s out of range for n = 2$"
+                               % re.escape(shown)):
+                mu[key]
+
+    def test_a_table_is_not_iterable(self):
+        # list(mu) walked the table through the sequence protocol.
+        with pytest.raises(TypeError):
+            list(as_capacity([0.0, 0.3, 0.6, 1.0]))
 
 
 class TestHalves:
