@@ -298,11 +298,11 @@ def _ratio(f: np.ndarray, want: np.ndarray, tol: float):
 # One spec per axiom: ``spec(ext, mu, cfg, stream)`` returns the probe trials as
 # a tuple of columns, one array per trial field with one row per trial;
 # ``draw(k)``, the same columns for the next k random trials from ``stream``;
-# how many random trials to draw; whether only got > expected is a violation
-# (M, M1); and ``sides``. That takes a block of those columns and is a
-# generator: it yields the block's point matrix, is sent the extension's values
-# at its rows and returns ``(expected, got, scale, valid, inputs)``: per trial,
-# the gap may reach tol * max(1, scale); ``valid`` is False for a degenerate
+# how many random trials to draw; and ``sides``. That takes a block of those
+# columns and is a generator: it yields the block's point matrix, is sent the
+# extension's values at its rows and returns ``(expected, got, scale, valid,
+# inputs)``: per trial, |got - expected| may reach tol * max(1, scale) (M and M1
+# state F(t) <= F(u) as max(F(t), F(u)) = F(u)); ``valid`` is False for a degenerate
 # trial or one where the extension is not finite; ``inputs(j)`` builds the
 # inputs of a counterexample at trial j. A random trial draws its fields in the order that
 # ``draw`` lists them in ``stream.take``; a log-uniform alpha is the exp of a
@@ -331,7 +331,7 @@ def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 
     sweep = _alpha_sweep(alo, ahi)
     probes = np.repeat(sweep, masks.size), np.tile(masks, len(sweep))
-    return probes, draw, 0 if every_mask else cfg.samples, False, sides
+    return probes, draw, 0 if every_mask else cfg.samples, sides
 
 
 def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -357,7 +357,7 @@ def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         )
 
     probes = np.repeat(np.arange(n), len(probe_as)), np.tile(probe_as, n)
-    return probes, draw, cfg.samples, False, sides
+    return probes, draw, cfg.samples, sides
 
 
 def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -376,12 +376,12 @@ def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         return t, t + x[:, n:] * (hi - t)
 
     def sides(t, u):
-        below, above = yield from _at(t, u)
-        return above, below, np.abs(above), _finite(below, above), lambda j: dict(
+        f_t, f_u = yield from _at(t, u)
+        return f_u, np.maximum(f_t, f_u), np.abs(f_u), _finite(f_t, f_u), lambda j: dict(
             t=t[j].tolist(), t_above=u[j].tolist()
         )
 
-    return (below, above), draw, cfg.samples, True, sides
+    return (below, above), draw, cfg.samples, sides
 
 
 def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -396,13 +396,13 @@ def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return x[:, 2].astype(np.int64), a, b
 
     def sides(i, a, b):
-        below, above = yield from _at(_units(i, a, n), _units(i, b, n))
-        return above, below, np.abs(above), _finite(below, above), lambda j: dict(
+        f_a, f_b = yield from _at(_units(i, a, n), _units(i, b, n))
+        return f_b, np.maximum(f_a, f_b), np.abs(f_b), _finite(f_a, f_b), lambda j: dict(
             criterion=int(i[j]) + 1, value=float(a[j]), value_above=float(b[j])
         )
 
     a, b = np.tile(np.reshape(pairs, (-1, 2)), (n, 1)).T
-    return (np.repeat(np.arange(n), len(pairs)), a, b), draw, cfg.samples, True, sides
+    return (np.repeat(np.arange(n), len(pairs)), a, b), draw, cfg.samples, sides
 
 
 def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -419,7 +419,7 @@ def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
             alpha=float(alpha[j]), t=[float(alpha[j])] * n
         )
 
-    return (np.array(_alpha_sweep(alo, ahi)),), draw, cfg.samples, False, sides
+    return (np.array(_alpha_sweep(alo, ahi)),), draw, cfg.samples, sides
 
 
 def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -455,7 +455,7 @@ def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         np.tile(np.repeat(alphas, len(quads)), n),
         np.tile(quads, (n * len(alphas), 1)),
     )
-    return probes, draw, cfg.samples, False, sides
+    return probes, draw, cfg.samples, sides
 
 
 def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -484,7 +484,7 @@ def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 
     alphas = _alpha_probes(alo, ahi)
     probes = np.repeat(alphas, len(quads)), np.tile(quads, (len(alphas), 1))
-    return probes, draw, cfg.samples, False, sides
+    return probes, draw, cfg.samples, sides
 
 
 def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -517,7 +517,7 @@ def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
     alpha = np.repeat(alphas, len(betas))
     base_t = np.linspace(lo, hi, n + 2)[1:-1]
     probes = np.tile(base_t, (alpha.size, 1)), alpha, clamp_beta(alpha, np.tile(betas, len(alphas)))
-    return probes, draw, cfg.samples, False, sides
+    return probes, draw, cfg.samples, sides
 
 
 def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream):
@@ -550,7 +550,7 @@ def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         [np.repeat(units, len(unit_alphas), axis=0), np.tile(base_t, (len(base_alphas), 1))]
     )
     probes = t, np.concatenate([np.tile(unit_alphas, n), base_alphas])
-    return probes, draw, cfg.samples, False, sides
+    return probes, draw, cfg.samples, sides
 
 
 _SPECS = {
@@ -594,37 +594,35 @@ def _config(cfg) -> AxiomCheckConfig:
 
 
 def _grouped(ext: Extension, points: list) -> list:
-    """``ext._values`` at the rows of every matrix in ``points``, from row-kernel
-    calls on groups of whole matrices, none longer than the longest matrix:
-    first fit, longest first."""
+    """``ext._values`` at the rows of every matrix in ``points``, from row-kernel calls
+    on consecutive runs of their rows, each as long as the longest matrix but the last.
+    A matrix that straddles two runs is cut between them; each gets back its slices."""
     cap = max(map(len, points))
-    groups = []  # [rows, indices]
-    for i in sorted(range(len(points)), key=lambda i: -len(points[i])):
-        group = next((g for g in groups if g[0] + len(points[i]) <= cap), None)
-        if group is None:
-            group = [0, []]
-            groups.append(group)
-        group[0] += len(points[i])
-        group[1].append(i)
-    out = [None] * len(points)
-    for _, members in groups:
-        values = ext._values(np.concatenate([points[i] for i in members]))
-        for i in members:
-            out[i], values = values[: len(points[i])], values[len(points[i]) :]
-    return out
+    out = [[] for _ in points]
+    run, room = [], cap  # the (matrix, rows) pieces of the run being filled, and its room
+    for i, p in enumerate(points):
+        while len(p):
+            run.append((i, p[:room]))
+            p, room = p[room:], room - min(room, len(p))
+            if not room or i == len(points) - 1 and not len(p):
+                values = ext._values(np.concatenate([rows for _, rows in run]))
+                for k, rows in run:
+                    out[k].append(values[: len(rows)])
+                    values = values[len(rows) :]
+                run, room = [], cap
+    return [v[0] if len(v) == 1 else np.concatenate(v) for v in out]
 
 
 def _check(name: str, ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
     """The scan of one axiom, as a generator: it yields the point matrix of each
     block, is sent the extension's values at its rows and returns the report."""
     stream = _Stream(np.random.default_rng(cfg.seed))
-    probes, draw, random_trials, one_sided, sides = _SPECS[name](ext, mu, cfg, stream)
+    probes, draw, random_trials, sides = _SPECS[name](ext, mu, cfg, stream)
     tested = 0
     skipped = 0
     for block in _blocks(probes, draw, random_trials):
         expected, got, scale, valid, inputs = yield from sides(*block)
-        gap = got - expected if one_sided else np.abs(got - expected)
-        ok = valid & (gap <= cfg.tol * np.maximum(1.0, scale))
+        ok = valid & (np.abs(got - expected) <= cfg.tol * np.maximum(1.0, scale))
         failed = np.flatnonzero(valid & ~ok & _finite(expected, got))
         hit = failed.size > 0
         end = int(failed[0]) + 1 if hit else len(block[0])
@@ -642,8 +640,9 @@ def _scan(names, extension: Extension, mu: Capacity, cfg: AxiomCheckConfig | Non
     """:func:`check_axiom` of each name in ``names``, in that order. Each axiom's
     spec and first block are set up in turn, so errors come in ``names`` order,
     before any kernel call. Round r then evaluates the r-th block of every axiom
-    still running through :func:`_grouped`: the row kernel is exact for each row
-    alone, so every report is that of the axiom's own scan."""
+    still running through :func:`_grouped`, in runs cut in ``names`` order: the
+    row kernel is exact for each row alone, so every report is that of the
+    axiom's own scan."""
     scans, points = [], []
     with np.errstate(all="ignore"):
         for name in names:

@@ -36,7 +36,9 @@ def interaction_index(mu: Capacity, coalition) -> float:
     difference along each member's axis, in ascending order, leaves at every
     superset M of A, in mask order, the alternating difference over K inside
     A of mu((M - A) | K). With B = M - A, they are averaged with the exact
-    factorial weights (n - |B| - |A|)! |B|! / (n - |A| + 1)!.
+    factorial weights (n - |B| - |A|)! |B|! / (n - |A| + 1)!. A result that is
+    not finite, where the table's differences overflow, raises
+    :class:`InvalidFormat` naming the coalition.
     """
     d = _values(mu)  # refuse what is not a value table before reading its n
     n = mu.n
@@ -49,7 +51,11 @@ def interaction_index(mu: Capacity, coalition) -> float:
             d = np.diff(d, axis=n - i)
     f = math.factorial
     weights = np.array([f(k - b) * f(b) / f(k + 1) for b in range(k + 1)])
-    return float(np.dot(weights[subsets.popcounts(k)], d.ravel()))
+    value = float(np.dot(weights[subsets.popcounts(k)], d.ravel()))
+    if not math.isfinite(value):
+        raise InvalidFormat("the interaction index of {%s} is not finite, got %r"
+                            % (subsets.subset_key(amask), value))
+    return value
 
 
 def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

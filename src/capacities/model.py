@@ -50,8 +50,9 @@ class UtilityScale:
     """Named utility levels for one criterion.
 
     The reference levels are mandatory and pinned: neutral at exactly 0
-    and good at exactly 1. Anything else (including levels above good or
-    below neutral) is free.
+    and good at exactly 1. Any other finite number (including levels above
+    good or below neutral) is free; a level that is not finite raises
+    :class:`InvalidFormat`, naming the level and the criterion.
     """
 
     criterion: int
@@ -73,6 +74,9 @@ class UtilityScale:
             if not isinstance(name, str):
                 raise InvalidFormat("level names must be strings, got %r" % (name,))
             levels[name] = _number(value, "level %r" % (name,))
+            if not np.isfinite(levels[name]):
+                raise InvalidFormat("level %r of criterion %s must be finite, got %r"
+                                    % (name, subsets._shown(int(self.criterion)), levels[name]))
         if levels.get(NEUTRAL) != 0.0:
             raise InvalidFormat(
                 'scale for criterion %s must map "%s" to 0'
@@ -111,6 +115,8 @@ class Act:
                 "act entries must be a sequence of level names and numbers, got %r"
                 % type(self.entries).__name__
             ) from None
+        if not isinstance(self.label, str):
+            raise InvalidFormat("expected a string for label, got %r" % type(self.label).__name__)
         if not _PLAIN_ENTRY_TYPES.issuperset(map(type, entries)):
             for e in entries:
                 if not isinstance(e, str):
@@ -141,7 +147,12 @@ class AggregationModel:
         if singleton_error is not None:
             raise singleton_error
         by_criterion = {}
-        for scale in self.scales:
+        try:
+            scales = iter(self.scales)
+        except TypeError:
+            raise InvalidFormat("expected an iterable of UtilityScale objects, got %r"
+                                % type(self.scales).__name__) from None
+        for scale in scales:
             if not isinstance(scale, UtilityScale):
                 raise InvalidFormat("scales must be UtilityScale objects, got %r" % (scale,))
             if scale.criterion > n:
@@ -303,7 +314,8 @@ def model_from_dict(obj) -> AggregationModel:
     Required: "capacity" (capacity schema) and "extension" (one of the
     extension names). Optional: "capacity2" for cpt and "scales", an
     object keyed by criterion number whose values map level names to
-    utilities.
+    utilities. A key is a criterion number as ``str(int)`` writes it:
+    "2", not "02", "+2", " 2" or "0_2".
     """
     if not isinstance(obj, dict):
         raise InvalidFormat("model must be a JSON object, got %r" % type(obj).__name__)
@@ -323,7 +335,9 @@ def model_from_dict(obj) -> AggregationModel:
         try:
             criterion = int(key)
         except (TypeError, ValueError):
-            raise InvalidFormat("scale key %r is not a criterion number" % (key,)) from None
+            criterion = None
+        if str(criterion) != key:
+            raise InvalidFormat("scale key %r is not a criterion number" % (key,))
         if not isinstance(levels, dict):
             raise InvalidFormat("scale %r must map level names to numbers" % (key,))
         scales.append(UtilityScale(criterion, levels))

@@ -390,6 +390,14 @@ WRONG_ARGUMENTS += [
      lambda: capacity_from_dict(to_dict(MU), require_positive_singletons=None),
      "a bool for require_positive_singletons"),
 ]
+# Scales of None or 5 raised a bare TypeError; a label of 5 was stored and written out.
+WRONG_ARGUMENTS += [
+    ("AggregationModel scales None", lambda: AggregationModel(MU, "choquet", scales=None),
+     "an iterable of UtilityScale objects"),
+    ("AggregationModel scales int", lambda: AggregationModel(MU, "choquet", scales=5),
+     "an iterable of UtilityScale objects"),
+    ("Act label", lambda: Act(("good", "neutral"), label=5), "a string for label"),
+]
 
 
 @pytest.mark.parametrize("call, expected, error",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -647,10 +648,11 @@ def test_a_suite_scan_gives_each_axiom_its_own_report(n):
 # Row-kernel calls of one suite of every axiom at 250 samples, against one per
 # block and axiom (the sum of ``test_kernel_calls_per_axiom``'s counts).
 SUITE_CALLS = {("choquet", 4): (9, 15), ("choquet", 8): (15, 21), ("mle", 4): (8, 13),
-               ("mle", 8): (9, 14)}
+               ("mle", 8): (8, 14)}
 
 
-@pytest.mark.parametrize("name, n", sorted(SUITE_CALLS))
+@pytest.mark.parametrize("name, n", sorted(SUITE_CALLS) + [
+    (name, n) for name in ("sipos", "sugeno_product") for n in (4, 8)])
 def test_kernel_calls_per_suite(name, n):
     mu = random_capacity(np.random.default_rng(n), n)
     ext = make_extension(name, mu)
@@ -664,11 +666,37 @@ def test_kernel_calls_per_suite(name, n):
     cfg = dataclasses.replace(UNIT_CFG if ext.domain == "unit" else CFG, samples=250)
     reports = axioms._scan(AXIOM_NAMES, counted, mu, cfg)
     scanned = list(calls)
-    calls.clear()
-    assert reports == [check_axiom(axiom, counted, mu, cfg) for axiom in AXIOM_NAMES]
-    assert (len(scanned), len(calls)) == SUITE_CALLS[name, n]
-    # the same rows, in groups no longer than the longest block of one axiom
-    assert sum(scanned) == sum(calls) and max(scanned) == max(calls)
+    alone, blocks = [], []  # each axiom's report and block lengths on its own
+    for axiom in AXIOM_NAMES:
+        calls.clear()
+        alone.append(check_axiom(axiom, counted, mu, cfg))
+        blocks.append(list(calls))
+    assert reports == alone
+    if (name, n) in SUITE_CALLS:
+        assert (len(scanned), sum(map(len, blocks))) == SUITE_CALLS[name, n]
+    # round r runs the r-th blocks in ceil(rows / longest block) calls
+    rounds = itertools.zip_longest(*blocks, fillvalue=0)
+    assert len(scanned) == sum(-(-sum(r) // max(r)) for r in rounds)
+    # the same rows, in runs no longer than the longest block of one axiom
+    assert sum(scanned) == sum(map(sum, blocks)) and max(scanned) == max(map(max, blocks))
+
+
+def test_a_round_runs_in_consecutive_cuts_of_its_longest_matrix():
+    # 5, 3, 3 and 1 rows: runs of 5, 5 and 2 rows, the third matrix cut between
+    # the second and third calls; each matrix gets back the values of its own rows.
+    rng = np.random.default_rng(5)
+    mu = random_capacity(rng, 3)
+    ext = make_extension("choquet", mu)
+    calls = []
+
+    def recording(t):
+        calls.append(t.shape[0])
+        return ext.fn(t)
+
+    points = [rng.uniform(-1.0, 1.0, (k, 3)) for k in (5, 3, 3, 1)]
+    values = axioms._grouped(dataclasses.replace(ext, fn=recording), points)
+    assert calls == [5, 5, 2]
+    assert [v.tobytes() for v in values] == [ext._values(p).tobytes() for p in points]
 
 
 def test_a_suite_scan_raises_the_first_error_in_name_order():

@@ -96,6 +96,18 @@ class TestInteractionIndex:
         with pytest.raises(InvalidFormat, match=match):
             interaction_index(mu, coalition)
 
+    @pytest.mark.parametrize("values, coalition, key", [
+        ([0.0, 1e308, -1e308, 1e308], 3, "1,2"), ([0.0, 1e308, -1e308, 1e308], 1, "1"),
+        ([0.0, 1e308, 1e308, -1e308], 3, "1,2")])
+    def test_an_overflowing_index_is_invalid_format(self, values, coalition, key):
+        # these returned inf, inf and -inf; shapley refuses the same tables
+        v = SetFunction(2, values)
+        with pytest.raises(InvalidFormat, match=r"^the interaction index of \{%s\} is not finite"
+                           % key):
+            interaction_index(v, coalition)
+        with pytest.raises(InvalidFormat):
+            shapley(v)
+
     def test_empty_coalition_rejected(self):
         mu = random_capacity(np.random.default_rng(4), 3)
         with pytest.raises(EmptyCoalition):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import warnings
 
@@ -486,6 +487,9 @@ class TestUtilityMatrix:
         assert str(raised.value) == str(UnknownLevel(2, entry))
 
 
+MODEL_OBJ = {"capacity": {"n": 2, "values_by_mask": [0, 0.5, 0.5, 1]}, "extension": "sipos"}
+
+
 class TestModelParsing:
     def test_round_trip(self):
         obj = {
@@ -523,6 +527,16 @@ class TestModelParsing:
         (lambda: model_from_dict({"capacity": {"n": 1, "values_by_mask": [0, 1]},
                                   "extension": "sipos", "scales": {"first": {}}}),
          InvalidFormat, r"^scale key 'first' is not a criterion number$"),
+        # int() read each of these keys as criterion 2, and a level of inf or NaN
+        # failed only when an act used it, naming neither level nor criterion
+        *[(lambda key=key: model_from_dict({**MODEL_OBJ, "scales": {key: {}}}),
+           InvalidFormat, "^%s$" % re.escape("scale key %r is not a criterion number" % key))
+          for key in ("0_2", " 2", "2 ", "+2", "02", "\uff12", "2.0", "")],
+        *[(lambda level=level: model_from_dict(
+            {**MODEL_OBJ, "scales": {"2": {"neutral": 0, "good": 1, "best": level}}}),
+           InvalidFormat, r"^level 'best' of criterion 2 must be finite, got %s$" % shown)
+          for level, shown in ((float("inf"), "inf"), (float("-inf"), "-inf"),
+                               (float("nan"), "nan"))],
         (lambda: acts_from_obj([{"entries": "ab"}]), InvalidFormat,
          r'^act 0: "entries" must be an array$'),
         # these raised a bare TypeError or AttributeError
@@ -539,6 +553,9 @@ class TestModelParsing:
         (lambda: capacity_from_binary_acts(2, [1]), InvalidFormat,
          r"^attractiveness must be a dict of subsets to numbers, got 'list'$"),
     ], ids=["level-name", "scale-object", "scale-criterion", "model-list", "scale-key",
+            "key-underscore", "key-leading-space", "key-trailing-space", "key-plus",
+            "key-leading-zero", "key-full-width", "key-float", "key-empty",
+            "level-inf", "level-minus-inf", "level-nan",
             "entries-string", "act-none", "act-float", "ranked-act-none", "levels-int",
             "levels-list", "attractiveness-list"])
     def test_values_of_the_wrong_kind_are_named(self, build, error, match):
