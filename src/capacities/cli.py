@@ -1,10 +1,11 @@
 """Command line front end over the JSON file schemas.
 
-Subcommands: transform, eval, interaction, verify, compare, rank.
-Results go to stdout (text by default, --format json for the machine
-form), diagnostics to stderr. Exit codes: 0 on success, 1 on domain
-errors (invalid capacity, dimension mismatch, unknown axiom), 2 on usage
-errors. All numbers are printed with 12 significant digits.
+Subcommands: transform, eval, interaction, verify, compare, rank. Each
+returns one payload, a JSON-ready dict, and prints nothing: :func:`main`
+alone writes it to stdout, as JSON (--format json) or rendered as text
+(the default), every number with 12 significant digits. Diagnostics go to
+stderr. Exit codes: 0 on success, 1 on domain errors (invalid capacity,
+dimension mismatch, unknown axiom), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -113,18 +114,7 @@ def _bounds_arg(text: str):
         raise argparse.ArgumentTypeError("bounds must be numeric, got %r" % text)
 
 
-def _subset_label(mask: int) -> str:
-    return "{%s}" % subsets.subset_key(mask)
-
-
-def _print_table(n: int, values) -> None:
-    labels = [_subset_label(mask) for mask in range(1 << n)]
-    width = max(len(s) for s in labels)
-    for mask, value in enumerate(values):
-        print("%-*s  %s" % (width, labels[mask], _fmt(value)))
-
-
-def _cmd_transform(args) -> None:
+def _cmd_transform(args) -> dict:
     obj = _load_json(args.input)
     n, vals = vector_from_dict(obj)
     if args.operation == "mobius":
@@ -137,51 +127,27 @@ def _cmd_transform(args) -> None:
         out = ordinal_mobius(as_capacity(vals, n=n))
     else:
         out = conjugate(as_capacity(vals, n=n))
-    payload = to_dict(out)
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        _print_table(n, payload["values_by_mask"])
+    return to_dict(out)
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args) -> dict:
     _, ext = _load_extension(args)
     value = ext(np.asarray(args.scores))
-    if args.format == "json":
-        _print_json({"integral": args.integral, "scores": list(args.scores), "value": value})
-    else:
-        print(_fmt(value))
+    return {"integral": args.integral, "scores": list(args.scores), "value": value}
 
 
-def _cmd_interaction(args) -> None:
+def _cmd_interaction(args) -> dict:
     if args.coalition is not None and (args.max_order is not None or args.tol is not None):
         raise _UsageError("--max-order and --tol do not apply to --coalition")
     mu = _load_capacity(args.capacity)
     if args.coalition is not None:
         mask = subsets.parse_subset_key(args.coalition, mu.n)
-        value = interaction_index(mu, mask)
-        if args.format == "json":
-            _print_json({"coalition": subsets.subset_key(mask), "value": value})
-        else:
-            print(_fmt(value))
-        return
+        return {"coalition": subsets.subset_key(mask), "value": interaction_index(mu, mask)}
     tol = DEFAULT_TOL if args.tol is None else args.tol
     try:
-        report = interaction_report(mu, max_order=args.max_order, tol=tol)
+        return interaction_report(mu, max_order=args.max_order, tol=tol).to_dict()
     except InvalidFormat as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "json":
-        _print_json(report.to_dict())
-        return
-    for i in range(mu.n):
-        print("shapley %d  %s" % (i + 1, _fmt(report.shapley[i])))
-    for mask in sorted(report.values):
-        if mask.bit_count() < 2:
-            continue
-        print(
-            "interaction %-12s %-16s %s"
-            % (_subset_label(mask), _fmt(report.values[mask]), report.labels[mask])
-        )
 
 
 def _verify_config(args) -> AxiomCheckConfig:
@@ -192,7 +158,7 @@ def _verify_config(args) -> AxiomCheckConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _cmd_verify(args) -> None:
+def _cmd_verify(args) -> dict:
     cfg = _verify_config(args)
     mu, ext = _load_extension(args)
     if args.axioms.strip().lower() == "all":
@@ -202,61 +168,81 @@ def _cmd_verify(args) -> None:
         if not wanted:
             raise _UsageError("--axioms needs at least one axiom name")
     reports = _scan(wanted, ext, mu, cfg)
-    if args.format == "json":
-        _print_json({"extension": ext.name, "axioms": [r.to_dict() for r in reports]})
-        return
-    for r in reports:
-        if r.passed:
-            print(
-                "%-3s pass  (%d samples, %d skipped)" % (r.axiom, r.samples_tested, r.skipped)
-            )
-        else:
-            ce = r.counterexample
-            print(
-                "%-3s FAIL  expected %s got %s at %s"
-                % (r.axiom, _fmt(ce.expected), _fmt(ce.got), json.dumps(_round12(ce.inputs)))
-            )
+    return {"extension": ext.name, "axioms": [r.to_dict() for r in reports]}
 
 
-def _cmd_compare(args) -> None:
+def _cmd_compare(args) -> dict:
     cfg = _verify_config(args)
     mu = _load_capacity(args.capacity)
     points = _load_json(args.scores_file)
     if not isinstance(points, list):
         raise CapacitiesError("scores file must hold a JSON array of score vectors")
-    table = compare_extensions(mu, points, cfg)
-    if args.format == "json":
-        _print_json(table.to_dict())
+    return compare_extensions(mu, points, cfg).to_dict()
+
+
+def _cmd_rank(args) -> dict:
+    model = model_from_dict(_load_json(args.model))
+    acts = acts_from_obj(_load_json(args.acts))
+    return {"ranking": [r.to_dict() for r in rank_acts(model, acts)]}
+
+
+# The text renderers: each prints one subcommand's payload as lines.
+
+
+def _print_table(payload) -> None:
+    labels = ["{%s}" % subsets.subset_key(mask) for mask in range(1 << payload["n"])]
+    width = max(len(s) for s in labels)
+    for label, value in zip(labels, payload["values_by_mask"]):
+        print("%-*s  %s" % (width, label, _fmt(value)))
+
+
+def _print_value(payload) -> None:
+    print(_fmt(payload["value"]))
+
+
+def _print_interaction(payload) -> None:
+    if "coalition" in payload:
+        _print_value(payload)
         return
-    header = ["scores"] + list(table.operators)
+    for i, phi in enumerate(payload["shapley"], 1):
+        print("shapley %d  %s" % (i, _fmt(phi)))
+    for key, value in payload["values"].items():  # in mask order
+        if "," in key:
+            print("interaction %-12s %-16s %s"
+                  % ("{%s}" % key, _fmt(value), payload["labels"][key]))
+
+
+def _print_verify(payload) -> None:
+    for r in payload["axioms"]:
+        if r["passed"]:
+            print("%-3s pass  (%d samples, %d skipped)"
+                  % (r["axiom"], r["samples_tested"], r["skipped"]))
+        else:
+            ce = r["counterexample"]
+            print("%-3s FAIL  expected %s got %s at %s" % (
+                r["axiom"], _fmt(ce["expected"]), _fmt(ce["got"]),
+                json.dumps(_round12(ce["inputs"]))))
+
+
+def _print_compare(payload) -> None:
+    header = ["scores"] + payload["operators"]
     print("  ".join("%-16s" % h for h in header))
-    for point, row in zip(table.points, table.table):
+    for point, row in zip(payload["points"], payload["table"]):
         cells = [",".join(_fmt(x) for x in point)] + [_fmt(v) for v in row]
         print("  ".join("%-16s" % c for c in cells))
     print()
-    for op in table.operators:
-        verdicts = table.verdicts[op]
+    for op, verdicts in payload["verdicts"].items():
         line = "  ".join(
-            "%s=%s" % (ax, "pass" if verdicts[ax] else "fail") for ax in verdicts
+            "%s=%s" % (ax, "pass" if ok else "fail") for ax, ok in verdicts.items()
         )
         print("%-16s %s" % (op, line))
 
 
-def _cmd_rank(args) -> None:
-    model = model_from_dict(_load_json(args.model))
-    acts = acts_from_obj(_load_json(args.acts))
-    ranking = rank_acts(model, acts)
-    if args.format == "json":
-        _print_json({"ranking": [r.to_dict() for r in ranking]})
-        return
-    for r in ranking:
-        name = r.act.label or ("act %d" % r.index)
-        tie = "  ~ indifferent with previous" if r.indifferent_to_previous else ""
-        print("%d: %s  score %s%s" % (r.position, name, _fmt(r.score), tie))
-
-
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _print_ranking(payload) -> None:
+    for r in payload["ranking"]:
+        name = r["label"] or ("act %d" % r["index"])
+        tie = "  ~ indifferent with previous" if r["indifferent_to_previous"] else ""
+        print("%d: %s  score %s%s" % (r["position"], name, _fmt(r["score"]), tie))
 
 
 def _add_verify_flags(p) -> None:
@@ -280,24 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a transform to a value table")
     p.add_argument("operation", choices=("mobius", "zeta", "comobius", "ordinal", "conjugate"))
     p.add_argument("--input", required=True, help="JSON file with the value table")
-    _add_format(p)
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_cmd_transform, render=_print_table)
 
     p = sub.add_parser("eval", help="evaluate an integral on a score vector")
     p.add_argument("--integral", choices=INTEGRAL_CHOICES, required=True)
     p.add_argument("--capacity", required=True)
     p.add_argument("--capacity2", default=None, help="loss-side capacity for cpt")
     p.add_argument("--scores", type=_scores_arg, required=True, metavar="X1,X2,...")
-    _add_format(p)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, render=_print_value)
 
     p = sub.add_parser("interaction", help="interaction indices and Shapley values")
     p.add_argument("--capacity", required=True)
     p.add_argument("--coalition", default=None, metavar="1,3", help="single coalition to evaluate")
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="non-interactive band (default 1e-9)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_interaction)
+    p.set_defaults(func=_cmd_interaction, render=_print_interaction)
 
     p = sub.add_parser("verify", help="sample aggregation axioms against an integral")
     p.add_argument("--capacity", required=True)
@@ -307,35 +290,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify_flags(p)
     # compare always samples its verdicts out of domain, so only verify takes the flag.
     p.add_argument("--allow-out-of-domain", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, render=_print_verify)
 
     p = sub.add_parser("compare", help="tabulate the extensions on score vectors")
     p.add_argument("--capacity", required=True)
     p.add_argument("--scores-file", required=True, help="JSON array of score vectors")
     _add_verify_flags(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, render=_print_compare)
 
     p = sub.add_parser("rank", help="rank acts under an aggregation model")
     p.add_argument("--model", required=True)
     p.add_argument("--acts", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_rank)
+    p.set_defaults(func=_cmd_rank, render=_print_ranking)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        payload = args.func(args)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except CapacitiesError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.format == "json":
+        _print_json(payload)
+    else:
+        args.render(payload)
     return 0
 
 

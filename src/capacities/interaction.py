@@ -53,9 +53,18 @@ def interaction_index(mu: Capacity, coalition) -> float:
     weights = np.array([f(k - b) * f(b) / f(k + 1) for b in range(k + 1)])
     value = float(np.dot(weights[subsets.popcounts(k)], d.ravel()))
     if not math.isfinite(value):
-        raise InvalidFormat("the interaction index of {%s} is not finite, got %r"
-                            % (subsets.subset_key(amask), value))
+        _check_finite([amask], [value])
     return value
+
+
+def _check_finite(masks, values) -> None:
+    """Raise :class:`InvalidFormat` at the first of ``masks``, in their order,
+    whose interaction index in ``values`` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise InvalidFormat("the interaction index of {%s} is not finite, got %r"
+                            % (subsets.subset_key(int(masks[i])), float(values[i])))
 
 
 def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,11 +99,17 @@ def shapley(mu: Capacity) -> np.ndarray:
     Reads the table of a :func:`mobius` result of ``mu`` that the caller still
     holds, and divides it into a new table without writing it; otherwise it
     divides its own Mobius table in place. The sums run outside :func:`subsets.lattice`, at numpy's own buffer size,
-    which sets the order in which a buffered sum adds."""
+    which sets the order in which a buffered sum adds. A finite Mobius table
+    can still sum past the largest double: the first criterion whose value is
+    not finite raises :class:`InvalidFormat` naming it."""
     m = _mobius_table(mu)
-    sizes = subsets.popcounts(mu.n)
+    n = mu.n
+    sizes = subsets.popcounts(n)
     m = np.divide(m, np.maximum(sizes, 1, out=sizes), out=m if m.flags.writeable else None)
-    return np.array([hi.sum() for _, _, hi in subsets.halves(m)])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        phi = np.array([hi.sum() for _, _, hi in subsets.halves(m)])
+    _check_finite(1 << np.arange(n), phi)
+    return phi
 
 
 # A value's label, at (value > tol) + 2 * (value < -tol): the rule of classify.
@@ -155,7 +170,10 @@ def interaction_report(
     the half-width of the non-interactive band and must be finite and >= 0.
     The passes start from the table of a :func:`mobius` result of ``mu``
     that the caller still holds, which they read and never write, or else
-    from a Mobius table of their own.
+    from a Mobius table of their own. Every index computed, the pairs of
+    ``pair_matrix`` included when ``max_order`` is 1, must be finite: the
+    first coalition in mask order whose index is not raises
+    :class:`InvalidFormat` naming it.
     """
     _values(mu)  # refuse what is not a value table before reading its n
     n = mu.n
@@ -166,6 +184,7 @@ def interaction_report(
     tol = _tol(tol)
     sizes = subsets.popcounts(n)
     masks, table = _all_indices(mu, max_order, sizes)
+    _check_finite(masks, table)
     shown = sizes[masks] <= max_order
     values = dict(zip(masks[shown].tolist(), table[shown].tolist()))
     kinds = (table[shown] > tol) + 2 * (table[shown] < -tol)

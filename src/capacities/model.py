@@ -43,6 +43,8 @@ NEUTRAL = "neutral"
 GOOD = "good"
 # Act entries of exactly these types need no number check.
 _PLAIN_ENTRY_TYPES = frozenset((float, str))
+# Iterables that are not a sequence of entries, though tuple() reads them.
+_NOT_ENTRIES = (str, bytes, dict, set, frozenset)
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,19 @@ def default_scale(criterion: int) -> UtilityScale:
 
 @dataclass(frozen=True)
 class Act:
-    """One entry per criterion: a level name or a raw utility number."""
+    """One entry per criterion: a level name or a raw utility number.
+
+    ``entries`` is a sequence of them. A str, bytes, dict, set or frozenset
+    raises :class:`InvalidFormat`: it would give its characters, bytes or
+    keys, or its members in no fixed order, as entries."""
 
     entries: tuple
     label: str = ""
 
     def __post_init__(self):
         try:
+            if isinstance(self.entries, _NOT_ENTRIES):
+                raise TypeError
             entries = tuple(self.entries)
         except TypeError:
             raise InvalidFormat(

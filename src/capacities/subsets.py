@@ -65,8 +65,9 @@ def members(mask: int) -> tuple[int, ...]:
 def mask_of(subset, n: int) -> int:
     """Mask of a subset of N = {1, ..., n} given in one of three forms: a comma
     key such as "1,3" (read by :func:`parse_subset_key`), a mask int in
-    0..2**n - 1, or an iterable of 1-based indices. Python and numpy integers
-    both count as ints; bools do not. Anything else raises :class:`InvalidFormat`."""
+    0..2**n - 1, or an iterable of distinct 1-based indices. Python and numpy
+    integers both count as ints; bools do not. Anything else, a repeated index
+    included, raises :class:`InvalidFormat`."""
     if isinstance(subset, str):
         return parse_subset_key(subset, n)
     if _is_int(subset):
@@ -79,7 +80,10 @@ def mask_of(subset, n: int) -> int:
     for i in subset:
         if not _is_int(i) or not 1 <= i <= n:
             raise InvalidFormat("criterion index %s out of range 1..%d" % (_shown(i), n))
-        mask |= 1 << (int(i) - 1)
+        bit = 1 << (int(i) - 1)
+        if mask & bit:
+            raise InvalidFormat("criterion index %s is repeated" % _shown(i))
+        mask |= bit
     return mask
 
 

@@ -299,6 +299,11 @@ HOLES = [
     ("PseudoProduct None", lambda: certify(min)(0.5, None), InvalidFormat),
     ("PseudoProduct string", lambda: certify(min)("0.5", 0.2), InvalidFormat),
     ("certify huge integer", lambda: certify(lambda a, b: 10**400), InvalidFormat),
+    # tuple() read these as an act's entries: characters, bytes, keys, or members
+    # in no fixed order
+    *[("Act " + type(entries).__name__, lambda entries=entries: Act(entries), InvalidFormat)
+      for entries in ("ab", b"ab", {"good": 1, "neutral": 0}, {"good"}, frozenset({"good"}))],
+    ("rank_acts string act", lambda: rank_acts(MODEL, ["good", "neutral"]), InvalidFormat),
 ]
 
 

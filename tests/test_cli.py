@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from capacities import AxiomCheckConfig
-from capacities.cli import _verify_config, build_parser, main
+from capacities.cli import _print_json, _verify_config, build_parser, main
 
 OVERLAP = {"n": 2, "values_by_mask": [0.0, 0.9, 0.9, 1.0]}
 GRADED = {"n": 2, "values_by_mask": [0.0, 0.3, 0.6, 1.0]}
@@ -579,3 +579,15 @@ def test_cli_output_is_pinned(case, fmt, corpus_files, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_CORPUS_SHA256[case, fmt]
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CORPUS))
+def test_a_subcommand_returns_its_payload_and_main_alone_writes_it(case, corpus_files, capsys):
+    argv = [arg.format(**corpus_files) for arg in CLI_CORPUS[case]]
+    args = build_parser().parse_args(argv)
+    payload = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    _print_json(payload)
+    written = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr() == (written, "")

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,10 +88,12 @@ class TestInteractionIndex:
          (np.bool_(True), "a subset must be"), (np.float64(3.0), "a subset must be"),
          (np.int64(16), "subset mask 16 out of range for n = 4"),
          (np.array([True, False]), "criterion index np.True_ out of range"),
-         (np.array([1, 5]), r"criterion index np.int64\(5\) out of range")],
+         (np.array([1, 5]), r"criterion index np.int64\(5\) out of range"),
+         ([1, 1], "criterion index 1 is repeated"),
+         (np.array([2, 2]), r"criterion index np.int64\(2\) is repeated")],
         ids=["bool", "float", "none", "mask-out-of-range", "key-out-of-range", "numpy-bool",
              "numpy-float", "numpy-mask-out-of-range", "numpy-bool-indices",
-             "numpy-index-out-of-range"],
+             "numpy-index-out-of-range", "repeated-index", "numpy-repeated-index"],
     )
     def test_what_is_not_a_subset_is_invalid_format(self, coalition, match):
         mu = random_capacity(np.random.default_rng(3), 4)
@@ -107,6 +111,21 @@ class TestInteractionIndex:
             interaction_index(v, coalition)
         with pytest.raises(InvalidFormat):
             shapley(v)
+
+    @pytest.mark.parametrize("call", [
+        shapley, interaction_report, functools.partial(interaction_report, max_order=1),
+        functools.partial(interaction_index, coalition=2)],
+        ids=["shapley", "report", "report-order-1", "index"])
+    def test_a_finite_mobius_table_whose_index_overflows_is_invalid_format(self, call):
+        # m = (0, -1.7e308, 1.7e308, 1.7e308) is finite, but I({2}) = m({2}) + m({1, 2}) / 2
+        # is not: shapley returned [-8.5e307, inf] with an overflow warning, and the
+        # report labelled inf "positive"
+        v = SetFunction(2, [0.0, -1.7e308, 1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidFormat,
+                               match=r"^the interaction index of \{2\} is not finite, got inf$"):
+                call(v)
 
     def test_empty_coalition_rejected(self):
         mu = random_capacity(np.random.default_rng(4), 3)

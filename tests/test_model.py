@@ -175,8 +175,8 @@ class TestBinaryActs:
     @pytest.mark.parametrize(
         "key, match",
         [(True, "a subset must be"), (3.0, "a subset must be"), (None, "a subset must be"),
-         (2, "subset mask 2 out of range for n = 1")],
-        ids=["bool", "float", "none", "mask-out-of-range"],
+         (2, "subset mask 2 out of range for n = 1"), ((1, 1), "criterion index 1 is repeated")],
+        ids=["bool", "float", "none", "mask-out-of-range", "repeated-index"],
     )
     def test_key_that_is_not_a_subset_rejected(self, key, match):
         with pytest.raises(InvalidFormat, match=match):
@@ -542,6 +542,14 @@ class TestModelParsing:
         # these raised a bare TypeError or AttributeError
         (lambda: Act(None), InvalidFormat,
          r"^act entries must be a sequence of level names and numbers, got 'NoneType'$"),
+        # tuple() read each of these: "ab" as ("a", "b"), a dict as its keys, a set
+        # in no fixed order
+        *[(lambda entries=entries: Act(entries), InvalidFormat,
+           r"^act entries must be a sequence of level names and numbers, got '%s'$"
+           % type(entries).__name__)
+          for entries in ("ab", b"ab", {"good": 1}, {"good", "neutral"}, frozenset({"good"}))],
+        (lambda: rank_acts(sipos_model(), [["good", "neutral"], "gn"]), InvalidFormat,
+         r"^act entries must be a sequence of level names and numbers, got 'str'$"),
         (lambda: evaluate_act(sipos_model(), 0.5), InvalidFormat,
          r"^act entries must be a sequence of level names and numbers, got 'float'$"),
         (lambda: rank_acts(sipos_model(), [X, None]), InvalidFormat,
@@ -556,7 +564,8 @@ class TestModelParsing:
             "key-underscore", "key-leading-space", "key-trailing-space", "key-plus",
             "key-leading-zero", "key-full-width", "key-float", "key-empty",
             "level-inf", "level-minus-inf", "level-nan",
-            "entries-string", "act-none", "act-float", "ranked-act-none", "levels-int",
+            "entries-string", "act-none", "act-str", "act-bytes", "act-dict", "act-set",
+            "act-frozenset", "ranked-act-str", "act-float", "ranked-act-none", "levels-int",
             "levels-list", "attractiveness-list"])
     def test_values_of_the_wrong_kind_are_named(self, build, error, match):
         with pytest.raises(error, match=match):
