@@ -27,15 +27,20 @@ output that is not finite raises :class:`InvalidFormat`.
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
 allocates its output and no other array of that size. Beside it, a pass
 holds one lattice tile per table it walks (each at most 1/16 of a table
-and 512 KiB), and the finiteness check of the output holds one bool per
-subset; :func:`ordinal_mobius` adds one bool table after its pass. The
-monotonicity scan of the capacity constructors and :func:`validate`
-holds one half-length float buffer and finds each bit's largest drop
-v(A) - v(A | bit); the conjugate of a capacity, which inherits its
-invariants, is not scanned. Where a bit's largest drop exceeds tol, a
-natural-layout search through the same float buffer and a half-length bool
-buffer names its first offending pair: over the whole table, or on a tiled
-bit over the first block of masks that drops. :func:`validate` reads strict
+and 512 KiB), and the finiteness check of the output reads it slice by
+slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB);
+:func:`ordinal_mobius` keeps or zeroes each entry after its pass through
+such a buffer too. The monotonicity scan of the capacity constructors and
+:func:`validate` finds each bit's largest drop v(A) - v(A | bit) through
+one float buffer of at most a slice (512 KiB): a view of more entries is
+taken in consecutive pieces, runs of whole rows or segments of one row,
+and the largest drop of a bit is the largest of its pieces'. The
+conjugate of a capacity, which inherits its invariants, is not scanned.
+Where a bit's largest drop exceeds tol, a natural-layout search walks the
+same pieces through the same float buffer, and a bool buffer of a piece,
+and stops at the first piece that drops by more than tol, to name the
+first offending pair: over the whole table, or on a tiled bit over the
+first block of masks that drops. :func:`validate` reads strict
 monotonicity off the same drops and builds one Mobius table. The Shapley
 values and interaction reports of :mod:`capacities.interaction` start from
 one writable Mobius table, checked as :func:`mobius` checks its output, and
@@ -105,10 +110,24 @@ def _coerce_vector(n: int, values, what: str) -> np.ndarray:
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` itself, made read-only once it is known to hold only finite numbers."""
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise InvalidFormat("%s must contain only finite numbers" % what)
     arr.flags.writeable = False
     return arr
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether the flat table ``arr`` holds only finite numbers, read slice by
+    slice through one bool buffer."""
+    buf = np.empty(min(arr.shape[0], subsets.SLICE), dtype=bool)
+    return all(np.isfinite(s, out=buf[: s.shape[0]]).all() for (s,) in _slices(arr))
+
+
+def _slices(*tables):
+    """Consecutive slices of at most :data:`subsets.SLICE` entries of equal-length
+    flat tables, one list per slice, in ascending mask order."""
+    for start in range(0, tables[0].shape[0], subsets.SLICE):
+        yield [t[start : start + subsets.SLICE] for t in tables]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +325,7 @@ def _mobius_table(v: SetFunction) -> np.ndarray:
     if m is not None:
         return m.values
     a = _mobius_pass(values)
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise InvalidFormat("%s must contain only finite numbers" % MobiusRepr._what)
     return a
 
@@ -352,10 +371,12 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     vals = _values(mu)
     a = np.full(1 << mu.n, -np.inf)
     subsets.lattice(_below, vals, a)  # a(A): the largest mu(A - i) over members i
-    flat = np.less_equal(vals, a)  # some member does not raise the value
-    np.copyto(a, vals)
-    np.putmask(a, flat, 0.0)
-    del flat  # before the finiteness check allocates its own byte per subset
+    buf = np.empty(min(a.shape[0], subsets.SLICE), dtype=bool)
+    for v, out in _slices(vals, a):
+        flat = np.less_equal(v, out, out=buf[: v.shape[0]])  # some member does not raise the value
+        np.copyto(out, v)
+        np.putmask(out, flat, 0.0)
+    del buf, flat  # before the finiteness check allocates its own slice of bools
     return OrdinalMobiusRepr._own(mu.n, a)
 
 
@@ -392,10 +413,15 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     to zero.
     """
     tol = _tol(tol)
-    drop = np.empty(vals.shape[0] >> 1)
+    drop = np.empty(min(vals.shape[0] >> 1, subsets.SLICE))
+
+    def diff(lo, hi):
+        return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
 
     def largest(lo, hi):
-        return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape)).max()
+        if lo.size <= drop.shape[0]:  # a tile, a column, or the views of a small table
+            return diff(lo, hi).max()
+        return max(diff(a, b).max() for _, a, b in _pieces(lo, hi))
 
     tiled = subsets.tile_bits(vals.shape[0].bit_length() - 1)
     drops, first = [], None
@@ -404,25 +430,42 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
         if drops[-1] <= tol:
             continue
         # Search the natural layout for the first drop: the whole table, or on a
-        # tiled bit the first block of masks whose call drops.
+        # tiled bit the first block of masks whose call drops. The search walks
+        # the pieces in order and stops at the first that drops by more than tol.
         start, size = 0, vals.shape[0]
         if i < tiled:
             size //= len(calls)
             start = size * next(b for b, m in enumerate(calls) if m > tol)
         _, lo, hi = next(subsets.halves(vals[start : start + size], 1 << i))
         with np.errstate(over="ignore"):
-            d = np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
-        mask = start + _first_over(d, tol)
+            found = (_first_over(diff(a, b), tol, base) for base, a, b in _pieces(lo, hi))
+            mask = start + next(k for k in found if k is not None)
         if first is None or mask < first[0]:
             first = (mask, i)
     return np.array(drops), first
 
 
-def _first_over(d: np.ndarray, tol: float) -> int:
-    """The first mask A, counted from the start of its block, with d[A] > tol;
-    ``d`` is shaped as a :func:`subsets.halves` ``lo`` view of that block."""
-    k = int(np.argmax(d > tol))  # row-major, so the smallest A
-    return k + k // d.shape[1] * d.shape[1]
+def _pieces(lo: np.ndarray, hi: np.ndarray):
+    """Yield ``(base, lo, hi)`` for consecutive pieces of at most
+    :data:`subsets.SLICE` entries of one bit's :func:`subsets.halves` views of
+    a block, in ascending mask order; ``base`` is the mask of a piece's first
+    entry, counted from the start of the block. A piece is a run of whole rows
+    while a row is shorter than a slice, and a segment of one row otherwise;
+    views of at most a slice are one piece."""
+    rows, cols = lo.shape
+    height, width = max(subsets.SLICE // cols, 1), min(cols, subsets.SLICE)
+    for r in range(0, rows, height):
+        for c in range(0, cols, width):
+            part = np.s_[r : r + height, c : c + width]
+            yield 2 * cols * r + c, lo[part], hi[part]
+
+
+def _first_over(d: np.ndarray, tol: float, base: int) -> int | None:
+    """The first mask A with d[A] > tol, or None; ``d`` is shaped as a piece of
+    :func:`_pieces` whose first mask is ``base``."""
+    over = d > tol
+    k = int(np.argmax(over))  # row-major, so the smallest A
+    return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None
 
 
 def _first_capacity_violation(

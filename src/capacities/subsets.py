@@ -181,6 +181,12 @@ def halves(a: np.ndarray, bits: int | None = None):
 TILE_MIN_N = 18
 TILE_BITS = 12
 TILE_ROWS = 16
+# The monotonicity scan of set_function, and the elementwise steps that follow
+# a pass there, run over consecutive slices of at most SLICE entries: a scratch
+# buffer of a slice stays in the L2 cache, where one of half or all of a large
+# table is written out to memory and read back. Tables of up to SLICE entries
+# are one slice.
+SLICE = 1 << 16
 # lattice's ufunc buffer in entries, not numpy's 8192: numpy copies a 2-D
 # strided operand through its buffer when the operand's rows are shorter than
 # about half of it. Rows of 64 entries or fewer are copied at either size.

@@ -157,6 +157,12 @@ def loop_conjugate(values):
     return vals[-1] - vals[::-1]
 
 
+def loop_drops(values):
+    """For each bit, the largest v(mask) - v(mask | 1 << bit) over the masks without it."""
+    vals = np.asarray(values, dtype=np.float64)
+    return np.array([(lo - hi).max() for _, lo, hi in _halves(vals)])
+
+
 def loop_first_drop(values, tol):
     """The first (mask, bit) with v(mask | 1 << bit) < v(mask) - tol, by mask
     and then by bit, or None."""

@@ -48,8 +48,8 @@ from capacities import (
     zeta,
 )
 from capacities.interaction import _all_indices
-from capacities.set_function import _live
-from capacities.subsets import (BUFSIZE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
+from capacities.set_function import _drops, _live
+from capacities.subsets import (BUFSIZE, SLICE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
                                 subset_key)
 from helpers import random_capacity, random_set_function
 
@@ -626,6 +626,17 @@ class TestTiledPasses:
         assert validate(caps["additive"], n=n).additive
         assert not validate(caps["flat"], n=n).strictly_monotone
 
+    @pytest.mark.parametrize("n", [TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 8])
+    def test_drops_match_the_natural_loop(self, n):
+        # From n = TILE_MIN_N on, a view bit's (lo, hi) holds more than a slice,
+        # so the scan takes its largest drop over several pieces.
+        caps, others = self.tables(n)
+        for name, v in [*caps.items(), *others.items()]:
+            for tol in (0.0, 1e-9):
+                drops, first = _drops(v, tol)
+                assert drops.tobytes() == oracles.loop_drops(v).tobytes(), name
+                assert first == oracles.loop_first_drop(v, tol), name
+
 
 class TestFirstViolation:
     """Planted drops, on the low bits (tiled, on columns or on views) and on the
@@ -636,7 +647,9 @@ class TestFirstViolation:
         """An additive capacity whose weights rise with the criterion index,
         lowered at mask | bit by bit's weight and a quarter of the smallest
         weight gap for each (mask, bit) of ``pairs``. With bit below every
-        member of mask, that pair is the only one into mask | bit that drops."""
+        member of mask, that pair is the only one into mask | bit that drops;
+        a member j of mask below bit adds the pair (mask | bit - j, j), at a
+        larger mask."""
         w = np.arange(n, 2 * n, dtype=np.float64)
         w /= w.sum()
         v = np.zeros(1 << n)
@@ -644,7 +657,7 @@ class TestFirstViolation:
             np.add(lo, w[i], out=hi)
         v[-1] = 1.0
         for mask, bit in pairs:
-            assert mask & ((2 << bit) - 1) == 0
+            assert not mask >> bit & 1
             v[mask | 1 << bit] -= w[bit] + (w[1] - w[0]) / 4
         return v
 
@@ -662,17 +675,39 @@ class TestFirstViolation:
     @pytest.mark.parametrize("n", [8, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8])
     def test_not_monotone_texts_match_the_reference_scan(self, n):
         for name, (pairs, first) in self.cases(n).items():
-            v = self.planted(n, pairs)
-            assert oracles.loop_first_drop(v, DEFAULT_TOL) == first, name
-            text = _drop_text(v, DEFAULT_TOL)
-            with pytest.raises(NotMonotone) as err:
-                as_capacity(v, n=n)
-            assert str(err.value) == text, name
-            assert str(validate(v, n=n).error) == text, name
-            conj = conjugate(SetFunction(n, v))
-            with pytest.raises(NotMonotone) as err:
-                Capacity(conj)
-            assert str(err.value) == _drop_text(conj.values, DEFAULT_TOL), name
+            self.check(n, pairs, first, name)
+
+    def test_drops_in_later_pieces_are_named(self):
+        # At n = 20 a view bit's (lo, hi) spans several slices: bit TILE_BITS as
+        # runs of SLICE >> TILE_BITS rows, bit 17 as two segments of each row.
+        n, bit = TILE_BITS + 8, TILE_BITS
+        top = 1 << (n - 1)
+        rows = SLICE >> bit  # rows of bit's views in one piece; mask top is in row top >> (bit + 1)
+        assert top >> (bit + 1) >= 2 * rows and 1 << 17 == 2 * SLICE
+        later = rows << (bit + 1)  # the first mask of the second piece
+        cases = {
+            "past the first piece of a view bit's rows": ([(top, bit)], (top, bit)),
+            "in a later segment of a long row": ([(top | 1 << 16, 17)], (top | 1 << 16, 17)),
+            "two pieces of one bit, the smaller mask first": (
+                [(top, bit), (later, bit)], (later, bit)),
+        }
+        for name, (pairs, first) in cases.items():
+            self.check(n, pairs, first, name)
+
+    def check(self, n, pairs, first, name):
+        """The drops planted at ``pairs`` raise, on every constructor, the
+        reference scan's text, which names ``first``."""
+        v = self.planted(n, pairs)
+        assert oracles.loop_first_drop(v, DEFAULT_TOL) == first, name
+        text = _drop_text(v, DEFAULT_TOL)
+        with pytest.raises(NotMonotone) as err:
+            as_capacity(v, n=n)
+        assert str(err.value) == text, name
+        assert str(validate(v, n=n).error) == text, name
+        conj = conjugate(SetFunction(n, v))
+        with pytest.raises(NotMonotone) as err:
+            Capacity(conj)
+        assert str(err.value) == _drop_text(conj.values, DEFAULT_TOL), name
 
 
 # numpy's ufunc buffers for strided operands: at most four operands of
@@ -699,20 +734,25 @@ class TestMemory:
     @pytest.fixture(scope="class")
     def tables(self):
         mu = random_capacity(np.random.default_rng(17), self.N)
+        top = 1 << (self.N - 1)
         return {
             "mu": mu,  # its Mobius table "m" stays live
             "fresh": Capacity(mu),  # the same table, with no live Mobius table
             "sf": SetFunction(self.N, mu.values),
+            "raw": mu.values.copy(),
+            "drop": SetFunction(self.N, TestFirstViolation.planted(self.N, [(top, self.N - 2)])),
             "m": mobius(mu),
             "om": ordinal_mobius(mu),
         }
 
     # op, its input, and the bytes per subset it may allocate: a transform its
     # 8-byte output plus one bool or uint8 table, or the tile of at most half a
-    # byte per subset; the monotonicity scan half a float and half a bool
-    # table; validate one Mobius table and its tile; shapley one Mobius table
-    # and its sizes; a report one Mobius table, one scratch table, the sizes
-    # and their scaled copy, and one bool table or a tile. With a live Mobius
+    # byte per subset; the monotonicity scan half a float table, and a failing
+    # one half a bool table more, at n = 16 where a slice holds the table;
+    # as_capacity of a raw array its copy and the scan; validate one Mobius
+    # table and its tile; shapley one Mobius table and its sizes; a report one
+    # Mobius table, one scratch table, the sizes and their scaled copy, and one
+    # bool table or a tile. With a live Mobius
     # table, shapley allocates its scaled copy in place of a Mobius table, and
     # a report only the scratch table, the sizes, their copy and a bool table.
     OPS = [
@@ -724,16 +764,20 @@ class TestMemory:
         ("conjugate", "sf", conjugate, 9),
         ("conjugate of a capacity", "mu", conjugate, 9),
         ("as_capacity", "sf", as_capacity, 4.5),
+        ("as_capacity of a raw array", "raw", as_capacity, 12),
+        ("failing as_capacity", "drop", lambda v: pytest.raises(NotMonotone, as_capacity, v), 4.5),
         ("validate", "mu", validate, 8.5),
         ("shapley", "fresh", shapley, 9),
         ("interaction_report", "fresh", interaction_report, 19),
         ("shapley with a live Mobius table", "mu", shapley, 9),
         ("interaction_report with a live Mobius table", "mu", interaction_report, 11),
     ]
+    TIGHTER = {}  # budgets below those of OPS at this class's n
 
     @pytest.mark.parametrize("op", OPS, ids=[op[0] for op in OPS])
     def test_peak_stays_within_its_budget(self, tables, op):
-        _, arg, call, per_subset = op
+        name, arg, call, per_subset = op
+        per_subset = self.TIGHTER.get(name, per_subset)
         assert _live(tables["mu"]) is tables["m"]
         assert _live(tables["fresh"]) is None  # the mobius row's result is dropped
         peak = _peak_above_input(lambda: call(tables[arg]))
@@ -754,9 +798,25 @@ class TestMemory:
 
 class TestMemoryAtTheTileCap(TestMemory):
     """The same budgets at n = 20, where the lattice tile reaches its cap and
-    UFUNC_BUFFERS is a quarter of a byte per subset."""
+    UFUNC_BUFFERS is a quarter of a byte per subset, and tighter ones where a
+    slice of 2**16 entries, 1/16 of the table, takes the place of a table."""
 
     N = 20
+
+    # A transform holds its output and its tile (half a byte per subset; the
+    # conjugate has none), and its finiteness check a slice of bools after the
+    # tile is freed. The scan holds the tile and a slice of floats (half a byte
+    # per subset), beside the copy of a raw array, and a failing one a slice of
+    # bools after the tile is freed.
+    TIGHTER = {
+        "mobius": 8.5,
+        "zeta": 8.5,
+        "co_mobius": 8.5,
+        "conjugate": 8.25,
+        "as_capacity": 1,
+        "as_capacity of a raw array": 9,
+        "failing as_capacity": 1,
+    }
 
 
 @dataclass(frozen=True)
