@@ -33,12 +33,18 @@ matrix to k values, and the one-vector call is ``fn`` on one row: ``choquet``
 and ``sipos`` read the capacity at the upper sets A_(j) of each row's ranking
 (O(n log n) per row), ``sugeno_product`` takes max_j t_(j) * nu(A_(j)) with nu
 the max-closure of its ordinal coefficients, and the coefficient forms take
-the dot product of each row's table over all subsets with the coefficients,
-one ``np.vecdot`` per block. ``Extension.many`` may run a faster ``batch``,
-equal up to rounding: ``cpt`` as choquet(mu_gains, t+) minus
-choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product over the
-low and high halves of the criteria. Scalar ``sugeno_product``,
-``sipos_closed_form`` and ``pseudo_product_extension`` stay as references.
+the dot product of each row's table over all subsets with the coefficients.
+A block of score rows is folded by mask, into a table with one row per subset
+and one column per score row, in scratch tables of at most 256 KiB (or of one
+row) that the call allocates once and every block reuses; the block's tables
+are then copied out as C-contiguous rows, one per score row, for one
+``np.vecdot``. Every entry is the same ufunc of the same two doubles, and every
+dot runs the kernel of a one-row ``np.dot``, so each value has the bits of its
+row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding:
+``cpt`` as choquet(mu_gains, t+) minus choquet(mu_losses, t-), ``mle`` and
+``smle`` as one matrix product over the low and high halves of the criteria.
+Scalar ``sugeno_product``, ``sipos_closed_form`` and ``pseudo_product_extension``
+stay as references.
 """
 
 from __future__ import annotations
@@ -123,13 +129,24 @@ def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(t, 0.0), np.maximum(-t, 0.0)
 
 
+def _fold(ufunc: np.ufunc, cols: np.ndarray, empty: float, table: np.ndarray) -> np.ndarray:
+    """``table``, of shape (2**n,) or (2**n, w), filled by mask: table[A] is ``ufunc``
+    folded over the scores of the criteria in A, ascending, from ``empty``. ``cols``
+    has one row per criterion: a score, or the scores of w score rows. The fold for
+    criterion i is one call ufunc(table[:2**i], cols[i], out=table[2**i:2**(i+1)])
+    on disjoint slices, so numpy copies no operand."""
+    table[0] = empty
+    for i in range(cols.shape[0]):
+        ufunc(table[: 1 << i], cols[i], out=table[1 << i : 2 << i])
+    return table
+
+
 def _over_subsets(ufunc: np.ufunc, t: np.ndarray, empty: float) -> np.ndarray:
     """table[..., A] = ``ufunc`` folded over t[..., :] on A, criteria ascending, for
-    every mask A (row by row for a matrix t); ``empty`` at the empty set."""
-    out = np.full(t.shape[:-1] + (1 << t.shape[-1],), empty)
-    for i in range(t.shape[-1]):
-        ufunc(out[..., : 1 << i], t[..., i : i + 1], out=out[..., 1 << i : 2 << i])
-    return out
+    every mask A (row by row for a matrix t); ``empty`` at the empty set. It is
+    :func:`_fold` by mask, transposed to one C-contiguous row per row of t."""
+    table = np.empty((1 << t.shape[-1],) + t.shape[:-1])
+    return np.ascontiguousarray(_fold(ufunc, t.T, empty, table).T)
 
 
 def choquet(mu: Capacity, t) -> float:
@@ -514,7 +531,9 @@ def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a) > np.abs(b), a, np.where(b == -a, 0.0, b))
 
 
-_CHUNK = 1 << 18  # rows per matrix product times 2**(n - n // 2): 2 MiB temporaries
+# Rows per matrix product times 2**(n - n // 2) (2 MiB temporaries), and the bytes
+# of a Mobius-form table.
+_CHUNK = 1 << 18
 
 
 @_quiet
@@ -525,7 +544,9 @@ def _mle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     bits, and the sum is sum_high P_high * (P_low @ M.T) with M the
     coefficients as a (2**(n-h), 2**h) matrix. Each distinct row is
     evaluated once, so exact duplicates score alike whatever the BLAS
-    kernel does at the edges of its tiles or chunks.
+    kernel does at the edges of its tiles or chunks. Both tables are folded
+    by mask (:func:`_fold`): the low one goes to the matrix product as
+    C-contiguous rows, and the high one multiplies its result in place.
     """
     n = t.shape[1]
     h = n // 2
@@ -538,7 +559,8 @@ def _mle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     for s in range(0, rows.shape[0], step):
         r = rows[s : s + step]
         low = _over_subsets(np.multiply, r[:, :h], 1.0) @ mat.T
-        out[s : s + step] = np.sum(low * _over_subsets(np.multiply, r[:, h:], 1.0), axis=1)
+        low *= _fold(np.multiply, r[:, h:].T, 1.0, np.empty((1 << (n - h), r.shape[0]))).T
+        out[s : s + step] = np.sum(low, axis=1)
     return out[inverse]
 
 
@@ -553,24 +575,33 @@ def _smle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _mobius_rows(coef: np.ndarray, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
     """Per row of t, the dot product of the coefficients ``coef`` with the table of ``ufunc``
     folded over t on each subset, or with ``signed`` over t+ minus that over t-.
-    ``np.vecdot`` runs the kernel of a one-row ``np.dot`` on every row, so a row
-    of a block has the bits of the same row alone; a one-term dot (n = 1) is the
+
+    Blocks of w rows are folded by mask (:func:`_fold`) into two scratch blocks of
+    at most 256 KiB (one row's table past n = 15), allocated once per call: the
+    table (of t+ with ``signed``) into the first, that of t- into the second. Rows
+    1.. of the table, less those of t-, are then copied into the second as w
+    C-contiguous rows for ``np.vecdot``, unless w = 1, where they are one. Each
+    entry is the same ufunc of the same two doubles as in a row-by-row fold, and
+    ``vecdot`` runs the kernel of a one-row ``np.dot`` on each contiguous row, so a
+    row of a block has the bits of the same row alone. A one-term dot (n = 1) is the
     product itself, as ``np.dot`` keeps its sign where ``vecdot`` turns -0.0 to +0.0."""
-    coef = coef[1:]
-    out = np.empty(t.shape[0])
-    step = max(1, _CHUNK >> (t.shape[1] + 2))  # tables of 512 KiB
-    for s in range(0, t.shape[0], step):
-        r = t[s : s + step]
+    k, n = t.shape
+    w = max(1, min(k, _CHUNK >> (n + 3)))  # rows per block: tables of 256 KiB
+    first = np.empty(w << n)
+    second = np.empty(w << n) if signed or w > 1 else None
+    out = np.empty(k)
+    for s in range(0, k, w):
+        cols = np.ascontiguousarray(t[s : s + w].T)
+        m = cols.shape[1]
+        tp, tn = _split(cols) if signed else (cols, None)
+        table = _fold(ufunc, tp, empty, first[: m << n].reshape(1 << n, m))[1:]
         if signed:
-            tp, tn = _split(r)
-            table = _over_subsets(ufunc, tp, empty)
-            table -= _over_subsets(ufunc, tn, empty)
-        else:
-            table = _over_subsets(ufunc, r, empty)
-        if coef.size == 1:
-            out[s : s + step] = table[:, 1] * coef[0]
-        else:
-            out[s : s + step] = np.vecdot(table[:, 1:], coef)
+            table -= _fold(ufunc, tn, empty, second[: m << n].reshape(1 << n, m))[1:]
+        rows = table.T  # one row is already C-contiguous
+        if m > 1:
+            rows = second[: m * ((1 << n) - 1)].reshape(m, (1 << n) - 1)
+            np.copyto(rows, table.T)
+        out[s : s + m] = rows[:, 0] * coef[1] if n == 1 else np.vecdot(rows, coef[1:])
     return out
 
 

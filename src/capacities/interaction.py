@@ -46,12 +46,12 @@ def interaction_index(mu: Capacity, coalition) -> float:
     if amask == 0:
         raise EmptyCoalition("the interaction index needs a nonempty coalition")
     d, k = d.reshape((2,) * n), n - amask.bit_count()  # k = |N - A|, the most |B| can be
+    f = math.factorial
+    weights = np.array([f(k - b) * f(b) / f(k + 1) for b in range(k + 1)])
     with np.errstate(over="ignore", invalid="ignore"):  # as in a lattice pass
         for i in subsets.members(amask):
             d = np.diff(d, axis=n - i)
-    f = math.factorial
-    weights = np.array([f(k - b) * f(b) / f(k + 1) for b in range(k + 1)])
-    value = float(np.dot(weights[subsets.popcounts(k)], d.ravel()))
+        value = float(np.dot(weights[subsets.popcounts(k)], d.ravel()))  # inf - inf is NaN
     if not math.isfinite(value):
         _check_finite([amask], [value])
     return value

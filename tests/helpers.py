@@ -1,5 +1,7 @@
 """Shared random generators for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from capacities import SetFunction, as_capacity
@@ -35,3 +37,14 @@ def random_additive_capacity(rng, n):
         v[mask] = sum(w[i] for i in range(n) if mask >> i & 1)
     v[-1] = 1.0
     return as_capacity(v, n=n)
+
+
+def peak_above_input(call):
+    """Peak traced bytes while ``call`` ran, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -13,7 +13,8 @@ block draws must give the same values. ``loop_indifference_chains`` is the
 grouping loop ``rank_acts`` ran before it ranked by stable sorts,
 ``loop_grid_table`` the cell loop that filled the pseudo-product grid,
 ``loop_certificate`` the triple loop that walked its associativity cube,
-``loop_pseudo_product_fold`` the mask-by-mask fold of a pseudo-product, and
+``loop_pseudo_product_fold`` the mask-by-mask fold of a pseudo-product,
+``loop_subset_table`` the same fold of a ufunc, row by row, and
 ``loop_utilities`` the act-by-act loop that read the utility matrix before
 ``rank_acts`` read it column by column.
 """
@@ -202,6 +203,20 @@ def loop_all_indices(m_coeffs, max_order):
             lo += hi
         out[sizes == k] = t[sizes == k]
     return out
+
+
+def loop_subset_table(ufunc, t, empty):
+    """Per row of t, the table over all masks of ``ufunc`` folded over the row's
+    scores on each mask, criteria ascending, from ``empty``: one mask at a time."""
+    t = np.asarray(t, dtype=np.float64)
+    table = np.empty((t.shape[0], 1 << t.shape[1]))
+    for r, row in enumerate(t):
+        for mask in range(1 << t.shape[1]):
+            acc = np.float64(empty)
+            for i in members(mask):
+                acc = ufunc(acc, row[i])
+            table[r, mask] = acc
+    return table
 
 
 def loop_mobius_rows(coefficients, table):

@@ -226,6 +226,33 @@ class TestHarness:
         assert rep.skipped > 0
         assert rep.samples_tested > 0
 
+    @pytest.mark.parametrize("past", [False, True], ids=["on-the-bound", "one-step-past"])
+    def test_a_gap_may_reach_the_bound_but_not_pass_it(self, past):
+        # HE at t = 0.5 * e_1: expected 0.5 * mu({1}) = 0.125, bound tol * max(1, 0.125),
+        # so got = 0.125 + 2**-20 is exactly on it, and its successor a step past it.
+        mu = as_capacity([0.0, 0.25, 0.5, 1.0])
+        cfg = AxiomCheckConfig(tol=2.0**-20)
+        target = np.array([0.5, 0.0])
+        on_bound = 0.125 + cfg.tol
+        got = np.nextafter(on_bound, np.inf) if past else on_bound
+        assert on_bound - 0.125 == cfg.tol * max(1.0, 0.125)
+
+        def fn(t):
+            # alpha * mu(A) at t = alpha * e_A, as the HE check computes it
+            alpha = t.max(axis=1)
+            values = alpha * mu.values[(t != 0.0) @ (1 << np.arange(2))]
+            values[(t == target).all(axis=1)] = got
+            return values
+
+        report = check_axiom("HE", Extension("on-the-bound", 2, "reals", fn), mu, cfg)
+        assert report.passed is not past
+        if past:
+            cx = report.counterexample
+            assert cx.inputs == dict(alpha=0.5, subset="1", t=[0.5, 0.0])
+            assert (cx.expected, cx.got) == (0.125, got)
+        else:
+            assert report.counterexample is None
+
 
 class TestSampledHomogeneity:
     # Above 2**10 masks HE probes only {1} and N, then draws random trials.

@@ -41,7 +41,7 @@ from capacities import (
     symmetric_max_fold,
 )
 from capacities import axioms, integrals
-from helpers import random_additive_capacity, random_capacity
+from helpers import peak_above_input, random_additive_capacity, random_capacity
 
 TOL = 1e-9
 
@@ -997,6 +997,51 @@ class TestRowKernels:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
         if n == 1:
             assert np.signbit(integrals._mobius_rows(m, np.multiply, 1.0, t[:1]))[0]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_blocks_that_reuse_the_scratch_equal_a_loop_fold_byte_for_byte(self, n, k, monkeypatch):
+        # Blocks of three rows: k rows run three full blocks and a short one of one or
+        # two, each folded into the tables the block before it left.
+        monkeypatch.setattr(integrals, "_CHUNK", 3 << (n + 3))
+        rng = np.random.default_rng(40 + n)
+        m, m2 = (MobiusRepr(n, np.append(0.0, rng.uniform(-1.0, 1.0, (1 << n) - 1))).coefficients
+                 for _ in range(2))
+        t = np.round(rng.uniform(-1.0, 1.0, (k, n)), 1)  # ties
+        t[rng.random(t.shape) < 0.25] = 0.0
+        t[rng.random(t.shape) < 0.25] = -0.0
+        tp, tn = np.maximum(t, 0.0), np.maximum(-t, 0.0)
+        for ufunc, empty in ((np.minimum, np.inf), (np.multiply, 1.0)):
+            gains, losses = (oracles.loop_subset_table(ufunc, x, empty) for x in (tp, tn))
+            with np.errstate(invalid="ignore"):  # inf - inf at the empty set, not in the dot
+                signed_table = gains - losses
+            for signed, table in ((False, oracles.loop_subset_table(ufunc, t, empty)),
+                                  (True, signed_table)):
+                got = integrals._mobius_rows(m, ufunc, empty, t, signed=signed)
+                assert got.tobytes() == oracles.loop_mobius_rows(m, table).tobytes(), (
+                    ufunc.__name__, signed)
+        want = oracles.loop_mobius_rows(m, oracles.loop_subset_table(np.minimum, tp, np.inf))
+        want -= oracles.loop_mobius_rows(m2, oracles.loop_subset_table(np.minimum, tn, np.inf))
+        for _ in range(2):  # nothing carries over from one call to the next
+            assert integrals._cpt_rows(m, m2, t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, k", [(8, 2000), (16, 20)])
+    def test_the_row_kernels_peak_at_their_scratch(self, n, k):
+        # Each call holds two tables of at most 256 KiB (one row's table at n = 16),
+        # the second also the rows buffer, not a table per block: beside them only
+        # its values, a block's columns, t+ and t-, numpy's iterator buffer and small
+        # objects. _cpt_rows also holds t+ and t- of the whole matrix and the values
+        # of its first call.
+        rng = np.random.default_rng(n)
+        m1, m2 = (rng.uniform(-1.0, 1.0, 1 << n) for _ in range(2))
+        t = rng.uniform(-1.0, 1.0, (k, n))
+        w = max(1, min(k, (256 << 10) >> (n + 3)))
+        call = 2 * 8 * (w << n) + 8 * k + 3 * 8 * w * n + 8 * np.getbufsize() + 8192
+        signed = peak_above_input(
+            lambda: integrals._mobius_rows(m1, np.multiply, 1.0, t, signed=True))
+        cpt = peak_above_input(lambda: integrals._cpt_rows(m1, m2, t))
+        assert signed <= call, (signed, call)
+        assert cpt <= call + 2 * 8 * k * n + 8 * k, (cpt, call)
 
     def test_zero_times_infinity_is_not_finite(self):
         # m({1, 2}) = 0 meets the product 1e308 * -1e308 = -inf: 0 * inf is NaN

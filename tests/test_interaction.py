@@ -102,15 +102,20 @@ class TestInteractionIndex:
 
     @pytest.mark.parametrize("values, coalition, key", [
         ([0.0, 1e308, -1e308, 1e308], 3, "1,2"), ([0.0, 1e308, -1e308, 1e308], 1, "1"),
-        ([0.0, 1e308, 1e308, -1e308], 3, "1,2")])
+        ([0.0, 1e308, 1e308, -1e308], 3, "1,2"),
+        ([0.0, 0.0, -1.7e308, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.0], [1], "1")])
     def test_an_overflowing_index_is_invalid_format(self, values, coalition, key):
-        # these returned inf, inf and -inf; shapley refuses the same tables
-        v = SetFunction(2, values)
-        with pytest.raises(InvalidFormat, match=r"^the interaction index of \{%s\} is not finite"
-                           % key):
-            interaction_index(v, coalition)
-        with pytest.raises(InvalidFormat):
-            shapley(v)
+        # the first three returned inf, inf and -inf; the differences of the last hold
+        # both +inf and -inf, and their dot warned before it refused; shapley refuses
+        # the same tables
+        v = SetFunction(len(values).bit_length() - 1, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidFormat,
+                               match=r"^the interaction index of \{%s\} is not finite" % key):
+                interaction_index(v, coalition)
+            with pytest.raises(InvalidFormat):
+                shapley(v)
 
     @pytest.mark.parametrize("call", [
         shapley, interaction_report, functools.partial(interaction_report, max_order=1),

@@ -3,7 +3,6 @@ import hashlib
 import json
 import pickle
 import re
-import tracemalloc
 import weakref
 from dataclasses import dataclass
 
@@ -51,7 +50,7 @@ from capacities.interaction import _all_indices
 from capacities.set_function import _drops, _live
 from capacities.subsets import (BUFSIZE, SLICE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
                                 subset_key)
-from helpers import random_capacity, random_set_function
+from helpers import peak_above_input, random_capacity, random_set_function
 
 TOL = 1e-12
 
@@ -715,17 +714,6 @@ class TestFirstViolation:
 UFUNC_BUFFERS = 4 * 8 * np.getbufsize()
 
 
-def _peak_above_input(call):
-    """Peak traced bytes while ``call`` ran, above what was live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """Peak allocation of each op at n = 16, in bytes per subset beside UFUNC_BUFFERS."""
 
@@ -780,16 +768,16 @@ class TestMemory:
         per_subset = self.TIGHTER.get(name, per_subset)
         assert _live(tables["mu"]) is tables["m"]
         assert _live(tables["fresh"]) is None  # the mobius row's result is dropped
-        peak = _peak_above_input(lambda: call(tables[arg]))
+        peak = peak_above_input(lambda: call(tables[arg]))
         assert peak <= per_subset * (1 << self.N) + UFUNC_BUFFERS
 
     def test_a_dropped_mobius_table_is_not_kept(self):
         mu = random_capacity(np.random.default_rng(18), self.N)
         m = mobius(mu)
-        live = _peak_above_input(lambda: interaction_report(mu))
+        live = peak_above_input(lambda: interaction_report(mu))
         del m
         assert _live(mu) is None
-        fresh = _peak_above_input(lambda: interaction_report(mu))
+        fresh = peak_above_input(lambda: interaction_report(mu))
         assert fresh <= 19 * (1 << self.N) + UFUNC_BUFFERS
         # a Mobius table of its own again; the peaks also hold a few small
         # Python objects, which differ by some dozens of bytes with the state
