@@ -43,6 +43,12 @@ dot runs the kernel of a one-row ``np.dot``, so each value has the bits of its
 row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding:
 ``cpt`` as choquet(mu_gains, t+) minus choquet(mu_losses, t-), ``mle`` and
 ``smle`` as one matrix product over the low and high halves of the criteria.
+The sort kernels rank each score row once, with one stable argsort, and hold
+the ranking criterion-major, one row per rank and one column per score row, so
+that every step runs on contiguous rows of k entries. The signed ones, ``cpt``'s
+batch among them, read t+ along the ranking and t- along it backwards, and every
+value has the bits of a ranking of t+ and one of t- (:func:`_split_choquet_rows`,
+:func:`_sugeno_rows`).
 Scalar ``sugeno_product``, ``sipos_closed_form`` and ``pseudo_product_extension``
 stay as references.
 """
@@ -485,35 +491,77 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
 # -- row and batch kernels: a (k, n) score matrix in, k values out ----------------
 
 
-def _ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row sorted ascending (ties by criterion index) and, in column j,
-    the mask A_(j) of the criteria ranked j..n in that row."""
+def _ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of the (k, n) matrix t ranked ascending, ties by criterion index, as
+    three criterion-major (n, k) C-contiguous arrays ``ts``, ``upper`` and ``back``.
+    Row j - 1 holds, per score row, the score t_(j) ranked j, the mask of A_(j), the
+    criteria ranked j..n, and the mask of those ranked 1..n+1-j: A_(j) of the
+    ranking read backwards, that of -t but for the order inside a tie.
+
+    The scores are one flat gather of t. The masks of the criteria ranked 1..j are
+    running sums of 2**criterion, read off one flat cumulative sum over the (k, n)
+    ranks, in which each earlier score row adds its full mask 2**n - 1; A_(j) is
+    the full mask less the mask of the criteria ranked before j."""
+    k, n = t.shape
+    full = (1 << n) - 1
     order = np.argsort(t, axis=1, kind="stable")
-    upper = np.bitwise_or.accumulate(np.left_shift(1, order)[:, ::-1], axis=1)[:, ::-1]
-    return np.take_along_axis(t, order, axis=1), upper
+    ts = t.take(np.add(order.T, np.arange(0, k * n, n), out=np.empty((n, k), np.intp)))
+    running = np.add.accumulate(np.left_shift(1, order).ravel()).reshape(k, n).T
+    back = np.subtract(running[::-1], np.arange(0, k * full, full), out=np.empty((n, k), np.intp))
+    upper = np.empty_like(back)
+    upper[0] = full
+    np.subtract(full, back[:0:-1], out=upper[1:])
+    return ts, upper, back
+
+
+def _signed_ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """t+ = max(t, 0) sorted ascending with the masks of A_(j), then t- = max(-t, 0)
+    sorted ascending with those of its own A_(j), from one ranking of each row of t
+    (:func:`_ranked`), read backwards for t-. Inside a tie group the first criterion
+    gets the A_(j) of a ranking of t+ or of t- of its own, each later one a subset."""
+    ts, upper, back = _ranked(t)
+    return np.maximum(ts, 0.0), upper, np.maximum(-ts[::-1], 0.0), back
+
+
+def _choquet_sum(ts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ts[0] * v[0] plus (ts[j] - ts[j - 1]) * v[j] for j = 1..n - 1, added in that
+    order, per column of the (n, k) sorted scores ``ts`` and table values ``v``. A
+    loop over the n contiguous rows: numpy's reductions need not add in this order."""
+    acc = ts[0] * v[0]
+    terms = np.subtract(ts[1:], ts[:-1])
+    terms *= v[1:]
+    for term in terms:
+        acc += term
+    return acc
 
 
 @_quiet
 def _choquet_rows(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Column by column: np.cumsum along the short last axis loops row by row, slower.
-    ts, upper = _ranked(t)
-    v = vals[upper]
-    acc = ts[:, 0] * v[:, 0]
-    for j in range(1, t.shape[1]):
-        acc += (ts[:, j] - ts[:, j - 1]) * v[:, j]
-    return acc
+    """:func:`choquet` per row of t from the value table ``vals``: the sum over the
+    ranks j of (t_(j) - t_(j-1)) * vals(A_(j)), with t_(0) = 0, left to right."""
+    ts, upper, _ = _ranked(t)
+    return _choquet_sum(ts, vals[upper])
 
 
+@_quiet
 def _split_choquet_rows(gains: np.ndarray, losses: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Choquet of t+ against the value table ``gains`` minus Choquet of t- against
-    ``losses``: :func:`sipos` when the two are one, :func:`cpt` otherwise."""
-    tp, tn = _split(t)
-    return _choquet_rows(gains, tp) - _choquet_rows(losses, tn)
+    ``losses``: :func:`sipos` when the two are one, :func:`cpt` otherwise.
 
-
-def _sugeno_upper(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
-    ts, upper = _ranked(t)
-    return np.max(ts * nu[upper], axis=1)
+    t is ranked once (:func:`_signed_ranked`). Inside a tie group each later
+    criterion adds a zero difference, so each nonzero term, each nonzero running
+    sum and each nonzero value is that of a ranking of t+ and one of t- of their
+    own; a zero value can differ in its sign alone. t+ and t- hold no -0.0, so a
+    sum whose first term t_(1) * v(N) is not -0.0 never runs through -0.0. Where
+    ``gains`` or ``losses`` has its sign bit set at N, the rows of zero value
+    rank t+ and t- each on its own, so every value has the bits of two rankings."""
+    tp, upper, tn, back = _signed_ranked(t)
+    out = _choquet_sum(tp, gains[upper]) - _choquet_sum(tn, losses[back])
+    if np.signbit(gains[-1]) or np.signbit(losses[-1]):
+        zero = np.flatnonzero(out == 0.0)
+        tp, tn = _split(t[zero])
+        out[zero] = _choquet_rows(gains, tp) - _choquet_rows(losses, tn)
+    return out
 
 
 @_quiet
@@ -523,11 +571,14 @@ def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     For nonnegative t, min of t over A is t_(j) with j the lowest rank in A,
     and A lies in A_(j), so the maximum over A of m(A) * min t is
     max_j t_(j) * nu(A_(j)); rounding is monotone, so the two agree exactly.
+    t is ranked once (:func:`_signed_ranked`). Inside a tie group each later
+    criterion's set lies in the first one's, and nu, a max-closure, is monotone,
+    so its product is no larger: each maximum is that of a ranking of its own.
     """
-    tp, tn = _split(t)
-    a = _sugeno_upper(nu, tp)
-    b = -_sugeno_upper(nu, tn)
-    # symmetric_max, elementwise
+    tp, upper, tn, back = _signed_ranked(t)
+    a = np.max(tp * nu[upper], axis=0)
+    b = -np.max(tn * nu[back], axis=0)
+    # symmetric_max, elementwise: the sign of a zero a or b is never read
     return np.where(np.abs(a) > np.abs(b), a, np.where(b == -a, 0.0, b))
 
 
@@ -622,9 +673,9 @@ class Extension:
     ``domain`` tags where samplers may draw scores: "reals" for the
     sign-splitting integrals, "unit" for the multilinear ones (which are
     still evaluable anywhere, just not well behaved outside the cube).
-    ``fn`` is the row kernel: it maps a finite (k, n) score matrix to k
-    values, each exact for its row alone. A call runs it on one row;
-    :meth:`_values` runs it on a whole matrix. ``batch`` is what
+    ``fn`` is the row kernel: it maps a finite (k, n) score matrix, which it
+    only reads, to k values, each exact for its row alone. A call runs it on
+    one row; :meth:`_values` runs it on a whole matrix. ``batch`` is what
     :meth:`many` runs, equal to ``fn`` up to rounding; without it,
     :meth:`many` runs ``fn``. A call raises :class:`OutOfDomain` when the
     value is not finite.
@@ -656,7 +707,10 @@ class Extension:
         return values
 
     def _values(self, t: np.ndarray) -> np.ndarray:
-        """``fn`` at every row of a (k, n) matrix, NaN on the rows with a non-finite score."""
+        """``fn`` at every row of a (k, n) matrix, NaN on the rows with a non-finite score.
+        A matrix of finite scores goes to ``fn`` as it is, which only reads it."""
+        if np.isfinite(t).all():
+            return self.fn(t)
         finite = np.isfinite(t).all(axis=1)
         values = self.fn(np.where(finite[:, None], t, 0.0))
         values[~finite] = np.nan

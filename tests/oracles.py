@@ -14,9 +14,13 @@ grouping loop ``rank_acts`` ran before it ranked by stable sorts,
 ``loop_grid_table`` the cell loop that filled the pseudo-product grid,
 ``loop_certificate`` the triple loop that walked its associativity cube,
 ``loop_pseudo_product_fold`` the mask-by-mask fold of a pseudo-product,
-``loop_subset_table`` the same fold of a ufunc, row by row, and
+``loop_subset_table`` the same fold of a ufunc, row by row,
 ``loop_utilities`` the act-by-act loop that read the utility matrix before
-``rank_acts`` read it column by column.
+``rank_acts`` read it column by column, and ``loop_choquet_rows``,
+``loop_split_choquet_rows`` and ``loop_sugeno_rows`` the row-major sort
+kernels the package ran before it ranked each score row once, criterion-major:
+a column loop over each row's ranking, and a ranking of t+ and one of t- for
+the signed integrals.
 """
 
 import itertools
@@ -224,6 +228,46 @@ def loop_mobius_rows(coefficients, table):
     both without the empty set."""
     coef = np.asarray(coefficients, dtype=np.float64)[1:]
     return np.array([np.dot(coef, row[1:]) for row in table])
+
+
+def _ranked_rows(t):
+    """Each row of t sorted ascending, ties by criterion index, and in column j
+    the mask of the criteria ranked j..n in that row."""
+    order = np.argsort(t, axis=1, kind="stable")
+    upper = np.bitwise_or.accumulate(np.left_shift(1, order)[:, ::-1], axis=1)[:, ::-1]
+    return np.take_along_axis(t, order, axis=1), upper
+
+
+def loop_choquet_rows(vals, t):
+    """Per row of t, t_(1) * v(A_(1)) plus (t_(j) - t_(j-1)) * v(A_(j)) for j = 2..n,
+    added column by column, with v the value table ``vals``."""
+    ts, upper = _ranked_rows(t)
+    v = vals[upper]
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = ts[:, 0] * v[:, 0]
+        for j in range(1, t.shape[1]):
+            acc += (ts[:, j] - ts[:, j - 1]) * v[:, j]
+    return acc
+
+
+def loop_split_choquet_rows(gains, losses, t):
+    """Choquet of t+ against ``gains`` minus Choquet of t- against ``losses``, each
+    ranked on its own."""
+    tp, tn = np.maximum(t, 0.0), np.maximum(-t, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return loop_choquet_rows(gains, tp) - loop_choquet_rows(losses, tn)
+
+
+def loop_sugeno_rows(nu, t):
+    """Per row of t, the symmetric maximum of max_j t+_(j) * nu(A_(j)) and of
+    -max_j t-_(j) * nu(A_(j)), t+ and t- each ranked on its own."""
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (np.maximum(t, 0.0), np.maximum(-t, 0.0)):
+            xs, upper = _ranked_rows(x)
+            parts.append(np.max(xs * nu[upper], axis=1))
+        a, b = parts[0], -parts[1]
+        return np.where(np.abs(a) > np.abs(b), a, np.where(b == -a, 0.0, b))
 
 
 def loop_grid_table(op):

@@ -18,6 +18,7 @@ from capacities import (
     MobiusRepr,
     OutOfDomain,
     PseudoProduct,
+    SetFunction,
     UncertifiedOperator,
     as_capacity,
     certify,
@@ -31,6 +32,7 @@ from capacities import (
     mle,
     mobius,
     ordinal_mobius,
+    ordinal_zeta,
     pseudo_product_extension,
     sipos,
     sipos_closed_form,
@@ -1069,3 +1071,76 @@ class TestRowKernels:
         assert calls == [[[0.5, 0.25], [0.0, 0.0], [0.0, 0.0], [0.1, 0.3]]]
         assert np.isnan(got).tolist() == [False, True, True, False]
         assert got[0] == 0.25 and got[3] == 0.1 - 0.3
+
+    def test_kernels_only_read_their_scores(self):
+        # _values hands a finite matrix to fn as it is: no kernel may write to it.
+        rng = np.random.default_rng(7)
+        mu, losses = random_capacity(rng, 4), random_capacity(rng, 4)
+        inner = np.round(rng.uniform(-1.0, 1.0, 14), 1)
+        signed = SetFunction(4, np.concatenate([[0.0], inner, [-0.0]]))  # v(N) = -0.0
+        t = np.round(rng.uniform(-1.0, 1.0, (9, 4)), 1)
+        t[:2] = 0.0
+        t.flags.writeable = False
+        for gains in (mu, signed):
+            for name in EXTENSION_NAMES:
+                if name == "sugeno_product" and gains is signed:
+                    continue  # its ordinal coefficients would be negative
+                ext = make_extension(name, gains, losses if name == "cpt" else None)
+                for kernel in {ext.fn, ext.batch} - {None}:
+                    assert kernel(t).tobytes() == kernel(t.copy()).tobytes(), name
+                assert ext._values(t).tobytes() == ext.fn(t.copy()).tobytes(), name
+
+
+def sort_kernel_tables(rng, n):
+    """Value tables for the sort kernels: capacities (one with drops within tol, one
+    with +0.0 and -0.0 plateaus) and non-monotone tables with entries of either sign,
+    two of them with v(N) = -0.0 and v(N) < 0."""
+    plateaus = np.round(random_capacity(rng, n, lo=0.0).values ** 2, 1)
+    plateaus[(plateaus == 0.0) & (rng.random(1 << n) < 0.5)] = -0.0
+    plateaus[0] = 0.0
+    tables = [random_capacity(rng, n).values, wobbly_capacity(rng, n).values,
+              as_capacity(plateaus, n=n).values]
+    for last in (-0.0, -0.5, 0.5):
+        v = np.round(rng.uniform(-1.0, 1.0, 1 << n), 1)
+        v[rng.random(1 << n) < 0.25] = 0.0
+        v[rng.random(1 << n) < 0.25] = -0.0
+        v[0], v[-1] = 0.0, last
+        tables.append(SetFunction(n, v).values)
+    return tables
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("k", [1, 2, 33, 1025])
+def test_sort_kernels_equal_the_two_rank_row_major_forms_byte_for_byte(n, k):
+    # One ranking of t, criterion-major, against the column loop over a ranking of t
+    # and, for the signed kernels, one of t+ and one of t-: scores with ties and zeros
+    # of either sign, the first rows all zeros.
+    rng = np.random.default_rng(100 * n + k)
+    t = np.round(rng.uniform(-1.0, 1.0, (k, n)), 1)
+    t[rng.random(t.shape) < 0.25] = 0.0
+    t[rng.random(t.shape) < 0.25] = -0.0
+    t[0] = -0.0
+    t[1:2] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    tables = sort_kernel_tables(rng, n)
+    for gains, losses in zip(tables, tables[1:] + tables[:1]):
+        got, want = integrals._choquet_rows(gains, t), oracles.loop_choquet_rows(gains, t)
+        assert got.tobytes() == want.tobytes()
+        for second in (gains, losses):  # sipos, then the cpt batch
+            got = integrals._split_choquet_rows(gains, second, t)
+            assert got.tobytes() == oracles.loop_split_choquet_rows(gains, second, t).tobytes()
+        if gains.min() >= 0.0:  # the ordinal coefficients of a table must be nonnegative
+            nu = ordinal_zeta(ordinal_mobius(SetFunction(n, gains))).values
+            got, want = integrals._sugeno_rows(nu, t), oracles.loop_sugeno_rows(nu, t)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_zero_signed_choquet_keeps_the_sign_of_two_rankings():
+    # At t = (0.0, -0.0), t- read along the ranking of t backwards meets v({1}) = 0.5
+    # at its second rank, where a ranking of t- of its own meets v({2}) = -0.0: the
+    # one ranking alone gives -0.0 in place of +0.0.
+    v = SetFunction(2, [0.0, 0.5, -0.0, -0.0])
+    for value in (sipos(v, [0.0, -0.0]), make_extension("sipos", v)([0.0, -0.0]),
+                  make_extension("cpt", v, v).many([[0.0, -0.0]])[0]):
+        assert value == 0.0 and not np.signbit(value)
+    # t+ and t- hold no -0.0, the premise of the rule that re-ranks only there
+    assert not np.signbit(integrals._split(np.array([[-0.0, 0.0, -1.0, 1.0] * 9]))).any()

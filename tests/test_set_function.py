@@ -807,6 +807,24 @@ class TestMemoryAtTheTileCap(TestMemory):
     }
 
 
+def test_ordinal_mobius_frees_its_bool_slice_before_the_finiteness_check():
+    # At n = 16 a slice is the whole table, so a slice of bools kept through the
+    # finiteness check of the result, beside the one that check allocates, is a
+    # byte per subset more. TestMemory's budgets leave room for numpy's default
+    # ufunc buffers, 4 bytes per subset at this n, which hides it. Under buffers
+    # of 16 entries the budget is the output, one slice of bools, the buffers of
+    # the lattice passes and some small objects.
+    n = 16
+    assert SLICE == 1 << n
+    mu = random_capacity(np.random.default_rng(17), n)
+    old = np.setbufsize(16)
+    try:
+        peak = peak_above_input(lambda: ordinal_mobius(mu))
+    finally:
+        np.setbufsize(old)
+    assert peak <= 9 * (1 << n) + 4 * 8 * BUFSIZE + 4096, peak
+
+
 @dataclass(frozen=True)
 class _HashedCapacity(Capacity):
     """A capacity type whose generated ``__hash__`` fails on its numpy table."""
