@@ -96,20 +96,20 @@ def _up(lo, hi):
 def shapley(mu: Capacity) -> np.ndarray:
     """Shapley values phi_i = I({i}) = sum over B containing i of m(B) / |B|; they sum to mu(N).
 
-    Reads the table of a :func:`mobius` result of ``mu`` that the caller still
-    holds, and divides it into a new table without writing it; otherwise it
-    divides its own Mobius table in place. The sums run outside :func:`subsets.lattice`, at numpy's own buffer size,
-    which sets the order in which a buffered sum adds. A finite Mobius table
-    can still sum past the largest double: the first criterion whose value is
-    not finite raises :class:`InvalidFormat` naming it."""
+    The order-1 pass of :func:`interaction_report`, with the bytes of its
+    ``shapley``. It scales the table of a :func:`mobius` result of ``mu``
+    that the caller still holds into a new table, else its own Mobius table
+    in place, and holds that table, then the lattice tile from n = 18 on. A
+    finite Mobius table can still sum past the largest double: the first
+    criterion whose value is not finite raises :class:`InvalidFormat` naming it."""
     m = _mobius_table(mu)
-    n = mu.n
-    sizes = subsets.popcounts(n)
-    m = np.divide(m, np.maximum(sizes, 1, out=sizes), out=m if m.flags.writeable else None)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
-        phi = np.array([hi.sum() for _, _, hi in subsets.halves(m)])
-    _check_finite(1 << np.arange(n), phi)
-    return phi
+    sizes = subsets.popcounts(mu.n)
+    t = np.divide(m, np.maximum(sizes, 1, out=sizes), out=m if m.flags.writeable else None)
+    del sizes  # freed before the pass allocates its tile
+    subsets.lattice(_up, t)
+    bits = 1 << np.arange(mu.n)
+    _check_finite(bits, t[bits])
+    return t[bits]
 
 
 # A value's label, at (value > tol) + 2 * (value < -tol): the rule of classify.

@@ -43,15 +43,15 @@ first offending pair: over the whole table, or on a tiled bit over the
 first block of masks that drops. :func:`validate` reads strict
 monotonicity off the same drops and builds one Mobius table. The Shapley
 values and interaction reports of :mod:`capacities.interaction` start from
-one writable Mobius table, checked as :func:`mobius` checks its output, and
-scale it in place: ``shapley`` holds it and one byte per subset, and a
-report one scratch table more and two bytes per subset. While the caller
-holds the result of ``mobius(v)``, they read its read-only table instead,
-found through the weak reference that ``mobius`` leaves on ``v``, which keeps
-no table alive and which a copy or a pickle of ``v`` leaves out: ``shapley``
-scales it into a new table, and a report runs every order in its scratch
-table. Public constructors copy the arrays they are given; tables the
-package has just built are wrapped without a copy.
+one writable Mobius table, checked as :func:`mobius` checks its output.
+``shapley`` scales it in place with one byte per subset, freed before its
+order-1 pass, and a report uses one scratch table and two bytes per subset.
+While the caller holds the result of ``mobius(v)``, they read its read-only
+table instead, found through the weak reference that ``mobius`` leaves on
+``v``, which keeps no table alive and which a copy or a pickle of ``v``
+leaves out: ``shapley`` scales it into a new table, and a report runs every
+order in its scratch table. Public constructors copy the arrays they are
+given; tables the package has just built are wrapped without a copy.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from capacities import (
     Capacity,
     CoMobiusRepr,
     DimensionMismatch,
+    InteractionReport,
     InvalidFormat,
     MobiusRepr,
     OrdinalMobiusRepr,
@@ -479,3 +480,53 @@ def test_ordinary_integers_keep_their_texts():
 def test_a_fraction_is_refused_everywhere(call):
     with pytest.raises(InvalidFormat):
         call()
+
+
+# Entries at the edges of a double: signed zeros, subnormals, the largest
+# doubles and halves of them, whose sums and differences overflow, and 1e300.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, 8.9e307, -8.9e307, 1e300, -1e300]
+
+
+@st.composite
+def edge_tables(draw):
+    """A well-formed :class:`SetFunction` at n = 1..5 whose entries mix the
+    EDGES, ties (entries drawn from a pool of three) and normals of one scale."""
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e307]))
+    normals = st.floats(-4.0, 4.0).map(lambda x: x * scale)
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGES), normals), min_size=3, max_size=3))
+    entry = st.one_of(st.sampled_from(EDGES), normals, st.sampled_from(pool))
+    values = draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+    values[0] = draw(st.sampled_from([0.0, -0.0]))
+    return SetFunction(n, values)
+
+
+def _finite_or_refused(call, *args):
+    """What ``call(*args)`` returns, every number in it finite, or None where it
+    raises :class:`InvalidFormat`; no warning either way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except InvalidFormat:
+            result = None
+    assert not caught, [str(w.message) for w in caught]
+    if isinstance(result, InteractionReport):
+        _assert_finite([result.shapley, result.pair_matrix, list(result.values.values())])
+    else:
+        _assert_finite(result)
+    return result
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=edge_tables())
+def test_interaction_at_the_edges_of_a_double_is_finite_or_refused(v):
+    phi = _finite_or_refused(shapley, v)
+    for order in range(1, v.n + 1):
+        report = _finite_or_refused(interaction_report, v, order)
+        if phi is None:
+            assert report is None
+        elif order == 1 and report is not None:
+            assert report.shapley.tobytes() == phi.tobytes()
+    for mask in range(1, 1 << v.n):
+        _finite_or_refused(interaction_index, v, mask)

@@ -132,6 +132,16 @@ class TestInteractionIndex:
                                match=r"^the interaction index of \{2\} is not finite, got inf$"):
                 call(v)
 
+    @pytest.mark.parametrize("call", [
+        shapley, interaction_report, functools.partial(interaction_report, max_order=1)],
+        ids=["shapley", "report", "report-order-1"])
+    def test_the_first_index_that_overflows_is_named(self, call):
+        # a finite Mobius table whose Shapley values of {2} and {3} are -inf and inf
+        v = SetFunction(3, [0.0, 1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.7e308])
+        with pytest.raises(InvalidFormat,
+                           match=r"^the interaction index of \{2\} is not finite, got -inf$"):
+            call(v)
+
     def test_empty_coalition_rejected(self):
         mu = random_capacity(np.random.default_rng(4), 3)
         with pytest.raises(EmptyCoalition):
@@ -336,8 +346,8 @@ class TestAllIndicesTransform:
 
 class TestPinnedToTheTableFormulas:
     """Shapley values and reports byte for byte against the formulas they were
-    first computed by: a new Mobius table over the clamped sizes, summed per
-    bit, and one new scaled table per order, read at the masks of that order."""
+    first computed by: one new scaled Mobius table per order, read at the masks
+    of that order; the Shapley values are the order-1 table's singletons."""
 
     @staticmethod
     def tables(n):
@@ -348,11 +358,6 @@ class TestPinnedToTheTableFormulas:
         signed[(signed == 0.0) & (rng.uniform(size=1 << n) < 0.5)] = -0.0
         signed[0] = 0.0
         return [random_capacity(rng, n), SetFunction(n, signed), SetFunction(n, signed * 1e300)]
-
-    @staticmethod
-    def want_shapley(mu):
-        m = mobius(mu).values / np.maximum(popcounts(mu.n), 1)
-        return np.array([hi.sum() for _, _, hi in halves(m)])
 
     @staticmethod
     def want_indices(mu, max_order):
@@ -369,7 +374,7 @@ class TestPinnedToTheTableFormulas:
     def test_bytes_are_those_of_the_table_formulas(self, n):
         bits = 1 << np.arange(n)
         for mu in self.tables(n):
-            assert shapley(mu).tobytes() == self.want_shapley(mu).tobytes()
+            assert shapley(mu).tobytes() == self.want_indices(mu, 1)[bits].tobytes()
             for order in {1, 2, 3, n} if n <= 12 else (2,):
                 want = self.want_indices(mu, order)
                 rep = interaction_report(mu, max_order=order)
@@ -378,6 +383,37 @@ class TestPinnedToTheTableFormulas:
                 assert np.array(list(rep.values.values())).tobytes() == want[masks].tobytes()
                 assert rep.shapley.tobytes() == want[bits].tobytes()
                 assert rep.pair_matrix.tobytes() == want[bits[:, None] | bits].tobytes()
+
+    @staticmethod
+    def outcome(call, *args):
+        """What ``call(*args)`` returns, or None where it raises :class:`InvalidFormat`."""
+        try:
+            return call(*args)
+        except InvalidFormat:
+            return None
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 16, 18, 20])
+    def test_shapley_is_the_order_1_pass_of_the_report(self, n):
+        # shapley summed each bit's half of the scaled table by hand, and at
+        # n = 8 already differed from the report's pass in the last bits.
+        bits = 1 << np.arange(n)
+        compared = 0
+        for mu in self.tables(n):
+            for held in (False, True):
+                m = self.outcome(mobius, mu) if held else None
+                assert set_function._live(mu) is m
+                phi = self.outcome(shapley, mu)
+                for order in sorted({1, min(2, n)}):
+                    rep = self.outcome(interaction_report, mu, order)
+                    if phi is None:
+                        assert rep is None
+                    elif rep is not None:
+                        assert rep.shapley.tobytes() == phi.tobytes()
+                        assert np.diag(rep.pair_matrix).tobytes() == phi.tobytes()
+                        assert np.array([rep.values[b] for b in bits.tolist()]).tobytes() == (
+                            phi.tobytes())
+                        compared += 1
+        assert compared >= 2 * len({1, min(2, n)})  # at least the capacity, fresh and held
 
 
 class TestIndexThroughTheLattice:
