@@ -11,7 +11,9 @@ scores are handled by splitting t into its positive and negative parts
 t+ = max(t, 0) and t- = max(-t, 0).
 
 ``pseudo_product_extension`` generalizes the minimum in the Mobius form of
-``choquet`` to any certified commutative associative operator on [0, 1].
+``choquet`` to any certified commutative associative operator on [0, 1]: it is
+the Mobius-form row kernel with the operator as the step of its fold, so the
+paper's min, product and pseudo-product forms run one kernel.
 The operator runs through ``np.frompyfunc``, one call for the grid, one per side
 of its cube of triples, five off the grid and one per criterion of the fold,
 warnings off. A certificate runs it 441 times on the grid and 320 times off it;
@@ -34,13 +36,13 @@ and ``sipos`` read the capacity at the upper sets A_(j) of each row's ranking
 (O(n log n) per row), ``sugeno_product`` takes max_j t_(j) * nu(A_(j)) with nu
 the max-closure of its ordinal coefficients, and the coefficient forms take
 the dot product of each row's table over all subsets with the coefficients.
-A block of score rows is folded by mask, into a table with one row per subset
-and one column per score row, in scratch tables of at most 256 KiB (or of one
-row) that the call allocates once and every block reuses; the block's tables
-are then copied out as C-contiguous rows, one per score row, for one
-``np.vecdot``. Every entry is the same ufunc of the same two doubles, and every
-dot runs the kernel of a one-row ``np.dot``, so each value has the bits of its
-row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding:
+A block of score rows is folded by mask (:func:`subsets.fold`, the one place a
+table is filled by mask), into a table with one row per subset and one column
+per score row, in scratch tables of at most 256 KiB (or of one row) that the
+call allocates once and every block reuses; the block's tables are then copied
+out as C-contiguous rows, one per score row, for one ``np.vecdot``. Every entry
+is the same step of the same two doubles, and every dot runs the kernel of a
+one-row ``np.dot``, so each value has the bits of its row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding:
 ``cpt`` as choquet(mu_gains, t+) minus choquet(mu_losses, t-), ``mle`` and
 ``smle`` as one matrix product over the low and high halves of the criteria.
 The sort kernels rank each score row once, with one stable argsort, and hold
@@ -49,8 +51,7 @@ that every step runs on contiguous rows of k entries. The signed ones, ``cpt``'s
 batch among them, read t+ along the ranking and t- along it backwards, and every
 value has the bits of a ranking of t+ and one of t- (:func:`_split_choquet_rows`,
 :func:`_sugeno_rows`).
-Scalar ``sugeno_product``, ``sipos_closed_form`` and ``pseudo_product_extension``
-stay as references.
+Scalar ``sugeno_product`` and ``sipos_closed_form`` stay as references.
 """
 
 from __future__ import annotations
@@ -133,26 +134,6 @@ def _finite_value(name: str, value) -> float:
 
 def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(t, 0.0), np.maximum(-t, 0.0)
-
-
-def _fold(ufunc: np.ufunc, cols: np.ndarray, empty: float, table: np.ndarray) -> np.ndarray:
-    """``table``, of shape (2**n,) or (2**n, w), filled by mask: table[A] is ``ufunc``
-    folded over the scores of the criteria in A, ascending, from ``empty``. ``cols``
-    has one row per criterion: a score, or the scores of w score rows. The fold for
-    criterion i is one call ufunc(table[:2**i], cols[i], out=table[2**i:2**(i+1)])
-    on disjoint slices, so numpy copies no operand."""
-    table[0] = empty
-    for i in range(cols.shape[0]):
-        ufunc(table[: 1 << i], cols[i], out=table[1 << i : 2 << i])
-    return table
-
-
-def _over_subsets(ufunc: np.ufunc, t: np.ndarray, empty: float) -> np.ndarray:
-    """table[..., A] = ``ufunc`` folded over t[..., :] on A, criteria ascending, for
-    every mask A (row by row for a matrix t); ``empty`` at the empty set. It is
-    :func:`_fold` by mask, transposed to one C-contiguous row per row of t."""
-    table = np.empty((1 << t.shape[-1],) + t.shape[:-1])
-    return np.ascontiguousarray(_fold(ufunc, t.T, empty, table).T)
 
 
 def choquet(mu: Capacity, t) -> float:
@@ -264,7 +245,7 @@ def symmetric_max_fold(values) -> float:
 
 
 def _sugeno_nonneg(coef: np.ndarray, t: np.ndarray) -> float:
-    minv = _over_subsets(np.minimum, t, np.inf)
+    minv = subsets.fold(np.minimum, t, np.inf, np.empty(1 << t.shape[0]))
     return float(np.max(coef[1:] * minv[1:]))
 
 
@@ -459,7 +440,11 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
 
     Each coalition contributes m(A) times the left fold of ``op`` over its
     scores in ascending criterion order (the certificate makes the order
-    immaterial on the sampled points).
+    immaterial on the sampled points). It is the row kernel of the other
+    Mobius forms, :func:`_mobius_rows`, with ``op`` as the :func:`subsets.fold`
+    step: a singleton is its score, and op runs once per criterion on the masks
+    below it, so min gives the bytes of ``choquet_mobius`` and the product those
+    of ``mle``.
     """
     if not isinstance(op, PseudoProduct):
         raise UncertifiedOperator("operator must be wrapped by certify() before use")
@@ -476,12 +461,12 @@ def pseudo_product_extension(m: MobiusRepr, op: PseudoProduct, t) -> float:
     t = _scores(t, m.n)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise OutOfDomain("pseudo-product extensions are defined on [0, 1]^n only")
-    folded = np.zeros(1 << m.n)
-    for i, lo, hi in subsets.halves(folded):
-        # Row 0 holds the masks whose highest member is criterion i + 1.
-        hi[0, 0] = t[i]
-        hi[0, 1:] = _op_values(op.op, lo[0, 1:], t[i])
-    value = float(np.dot(coef[1:], folded[1:]))
+
+    def step(below, x, out):
+        out[0] = x
+        out[1:] = _op_values(op.op, below[1:], x)
+
+    value = float(_mobius_rows(coef, step, 0.0, t[None])[0])
     if not math.isfinite(value):  # as is the sum when a fold value is not finite
         raise OutOfDomain("the extension by operator %r is not finite at these scores (got %r)"
                           % (op.name or "<unnamed>", value))
@@ -596,7 +581,7 @@ def _mle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     coefficients as a (2**(n-h), 2**h) matrix. Each distinct row is
     evaluated once, so exact duplicates score alike whatever the BLAS
     kernel does at the edges of its tiles or chunks. Both tables are folded
-    by mask (:func:`_fold`): the low one goes to the matrix product as
+    by mask (:func:`subsets.fold`): the low one goes to the matrix product as
     C-contiguous rows, and the high one multiplies its result in place.
     """
     n = t.shape[1]
@@ -609,8 +594,9 @@ def _mle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK >> (n - h))
     for s in range(0, rows.shape[0], step):
         r = rows[s : s + step]
-        low = _over_subsets(np.multiply, r[:, :h], 1.0) @ mat.T
-        low *= _fold(np.multiply, r[:, h:].T, 1.0, np.empty((1 << (n - h), r.shape[0]))).T
+        low = np.ascontiguousarray(
+            subsets.fold(np.multiply, r[:, :h].T, 1.0, np.empty((1 << h, r.shape[0]))).T) @ mat.T
+        low *= subsets.fold(np.multiply, r[:, h:].T, 1.0, np.empty((1 << (n - h), r.shape[0]))).T
         out[s : s + step] = np.sum(low, axis=1)
     return out[inverse]
 
@@ -623,16 +609,16 @@ def _smle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _mobius_rows(coef: np.ndarray, ufunc: np.ufunc, empty: float, t: np.ndarray, signed=False):
-    """Per row of t, the dot product of the coefficients ``coef`` with the table of ``ufunc``
+def _mobius_rows(coef: np.ndarray, step, empty: float, t: np.ndarray, signed=False):
+    """Per row of t, the dot product of the coefficients ``coef`` with the table of ``step``
     folded over t on each subset, or with ``signed`` over t+ minus that over t-.
 
-    Blocks of w rows are folded by mask (:func:`_fold`) into two scratch blocks of
+    Blocks of w rows are folded by mask (:func:`subsets.fold`) into two scratch blocks of
     at most 256 KiB (one row's table past n = 15), allocated once per call: the
     table (of t+ with ``signed``) into the first, that of t- into the second. Rows
     1.. of the table, less those of t-, are then copied into the second as w
     C-contiguous rows for ``np.vecdot``, unless w = 1, where they are one. Each
-    entry is the same ufunc of the same two doubles as in a row-by-row fold, and
+    entry is the same step of the same two doubles as in a row-by-row fold, and
     ``vecdot`` runs the kernel of a one-row ``np.dot`` on each contiguous row, so a
     row of a block has the bits of the same row alone. A one-term dot (n = 1) is the
     product itself, as ``np.dot`` keeps its sign where ``vecdot`` turns -0.0 to +0.0."""
@@ -645,9 +631,9 @@ def _mobius_rows(coef: np.ndarray, ufunc: np.ufunc, empty: float, t: np.ndarray,
         cols = np.ascontiguousarray(t[s : s + w].T)
         m = cols.shape[1]
         tp, tn = _split(cols) if signed else (cols, None)
-        table = _fold(ufunc, tp, empty, first[: m << n].reshape(1 << n, m))[1:]
+        table = subsets.fold(step, tp, empty, first[: m << n].reshape(1 << n, m))[1:]
         if signed:
-            table -= _fold(ufunc, tn, empty, second[: m << n].reshape(1 << n, m))[1:]
+            table -= subsets.fold(step, tn, empty, second[: m << n].reshape(1 << n, m))[1:]
         rows = table.T  # one row is already C-contiguous
         if m > 1:
             rows = second[: m * ((1 << n) - 1)].reshape(m, (1 << n) - 1)

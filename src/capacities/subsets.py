@@ -10,13 +10,16 @@ copy. Scalars are read by ``set_function._number``, which asks ``_is_real``.
 Subsets are encoded as Python ints: bit i-1 set means criterion i belongs
 to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
 
-Two passes walk the subset lattice of a table indexed by mask. ``halves``
+Three passes walk the subset lattice of a table indexed by mask. ``halves``
 yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
 calls an elementwise op on the same pairs in the same bit order, on tiles,
 columns or views of the table; every table transform goes through it. It
 runs with a ufunc buffer of ``BUFSIZE`` = 512 entries, and since the
 buffer size sets the order in which a buffered reduction adds, ops in the
 pass are elementwise or exact reductions such as max; sums run outside it.
+``fold`` fills a table by mask, each entry a step folded over the scores of
+its subset: the subset tables of the Mobius-form extensions and
+``popcounts``, the fold of +1, are built by it alone.
 """
 
 from __future__ import annotations
@@ -145,15 +148,23 @@ def parse_subset_key(key: str, n: int) -> int:
 
 
 def popcounts(n: int) -> np.ndarray:
-    """uint8 vector of |A| for every mask A in 0..2**n - 1.
+    """uint8 vector of |A| for every mask A in 0..2**n - 1: the :func:`fold` of
+    +1, so no table wider than the uint8 result is allocated."""
+    return fold(np.add, np.ones(n, np.uint8), 0, np.empty(1 << n, np.uint8))
 
-    Built by doubling, |A | bit i| = |A| + 1 for every A below bit i, so no
-    table wider than the uint8 result is allocated.
-    """
-    out = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        np.add(out[: 1 << i], 1, out=out[1 << i : 2 << i])
-    return out
+
+def fold(step, cols: np.ndarray, empty, table: np.ndarray) -> np.ndarray:
+    """``table``, of shape (2**n,) or (2**n, w), filled by mask: table[A] is ``step``
+    folded over the scores of the criteria in A, ascending, from ``empty``. ``cols``
+    has one row per criterion: a score, or the scores of w score rows. The fold for
+    criterion i is one call step(table[:2**i], cols[i], out=table[2**i:2**(i+1)])
+    on disjoint slices, so numpy copies no operand; ``out`` goes by keyword, as
+    numpy deprecates it as a third positional argument of np.minimum. ``step`` is
+    a ufunc or a callable that writes all of ``out``."""
+    table[0] = empty
+    for i in range(cols.shape[0]):
+        step(table[: 1 << i], cols[i], out=table[1 << i : 2 << i])
+    return table
 
 
 def halves(a: np.ndarray, bits: int | None = None):

@@ -17,6 +17,7 @@ equivalent survives, an equivalent one is killed, or a run goes wrong: a
 source text that is not found exactly once, or pytest stopping for another
 cause than failing tests. It is a script, not a test module, so pytest does
 not collect it, and it stays out of CI: each mutant runs its test files anew.
+``tests/test_mutants.py`` checks in the suite that every entry still applies.
 """
 
 import json
@@ -30,7 +31,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INTERACTION = "src/capacities/interaction.py"
+SUBSETS = "src/capacities/subsets.py"
+INTEGRALS = "src/capacities/integrals.py"
 TESTS = ["tests/test_interaction.py"]
+LATTICE_TESTS = ["tests/test_set_function.py::TestHalves"]
+FOLD_TESTS = ["tests/test_integrals.py", "tests/test_set_function.py::TestHalves"]
+INTEGRALS_TESTS = ["tests/test_integrals.py"]
 
 # (name, file, source text, replacement, test files or node ids, reason if equivalent)
 MUTANTS = [
@@ -76,6 +82,67 @@ MUTANTS = [
      "here = at >= k", TESTS,
      "the orders run ascending, so the last write at a coalition of size s is that "
      "of order s, the one the code writes"),
+    ("fold from zero", SUBSETS, "    table[0] = empty", "    table[0] = 0", FOLD_TESTS, None),
+    ("fold skips the last criterion", SUBSETS, "for i in range(cols.shape[0]):",
+     "for i in range(cols.shape[0] - 1):", FOLD_TESTS, None),
+    ("fold reads the criteria backwards", SUBSETS, "step(table[: 1 << i], cols[i], out=",
+     "step(table[: 1 << i], cols[-1 - i], out=", FOLD_TESTS, None),
+    ("popcounts from one", SUBSETS, "np.ones(n, np.uint8), 0,", "np.ones(n, np.uint8), 1,",
+     FOLD_TESTS, None),
+    ("lattice writes back to read-only tables", SUBSETS, "if r.flags.writeable:",
+     "if True:", LATTICE_TESTS, None),
+    ("lattice keeps numpy's buffer size", SUBSETS, "        np.setbufsize(BUFSIZE)\n",
+     "", LATTICE_TESTS, None),
+    ("_calls pairs the other tables' lo with lo", SUBSETS, "views += next(other)[1:]",
+     "views += next(other)[1:2] * 2", LATTICE_TESTS, None),
+    ("_calls skips the first column", SUBSETS, "for j in range(1 << i))",
+     "for j in range(1, 1 << i))", LATTICE_TESTS, None),
+    ("_calls files tile bits unshifted", SUBSETS, "out[i - shift].append(op(*views))",
+     "out[i].append(op(*views))", LATTICE_TESTS, None),
+    ("_mobius_rows dots a one-term table", INTEGRALS, "if n == 1 else np.vecdot",
+     "if n == 0 else np.vecdot", INTEGRALS_TESTS, None),
+    ("_mobius_rows adds the losses", INTEGRALS, "table -= subsets.fold(step, tn",
+     "table += subsets.fold(step, tn", INTEGRALS_TESTS, None),
+    ("_mobius_rows blocks of 512 KiB", INTEGRALS, "min(k, _CHUNK >> (n + 3))",
+     "min(k, _CHUNK >> (n + 2))", INTEGRALS_TESTS, None),
+    ("_mobius_rows dots strided rows", INTEGRALS, "            np.copyto(rows, table.T)\n",
+     "            rows = table.T\n", INTEGRALS_TESTS, None),
+    ("_mle_rows scores every row anew", INTEGRALS,
+     "keys = np.ascontiguousarray(t).view(np.dtype((np.void, 8 * n))).ravel()",
+     "keys = np.arange(t.shape[0])", INTEGRALS_TESTS, None),
+    ("_mle_rows adds the high table", INTEGRALS, "        low *= subsets.fold(np.multiply",
+     "        low += subsets.fold(np.multiply", INTEGRALS_TESTS, None),
+    ("_choquet_sum starts at the top rank", INTEGRALS, "acc = ts[0] * v[0]",
+     "acc = ts[0] * v[-1]", INTEGRALS_TESTS, None),
+    ("_choquet_sum adds backwards", INTEGRALS, "for term in terms:",
+     "for term in terms[::-1]:", INTEGRALS_TESTS, None),
+    ("_ranked breaks ties unstably", INTEGRALS, 'order = np.argsort(t, axis=1, kind="stable")',
+     'order = np.argsort(t, axis=1, kind="quicksort")', INTEGRALS_TESTS, None),
+    ("_ranked without N at the first rank", INTEGRALS, "upper[0] = full",
+     "upper[0] = full >> 1", INTEGRALS_TESTS, None),
+    ("_signed_ranked reads t- forwards", INTEGRALS, "np.maximum(-ts[::-1], 0.0), back",
+     "np.maximum(-ts, 0.0), back", INTEGRALS_TESTS, None),
+    ("_sugeno_rows takes the least gain", INTEGRALS, "a = np.max(tp * nu[upper], axis=0)",
+     "a = np.min(tp * nu[upper], axis=0)", INTEGRALS_TESTS, None),
+    ("_sugeno_rows keeps a tie of opposites", INTEGRALS, "np.where(b == -a, 0.0, b)",
+     "np.where(b == -a, a, b)", INTEGRALS_TESTS, None),
+    ("_split_choquet_rows reads the gains' sign bit alone", INTEGRALS,
+     "if np.signbit(gains[-1]) or np.signbit(losses[-1]):", "if np.signbit(gains[-1]):",
+     INTEGRALS_TESTS,
+     "a zero gains - losses is -0.0 only where the gains' Choquet is -0.0; t+ holds no "
+     "-0.0, so that sum starts at t+_(1) * gains(N) and is -0.0 only if that product is, "
+     "which needs the sign bit of gains(N); without it the gains' value is +0.0 or "
+     "nonzero, and the difference is +0.0 whatever the sign of a zero losses' value"),
+    ("_split_choquet_rows reads the losses' sign bit alone", INTEGRALS,
+     "if np.signbit(gains[-1]) or np.signbit(losses[-1]):", "if np.signbit(losses[-1]):",
+     INTEGRALS_TESTS, None),
+    ("the pseudo-product step drops the singleton", INTEGRALS, "        out[0] = x\n",
+     "        out[0] = 0.0\n", INTEGRALS_TESTS, None),
+    ("the pseudo-product step swaps its arguments", INTEGRALS,
+     "_op_values(op.op, below[1:], x)", "_op_values(op.op, x, below[1:])", INTEGRALS_TESTS, None),
+    ("the pseudo-product step folds from the empty set", INTEGRALS,
+     "        out[0] = x\n        out[1:] = _op_values(op.op, below[1:], x)",
+     "        out[:] = _op_values(op.op, below, x)", INTEGRALS_TESTS, None),
 ]
 
 

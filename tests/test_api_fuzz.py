@@ -19,6 +19,7 @@ another class as their own, before each role had one reader in ``set_function``.
 
 import functools
 import math
+import operator
 import warnings
 from fractions import Fraction
 
@@ -501,14 +502,14 @@ def edge_tables(draw):
     return SetFunction(n, values)
 
 
-def _finite_or_refused(call, *args):
+def _finite_or_refused(call, *args, refused=InvalidFormat):
     """What ``call(*args)`` returns, every number in it finite, or None where it
-    raises :class:`InvalidFormat`; no warning either way."""
+    raises ``refused``, :class:`InvalidFormat` by default; no warning either way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = call(*args)
-        except InvalidFormat:
+        except refused:
             result = None
     assert not caught, [str(w.message) for w in caught]
     if isinstance(result, InteractionReport):
@@ -530,3 +531,29 @@ def test_interaction_at_the_edges_of_a_double_is_finite_or_refused(v):
             assert report.shapley.tobytes() == phi.tobytes()
     for mask in range(1, 1 << v.n):
         _finite_or_refused(interaction_index, v, mask)
+
+
+# Scores on the unit cube's edges and a subnormal, and with them a loss and
+# scores whose products and sums overflow.
+UNIT_SCORES = [0.0, -0.0, 5e-324, 0.5, 1.0]
+SIGNED_SCORES = UNIT_SCORES + [-1.0, 1e300, -1e300]
+PSEUDO_PRODUCTS = (PP, certify(operator.mul, "product"),
+                   certify(lambda a, b: max(0.0, a + b - 1.0), "lukasiewicz"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=edge_tables(), data=st.data())
+def test_mobius_forms_at_the_edges_of_a_double_are_finite_or_out_of_domain(v, data):
+    m = MobiusRepr(v.n, v.values)
+    m2 = MobiusRepr(v.n, np.append(0.0, v.values[:0:-1]))  # the losses of cpt
+    unit, signed = (data.draw(st.lists(st.sampled_from(pool), min_size=v.n, max_size=v.n))
+                    for pool in (UNIT_SCORES, SIGNED_SCORES))
+    forms = [functools.partial(f, m) for f in (choquet_mobius, mle, sipos_mobius, smle)]
+    for form in [*forms, functools.partial(cpt, m, m2)]:
+        for t in (unit, signed):
+            _finite_or_refused(form, t, refused=CapacitiesError)
+    want = _finite_or_refused(choquet_mobius, m, unit, refused=CapacitiesError)
+    for op in PSEUDO_PRODUCTS:
+        got = _finite_or_refused(pseudo_product_extension, m, op, unit, refused=CapacitiesError)
+        if op is PP and got is not None:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), unit

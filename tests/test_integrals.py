@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import operator
 import struct
 import warnings
 
@@ -42,7 +43,7 @@ from capacities import (
     symmetric_max,
     symmetric_max_fold,
 )
-from capacities import axioms, integrals
+from capacities import axioms, integrals, subsets
 from helpers import peak_above_input, random_additive_capacity, random_capacity
 
 TOL = 1e-9
@@ -461,6 +462,27 @@ class TestPseudoProduct:
         for _ in range(10):
             t = rng.uniform(0, 1, 5)
             assert pseudo_product_extension(m, op, t) == pytest.approx(mle(m, t), abs=TOL)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_min_and_product_are_the_choquet_and_multilinear_forms_byte_for_byte(self, n):
+        # The paper's special cases run one row kernel: the fold of min is that of
+        # np.minimum and the fold of * that of np.multiply. Python's min and
+        # np.minimum keep different zeros of a tie of 0.0 and -0.0, but a dot of
+        # two or more terms sums from +0.0 and a one-term dot is the score itself.
+        rng = np.random.default_rng(70 + n)
+        by_min, by_product = certify(min), certify(operator.mul)
+        tables = [mobius(random_capacity(rng, n)),
+                  MobiusRepr(n, np.append(0.0, np.round(rng.uniform(-1.0, 1.0, (1 << n) - 1), 1)))]
+        t = rng.uniform(0.0, 1.0, (12, n))
+        t[::2] = np.round(t[::2], 1)  # ties
+        edge = rng.random(t.shape) < 0.4
+        t[edge] = rng.choice([0.0, -0.0, 5e-324, 1.0], edge.sum())
+        for m in tables:
+            for row in t:
+                for op, form in ((by_min, choquet_mobius), (by_product, mle)):
+                    got = pseudo_product_extension(m, op, row)
+                    assert np.float64(got).tobytes() == np.float64(form(m, row)).tobytes(), (
+                        form.__name__, row.tolist())
 
     def test_lukasiewicz_is_certifiable(self):
         op = certify(lambda a, b: max(0.0, a + b - 1.0), "lukasiewicz")
@@ -990,8 +1012,9 @@ class TestRowKernels:
         for ufunc, empty in ((np.multiply, 1.0), (np.minimum, np.inf)):
             tp, tn = integrals._split(t)
             with np.errstate(invalid="ignore"):  # inf - inf at the empty set, not in the dot
-                gains, losses = (integrals._over_subsets(ufunc, x, empty) for x in (tp, tn))
-                tables = [integrals._over_subsets(ufunc, t, empty), gains - losses]
+                gains, losses, table = (np.ascontiguousarray(subsets.fold(
+                    ufunc, x.T, empty, np.empty((1 << n, len(x)))).T) for x in (tp, tn, t))
+                tables = [table, gains - losses]
             for signed, table in zip((False, True), tables):
                 got = integrals._mobius_rows(m, ufunc, empty, t, signed=signed)
                 want = oracles.loop_mobius_rows(m, table)
