@@ -276,9 +276,9 @@ def _units(i: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return t
 
 
-def _at(*ts: np.ndarray):
-    """The values at the rows of each (k, n) block, sent back for their one yielded matrix."""
-    return np.split((yield np.concatenate(ts)), len(ts))
+def _at(ext: Extension, *ts: np.ndarray):
+    """The extension's values at the rows of each (k, n) block, from one row-kernel call."""
+    return np.split(ext._values(np.concatenate(ts)), len(ts))
 
 
 def _finite(*xs: np.ndarray) -> np.ndarray:
@@ -299,12 +299,12 @@ def _ratio(f: np.ndarray, want: np.ndarray, tol: float):
 # a tuple of columns, one array per trial field with one row per trial;
 # ``draw(k)``, the same columns for the next k random trials from ``stream``;
 # how many random trials to draw; and ``sides``. That takes a block of those
-# columns and is a generator: it yields the block's point matrix, is sent the
-# extension's values at its rows and returns ``(expected, got, scale, valid,
-# inputs)``: per trial, |got - expected| may reach tol * max(1, scale) (M and M1
-# state F(t) <= F(u) as max(F(t), F(u)) = F(u)); ``valid`` is False for a degenerate
-# trial or one where the extension is not finite; ``inputs(j)`` builds the
-# inputs of a counterexample at trial j. A random trial draws its fields in the order that
+# columns, evaluates the extension at their points in one row-kernel call and
+# returns ``(expected, got, scale, valid, inputs)``: per trial, |got - expected|
+# may reach tol * max(1, scale) (M and M1 state F(t) <= F(u) as
+# max(F(t), F(u)) = F(u)); ``valid`` is False for a degenerate trial or one where
+# the extension is not finite; ``inputs(j)`` builds the inputs of a
+# counterexample at trial j. A random trial draws its fields in the order that
 # ``draw`` lists them in ``stream.take``; a log-uniform alpha is the exp of a
 # uniform draw between the logs of the alpha bounds.
 
@@ -324,7 +324,7 @@ def _spec_he(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
     def sides(alpha, mask):
         t = alpha[:, None] * _indicators(mask, n)
         expected = alpha * mu.values[mask]
-        got = yield t
+        got = ext._values(t)
         return expected, got, np.abs(expected), _finite(got), lambda j: dict(
             alpha=float(alpha[j]), subset=subsets.subset_key(int(mask[j])), t=t[j].tolist()
         )
@@ -348,9 +348,9 @@ def _spec_a(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         nonlocal unit_values
         t = _units(i, a, n)
         if unit_values is None:
-            unit_values, got = np.split((yield np.concatenate([np.eye(n), t])), [n])
+            unit_values, got = np.split(ext._values(np.concatenate([np.eye(n), t])), [n])
         else:
-            got = yield t
+            got = ext._values(t)
         expected = a * unit_values[i]
         return expected, got, np.abs(expected), _finite(unit_values[i], got), lambda j: dict(
             criterion=int(i[j]) + 1, value=float(a[j]), t=t[j].tolist()
@@ -376,7 +376,7 @@ def _spec_m(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         return t, t + x[:, n:] * (hi - t)
 
     def sides(t, u):
-        f_t, f_u = yield from _at(t, u)
+        f_t, f_u = _at(ext, t, u)
         return f_u, np.maximum(f_t, f_u), np.abs(f_u), _finite(f_t, f_u), lambda j: dict(
             t=t[j].tolist(), t_above=u[j].tolist()
         )
@@ -396,7 +396,7 @@ def _spec_m1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return x[:, 2].astype(np.int64), a, b
 
     def sides(i, a, b):
-        f_a, f_b = yield from _at(_units(i, a, n), _units(i, b, n))
+        f_a, f_b = _at(ext, _units(i, a, n), _units(i, b, n))
         return f_b, np.maximum(f_a, f_b), np.abs(f_b), _finite(f_a, f_b), lambda j: dict(
             criterion=int(i[j]) + 1, value=float(a[j]), value_above=float(b[j])
         )
@@ -414,7 +414,7 @@ def _spec_i(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Stream
         return (np.exp(_scaled(stream.take(k, (0,))[:, 0], *logs)),)
 
     def sides(alpha):
-        got = yield np.repeat(alpha[:, None], n, axis=1)
+        got = ext._values(np.repeat(alpha[:, None], n, axis=1))
         return alpha, got, np.abs(alpha), _finite(got), lambda j: dict(
             alpha=float(alpha[j]), t=[float(alpha[j])] * n
         )
@@ -439,7 +439,7 @@ def _spec_a1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 
     def sides(i, alpha, q):
         t = _units(np.repeat(i, 4), (alpha[:, None] * q).ravel(), n)
-        f = (yield t).reshape(-1, 4)
+        f = ext._values(t).reshape(-1, 4)
         expected, got, valid = _ratio(f, q, cfg.tol)
         return expected, got, np.abs(expected), valid, lambda j: dict(
             criterion=int(i[j]) + 1,
@@ -474,7 +474,7 @@ def _spec_a2(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
 
     def sides(alpha, q):
         t = alpha[:, None, None] * _indicators(q, n)
-        f = (yield t.reshape(-1, n)).reshape(-1, 4)
+        f = ext._values(t.reshape(-1, n)).reshape(-1, 4)
         expected, got, valid = _ratio(f, mu.values[q], cfg.tol)
         return expected, got, np.abs(expected), valid, lambda j: dict(
             alpha=float(alpha[j]),
@@ -503,7 +503,7 @@ def _spec_c1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return _scaled(x[:, :n], lo, hi), alpha, clamp_beta(alpha, _scaled(x[:, n + 1], lo, hi))
 
     def sides(t, alpha, beta):
-        f_t, got = yield from _at(t, alpha[:, None] * t + beta[:, None])
+        f_t, got = _at(ext, t, alpha[:, None] * t + beta[:, None])
         expected = alpha * f_t + beta
         # Both sides carry the roundoff of the shifted scores, which can
         # dwarf a value that cancels to near 0.
@@ -536,7 +536,7 @@ def _spec_s1(ext: Extension, mu: Capacity, cfg: AxiomCheckConfig, stream: _Strea
         return _scaled(x[:, :n], lo, hi), alpha
 
     def sides(t, alpha):
-        f_t, got = yield from _at(t, alpha[:, None] * t)
+        f_t, got = _at(ext, t, alpha[:, None] * t)
         expected = alpha * f_t
         return expected, got, np.abs(expected), _finite(f_t, got), lambda j: dict(
             t=t[j].tolist(), alpha=float(alpha[j])
@@ -593,88 +593,6 @@ def _config(cfg) -> AxiomCheckConfig:
     return cfg
 
 
-def _grouped(ext: Extension, points: list) -> list:
-    """``ext._values`` at the rows of every matrix in ``points``, from row-kernel calls
-    on consecutive runs of their rows, each as long as the longest matrix but the last.
-    A matrix that straddles two runs is cut between them; each gets back its slices."""
-    cap = max(map(len, points))
-    out = [[] for _ in points]
-    run, room = [], cap  # the (matrix, rows) pieces of the run being filled, and its room
-    for i, p in enumerate(points):
-        while len(p):
-            run.append((i, p[:room]))
-            p, room = p[room:], room - min(room, len(p))
-            if not room or i == len(points) - 1 and not len(p):
-                values = ext._values(np.concatenate([rows for _, rows in run]))
-                for k, rows in run:
-                    out[k].append(values[: len(rows)])
-                    values = values[len(rows) :]
-                run, room = [], cap
-    return [v[0] if len(v) == 1 else np.concatenate(v) for v in out]
-
-
-def _check(name: str, ext: Extension, mu: Capacity, cfg: AxiomCheckConfig):
-    """The scan of one axiom, as a generator: it yields the point matrix of each
-    block, is sent the extension's values at its rows and returns the report."""
-    stream = _Stream(np.random.default_rng(cfg.seed))
-    probes, draw, random_trials, sides = _SPECS[name](ext, mu, cfg, stream)
-    tested = 0
-    skipped = 0
-    for block in _blocks(probes, draw, random_trials):
-        expected, got, scale, valid, inputs = yield from sides(*block)
-        ok = valid & (np.abs(got - expected) <= cfg.tol * np.maximum(1.0, scale))
-        failed = np.flatnonzero(valid & ~ok & _finite(expected, got))
-        hit = failed.size > 0
-        end = int(failed[0]) + 1 if hit else len(block[0])
-        counted = int(np.count_nonzero(ok[:end])) + hit
-        tested += counted
-        skipped += end - counted
-        if hit:
-            j = failed[0]
-            counterexample = Counterexample(inputs(j), float(expected[j]), float(got[j]))
-            return AxiomReport(name, ext.name, False, tested, skipped, counterexample)
-    return AxiomReport(name, ext.name, True, tested, skipped, None)
-
-
-def _scan(names, extension: Extension, mu: Capacity, cfg: AxiomCheckConfig | None) -> list:
-    """:func:`check_axiom` of each name in ``names``, in that order. Each axiom's
-    spec and first block are set up in turn, so errors come in ``names`` order,
-    before any kernel call. Round r then evaluates the r-th block of every axiom
-    still running through :func:`_grouped`, in runs cut in ``names`` order: the
-    row kernel is exact for each row alone, so every report is that of the
-    axiom's own scan."""
-    scans, points = [], []
-    with np.errstate(all="ignore"):
-        for name in names:
-            if not isinstance(name, str) or name not in _SPECS:
-                raise UnknownAxiom("unknown axiom %s, expected one of %s"
-                                   % (subsets._shown(name), ", ".join(AXIOM_NAMES)))
-            if not isinstance(extension, Extension):
-                raise InvalidFormat("expected Extension, got %r" % type(extension).__name__)
-            _values(mu)  # refuses what is not a value table
-            if extension.n != mu.n:
-                raise CapacitiesError(
-                    "extension is over %d criteria but capacity has %d" % (extension.n, mu.n)
-                )
-            scans.append(_check(name, extension, mu, _config(cfg)))
-            points.append(next(scans[-1]))
-        reports = [None] * len(scans)
-        running = list(range(len(scans)))
-        while running:
-            values = _grouped(extension, points)
-            points, still = [], []
-            for k, v in zip(running, values):
-                try:
-                    matrix = scans[k].send(v)
-                except StopIteration as done:
-                    reports[k] = done.value
-                    continue
-                points.append(matrix)
-                still.append(k)
-            running = still
-    return reports
-
-
 def check_axiom(
     axiom: str,
     extension: Extension,
@@ -697,9 +615,39 @@ def check_axiom(
     names, :class:`InvalidFormat` when ``extension``, ``mu`` or ``cfg`` is not
     an :class:`Extension`, a value table or an :class:`AxiomCheckConfig`, and
     :class:`DomainMismatch` when the config would sample outside the
-    extension's domain without ``allow_out_of_domain``.
+    extension's domain without ``allow_out_of_domain``; all of them before
+    the first row-kernel call.
     """
-    return _scan((axiom,), extension, mu, cfg)[0]
+    if not isinstance(axiom, str) or axiom not in _SPECS:
+        raise UnknownAxiom("unknown axiom %s, expected one of %s"
+                           % (subsets._shown(axiom), ", ".join(AXIOM_NAMES)))
+    if not isinstance(extension, Extension):
+        raise InvalidFormat("expected Extension, got %r" % type(extension).__name__)
+    _values(mu)  # refuses what is not a value table
+    if extension.n != mu.n:
+        raise CapacitiesError(
+            "extension is over %d criteria but capacity has %d" % (extension.n, mu.n)
+        )
+    cfg = _config(cfg)
+    with np.errstate(all="ignore"):
+        stream = _Stream(np.random.default_rng(cfg.seed))
+        probes, draw, random_trials, sides = _SPECS[axiom](extension, mu, cfg, stream)
+        tested = 0
+        skipped = 0
+        for block in _blocks(probes, draw, random_trials):
+            expected, got, scale, valid, inputs = sides(*block)
+            ok = valid & (np.abs(got - expected) <= cfg.tol * np.maximum(1.0, scale))
+            failed = np.flatnonzero(valid & ~ok & _finite(expected, got))
+            hit = failed.size > 0
+            end = int(failed[0]) + 1 if hit else len(block[0])
+            counted = int(np.count_nonzero(ok[:end])) + hit
+            tested += counted
+            skipped += end - counted
+            if hit:
+                j = failed[0]
+                counterexample = Counterexample(inputs(j), float(expected[j]), float(got[j]))
+                return AxiomReport(axiom, extension.name, False, tested, skipped, counterexample)
+    return AxiomReport(axiom, extension.name, True, tested, skipped, None)
 
 
 @dataclass(frozen=True)
@@ -731,9 +679,11 @@ class EquivalenceReport:
 def check_equivalence(
     extension: Extension, mu: Capacity, cfg: AxiomCheckConfig | None = None
 ) -> EquivalenceReport:
-    """Check {A1, A2, I} against {HE, A} on identical sampling configs, in one
-    scan of the six axioms; errors as in :func:`check_axiom`."""
-    a1, a2, i, he, a, mono = _scan(("A1", "A2", "I", "HE", "A", "M"), extension, mu, cfg)
+    """Check {A1, A2, I} against {HE, A} on identical sampling configs, with one
+    :func:`check_axiom` per axiom in the order A1, A2, I, HE, A, M; errors as
+    there, so an axiom may run before a later one raises."""
+    a1, a2, i, he, a, mono = (check_axiom(x, extension, mu, cfg)
+                              for x in ("A1", "A2", "I", "HE", "A", "M"))
     ratio = {"A1": a1, "A2": a2, "I": i}
     homog = {"HE": he, "A": a}
     left = all(r.passed for r in ratio.values())
@@ -869,7 +819,7 @@ def compare_extensions(
         exts[bad[0, 1]](np.array(pts[bad[0, 0]]))
     vcfg = replace(cfg, allow_out_of_domain=True)
     verdicts = {
-        ext.name: {r.axiom: r.passed for r in _scan(COMPARISON_AXIOMS, ext, mu, vcfg)}
+        ext.name: {a: check_axiom(a, ext, mu, vcfg).passed for a in COMPARISON_AXIOMS}
         for ext in exts
     }
     return ExtensionComparison(

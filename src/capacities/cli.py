@@ -22,7 +22,7 @@ from . import subsets
 from .axioms import (
     AXIOM_NAMES,
     AxiomCheckConfig,
-    _scan,
+    check_axiom,
     compare_extensions,
 )
 from .errors import CapacitiesError, InvalidFormat
@@ -167,7 +167,7 @@ def _cmd_verify(args) -> dict:
         wanted = [a.strip() for a in args.axioms.split(",") if a.strip()]
         if not wanted:
             raise _UsageError("--axioms needs at least one axiom name")
-    reports = _scan(wanted, ext, mu, cfg)
+    reports = [check_axiom(a, ext, mu, cfg) for a in wanted]
     return {"extension": ext.name, "axioms": [r.to_dict() for r in reports]}
 
 

@@ -537,12 +537,13 @@ def _split_choquet_rows(gains: np.ndarray, losses: np.ndarray, t: np.ndarray) ->
     criterion adds a zero difference, so each nonzero term, each nonzero running
     sum and each nonzero value is that of a ranking of t+ and one of t- of their
     own; a zero value can differ in its sign alone. t+ and t- hold no -0.0, so a
-    sum whose first term t_(1) * v(N) is not -0.0 never runs through -0.0. Where
-    ``gains`` or ``losses`` has its sign bit set at N, the rows of zero value
-    rank t+ and t- each on its own, so every value has the bits of two rankings."""
+    sum whose first term t_(1) * v(N) is not -0.0 never runs through -0.0. A
+    zero gains - losses is -0.0 only where the gains' sum is, which needs the sign
+    bit of ``gains`` at N; there the rows of zero value rank t+ and t- each on its
+    own, so every value has the bits of two rankings."""
     tp, upper, tn, back = _signed_ranked(t)
     out = _choquet_sum(tp, gains[upper]) - _choquet_sum(tn, losses[back])
-    if np.signbit(gains[-1]) or np.signbit(losses[-1]):
+    if np.signbit(gains[-1]):
         zero = np.flatnonzero(out == 0.0)
         tp, tn = _split(t[zero])
         out[zero] = _choquet_rows(gains, tp) - _choquet_rows(losses, tn)

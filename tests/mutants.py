@@ -33,10 +33,12 @@ ROOT = Path(__file__).resolve().parent.parent
 INTERACTION = "src/capacities/interaction.py"
 SUBSETS = "src/capacities/subsets.py"
 INTEGRALS = "src/capacities/integrals.py"
+AXIOMS = "src/capacities/axioms.py"
 TESTS = ["tests/test_interaction.py"]
 LATTICE_TESTS = ["tests/test_set_function.py::TestHalves"]
 FOLD_TESTS = ["tests/test_integrals.py", "tests/test_set_function.py::TestHalves"]
 INTEGRALS_TESTS = ["tests/test_integrals.py"]
+AXIOMS_TESTS = ["tests/test_axioms.py"]
 
 # (name, file, source text, replacement, test files or node ids, reason if equivalent)
 MUTANTS = [
@@ -126,16 +128,8 @@ MUTANTS = [
      "a = np.min(tp * nu[upper], axis=0)", INTEGRALS_TESTS, None),
     ("_sugeno_rows keeps a tie of opposites", INTEGRALS, "np.where(b == -a, 0.0, b)",
      "np.where(b == -a, a, b)", INTEGRALS_TESTS, None),
-    ("_split_choquet_rows reads the gains' sign bit alone", INTEGRALS,
-     "if np.signbit(gains[-1]) or np.signbit(losses[-1]):", "if np.signbit(gains[-1]):",
-     INTEGRALS_TESTS,
-     "a zero gains - losses is -0.0 only where the gains' Choquet is -0.0; t+ holds no "
-     "-0.0, so that sum starts at t+_(1) * gains(N) and is -0.0 only if that product is, "
-     "which needs the sign bit of gains(N); without it the gains' value is +0.0 or "
-     "nonzero, and the difference is +0.0 whatever the sign of a zero losses' value"),
     ("_split_choquet_rows reads the losses' sign bit alone", INTEGRALS,
-     "if np.signbit(gains[-1]) or np.signbit(losses[-1]):", "if np.signbit(losses[-1]):",
-     INTEGRALS_TESTS, None),
+     "if np.signbit(gains[-1]):", "if np.signbit(losses[-1]):", INTEGRALS_TESTS, None),
     ("the pseudo-product step drops the singleton", INTEGRALS, "        out[0] = x\n",
      "        out[0] = 0.0\n", INTEGRALS_TESTS, None),
     ("the pseudo-product step swaps its arguments", INTEGRALS,
@@ -143,6 +137,46 @@ MUTANTS = [
     ("the pseudo-product step folds from the empty set", INTEGRALS,
      "        out[0] = x\n        out[1:] = _op_values(op.op, below[1:], x)",
      "        out[:] = _op_values(op.op, below, x)", INTEGRALS_TESTS, None),
+    ("a gap on the bound fails", AXIOMS, "np.abs(got - expected) <= cfg.tol",
+     "np.abs(got - expected) < cfg.tol", AXIOMS_TESTS, None),
+    ("the gap bound drops its floor of 1", AXIOMS, "cfg.tol * np.maximum(1.0, scale)",
+     "cfg.tol * np.maximum(0.0, scale)", AXIOMS_TESTS, None),
+    ("a failing block ends before its failure", AXIOMS, "end = int(failed[0]) + 1 if hit",
+     "end = int(failed[0]) if hit", AXIOMS_TESTS, None),
+    ("the failing trial is not counted", AXIOMS,
+     "counted = int(np.count_nonzero(ok[:end])) + hit",
+     "counted = int(np.count_nonzero(ok[:end]))", AXIOMS_TESTS, None),
+    ("trials past the failure are skipped", AXIOMS, "skipped += end - counted",
+     "skipped += len(block[0]) - counted", AXIOMS_TESTS, None),
+    ("the first block ends with the probes", AXIOMS,
+     "range(min(_FIRST_BLOCK, p + count), p + count", "range(min(_FIRST_BLOCK, p), p + count",
+     AXIOMS_TESTS, None),
+    ("a straddling block draws for its probes too", AXIOMS,
+     "drawn = draw(end - max(start, p))", "drawn = draw(end - start)", AXIOMS_TESTS, None),
+    ("a straddling block puts its draws first", AXIOMS,
+     "map(np.concatenate, zip(block, drawn))", "map(np.concatenate, zip(drawn, block))",
+     AXIOMS_TESTS, None),
+    ("32-bit draws ignore a pending half", AXIOMS,
+     "(np.arange(ints.size) + self._half.size) % 2 == 0", "np.arange(ints.size) % 2 == 0",
+     AXIOMS_TESTS, None),
+    ("Lemire rejects below m", AXIOMS, "(scaled & _LOW) < (np.uint64(1 << 32) - mi) % mi",
+     "(scaled & _LOW) < mi", AXIOMS_TESTS, None),
+    ("Lemire rejects at the threshold", AXIOMS,
+     "(scaled & _LOW) < (np.uint64(1 << 32) - mi) % mi",
+     "(scaled & _LOW) <= (np.uint64(1 << 32) - mi) % mi", AXIOMS_TESTS, None),
+    ("a block drops its last high half", AXIOMS, "self._half = halves[ints.size :]",
+     "self._half = halves[:0]", AXIOMS_TESTS, None),
+    ("a rejected opening draw drops its high half", AXIOMS,
+     "self._half = halves[j + 1 : j + 2] if opens[j] else halves[:0]",
+     "self._half = halves[:0]", AXIOMS_TESTS, None),
+    ("a ratio keeps a degenerate extension denominator", AXIOMS, "(np.abs(fc - fd) > tol) & ",
+     "", AXIOMS_TESTS, None),
+    ("S1 flips alpha on the other draw", AXIOMS, "np.where(x[:, n + 1] == 1, -alpha, alpha)",
+     "np.where(x[:, n + 1] == 0, -alpha, alpha)", AXIOMS_TESTS, None),
+    ("A reads the units backwards", AXIOMS, "np.concatenate([np.eye(n), t])",
+     "np.concatenate([np.eye(n)[::-1], t])", AXIOMS_TESTS, None),
+    ("A scales the first unit value", AXIOMS, "expected = a * unit_values[i]",
+     "expected = a * unit_values[0]", AXIOMS_TESTS, None),
 ]
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 
@@ -26,9 +25,9 @@ from capacities import (
     mle,
     mobius,
 )
-from capacities import axioms
+from capacities import axioms, cli
 from capacities.subsets import parse_subset_key
-from helpers import random_additive_capacity, random_capacity
+from helpers import peak_above_input, random_additive_capacity, random_capacity
 
 OVERLAP = as_capacity([0.0, 0.9, 0.9, 1.0])
 CFG = AxiomCheckConfig(samples=300, seed=42)
@@ -225,6 +224,15 @@ class TestHarness:
         assert rep.passed
         assert rep.skipped > 0
         assert rep.samples_tested > 0
+
+    @pytest.mark.parametrize("axiom", ["A1", "A2"])
+    def test_a_ratio_whose_extension_side_is_flat_is_skipped(self, axiom):
+        # The extension's denominator, 1e-12 * alpha * (a score or size gap), stays
+        # within tol at alpha <= 1: no trial is compared, however the capacity's reads.
+        ext = Extension("flat", 2, "reals", lambda t: 1e-12 * t.sum(axis=1))
+        cfg = AxiomCheckConfig(samples=50, alpha_bounds=(1e-3, 1.0))
+        report = check_axiom(axiom, ext, OVERLAP, cfg)
+        assert (report.passed, report.samples_tested) == (True, 0) and report.skipped > 50
 
     @pytest.mark.parametrize("past", [False, True], ids=["on-the-bound", "one-step-past"])
     def test_a_gap_may_reach_the_bound_but_not_pass_it(self, past):
@@ -557,7 +565,8 @@ class TestBlockDraws:
                 _assert_same_draws(draw, sampler, np.random.default_rng(seed), (1, 32, 37))
 
     # (axiom, n, bounds, position of the crafted word, the word), where a 32-bit
-    # draw reads the word's zero halves
+    # draw reads the word's zero halves, or at m = 3 a low half x with 3 * x mod
+    # 2**32 on the threshold (2**32 - 3) % 3 = 1, or at 2, below m
     @pytest.mark.parametrize(
         "axiom, n, bounds, position, word",
         [
@@ -567,11 +576,14 @@ class TestBlockDraws:
             ("M1", 5, SIGNED, 2, 0xDEADBEEF << 32),  # after the two doubles of a trial
             ("A1", 7, UNIT, 444, 0xDEADBEEF << 32),  # in trial 80, the fourth block
             ("HE", 11, SIGNED, 1, 0xDEADBEEF << 32),  # integers(1, 2**11)
+            ("A", 3, SIGNED, 0, 0xDEADBEEF << 32 | 2863311531),  # kept on the threshold
+            ("A", 3, SIGNED, 0, 0xDEADBEEF << 32 | 1431655766),  # kept below m
         ],
     )
     def test_lemire_rejection(self, axiom, n, bounds, position, word):
         # m = n (or 2**11 - 1) is not a power of two, so (2**32 - m) % m > 0 and a
-        # zero half is always below it: the draw is rejected and drawn again.
+        # zero half is always below it: the draw is rejected and drawn again. A
+        # draw from the threshold up is kept, however small.
         assert _word_at(position, word).random_raw(position + 1)[-1] == word
         name, cfg = bounds
         draw, sampler = _draw(axiom, name, cfg, n, np.random.Generator(_word_at(position, word)))
@@ -630,6 +642,28 @@ def test_kernel_calls_per_axiom(name, n):
         assert len(calls) == blocks, (axiom, trials, calls)
 
 
+@pytest.mark.parametrize("p, count, lengths, draws", [
+    (0, 5, [5], [5]),
+    (3, 2000, [32, 1024, 947], [29, 1024, 947]),
+    (40, 1000, [32, 1008], [1000]),
+    (1100, 0, [32, 1024, 44], []),
+])
+def test_blocks_of_32_trials_then_1024(p, count, lengths, draws):
+    # The probes, then the draws, in order: each column runs 0, 1, ... across blocks.
+    probes = (np.arange(p), -np.arange(p))
+    asked = []
+
+    def draw(k):
+        start = p + sum(asked)
+        asked.append(k)
+        return np.arange(start, start + k), -np.arange(start, start + k)
+
+    blocks = list(axioms._blocks(probes, draw, count))
+    assert [len(b[0]) for b in blocks] == lengths and asked == draws
+    for col, sign in zip(zip(*blocks), (1, -1)):
+        assert np.concatenate(col).tolist() == (sign * np.arange(p + count)).tolist()
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_reports_do_not_depend_on_the_block_schedule(n, monkeypatch):
     # At tol 1e-15 roundoff fails A1, A2 or S1 at a random trial, past the first
@@ -648,7 +682,23 @@ def test_reports_do_not_depend_on_the_block_schedule(n, monkeypatch):
     assert [check_axiom(axiom, ext, mu, cfg) for axiom, ext, cfg in checks] == blocked
 
 
-# -- one scan per suite -------------------------------------------------------------
+# -- one axiom at a time -------------------------------------------------------------
+
+
+def _verify_args(tmp_path, mu, losses, name, cfg, names):
+    """The parsed ``verify`` command line of one suite under ``cfg``."""
+    files = []
+    for tag, cap in (("mu", mu), ("losses", losses)):
+        path = tmp_path / ("%s.json" % tag)
+        path.write_text(json.dumps({"n": cap.n, "values_by_mask": cap.values.tolist()}))
+        files.append(str(path))
+    integral = "sugeno-prod" if name == "sugeno_product" else name
+    argv = ["verify", "--capacity", files[0], "--integral", integral, "--axioms", ",".join(names),
+            "--samples", str(cfg.samples), "--seed", str(cfg.seed), "--tol", repr(cfg.tol),
+            "--score-bounds=%r:%r" % cfg.score_bounds, "--alpha-bounds=%r:%r" % cfg.alpha_bounds]
+    argv += ["--capacity2", files[1]] if name == "cpt" else []
+    argv += ["--allow-out-of-domain"] if cfg.allow_out_of_domain else []
+    return cli.build_parser().parse_args(argv)
 
 
 # Reordered, with repeats: each name gets its own stream and its own report.
@@ -656,9 +706,10 @@ SUITE = AXIOM_NAMES[::-1] + ("M", "HE", "M")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-def test_a_suite_scan_gives_each_axiom_its_own_report(n):
-    # 1,100 random trials run three rounds of unequal blocks; at tol 1e-15
-    # roundoff fails some axioms past the first block, and the others run on.
+def test_a_suite_scan_gives_each_axiom_its_own_report(n, tmp_path):
+    # A verify run's reports, unrounded, against one check_axiom per name. 1,100
+    # random trials run three blocks; at tol 1e-15 roundoff fails some axioms
+    # past the first block, and the others run on.
     rng = np.random.default_rng(40 + n)
     mu, losses = random_capacity(rng, n), random_capacity(rng, n)
     configs = [dataclasses.replace(base, samples=1100 if n < 8 else 200, seed=n, tol=tol)
@@ -667,20 +718,20 @@ def test_a_suite_scan_gives_each_axiom_its_own_report(n):
     for name in EXTENSION_NAMES:
         ext = make_extension(name, mu, losses if name == "cpt" else None)
         for cfg in configs:
-            scanned = axioms._scan(SUITE, ext, mu, cfg)
+            args = _verify_args(tmp_path, mu, losses, name, cfg, SUITE)
+            scanned = args.func(args)["axioms"]
             # repr tells every float apart, -0.0 from 0.0 included
-            assert list(map(repr, scanned)) == [repr(check_axiom(a, ext, mu, cfg)) for a in SUITE]
+            assert repr(scanned) == repr([check_axiom(a, ext, mu, cfg).to_dict() for a in SUITE])
 
 
-# Row-kernel calls of one suite of every axiom at 250 samples, against one per
-# block and axiom (the sum of ``test_kernel_calls_per_axiom``'s counts).
-SUITE_CALLS = {("choquet", 4): (9, 15), ("choquet", 8): (15, 21), ("mle", 4): (8, 13),
-               ("mle", 8): (8, 14)}
+# Row-kernel calls of a verify run of every axiom at 250 samples: one per block
+# and axiom, the sum of ``test_kernel_calls_per_axiom``'s counts.
+SUITE_CALLS = {("choquet", 4): 15, ("choquet", 8): 21, ("mle", 4): 13, ("mle", 8): 14}
 
 
 @pytest.mark.parametrize("name, n", sorted(SUITE_CALLS) + [
     (name, n) for name in ("sipos", "sugeno_product") for n in (4, 8)])
-def test_kernel_calls_per_suite(name, n):
+def test_kernel_calls_per_suite(name, n, tmp_path, monkeypatch):
     mu = random_capacity(np.random.default_rng(n), n)
     ext = make_extension(name, mu)
     calls = []
@@ -690,48 +741,54 @@ def test_kernel_calls_per_suite(name, n):
         return ext.fn(t)
 
     counted = dataclasses.replace(ext, fn=counting)
+    monkeypatch.setattr(cli, "make_extension", lambda *_: counted)
     cfg = dataclasses.replace(UNIT_CFG if ext.domain == "unit" else CFG, samples=250)
-    reports = axioms._scan(AXIOM_NAMES, counted, mu, cfg)
+    args = _verify_args(tmp_path, mu, mu, name, cfg, AXIOM_NAMES)
+    reports = args.func(args)["axioms"]
     scanned = list(calls)
     alone, blocks = [], []  # each axiom's report and block lengths on its own
     for axiom in AXIOM_NAMES:
         calls.clear()
-        alone.append(check_axiom(axiom, counted, mu, cfg))
-        blocks.append(list(calls))
-    assert reports == alone
+        alone.append(check_axiom(axiom, counted, mu, cfg).to_dict())
+        blocks += calls
+    # the axioms in turn, each block in one call of its own rows
+    assert reports == alone and scanned == blocks
     if (name, n) in SUITE_CALLS:
-        assert (len(scanned), sum(map(len, blocks))) == SUITE_CALLS[name, n]
-    # round r runs the r-th blocks in ceil(rows / longest block) calls
-    rounds = itertools.zip_longest(*blocks, fillvalue=0)
-    assert len(scanned) == sum(-(-sum(r) // max(r)) for r in rounds)
-    # the same rows, in runs no longer than the longest block of one axiom
-    assert sum(scanned) == sum(map(sum, blocks)) and max(scanned) == max(map(max, blocks))
+        assert len(scanned) == SUITE_CALLS[name, n]
 
 
-def test_a_round_runs_in_consecutive_cuts_of_its_longest_matrix():
-    # 5, 3, 3 and 1 rows: runs of 5, 5 and 2 rows, the third matrix cut between
-    # the second and third calls; each matrix gets back the values of its own rows.
-    rng = np.random.default_rng(5)
-    mu = random_capacity(rng, 3)
-    ext = make_extension("choquet", mu)
-    calls = []
-
-    def recording(t):
-        calls.append(t.shape[0])
-        return ext.fn(t)
-
-    points = [rng.uniform(-1.0, 1.0, (k, 3)) for k in (5, 3, 3, 1)]
-    values = axioms._grouped(dataclasses.replace(ext, fn=recording), points)
-    assert calls == [5, 5, 2]
-    assert [v.tobytes() for v in values] == [ext._values(p).tobytes() for p in points]
-
-
-def test_a_suite_scan_raises_the_first_error_in_name_order():
+def test_a_suite_scan_raises_the_first_error_in_name_order(tmp_path, capsys):
+    # mle samples on [0, 1]: the signed default bounds are refused, by M for its
+    # scores and by I for its scaling factors, whichever comes first.
     mu = random_capacity(np.random.default_rng(3), 3)
-    ext = make_extension("mle", mu)  # samples on [0, 1]: the signed bounds are refused
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({"n": 3, "values_by_mask": mu.values.tolist()}))
+    for names, error in [("M,I,bogus", "extension 'mle' samples scores on"),
+                         ("I,M,bogus", "extension 'mle': scaling factors above 1"),
+                         ("bogus,M,I", "unknown axiom 'bogus'")]:
+        code = cli.main(["verify", "--capacity", str(path), "--integral", "mle",
+                         "--axioms", names])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: " + error), err
+    ext = make_extension("mle", mu)  # A1 comes first: its scores, then its scaling factors
     with pytest.raises(DomainMismatch, match="'mle' samples scores on"):
-        axioms._scan(("M", "I", "bogus"), ext, mu, CFG)
+        check_equivalence(ext, mu, CFG)
     with pytest.raises(DomainMismatch, match="scaling factors above 1"):
-        axioms._scan(("I", "M", "bogus"), ext, mu, CFG)
-    with pytest.raises(UnknownAxiom, match="'bogus'"):
-        axioms._scan(("bogus", "M", "I"), ext, mu, CFG)
+        check_equivalence(ext, mu, dataclasses.replace(CFG, score_bounds=(0.0, 1.0)))
+
+
+def test_a_suite_peaks_at_its_largest_axiom(tmp_path, capsys):
+    # Every axiom of a verify run holds its own blocks alone: the suite's heap is
+    # that of its largest axiom (A1, at 4 rows per trial), not the sum of several.
+    mu = random_capacity(np.random.default_rng(14), 14)
+    path = tmp_path / "mu14.json"
+    path.write_text(json.dumps({"n": 14, "values_by_mask": mu.values.tolist()}))
+
+    def verify(names):
+        assert cli.main(["verify", "--capacity", str(path), "--integral", "sipos",
+                         "--axioms", names, "--samples", "1000"]) == 0
+        capsys.readouterr()
+
+    suite = peak_above_input(lambda: verify("all"))
+    largest = max(peak_above_input(lambda: verify(a)) for a in AXIOM_NAMES)
+    assert suite <= 1.1 * largest, (suite / 2**20, largest / 2**20)
