@@ -32,14 +32,14 @@ slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB);
 :func:`ordinal_mobius` keeps or zeroes each entry after its pass through
 such a buffer too. The monotonicity scan of the capacity constructors and
 :func:`validate` finds each bit's largest drop v(A) - v(A | bit) through
-one float buffer of at most a slice (512 KiB): a view of more entries is
-taken in consecutive pieces, runs of whole rows or segments of one row,
-and the largest drop of a bit is the largest of its pieces'. The
-conjugate of a capacity, which inherits its invariants, is not scanned.
-Where a bit's largest drop exceeds tol, a natural-layout search walks the
-same pieces through the same float buffer, and a bool buffer of a piece,
-and stops at the first piece that drops by more than tol, to name the
-first offending pair: over the whole table, or on a tiled bit over the
+one float buffer of at most a slice (512 KiB), which holds what each call
+of its lattice pass compares. The conjugate of a capacity, which inherits
+its invariants, is not scanned. Where a bit's largest drop exceeds tol, a
+natural-layout search takes the bit's views in consecutive pieces of at
+most a slice, runs of whole rows or segments of one row, through the same
+float buffer and a bool buffer of a piece, and stops at the first piece
+that drops by more than tol, to name the first offending pair: over the
+whole table, or, on a bit that the pass runs block by block, over the
 first block of masks that drops. :func:`validate` reads strict
 monotonicity off the same drops and builds one Mobius table. The Shapley
 values and interaction reports of :mod:`capacities.interaction` start from
@@ -418,22 +418,20 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     def diff(lo, hi):
         return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
 
-    def largest(lo, hi):
-        if lo.size <= drop.shape[0]:  # a tile, a column, or the views of a small table
-            return diff(lo, hi).max()
-        return max(diff(a, b).max() for _, a, b in _pieces(lo, hi))
-
-    tiled = subsets.tile_bits(vals.shape[0].bit_length() - 1)
+    blocked = subsets.block_bits(vals.shape[0].bit_length() - 1)
     drops, first = [], None
-    for i, calls in enumerate(subsets.lattice(largest, vals)):
+    # Each call of the pass holds at most a slice: a tile, a block, a chunk, a
+    # column, or the views of a table of up to 2**17 entries.
+    for i, calls in enumerate(subsets.lattice(lambda lo, hi: diff(lo, hi).max(), vals)):
         drops.append(max(calls))
         if drops[-1] <= tol:
             continue
         # Search the natural layout for the first drop: the whole table, or on a
-        # tiled bit the first block of masks whose call drops. The search walks
-        # the pieces in order and stops at the first that drops by more than tol.
+        # bit that runs block by block the first block of masks whose call drops.
+        # The search walks the pieces in order and stops at the first that drops
+        # by more than tol.
         start, size = 0, vals.shape[0]
-        if i < tiled:
+        if i < blocked:
             size //= len(calls)
             start = size * next(b for b, m in enumerate(calls) if m > tol)
         _, lo, hi = next(subsets.halves(vals[start : start + size], 1 << i))

@@ -13,10 +13,11 @@ to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
 Three passes walk the subset lattice of a table indexed by mask. ``halves``
 yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
 calls an elementwise op on the same pairs in the same bit order, on tiles,
-columns or views of the table; every table transform goes through it. It
-runs with a ufunc buffer of ``BUFSIZE`` = 512 entries, and since the
-buffer size sets the order in which a buffered reduction adds, ops in the
-pass are elementwise or exact reductions such as max; sums run outside it.
+blocks, chunks, columns or views of the table; every table transform goes
+through it. It runs with a ufunc buffer of ``BUFSIZE`` = 512 entries, and
+since the buffer size sets the order in which a buffered reduction adds,
+ops in the pass are elementwise or exact reductions such as max; sums run
+outside it.
 ``fold`` fills a table by mask, each entry a step folded over the scores of
 its subset: the subset tables of the Mobius-form extensions and
 ``popcounts``, the fold of +1, are built by it alone.
@@ -181,14 +182,18 @@ def halves(a: np.ndarray, bits: int | None = None):
             yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
 
 
-# lattice runs the bits below min(TILE_BITS, n - 8) on a tile of TILE_ROWS rows
-# once a table has 2**TILE_MIN_N entries. A tile holds at most 2**16 entries
-# (512 KiB of floats) and 1/16 of the table. A table of 1 MiB or less fits in
-# the L2 cache of a current x86 core, where a tile only adds copies; from bit
-# TILE_BITS up, each row of a view holds 4096 or more contiguous entries,
-# which is fast as it is. Untiled, a bit i with 2**i < TILE_ROWS runs on
-# columns once a table has 2**TILE_BITS entries: numpy walks a view of rows of
-# 2**i entries slower than 2**i strided columns of 2**(n - i - 1) entries.
+# lattice runs a table of 2**TILE_MIN_N entries or more block by block: a block
+# is TILE_ROWS rows of 2**L consecutive masks, L = min(TILE_BITS, n - 8), at most
+# 2**16 entries (512 KiB of floats) and 1/16 of the table. Its L low bits run on
+# a transposed copy, a tile, where they have rows of TILE_ROWS or more entries,
+# and its 4 row bits on the block, while it is still in the L2 cache. The bits
+# above run 4 at a time, over chunks of SLICE entries, TILE_ROWS rows each, so
+# each group of 4 reads the table from memory once. A table of 1 MiB or less
+# fits in the L2 cache of a current x86 core, where a tile only adds copies;
+# from bit TILE_BITS up, each row of a view holds 4096 or more contiguous
+# entries, which is fast as it is. Untiled, a bit i with 2**i < TILE_ROWS runs
+# on columns once a table has 2**TILE_BITS entries: numpy walks a view of rows
+# of 2**i entries slower than 2**i strided columns of 2**(n - i - 1) entries.
 TILE_MIN_N = 18
 TILE_BITS = 12
 TILE_ROWS = 16
@@ -204,67 +209,98 @@ SLICE = 1 << 16
 BUFSIZE = 512
 
 
-def tile_bits(n: int) -> int:
-    """How many low bits :func:`lattice` runs on tiles for a table of 2**n entries."""
-    return min(TILE_BITS, n - 8) if n >= TILE_MIN_N else 0
+def block_bits(n: int) -> int:
+    """How many low bits :func:`lattice` runs block by block for a table of 2**n entries."""
+    return min(TILE_BITS, n - 8) + TILE_ROWS.bit_length() - 1 if n >= TILE_MIN_N else 0
 
 
 def lattice(op, *tables) -> list:
     """Call ``op(lo, hi, lo2, hi2, ...)`` for every bit of equal-length
     bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
-    the list of what those calls returned. A bit's calls run on tiles, on
-    columns, or on the whole table: on tiles, one call per block of
-    consecutive masks, blocks in ascending order; on columns, one call per
-    column; on the whole table, one call on views that hold half a table's
-    entries each.
+    the list of what those calls returned.
 
     Each ``(lo, hi)`` pairs every mask A without the bit with A | bit, as in
     :func:`halves`, and an elementwise ``op`` gets the same results as in a
-    loop over :func:`halves`, bit for bit. With 2**n entries, n >= TILE_MIN_N,
-    the L = :func:`tile_bits` low bits run block by block on tiles: the
-    TILE_ROWS rows of 2**L consecutive masks of a block are copied transposed
-    into a tile, where bit i has contiguous rows of TILE_ROWS * 2**i
-    entries, and copied back into the tables that are writable. There, op
-    is called once per block for each low bit. Bits from L up run on views
-    of the tables. A bit i that is not tiled, with 2**i < TILE_ROWS and
-    n >= TILE_BITS, runs on columns instead: op is called 2**i times, on
-    the 1-D strided views ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]``
-    for j = 0..2**i - 1. A tiled pass allocates one tile per table, of its
-    dtype, and nothing on columns or views. Overflow is not reported:
-    callers check their results for finiteness. ``op`` runs with a ufunc
-    buffer of BUFSIZE entries, so it may only make elementwise updates and
-    exact reductions; numpy's buffer size is restored when the pass returns
-    or raises.
+    loop over :func:`halves`, bit for bit: every entry sees its bits in
+    ascending order, and a call's views pair only masks of its own block or
+    chunk. With 2**n entries, n < TILE_MIN_N, a bit runs as one call on views
+    that hold half a table's entries each, or, with 2**i < TILE_ROWS and
+    n >= TILE_BITS, as 2**i calls on the 1-D strided columns
+    ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]``, j = 0..2**i - 1.
+    From n = TILE_MIN_N on, a pass has two phases, and reads the table from
+    memory once in the first and once per group in the second:
+
+    * Block by block in ascending order, op is called once per block for
+      each of the B = :func:`block_bits` low bits. A block is 2**B
+      consecutive masks, TILE_ROWS rows of 2**L, L = B - 4. Its rows are
+      copied transposed into a tile, where bit i < L has contiguous rows of
+      TILE_ROWS * 2**i entries, and copied back into the tables that are
+      writable; then bits L..B - 1 run on the block itself.
+    * The bits from B up run in groups of 4, the last group of the 1 to 4
+      bits left, chunk by chunk in ascending order: a chunk of a group of g
+      bits from bit b is 2**g rows, 2**b masks apart, of SLICE / 2**g
+      consecutive masks, and op is called once per chunk for each of the
+      group's bits, on views of three dimensions.
+
+    Sweeps of the whole table per pass: 2 at n = 18..20 and 3 at
+    n = 21..24, where a loop over :func:`halves` makes n. A pass allocates
+    one tile per table from n = TILE_MIN_N on, of its dtype, and nothing
+    else. Overflow is not reported: callers check their results for
+    finiteness. ``op`` runs with a ufunc buffer of BUFSIZE entries, so it
+    may only make elementwise updates and exact reductions; numpy's buffer
+    size is restored when the pass returns or raises.
     """
     n = tables[0].shape[0].bit_length() - 1
-    low = tile_bits(n)
-    shift = TILE_ROWS.bit_length() - 1  # the bits i with 2**i < TILE_ROWS lie below it
+    top = block_bits(n)
+    shift = TILE_ROWS.bit_length() - 1  # a block's rows, and a group, are 4 bits
     out = [[] for _ in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # restores the buffer size too
         np.setbufsize(BUFSIZE)
-        if low:
-            tiles = [np.empty(TILE_ROWS << low, t.dtype) for t in tables]
-            blocks = [t.reshape(-1, TILE_ROWS << low) for t in tables]
-            # Tile entry [j, k] is mask j of block row k, so bit i of a mask
-            # is bit i + shift of the flat tile index.
-            for b in range(blocks[0].shape[0]):
-                rows = [t[b].reshape(TILE_ROWS, -1) for t in blocks]
-                for tile, r in zip(tiles, rows):
-                    np.copyto(tile.reshape(-1, TILE_ROWS), r.T)
-                _calls(op, tiles, ((1 << low) - 1) << shift, out, shift)
-                for tile, r in zip(tiles, rows):
-                    if r.flags.writeable:
-                        np.copyto(r, tile.reshape(-1, TILE_ROWS).T)
-        _calls(op, tables, (1 << n) - (1 << low), out, 0, shift if n >= TILE_BITS else 0)
+        if not top:
+            _calls(op, [halves(t) for t in tables], out, columns=shift if n >= TILE_BITS else 0)
+            return out
+        low = top - shift
+        tiles = [np.empty(1 << top, t.dtype) for t in tables]
+        blocks = [t.reshape(-1, 1 << top) for t in tables]
+        # Tile entry [j, k] is mask j of block row k, so bit i of a mask
+        # is bit i + shift of the flat tile index.
+        for b in range(blocks[0].shape[0]):
+            rows = [t[b].reshape(TILE_ROWS, -1) for t in blocks]
+            for tile, r in zip(tiles, rows):
+                np.copyto(tile.reshape(-1, TILE_ROWS), r.T)
+            _calls(op, [halves(t, ((1 << low) - 1) << shift) for t in tiles], out, shift)
+            for tile, r in zip(tiles, rows):
+                if r.flags.writeable:
+                    np.copyto(r, tile.reshape(-1, TILE_ROWS).T)
+            _calls(op, [halves(t[b], (1 << top) - (1 << low)) for t in blocks], out)
+        for bit in range(top, n, shift):
+            _calls(op, [_groups(t, bit) for t in tables], out)
     return out
 
 
-def _calls(op, tables, bits, out, shift, columns=0):
-    """``op`` on the (lo, hi) views of ``tables`` for the set bits of ``bits``;
-    the result of bit i goes to ``out[i - shift]``. A bit i below ``columns``
-    runs as one call per column j of its (rows, 2**i) views."""
-    others = [halves(t, bits) for t in tables[1:]]
-    for i, lo, hi in halves(tables[0], bits):
+def _groups(a: np.ndarray, b: int):
+    """Yield ``(i, lo, hi)`` for the bits b to b + 3 of the table ``a`` that it
+    has, each pair of views pairing masks as :func:`halves` does, chunk by
+    chunk in ascending order of their first mask and, within a chunk, bit by
+    bit in ascending order. A chunk of g bits is 2**g rows, 2**b masks apart,
+    of SLICE >> g consecutive masks."""
+    g = min(a.shape[0].bit_length() - 1 - b, TILE_ROWS.bit_length() - 1)
+    width = SLICE >> g
+    for rows in a.reshape(-1, 1 << g, 1 << b):
+        for c in range(0, 1 << b, width):
+            chunk = rows[:, c : c + width]
+            for j in range(g):
+                pairs = chunk.reshape(-1, 2, 1 << j, width)
+                yield b + j, pairs[:, 0], pairs[:, 1]
+
+
+def _calls(op, pairs, out, shift=0, columns=0):
+    """``op`` on the views that ``pairs``, one generator of ``(i, lo, hi)`` per
+    table, yield in step; the result of bit i goes to ``out[i - shift]``. A
+    bit i below ``columns`` runs as one call per column j of its (rows, 2**i)
+    views."""
+    first, *others = pairs
+    for i, lo, hi in first:
         views = [lo, hi]
         for other in others:
             views += next(other)[1:]

@@ -34,11 +34,13 @@ INTERACTION = "src/capacities/interaction.py"
 SUBSETS = "src/capacities/subsets.py"
 INTEGRALS = "src/capacities/integrals.py"
 AXIOMS = "src/capacities/axioms.py"
+SET_FUNCTION = "src/capacities/set_function.py"
 TESTS = ["tests/test_interaction.py"]
 LATTICE_TESTS = ["tests/test_set_function.py::TestHalves"]
 FOLD_TESTS = ["tests/test_integrals.py", "tests/test_set_function.py::TestHalves"]
 INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
+FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
 
 # (name, file, source text, replacement, test files or node ids, reason if equivalent)
 MUTANTS = [
@@ -101,6 +103,31 @@ MUTANTS = [
      "for j in range(1, 1 << i))", LATTICE_TESTS, None),
     ("_calls files tile bits unshifted", SUBSETS, "out[i - shift].append(op(*views))",
      "out[i].append(op(*views))", LATTICE_TESTS, None),
+    ("lattice skips the last partial group", SUBSETS, "for bit in range(top, n, shift):",
+     "for bit in range(top, n - shift + 1, shift):", LATTICE_TESTS, None),
+    ("_groups' chunks one bit narrower", SUBSETS, "width = SLICE >> g",
+     "width = SLICE >> (g + 1)", LATTICE_TESTS, None),
+    ("_groups pairs lo with lo", SUBSETS, "yield b + j, pairs[:, 0], pairs[:, 1]",
+     "yield b + j, pairs[:, 0], pairs[:, 0]", LATTICE_TESTS, None),
+    ("_groups of 3 bits", SUBSETS, "- 1 - b, TILE_ROWS.bit_length() - 1)",
+     "- 1 - b, TILE_ROWS.bit_length() - 2)", LATTICE_TESTS, None),
+    ("lattice runs the block bits before the copy-back", SUBSETS,
+     "            for tile, r in zip(tiles, rows):\n                if r.flags.writeable:\n"
+     "                    np.copyto(r, tile.reshape(-1, TILE_ROWS).T)\n"
+     "            _calls(op, [halves(t[b], (1 << top) - (1 << low)) for t in blocks], out)\n",
+     "            _calls(op, [halves(t[b], (1 << top) - (1 << low)) for t in blocks], out)\n"
+     "            for tile, r in zip(tiles, rows):\n                if r.flags.writeable:\n"
+     "                    np.copyto(r, tile.reshape(-1, TILE_ROWS).T)\n", LATTICE_TESTS, None),
+    ("lattice skips the block's first row bit", SUBSETS,
+     "halves(t[b], (1 << top) - (1 << low))", "halves(t[b], (1 << top) - (2 << low))",
+     LATTICE_TESTS, None),
+    ("_drops narrows a grouped bit to one block", SET_FUNCTION, "        if i < blocked:",
+     "        if blocked:", FIRST_DROP_TESTS, None),
+    ("_pieces counts a row of lo alone", SET_FUNCTION, "yield 2 * cols * r + c,",
+     "yield cols * r + c,", FIRST_DROP_TESTS, None),
+    ("_first_over without its row offset", SET_FUNCTION,
+     "return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None",
+     "return base + k if over.flat[k] else None", FIRST_DROP_TESTS, None),
     ("_mobius_rows dots a one-term table", INTEGRALS, "if n == 1 else np.vecdot",
      "if n == 0 else np.vecdot", INTEGRALS_TESTS, None),
     ("_mobius_rows adds the losses", INTEGRALS, "table -= subsets.fold(step, tn",

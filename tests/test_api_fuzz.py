@@ -557,3 +557,31 @@ def test_mobius_forms_at_the_edges_of_a_double_are_finite_or_out_of_domain(v, da
         got = _finite_or_refused(pseudo_product_extension, m, op, unit, refused=CapacitiesError)
         if op is PP and got is not None:
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), unit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=edge_tables(), tol=st.sampled_from([0.0, 1e-9, 0.5, 1e300]))
+def test_transforms_at_the_edges_of_a_double_are_finite_or_refused(v, tol):
+    n, values = v.n, v.values
+    a = SetFunction(n, np.abs(values))  # a nonnegative table, as the ordinal pair expects
+    for call in (
+        lambda: mobius(v),
+        lambda: zeta(MobiusRepr(n, values)),
+        lambda: co_mobius(v),
+        lambda: conjugate(v),
+        lambda: ordinal_mobius(v),
+        lambda: ordinal_mobius(a),
+        lambda: ordinal_zeta(OrdinalMobiusRepr(n, values)),
+        lambda: ordinal_zeta(OrdinalMobiusRepr(n, a.values)),
+    ):
+        _finite_or_refused(call)
+    res = _finite_or_refused(validate, v, None, False, tol)
+    assert isinstance(res.strictly_monotone, bool) and isinstance(res.additive, bool)
+    assert res.ok == (res.error is None) == (res.capacity is not None)
+    assert res.error is None or isinstance(res.error, CapacitiesError)
+    _assert_finite(res.capacity)
+    mu = _finite_or_refused(as_capacity, values, n, False, tol, refused=CapacitiesError)
+    assert (mu is None) == (not res.ok)
+    if mu is not None:
+        _finite_or_refused(conjugate, mu)
+        _finite_or_refused(validate, mu, n, True, tol)

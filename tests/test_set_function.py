@@ -48,8 +48,8 @@ from capacities import (
 )
 from capacities.interaction import _all_indices
 from capacities.set_function import _drops, _live
-from capacities.subsets import (BUFSIZE, SLICE, TILE_BITS, TILE_MIN_N, halves, lattice, popcounts,
-                                subset_key)
+from capacities.subsets import (BUFSIZE, SLICE, TILE_BITS, TILE_MIN_N, TILE_ROWS, block_bits, halves,
+                                lattice, popcounts, subset_key)
 from helpers import peak_above_input, random_capacity, random_set_function
 
 TOL = 1e-12
@@ -160,14 +160,16 @@ class TestHalves:
             hi += 1.0
         assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
-    @pytest.mark.parametrize("n", [1, 5, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8])
+    # n = 22 and 23 end on a group of 2 and of 3 bits.
+    @pytest.mark.parametrize("n", [1, 5, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8, 22, 23])
     def test_lattice_visits_every_pair_once_in_bit_order(self, n):
         # The entries are the masks themselves, so each (lo, hi) of a call,
-        # on a tile, on columns or on views, tells which pairs it covers.
+        # on a tile, a block, a chunk, columns or views, tells which pairs it
+        # covers.
         table = np.arange(1 << n, dtype=np.float64)
         table.flags.writeable = False
-        last_bit = np.full(1 << n, -1)
-        visits = np.zeros(1 << n, dtype=np.int64)
+        last_bit = np.full(1 << n, -1, dtype=np.int8)
+        visits = np.zeros(1 << n, dtype=np.int8)
 
         def op(lo, hi):
             lo, hi = lo.astype(np.int64).ravel(), hi.astype(np.int64).ravel()
@@ -182,6 +184,14 @@ class TestHalves:
         results = lattice(op, table)
         assert np.all(visits == n) and np.all(last_bit == n - 1)
         assert [set(r) for r in results] == [{i} for i in range(n)]
+        # One call per block of 2**block_bits(n) masks, then per chunk of SLICE
+        # entries; below TILE_MIN_N, one call per bit, or per column of a short row.
+        top = block_bits(n)
+        if top:
+            calls = [(1 << n) >> top if i < top else (1 << n) // SLICE for i in range(n)]
+        else:
+            calls = [1 << i if 1 << i < TILE_ROWS and n >= TILE_BITS else 1 for i in range(n)]
+        assert [len(r) for r in results] == calls
 
     @pytest.mark.parametrize("n", [3, TILE_MIN_N])
     def test_lattice_writes_back_only_to_writable_tables(self, n):
@@ -541,8 +551,10 @@ class TestTableContract:
 
 
 # n just below, at and just above each switch of the lattice: the short-row
-# bits run on columns from n = TILE_BITS on, tiles start at TILE_MIN_N and run
-# TILE_BITS low bits from n = TILE_BITS + 8 on; n = 16 is the analyze size.
+# bits run on columns from n = TILE_BITS on, blocks start at TILE_MIN_N and run
+# TILE_BITS low bits on tiles from n = TILE_BITS + 8 on, where the bits above
+# the blocks fill one group of 4; at TILE_BITS + 9 a group of 1 bit follows.
+# n = 16 is the analyze size.
 TILE_SIZES = sorted({
     TILE_BITS - 1, TILE_BITS, 16,
     TILE_MIN_N - 1, TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 7, TILE_BITS + 8, TILE_BITS + 9,
@@ -627,8 +639,8 @@ class TestTiledPasses:
 
     @pytest.mark.parametrize("n", [TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 8])
     def test_drops_match_the_natural_loop(self, n):
-        # From n = TILE_MIN_N on, a view bit's (lo, hi) holds more than a slice,
-        # so the scan takes its largest drop over several pieces.
+        # From n = TILE_MIN_N on, the scan takes a bit's largest drop over the
+        # calls of its blocks or chunks.
         caps, others = self.tables(n)
         for name, v in [*caps.items(), *others.items()]:
             for tol in (0.0, 1e-9):
@@ -639,7 +651,8 @@ class TestTiledPasses:
 
 class TestFirstViolation:
     """Planted drops, on the low bits (tiled, on columns or on views) and on the
-    high bits, named as the natural-layout scan names them."""
+    high bits (on blocks, chunks or views), named as the natural-layout scan
+    names them."""
 
     @staticmethod
     def planted(n, pairs):
@@ -677,20 +690,26 @@ class TestFirstViolation:
             self.check(n, pairs, first, name)
 
     def test_drops_in_later_pieces_are_named(self):
-        # At n = 20 a view bit's (lo, hi) spans several slices: bit TILE_BITS as
-        # runs of SLICE >> TILE_BITS rows, bit 17 as two segments of each row.
-        n, bit = TILE_BITS + 8, TILE_BITS
-        top = 1 << (n - 1)
-        rows = SLICE >> bit  # rows of bit's views in one piece; mask top is in row top >> (bit + 1)
-        assert top >> (bit + 1) >= 2 * rows and 1 << 17 == 2 * SLICE
-        later = rows << (bit + 1)  # the first mask of the second piece
+        # The search of a bit takes its views in pieces of at most a slice: runs
+        # of SLICE >> i rows while a row of 2**i masks is shorter than a slice,
+        # segments of a row otherwise. It spans one block of 2**block_bits(n)
+        # masks on a bit that the pass runs block by block, and the whole table
+        # on a bit above, which the pass runs chunk by chunk: bits 15 to 18 at
+        # n = 19, and 16 to 19 at n = 20, where a chunk is 16 rows of 4096 masks.
+        assert block_bits(19) == 15 and block_bits(20) == 16 and SLICE // TILE_ROWS == 1 << 12
+        top19, top20 = 1 << 18, 1 << 19
+        rows = SLICE >> 15  # rows of bit 15's views in one piece; mask top19 is in row top19 >> 16
+        assert top19 >> 16 >= 2 * rows and 1 << 17 == 2 * SLICE
+        later = rows << 16  # the first mask of the second piece
         cases = {
-            "past the first piece of a view bit's rows": ([(top, bit)], (top, bit)),
-            "in a later segment of a long row": ([(top | 1 << 16, 17)], (top | 1 << 16, 17)),
+            "past the first piece of a bit's rows": (19, [(top19, 15)], (top19, 15)),
             "two pieces of one bit, the smaller mask first": (
-                [(top, bit), (later, bit)], (later, bit)),
+                19, [(top19, 15), (later, 15)], (later, 15)),
+            "in a later segment of a long row": (20, [(top20 | 1 << 16, 17)], (top20 | 1 << 16, 17)),
+            "a block bit in a later block": (20, [(top20 | 1 << 16, 13)], (top20 | 1 << 16, 13)),
+            "a grouped bit in a later chunk": (20, [(top20 | 1 << 14, 17)], (top20 | 1 << 14, 17)),
         }
-        for name, (pairs, first) in cases.items():
+        for name, (n, pairs, first) in cases.items():
             self.check(n, pairs, first, name)
 
     def check(self, n, pairs, first, name):
