@@ -32,13 +32,12 @@ from .model import acts_from_obj, model_from_dict, rank_acts
 from .set_function import (
     DEFAULT_TOL,
     MobiusRepr,
-    SetFunction,
-    as_capacity,
     capacity_from_dict,
     co_mobius,
     conjugate,
     mobius,
     ordinal_mobius,
+    set_function_from_dict,
     to_dict,
     vector_from_dict,
     zeta,
@@ -116,17 +115,16 @@ def _bounds_arg(text: str):
 
 def _cmd_transform(args) -> dict:
     obj = _load_json(args.input)
-    n, vals = vector_from_dict(obj)
     if args.operation == "mobius":
-        out = mobius(SetFunction(n, vals))
+        out = mobius(set_function_from_dict(obj))
     elif args.operation == "zeta":
-        out = zeta(MobiusRepr(n, vals))
+        out = zeta(MobiusRepr._own(*vector_from_dict(obj)))
     elif args.operation == "comobius":
-        out = co_mobius(SetFunction(n, vals))
+        out = co_mobius(set_function_from_dict(obj))
     elif args.operation == "ordinal":
-        out = ordinal_mobius(as_capacity(vals, n=n))
+        out = ordinal_mobius(capacity_from_dict(obj))
     else:
-        out = conjugate(as_capacity(vals, n=n))
+        out = conjugate(capacity_from_dict(obj))
     return to_dict(out)
 
 

@@ -99,13 +99,13 @@ def shapley(mu: Capacity) -> np.ndarray:
     The order-1 pass of :func:`interaction_report`, with the bytes of its
     ``shapley``. It scales the table of a :func:`mobius` result of ``mu``
     that the caller still holds into a new table, else its own Mobius table
-    in place, and holds that table, then the lattice tile from n = 18 on. A
-    finite Mobius table can still sum past the largest double: the first
-    criterion whose value is not finite raises :class:`InvalidFormat` naming it."""
+    in place, and holds that table alone through the pass. A finite Mobius
+    table can still sum past the largest double: the first criterion whose
+    value is not finite raises :class:`InvalidFormat` naming it."""
     m = _mobius_table(mu)
     sizes = subsets.popcounts(mu.n)
     t = np.divide(m, np.maximum(sizes, 1, out=sizes), out=m if m.flags.writeable else None)
-    del sizes  # freed before the pass allocates its tile
+    del sizes  # freed before the pass, so the table alone is held through it
     subsets.lattice(_up, t)
     bits = 1 << np.arange(mu.n)
     _check_finite(bits, t[bits])

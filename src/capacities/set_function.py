@@ -25,10 +25,9 @@ reasonable. Overflow inside a pass is not reported as a numpy warning: an
 output that is not finite raises :class:`InvalidFormat`.
 
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
-allocates its output and no other array of that size. Beside it, a pass
-holds one lattice tile per table it walks (each at most 1/16 of a table
-and 512 KiB), and the finiteness check of the output reads it slice by
-slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB);
+allocates its output and no other array of that size. A lattice pass
+allocates no array, and the finiteness check of the output reads it slice
+by slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB);
 :func:`ordinal_mobius` keeps or zeroes each entry after its pass through
 such a buffer too. The monotonicity scan of the capacity constructors and
 :func:`validate` finds each bit's largest drop v(A) - v(A | bit) through
@@ -418,22 +417,24 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     def diff(lo, hi):
         return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
 
-    blocked = subsets.block_bits(vals.shape[0].bit_length() - 1)
+    n = vals.shape[0].bit_length() - 1
+    blocked = subsets.block_bits(n)
     drops, first = [], None
-    # Each call of the pass holds at most a slice: a tile, a block, a chunk, a
-    # column, or the views of a table of up to 2**17 entries.
+    # Each call of the pass holds at most a slice: the views or a column of a
+    # block, or a chunk.
     for i, calls in enumerate(subsets.lattice(lambda lo, hi: diff(lo, hi).max(), vals)):
         drops.append(max(calls))
         if drops[-1] <= tol:
             continue
         # Search the natural layout for the first drop: the whole table, or on a
-        # bit that runs block by block the first block of masks whose call drops.
-        # The search walks the pieces in order and stops at the first that drops
-        # by more than tol.
+        # bit that runs block by block the first block of masks whose call drops,
+        # where a column bit makes 2**i calls a block. The search walks the
+        # pieces in order and stops at the first that drops by more than tol.
         start, size = 0, vals.shape[0]
         if i < blocked:
-            size //= len(calls)
-            start = size * next(b for b, m in enumerate(calls) if m > tol)
+            size = 1 << blocked
+            per_block = len(calls) >> (n - blocked)
+            start = size * (next(c for c, m in enumerate(calls) if m > tol) // per_block)
         _, lo, hi = next(subsets.halves(vals[start : start + size], 1 << i))
         with np.errstate(over="ignore"):
             found = (_first_over(diff(a, b), tol, base) for base, a, b in _pieces(lo, hi))

@@ -12,7 +12,7 @@ to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
 
 Three passes walk the subset lattice of a table indexed by mask. ``halves``
 yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
-calls an elementwise op on the same pairs in the same bit order, on tiles,
+calls an elementwise op on the same pairs in the same bit order, on
 blocks, chunks, columns or views of the table; every table transform goes
 through it. It runs with a ufunc buffer of ``BUFSIZE`` = 512 entries, and
 since the buffer size sets the order in which a buffered reduction adds,
@@ -182,27 +182,19 @@ def halves(a: np.ndarray, bits: int | None = None):
             yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
 
 
-# lattice runs a table of 2**TILE_MIN_N entries or more block by block: a block
-# is TILE_ROWS rows of 2**L consecutive masks, L = min(TILE_BITS, n - 8), at most
-# 2**16 entries (512 KiB of floats) and 1/16 of the table. Its L low bits run on
-# a transposed copy, a tile, where they have rows of TILE_ROWS or more entries,
-# and its 4 row bits on the block, while it is still in the L2 cache. The bits
-# above run 4 at a time, over chunks of SLICE entries, TILE_ROWS rows each, so
-# each group of 4 reads the table from memory once. A table of 1 MiB or less
-# fits in the L2 cache of a current x86 core, where a tile only adds copies;
-# from bit TILE_BITS up, each row of a view holds 4096 or more contiguous
-# entries, which is fast as it is. Untiled, a bit i with 2**i < TILE_ROWS runs
-# on columns once a table has 2**TILE_BITS entries: numpy walks a view of rows
-# of 2**i entries slower than 2**i strided columns of 2**(n - i - 1) entries.
-TILE_MIN_N = 18
-TILE_BITS = 12
-TILE_ROWS = 16
 # The monotonicity scan of set_function, and the elementwise steps that follow
 # a pass there, run over consecutive slices of at most SLICE entries: a scratch
 # buffer of a slice stays in the L2 cache, where one of half or all of a large
 # table is written out to memory and read back. Tables of up to SLICE entries
-# are one slice.
+# are one slice. lattice runs a table block by block, a block being a slice, so
+# each block runs all its bits while it is in the L2 cache, and the bits above
+# a block GROUP at a time, over chunks of a slice, so each group reads the table
+# from memory once. In a table of 2**COLUMN_MIN_N entries or more, a bit i below
+# GROUP runs on 2**i strided columns: numpy walks a view of rows of 2**i entries
+# slower than 2**i columns of 2**(n - i - 1) entries.
 SLICE = 1 << 16
+COLUMN_MIN_N = 12
+GROUP = 4
 # lattice's ufunc buffer in entries, not numpy's 8192: numpy copies a 2-D
 # strided operand through its buffer when the operand's rows are shorter than
 # about half of it. Rows of 64 entries or fewer are copied at either size.
@@ -211,7 +203,7 @@ BUFSIZE = 512
 
 def block_bits(n: int) -> int:
     """How many low bits :func:`lattice` runs block by block for a table of 2**n entries."""
-    return min(TILE_BITS, n - 8) + TILE_ROWS.bit_length() - 1 if n >= TILE_MIN_N else 0
+    return min(n, SLICE.bit_length() - 1)
 
 
 def lattice(op, *tables) -> list:
@@ -223,68 +215,47 @@ def lattice(op, *tables) -> list:
     :func:`halves`, and an elementwise ``op`` gets the same results as in a
     loop over :func:`halves`, bit for bit: every entry sees its bits in
     ascending order, and a call's views pair only masks of its own block or
-    chunk. With 2**n entries, n < TILE_MIN_N, a bit runs as one call on views
-    that hold half a table's entries each, or, with 2**i < TILE_ROWS and
-    n >= TILE_BITS, as 2**i calls on the 1-D strided columns
-    ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]``, j = 0..2**i - 1.
-    From n = TILE_MIN_N on, a pass has two phases, and reads the table from
-    memory once in the first and once per group in the second:
+    chunk. A pass over 2**n entries has two phases:
 
-    * Block by block in ascending order, op is called once per block for
-      each of the B = :func:`block_bits` low bits. A block is 2**B
-      consecutive masks, TILE_ROWS rows of 2**L, L = B - 4. Its rows are
-      copied transposed into a tile, where bit i < L has contiguous rows of
-      TILE_ROWS * 2**i entries, and copied back into the tables that are
-      writable; then bits L..B - 1 run on the block itself.
-    * The bits from B up run in groups of 4, the last group of the 1 to 4
-      bits left, chunk by chunk in ascending order: a chunk of a group of g
-      bits from bit b is 2**g rows, 2**b masks apart, of SLICE / 2**g
-      consecutive masks, and op is called once per chunk for each of the
-      group's bits, on views of three dimensions.
+    * Block by block in ascending order, a block being 2**B consecutive
+      masks, B = :func:`block_bits`, op is called for each of the block's
+      bits: once on its views, or, for a bit i below GROUP once
+      n >= COLUMN_MIN_N, once per column, on the 1-D strided columns
+      ``t[j::2**(i + 1)]`` and ``t[2**i + j::2**(i + 1)]`` of the block,
+      j = 0..2**i - 1.
+    * The bits above a block run in groups of GROUP, the last group of the
+      1 to GROUP bits left, chunk by chunk in ascending order: a chunk of a
+      group of g bits from bit b is 2**g rows, 2**b masks apart, of
+      SLICE / 2**g consecutive masks, and op is called once per chunk for
+      each of the group's bits, on views of three dimensions.
 
-    Sweeps of the whole table per pass: 2 at n = 18..20 and 3 at
-    n = 21..24, where a loop over :func:`halves` makes n. A pass allocates
-    one tile per table from n = TILE_MIN_N on, of its dtype, and nothing
-    else. Overflow is not reported: callers check their results for
-    finiteness. ``op`` runs with a ufunc buffer of BUFSIZE entries, so it
-    may only make elementwise updates and exact reductions; numpy's buffer
-    size is restored when the pass returns or raises.
+    Sweeps of the whole table per pass: 1 up to n = 16, 2 at n = 17..20 and
+    3 at n = 21..24, where a loop over :func:`halves` makes n. A pass
+    allocates no array. Overflow is not reported: callers check their
+    results for finiteness. ``op`` runs with a ufunc buffer of BUFSIZE
+    entries, so it may only make elementwise updates and exact reductions;
+    numpy's buffer size is restored when the pass returns or raises.
     """
     n = tables[0].shape[0].bit_length() - 1
     top = block_bits(n)
-    shift = TILE_ROWS.bit_length() - 1  # a block's rows, and a group, are 4 bits
+    columns = GROUP if n >= COLUMN_MIN_N else 0
     out = [[] for _ in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # restores the buffer size too
         np.setbufsize(BUFSIZE)
-        if not top:
-            _calls(op, [halves(t) for t in tables], out, columns=shift if n >= TILE_BITS else 0)
-            return out
-        low = top - shift
-        tiles = [np.empty(1 << top, t.dtype) for t in tables]
-        blocks = [t.reshape(-1, 1 << top) for t in tables]
-        # Tile entry [j, k] is mask j of block row k, so bit i of a mask
-        # is bit i + shift of the flat tile index.
-        for b in range(blocks[0].shape[0]):
-            rows = [t[b].reshape(TILE_ROWS, -1) for t in blocks]
-            for tile, r in zip(tiles, rows):
-                np.copyto(tile.reshape(-1, TILE_ROWS), r.T)
-            _calls(op, [halves(t, ((1 << low) - 1) << shift) for t in tiles], out, shift)
-            for tile, r in zip(tiles, rows):
-                if r.flags.writeable:
-                    np.copyto(r, tile.reshape(-1, TILE_ROWS).T)
-            _calls(op, [halves(t[b], (1 << top) - (1 << low)) for t in blocks], out)
-        for bit in range(top, n, shift):
+        for b in range(0, 1 << n, 1 << top):
+            _calls(op, [halves(t[b : b + (1 << top)]) for t in tables], out, columns)
+        for bit in range(top, n, GROUP):
             _calls(op, [_groups(t, bit) for t in tables], out)
     return out
 
 
 def _groups(a: np.ndarray, b: int):
-    """Yield ``(i, lo, hi)`` for the bits b to b + 3 of the table ``a`` that it
+    """Yield ``(i, lo, hi)`` for the GROUP bits from b of the table ``a`` that it
     has, each pair of views pairing masks as :func:`halves` does, chunk by
     chunk in ascending order of their first mask and, within a chunk, bit by
     bit in ascending order. A chunk of g bits is 2**g rows, 2**b masks apart,
     of SLICE >> g consecutive masks."""
-    g = min(a.shape[0].bit_length() - 1 - b, TILE_ROWS.bit_length() - 1)
+    g = min(a.shape[0].bit_length() - 1 - b, GROUP)
     width = SLICE >> g
     for rows in a.reshape(-1, 1 << g, 1 << b):
         for c in range(0, 1 << b, width):
@@ -294,11 +265,10 @@ def _groups(a: np.ndarray, b: int):
                 yield b + j, pairs[:, 0], pairs[:, 1]
 
 
-def _calls(op, pairs, out, shift=0, columns=0):
+def _calls(op, pairs, out, columns=0):
     """``op`` on the views that ``pairs``, one generator of ``(i, lo, hi)`` per
-    table, yield in step; the result of bit i goes to ``out[i - shift]``. A
-    bit i below ``columns`` runs as one call per column j of its (rows, 2**i)
-    views."""
+    table, yield in step; the results of bit i go to ``out[i]``. A bit i below
+    ``columns`` runs as one call per column j of its (rows, 2**i) views."""
     first, *others = pairs
     for i, lo, hi in first:
         views = [lo, hi]
@@ -307,4 +277,4 @@ def _calls(op, pairs, out, shift=0, columns=0):
         if i < columns:
             out[i].extend(op(*(v[:, j] for v in views)) for j in range(1 << i))
         else:
-            out[i - shift].append(op(*views))
+            out[i].append(op(*views))

@@ -35,12 +35,14 @@ SUBSETS = "src/capacities/subsets.py"
 INTEGRALS = "src/capacities/integrals.py"
 AXIOMS = "src/capacities/axioms.py"
 SET_FUNCTION = "src/capacities/set_function.py"
+CLI = "src/capacities/cli.py"
 TESTS = ["tests/test_interaction.py"]
 LATTICE_TESTS = ["tests/test_set_function.py::TestHalves"]
 FOLD_TESTS = ["tests/test_integrals.py", "tests/test_set_function.py::TestHalves"]
 INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
 FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
+CLI_TESTS = ["tests/test_cli.py"]
 
 # (name, file, source text, replacement, test files or node ids, reason if equivalent)
 MUTANTS = [
@@ -60,9 +62,11 @@ MUTANTS = [
     ("shapley divides singletons by 2", INTERACTION, "np.maximum(sizes, 1, out=sizes)",
      "np.maximum(sizes, 2, out=sizes)", TESTS, None),
     ("shapley keeps its sizes through the pass", INTERACTION,
-     "    del sizes  # freed before the pass allocates its tile",
+     "    del sizes  # freed before the pass, so the table alone is held through it",
      "    # the sizes stay live through the pass",
-     ["tests/test_set_function.py::TestMemoryAtTheTileCap"], None),
+     ["tests/test_set_function.py::TestMemoryOverBlocks"],
+     "a lattice pass allocates no array, so the division, which holds the table "
+     "and the sizes, is the peak whether the sizes stay live through the pass or not"),
     ("shapley without its finiteness check", INTERACTION, "    _check_finite(bits, t[bits])",
      "    t[bits]", TESTS, None),
     ("report shows one order too few", INTERACTION, "shown = sizes[masks] <= max_order",
@@ -93,41 +97,39 @@ MUTANTS = [
      "step(table[: 1 << i], cols[-1 - i], out=", FOLD_TESTS, None),
     ("popcounts from one", SUBSETS, "np.ones(n, np.uint8), 0,", "np.ones(n, np.uint8), 1,",
      FOLD_TESTS, None),
-    ("lattice writes back to read-only tables", SUBSETS, "if r.flags.writeable:",
-     "if True:", LATTICE_TESTS, None),
     ("lattice keeps numpy's buffer size", SUBSETS, "        np.setbufsize(BUFSIZE)\n",
      "", LATTICE_TESTS, None),
     ("_calls pairs the other tables' lo with lo", SUBSETS, "views += next(other)[1:]",
      "views += next(other)[1:2] * 2", LATTICE_TESTS, None),
     ("_calls skips the first column", SUBSETS, "for j in range(1 << i))",
      "for j in range(1, 1 << i))", LATTICE_TESTS, None),
-    ("_calls files tile bits unshifted", SUBSETS, "out[i - shift].append(op(*views))",
-     "out[i].append(op(*views))", LATTICE_TESTS, None),
-    ("lattice skips the last partial group", SUBSETS, "for bit in range(top, n, shift):",
-     "for bit in range(top, n - shift + 1, shift):", LATTICE_TESTS, None),
+    ("lattice skips the last partial group", SUBSETS, "for bit in range(top, n, GROUP):",
+     "for bit in range(top, n - GROUP + 1, GROUP):", LATTICE_TESTS, None),
+    ("lattice skips the last block", SUBSETS, "for b in range(0, 1 << n, 1 << top):",
+     "for b in range(0, (1 << n) - (1 << top), 1 << top):", LATTICE_TESTS, None),
+    ("lattice runs columns from bit 3", SUBSETS, "columns = GROUP if n >= COLUMN_MIN_N else 0",
+     "columns = GROUP - 1 if n >= COLUMN_MIN_N else 0", LATTICE_TESTS, None),
+    ("lattice runs columns from n = 13", SUBSETS, "columns = GROUP if n >= COLUMN_MIN_N else 0",
+     "columns = GROUP if n > COLUMN_MIN_N else 0", LATTICE_TESTS, None),
+    ("lattice runs blocks of SLICE >> 1", SUBSETS, "return min(n, SLICE.bit_length() - 1)",
+     "return min(n, SLICE.bit_length() - 2)", LATTICE_TESTS, None),
     ("_groups' chunks one bit narrower", SUBSETS, "width = SLICE >> g",
      "width = SLICE >> (g + 1)", LATTICE_TESTS, None),
     ("_groups pairs lo with lo", SUBSETS, "yield b + j, pairs[:, 0], pairs[:, 1]",
      "yield b + j, pairs[:, 0], pairs[:, 0]", LATTICE_TESTS, None),
-    ("_groups of 3 bits", SUBSETS, "- 1 - b, TILE_ROWS.bit_length() - 1)",
-     "- 1 - b, TILE_ROWS.bit_length() - 2)", LATTICE_TESTS, None),
-    ("lattice runs the block bits before the copy-back", SUBSETS,
-     "            for tile, r in zip(tiles, rows):\n                if r.flags.writeable:\n"
-     "                    np.copyto(r, tile.reshape(-1, TILE_ROWS).T)\n"
-     "            _calls(op, [halves(t[b], (1 << top) - (1 << low)) for t in blocks], out)\n",
-     "            _calls(op, [halves(t[b], (1 << top) - (1 << low)) for t in blocks], out)\n"
-     "            for tile, r in zip(tiles, rows):\n                if r.flags.writeable:\n"
-     "                    np.copyto(r, tile.reshape(-1, TILE_ROWS).T)\n", LATTICE_TESTS, None),
-    ("lattice skips the block's first row bit", SUBSETS,
-     "halves(t[b], (1 << top) - (1 << low))", "halves(t[b], (1 << top) - (2 << low))",
-     LATTICE_TESTS, None),
+    ("_groups of 3 bits", SUBSETS, "g = min(a.shape[0].bit_length() - 1 - b, GROUP)",
+     "g = min(a.shape[0].bit_length() - 1 - b, GROUP - 1)", LATTICE_TESTS, None),
     ("_drops narrows a grouped bit to one block", SET_FUNCTION, "        if i < blocked:",
      "        if blocked:", FIRST_DROP_TESTS, None),
+    ("_drops without its per-block division", SET_FUNCTION, "if m > tol) // per_block)",
+     "if m > tol))", FIRST_DROP_TESTS, None),
     ("_pieces counts a row of lo alone", SET_FUNCTION, "yield 2 * cols * r + c,",
      "yield cols * r + c,", FIRST_DROP_TESTS, None),
     ("_first_over without its row offset", SET_FUNCTION,
      "return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None",
      "return base + k if over.flat[k] else None", FIRST_DROP_TESTS, None),
+    ("cli._round12 at 11 digits", CLI, "        return float(_fmt(obj))",
+     '        return float(format(obj, ".11g"))', CLI_TESTS, None),
     ("_mobius_rows dots a one-term table", INTEGRALS, "if n == 1 else np.vecdot",
      "if n == 0 else np.vecdot", INTEGRALS_TESTS, None),
     ("_mobius_rows adds the losses", INTEGRALS, "table -= subsets.fold(step, tn",

@@ -585,3 +585,30 @@ def test_transforms_at_the_edges_of_a_double_are_finite_or_refused(v, tol):
     if mu is not None:
         _finite_or_refused(conjugate, mu)
         _finite_or_refused(validate, mu, n, True, tol)
+
+
+# Scores at the edges of a double: zeros of either sign, subnormals and the
+# extremes, whose gaps and products with a table overflow.
+SORT_SCORES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, 0.5, -1.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=edge_tables(), data=st.data())
+def test_sort_kernels_at_the_edges_of_a_double_are_finite_or_out_of_domain(v, data):
+    rows = data.draw(st.lists(st.lists(st.sampled_from(SORT_SCORES), min_size=v.n, max_size=v.n),
+                              min_size=1, max_size=4))
+    om = OrdinalMobiusRepr(v.n, np.abs(v.values))  # ordinal coefficients are nonnegative
+    for name, call in (("choquet", functools.partial(choquet, v)),
+                       ("sipos", functools.partial(sipos, v)),
+                       ("sugeno_product", functools.partial(sugeno_product, om))):
+        got = [_finite_or_refused(call, t, refused=CapacitiesError) for t in rows]
+        ext = _finite_or_refused(make_extension, name, v, refused=CapacitiesError)
+        if ext is None:
+            continue
+        many = _finite_or_refused(ext.many, rows, refused=CapacitiesError)
+        for t in rows:
+            _finite_or_refused(ext, t, refused=CapacitiesError)
+        if name != "sugeno_product":  # the same row kernel as the direct call
+            assert (many is None) == (None in got)
+            if many is not None:
+                assert many.tobytes() == np.array(got).tobytes()

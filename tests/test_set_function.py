@@ -48,8 +48,7 @@ from capacities import (
 )
 from capacities.interaction import _all_indices
 from capacities.set_function import _drops, _live
-from capacities.subsets import (BUFSIZE, SLICE, TILE_BITS, TILE_MIN_N, TILE_ROWS, block_bits, halves,
-                                lattice, popcounts, subset_key)
+from capacities.subsets import BUFSIZE, SLICE, block_bits, halves, lattice, popcounts, subset_key
 from helpers import peak_above_input, random_capacity, random_set_function
 
 TOL = 1e-12
@@ -161,11 +160,10 @@ class TestHalves:
         assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
     # n = 22 and 23 end on a group of 2 and of 3 bits.
-    @pytest.mark.parametrize("n", [1, 5, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8, 22, 23])
+    @pytest.mark.parametrize("n", [1, 5, 12, 16, 18, 20, 22, 23])
     def test_lattice_visits_every_pair_once_in_bit_order(self, n):
         # The entries are the masks themselves, so each (lo, hi) of a call,
-        # on a tile, a block, a chunk, columns or views, tells which pairs it
-        # covers.
+        # on a chunk, columns or views, tells which pairs it covers.
         table = np.arange(1 << n, dtype=np.float64)
         table.flags.writeable = False
         last_bit = np.full(1 << n, -1, dtype=np.int8)
@@ -184,16 +182,19 @@ class TestHalves:
         results = lattice(op, table)
         assert np.all(visits == n) and np.all(last_bit == n - 1)
         assert [set(r) for r in results] == [{i} for i in range(n)]
-        # One call per block of 2**block_bits(n) masks, then per chunk of SLICE
-        # entries; below TILE_MIN_N, one call per bit, or per column of a short row.
-        top = block_bits(n)
-        if top:
-            calls = [(1 << n) >> top if i < top else (1 << n) // SLICE for i in range(n)]
-        else:
-            calls = [1 << i if 1 << i < TILE_ROWS and n >= TILE_BITS else 1 for i in range(n)]
-        assert [len(r) for r in results] == calls
+        # A block is SLICE masks, or the table. Per block, 2**i calls on a column
+        # bit, bits 0 to 3 from n = 12 on, and one on any other bit of the
+        # block; one call per chunk of SLICE entries on a bit above it.
+        blocks = max((1 << n) // SLICE, 1)
 
-    @pytest.mark.parametrize("n", [3, TILE_MIN_N])
+        def calls(i):
+            if 1 << i >= SLICE:
+                return (1 << n) // SLICE
+            return blocks << i if i < 4 and n >= 12 else blocks
+
+        assert [len(r) for r in results] == [calls(i) for i in range(n)]
+
+    @pytest.mark.parametrize("n", [3, 18])
     def test_lattice_writes_back_only_to_writable_tables(self, n):
         values = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n)
         want = oracles.loop_mobius(values)
@@ -204,7 +205,7 @@ class TestHalves:
         assert np.array_equal(reads, values)
         assert writes.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [3, 16, TILE_MIN_N])
+    @pytest.mark.parametrize("n", [3, 16, 18])
     def test_lattice_restores_the_ufunc_buffer_size(self, n):
         table = random_capacity(np.random.default_rng(n), n).values.copy()
         before = np.getbufsize()
@@ -550,15 +551,13 @@ class TestTableContract:
             transform(v)
 
 
-# n just below, at and just above each switch of the lattice: the short-row
-# bits run on columns from n = TILE_BITS on, blocks start at TILE_MIN_N and run
-# TILE_BITS low bits on tiles from n = TILE_BITS + 8 on, where the bits above
-# the blocks fill one group of 4; at TILE_BITS + 9 a group of 1 bit follows.
-# n = 16 is the analyze size.
-TILE_SIZES = sorted({
-    TILE_BITS - 1, TILE_BITS, 16,
-    TILE_MIN_N - 1, TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 7, TILE_BITS + 8, TILE_BITS + 9,
-})
+# n just below, at and just above each switch of the lattice's layout: bits 0
+# to 3 run on columns from n = 12 on, and a table of more than 2**16 entries
+# runs block by block, the bits above its blocks in a group of 1 to 4 bits at
+# n = 17 to 20 and in a group of 4 and one of 1 at n = 21. n = 16 is the
+# analyze size. The passes at n = 22 to 24, which end on groups of 2, 3 and 4
+# bits as n = 18 to 20 do, are pinned byte for byte in CI.
+TILE_SIZES = [11, 12, 16, 17, 18, 19, 20, 21]
 
 
 def _drop_text(vals, tol):
@@ -572,7 +571,7 @@ def _drop_text(vals, tol):
 
 class TestTiledPasses:
     """Every op that runs through ``lattice`` against the natural-layout loops
-    of ``oracles``, byte for byte, on both sides of every tile switch."""
+    of ``oracles``, byte for byte, on both sides of every switch of its layout."""
 
     @staticmethod
     def tables(n):
@@ -637,10 +636,10 @@ class TestTiledPasses:
         assert validate(caps["additive"], n=n).additive
         assert not validate(caps["flat"], n=n).strictly_monotone
 
-    @pytest.mark.parametrize("n", [TILE_MIN_N, TILE_MIN_N + 1, TILE_BITS + 8])
+    @pytest.mark.parametrize("n", [18, 19, 20])
     def test_drops_match_the_natural_loop(self, n):
-        # From n = TILE_MIN_N on, the scan takes a bit's largest drop over the
-        # calls of its blocks or chunks.
+        # Above one block, the scan takes a bit's largest drop over the calls of
+        # its blocks, columns or chunks.
         caps, others = self.tables(n)
         for name, v in [*caps.items(), *others.items()]:
             for tol in (0.0, 1e-9):
@@ -650,9 +649,9 @@ class TestTiledPasses:
 
 
 class TestFirstViolation:
-    """Planted drops, on the low bits (tiled, on columns or on views) and on the
-    high bits (on blocks, chunks or views), named as the natural-layout scan
-    names them."""
+    """Planted drops, on the low bits (on columns or on views of a block) and on
+    the high bits (on views of a block, or on chunks), named as the
+    natural-layout scan names them."""
 
     @staticmethod
     def planted(n, pairs):
@@ -684,7 +683,7 @@ class TestFirstViolation:
             "two low bits, the later one first": ([(top | 1 << (n - 3), 1), (top, 2)], (top, 2)),
         }
 
-    @pytest.mark.parametrize("n", [8, TILE_BITS, 16, TILE_MIN_N, TILE_BITS + 8])
+    @pytest.mark.parametrize("n", [8, 12, 16, 18, 20])
     def test_not_monotone_texts_match_the_reference_scan(self, n):
         for name, (pairs, first) in self.cases(n).items():
             self.check(n, pairs, first, name)
@@ -692,22 +691,22 @@ class TestFirstViolation:
     def test_drops_in_later_pieces_are_named(self):
         # The search of a bit takes its views in pieces of at most a slice: runs
         # of SLICE >> i rows while a row of 2**i masks is shorter than a slice,
-        # segments of a row otherwise. It spans one block of 2**block_bits(n)
-        # masks on a bit that the pass runs block by block, and the whole table
-        # on a bit above, which the pass runs chunk by chunk: bits 15 to 18 at
+        # segments of a row otherwise. It spans the first block of SLICE masks
+        # whose calls drop on a bit that the pass runs block by block, bits 0 to
+        # 15, where a column bit i makes 2**i calls a block, and the whole table
+        # on a bit above, which the pass runs chunk by chunk: bits 16 to 18 at
         # n = 19, and 16 to 19 at n = 20, where a chunk is 16 rows of 4096 masks.
-        assert block_bits(19) == 15 and block_bits(20) == 16 and SLICE // TILE_ROWS == 1 << 12
+        assert block_bits(19) == block_bits(20) == 16 and SLICE == 1 << 16
         top19, top20 = 1 << 18, 1 << 19
-        rows = SLICE >> 15  # rows of bit 15's views in one piece; mask top19 is in row top19 >> 16
-        assert top19 >> 16 >= 2 * rows and 1 << 17 == 2 * SLICE
-        later = rows << 16  # the first mask of the second piece
+        later = 2 << 16  # the first mask of the third block
         cases = {
-            "past the first piece of a bit's rows": (19, [(top19, 15)], (top19, 15)),
-            "two pieces of one bit, the smaller mask first": (
+            "a view bit in a later block": (19, [(top19, 15)], (top19, 15)),
+            "two blocks of one bit, the smaller mask first": (
                 19, [(top19, 15), (later, 15)], (later, 15)),
             "in a later segment of a long row": (20, [(top20 | 1 << 16, 17)], (top20 | 1 << 16, 17)),
             "a block bit in a later block": (20, [(top20 | 1 << 16, 13)], (top20 | 1 << 16, 13)),
             "a grouped bit in a later chunk": (20, [(top20 | 1 << 14, 17)], (top20 | 1 << 14, 17)),
+            "a column bit in a later block": (20, [(5 << 16 | 9, 2)], (5 << 16 | 9, 2)),
         }
         for name, (n, pairs, first) in cases.items():
             self.check(n, pairs, first, name)
@@ -753,15 +752,15 @@ class TestMemory:
         }
 
     # op, its input, and the bytes per subset it may allocate: a transform its
-    # 8-byte output plus one bool or uint8 table, or the tile of at most half a
-    # byte per subset; the monotonicity scan half a float table, and a failing
-    # one half a bool table more, at n = 16 where a slice holds the table;
-    # as_capacity of a raw array its copy and the scan; validate one Mobius
-    # table and its tile; shapley one Mobius table and its sizes; a report one
-    # Mobius table, one scratch table, the sizes and their scaled copy, and one
-    # bool table or a tile. With a live Mobius
-    # table, shapley allocates its scaled copy in place of a Mobius table, and
-    # a report only the scratch table, the sizes, their copy and a bool table.
+    # 8-byte output plus one bool or uint8 table; the monotonicity scan half a
+    # float table, and a failing one half a bool table more, at n = 16 where a
+    # slice holds the table; as_capacity of a raw array its copy and the scan;
+    # validate one Mobius table and half a byte per subset to spare; shapley
+    # one Mobius table and its sizes; a report one Mobius table, one scratch
+    # table, the sizes and their scaled copy, and one bool table. With a live
+    # Mobius table, shapley allocates its scaled copy in place of a Mobius
+    # table, and a report only the scratch table, the sizes, their copy and a
+    # bool table.
     OPS = [
         ("mobius", "fresh", mobius, 9),
         ("zeta", "m", zeta, 9),
@@ -803,27 +802,48 @@ class TestMemory:
         assert fresh - live >= 8 * (1 << self.N) - 1024
 
 
-class TestMemoryAtTheTileCap(TestMemory):
-    """The same budgets at n = 20, where the lattice tile reaches its cap and
+class TestMemoryOverBlocks(TestMemory):
+    """The same budgets at n = 20, where a lattice pass runs 16 blocks and
     UFUNC_BUFFERS is a quarter of a byte per subset, and tighter ones where a
     slice of 2**16 entries, 1/16 of the table, takes the place of a table."""
 
     N = 20
 
-    # A transform holds its output and its tile (half a byte per subset; the
-    # conjugate has none), and its finiteness check a slice of bools after the
-    # tile is freed. The scan holds the tile and a slice of floats (half a byte
-    # per subset), beside the copy of a raw array, and a failing one a slice of
-    # bools after the tile is freed.
+    # A transform holds its output, and its finiteness check a slice of bools
+    # (1/16 of a byte per subset); the conjugate the same. The scan holds a
+    # slice of floats (half a byte per subset), beside the copy of a raw array,
+    # and a failing one a slice of bools more. validate holds one Mobius table
+    # and a slice of bools; a report one Mobius table, one scratch table, the
+    # sizes and their scaled copy, and a slice of bools, or, with a live Mobius
+    # table, all but the Mobius table.
     TIGHTER = {
-        "mobius": 8.5,
-        "zeta": 8.5,
-        "co_mobius": 8.5,
-        "conjugate": 8.25,
-        "as_capacity": 1,
-        "as_capacity of a raw array": 9,
-        "failing as_capacity": 1,
+        "mobius": 8.0625,
+        "zeta": 8.0625,
+        "co_mobius": 8.0625,
+        "ordinal_mobius": 8.0625,
+        "ordinal_zeta": 8.0625,
+        "conjugate": 8.0625,
+        "conjugate of a capacity": 8.0625,
+        "as_capacity": 0.5,
+        "as_capacity of a raw array": 8.5,
+        "failing as_capacity": 0.5625,
+        "validate": 8.0625,
+        "interaction_report": 18.0625,
+        "interaction_report with a live Mobius table": 10.0625,
     }
+
+
+def test_a_lattice_pass_allocates_no_array():
+    # At n = 20 a table is 16 blocks of SLICE entries; a pass holds its ufunc
+    # buffers of BUFSIZE entries, its lists of results and the views of one
+    # call at a time, and no copy of any part of the table.
+    table = np.random.default_rng(20).uniform(size=1 << 20)
+
+    def up(lo, hi):
+        lo += hi
+
+    peak = peak_above_input(lambda: lattice(up, table))
+    assert peak <= 4 * 8 * BUFSIZE + 64 * 1024, peak
 
 
 def test_ordinal_mobius_frees_its_bool_slice_before_the_finiteness_check():
