@@ -90,7 +90,7 @@ def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.nd
 
 
 def _up(lo, hi):
-    lo += hi
+    np.add(lo, hi, out=lo, order="C")
 
 
 def shapley(mu: Capacity) -> np.ndarray:

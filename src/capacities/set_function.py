@@ -34,12 +34,12 @@ such a buffer too. The monotonicity scan of the capacity constructors and
 one float buffer of at most a slice (512 KiB), which holds what each call
 of its lattice pass compares. The conjugate of a capacity, which inherits
 its invariants, is not scanned. Where a bit's largest drop exceeds tol, a
-natural-layout search takes the bit's views in consecutive pieces of at
-most a slice, runs of whole rows or segments of one row, through the same
-float buffer and a bool buffer of a piece, and stops at the first piece
-that drops by more than tol, to name the first offending pair: over the
-whole table, or, on a bit that the pass runs block by block, over the
-first block of masks that drops. :func:`validate` reads strict
+natural-layout search names the first offending pair: on a bit that the
+pass runs block by block, one call a block, it takes the views of the
+first block whose call drops as one piece; on a bit above, it takes the
+views of the whole table in segments of one row of at most a slice. It
+runs through the same float buffer and a bool buffer of a piece, and stops
+at the first piece that drops by more than tol. :func:`validate` reads strict
 monotonicity off the same drops and builds one Mobius table. The Shapley
 values and interaction reports of :mod:`capacities.interaction` start from
 one writable Mobius table, checked as :func:`mobius` checks its output.
@@ -278,15 +278,15 @@ def _coefficients(m: _Coefficients, cls: type) -> np.ndarray:
 
 
 def _subtract(lo, hi):
-    hi -= lo
+    np.subtract(hi, lo, out=hi, order="C")
 
 
 def _add(lo, hi):
-    hi += lo
+    np.add(hi, lo, out=hi, order="C")
 
 
 def _maximum(lo, hi):
-    np.maximum(hi, lo, out=hi)
+    np.maximum(hi, lo, out=hi, order="C")
 
 
 def _live(v: SetFunction) -> MobiusRepr | None:
@@ -356,7 +356,7 @@ def co_mobius(v: SetFunction) -> CoMobiusRepr:
 
 
 def _below(lo, _, __, a_hi):
-    np.maximum(a_hi, lo, out=a_hi)
+    np.maximum(a_hi, lo, out=a_hi, order="C")
 
 
 def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
@@ -415,26 +415,25 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
     drop = np.empty(min(vals.shape[0] >> 1, subsets.SLICE))
 
     def diff(lo, hi):
-        return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape))
+        return np.subtract(lo, hi, out=drop[: lo.size].reshape(lo.shape), order="C")
 
     n = vals.shape[0].bit_length() - 1
     blocked = subsets.block_bits(n)
     drops, first = [], None
-    # Each call of the pass holds at most a slice: the views or a column of a
-    # block, or a chunk.
+    # Each call of the pass holds at most a slice: the views of a block or of a
+    # chunk.
     for i, calls in enumerate(subsets.lattice(lambda lo, hi: diff(lo, hi).max(), vals)):
         drops.append(max(calls))
         if drops[-1] <= tol:
             continue
         # Search the natural layout for the first drop: the whole table, or on a
-        # bit that runs block by block the first block of masks whose call drops,
-        # where a column bit makes 2**i calls a block. The search walks the
-        # pieces in order and stops at the first that drops by more than tol.
+        # bit that runs block by block, one call a block, the first block whose
+        # call drops. The search walks the pieces in order and stops at the
+        # first that drops by more than tol.
         start, size = 0, vals.shape[0]
         if i < blocked:
             size = 1 << blocked
-            per_block = len(calls) >> (n - blocked)
-            start = size * (next(c for c, m in enumerate(calls) if m > tol) // per_block)
+            start = size * next(c for c, m in enumerate(calls) if m > tol)
         _, lo, hi = next(subsets.halves(vals[start : start + size], 1 << i))
         with np.errstate(over="ignore"):
             found = (_first_over(diff(a, b), tol, base) for base, a, b in _pieces(lo, hi))
@@ -448,14 +447,13 @@ def _pieces(lo: np.ndarray, hi: np.ndarray):
     """Yield ``(base, lo, hi)`` for consecutive pieces of at most
     :data:`subsets.SLICE` entries of one bit's :func:`subsets.halves` views of
     a block, in ascending mask order; ``base`` is the mask of a piece's first
-    entry, counted from the start of the block. A piece is a run of whole rows
-    while a row is shorter than a slice, and a segment of one row otherwise;
-    views of at most a slice are one piece."""
+    entry, counted from the start of the block. Views of at most a slice are
+    one piece, and larger ones are cut into segments of one row."""
     rows, cols = lo.shape
-    height, width = max(subsets.SLICE // cols, 1), min(cols, subsets.SLICE)
+    height = rows if lo.size <= subsets.SLICE else 1
     for r in range(0, rows, height):
-        for c in range(0, cols, width):
-            part = np.s_[r : r + height, c : c + width]
+        for c in range(0, cols, subsets.SLICE):
+            part = np.s_[r : r + height, c : c + subsets.SLICE]
             yield 2 * cols * r + c, lo[part], hi[part]
 
 

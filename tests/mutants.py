@@ -46,7 +46,8 @@ CLI_TESTS = ["tests/test_cli.py"]
 
 # (name, file, source text, replacement, test files or node ids, reason if equivalent)
 MUTANTS = [
-    ("_up sums downwards", INTERACTION, "    lo += hi", "    hi += lo", TESTS, None),
+    ("_up sums downwards", INTERACTION, "np.add(lo, hi, out=lo, order=\"C\")",
+     "np.add(hi, lo, out=hi, order=\"C\")", TESTS, None),
     ("order divisor off by one", INTERACTION, "d -= k - 1", "d -= k", TESTS, None),
     ("_check_finite names the last", INTERACTION, "i = bad[0]", "i = bad[-1]", TESTS, None),
     ("index differences along the wrong axis", INTERACTION, "axis=n - i", "axis=i - 1",
@@ -101,16 +102,19 @@ MUTANTS = [
      "", LATTICE_TESTS, None),
     ("_calls pairs the other tables' lo with lo", SUBSETS, "views += next(other)[1:]",
      "views += next(other)[1:2] * 2", LATTICE_TESTS, None),
-    ("_calls skips the first column", SUBSETS, "for j in range(1 << i))",
-     "for j in range(1, 1 << i))", LATTICE_TESTS, None),
     ("lattice skips the last partial group", SUBSETS, "for bit in range(top, n, GROUP):",
      "for bit in range(top, n - GROUP + 1, GROUP):", LATTICE_TESTS, None),
     ("lattice skips the last block", SUBSETS, "for b in range(0, 1 << n, 1 << top):",
      "for b in range(0, (1 << n) - (1 << top), 1 << top):", LATTICE_TESTS, None),
-    ("lattice runs columns from bit 3", SUBSETS, "columns = GROUP if n >= COLUMN_MIN_N else 0",
-     "columns = GROUP - 1 if n >= COLUMN_MIN_N else 0", LATTICE_TESTS, None),
-    ("lattice runs columns from n = 13", SUBSETS, "columns = GROUP if n >= COLUMN_MIN_N else 0",
-     "columns = GROUP if n > COLUMN_MIN_N else 0", LATTICE_TESTS, None),
+    ("_block swaps the halves", SUBSETS, "yield i, pairs[:, 0], pairs[:, 1]",
+     "yield i, pairs[:, 1], pairs[:, 0]", LATTICE_TESTS, None),
+    ("_block's transpose pairs the wrong masks", SUBSETS,
+     "a.reshape(-1, rows, 2, 1 << i).transpose(0, 2, 3, 1)",
+     "a.reshape(-1, 2, rows, 1 << i).transpose(0, 1, 3, 2)", LATTICE_TESTS, None),
+    ("_block runs tiles from bit 3", SUBSETS, "if i < GROUP and a.shape[0] >= TILE",
+     "if i < GROUP - 1 and a.shape[0] >= TILE", LATTICE_TESTS, None),
+    ("_block runs tiles from n = 13", SUBSETS, "if i < GROUP and a.shape[0] >= TILE",
+     "if i < GROUP and a.shape[0] > TILE", LATTICE_TESTS, None),
     ("lattice runs blocks of SLICE >> 1", SUBSETS, "return min(n, SLICE.bit_length() - 1)",
      "return min(n, SLICE.bit_length() - 2)", LATTICE_TESTS, None),
     ("_groups' chunks one bit narrower", SUBSETS, "width = SLICE >> g",
@@ -121,8 +125,6 @@ MUTANTS = [
      "g = min(a.shape[0].bit_length() - 1 - b, GROUP - 1)", LATTICE_TESTS, None),
     ("_drops narrows a grouped bit to one block", SET_FUNCTION, "        if i < blocked:",
      "        if blocked:", FIRST_DROP_TESTS, None),
-    ("_drops without its per-block division", SET_FUNCTION, "if m > tol) // per_block)",
-     "if m > tol))", FIRST_DROP_TESTS, None),
     ("_pieces counts a row of lo alone", SET_FUNCTION, "yield 2 * cols * r + c,",
      "yield cols * r + c,", FIRST_DROP_TESTS, None),
     ("_first_over without its row offset", SET_FUNCTION,

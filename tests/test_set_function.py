@@ -48,7 +48,8 @@ from capacities import (
 )
 from capacities.interaction import _all_indices
 from capacities.set_function import _drops, _live
-from capacities.subsets import BUFSIZE, SLICE, block_bits, halves, lattice, popcounts, subset_key
+from capacities.subsets import (BUFSIZE, SLICE, TILE, block_bits, halves, lattice, popcounts,
+                                 subset_key)
 from helpers import peak_above_input, random_capacity, random_set_function
 
 TOL = 1e-12
@@ -159,19 +160,24 @@ class TestHalves:
             hi += 1.0
         assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
-    # n = 22 and 23 end on a group of 2 and of 3 bits.
-    @pytest.mark.parametrize("n", [1, 5, 12, 16, 18, 20, 22, 23])
+    # n = 13 and 14 are one block of 2 and of 4 tiles; n = 22 and 23 end on a
+    # group of 2 and of 3 bits.
+    @pytest.mark.parametrize("n", [1, 5, 12, 13, 14, 16, 18, 20, 22, 23])
     def test_lattice_visits_every_pair_once_in_bit_order(self, n):
         # The entries are the masks themselves, so each (lo, hi) of a call,
-        # on a chunk, columns or views, tells which pairs it covers.
+        # on a chunk, tiles or views, tells which pairs it covers.
         table = np.arange(1 << n, dtype=np.float64)
         table.flags.writeable = False
         last_bit = np.full(1 << n, -1, dtype=np.int8)
         visits = np.zeros(1 << n, dtype=np.int8)
+        block = min(1 << n, SLICE)
 
         def op(lo, hi):
+            shape = lo.shape
             lo, hi = lo.astype(np.int64).ravel(), hi.astype(np.int64).ravel()
             bit = int(hi[0] - lo[0]).bit_length() - 1
+            if bit < 4 and n >= 12:  # a tiled bit: the columns of each tile of TILE masks
+                assert shape == (block // TILE, 1 << bit, TILE >> (bit + 1))
             assert np.all(hi == lo | 1 << bit) and not np.any(lo >> bit & 1)
             assert np.all(last_bit[lo] < bit) and np.all(last_bit[hi] < bit)
             last_bit[lo] = last_bit[hi] = bit
@@ -182,17 +188,10 @@ class TestHalves:
         results = lattice(op, table)
         assert np.all(visits == n) and np.all(last_bit == n - 1)
         assert [set(r) for r in results] == [{i} for i in range(n)]
-        # A block is SLICE masks, or the table. Per block, 2**i calls on a column
-        # bit, bits 0 to 3 from n = 12 on, and one on any other bit of the
-        # block; one call per chunk of SLICE entries on a bit above it.
-        blocks = max((1 << n) // SLICE, 1)
-
-        def calls(i):
-            if 1 << i >= SLICE:
-                return (1 << n) // SLICE
-            return blocks << i if i < 4 and n >= 12 else blocks
-
-        assert [len(r) for r in results] == [calls(i) for i in range(n)]
+        # A block is SLICE masks, or the table. One call per block on a bit of
+        # the block, tiled or not; one call per chunk of SLICE entries on a bit
+        # above it.
+        assert [len(r) for r in results] == [(1 << n) // block] * n
 
     @pytest.mark.parametrize("n", [3, 18])
     def test_lattice_writes_back_only_to_writable_tables(self, n):
@@ -552,7 +551,7 @@ class TestTableContract:
 
 
 # n just below, at and just above each switch of the lattice's layout: bits 0
-# to 3 run on columns from n = 12 on, and a table of more than 2**16 entries
+# to 3 run on tiles from n = 12 on, and a table of more than 2**16 entries
 # runs block by block, the bits above its blocks in a group of 1 to 4 bits at
 # n = 17 to 20 and in a group of 4 and one of 1 at n = 21. n = 16 is the
 # analyze size. The passes at n = 22 to 24, which end on groups of 2, 3 and 4
@@ -639,7 +638,7 @@ class TestTiledPasses:
     @pytest.mark.parametrize("n", [18, 19, 20])
     def test_drops_match_the_natural_loop(self, n):
         # Above one block, the scan takes a bit's largest drop over the calls of
-        # its blocks, columns or chunks.
+        # its blocks or chunks.
         caps, others = self.tables(n)
         for name, v in [*caps.items(), *others.items()]:
             for tol in (0.0, 1e-9):
@@ -649,7 +648,7 @@ class TestTiledPasses:
 
 
 class TestFirstViolation:
-    """Planted drops, on the low bits (on columns or on views of a block) and on
+    """Planted drops, on the low bits (on tiles or on views of a block) and on
     the high bits (on views of a block, or on chunks), named as the
     natural-layout scan names them."""
 
@@ -689,16 +688,18 @@ class TestFirstViolation:
             self.check(n, pairs, first, name)
 
     def test_drops_in_later_pieces_are_named(self):
-        # The search of a bit takes its views in pieces of at most a slice: runs
-        # of SLICE >> i rows while a row of 2**i masks is shorter than a slice,
-        # segments of a row otherwise. It spans the first block of SLICE masks
-        # whose calls drop on a bit that the pass runs block by block, bits 0 to
-        # 15, where a column bit i makes 2**i calls a block, and the whole table
-        # on a bit above, which the pass runs chunk by chunk: bits 16 to 18 at
-        # n = 19, and 16 to 19 at n = 20, where a chunk is 16 rows of 4096 masks.
-        assert block_bits(19) == block_bits(20) == 16 and SLICE == 1 << 16
+        # The search of a bit takes its views in pieces of at most a slice: the
+        # views of one block whole, and those of the whole table in segments of
+        # one row. It spans the first block of SLICE masks whose call drops on a
+        # bit that the pass runs block by block, bits 0 to 15, one call a block,
+        # and the whole table on a bit above, which the pass runs chunk by
+        # chunk: bits 16 to 18 at n = 19, and 16 to 19 at n = 20, where a chunk
+        # is 16 rows of 4096 masks. Bit 3 runs on tiles of TILE masks.
+        assert block_bits(19) == block_bits(20) == 16 and SLICE == 1 << 16 and TILE == 1 << 12
         top19, top20 = 1 << 18, 1 << 19
         later = 2 << 16  # the first mask of the third block
+        # in tiles 5 and 9 of the last block but one
+        tile18, tile20 = (((1 << n) - 2 * SLICE) | 5 << 12 | 7 << 4 for n in (18, 20))
         cases = {
             "a view bit in a later block": (19, [(top19, 15)], (top19, 15)),
             "two blocks of one bit, the smaller mask first": (
@@ -706,7 +707,11 @@ class TestFirstViolation:
             "in a later segment of a long row": (20, [(top20 | 1 << 16, 17)], (top20 | 1 << 16, 17)),
             "a block bit in a later block": (20, [(top20 | 1 << 16, 13)], (top20 | 1 << 16, 13)),
             "a grouped bit in a later chunk": (20, [(top20 | 1 << 14, 17)], (top20 | 1 << 14, 17)),
-            "a column bit in a later block": (20, [(5 << 16 | 9, 2)], (5 << 16 | 9, 2)),
+            "a tiled bit in a later block": (20, [(5 << 16 | 9, 2)], (5 << 16 | 9, 2)),
+            "a tiled bit in a later tile, n = 18": (
+                18, [(tile18 + (4 << 12), 3), (tile18, 3)], (tile18, 3)),
+            "a tiled bit in a later tile, n = 20": (
+                20, [(tile20 + (4 << 12), 3), (tile20, 3)], (tile20, 3)),
         }
         for name, (n, pairs, first) in cases.items():
             self.check(n, pairs, first, name)
