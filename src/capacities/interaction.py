@@ -71,15 +71,21 @@ def _all_indices(mu: Capacity, max_order: int, sizes: np.ndarray) -> tuple[np.nd
     """The masks A of size 1..K = min(max(max_order, 2), n), ascending, and I(A) at
     each; ``sizes`` is :func:`subsets.popcounts` of n. For each order k, one
     superset pass over m(B) / max(|B| - k + 1, 1) leaves I(A) at every |A| = k.
-    The passes share one scratch table, so the Mobius table is only read."""
+    The passes share one scratch table, so the Mobius table is only read. The
+    values that :func:`shapley` kept on ``mu`` are those of the order-1 pass,
+    byte for byte, so where it has run, they fill the singletons and that
+    pass is skipped."""
     top = min(max(max_order, 2), mu.n)
     masks = np.flatnonzero(sizes <= top)[1:]  # without the empty set
     at = sizes[masks]
     values = np.empty(masks.size)
+    kept = vars(mu).get("_shapley")
+    if kept is not None:
+        values[at == 1] = kept  # the singletons, ascending, are bits 0..n-1
     m = _mobius_table(mu)
     t = np.empty_like(m)
     d = np.empty_like(sizes)
-    for k in range(1, top + 1):
+    for k in range(1 if kept is None else 2, top + 1):
         np.maximum(sizes, k, out=d)
         d -= k - 1  # max(|B|, k) - (k - 1) = max(|B| - k + 1, 1), exact in uint8
         np.divide(m, d, out=t)
@@ -101,15 +107,23 @@ def shapley(mu: Capacity) -> np.ndarray:
     that the caller still holds into a new table, else its own Mobius table
     in place, and holds that table alone through the pass. A finite Mobius
     table can still sum past the largest double: the first criterion whose
-    value is not finite raises :class:`InvalidFormat` naming it."""
+    value is not finite raises :class:`InvalidFormat` naming it. Every call
+    runs its pass; once the values are checked, a read-only copy of them
+    stays on ``mu``, where a later report on ``mu`` takes them for its
+    singletons instead of running its own order-1 pass. A copy or a pickle
+    of ``mu`` leaves them out."""
     m = _mobius_table(mu)
     sizes = subsets.popcounts(mu.n)
     t = np.divide(m, np.maximum(sizes, 1, out=sizes), out=m if m.flags.writeable else None)
     del sizes  # freed before the pass, so the table alone is held through it
     subsets.lattice(_up, t)
     bits = 1 << np.arange(mu.n)
-    _check_finite(bits, t[bits])
-    return t[bits]
+    phi = t[bits]
+    _check_finite(bits, phi)
+    kept = phi.copy()  # the caller may write into phi
+    kept.flags.writeable = False
+    vars(mu)["_shapley"] = kept
+    return phi
 
 
 # A value's label, at (value > tol) + 2 * (value < -tol): the rule of classify.
@@ -170,9 +184,11 @@ def interaction_report(
     the half-width of the non-interactive band and must be finite and >= 0.
     The passes start from the table of a :func:`mobius` result of ``mu``
     that the caller still holds, which they read and never write, or else
-    from a Mobius table of their own. Every index computed, the pairs of
-    ``pair_matrix`` included when ``max_order`` is 1, must be finite: the
-    first coalition in mask order whose index is not raises
+    from a Mobius table of their own. After :func:`shapley` on ``mu``, the
+    singletons are the values it kept, those of the order-1 pass byte for
+    byte, and only orders 2 and up run a pass. Every index computed, the
+    pairs of ``pair_matrix`` included when ``max_order`` is 1, must be
+    finite: the first coalition in mask order whose index is not raises
     :class:`InvalidFormat` naming it.
     """
     _values(mu)  # refuse what is not a value table before reading its n

@@ -49,8 +49,11 @@ While the caller holds the result of ``mobius(v)``, they read its read-only
 table instead, found through the weak reference that ``mobius`` leaves on
 ``v``, which keeps no table alive and which a copy or a pickle of ``v``
 leaves out: ``shapley`` scales it into a new table, and a report runs every
-order in its scratch table. Public constructors copy the arrays they are
-given; tables the package has just built are wrapped without a copy.
+order in its scratch table. ``shapley`` also leaves on ``v`` a read-only
+copy of its n values, which a copy or a pickle of ``v`` leaves out too; a
+later report on ``v`` takes them for its singletons and runs no order-1
+pass. Public constructors copy the arrays they are given; tables the
+package has just built are wrapped without a copy.
 """
 
 from __future__ import annotations
@@ -178,8 +181,8 @@ class SetFunction:
     __iter__ = None  # a table is indexed by mask, not walked as a sequence
 
     def __getstate__(self):
-        """A copy or a pickle carries no live Mobius table."""
-        return {k: x for k, x in vars(self).items() if k != "_mobius"}
+        """A copy or a pickle carries no live Mobius table and no kept Shapley values."""
+        return {k: x for k, x in vars(self).items() if k not in ("_mobius", "_shapley")}
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -35,6 +35,7 @@ SUBSETS = "src/capacities/subsets.py"
 INTEGRALS = "src/capacities/integrals.py"
 AXIOMS = "src/capacities/axioms.py"
 SET_FUNCTION = "src/capacities/set_function.py"
+MODEL = "src/capacities/model.py"
 CLI = "src/capacities/cli.py"
 TESTS = ["tests/test_interaction.py"]
 LATTICE_TESTS = ["tests/test_set_function.py::TestHalves"]
@@ -43,6 +44,7 @@ INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
 FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
 CLI_TESTS = ["tests/test_cli.py"]
+MODEL_TESTS = ["tests/test_model.py"]
 
 # (name, file, source text, replacement, test files or node ids, reason if equivalent)
 MUTANTS = [
@@ -58,8 +60,8 @@ MUTANTS = [
      "np.flatnonzero(sizes <= top)", TESTS, None),
     ("top without the pairs", INTERACTION, "top = min(max(max_order, 2), mu.n)",
      "top = min(max_order, mu.n)", TESTS, None),
-    ("shapley reads the wrong entries", INTERACTION, "    return t[bits]",
-     "    return t[bits - 1]", TESTS, None),
+    ("shapley reads the wrong entries", INTERACTION, "    phi = t[bits]",
+     "    phi = t[bits - 1]", TESTS, None),
     ("shapley divides singletons by 2", INTERACTION, "np.maximum(sizes, 1, out=sizes)",
      "np.maximum(sizes, 2, out=sizes)", TESTS, None),
     ("shapley keeps its sizes through the pass", INTERACTION,
@@ -68,8 +70,15 @@ MUTANTS = [
      ["tests/test_set_function.py::TestMemoryOverBlocks"],
      "a lattice pass allocates no array, so the division, which holds the table "
      "and the sizes, is the peak whether the sizes stay live through the pass or not"),
-    ("shapley without its finiteness check", INTERACTION, "    _check_finite(bits, t[bits])",
-     "    t[bits]", TESTS, None),
+    ("shapley without its finiteness check", INTERACTION, "    _check_finite(bits, phi)\n",
+     "", TESTS, None),
+    ("the report takes the kept values for order 2 too", INTERACTION,
+     "range(1 if kept is None else 2, top + 1)", "range(1 if kept is None else 3, top + 1)",
+     TESTS, None),
+    ("shapley keeps the array it returns", INTERACTION, "kept = phi.copy()", "kept = phi",
+     TESTS, None),
+    ("the report ignores the kept values", INTERACTION, 'kept = vars(mu).get("_shapley")',
+     "kept = None", TESTS, None),
     ("report shows one order too few", INTERACTION, "shown = sizes[masks] <= max_order",
      "shown = sizes[masks] < max_order", TESTS, None),
     ("pair matrix at intersections", INTERACTION, "bits[:, None] | bits",
@@ -130,6 +139,14 @@ MUTANTS = [
     ("_first_over without its row offset", SET_FUNCTION,
      "return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None",
      "return base + k if over.flat[k] else None", FIRST_DROP_TESTS, None),
+    ("rank_acts splits a tie at tol 0", MODEL, "prepend=scores[order[0]]) < -tol)",
+     "prepend=scores[order[0]]) <= -tol)", MODEL_TESTS, None),
+    ("rank_acts sorts by input order first", MODEL, "np.lexsort((order, chain))",
+     "np.lexsort((chain, order))", MODEL_TESTS, None),
+    ("_utility_matrix takes only float columns", MODEL, 'if columns.dtype.kind in "iuf":',
+     'if columns.dtype.kind in "f":', MODEL_TESTS, None),
+    ("model_from_dict takes any key int() reads", MODEL, "        if str(criterion) != key:",
+     "        if criterion is None:", MODEL_TESTS, None),
     ("cli._round12 at 11 digits", CLI, "        return float(_fmt(obj))",
      '        return float(format(obj, ".11g"))', CLI_TESTS, None),
     ("_mobius_rows dots a one-term table", INTEGRALS, "if n == 1 else np.vecdot",

@@ -612,3 +612,42 @@ def test_sort_kernels_at_the_edges_of_a_double_are_finite_or_out_of_domain(v, da
             assert (many is None) == (None in got)
             if many is not None:
                 assert many.tobytes() == np.array(got).tobytes()
+
+
+# Scale levels and raw act entries at the edges of a double: the largest
+# doubles, 1e300, the least subnormals and zeros of either sign.
+MODEL_EDGES = [1.79e308, -1.79e308, 1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0]
+
+
+def _edge_capacity(v):
+    """A capacity with singletons > 0 built from an edge table: its absolute
+    values, zero singletons raised to the least subnormal, closed under the
+    maximum over subsets, and accepted with a tol that admits its mu(N)."""
+    a = np.abs(v.values)
+    bits = 1 << np.arange(v.n)
+    a[bits] = np.maximum(a[bits], 5e-324)
+    w = ordinal_zeta(OrdinalMobiusRepr(v.n, a)).values
+    return as_capacity(w, None, True, max(abs(w[-1] - 1.0), 1e-9))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(v=edge_tables(), data=st.data())
+def test_the_model_layer_at_the_edges_of_a_double_is_finite_or_refused(v, data):
+    mu = _edge_capacity(v)
+    levels = data.draw(st.lists(st.sampled_from(MODEL_EDGES), min_size=v.n, max_size=v.n))
+    scales = [UtilityScale(i + 1, {"neutral": 0.0, "good": 1.0, "edge": x})
+              for i, x in enumerate(levels)]
+    entry = st.sampled_from(MODEL_EDGES + ["neutral", "good", "edge"])
+    acts = data.draw(st.lists(st.lists(entry, min_size=v.n, max_size=v.n),
+                              min_size=1, max_size=4))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e300]))
+    for name in EXTENSION_NAMES:
+        losses = conjugate(mu) if name == "cpt" else None
+        model = _finite_or_refused(AggregationModel, mu, name, scales, losses,
+                                   refused=CapacitiesError)
+        if model is None:
+            continue
+        ranked = _finite_or_refused(rank_acts, model, acts, tol, refused=CapacitiesError)
+        _assert_finite(None if ranked is None else [r.score for r in ranked])
+        for act in acts:
+            _finite_or_refused(evaluate_act, model, act, refused=CapacitiesError)

@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -21,7 +23,7 @@ from capacities import (
     mobius,
     shapley,
 )
-from capacities import set_function
+from capacities import set_function, subsets
 from capacities.subsets import halves, lattice, popcounts
 from helpers import random_additive_capacity, random_capacity
 
@@ -377,12 +379,15 @@ class TestPinnedToTheTableFormulas:
             assert shapley(mu).tobytes() == self.want_indices(mu, 1)[bits].tobytes()
             for order in {1, 2, 3, n} if n <= 12 else (2,):
                 want = self.want_indices(mu, order)
-                rep = interaction_report(mu, max_order=order)
                 masks = [a for a in range(1, 1 << n) if a.bit_count() <= order]
-                assert list(rep.values) == masks
-                assert np.array(list(rep.values.values())).tobytes() == want[masks].tobytes()
-                assert rep.shapley.tobytes() == want[bits].tobytes()
-                assert rep.pair_matrix.tobytes() == want[bits[:, None] | bits].tobytes()
+                # The report on mu takes the Shapley values kept on it; its copy
+                # keeps none and runs its own order-1 pass.
+                for v in (mu, copy.copy(mu)):
+                    rep = interaction_report(v, max_order=order)
+                    assert list(rep.values) == masks
+                    assert np.array(list(rep.values.values())).tobytes() == want[masks].tobytes()
+                    assert rep.shapley.tobytes() == want[bits].tobytes()
+                    assert rep.pair_matrix.tobytes() == want[bits[:, None] | bits].tobytes()
 
     @staticmethod
     def outcome(call, *args):
@@ -400,19 +405,28 @@ class TestPinnedToTheTableFormulas:
         compared = 0
         for mu in self.tables(n):
             for held in (False, True):
+                # The report on mu takes the Shapley values kept on it; the copy
+                # keeps none and runs its own order-1 pass, from its own live
+                # Mobius table where mu has one.
+                own = copy.copy(mu)
                 m = self.outcome(mobius, mu) if held else None
-                assert set_function._live(mu) is m
+                m_own = self.outcome(mobius, own) if held else None
+                assert set_function._live(mu) is m and set_function._live(own) is m_own
                 phi = self.outcome(shapley, mu)
                 for order in sorted({1, min(2, n)}):
-                    rep = self.outcome(interaction_report, mu, order)
+                    reps = [self.outcome(interaction_report, v, order) for v in (mu, own)]
                     if phi is None:
-                        assert rep is None
-                    elif rep is not None:
-                        assert rep.shapley.tobytes() == phi.tobytes()
-                        assert np.diag(rep.pair_matrix).tobytes() == phi.tobytes()
-                        assert np.array([rep.values[b] for b in bits.tolist()]).tobytes() == (
-                            phi.tobytes())
+                        assert reps == [None, None]
+                    elif reps[0] is not None:
+                        assert reps[1] is not None
+                        for rep in reps:
+                            assert rep.shapley.tobytes() == phi.tobytes()
+                            assert np.diag(rep.pair_matrix).tobytes() == phi.tobytes()
+                            assert np.array([rep.values[b] for b in bits.tolist()]).tobytes() == (
+                                phi.tobytes())
                         compared += 1
+                    else:
+                        assert reps[1] is None
         assert compared >= 2 * len({1, min(2, n)})  # at least the capacity, fresh and held
 
 
@@ -510,3 +524,43 @@ class TestLiveMobiusTable:
         monkeypatch.setattr(set_function, "_mobius_pass", lambda a: passes.append(a) or run(a))
         shapley(mu), interaction_report(mu)
         assert passes == []
+
+
+class TestKeptShapleyValues:
+    """``shapley`` keeps a read-only copy of its values on ``mu``, and a later
+    report on ``mu`` takes them for its singletons instead of its order-1 pass."""
+
+    @pytest.mark.parametrize("n, order", [(1, 1), (2, 1), (2, 2), (8, 1), (8, 2)])
+    def test_a_report_after_shapley_runs_one_pass_fewer(self, monkeypatch, n, order):
+        mu = random_capacity(np.random.default_rng(30 + n), n)
+        passes = []
+        run = subsets.lattice
+        monkeypatch.setattr(subsets, "lattice", lambda op, *a: passes.append(op) or run(op, *a))
+
+        def count(call, *args):
+            passes.clear()
+            call(*args)
+            return len(passes)
+
+        fresh = count(interaction_report, copy.copy(mu), order)
+        assert count(shapley, mu) == 2  # its Mobius pass and its order-1 pass, every call
+        assert count(shapley, mu) == 2
+        assert count(interaction_report, mu, order) == fresh - 1
+
+    def test_writing_into_the_returned_values_leaves_a_later_report_as_it_was(self):
+        mu = random_capacity(np.random.default_rng(31), 6)
+        want = interaction_report(copy.copy(mu)).to_dict()
+        phi = shapley(mu)
+        phi[:] = 7.0
+        assert interaction_report(mu).to_dict() == want
+        assert shapley(mu).tobytes() == np.array(want["shapley"]).tobytes()
+
+    def test_copies_and_pickles_carry_no_kept_values(self):
+        mu = random_capacity(np.random.default_rng(32), 6)
+        phi = shapley(mu)
+        kept = vars(mu)["_shapley"]
+        assert kept.tobytes() == phi.tobytes() and not kept.flags.writeable
+        for again in (copy.copy(mu), copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+            assert "_shapley" not in vars(again)
+            assert interaction_report(again).shapley.tobytes() == phi.tobytes()
+        assert vars(mu)["_shapley"] is kept

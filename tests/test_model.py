@@ -479,6 +479,15 @@ class TestUtilityMatrix:
         want = oracles.loop_utilities(model, [Act(tuple(e)) for e in entries])
         assert got.tobytes() == want.tobytes()
 
+    def test_integer_entries_are_read_without_the_act_loop(self, monkeypatch):
+        # columns of ints are int64 arrays; past 2**53 they round as float() rounds
+        model = bench_style_model(np.random.default_rng(4), 3)
+        entries = [(1, 0, -2), (2**53 + 1, -(2**62) - 1, 5), (0, 3, 2**63 - 1)]
+        acts = [Act(e) for e in entries]
+        want = oracles.loop_utilities(model, acts)
+        monkeypatch.setattr(capacities.model, "_utilities", None)
+        assert capacities.model._utility_matrix(model, acts).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("entry", ["1.5", "inf", "nan", "0"])
     def test_numeric_unknown_level_names_raise_unknown_level(self, entry):
         # a float64 dtype would have parsed them as numbers
