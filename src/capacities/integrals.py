@@ -42,9 +42,11 @@ per score row, in scratch tables of at most 256 KiB (or of one row) that the
 call allocates once and every block reuses; the block's tables are then copied
 out as C-contiguous rows, one per score row, for one ``np.vecdot``. Every entry
 is the same step of the same two doubles, and every dot runs the kernel of a
-one-row ``np.dot``, so each value has the bits of its row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding:
-``cpt`` as choquet(mu_gains, t+) minus choquet(mu_losses, t-), ``mle`` and
-``smle`` as one matrix product over the low and high halves of the criteria.
+one-row ``np.dot``, so each value has the bits of its row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding
+where both are finite: ``cpt`` as choquet(mu_gains, t+) minus
+choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product over the low
+and high halves of the criteria. Near the largest double that product, which
+sums terms before it scales them, can be finite where the row kernel overflows.
 The sort kernels rank each score row once, with one stable argsort, and hold
 the ranking criterion-major, one row per rank and one column per score row, so
 that every step runs on contiguous rows of k entries. The signed ones, ``cpt``'s
@@ -663,9 +665,12 @@ class Extension:
     ``fn`` is the row kernel: it maps a finite (k, n) score matrix, which it
     only reads, to k values, each exact for its row alone. A call runs it on
     one row; :meth:`_values` runs it on a whole matrix. ``batch`` is what
-    :meth:`many` runs, equal to ``fn`` up to rounding; without it,
-    :meth:`many` runs ``fn``. A call raises :class:`OutOfDomain` when the
-    value is not finite.
+    :meth:`many` runs, equal to ``fn`` up to rounding where both are finite;
+    without it, :meth:`many` runs ``fn``. A call raises :class:`OutOfDomain`
+    when the value is not finite. At the edge of the double range the two can
+    part: the ``mle`` and ``smle`` batch sums the terms of the low criteria
+    before it multiplies by the high ones, so it can return a finite value at
+    scores where ``fn`` overflows and the call raises :class:`OutOfDomain`.
     """
 
     name: str

@@ -10,6 +10,7 @@ aggregate of the binary act that is good on A and neutral elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -125,11 +126,29 @@ class Act:
             ) from None
         if not isinstance(self.label, str):
             raise InvalidFormat("expected a string for label, got %r" % type(self.label).__name__)
-        if not _PLAIN_ENTRY_TYPES.issuperset(map(type, entries)):
-            for e in entries:
-                if not isinstance(e, str):
-                    _number(e, "an act entry that is not a level name")
+        _check_entries((entries,))
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _own(cls, entries: tuple, label: str) -> Act:
+        """An act of ``entries``, a tuple whose entries are already checked, and
+        ``label``, a str, built without the checks of ``__init__``. Each field is
+        set as the frozen ``__init__`` sets it, through ``object.__setattr__``."""
+        act = object.__new__(cls)
+        object.__setattr__(act, "entries", entries)
+        object.__setattr__(act, "label", label)
+        return act
+
+
+def _check_entries(rows) -> None:
+    """Raise :class:`InvalidFormat` for the first entry of ``rows``, read row by
+    row, that is neither a level name nor a number. One type scan covers all
+    rows; only when it finds a type other than float and str are the entries
+    read one by one."""
+    if not _PLAIN_ENTRY_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+        for e in chain.from_iterable(rows):
+            if not isinstance(e, str):
+                _number(e, "an act entry that is not a level name")
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +307,10 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     Adjacent scores within ``tol`` of each other form an indifference
     chain: within a chain acts keep their input order and all but the
     first are flagged. The result is a list of :class:`RankedAct`. All acts
-    are scored in one batch (``Extension.many``).
+    are scored in one batch (``Extension.many``), while :func:`evaluate_act`
+    makes the one-vector call. At the edge of the double range an mle or smle
+    batch can be finite where the call overflows, so ``rank_acts`` can rank
+    an act that ``evaluate_act`` refuses with :class:`OutOfDomain`.
     """
     tol = _tol(tol)
     try:
@@ -361,23 +383,32 @@ def acts_from_obj(obj) -> list:
     """Parse an acts file: a JSON array of acts.
 
     Each act is either an array of entries or an object with "entries"
-    and an optional "label".
+    and an optional "label". The entries of all acts are checked in one
+    pass, and the error raised is the one an act-by-act reading meets
+    first: an act that is not well formed is named only when every entry
+    before it is a level name or a number.
     """
     if not isinstance(obj, list):
         raise InvalidFormat("acts must be a JSON array")
-    acts = []
+    rows, labels, error = [], [], None
     for k, item in enumerate(obj):
         if isinstance(item, list):
-            acts.append(Act(item))
-        elif isinstance(item, dict):
-            if "entries" not in item:
-                raise InvalidFormat('act %d is missing "entries"' % k)
-            if not isinstance(item["entries"], list):
-                raise InvalidFormat('act %d: "entries" must be an array' % k)
-            label = item.get("label", "")
-            if not isinstance(label, str):
-                raise InvalidFormat('act %d: "label" must be a string' % k)
-            acts.append(Act(item["entries"], label=label))
+            entries, label = item, ""
+        elif not isinstance(item, dict):
+            error = "act %d must be an array or an object" % k
+        elif "entries" not in item:
+            error = 'act %d is missing "entries"' % k
         else:
-            raise InvalidFormat("act %d must be an array or an object" % k)
-    return acts
+            entries, label = item["entries"], item.get("label", "")
+            if not isinstance(entries, list):
+                error = 'act %d: "entries" must be an array' % k
+            elif not isinstance(label, str):
+                error = 'act %d: "label" must be a string' % k
+        if error is not None:
+            break
+        rows.append(entries)
+        labels.append(label)
+    _check_entries(rows)
+    if error is not None:
+        raise InvalidFormat(error)
+    return list(map(Act._own, map(tuple, rows), labels))

@@ -147,6 +147,23 @@ MUTANTS = [
      'if columns.dtype.kind in "f":', MODEL_TESTS, None),
     ("model_from_dict takes any key int() reads", MODEL, "        if str(criterion) != key:",
      "        if criterion is None:", MODEL_TESTS, None),
+    ("acts_from_obj skips the entry check", MODEL, "    _check_entries(rows)\n", "",
+     MODEL_TESTS, None),
+    ("the batched check reads only the last act", MODEL,
+     "issuperset(map(type, chain.from_iterable(rows)))",
+     "issuperset(map(type, rows[-1] if rows else ()))", MODEL_TESTS, None),
+    ("a structural error raised before the earlier entries are checked", MODEL,
+     "    _check_entries(rows)\n    if error is not None:\n        raise InvalidFormat(error)\n",
+     "    if error is not None:\n        raise InvalidFormat(error)\n    _check_entries(rows)\n",
+     MODEL_TESTS, None),
+    ("Act._own sets no label", MODEL, '        object.__setattr__(act, "label", label)\n', "",
+     MODEL_TESTS, None),
+    ("UtilityScale accepts a non-finite level", MODEL, "if not np.isfinite(levels[name]):",
+     "if np.isnan(levels[name]):", MODEL_TESTS, None),
+    ("UtilityScale without its good pin", MODEL, "if levels.get(GOOD) != 1.0:", "if False:",
+     MODEL_TESTS, None),
+    ("AggregationModel accepts a duplicate scale", MODEL,
+     "if scale.criterion in by_criterion:", "if False:", MODEL_TESTS, None),
     ("cli._round12 at 11 digits", CLI, "        return float(_fmt(obj))",
      '        return float(format(obj, ".11g"))', CLI_TESTS, None),
     ("_mobius_rows dots a one-term table", INTEGRALS, "if n == 1 else np.vecdot",

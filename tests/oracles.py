@@ -16,7 +16,8 @@ grouping loop ``rank_acts`` ran before it ranked by stable sorts,
 ``loop_pseudo_product_fold`` the mask-by-mask fold of a pseudo-product,
 ``loop_subset_table`` the same fold of a ufunc, row by row,
 ``loop_utilities`` the act-by-act loop that read the utility matrix before
-``rank_acts`` read it column by column, and ``loop_choquet_rows``,
+``rank_acts`` read it column by column, ``loop_acts_from_obj`` the acts-file
+parser that built and checked each act through ``Act(...)`` in turn, and ``loop_choquet_rows``,
 ``loop_split_choquet_rows`` and ``loop_sugeno_rows`` the row-major sort
 kernels the package ran before it ranked each score row once, criterion-major:
 a column loop over each row's ranking, and a ranking of t+ and one of t- for
@@ -28,8 +29,9 @@ import math
 
 import numpy as np
 
-from capacities.errors import DimensionMismatch
+from capacities.errors import DimensionMismatch, InvalidFormat
 from capacities.integrals import _OFF_GRID, OperatorCertificate
+from capacities.model import Act
 
 
 def members(mask):
@@ -355,6 +357,32 @@ def loop_utilities(model, acts):
             for i, entry in enumerate(act.entries)
         ])
     return np.array(rows, dtype=np.float64)
+
+
+def loop_acts_from_obj(obj) -> list:
+    """Parse an acts file: a JSON array of acts.
+
+    Each act is either an array of entries or an object with "entries"
+    and an optional "label".
+    """
+    if not isinstance(obj, list):
+        raise InvalidFormat("acts must be a JSON array")
+    acts = []
+    for k, item in enumerate(obj):
+        if isinstance(item, list):
+            acts.append(Act(item))
+        elif isinstance(item, dict):
+            if "entries" not in item:
+                raise InvalidFormat('act %d is missing "entries"' % k)
+            if not isinstance(item["entries"], list):
+                raise InvalidFormat('act %d: "entries" must be an array' % k)
+            label = item.get("label", "")
+            if not isinstance(label, str):
+                raise InvalidFormat('act %d: "label" must be a string' % k)
+            acts.append(Act(item["entries"], label=label))
+        else:
+            raise InvalidFormat("act %d must be an array or an object" % k)
+    return acts
 
 
 # -- one-trial samplers ------------------------------------------------------------

@@ -596,3 +596,105 @@ class TestModelParsing:
             acts_from_obj({"entries": []})
         with pytest.raises(InvalidFormat):
             acts_from_obj([{"label": "no entries"}])
+
+
+# Entries of an acts file: level names and doubles out to the edges of the range,
+# which the type scan passes; ints and numpy scalars, which take the number
+# check; and entries that are neither a level name nor a number, 2**1100 among
+# them, since no double holds it.
+PLAIN_ENTRIES = ["good", "neutral", "bad", "1.5", 0.0, -0.0, 5e-324, -5e-324, 1.79e308,
+                 -1.79e308, 0.25, -3.5]
+OTHER_ENTRIES = [0, 1, -7, 2**64, -2**64, np.int64(3), np.float32(0.5), np.float64(-0.0),
+                 np.str_("good")]
+BAD_ENTRIES = [True, False, None, [0.5], [], {"good": 1}, np.bool_(True), 2**1100, -2**1100]
+# Items that are not an act: a number, a string, an object without "entries",
+# entries that are not an array and a label that is not a string.
+BAD_ITEMS = [5, 0.5, "ab", None, {"label": "x"}, {}, {"entries": "ab"},
+             {"entries": ("good",)}, {"entries": None, "label": 3},
+             {"entries": ["good"], "label": 3}, {"entries": ["good"], "label": None}]
+
+
+def acts_file(rng):
+    """A list of 0-40 acts in list and object forms, drawn at one of a few rates
+    of bad entries and bad items."""
+    bad_entry = rng.choice([0.0, 0.002, 0.01, 0.05])
+    bad_item = rng.choice([0.0, 0.01, 0.05])
+    other = rng.choice([0.0, 0.1, 0.5])
+    form = rng.choice(["list", "object", "mixed"])
+    items = []
+    for _ in range(rng.integers(0, 41)):
+        if rng.random() < bad_item:
+            items.append(BAD_ITEMS[rng.integers(len(BAD_ITEMS))])
+            continue
+        entries = []
+        for _ in range(rng.integers(0, 7)):
+            u = rng.random()
+            pool = (BAD_ENTRIES if u < bad_entry
+                    else OTHER_ENTRIES if u < bad_entry + other else PLAIN_ENTRIES)
+            entries.append(pool[rng.integers(len(pool))])
+        as_list = form == "list" or form == "mixed" and rng.random() < 0.5
+        if as_list:
+            items.append(entries)
+        elif rng.random() < 0.3:
+            items.append({"entries": entries})
+        else:
+            items.append({"entries": entries, "label": "act %d" % len(items)})
+    return items
+
+
+def read(reader, obj):
+    """The acts ``reader`` returns for ``obj``, or the class and text of what it raises."""
+    try:
+        return reader(obj), None
+    except Exception as error:  # noqa: BLE001 - any exception must match the reference
+        return None, (type(error), str(error))
+
+
+class TestActsFromObj:
+    def test_matches_the_act_by_act_reader(self):
+        rng = np.random.default_rng(43)
+        errors = 0
+        for _ in range(400):
+            obj = acts_file(rng)
+            got, got_error = read(acts_from_obj, obj)
+            want, want_error = read(oracles.loop_acts_from_obj, obj)
+            assert got_error == want_error, obj
+            if want_error is not None:
+                errors += 1
+                continue
+            assert [type(a) for a in got] == [Act] * len(want)
+            assert got == want
+            assert [list(vars(a).items()) for a in got] == [list(vars(a).items()) for a in want]
+            assert repr(got) == repr(want)
+            assert all(type(a.entries) is tuple for a in got)
+        # both outcomes are drawn often
+        assert 100 <= errors <= 300, errors
+
+    @pytest.mark.parametrize("obj, text", [
+        ([["good", True], 5],
+         "an act entry that is not a level name must be a number, got True"),
+        ([["good"], {"entries": [0.5, None]}, {"label": "x"}],
+         "an act entry that is not a level name must be a number, got None"),
+        ([{"entries": [2**64, 2**1100]}, "ab"],
+         "an act entry that is not a level name is an integer too large for a double"),
+    ], ids=["list-then-number", "object-then-no-entries", "big-int-then-string"])
+    def test_a_bad_entry_is_named_before_a_later_bad_act(self, obj, text):
+        with pytest.raises(InvalidFormat, match="^%s$" % re.escape(text)):
+            acts_from_obj(obj)
+
+    @pytest.mark.parametrize("obj, text", [
+        ([5, ["good", True]], "act 0 must be an array or an object"),
+        ([["good", 0.5], {"entries": ["good"], "label": 3}, [None]],
+         'act 1: "label" must be a string'),
+    ], ids=["number-then-bool", "label-then-none"])
+    def test_a_bad_act_is_named_before_a_later_bad_entry(self, obj, text):
+        with pytest.raises(InvalidFormat, match="^%s$" % re.escape(text)):
+            acts_from_obj(obj)
+
+    def test_own_sets_every_field(self):
+        # a field added to Act must be set by the parser's constructor too
+        act = Act._own(("good", 0.5), "x")
+        assert list(vars(act)) == [f.name for f in dataclasses.fields(Act)]
+        assert act == Act(["good", 0.5], label="x") and repr(act) == repr(Act(("good", 0.5), "x"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            act.label = "y"
