@@ -121,7 +121,7 @@ def _scores(t, n: int, ndim: int = 1) -> np.ndarray:
     arr = subsets._reals(t, ("score " + want + " and hold only numbers") % n)
     if arr.ndim != ndim or arr.shape[-1] != n:
         raise DimensionMismatch(("score " + want + ", got shape %s") % (n, arr.shape))
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise OutOfDomain("scores must be finite")
     return arr
 
@@ -491,11 +491,11 @@ def _ranked(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the full mask less the mask of the criteria ranked before j."""
     k, n = t.shape
     full = (1 << n) - 1
-    order = np.argsort(t, axis=1, kind="stable")
+    order = t.argsort(axis=1, kind="stable")
     ts = t.take(np.add(order.T, np.arange(0, k * n, n), out=np.empty((n, k), np.intp)))
     running = np.add.accumulate(np.left_shift(1, order).ravel()).reshape(k, n).T
     back = np.subtract(running[::-1], np.arange(0, k * full, full), out=np.empty((n, k), np.intp))
-    upper = np.empty_like(back)
+    upper = np.empty((n, k), np.intp)
     upper[0] = full
     np.subtract(full, back[:0:-1], out=upper[1:])
     return ts, upper, back
@@ -564,8 +564,8 @@ def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     so its product is no larger: each maximum is that of a ranking of its own.
     """
     tp, upper, tn, back = _signed_ranked(t)
-    a = np.max(tp * nu[upper], axis=0)
-    b = -np.max(tn * nu[back], axis=0)
+    a = (tp * nu[upper]).max(axis=0)
+    b = -(tn * nu[back]).max(axis=0)
     # symmetric_max, elementwise: the sign of a zero a or b is never read
     return np.where(np.abs(a) > np.abs(b), a, np.where(b == -a, 0.0, b))
 
@@ -600,7 +600,7 @@ def _mle_rows(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
         low = np.ascontiguousarray(
             subsets.fold(np.multiply, r[:, :h].T, 1.0, np.empty((1 << h, r.shape[0]))).T) @ mat.T
         low *= subsets.fold(np.multiply, r[:, h:].T, 1.0, np.empty((1 << (n - h), r.shape[0]))).T
-        out[s : s + step] = np.sum(low, axis=1)
+        out[s : s + step] = low.sum(axis=1)
     return out[inverse]
 
 
@@ -690,12 +690,10 @@ class Extension:
         """
         t = _scores(t, self.n, ndim=2)
         values = (self.fn if self.batch is None else self.batch)(t)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise OutOfDomain(
-                "%s overflows at the scores of row %d (got %r)"
-                % (self.name, bad[0], float(values[bad[0]]))
-            )
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise OutOfDomain("%s overflows at the scores of row %d (got %r)"
+                              % (self.name, bad, float(values[bad])))
         return values
 
     def _values(self, t: np.ndarray) -> np.ndarray:

@@ -306,11 +306,16 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
 
     Adjacent scores within ``tol`` of each other form an indifference
     chain: within a chain acts keep their input order and all but the
-    first are flagged. The result is a list of :class:`RankedAct`. All acts
-    are scored in one batch (``Extension.many``), while :func:`evaluate_act`
-    makes the one-vector call. At the edge of the double range an mle or smle
-    batch can be finite where the call overflows, so ``rank_acts`` can rank
-    an act that ``evaluate_act`` refuses with :class:`OutOfDomain`.
+    first are flagged. The result is a list of :class:`RankedAct`.
+
+    All acts are scored in one batch (``Extension.many``), while
+    :func:`evaluate_act` makes the one-vector call. At the edge of the double
+    range an mle or smle batch can be finite where the call overflows, so
+    ``rank_acts`` can rank an act that ``evaluate_act`` refuses with
+    :class:`OutOfDomain`. One stable sort of the negated scores finds the
+    chains. Then one sort of unique integer keys, for k acts each act's chain
+    number times k plus its input index, orders the chains and, inside each,
+    the acts by input index.
     """
     tol = _tol(tol)
     try:
@@ -321,12 +326,20 @@ def rank_acts(model: AggregationModel, acts, tol: float = DEFAULT_TOL) -> list:
     if not acts:
         raise CapacitiesError("no acts to rank")
     scores = _evaluator(model).many(_utility_matrix(model, acts))
-    order = np.argsort(-scores, kind="stable")
-    # A chain id counts the drops > tol so far; an inf gap (near +-1e308) is one, unwarned.
+    k = len(acts)
+    order = (-scores).argsort(kind="stable")
+    ranked = scores[order]
+    # A drop is a gap > tol between neighbours; an inf gap (near +-1e308) is one, unwarned.
     with np.errstate(over="ignore"):
-        chain = np.cumsum(np.diff(scores[order], prepend=scores[order[0]]) < -tol)
-    ranked = np.lexsort((order, chain))
-    chain, order, values = chain[ranked], order[ranked].tolist(), scores.tolist()
+        drops = ranked[1:] - ranked[:-1] < -tol
+    # key = chain id (the drops before the act) * k + input index, unique per act
+    key = np.zeros(k, np.intp)
+    drops.cumsum(out=key[1:])
+    key *= k
+    key += order
+    key.sort()
+    chain, order = np.divmod(key, k)
+    order, values = order.tolist(), scores.tolist()
     flags = [False] + (chain[1:] == chain[:-1]).tolist()
     out = []
     # Filled in place: the frozen __init__ sets each field through object.__setattr__.

@@ -139,10 +139,24 @@ MUTANTS = [
     ("_first_over without its row offset", SET_FUNCTION,
      "return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None",
      "return base + k if over.flat[k] else None", FIRST_DROP_TESTS, None),
-    ("rank_acts splits a tie at tol 0", MODEL, "prepend=scores[order[0]]) < -tol)",
-     "prepend=scores[order[0]]) <= -tol)", MODEL_TESTS, None),
-    ("rank_acts sorts by input order first", MODEL, "np.lexsort((order, chain))",
-     "np.lexsort((chain, order))", MODEL_TESTS, None),
+    ("rank_acts splits a tie at tol 0", MODEL, "drops = ranked[1:] - ranked[:-1] < -tol",
+     "drops = ranked[1:] - ranked[:-1] <= -tol", MODEL_TESTS, None),
+    ("rank_acts sorts by input order first", MODEL,
+     "    key *= k\n    key += order\n    key.sort()\n    chain, order = np.divmod(key, k)\n",
+     "    key += order * k\n    key.sort()\n    order, chain = np.divmod(key, k)\n",
+     MODEL_TESTS, None),
+    ("rank_acts ranks ascending", MODEL, 'order = (-scores).argsort(kind="stable")',
+     'order = scores.argsort(kind="stable")', MODEL_TESTS, None),
+    ("the chain key leaves out the input index", MODEL, "    key += order\n", "",
+     MODEL_TESTS, None),
+    ("Act accepts a str as its entries", MODEL, "if isinstance(self.entries, _NOT_ENTRIES):",
+     "if isinstance(self.entries, _NOT_ENTRIES[1:]):", MODEL_TESTS, None),
+    ("Act accepts a non-str label", MODEL, "        if not isinstance(self.label, str):",
+     "        if False:", MODEL_TESTS, None),
+    ("UtilityScale accepts criterion 0", MODEL, "or self.criterion < 1:",
+     "or self.criterion < 0:", MODEL_TESTS, None),
+    ("AggregationModel accepts a scale past n", MODEL, "if scale.criterion > n:",
+     "if scale.criterion > n + 1:", MODEL_TESTS, None),
     ("_utility_matrix takes only float columns", MODEL, 'if columns.dtype.kind in "iuf":',
      'if columns.dtype.kind in "f":', MODEL_TESTS, None),
     ("model_from_dict takes any key int() reads", MODEL, "        if str(criterion) != key:",
@@ -183,14 +197,16 @@ MUTANTS = [
      "acc = ts[0] * v[-1]", INTEGRALS_TESTS, None),
     ("_choquet_sum adds backwards", INTEGRALS, "for term in terms:",
      "for term in terms[::-1]:", INTEGRALS_TESTS, None),
-    ("_ranked breaks ties unstably", INTEGRALS, 'order = np.argsort(t, axis=1, kind="stable")',
-     'order = np.argsort(t, axis=1, kind="quicksort")', INTEGRALS_TESTS, None),
+    ("_ranked breaks ties unstably", INTEGRALS, 'order = t.argsort(axis=1, kind="stable")',
+     'order = t.argsort(axis=1, kind="quicksort")', INTEGRALS_TESTS, None),
     ("_ranked without N at the first rank", INTEGRALS, "upper[0] = full",
      "upper[0] = full >> 1", INTEGRALS_TESTS, None),
     ("_signed_ranked reads t- forwards", INTEGRALS, "np.maximum(-ts[::-1], 0.0), back",
      "np.maximum(-ts, 0.0), back", INTEGRALS_TESTS, None),
-    ("_sugeno_rows takes the least gain", INTEGRALS, "a = np.max(tp * nu[upper], axis=0)",
-     "a = np.min(tp * nu[upper], axis=0)", INTEGRALS_TESTS, None),
+    ("_sugeno_rows takes the least gain", INTEGRALS, "a = (tp * nu[upper]).max(axis=0)",
+     "a = (tp * nu[upper]).min(axis=0)", INTEGRALS_TESTS, None),
+    ("Extension.many lets a non-finite value through", INTEGRALS,
+     "if not np.isfinite(values).all():", "if np.isnan(values).any():", INTEGRALS_TESTS, None),
     ("_sugeno_rows keeps a tie of opposites", INTEGRALS, "np.where(b == -a, 0.0, b)",
      "np.where(b == -a, a, b)", INTEGRALS_TESTS, None),
     ("_split_choquet_rows reads the losses' sign bit alone", INTEGRALS,

@@ -11,7 +11,8 @@ package must match them byte for byte. ``scalar_sampler`` draws the random
 trials of the axiom checks one at a time, as the package once did; its
 block draws must give the same values. ``loop_indifference_chains`` is the
 grouping loop ``rank_acts`` ran before it ranked by stable sorts,
-``loop_grid_table`` the cell loop that filled the pseudo-product grid,
+``lexsort_ranking`` the sorts and lexsort it ran before one sort of chain-major
+keys, ``loop_grid_table`` the cell loop that filled the pseudo-product grid,
 ``loop_certificate`` the triple loop that walked its associativity cube,
 ``loop_pseudo_product_fold`` the mask-by-mask fold of a pseudo-product,
 ``loop_subset_table`` the same fold of a ufunc, row by row,
@@ -339,6 +340,21 @@ def loop_indifference_chains(scores, tol):
         for j, (score, k) in enumerate(group):
             out.append((len(out) + 1, k, score, j > 0))
     return out
+
+
+def lexsort_ranking(scores, tol):
+    """(position, index, score, indifferent_to_previous) for each act of the float
+    array ``scores``, from the tail ``rank_acts`` ran before it sorted chain-major
+    integer keys: a stable argsort of the negated scores, chain ids as a cumulative
+    sum of the drops > tol, and a lexsort by chain id, then input index."""
+    order = np.argsort(-scores, kind="stable")
+    # A chain id counts the drops > tol so far; an inf gap (near +-1e308) is one, unwarned.
+    with np.errstate(over="ignore"):
+        chain = np.cumsum(np.diff(scores[order], prepend=scores[order[0]]) < -tol)
+    ranked = np.lexsort((order, chain))
+    chain, order, values = chain[ranked], order[ranked].tolist(), scores.tolist()
+    flags = [False] + (chain[1:] == chain[:-1]).tolist()
+    return [(p + 1, k, values[k], flags[p]) for p, k in enumerate(order)]
 
 
 def loop_utilities(model, acts):

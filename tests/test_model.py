@@ -321,6 +321,38 @@ class TestRanking:
             ]
             assert got == want, scores
 
+    def test_key_sort_matches_the_lexsort_tail(self):
+        # Under mu = [0, 1] on one criterion, choquet scores the act [s] as exactly s,
+        # -0.0 too (sipos would give +0.0 there).
+        model = AggregationModel(capacity=as_capacity([0.0, 1.0]), extension="choquet")
+        ties = [0.0, -0.0, 5e-324, -5e-324, 1.0, -3.5]
+        steps = [0.0, 5e-10, 1e-9, 0.02, 0.05, 0.3]
+        rng = np.random.default_rng(45)
+        sizes = [1, 2, 300] + rng.integers(1, 301, 400).tolist()
+        for k in sizes:
+            # exact ties, walks whose steps chain past tol end to end, and gaps between
+            # +-1.7e308 that overflow
+            walk = np.cumsum(rng.choice(steps, k)) + rng.choice(ties)
+            pool = np.concatenate([rng.choice(ties, k), walk, rng.choice([1.7e308, -1.7e308], k)])
+            scores = rng.choice(pool, k, p=np.repeat(rng.dirichlet(np.ones(3)) / k, k))
+            acts = [Act((s,), label=str(j)) for j, s in enumerate(scores.tolist())]
+            for tol in (0.0, 1e-9, 0.05, 1e308):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = rank_acts(model, acts, tol=tol)
+                    want = [
+                        RankedAct(position=p, index=j, act=acts[j], score=s,
+                                  indifferent_to_previous=flag)
+                        for p, j, s, flag in oracles.lexsort_ranking(scores, tol)
+                    ]
+                assert got == want, (scores, tol)
+                assert list(map(repr, got)) == list(map(repr, want))
+                assert list(map(vars, got)) == list(map(vars, want))
+                assert [struct.pack("d", r.score) for r in got] == [
+                    struct.pack("d", r.score) for r in want]
+                assert {tuple(map(type, vars(r).values())) for r in got} == {
+                    (int, int, Act, float, bool)}
+
     def test_an_infinite_gap_breaks_the_chain_without_warning(self):
         # 1e308 - (-1e308) overflows to inf in the adjacent differences.
         model = AggregationModel(capacity=as_capacity([0.0, 1.0]), extension="choquet")
@@ -557,6 +589,7 @@ class TestModelParsing:
            r"^act entries must be a sequence of level names and numbers, got '%s'$"
            % type(entries).__name__)
           for entries in ("ab", b"ab", {"good": 1}, {"good", "neutral"}, frozenset({"good"}))],
+        (lambda: Act(("good",), label=1), InvalidFormat, r"^expected a string for label, got 'int'$"),
         (lambda: rank_acts(sipos_model(), [["good", "neutral"], "gn"]), InvalidFormat,
          r"^act entries must be a sequence of level names and numbers, got 'str'$"),
         (lambda: evaluate_act(sipos_model(), 0.5), InvalidFormat,
@@ -574,7 +607,7 @@ class TestModelParsing:
             "key-leading-zero", "key-full-width", "key-float", "key-empty",
             "level-inf", "level-minus-inf", "level-nan",
             "entries-string", "act-none", "act-str", "act-bytes", "act-dict", "act-set",
-            "act-frozenset", "ranked-act-str", "act-float", "ranked-act-none", "levels-int",
+            "act-frozenset", "act-label-int", "ranked-act-str", "act-float", "ranked-act-none", "levels-int",
             "levels-list", "attractiveness-list"])
     def test_values_of_the_wrong_kind_are_named(self, build, error, match):
         with pytest.raises(error, match=match):
