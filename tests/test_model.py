@@ -589,7 +589,8 @@ class TestModelParsing:
            r"^act entries must be a sequence of level names and numbers, got '%s'$"
            % type(entries).__name__)
           for entries in ("ab", b"ab", {"good": 1}, {"good", "neutral"}, frozenset({"good"}))],
-        (lambda: Act(("good",), label=1), InvalidFormat, r"^expected a string for label, got 'int'$"),
+        (lambda: Act(("good",), label=1), InvalidFormat,
+         r"^expected a string for label, got 'int'$"),
         (lambda: rank_acts(sipos_model(), [["good", "neutral"], "gn"]), InvalidFormat,
          r"^act entries must be a sequence of level names and numbers, got 'str'$"),
         (lambda: evaluate_act(sipos_model(), 0.5), InvalidFormat,
@@ -607,8 +608,8 @@ class TestModelParsing:
             "key-leading-zero", "key-full-width", "key-float", "key-empty",
             "level-inf", "level-minus-inf", "level-nan",
             "entries-string", "act-none", "act-str", "act-bytes", "act-dict", "act-set",
-            "act-frozenset", "act-label-int", "ranked-act-str", "act-float", "ranked-act-none", "levels-int",
-            "levels-list", "attractiveness-list"])
+            "act-frozenset", "act-label-int", "ranked-act-str", "act-float", "ranked-act-none",
+            "levels-int", "levels-list", "attractiveness-list"])
     def test_values_of_the_wrong_kind_are_named(self, build, error, match):
         with pytest.raises(error, match=match):
             build()
