@@ -278,7 +278,13 @@ def _evaluator(model: AggregationModel):
 
 
 def evaluate_act(model: AggregationModel, act) -> float:
-    """Aggregate one act with the model's extension."""
+    """Aggregate one act with the model's extension.
+
+    This is the one-vector call, where :func:`rank_acts` scores all acts in
+    one batch. At the edge of the double range the call to an mle or smle
+    extension can overflow where the batch is finite, so this can refuse
+    with :class:`OutOfDomain` an act that ``rank_acts`` ranks.
+    """
     return float(_evaluator(model)(_utilities(model, act)))
 
 

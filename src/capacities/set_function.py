@@ -33,12 +33,13 @@ such a buffer too. The monotonicity scan of the capacity constructors and
 :func:`validate` finds each bit's largest drop v(A) - v(A | bit) through
 one float buffer of at most a slice (512 KiB), which holds what each call
 of its lattice pass compares. The conjugate of a capacity, which inherits
-its invariants, is not scanned. Where a bit's largest drop exceeds tol, a
-natural-layout search names the first offending pair: on a bit that the
-pass runs block by block, one call a block, it takes the views of the
-first block whose call drops as one piece; on a bit above, it takes the
-views of the whole table in segments of one row of at most a slice. It
-runs through the same float buffer and a bool buffer of a piece, and stops
+its invariants, is not scanned. Where a bit i's largest drop exceeds tol, a
+search names the first offending pair. It takes the table as rows of 2**i
+masks without bit i, each beside the 2**i masks with it, from the first
+block whose call drops on a bit that the pass runs block by block, one call
+a block, or from mask 0 on a bit above. It walks them in mask order, in
+pieces of SLICE >> i rows, or of at most a slice of one longer row,
+through the same float buffer and a bool buffer of a piece, and stops
 at the first piece that drops by more than tol. :func:`validate` reads strict
 monotonicity off the same drops and builds one Mobius table. The Shapley
 values and interaction reports of :mod:`capacities.interaction` start from
@@ -58,6 +59,7 @@ package has just built are wrapped without a copy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -429,43 +431,28 @@ def _drops(vals: np.ndarray, tol: float) -> tuple[np.ndarray, tuple[int, int] | 
         drops.append(max(calls))
         if drops[-1] <= tol:
             continue
-        # Search the natural layout for the first drop: the whole table, or on a
-        # bit that runs block by block, one call a block, the first block whose
-        # call drops. The search walks the pieces in order and stops at the
-        # first that drops by more than tol.
-        start, size = 0, vals.shape[0]
+        # Search the natural layout for the first drop, from the first block
+        # whose call drops on a bit that runs block by block, one call a block,
+        # or from mask 0 on a bit above. pairs[r, 0] and pairs[r, 1] are a run
+        # of masks A without bit i and the masks A | bit i; the search walks
+        # them in pieces of at most a slice, in mask order, and stops at the
+        # first piece that drops by more than tol.
+        start = 0
         if i < blocked:
-            size = 1 << blocked
-            start = size * next(c for c, m in enumerate(calls) if m > tol)
-        _, lo, hi = next(subsets.halves(vals[start : start + size], 1 << i))
+            start = (1 << blocked) * next(c for c, m in enumerate(calls) if m > tol)
+        pairs = vals[start:].reshape(-1, 2, 1 << i)
+        rows, cols = max(1, subsets.SLICE >> i), min(1 << i, subsets.SLICE)
         with np.errstate(over="ignore"):
-            found = (_first_over(diff(a, b), tol, base) for base, a, b in _pieces(lo, hi))
-            mask = start + next(k for k in found if k is not None)
+            for r, c in itertools.product(range(0, pairs.shape[0], rows), range(0, 1 << i, cols)):
+                piece = pairs[r : r + rows, :, c : c + cols]
+                over = diff(piece[:, 0], piece[:, 1]) > tol
+                k = int(np.argmax(over))  # row-major, so the smallest A
+                if over.flat[k]:
+                    break
+        mask = start + (r + k // cols) * (2 << i) + c + k % cols
         if first is None or mask < first[0]:
             first = (mask, i)
     return np.array(drops), first
-
-
-def _pieces(lo: np.ndarray, hi: np.ndarray):
-    """Yield ``(base, lo, hi)`` for consecutive pieces of at most
-    :data:`subsets.SLICE` entries of one bit's :func:`subsets.halves` views of
-    a block, in ascending mask order; ``base`` is the mask of a piece's first
-    entry, counted from the start of the block. Views of at most a slice are
-    one piece, and larger ones are cut into segments of one row."""
-    rows, cols = lo.shape
-    height = rows if lo.size <= subsets.SLICE else 1
-    for r in range(0, rows, height):
-        for c in range(0, cols, subsets.SLICE):
-            part = np.s_[r : r + height, c : c + subsets.SLICE]
-            yield 2 * cols * r + c, lo[part], hi[part]
-
-
-def _first_over(d: np.ndarray, tol: float, base: int) -> int | None:
-    """The first mask A with d[A] > tol, or None; ``d`` is shaped as a piece of
-    :func:`_pieces` whose first mask is ``base``."""
-    over = d > tol
-    k = int(np.argmax(over))  # row-major, so the smallest A
-    return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None
 
 
 def _first_capacity_violation(

@@ -10,15 +10,14 @@ copy. Scalars are read by ``set_function._number``, which asks ``_is_real``.
 Subsets are encoded as Python ints: bit i-1 set means criterion i belongs
 to the subset, so masks run from 0 (empty set) to 2**n - 1 (all of N).
 
-Three passes walk the subset lattice of a table indexed by mask. ``halves``
-yields each bit's ``(lo, hi)`` views in the natural layout. ``lattice``
-calls an elementwise op on the same pairs in the same bit order, on
-views of a block, of its tiles or of a chunk of the table; every table
-transform goes through it. It runs with a ufunc buffer of ``BUFSIZE`` =
-512 entries, and since the buffer size sets the order in which a buffered
-reduction adds, ops in the pass are elementwise or exact reductions such
-as max; sums run outside it. Ops pass ``order="C"`` to their ufunc, so
-that a tiled view is walked tile by tile.
+Two passes walk the subset lattice of a table indexed by mask. ``lattice``
+calls an elementwise op on each bit's pairs, every mask A without bit i
+beside A | bit i, bits in ascending order, on views of a block, of its tiles
+or of a chunk of the table; every table transform goes through it. It runs
+with a ufunc buffer of ``BUFSIZE`` = 512 entries, and since the buffer size
+sets the order in which a buffered reduction adds, ops in the pass are
+elementwise or exact reductions such as max; sums run outside it. Ops pass
+``order="C"`` to their ufunc, so that a tiled view is walked tile by tile.
 ``fold`` fills a table by mask, each entry a step folded over the scores of
 its subset: the subset tables of the Mobius-form extensions and
 ``popcounts``, the fold of +1, are built by it alone.
@@ -169,20 +168,6 @@ def fold(step, cols: np.ndarray, empty, table: np.ndarray) -> np.ndarray:
     return table
 
 
-def halves(a: np.ndarray, bits: int | None = None):
-    """Yield ``(i, lo, hi)`` for each bit i of a bitmask-indexed table ``a``.
-
-    ``lo`` and ``hi`` are views of ``a`` that pair every mask A without bit
-    i with A | bit i, element by element. Bits run in ascending order, only
-    over the set bits of ``bits`` when it is given. In-place updates of
-    ``hi`` from ``lo`` are the O(n * 2**n) subset-lattice butterflies.
-    """
-    for i in range(a.shape[0].bit_length() - 1):
-        if bits is None or bits >> i & 1:
-            blocks = a.reshape(-1, 2 << i)
-            yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
-
-
 # The monotonicity scan of set_function, and the elementwise steps that follow
 # a pass there, run over consecutive slices of at most SLICE entries: a scratch
 # buffer of a slice stays in the L2 cache, where one of half or all of a large
@@ -212,11 +197,11 @@ def lattice(op, *tables) -> list:
     bitmask-indexed ``tables``, in ascending bit order; return, for each bit,
     the list of what those calls returned.
 
-    Each ``(lo, hi)`` pairs every mask A without the bit with A | bit, as in
-    :func:`halves`, and an elementwise ``op`` gets the same results as in a
-    loop over :func:`halves`, bit for bit: every entry sees its bits in
-    ascending order, and a call's views pair only masks of its own block or
-    chunk. A pass over 2**n entries has two phases:
+    Each ``(lo, hi)`` pairs every mask A without bit i with A | bit i, bits
+    in ascending order, and an elementwise ``op`` gets the same results, bit
+    for bit, as a loop over the whole table one bit at a time: every entry
+    sees its bits in ascending order, and a call's views pair only masks of
+    its own block or chunk. A pass over 2**n entries has two phases:
 
     * Block by block in ascending order, a block being 2**B consecutive
       masks, B = :func:`block_bits`, op is called once for each of the
@@ -226,7 +211,7 @@ def lattice(op, *tables) -> list:
       and ``[:, 1]`` of shape (tiles, 2**i, TILE >> (i + 1)), whose C order
       runs down the columns of one tile at a time; for any other bit, the
       same views with one row a tile, of shape (rows, 2**i, 1), which run in
-      the order of :func:`halves`.
+      mask order.
     * The bits above a block run in groups of GROUP, the last group of the
       1 to GROUP bits left, chunk by chunk in ascending order: a chunk of a
       group of g bits from bit b is 2**g rows, 2**b masks apart, of
@@ -234,7 +219,7 @@ def lattice(op, *tables) -> list:
       each of the group's bits, on views of three dimensions.
 
     Sweeps of the whole table per pass: 1 up to n = 16, 2 at n = 17..20 and
-    3 at n = 21..24, where a loop over :func:`halves` makes n. A pass
+    3 at n = 21..24, where a loop over the whole table makes n. A pass
     allocates no array. Overflow is not reported: callers check their
     results for finiteness. ``op`` runs with a ufunc buffer of BUFSIZE
     entries, so it may only make elementwise updates and exact reductions;
@@ -255,9 +240,10 @@ def lattice(op, *tables) -> list:
 
 
 def _block(a: np.ndarray):
-    """Yield ``(i, lo, hi)`` for every bit of the block ``a``, in ascending
-    order, each pair of views pairing masks as :func:`halves` does; a bit
-    below GROUP of a block of TILE entries or more on tiles of TILE masks."""
+    """Yield ``(i, lo, hi)`` for every bit i of the block ``a``, in ascending
+    order, the views pairing each mask A of the block without bit i with
+    A | bit i; a bit below GROUP of a block of TILE entries or more on tiles
+    of TILE masks."""
     for i in range(a.shape[0].bit_length() - 1):
         rows = TILE >> (i + 1) if i < GROUP and a.shape[0] >= TILE else 1
         pairs = a.reshape(-1, rows, 2, 1 << i).transpose(0, 2, 3, 1)
@@ -266,10 +252,10 @@ def _block(a: np.ndarray):
 
 def _groups(a: np.ndarray, b: int):
     """Yield ``(i, lo, hi)`` for the GROUP bits from b of the table ``a`` that it
-    has, each pair of views pairing masks as :func:`halves` does, chunk by
-    chunk in ascending order of their first mask and, within a chunk, bit by
-    bit in ascending order. A chunk of g bits is 2**g rows, 2**b masks apart,
-    of SLICE >> g consecutive masks."""
+    has, the views of bit i pairing each mask A of a chunk without bit i with
+    A | bit i, chunk by chunk in ascending order of their first mask and,
+    within a chunk, bit by bit in ascending order. A chunk of g bits is 2**g
+    rows, 2**b masks apart, of SLICE >> g consecutive masks."""
     g = min(a.shape[0].bit_length() - 1 - b, GROUP)
     width = SLICE >> g
     for rows in a.reshape(-1, 1 << g, 1 << b):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 
 from capacities import SetFunction, as_capacity
+from oracles import additive_table
 
 
 def random_capacity(rng, n, lo=0.1):
@@ -32,9 +33,7 @@ def random_set_function(rng, n, lo=-1.0, hi=1.0):
 def random_additive_capacity(rng, n):
     w = rng.uniform(0.1, 1.0, n)
     w /= w.sum()
-    v = np.zeros(1 << n)
-    for mask in range(1 << n):
-        v[mask] = sum(w[i] for i in range(n) if mask >> i & 1)
+    v = additive_table(w)
     v[-1] = 1.0
     return as_capacity(v, n=n)
 

@@ -38,11 +38,12 @@ SET_FUNCTION = "src/capacities/set_function.py"
 MODEL = "src/capacities/model.py"
 CLI = "src/capacities/cli.py"
 TESTS = ["tests/test_interaction.py"]
-LATTICE_TESTS = ["tests/test_set_function.py::TestHalves"]
-FOLD_TESTS = ["tests/test_integrals.py", "tests/test_set_function.py::TestHalves"]
+LATTICE_TESTS = ["tests/test_set_function.py::TestLattice"]
+FOLD_TESTS = ["tests/test_integrals.py", "tests/test_set_function.py::TestLattice"]
 INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
 FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
+SET_FUNCTION_TESTS = ["tests/test_set_function.py"]
 CLI_TESTS = ["tests/test_cli.py"]
 MODEL_TESTS = ["tests/test_model.py"]
 
@@ -134,11 +135,49 @@ MUTANTS = [
      "g = min(a.shape[0].bit_length() - 1 - b, GROUP - 1)", LATTICE_TESTS, None),
     ("_drops narrows a grouped bit to one block", SET_FUNCTION, "        if i < blocked:",
      "        if blocked:", FIRST_DROP_TESTS, None),
-    ("_pieces counts a row of lo alone", SET_FUNCTION, "yield 2 * cols * r + c,",
-     "yield cols * r + c,", FIRST_DROP_TESTS, None),
-    ("_first_over without its row offset", SET_FUNCTION,
-     "return base + k + k // d.shape[1] * d.shape[1] if over.flat[k] else None",
-     "return base + k if over.flat[k] else None", FIRST_DROP_TESTS, None),
+    ("the search counts a row of lo alone", SET_FUNCTION, "(r + k // cols) * (2 << i)",
+     "(r + k // cols) * (1 << i)", FIRST_DROP_TESTS, None),
+    ("the search without its row offset in a piece", SET_FUNCTION,
+     "mask = start + (r + k // cols) * (2 << i) + c + k % cols",
+     "mask = start + r * (2 << i) + c + k", FIRST_DROP_TESTS, None),
+    ("the search drops its column offset", SET_FUNCTION, "+ c + k % cols", "+ k % cols",
+     FIRST_DROP_TESTS, None),
+    ("the search's row in a piece by the bit's width", SET_FUNCTION, "k // cols",
+     "k // (1 << i)", FIRST_DROP_TESTS,
+     "a piece of a bit below 16 has 2**i columns, and one of a bit at or above 16 has "
+     "one row of SLICE columns, so k // 2**i and k // SLICE are both 0 there"),
+    ("ordinal_mobius keeps a flat step", SET_FUNCTION, "flat = np.less_equal(v, out,",
+     "flat = np.less(v, out,", SET_FUNCTION_TESTS, None),
+    ("ordinal_mobius zeroes no entry", SET_FUNCTION, "        np.putmask(out, flat, 0.0)\n", "",
+     SET_FUNCTION_TESTS, None),
+    ("monotonicity is checked before normalization", SET_FUNCTION,
+     "    if vals[0] != 0.0:\n"
+     "        return NotNormalized(\"mu(empty) must be 0, got %.17g\" % vals[0])\n"
+     "    if abs(vals[-1] - 1.0) > tol:\n"
+     "        return NotNormalized(\"mu(N) must be 1 within %g, got %.17g\" % (tol, vals[-1]))\n"
+     "    if first_drop is not None:\n",
+     "    if first_drop is None and vals[0] != 0.0:\n"
+     "        return NotNormalized(\"mu(empty) must be 0, got %.17g\" % vals[0])\n"
+     "    if first_drop is None and abs(vals[-1] - 1.0) > tol:\n"
+     "        return NotNormalized(\"mu(N) must be 1 within %g, got %.17g\" % (tol, vals[-1]))\n"
+     "    if first_drop is not None:\n",
+     SET_FUNCTION_TESTS, None),
+    ("the singletons are checked before monotonicity", SET_FUNCTION,
+     "    if first_drop is not None:\n        mask, i = first_drop\n",
+     "    if require_positive_singletons and _nonpositive_singleton(vals, n):\n"
+     "        return _nonpositive_singleton(vals, n)\n"
+     "    if first_drop is not None:\n        mask, i = first_drop\n",
+     SET_FUNCTION_TESTS, None),
+    ("co_mobius without its column signs", SET_FUNCTION, "    grid *= cols\n", "",
+     SET_FUNCTION_TESTS, None),
+    ("co_mobius without its row signs", SET_FUNCTION, "    grid *= rows[:, None]\n", "",
+     SET_FUNCTION_TESTS, None),
+    ("the additive flag counts the singletons", SET_FUNCTION,
+     "    m[1 << np.arange(n)] = 0.0\n", "", SET_FUNCTION_TESTS, None),
+    ("the additive flag counts the empty set", SET_FUNCTION, "    m[0] = 0.0\n", "",
+     SET_FUNCTION_TESTS, None),
+    ("the additive flag is strict at tol", SET_FUNCTION, "np.abs(m, out=m).max() <= tol",
+     "np.abs(m, out=m).max() < tol", SET_FUNCTION_TESTS, None),
     ("rank_acts splits a tie at tol 0", MODEL, "drops = ranked[1:] - ranked[:-1] < -tol",
      "drops = ranked[1:] - ranked[:-1] <= -tol", MODEL_TESTS, None),
     ("rank_acts sorts by input order first", MODEL,

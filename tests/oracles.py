@@ -5,8 +5,9 @@ the vectorized butterflies in the package, and are deliberately slow:
 O(3**n) for the transforms and worse for the interaction index.
 
 The ``loop_*`` references are the per-bit loops the package ran on views of
-the whole table before its passes were tiled, and the per-row dot of the
-coefficient forms. They do the same arithmetic in the same order, so the
+the whole table before its passes were tiled, over the views that ``halves``
+yields, and the per-row dot of the coefficient forms. ``additive_table`` adds
+weights over the same views. They do the same arithmetic in the same order, so the
 package must match them byte for byte. ``scalar_sampler`` draws the random
 trials of the axiom checks one at a time, as the package once did; its
 block draws must give the same values. ``loop_indifference_chains`` is the
@@ -117,23 +118,34 @@ def naive_interaction(mu_values, n, amask):
 # -- natural-layout references ---------------------------------------------------
 
 
-def _halves(a):
-    """(i, lo, hi) for every bit i: every mask without bit i beside mask | bit i."""
+def halves(a, bits=None):
+    """(i, lo, hi) for every bit i, ascending, or for the set bits of ``bits``:
+    views of ``a`` with every mask without bit i beside mask | bit i."""
     for i in range(a.shape[0].bit_length() - 1):
-        blocks = a.reshape(-1, 2 << i)
-        yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
+        if bits is None or bits >> i & 1:
+            blocks = a.reshape(-1, 2 << i)
+            yield i, blocks[:, : 1 << i], blocks[:, 1 << i :]
+
+
+def additive_table(w):
+    """The table of the sum of w[i] over the criteria i of each mask, added bit
+    by bit in ascending order."""
+    v = np.zeros(1 << len(w))
+    for i, lo, hi in halves(v):
+        np.add(lo, w[i], out=hi)
+    return v
 
 
 def loop_mobius(values):
     a = np.array(values, dtype=np.float64)
-    for _, lo, hi in _halves(a):
+    for _, lo, hi in halves(a):
         hi -= lo
     return a
 
 
 def loop_zeta(coeffs):
     a = np.array(coeffs, dtype=np.float64)
-    for _, lo, hi in _halves(a):
+    for _, lo, hi in halves(a):
         hi += lo
     return a
 
@@ -148,14 +160,14 @@ def loop_co_mobius(values):
 def loop_ordinal_mobius(values):
     vals = np.asarray(values, dtype=np.float64)
     keep = np.ones(vals.shape[0], dtype=bool)
-    for (_, lo, hi), (_, _, kept) in zip(_halves(vals), _halves(keep)):
+    for (_, lo, hi), (_, _, kept) in zip(halves(vals), halves(keep)):
         kept &= hi > lo
     return np.where(keep, vals, 0.0)
 
 
 def loop_ordinal_zeta(coeffs):
     a = np.array(coeffs, dtype=np.float64)
-    for _, lo, hi in _halves(a):
+    for _, lo, hi in halves(a):
         np.maximum(hi, lo, out=hi)
     return a
 
@@ -168,7 +180,7 @@ def loop_conjugate(values):
 def loop_drops(values):
     """For each bit, the largest v(mask) - v(mask | 1 << bit) over the masks without it."""
     vals = np.asarray(values, dtype=np.float64)
-    return np.array([(lo - hi).max() for _, lo, hi in _halves(vals)])
+    return np.array([(lo - hi).max() for _, lo, hi in halves(vals)])
 
 
 def loop_first_drop(values, tol):
@@ -176,7 +188,7 @@ def loop_first_drop(values, tol):
     and then by bit, or None."""
     vals = np.asarray(values, dtype=np.float64)
     first = None
-    for i, lo, hi in _halves(vals):
+    for i, lo, hi in halves(vals):
         flags = (lo - hi) > tol
         if flags.any():
             row, col = divmod(int(flags.argmax()), 1 << i)
@@ -188,7 +200,7 @@ def loop_first_drop(values, tol):
 
 def loop_strictly_monotone(values):
     vals = np.asarray(values, dtype=np.float64)
-    return all(bool((hi > lo).all()) for _, lo, hi in _halves(vals))
+    return all(bool((hi > lo).all()) for _, lo, hi in halves(vals))
 
 
 def loop_additive(values, tol):
@@ -206,7 +218,7 @@ def loop_all_indices(m_coeffs, max_order):
     out = np.zeros_like(m)
     for k in range(1, min(max(max_order, 2), m.shape[0].bit_length() - 1) + 1):
         t = m / np.maximum(sizes - k + 1, 1.0)
-        for _, lo, hi in _halves(t):
+        for _, lo, hi in halves(t):
             lo += hi
         out[sizes == k] = t[sizes == k]
     return out

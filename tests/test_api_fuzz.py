@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capacities import (
+    AXIOM_NAMES,
     EXTENSION_NAMES,
     Act,
     AggregationModel,
@@ -489,10 +490,10 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, 8.9e307, -8.9e30
 
 
 @st.composite
-def edge_tables(draw):
-    """A well-formed :class:`SetFunction` at n = 1..5 whose entries mix the
+def edge_tables(draw, max_n=5):
+    """A well-formed :class:`SetFunction` at n = 1..max_n whose entries mix the
     EDGES, ties (entries drawn from a pool of three) and normals of one scale."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e307]))
     normals = st.floats(-4.0, 4.0).map(lambda x: x * scale)
     pool = draw(st.lists(st.one_of(st.sampled_from(EDGES), normals), min_size=3, max_size=3))
@@ -651,3 +652,41 @@ def test_the_model_layer_at_the_edges_of_a_double_is_finite_or_refused(v, data):
         _assert_finite(None if ranked is None else [r.score for r in ranked])
         for act in acts:
             _finite_or_refused(evaluate_act, model, act, refused=CapacitiesError)
+
+
+# Score bounds from the extremes of 1e300 to the least normals, and alpha
+# bounds across [1e-300, 1e300]: the sampled scores, their scalings and the
+# gaps between the two sides of an identity overflow or vanish.
+SCORE_BOUNDS = [(-1e300, 1e300), (-1e300, -1e-300), (1e-300, 1e300), (0.0, 1e-300),
+                (-1.0, 1.0), (0.0, 1.0), (0.5, 1e300)]
+ALPHA_BOUNDS = [(1e-300, 1e300), (1e-300, 1e-300), (1e300, 1e300), (1e-300, 1.0), (1.0, 1e300)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(v=edge_tables(max_n=3), data=st.data())
+def test_every_axiom_at_the_edges_of_a_double_is_finite_or_refused(v, data):
+    """Each axiom on each extension, in and out of its domain, reports a
+    counterexample with finite sides or none, or refuses with a named error;
+    a numpy warning fails the test."""
+    mu = _edge_capacity(v)
+    scores = data.draw(st.sampled_from(SCORE_BOUNDS))
+    alphas = data.draw(st.sampled_from(ALPHA_BOUNDS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in EXTENSION_NAMES:
+            try:  # a Mobius table of mle, smle or cpt can overflow
+                ext = make_extension(name, mu, conjugate(mu) if name == "cpt" else None)
+            except CapacitiesError:
+                continue
+            for outside in (False, True):
+                cfg = AxiomCheckConfig(samples=64, seed=7, score_bounds=scores,
+                                       alpha_bounds=alphas, allow_out_of_domain=outside)
+                for axiom in AXIOM_NAMES:
+                    try:
+                        report = check_axiom(axiom, ext, mu, cfg)
+                    except CapacitiesError:
+                        continue
+                    cx = report.counterexample
+                    if cx is not None:
+                        assert math.isfinite(cx.expected) and math.isfinite(cx.got), (
+                            name, axiom, outside, cx)

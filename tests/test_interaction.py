@@ -24,7 +24,7 @@ from capacities import (
     shapley,
 )
 from capacities import set_function, subsets
-from capacities.subsets import halves, lattice, popcounts
+from capacities.subsets import lattice, popcounts
 from helpers import random_additive_capacity, random_capacity
 
 TOL = 1e-9
@@ -432,14 +432,14 @@ class TestPinnedToTheTableFormulas:
 
 class TestIndexThroughTheLattice:
     """``interaction_index`` byte for byte against its first form: a restricted
-    butterfly walked bit by bit over :func:`halves`, then a gather of the
-    supersets of A by a full mask. The differences along A's axes of the
-    (2,) * n table are that butterfly's ``hi - lo``, in the same bit order."""
+    butterfly walked bit by bit over :func:`oracles.halves`, then a gather
+    of the supersets of A by a full mask. The differences along A's axes of
+    the (2,) * n table are that butterfly's ``hi - lo``, in the same bit order."""
 
     @staticmethod
     def halves_index(mu, amask):
         vals = mu.values.copy()
-        for _, lo, hi in halves(vals, amask):
+        for _, lo, hi in oracles.halves(vals, amask):
             hi -= lo
         n, a = mu.n, amask.bit_count()
         sel = (np.arange(1 << n) & amask) == amask

@@ -48,8 +48,7 @@ from capacities import (
 )
 from capacities.interaction import _all_indices
 from capacities.set_function import _drops, _live
-from capacities.subsets import (BUFSIZE, SLICE, TILE, block_bits, halves, lattice, popcounts,
-                                 subset_key)
+from capacities.subsets import BUFSIZE, SLICE, TILE, block_bits, lattice, popcounts, subset_key
 from helpers import peak_above_input, random_capacity, random_set_function
 
 TOL = 1e-12
@@ -141,25 +140,7 @@ class TestConstruction:
             list(as_capacity([0.0, 0.3, 0.6, 1.0]))
 
 
-class TestHalves:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_visits_every_pair_once(self, n):
-        for bits in [None] + list(range(1 << n)):
-            table = np.arange(1 << n)
-            pairs = []
-            for i, lo, hi in halves(table, bits):
-                assert np.all(hi == lo | (1 << i))
-                pairs += [(i, int(a), int(b)) for a, b in zip(lo.ravel(), hi.ravel())]
-            wanted = range(n) if bits is None else [i for i in range(n) if bits >> i & 1]
-            want = [(i, a, a | 1 << i) for i in wanted for a in range(1 << n) if not a >> i & 1]
-            assert sorted(pairs) == want
-
-    def test_views_write_through(self):
-        table = np.zeros(8)
-        for _, lo, hi in halves(table, 0b010):
-            hi += 1.0
-        assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
-
+class TestLattice:
     # n = 13 and 14 are one block of 2 and of 4 tiles; n = 22 and 23 end on a
     # group of 2 and of 3 bits.
     @pytest.mark.parametrize("n", [1, 5, 12, 13, 14, 16, 18, 20, 22, 23])
@@ -246,6 +227,10 @@ class TestValidate:
     def test_additive_flag(self):
         res = validate([0.0, 0.4, 0.6, 1.0])
         assert res.ok and res.additive
+        # Not normalized, but m = [0.25, 0.25, 0.5, 0.0] is 0 on every coalition
+        # of two or more.
+        res = validate([0.25, 0.5, 0.75, 1.0])
+        assert isinstance(res.error, NotNormalized) and res.additive
 
     @pytest.mark.parametrize("call", [validate, as_capacity])
     def test_a_given_n_must_be_that_of_the_table(self, call):
@@ -275,6 +260,14 @@ class TestValidate:
         res = validate([0.3, 0.5, 0.6, 1.0])
         assert not res.ok
         assert isinstance(res.error, NotNormalized)
+
+    def test_constraints_are_checked_in_order(self):
+        # Normalization first, then monotonicity, then the singletons.
+        for vals, error in [([0.0, 1.5, 0.2, 0.9], NotNormalized),
+                            ([0.1, 1.5, 0.2, 1.0], NotNormalized),
+                            ([0.0, 0.0, 1.2, 1.0], NotMonotone),
+                            ([0.0, 0.0, 0.2, 1.0], NonPositiveSingleton)]:
+            assert type(validate(vals, require_positive_singletons=True).error) is error, vals
 
     def test_diagnostics_name_first_pair(self):
         res = validate([0.0, 1.2, 0.6, 1.0])
@@ -578,10 +571,8 @@ class TestTiledPasses:
         (small integers with zeros of either sign, the same times 1e300)."""
         rng = np.random.default_rng(200 + n)
         mu = random_capacity(rng, n).values
-        additive = np.zeros(1 << n)
         w = rng.uniform(0.1, 1.0, n)
-        for i, lo, hi in halves(additive):
-            np.add(lo, w[i] / w.sum(), out=hi)
+        additive = oracles.additive_table(w / w.sum())
         additive[-1] = 1.0
         signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
         signed[(signed == 0.0) & (rng.uniform(size=1 << n) < 0.5)] = -0.0
@@ -662,9 +653,7 @@ class TestFirstViolation:
         larger mask."""
         w = np.arange(n, 2 * n, dtype=np.float64)
         w /= w.sum()
-        v = np.zeros(1 << n)
-        for i, lo, hi in halves(v):
-            np.add(lo, w[i], out=hi)
+        v = oracles.additive_table(w)
         v[-1] = 1.0
         for mask, bit in pairs:
             assert not mask >> bit & 1
@@ -688,13 +677,14 @@ class TestFirstViolation:
             self.check(n, pairs, first, name)
 
     def test_drops_in_later_pieces_are_named(self):
-        # The search of a bit takes its views in pieces of at most a slice: the
-        # views of one block whole, and those of the whole table in segments of
-        # one row. It spans the first block of SLICE masks whose call drops on a
-        # bit that the pass runs block by block, bits 0 to 15, one call a block,
-        # and the whole table on a bit above, which the pass runs chunk by
-        # chunk: bits 16 to 18 at n = 19, and 16 to 19 at n = 20, where a chunk
-        # is 16 rows of 4096 masks. Bit 3 runs on tiles of TILE masks.
+        # The search of bit i starts at the first block of SLICE masks whose call
+        # drops on a bit that the pass runs block by block, bits 0 to 15, one
+        # call a block, and at mask 0 on a bit above, which the pass runs chunk
+        # by chunk: bits 16 to 18 at n = 19, and 16 to 19 at n = 20, where a
+        # chunk is 16 rows of 4096 masks. From there it walks pieces of at most a
+        # slice in mask order: on a bit below 16, SLICE >> i rows of 2**i masks
+        # without bit i, which span two blocks; on a bit above, SLICE columns of
+        # one row of 2**i. Bit 3 runs on tiles of TILE masks.
         assert block_bits(19) == block_bits(20) == 16 and SLICE == 1 << 16 and TILE == 1 << 12
         top19, top20 = 1 << 18, 1 << 19
         later = 2 << 16  # the first mask of the third block
@@ -1014,10 +1004,8 @@ def pinned_tables(n):
     non-monotone table and one whose Mobius transform overflows."""
     rng = np.random.default_rng(100 + n)
     mu = random_capacity(rng, n).values
-    additive = np.zeros(1 << n)
     w = rng.uniform(0.1, 1.0, n)
-    for i, lo, hi in halves(additive):
-        np.add(lo, w[i] / w.sum(), out=hi)
+    additive = oracles.additive_table(w / w.sum())
     signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
     signed[signed == 0.0] = -0.0
     signed[0] = 0.0
