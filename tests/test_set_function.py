@@ -140,6 +140,28 @@ class TestConstruction:
             list(as_capacity([0.0, 0.3, 0.6, 1.0]))
 
 
+class TestHalves:
+    """oracles.halves, the walker of every natural-layout reference."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_visits_every_pair_once(self, n):
+        for bits in [None] + list(range(1 << n)):
+            table = np.arange(1 << n)
+            pairs = []
+            for i, lo, hi in oracles.halves(table, bits):
+                assert np.all(hi == lo | (1 << i))
+                pairs += [(i, int(a), int(b)) for a, b in zip(lo.ravel(), hi.ravel())]
+            wanted = range(n) if bits is None else [i for i in range(n) if bits >> i & 1]
+            want = [(i, a, a | 1 << i) for i in wanted for a in range(1 << n) if not a >> i & 1]
+            assert sorted(pairs) == want
+
+    def test_views_write_through(self):
+        table = np.zeros(8)
+        for _, lo, hi in oracles.halves(table, 0b010):
+            hi += 1.0
+        assert list(table) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+
+
 class TestLattice:
     # n = 13 and 14 are one block of 2 and of 4 tiles; n = 22 and 23 end on a
     # group of 2 and of 3 bits.
