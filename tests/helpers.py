@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+from hypothesis import strategies as st
 
 from capacities import SetFunction, as_capacity
 from oracles import additive_table
@@ -47,3 +48,22 @@ def peak_above_input(call):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# Entries at the edges of a double: signed zeros, subnormals, the largest
+# doubles and halves of them, whose sums and differences overflow, and 1e300.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, 8.9e307, -8.9e307, 1e300, -1e300]
+
+
+@st.composite
+def edge_tables(draw, max_n=5):
+    """A well-formed :class:`SetFunction` at n = 1..max_n whose entries mix the
+    EDGES, ties (entries drawn from a pool of three) and normals of one scale."""
+    n = draw(st.integers(1, max_n))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e307]))
+    normals = st.floats(-4.0, 4.0).map(lambda x: x * scale)
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGES), normals), min_size=3, max_size=3))
+    entry = st.one_of(st.sampled_from(EDGES), normals, st.sampled_from(pool))
+    values = draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+    values[0] = draw(st.sampled_from([0.0, -0.0]))
+    return SetFunction(n, values)

@@ -219,6 +219,14 @@ MUTANTS = [
      "if scale.criterion in by_criterion:", "if False:", MODEL_TESTS, None),
     ("cli._round12 at 11 digits", CLI, "        return float(_fmt(obj))",
      '        return float(format(obj, ".11g"))', CLI_TESTS, None),
+    ("main exits 1 on a usage error", CLI,
+     'print("usage error: %s" % exc, file=sys.stderr)\n        return 2',
+     'print("usage error: %s" % exc, file=sys.stderr)\n        return 1', CLI_TESTS, None),
+    ("main exits 2 on a domain error", CLI,
+     'print("error: %s" % exc, file=sys.stderr)\n        return 1',
+     'print("error: %s" % exc, file=sys.stderr)\n        return 2', CLI_TESTS, None),
+    ("--format json prints the text rendering", CLI, 'if args.format == "json":', "if False:",
+     CLI_TESTS, None),
     ("_mobius_rows dots a one-term table", INTEGRALS, "if n == 1 else np.vecdot",
      "if n == 0 else np.vecdot", INTEGRALS_TESTS, None),
     ("_mobius_rows adds the losses", INTEGRALS, "table -= subsets.fold(step, tn",

@@ -87,6 +87,7 @@ from capacities import (
     vector_from_dict,
     zeta,
 )
+from helpers import edge_tables
 
 SCALARS = [
     0, 1, -3, 0.5, -0.25, 0.0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
@@ -482,25 +483,6 @@ def test_ordinary_integers_keep_their_texts():
 def test_a_fraction_is_refused_everywhere(call):
     with pytest.raises(InvalidFormat):
         call()
-
-
-# Entries at the edges of a double: signed zeros, subnormals, the largest
-# doubles and halves of them, whose sums and differences overflow, and 1e300.
-EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, 8.9e307, -8.9e307, 1e300, -1e300]
-
-
-@st.composite
-def edge_tables(draw, max_n=5):
-    """A well-formed :class:`SetFunction` at n = 1..max_n whose entries mix the
-    EDGES, ties (entries drawn from a pool of three) and normals of one scale."""
-    n = draw(st.integers(1, max_n))
-    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e307]))
-    normals = st.floats(-4.0, 4.0).map(lambda x: x * scale)
-    pool = draw(st.lists(st.one_of(st.sampled_from(EDGES), normals), min_size=3, max_size=3))
-    entry = st.one_of(st.sampled_from(EDGES), normals, st.sampled_from(pool))
-    values = draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
-    values[0] = draw(st.sampled_from([0.0, -0.0]))
-    return SetFunction(n, values)
 
 
 def _finite_or_refused(call, *args, refused=InvalidFormat):

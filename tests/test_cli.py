@@ -9,6 +9,7 @@ from capacities.cli import _print_json, _verify_config, build_parser, main
 
 OVERLAP = {"n": 2, "values_by_mask": [0.0, 0.9, 0.9, 1.0]}
 GRADED = {"n": 2, "values_by_mask": [0.0, 0.3, 0.6, 1.0]}
+THREE = {"n": 3, "values_by_mask": [0, 0.2, 0.3, 0.6, 0.1, 0.5, 0.4, 1]}
 
 
 @pytest.fixture
@@ -87,6 +88,22 @@ class TestEval:
                                 "--capacity2", single]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "disagree on n" in err
+
+    # Zeros of either sign in the scores: a value prints as -0 when it is -0.0, so
+    # the sign of a zero that the signed integrals give shows here. Each case is
+    # the scores, then what sipos, cpt, sugeno-prod and choquet print.
+    @pytest.mark.parametrize("scores, printed", [
+        ("-0,0,-0", ["0", "0", "0", "0"]),
+        ("-1,0,-0", ["-0.2", "-0.2", "-0.2", "-0.6"]),
+        ("-0.5,0.5,-0", ["0.05", "0.05", "0.15", "-0.15"]),
+    ], ids=["zeros", "one-loss", "gain-and-loss"])
+    def test_signed_zeros_print_with_their_sign(self, scores, printed, write_json, capsys):
+        path = write_json("mu3.json", THREE)
+        for integral, want in zip(["sipos", "cpt", "sugeno-prod", "choquet"], printed):
+            flags = ["--capacity2", path] if integral == "cpt" else []
+            assert main(["eval", "--capacity", path, *flags, "--integral", integral,
+                         "--scores=" + scores]) == 0
+            assert capsys.readouterr() == (want + "\n", ""), integral
 
     def test_overflowing_value_is_out_of_domain(self, write_json, capsys):
         path = write_json("graded.json", GRADED)
@@ -179,7 +196,8 @@ class TestInteraction:
             "max-order-0", "max-order-above-n"])
     def test_flags_that_cannot_apply_are_usage_errors(self, overlap_file, capsys, flags):
         assert main(["interaction", "--capacity", overlap_file] + flags) == 2
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
 
     def test_zero_tol(self, overlap_file, capsys):
         assert main(["interaction", "--capacity", overlap_file, "--tol", "0",
@@ -219,9 +237,11 @@ class TestVerify:
         assert payload["axioms"][0]["counterexample"]["inputs"]["value"] < 0
 
     def test_unknown_axiom_is_domain_error(self, overlap_file, capsys):
-        assert main(["verify", "--capacity", overlap_file, "--integral", "sipos",
-                     "--axioms", "Z9"]) == 1
-        assert "unknown axiom" in capsys.readouterr().err
+        for axioms, bad in (("Z9", "Z9"), ("M,bogus", "bogus")):  # alone, after a known one
+            assert main(["verify", "--capacity", overlap_file, "--integral", "sipos",
+                         "--axioms", axioms]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown axiom %r" % bad) and err.count("\n") == 1, err
 
     def test_unit_domain_guard(self, overlap_file, capsys):
         assert main(["verify", "--capacity", overlap_file, "--integral", "mle",
@@ -390,13 +410,15 @@ class TestRank:
         assert ranking[2]["indifferent_to_previous"] is True
 
     @pytest.mark.parametrize("extension", ["choquet", "mle"])
-    @pytest.mark.parametrize("entries", [["good"], ["good", "stellar"], [1e308, -1e308]])
+    # the last: a level name that reads as a number is still an unknown level
+    @pytest.mark.parametrize("entries", [["good"], ["good", "stellar"], [1e308, -1e308],
+                                         ["good", "1.5"]])
     def test_bad_act_exits_1(self, write_json, capsys, extension, entries):
         model = write_json("model.json", {"capacity": GRADED, "extension": extension})
         acts = write_json("acts.json", [["good", "neutral"], entries])
         assert main(["rank", "--model", model, "--acts", acts]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1, err
         assert "Warning" not in err
 
     def test_missing_acts_flag_exits_2(self, model_file, capsys):

@@ -1,4 +1,5 @@
-"""Fuzz ``cli.main`` in-process: mutated documents and flag sets for every subcommand.
+"""Fuzz ``cli.main`` in-process: mutated documents and flag sets for every
+subcommand, and well-formed files whose numbers sit at the edges of a double.
 
 Whatever the input, a run exits 0, 1 or 2; a domain error (exit 1) is one
 ``error:`` line; nothing prints a traceback or a warning; and every JSON
@@ -10,13 +11,17 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacities.cli import main
+from capacities import OrdinalMobiusRepr, ordinal_zeta
+from capacities.cli import INTEGRAL_CHOICES, main
+from helpers import EDGES, edge_tables
 
 MU = {"n": 2, "values_by_mask": [0.0, 0.3, 0.6, 1.0]}
 DOCUMENTS = {
@@ -175,3 +180,102 @@ def test_cli_exits_cleanly_on_mutated_input(data):
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
     if code == 0 and "json" in argv:
         _assert_finite(json.loads(out))
+
+
+def _assert_finite_text(out):
+    """Every number a text rendering prints is finite."""
+    for token in re.split(r"[\s,:=(){}\[\]]+", out):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), (token, out)
+
+
+def _capacity_table(v, least=0.0):
+    """The values of a capacity made from an edge table: its absolute values, the singletons raised
+    to ``least``, closed under the maximum over subsets and clipped at 1, with
+    mu(N) = 1 and each zero of the table's sign. It keeps the table's
+    subnormals and ties."""
+    a = np.abs(v.values)
+    bits = 1 << np.arange(v.n)
+    a[bits] = np.maximum(a[bits], least)
+    w = np.minimum(ordinal_zeta(OrdinalMobiusRepr(v.n, a)).values, 1.0)
+    w[-1] = 1.0
+    zeros = w == 0.0
+    w[zeros] = np.copysign(0.0, v.values[zeros])
+    return w
+
+
+# Scores: zeros of either sign, subnormals and the largest doubles, whose gaps
+# and products overflow.
+EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, 0.5, -1.0]
+# The extremes more often than in the scores, so that the products and gaps of
+# a ranking overflow.
+ACT_ENTRIES = [1.7e308, -1.7e308, 5e-324, -0.0, 0.5, "neutral", "good", "edge"]
+VERIFY_FLAGS = [[], ["--score-bounds=0:1", "--alpha-bounds=0.001:1"],
+                ["--score-bounds=-1e300:1e300"], ["--score-bounds=0:1e-300"]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(v=edge_tables(max_n=4), data=st.data())
+def test_every_subcommand_at_the_edges_of_a_double(v, data):
+    """An edge table, and the capacity built from it, through every subcommand:
+    each run exits 0 with finite numbers printed, or exits 1 or 2 with one
+    error line, and prints no traceback and no warning."""
+    n = v.n
+
+    def draw_vector(pool=EDGE_SCORES):
+        return data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    integral = data.draw(st.sampled_from(INTEGRAL_CHOICES))
+    docs = {
+        "table": {"n": n, "values_by_mask": v.values.tolist()},
+        "mu": {"n": n, "values_by_mask": _capacity_table(v).tolist()},
+        "points": [draw_vector() for _ in range(data.draw(st.integers(1, 3)))],
+        "model": {"extension": "sugeno_product" if integral == "sugeno-prod" else integral,
+                  "scales": {str(i): {"neutral": 0, "good": 1, "edge": x}
+                             for i, x in enumerate(draw_vector(EDGES), 1)}},
+        "acts": [draw_vector(ACT_ENTRIES) for _ in range(data.draw(st.integers(1, 4)))],
+    }
+    losses = data.draw(st.sampled_from(["table", "mu"]))
+    # a model's singletons must be > 0
+    docs["model"]["capacity"] = {"n": n, "values_by_mask": _capacity_table(v, 5e-324).tolist()}
+    if integral == "cpt":
+        docs["model"]["capacity2"] = docs[losses]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {}
+        for name, doc in docs.items():
+            path[name] = os.path.join(tmp, name + ".json")
+            with open(path[name], "w") as fh:
+                json.dump(doc, fh)
+        cpt = ["--capacity2", path[losses]] if integral == "cpt" else []
+        scores = "--scores=" + ",".join(map(repr, draw_vector()))
+        coalition = [str(i) for i in range(1, n + 1) if data.draw(st.booleans())] or ["1"]
+        runs = [
+            *(["transform", op, "--input", path[doc]]
+              for op in ("mobius", "zeta", "comobius", "ordinal", "conjugate")
+              for doc in ("table", "mu")),
+            ["eval", "--integral", integral, "--capacity", path["mu"], *cpt, scores],
+            ["interaction", "--capacity", path["mu"]],
+            ["interaction", "--capacity", path["mu"], "--coalition", ",".join(coalition)],
+            ["verify", "--integral", integral, "--capacity", path["mu"], *cpt, "--samples=16",
+             *data.draw(st.sampled_from(VERIFY_FLAGS))],
+            ["compare", "--capacity", path["mu"], "--scores-file", path["points"],
+             "--samples=16"],
+            ["rank", "--model", path["model"], "--acts", path["acts"]],
+        ]
+        fmt = data.draw(st.sampled_from(["text", "json"]))
+        for argv in runs:
+            argv += ["--format", fmt]
+            code, out, err, caught = _run(argv)
+            assert "Traceback" not in err and not caught, (argv, err, caught)
+            if code == 0:
+                assert err == "", (argv, err)
+                if fmt == "json":
+                    _assert_finite(json.loads(out))
+                else:
+                    _assert_finite_text(out)
+            else:
+                prefix = {1: "error:", 2: "usage error:"}[code]
+                assert err.startswith(prefix) and err.count("\n") == 1, (argv, err)
