@@ -556,6 +556,10 @@ def _split_choquet_rows(gains: np.ndarray, losses: np.ndarray, t: np.ndarray) ->
 def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     """:func:`sugeno_product` per row from the table nu = ordinal_zeta(ordinal_mobius(mu)).
 
+    For an exactly monotone mu with mu(empty) = +0.0, nu is mu's table plus
+    0.0, which :func:`ordinal_zeta` returns with no max-closure pass: those
+    are the bytes of the pass (see :func:`capacities.set_function.ordinal_zeta`).
+
     For nonnegative t, min of t over A is t_(j) with j the lowest rank in A,
     and A lies in A_(j), so the maximum over A of m(A) * min t is
     max_j t_(j) * nu(A_(j)); rounding is monotone, so the two agree exactly.

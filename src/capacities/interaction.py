@@ -36,7 +36,10 @@ def interaction_index(mu: Capacity, coalition) -> float:
     difference along each member's axis, in ascending order, leaves at every
     superset M of A, in mask order, the alternating difference over K inside
     A of mu((M - A) | K). With B = M - A, they are averaged with the exact
-    factorial weights (n - |B| - |A|)! |B|! / (n - |A| + 1)!. A result that is
+    factorial weights (n - |B| - |A|)! |B|! / (n - |A| + 1)!: each term is
+    weighted in place, and the terms, one flat array in mask order, are added
+    by numpy's pairwise sum, whose order depends neither on the CPU's kernels
+    nor on a thread count, as a BLAS dot's does. A result that is
     not finite, where the table's differences overflow, raises
     :class:`InvalidFormat` naming the coalition.
     """
@@ -51,7 +54,9 @@ def interaction_index(mu: Capacity, coalition) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # as in a lattice pass
         for i in subsets.members(amask):
             d = np.diff(d, axis=n - i)
-        value = float(np.dot(weights[subsets.popcounts(k)], d.ravel()))  # inf - inf is NaN
+        terms = weights[subsets.popcounts(k)]
+        terms *= d.ravel()
+        value = float(np.add.reduce(terms))  # inf - inf is NaN
     if not math.isfinite(value):
         _check_finite([amask], [value])
     return value

@@ -28,11 +28,12 @@ Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
 allocates its output and no other array of that size. A lattice pass
 allocates no array, and the finiteness check of the output reads it slice
 by slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB);
-:func:`ordinal_mobius` keeps or zeroes each entry after its pass through
-such a buffer too. The monotonicity scan of the capacity constructors and
-:func:`validate` finds each bit's largest drop v(A) - v(A | bit) through
-one float buffer of at most a slice (512 KiB), which holds what each call
-of its lattice pass compares. The conjugate of a capacity, which inherits
+:func:`ordinal_mobius` keeps or zeroes each entry after its pass, and checks
+that the table is exactly monotone, through such a buffer too. The
+monotonicity scan of the capacity constructors and :func:`validate` finds
+each bit's largest drop v(A) - v(A | bit) through one float buffer of at
+most a slice (512 KiB), which holds what each call of its lattice pass
+compares. The conjugate of a capacity, which inherits
 its invariants, is not scanned. Where a bit i's largest drop exceeds tol, a
 search names the first offending pair. It takes the table as rows of 2**i
 masks without bit i, each beside the 2**i masks with it, from the first
@@ -53,8 +54,13 @@ leaves out: ``shapley`` scales it into a new table, and a report runs every
 order in its scratch table. ``shapley`` also leaves on ``v`` a read-only
 copy of its n values, which a copy or a pickle of ``v`` leaves out too; a
 later report on ``v`` takes them for its singletons and runs no order-1
-pass. Public constructors copy the arrays they are given; tables the
-package has just built are wrapped without a copy.
+pass. Where ``v`` is exactly monotone, with no tolerance, and v(empty) is
++0.0, ``ordinal_mobius(v)`` leaves on its result a weak reference to ``v``,
+which a copy or a pickle of the result leaves out; while ``v`` lives,
+``ordinal_zeta`` of that result returns v's table plus 0.0 and runs no
+pass, since those are the bytes of its max-closure. Public constructors
+copy the arrays they are given; tables the package has just built are
+wrapped without a copy.
 """
 
 from __future__ import annotations
@@ -183,8 +189,9 @@ class SetFunction:
     __iter__ = None  # a table is indexed by mask, not walked as a sequence
 
     def __getstate__(self):
-        """A copy or a pickle carries no live Mobius table and no kept Shapley values."""
-        return {k: x for k, x in vars(self).items() if k not in ("_mobius", "_shapley")}
+        """A copy or a pickle carries no live Mobius table, no kept Shapley values and
+        no value table that :func:`ordinal_zeta` would return."""
+        return {k: x for k, x in vars(self).items() if k not in ("_mobius", "_shapley", "_zeta")}
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -294,9 +301,10 @@ def _maximum(lo, hi):
     np.maximum(hi, lo, out=hi, order="C")
 
 
-def _live(v: SetFunction) -> MobiusRepr | None:
-    """The live result of ``mobius(v)``, which ``v`` refers to weakly, else None."""
-    ref = vars(v).get("_mobius")
+def _live(v: SetFunction, key: str = "_mobius") -> SetFunction | None:
+    """The live table that ``v`` refers to weakly under ``key``, else None: by
+    default the result of ``mobius(v)``."""
+    ref = vars(v).get(key)
     return None if ref is None else ref()
 
 
@@ -371,22 +379,46 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     strictly decreases it. Intended for capacities (and more generally
     nonnegative monotone tables), for which the table is recovered as the
     maximum kept coefficient over subsets (:func:`ordinal_zeta`).
+
+    Where mu is exactly monotone, mu(A) >= mu(A - i) for every member i
+    with no tolerance, and mu(empty) is +0.0, the result refers weakly to
+    ``mu``, and :func:`ordinal_zeta` of it returns ``mu``'s table while
+    ``mu`` lives. The check runs in the keep-or-zero loop, slice by slice,
+    until a slice fails it.
     """
     vals = _values(mu)
     a = np.full(1 << mu.n, -np.inf)
     subsets.lattice(_below, vals, a)  # a(A): the largest mu(A - i) over members i
     buf = np.empty(min(a.shape[0], subsets.SLICE), dtype=bool)
+    monotone = not np.signbit(vals[0])
     for v, out in _slices(vals, a):
-        flat = np.less_equal(v, out, out=buf[: v.shape[0]])  # some member does not raise the value
+        bools = buf[: v.shape[0]]
+        monotone = monotone and not np.less(v, out, out=bools).any()
+        flat = np.less_equal(v, out, out=bools)  # some member does not raise the value
         np.copyto(out, v)
         np.putmask(out, flat, 0.0)
-    del buf, flat  # before the finiteness check allocates its own slice of bools
-    return OrdinalMobiusRepr._own(mu.n, a)
+    del buf, bools, flat  # before the finiteness check allocates its own slice of bools
+    om = OrdinalMobiusRepr._own(mu.n, a)
+    if monotone:
+        vars(om)["_zeta"] = weakref.ref(mu)
+    return om
 
 
 def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
-    """Recover the value table: v(A) = max over B in A of the coefficients."""
-    a = _coefficients(m, OrdinalMobiusRepr).copy()
+    """Recover the value table: v(A) = max over B in A of the coefficients.
+
+    While the exactly monotone table that ``m`` came from lives (see
+    :func:`ordinal_mobius`), this is that table plus 0.0, with no pass: the
+    bytes of the pass. Each maximum is reached at a kept coefficient equal to
+    v(A), and equal positive doubles share one bit pattern; where v(A) is 0,
+    every coefficient below A is the +0.0 that the keep-or-zero loop wrote,
+    or v(empty) = +0.0; and adding 0.0 turns only -0.0 into +0.0.
+    """
+    a = _coefficients(m, OrdinalMobiusRepr)  # refuse another type before the lookup
+    mu = _live(m, "_zeta")
+    if mu is not None:
+        return SetFunction._own(m.n, mu.values + 0.0)
+    a = a.copy()
     subsets.lattice(_maximum, a)
     return SetFunction._own(m.n, a)
 

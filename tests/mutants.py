@@ -44,6 +44,7 @@ INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
 FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
 SET_FUNCTION_TESTS = ["tests/test_set_function.py"]
+ORDINAL_TESTS = ["tests/test_set_function.py::TestOrdinalRoundTrip"]
 CLI_TESTS = ["tests/test_cli.py"]
 MODEL_TESTS = ["tests/test_model.py"]
 
@@ -150,6 +151,27 @@ MUTANTS = [
      "flat = np.less(v, out,", SET_FUNCTION_TESTS, None),
     ("ordinal_mobius zeroes no entry", SET_FUNCTION, "        np.putmask(out, flat, 0.0)\n", "",
      SET_FUNCTION_TESTS, None),
+    ("ordinal_zeta's shortcut keeps -0.0", SET_FUNCTION, "mu.values + 0.0", "mu.values.copy()",
+     ORDINAL_TESTS, None),
+    ("the exact monotone check takes -0.0 at the empty set", SET_FUNCTION,
+     "    monotone = not np.signbit(vals[0])\n", "    monotone = True\n", ORDINAL_TESTS, None),
+    ("the exact monotone check reads the first slice alone", SET_FUNCTION,
+     "    monotone = not np.signbit(vals[0])\n"
+     "    for v, out in _slices(vals, a):\n"
+     "        bools = buf[: v.shape[0]]\n"
+     "        monotone = monotone and not np.less(v, out, out=bools).any()\n",
+     "    s = subsets.SLICE\n"
+     "    monotone = not np.signbit(vals[0]) and not np.less(vals[:s], a[:s]).any()\n"
+     "    for v, out in _slices(vals, a):\n"
+     "        bools = buf[: v.shape[0]]\n",
+     ORDINAL_TESTS, None),
+    ("the exact monotone check refuses a flat step", SET_FUNCTION,
+     "not np.less(v, out, out=bools)", "not np.less_equal(v, out, out=bools)", ORDINAL_TESTS,
+     None),
+    ("ordinal_mobius refers to a table that fails the check", SET_FUNCTION,
+     "    if monotone:\n", "    if True:\n", ORDINAL_TESTS, None),
+    ("a copy keeps the table ordinal_zeta returns", SET_FUNCTION,
+     '("_mobius", "_shapley", "_zeta")', '("_mobius", "_shapley")', ORDINAL_TESTS, None),
     ("monotonicity is checked before normalization", SET_FUNCTION,
      "    if vals[0] != 0.0:\n"
      "        return NotNormalized(\"mu(empty) must be 0, got %.17g\" % vals[0])\n"

@@ -1,7 +1,10 @@
 import copy
 import functools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capacities
 import oracles
 from capacities import (
     EmptyCoalition,
@@ -434,7 +438,8 @@ class TestIndexThroughTheLattice:
     """``interaction_index`` byte for byte against its first form: a restricted
     butterfly walked bit by bit over :func:`oracles.halves`, then a gather
     of the supersets of A by a full mask. The differences along A's axes of
-    the (2,) * n table are that butterfly's ``hi - lo``, in the same bit order."""
+    the (2,) * n table are that butterfly's ``hi - lo``, in the same bit order,
+    and both add the weighted terms in mask order by one ``np.add.reduce``."""
 
     @staticmethod
     def halves_index(mu, amask):
@@ -447,7 +452,7 @@ class TestIndexThroughTheLattice:
         weights = np.array(
             [math.factorial(n - b - a) * math.factorial(b) / den for b in range(n - a + 1)]
         )
-        return np.dot(weights[popcounts(n)[sel] - a], vals[sel])
+        return np.add.reduce(weights[popcounts(n)[sel] - a] * vals[sel])
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_bytes_are_those_of_the_halves_loop(self, n):
@@ -472,6 +477,25 @@ class TestIndexThroughTheLattice:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.1 * 8 * (1 << n), (coalition, peak)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # A singleton at n = 16 adds 2**15 terms, past the length at which a
+        # BLAS dot splits its sum over threads. A child process with one BLAS
+        # thread, on the same table and the same package, gives the same bytes.
+        n = 16
+        mu = random_capacity(np.random.default_rng(16), n)
+        script = (
+            "import sys, numpy as np\n"
+            "from capacities import SetFunction, interaction_index\n"
+            "v = np.frombuffer(sys.stdin.buffer.read())\n"
+            "print(interaction_index(SetFunction(%d, v), {1}).hex())\n" % n
+        )
+        package = os.path.dirname(os.path.dirname(capacities.__file__))
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        child = subprocess.run([sys.executable, "-c", script], input=mu.values.tobytes(),
+                               env=env, capture_output=True, check=True)
+        assert child.stdout.decode().strip() == interaction_index(mu, {1}).hex()
 
 
 class TestLiveMobiusTable:

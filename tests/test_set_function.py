@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import gc
 import hashlib
 import json
 import pickle
@@ -46,10 +48,11 @@ from capacities import (
     vector_from_dict,
     zeta,
 )
+from capacities import set_function, subsets
 from capacities.interaction import _all_indices
 from capacities.set_function import _drops, _live
 from capacities.subsets import BUFSIZE, SLICE, TILE, block_bits, lattice, popcounts, subset_key
-from helpers import peak_above_input, random_capacity, random_set_function
+from helpers import edge_tables, peak_above_input, random_capacity, random_set_function
 
 TOL = 1e-12
 
@@ -462,6 +465,133 @@ class TestOrdinalMobius:
     def test_coefficients_must_be_nonnegative(self):
         with pytest.raises(InvalidFormat):
             OrdinalMobiusRepr(1, [0.0, -0.1])
+
+
+@contextlib.contextmanager
+def _passes():
+    """The ops of the lattice passes run inside the block, in order."""
+    ops = []
+
+    def counted(op, *tables):
+        ops.append(op)
+        return lattice(op, *tables)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsets, "lattice", counted)
+        yield ops
+
+
+def _exactly_monotone(n, rng, zeros=0.25):
+    """An exactly monotone table with +0.0 at the empty set and -0.0 at every
+    other zero entry: the max-closure of coefficients of which about ``zeros``
+    are 0, with the first two singletons and their pair at 0 where n > 2, and
+    the first singleton where n = 2."""
+    c = rng.uniform(0.0, 1.0, 1 << n)
+    c[rng.uniform(size=1 << n) < zeros] = 0.0
+    c[: min(4, 1 << (n - 1))] = 0.0
+    t = oracles.loop_ordinal_zeta(c)
+    t[t == 0.0] = -0.0
+    t[0] = 0.0
+    return t
+
+
+class TestOrdinalRoundTrip:
+    """``ordinal_zeta(ordinal_mobius(v))`` returns v's table plus 0.0, with no
+    pass, where v is exactly monotone with v(empty) = +0.0. The bytes, sign bits
+    included, are those of the pass, which coefficients that refer to no value
+    table run: a copy, a pickle or a new table of the same coefficients."""
+
+    @pytest.fixture
+    def passes(self):
+        with _passes() as ops:
+            yield ops
+
+    @staticmethod
+    def round_trip(sf, passes):
+        """Whether ordinal_zeta of ordinal_mobius(sf) ran no pass, or None where
+        ordinal_mobius refuses sf; its bytes are checked against the pass, run
+        by the package and by the natural loop."""
+        try:
+            om = ordinal_mobius(sf)
+        except InvalidFormat:  # a negative coefficient
+            return None
+        passes.clear()
+        nu = ordinal_zeta(om)
+        got = nu.values.tobytes()
+        shortcut = not passes
+        assert _live(om, "_zeta") is (sf if shortcut else None)
+        want = oracles.loop_ordinal_zeta(om.values).tobytes()
+        assert got == want
+        if shortcut:
+            assert got == (sf.values + 0.0).tobytes()
+            assert not np.shares_memory(nu.values, sf.values)
+        copies = (copy.copy(om), copy.deepcopy(om), pickle.loads(pickle.dumps(om)),
+                  OrdinalMobiusRepr(sf.n, om.values))
+        for again in copies:
+            assert _live(again, "_zeta") is None
+            passes.clear()
+            assert ordinal_zeta(again).values.tobytes() == want
+            assert passes == [set_function._maximum]
+        return shortcut
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(v=edge_tables(), seed=st.integers(0, 2**32 - 1))
+    def test_edge_tables_give_the_bytes_of_the_pass(self, v, seed):
+        with _passes() as passes:
+            n, values = v.n, v.values
+            monotone = oracles.loop_ordinal_zeta(np.abs(values))
+            zero = monotone == 0.0
+            monotone[zero] = np.where(np.random.default_rng(seed).uniform(size=1 << n) < 0.5,
+                                      -0.0, 0.0)[zero]
+            monotone[0] = values[0]  # +0.0 or -0.0, as drawn
+            self.round_trip(v, passes)
+            self.round_trip(SetFunction(n, np.abs(values)), passes)
+            taken = self.round_trip(SetFunction(n, monotone), passes)
+            assert taken == (not np.signbit(values[0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 17, 18])
+    def test_planted_tables(self, n, passes):
+        # At n = 17 and 18 the check spans 2 and 4 slices, and the drops below
+        # are planted in the last one.
+        rng = np.random.default_rng(300 + n)
+        t = _exactly_monotone(n, rng)
+        assert np.signbit(t).any() or n < 2
+        assert self.round_trip(SetFunction(n, t), passes)
+        cap = t / t[-1]
+        assert self.round_trip(as_capacity(cap, n=n), passes)
+        assert self.round_trip(SetFunction(n, t + 0.0), passes)  # no -0.0 at all
+        signed = t.copy()
+        signed[0] = -0.0
+        assert self.round_trip(SetFunction(n, signed), passes) is False
+        if n < 5:
+            return
+
+        def below(a):
+            return max(cap[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+
+        # mu(A) one step under its largest subset A - i, at the last A below N
+        # that is a strict step above a positive subset
+        last = next(a for a in range((1 << n) - 2, 0, -1) if 0.0 < below(a) < cap[a])
+        drop = cap.copy()
+        drop[last] = np.nextafter(below(last), 0.0)
+        assert self.round_trip(as_capacity(drop, n=n), passes) is False
+        sf = drop.copy()
+        sf[last] = below(last) / 2  # a drop of more than any tol
+        assert self.round_trip(SetFunction(n, sf), passes) is False
+
+    @pytest.mark.parametrize("n", [3, 18])
+    def test_once_the_table_is_gone_the_pass_runs(self, n, passes):
+        sf = SetFunction(n, _exactly_monotone(n, np.random.default_rng(n)))
+        om = ordinal_mobius(sf)
+        passes.clear()
+        want = ordinal_zeta(om).values.tobytes()
+        assert not passes
+        source = weakref.ref(sf)
+        del sf
+        gc.collect()
+        assert source() is None
+        assert ordinal_zeta(om).values.tobytes() == want
+        assert passes == [set_function._maximum]
 
 
 class TestConjugate:
