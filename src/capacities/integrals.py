@@ -559,6 +559,8 @@ def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     For an exactly monotone mu with mu(empty) = +0.0, nu is mu's table plus
     0.0, which :func:`ordinal_zeta` returns with no max-closure pass: those
     are the bytes of the pass (see :func:`capacities.set_function.ordinal_zeta`).
+    Where validation found mu strictly monotone, :func:`ordinal_mobius` is a
+    copy of its table too, so the extension runs no ordinal pass at all.
 
     For nonnegative t, min of t over A is t_(j) with j the lowest rank in A,
     and A lies in A_(j), so the maximum over A of m(A) * min t is

@@ -27,14 +27,16 @@ output that is not finite raises :class:`InvalidFormat`.
 Memory: a table holds 8 * 2**n bytes (128 MiB at n = 24). Each transform
 allocates its output and no other array of that size. A lattice pass
 allocates no array, and the finiteness check of the output reads it slice
-by slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB);
-:func:`ordinal_mobius` keeps or zeroes each entry after its pass, and checks
-that the table is exactly monotone, through such a buffer too. The
-monotonicity scan of the capacity constructors and :func:`validate` finds
-each bit's largest drop v(A) - v(A | bit) through one float buffer of at
-most a slice (512 KiB), which holds what each call of its lattice pass
-compares. The conjugate of a capacity, which inherits
-its invariants, is not scanned. Where a bit i's largest drop exceeds tol, a
+by slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB).
+The ordinal transforms run no such check, since their entries are those of
+a finite table, 0.0, or maxima of finite coefficients. :func:`ordinal_mobius` keeps or zeroes each entry
+after its pass, and checks that the table is exactly monotone, through such
+a buffer too; on a strictly monotone :class:`Capacity` it copies the table
+and runs neither. The monotonicity scan of the capacity constructors and
+:func:`validate` finds each bit's largest drop v(A) - v(A | bit) through one
+float buffer of at most a slice (512 KiB), which holds what each call of its
+lattice pass compares. The conjugate of a capacity, which inherits its
+invariants, is not scanned. Where a bit i's largest drop exceeds tol, a
 search names the first offending pair. It takes the table as rows of 2**i
 masks without bit i, each beside the 2**i masks with it, from the first
 block whose call drops on a bit that the pass runs block by block, one call
@@ -54,11 +56,16 @@ leaves out: ``shapley`` scales it into a new table, and a report runs every
 order in its scratch table. ``shapley`` also leaves on ``v`` a read-only
 copy of its n values, which a copy or a pickle of ``v`` leaves out too; a
 later report on ``v`` takes them for its singletons and runs no order-1
-pass. Where ``v`` is exactly monotone, with no tolerance, and v(empty) is
-+0.0, ``ordinal_mobius(v)`` leaves on its result a weak reference to ``v``,
-which a copy or a pickle of the result leaves out; while ``v`` lives,
-``ordinal_zeta`` of that result returns v's table plus 0.0 and runs no
-pass, since those are the bytes of its max-closure. Public constructors
+pass. A :class:`Capacity` that validation built keeps the largest drop its
+scan found, one float, which its copies, pickles and conjugate leave out;
+``ordinal_mobius`` reads from it whether the table is exactly monotone, and
+where the drop is below 0, every nonempty subset is a strict step, so it
+returns a copy of the table with no pass. Where ``v`` is exactly monotone,
+with no tolerance, and v(empty) is +0.0, ``ordinal_mobius(v)`` leaves on its
+result a weak reference to ``v``, which a copy or a pickle of the result
+leaves out; while ``v`` lives, ``ordinal_zeta`` of that result returns v's
+table plus 0.0 and runs no pass, since those are the bytes of its
+max-closure. Neither result is scanned again. Public constructors
 copy the arrays they are given; tables the package has just built are
 wrapped without a copy.
 """
@@ -162,10 +169,13 @@ class SetFunction:
         vars(self).update(n=n, values=arr)
 
     @classmethod
-    def _own(cls, n: int, arr: np.ndarray):
+    def _own(cls, n: int, arr: np.ndarray, checked: bool = False):
         """Wrap ``arr``, a float table of length 2**n that the package has just
-        built and nothing else holds, without copying it."""
-        cls._check(_finite(arr, cls._what))
+        built and nothing else holds, without copying it; unless ``checked``,
+        where the caller has proved it finite and of this type, check it first."""
+        if not checked:
+            cls._check(_finite(arr, cls._what))
+        arr.flags.writeable = False
         table = object.__new__(cls)
         vars(table).update(n=n, values=arr)
         return table
@@ -189,9 +199,10 @@ class SetFunction:
     __iter__ = None  # a table is indexed by mask, not walked as a sequence
 
     def __getstate__(self):
-        """A copy or a pickle carries no live Mobius table, no kept Shapley values and
-        no value table that :func:`ordinal_zeta` would return."""
-        return {k: x for k, x in vars(self).items() if k not in ("_mobius", "_shapley", "_zeta")}
+        """A copy or a pickle carries no live Mobius table, no kept Shapley values, no
+        value table that :func:`ordinal_zeta` would return and no largest drop."""
+        facts = ("_mobius", "_shapley", "_zeta", "_largest_drop")
+        return {k: x for k, x in vars(self).items() if k not in facts}
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -204,6 +215,11 @@ class Capacity(SetFunction):
     :class:`NonPositiveSingleton`); the capacity shares its read-only table.
     ``tol`` is the absolute slack allowed on normalization and
     monotonicity; it is not stored.
+
+    A capacity built here or by :func:`as_capacity`, :func:`validate` or
+    :func:`capacity_from_dict` keeps the largest drop v(A) - v(A | i) that its
+    monotonicity scan found, which :func:`ordinal_mobius` reads; a copy, a
+    pickle or a :func:`conjugate` keeps none.
     """
 
     strictly_positive_singletons: bool = False
@@ -219,10 +235,12 @@ class Capacity(SetFunction):
         vars(self).update(vars(cap))
 
 
-def _wrapped_capacity(n: int, values: np.ndarray, strictly_positive_singletons: bool) -> Capacity:
-    """Wrap a table that satisfies the capacity constraints, without a copy."""
+def _wrapped_capacity(n: int, values: np.ndarray, positive: bool, drops: np.ndarray) -> Capacity:
+    """Wrap a table that satisfies the capacity constraints, without a copy, with
+    the largest of its ``drops`` (see :func:`_drops`)."""
     cap = object.__new__(Capacity)
-    vars(cap).update(n=n, values=values, strictly_positive_singletons=strictly_positive_singletons)
+    vars(cap).update(n=n, values=values, strictly_positive_singletons=positive,
+                     _largest_drop=float(drops.max()))
     return cap
 
 
@@ -383,22 +401,35 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     Where mu is exactly monotone, mu(A) >= mu(A - i) for every member i
     with no tolerance, and mu(empty) is +0.0, the result refers weakly to
     ``mu``, and :func:`ordinal_zeta` of it returns ``mu``'s table while
-    ``mu`` lives. The check runs in the keep-or-zero loop, slice by slice,
-    until a slice fails it.
+    ``mu`` lives. On a :class:`Capacity` that validation built, the largest
+    drop it kept says whether mu is exactly monotone. Where that drop is
+    below 0, every nonempty subset is a strict step, and the result is a copy
+    of mu's table, with no pass: the bytes of the pass, whose empty-set entry
+    is mu(empty) too. On a table that keeps no drop, the check runs in the
+    keep-or-zero loop, slice by slice, until a slice fails it. The entries are mu's or 0.0, so finite,
+    and nonnegative where mu is exactly monotone from +0.0, so only the other
+    results are checked for a negative kept coefficient.
     """
     vals = _values(mu)
-    a = np.full(1 << mu.n, -np.inf)
-    subsets.lattice(_below, vals, a)  # a(A): the largest mu(A - i) over members i
-    buf = np.empty(min(a.shape[0], subsets.SLICE), dtype=bool)
-    monotone = not np.signbit(vals[0])
-    for v, out in _slices(vals, a):
-        bools = buf[: v.shape[0]]
-        monotone = monotone and not np.less(v, out, out=bools).any()
-        flat = np.less_equal(v, out, out=bools)  # some member does not raise the value
-        np.copyto(out, v)
-        np.putmask(out, flat, 0.0)
-    del buf, bools, flat  # before the finiteness check allocates its own slice of bools
-    om = OrdinalMobiusRepr._own(mu.n, a)
+    drop = vars(mu).get("_largest_drop")  # max of mu(A) - mu(A | i), kept by validation
+    monotone = drop is None or drop <= 0.0  # where no drop is kept, until a slice fails
+    if drop is not None and drop < 0.0:
+        a = vals.copy()
+    else:
+        a = np.full(1 << mu.n, -np.inf)
+        subsets.lattice(_below, vals, a)  # a(A): the largest mu(A - i) over members i
+        buf = np.empty(min(a.shape[0], subsets.SLICE), dtype=bool)
+        for v, out in _slices(vals, a):
+            bools = buf[: v.shape[0]]
+            if drop is None and monotone:
+                monotone = not np.less(v, out, out=bools).any()
+            flat = np.less_equal(v, out, out=bools)  # some member does not raise the value
+            np.copyto(out, v)
+            np.putmask(out, flat, 0.0)
+    monotone = monotone and not np.signbit(vals[0])
+    if not monotone:
+        OrdinalMobiusRepr._check(a)
+    om = OrdinalMobiusRepr._own(mu.n, a, checked=True)
     if monotone:
         vars(om)["_zeta"] = weakref.ref(mu)
     return om
@@ -412,15 +443,17 @@ def ordinal_zeta(m: OrdinalMobiusRepr) -> SetFunction:
     bytes of the pass. Each maximum is reached at a kept coefficient equal to
     v(A), and equal positive doubles share one bit pattern; where v(A) is 0,
     every coefficient below A is the +0.0 that the keep-or-zero loop wrote,
-    or v(empty) = +0.0; and adding 0.0 turns only -0.0 into +0.0.
+    or v(empty) = +0.0; and adding 0.0 turns only -0.0 into +0.0. Neither
+    result is scanned: that sum of a finite table, like each maximum of
+    finite coefficients, is finite, and its empty-set entry is 0.
     """
     a = _coefficients(m, OrdinalMobiusRepr)  # refuse another type before the lookup
     mu = _live(m, "_zeta")
     if mu is not None:
-        return SetFunction._own(m.n, mu.values + 0.0)
+        return SetFunction._own(m.n, mu.values + 0.0, checked=True)
     a = a.copy()
     subsets.lattice(_maximum, a)
-    return SetFunction._own(m.n, a)
+    return SetFunction._own(m.n, a, checked=True)
 
 
 def conjugate(v: SetFunction) -> SetFunction:
@@ -519,9 +552,10 @@ def _checked_capacity(vals: np.ndarray, n: int, tol: float, positive: bool) -> C
     """``vals``, a finite read-only table of length 2**n, wrapped as a :class:`Capacity`
     without a copy; raises the first violated constraint, with singletons > 0 if
     ``positive``."""
-    err = _first_capacity_violation(vals, n, tol, positive, _drops(vals, tol)[1])
+    drops, first_drop = _drops(vals, tol)
+    err = _first_capacity_violation(vals, n, tol, positive, first_drop)
     if err is None:
-        return _wrapped_capacity(n, vals, positive)
+        return _wrapped_capacity(n, vals, positive, drops)
     try:
         raise err
     finally:
@@ -578,7 +612,8 @@ def validate(
     length 2**n (``n`` inferred from the length when omitted; a given ``n``
     must be that of the table). Never raises for axiom violations; malformed
     vectors (wrong length, non-finite entries) and a ``tol`` that is not
-    finite and >= 0 do raise.
+    finite and >= 0 do raise. The capacity keeps the largest drop of the
+    scan that ``strictly_monotone`` is read from, as :class:`Capacity` says.
     """
     n, vals = _value_table(v, n)
     positive = _flag(require_positive_singletons, "require_positive_singletons")
@@ -589,7 +624,7 @@ def validate(
     m[0] = 0.0
     m[1 << np.arange(n)] = 0.0
     additive = bool(np.abs(m, out=m).max() <= tol)
-    cap = None if err is not None else _wrapped_capacity(n, vals, positive)
+    cap = None if err is not None else _wrapped_capacity(n, vals, positive, drops)
     return ValidationResult(err is None, cap, err, bool(drops.max() < 0.0), additive)
 
 

@@ -44,7 +44,8 @@ INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
 FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
 SET_FUNCTION_TESTS = ["tests/test_set_function.py"]
-ORDINAL_TESTS = ["tests/test_set_function.py::TestOrdinalRoundTrip"]
+ORDINAL_TESTS = ["tests/test_set_function.py::TestOrdinalRoundTrip",
+                 "tests/test_set_function.py::TestOrdinalOfAValidatedCapacity"]
 CLI_TESTS = ["tests/test_cli.py"]
 MODEL_TESTS = ["tests/test_model.py"]
 
@@ -149,29 +150,42 @@ MUTANTS = [
      "one row of SLICE columns, so k // 2**i and k // SLICE are both 0 there"),
     ("ordinal_mobius keeps a flat step", SET_FUNCTION, "flat = np.less_equal(v, out,",
      "flat = np.less(v, out,", SET_FUNCTION_TESTS, None),
-    ("ordinal_mobius zeroes no entry", SET_FUNCTION, "        np.putmask(out, flat, 0.0)\n", "",
-     SET_FUNCTION_TESTS, None),
+    ("ordinal_mobius zeroes no entry", SET_FUNCTION, "            np.putmask(out, flat, 0.0)\n",
+     "", SET_FUNCTION_TESTS, None),
     ("ordinal_zeta's shortcut keeps -0.0", SET_FUNCTION, "mu.values + 0.0", "mu.values.copy()",
      ORDINAL_TESTS, None),
     ("the exact monotone check takes -0.0 at the empty set", SET_FUNCTION,
-     "    monotone = not np.signbit(vals[0])\n", "    monotone = True\n", ORDINAL_TESTS, None),
+     "    monotone = monotone and not np.signbit(vals[0])\n", "", ORDINAL_TESTS, None),
     ("the exact monotone check reads the first slice alone", SET_FUNCTION,
-     "    monotone = not np.signbit(vals[0])\n"
-     "    for v, out in _slices(vals, a):\n"
-     "        bools = buf[: v.shape[0]]\n"
-     "        monotone = monotone and not np.less(v, out, out=bools).any()\n",
-     "    s = subsets.SLICE\n"
-     "    monotone = not np.signbit(vals[0]) and not np.less(vals[:s], a[:s]).any()\n"
-     "    for v, out in _slices(vals, a):\n"
-     "        bools = buf[: v.shape[0]]\n",
+     "        for v, out in _slices(vals, a):\n"
+     "            bools = buf[: v.shape[0]]\n"
+     "            if drop is None and monotone:\n",
+     "        for k, (v, out) in enumerate(_slices(vals, a)):\n"
+     "            bools = buf[: v.shape[0]]\n"
+     "            if drop is None and monotone and k == 0:\n",
      ORDINAL_TESTS, None),
     ("the exact monotone check refuses a flat step", SET_FUNCTION,
      "not np.less(v, out, out=bools)", "not np.less_equal(v, out, out=bools)", ORDINAL_TESTS,
      None),
     ("ordinal_mobius refers to a table that fails the check", SET_FUNCTION,
      "    if monotone:\n", "    if True:\n", ORDINAL_TESTS, None),
-    ("a copy keeps the table ordinal_zeta returns", SET_FUNCTION,
-     '("_mobius", "_shapley", "_zeta")', '("_mobius", "_shapley")', ORDINAL_TESTS, None),
+    ("a copy keeps the table ordinal_zeta returns", SET_FUNCTION, '"_zeta", "_largest_drop")',
+     '"_largest_drop")', ORDINAL_TESTS, None),
+    ("a copy keeps the largest drop", SET_FUNCTION, ', "_largest_drop")', ")", ORDINAL_TESTS,
+     None),
+    ("a capacity with an equal step is taken as strict", SET_FUNCTION,
+     "if drop is not None and drop < 0.0:", "if drop is not None and drop <= 0.0:",
+     ORDINAL_TESTS, None),
+    ("a capacity monotone within tol alone is taken as exactly monotone", SET_FUNCTION,
+     "monotone = drop is None or drop <= 0.0", "monotone = True", ORDINAL_TESTS, None),
+    ("a capacity with an equal step is taken as not exactly monotone", SET_FUNCTION,
+     "monotone = drop is None or drop <= 0.0", "monotone = drop is None or drop < 0.0",
+     ORDINAL_TESTS, None),
+    ("ordinal_mobius skips the sign check where the table is not monotone", SET_FUNCTION,
+     "    if not monotone:\n        OrdinalMobiusRepr._check(a)\n", "", ORDINAL_TESTS, None),
+    ("a strict capacity refers to its table under a -0.0 empty set", SET_FUNCTION,
+     "    if monotone:\n        vars(om)", "    if monotone or drop is not None and drop < 0.0:\n"
+     "        vars(om)", ORDINAL_TESTS, None),
     ("monotonicity is checked before normalization", SET_FUNCTION,
      "    if vals[0] != 0.0:\n"
      "        return NotNormalized(\"mu(empty) must be 0, got %.17g\" % vals[0])\n"

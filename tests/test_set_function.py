@@ -481,6 +481,12 @@ def _passes():
         yield ops
 
 
+@pytest.fixture
+def passes():
+    with _passes() as ops:
+        yield ops
+
+
 def _exactly_monotone(n, rng, zeros=0.25):
     """An exactly monotone table with +0.0 at the empty set and -0.0 at every
     other zero entry: the max-closure of coefficients of which about ``zeros``
@@ -500,11 +506,6 @@ class TestOrdinalRoundTrip:
     pass, where v is exactly monotone with v(empty) = +0.0. The bytes, sign bits
     included, are those of the pass, which coefficients that refer to no value
     table run: a copy, a pickle or a new table of the same coefficients."""
-
-    @pytest.fixture
-    def passes(self):
-        with _passes() as ops:
-            yield ops
 
     @staticmethod
     def round_trip(sf, passes):
@@ -592,6 +593,103 @@ class TestOrdinalRoundTrip:
         assert source() is None
         assert ordinal_zeta(om).values.tobytes() == want
         assert passes == [set_function._maximum]
+
+
+def _distorted(n, rng):
+    """A strictly monotone capacity table: a power of an additive one whose
+    weights are all positive."""
+    w = rng.uniform(0.1, 1.0, n)
+    t = oracles.additive_table(w / w.sum()) ** rng.uniform(0.5, 2.0)
+    t[-1] = 1.0
+    return t
+
+
+def _strictly_monotone(values):
+    """A strictly monotone table, 1 at N within a few ulps, from any table: each
+    entry is |v(A)| / max |v|, or the next double above every entry below it
+    where that is larger. v(empty) keeps its sign."""
+    n = values.shape[0].bit_length() - 1
+    t = np.abs(values) / (np.abs(values).max() or 1.0)
+    t[-1] = 1.0
+    for a in range(1, 1 << n):
+        below = max(t[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+        t[a] = max(t[a], np.nextafter(below, np.inf))
+    return t
+
+
+class TestOrdinalOfAValidatedCapacity:
+    """A capacity that validation built keeps its largest drop v(A) - v(A | i).
+    Where that drop is below 0, ``ordinal_mobius`` returns a copy of the table
+    and runs no pass. Its bytes, and whether it refers to the capacity, are
+    those of the pass, which a table that keeps no drop runs: a bare
+    SetFunction, a copy or a pickle."""
+
+    @staticmethod
+    def check(mu, passes, strict):
+        """Whether ordinal_mobius(mu) refers to mu; it runs a pass unless
+        ``strict``, and gives what the pass and the natural loop give."""
+        assert (vars(mu)["_largest_drop"] < 0.0) == strict
+        passes.clear()
+        om = ordinal_mobius(mu)
+        assert passes == ([] if strict else [set_function._below])
+        assert not np.shares_memory(om.values, mu.values)
+        got = om.values.tobytes()
+        assert got == oracles.loop_ordinal_mobius(mu.values).tobytes()
+        referred = _live(om, "_zeta") is mu
+        for again in (SetFunction(mu.n, mu.values), copy.copy(mu), pickle.loads(pickle.dumps(mu))):
+            assert "_largest_drop" not in vars(again)
+            passes.clear()
+            om = ordinal_mobius(again)
+            assert passes == [set_function._below]
+            assert om.values.tobytes() == got
+            assert (_live(om, "_zeta") is again) == referred
+        return referred
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_a_strict_capacity_is_its_own_ordinal_table(self, n, passes):
+        t = _distorted(n, np.random.default_rng(400 + n))
+        for mu in (as_capacity(t, n=n), validate(t).capacity, Capacity(SetFunction(n, t))):
+            assert self.check(mu, passes, strict=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(v=edge_tables())
+    def test_edge_tables_made_strictly_monotone(self, v):
+        t = _strictly_monotone(v.values)
+        with _passes() as passes:
+            referred = self.check(as_capacity(t, n=v.n), passes, strict=True)
+        assert referred == (not np.signbit(t[0]))
+
+    @pytest.mark.parametrize("n", [2, 5, 17])
+    def test_what_is_not_strict_keeps_the_outcome_of_the_pass(self, n, passes):
+        # An equal step, or one equal within tol, at N - {1}: in the last slice at n = 17.
+        t = _distorted(n, np.random.default_rng(500 + n))
+        a = (1 << n) - 2
+        below = max(t[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+        equal, within, signed = t.copy(), t.copy(), t.copy()
+        equal[a] = below
+        within[a] = np.nextafter(below, -np.inf)
+        signed[0] = -0.0
+        assert self.check(as_capacity(equal, n=n), passes, strict=False)
+        assert not self.check(as_capacity(within, n=n), passes, strict=False)
+        assert not self.check(as_capacity(signed, n=n), passes, strict=True)
+        equal[0] = -0.0
+        assert not self.check(as_capacity(equal, n=n), passes, strict=False)
+
+    def test_a_conjugate_keeps_no_drop(self, passes):
+        conj = conjugate(as_capacity(_distorted(6, np.random.default_rng(6)), n=6))
+        assert "_largest_drop" not in vars(conj)
+        passes.clear()
+        ordinal_mobius(conj)
+        assert passes == [set_function._below]
+
+    def test_a_negative_kept_coefficient_is_refused(self):
+        with pytest.raises(InvalidFormat, match="must be nonnegative, got -0.5 at {1,2}"):
+            ordinal_mobius(SetFunction(2, [0.0, -1.0, -1.0, -0.5]))
+        # Monotone within tol, with a strict step at {1,2} below 0.
+        mu = as_capacity([0.0, -2e-10, -2e-10, -1e-10, 0.5, 0.6, 0.7, 1.0])
+        assert vars(mu)["_largest_drop"] > 0.0
+        with pytest.raises(InvalidFormat, match="must be nonnegative, got -1e-10 at {1,2}"):
+            ordinal_mobius(mu)
 
 
 class TestConjugate:
@@ -993,13 +1091,13 @@ def test_a_lattice_pass_allocates_no_array():
     assert peak <= 4 * 8 * BUFSIZE + 64 * 1024, peak
 
 
-def test_ordinal_mobius_frees_its_bool_slice_before_the_finiteness_check():
-    # At n = 16 a slice is the whole table, so a slice of bools kept through the
-    # finiteness check of the result, beside the one that check allocates, is a
-    # byte per subset more. TestMemory's budgets leave room for numpy's default
-    # ufunc buffers, 4 bytes per subset at this n, which hides it. Under buffers
-    # of 16 entries the budget is the output, one slice of bools, the buffers of
-    # the lattice passes and some small objects.
+def test_ordinal_mobius_holds_its_output_and_one_bool_slice():
+    # At n = 16 a slice is the whole table, so a second slice of bools, such as
+    # a finiteness check of the result would allocate, is a byte per subset
+    # more. TestMemory's budgets leave room for numpy's default ufunc buffers,
+    # 4 bytes per subset at this n, which hides it. Under buffers of 16 entries
+    # the budget is the output, one slice of bools, the buffers of the lattice
+    # passes and some small objects.
     n = 16
     assert SLICE == 1 << n
     mu = random_capacity(np.random.default_rng(17), n)
