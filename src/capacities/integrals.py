@@ -556,9 +556,9 @@ def _split_choquet_rows(gains: np.ndarray, losses: np.ndarray, t: np.ndarray) ->
 def _sugeno_rows(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     """:func:`sugeno_product` per row from the table nu = ordinal_zeta(ordinal_mobius(mu)).
 
-    For an exactly monotone mu with mu(empty) = +0.0, nu is mu's table plus
-    0.0, which :func:`ordinal_zeta` returns with no max-closure pass: those
-    are the bytes of the pass (see :func:`capacities.set_function.ordinal_zeta`).
+    For a capacity that validation found exactly monotone from mu(empty) =
+    +0.0, nu is mu's table plus 0.0, which :func:`ordinal_zeta` returns with no
+    pass: the bytes of the pass (see :func:`capacities.set_function.ordinal_zeta`).
     Where validation found mu strictly monotone, :func:`ordinal_mobius` is a
     copy of its table too, so the extension runs no ordinal pass at all.
 

@@ -29,10 +29,10 @@ allocates its output and no other array of that size. A lattice pass
 allocates no array, and the finiteness check of the output reads it slice
 by slice through one bool buffer of :data:`subsets.SLICE` entries (64 KiB).
 The ordinal transforms run no such check, since their entries are those of
-a finite table, 0.0, or maxima of finite coefficients. :func:`ordinal_mobius` keeps or zeroes each entry
-after its pass, and checks that the table is exactly monotone, through such
-a buffer too; on a strictly monotone :class:`Capacity` it copies the table
-and runs neither. The monotonicity scan of the capacity constructors and
+a finite table, 0.0, or maxima of finite coefficients. :func:`ordinal_mobius`
+keeps or zeroes each entry after its pass through such a buffer too; on a
+strictly monotone :class:`Capacity` it copies the table and runs neither.
+The monotonicity scan of the capacity constructors and
 :func:`validate` finds each bit's largest drop v(A) - v(A | bit) through one
 float buffer of at most a slice (512 KiB), which holds what each call of its
 lattice pass compares. The conjugate of a capacity, which inherits its
@@ -57,17 +57,16 @@ order in its scratch table. ``shapley`` also leaves on ``v`` a read-only
 copy of its n values, which a copy or a pickle of ``v`` leaves out too; a
 later report on ``v`` takes them for its singletons and runs no order-1
 pass. A :class:`Capacity` that validation built keeps the largest drop its
-scan found, one float, which its copies, pickles and conjugate leave out;
-``ordinal_mobius`` reads from it whether the table is exactly monotone, and
-where the drop is below 0, every nonempty subset is a strict step, so it
-returns a copy of the table with no pass. Where ``v`` is exactly monotone,
-with no tolerance, and v(empty) is +0.0, ``ordinal_mobius(v)`` leaves on its
-result a weak reference to ``v``, which a copy or a pickle of the result
-leaves out; while ``v`` lives, ``ordinal_zeta`` of that result returns v's
-table plus 0.0 and runs no pass, since those are the bytes of its
-max-closure. Neither result is scanned again. Public constructors
-copy the arrays they are given; tables the package has just built are
-wrapped without a copy.
+scan found, one float, which its copies, pickles and conjugate leave out.
+It alone tells ``ordinal_mobius`` that the table is monotone: where the drop
+is below 0, every nonempty subset is a strict step, so it returns a copy of
+the table with no pass. Where the drop is at most 0 and v(empty) is +0.0,
+``ordinal_mobius(v)`` leaves on its result a weak reference to ``v``, which
+a copy or a pickle of the result leaves out; while ``v`` lives,
+``ordinal_zeta`` of that result returns v's table plus 0.0 and runs no pass,
+since those are the bytes of its max-closure. Neither result is scanned
+again. Public constructors copy the arrays they are given; tables the
+package has just built are wrapped without a copy.
 """
 
 from __future__ import annotations
@@ -398,21 +397,20 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
     nonnegative monotone tables), for which the table is recovered as the
     maximum kept coefficient over subsets (:func:`ordinal_zeta`).
 
-    Where mu is exactly monotone, mu(A) >= mu(A - i) for every member i
-    with no tolerance, and mu(empty) is +0.0, the result refers weakly to
-    ``mu``, and :func:`ordinal_zeta` of it returns ``mu``'s table while
-    ``mu`` lives. On a :class:`Capacity` that validation built, the largest
-    drop it kept says whether mu is exactly monotone. Where that drop is
-    below 0, every nonempty subset is a strict step, and the result is a copy
-    of mu's table, with no pass: the bytes of the pass, whose empty-set entry
-    is mu(empty) too. On a table that keeps no drop, the check runs in the
-    keep-or-zero loop, slice by slice, until a slice fails it. The entries are mu's or 0.0, so finite,
-    and nonnegative where mu is exactly monotone from +0.0, so only the other
-    results are checked for a negative kept coefficient.
+    Only the largest drop that a :class:`Capacity` built by validation keeps
+    tells whether mu is monotone. Where that drop is below 0, every nonempty
+    subset is a strict step, and the result is a copy of mu's table, with no
+    pass: the bytes of the pass, whose empty-set entry is mu(empty) too.
+    Where it is at most 0, mu is exactly monotone, mu(A) >= mu(A - i) with no
+    tolerance, and if mu(empty) is +0.0 too, the result refers weakly to
+    ``mu``, and :func:`ordinal_zeta` of it returns ``mu``'s table while ``mu``
+    lives. A table that keeps no drop (a bare set function, a copy, a pickle
+    or a conjugate) runs the pass and is checked for a negative kept
+    coefficient, as is a capacity monotone only within tol; the result refers
+    to no table. The entries are mu's or 0.0, so finite.
     """
     vals = _values(mu)
     drop = vars(mu).get("_largest_drop")  # max of mu(A) - mu(A | i), kept by validation
-    monotone = drop is None or drop <= 0.0  # where no drop is kept, until a slice fails
     if drop is not None and drop < 0.0:
         a = vals.copy()
     else:
@@ -420,13 +418,10 @@ def ordinal_mobius(mu: SetFunction) -> OrdinalMobiusRepr:
         subsets.lattice(_below, vals, a)  # a(A): the largest mu(A - i) over members i
         buf = np.empty(min(a.shape[0], subsets.SLICE), dtype=bool)
         for v, out in _slices(vals, a):
-            bools = buf[: v.shape[0]]
-            if drop is None and monotone:
-                monotone = not np.less(v, out, out=bools).any()
-            flat = np.less_equal(v, out, out=bools)  # some member does not raise the value
+            flat = np.less_equal(v, out, out=buf[: v.shape[0]])  # some member does not raise v
             np.copyto(out, v)
             np.putmask(out, flat, 0.0)
-    monotone = monotone and not np.signbit(vals[0])
+    monotone = drop is not None and drop <= 0.0 and not np.signbit(vals[0])
     if not monotone:
         OrdinalMobiusRepr._check(a)
     om = OrdinalMobiusRepr._own(mu.n, a, checked=True)
@@ -710,9 +705,7 @@ def vector_from_dict(obj) -> tuple[int, np.ndarray]:
     for key, val in keyed.items():
         if not isinstance(key, str):
             raise InvalidFormat("subset keys must be strings, got %r" % (key,))
-        mask = subsets.parse_subset_key(key, n)
-        if seen[mask]:
-            raise InvalidFormat("duplicate subset key for {%s}" % subsets.subset_key(mask))
+        mask = subsets.parse_subset_key(key, n)  # each subset has one key, so no mask repeats
         seen[mask] = True
         arr[mask] = _number(val, 'value for subset "%s"' % key)
     if not seen.all():

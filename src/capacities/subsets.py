@@ -137,6 +137,8 @@ def parse_subset_key(key: str, n: int) -> int:
     for part in key.split(","):
         try:
             i = int(part)
+            if str(i) != part:  # as " 1", "+1", "01", "1_0" or a non-ASCII digit
+                raise ValueError
         except ValueError:
             raise InvalidFormat("bad subset key %r: %r is not an index" % (key, part)) from None
         if not 1 <= i <= n:

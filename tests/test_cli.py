@@ -168,6 +168,11 @@ class TestInteraction:
                      "--coalition", "1,2"]) == 0
         assert capsys.readouterr().out.strip() == "-0.8"
 
+    def test_coalition_key_that_is_not_canonical(self, overlap_file, capsys):
+        assert main(["interaction", "--capacity", overlap_file, "--coalition", " 1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad subset key ' 1': ' 1' is not an index\n", err
+
     def test_report_text(self, overlap_file, capsys):
         assert main(["interaction", "--capacity", overlap_file]) == 0
         out = capsys.readouterr().out
