@@ -383,10 +383,10 @@ def model_from_dict(obj) -> AggregationModel:
     for key, levels in raw_scales.items():
         try:
             criterion = int(key)
+            if str(criterion) != key:  # as "02", "+2", " 2", "0_2" or a non-ASCII digit
+                raise ValueError
         except (TypeError, ValueError):
-            criterion = None
-        if str(criterion) != key:
-            raise InvalidFormat("scale key %r is not a criterion number" % (key,))
+            raise InvalidFormat("scale key %r is not a criterion number" % (key,)) from None
         if not isinstance(levels, dict):
             raise InvalidFormat("scale %r must map level names to numbers" % (key,))
         scales.append(UtilityScale(criterion, levels))

@@ -1,12 +1,14 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and table builders for the test suite."""
 
+import json
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from capacities import SetFunction, as_capacity
-from oracles import additive_table
+from capacities import Capacity, SetFunction, as_capacity, cli
+from oracles import additive_table, loop_ordinal_zeta
 
 
 def random_capacity(rng, n, lo=0.1):
@@ -37,6 +39,89 @@ def random_additive_capacity(rng, n):
     v = additive_table(w)
     v[-1] = 1.0
     return as_capacity(v, n=n)
+
+
+def distorted(n, rng):
+    """A strictly monotone capacity table: a power of an additive one whose
+    weights are all positive."""
+    w = rng.uniform(0.1, 1.0, n)
+    t = additive_table(w / w.sum()) ** rng.uniform(0.5, 2.0)
+    t[-1] = 1.0
+    return t
+
+
+def exactly_monotone(n, rng):
+    """An exactly monotone capacity table with +0.0 at the empty set and -0.0 at
+    every other zero entry: the max-closure of coefficients of which about a
+    quarter are 0, with the first two singletons and their pair at 0 where
+    n > 2, and the first singleton where n = 2, over its largest entry."""
+    c = rng.uniform(0.0, 1.0, 1 << n)
+    c[rng.uniform(size=1 << n) < 0.25] = 0.0
+    c[: min(4, 1 << (n - 1))] = 0.0
+    t = loop_ordinal_zeta(c)
+    t[t == 0.0] = -0.0
+    t[0] = 0.0
+    return t / t[-1]
+
+
+def _stepped(n, rng, down):
+    """A strict table whose entry at N - {1} is the largest entry below it, or,
+    where ``down``, the double below that; at n = 1, the strict table."""
+    t, a = distorted(n, rng), (1 << n) - 2
+    if n > 1:
+        t[a] = max(t[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+        if down:
+            t[a] = np.nextafter(t[a], -np.inf)
+    return t
+
+
+# Capacity tables for the ordinal transforms at n from rng, by kind.
+ORDINAL_TABLES = {
+    "strict": distorted,
+    "exactly monotone": exactly_monotone,
+    "exactly monotone, no -0.0": lambda n, rng: exactly_monotone(n, rng) + 0.0,
+    "an equal step": lambda n, rng: _stepped(n, rng, False),
+    "monotone within tol": lambda n, rng: _stepped(n, rng, True),
+}
+
+
+def strictly_monotone(values):
+    """A strictly monotone table, 1 at N within a few ulps, from any table: each
+    entry is |v(A)| / max |v|, or the next double above every entry below it
+    where that is larger. v(empty) keeps its sign."""
+    n = values.shape[0].bit_length() - 1
+    t = np.abs(values) / (np.abs(values).max() or 1.0)
+    t[0], t[-1] = values[0], 1.0
+    for a in range(1, 1 << n):
+        below = max(t[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+        t[a] = max(t[a], np.nextafter(below, np.inf))
+    return t
+
+
+@dataclass(frozen=True)
+class HashedCapacity(Capacity):
+    """A capacity type whose generated ``__hash__`` fails on its numpy table."""
+
+
+def verify_args(tmp_path, mu, losses, name, cfg, names):
+    """The parsed ``verify`` command line of one suite under ``cfg``."""
+    files = []
+    for tag, cap in (("mu", mu), ("losses", losses)):
+        path = tmp_path / ("%s.json" % tag)
+        path.write_text(json.dumps({"n": cap.n, "values_by_mask": cap.values.tolist()}))
+        files.append(str(path))
+    integral = "sugeno-prod" if name == "sugeno_product" else name
+    argv = ["verify", "--capacity", files[0], "--integral", integral, "--axioms", ",".join(names),
+            "--samples", str(cfg.samples), "--seed", str(cfg.seed), "--tol", repr(cfg.tol),
+            "--score-bounds=%r:%r" % cfg.score_bounds, "--alpha-bounds=%r:%r" % cfg.alpha_bounds]
+    argv += ["--capacity2", files[1]] if name == "cpt" else []
+    argv += ["--allow-out-of-domain"] if cfg.allow_out_of_domain else []
+    return cli.build_parser().parse_args(argv)
+
+
+# numpy's ufunc buffers for strided operands: at most four operands of
+# np.getbufsize() doubles each, the same whatever n is.
+UFUNC_BUFFERS = 4 * 8 * np.getbufsize()
 
 
 def peak_above_input(call):

@@ -44,7 +44,8 @@ INTEGRALS_TESTS = ["tests/test_integrals.py"]
 AXIOMS_TESTS = ["tests/test_axioms.py"]
 FIRST_DROP_TESTS = ["tests/test_set_function.py::TestFirstViolation"]
 SET_FUNCTION_TESTS = ["tests/test_set_function.py"]
-ORDINAL_TESTS = ["tests/test_set_function.py::TestOrdinalShortcut"]
+ORDINAL_TESTS = ["tests/test_set_function.py::TestOrdinalMobius"]
+PATH_TESTS = ["tests/test_paths.py"]
 CLI_TESTS = ["tests/test_cli.py"]
 MODEL_TESTS = ["tests/test_model.py"]
 
@@ -80,7 +81,7 @@ MUTANTS = [
     ("shapley keeps the array it returns", INTERACTION, "kept = phi.copy()", "kept = phi",
      TESTS, None),
     ("the report ignores the kept values", INTERACTION, 'kept = vars(mu).get("_shapley")',
-     "kept = None", TESTS, None),
+     "kept = None", PATH_TESTS, None),
     ("report shows one order too few", INTERACTION, "shown = sizes[masks] <= max_order",
      "shown = sizes[masks] < max_order", TESTS, None),
     ("pair matrix at intersections", INTERACTION, "bits[:, None] | bits",
@@ -164,9 +165,8 @@ MUTANTS = [
     ("ordinal_mobius refers to a table that fails the check", SET_FUNCTION,
      "    if monotone:\n", "    if True:\n", ORDINAL_TESTS, None),
     ("a copy keeps the table ordinal_zeta returns", SET_FUNCTION, '"_zeta", "_largest_drop")',
-     '"_largest_drop")', ORDINAL_TESTS, None),
-    ("a copy keeps the largest drop", SET_FUNCTION, ', "_largest_drop")', ")", ORDINAL_TESTS,
-     None),
+     '"_largest_drop")', PATH_TESTS, None),
+    ("a copy keeps the largest drop", SET_FUNCTION, ', "_largest_drop")', ")", PATH_TESTS, None),
     ("a capacity with an equal step is taken as strict", SET_FUNCTION,
      "if drop is not None and drop < 0.0:", "if drop is not None and drop <= 0.0:",
      ORDINAL_TESTS, None),
@@ -175,7 +175,7 @@ MUTANTS = [
      ORDINAL_TESTS, None),
     ("a capacity with an equal step is taken as not exactly monotone", SET_FUNCTION,
      "drop is not None and drop <= 0.0 and", "drop is not None and drop < 0.0 and",
-     ORDINAL_TESTS, None),
+     PATH_TESTS, None),
     ("ordinal_mobius skips the sign check where the table is not monotone", SET_FUNCTION,
      "    if not monotone:\n        OrdinalMobiusRepr._check(a)\n", "", ORDINAL_TESTS, None),
     ("a strict capacity refers to its table under a -0.0 empty set", SET_FUNCTION,
@@ -228,9 +228,12 @@ MUTANTS = [
     ("AggregationModel accepts a scale past n", MODEL, "if scale.criterion > n:",
      "if scale.criterion > n + 1:", MODEL_TESTS, None),
     ("_utility_matrix takes only float columns", MODEL, 'if columns.dtype.kind in "iuf":',
-     'if columns.dtype.kind in "f":', MODEL_TESTS, None),
-    ("model_from_dict takes any key int() reads", MODEL, "        if str(criterion) != key:",
-     "        if criterion is None:", MODEL_TESTS, None),
+     'if columns.dtype.kind in "f":', PATH_TESTS, None),
+    ("model_from_dict takes any key int() reads", MODEL, "if str(criterion) != key:", "if False:",
+     MODEL_TESTS, None),
+    ("a scale key that int() refuses is read as no criterion", MODEL,
+     'raise InvalidFormat("scale key %r is not a criterion number" % (key,)) from None',
+     "criterion = None", MODEL_TESTS, None),
     ("acts_from_obj skips the entry check", MODEL, "    _check_entries(rows)\n", "",
      MODEL_TESTS, None),
     ("the batched check reads only the last act", MODEL,
@@ -309,7 +312,7 @@ MUTANTS = [
      "skipped += len(block[0]) - counted", AXIOMS_TESTS, None),
     ("the first block ends with the probes", AXIOMS,
      "range(min(_FIRST_BLOCK, p + count), p + count", "range(min(_FIRST_BLOCK, p), p + count",
-     AXIOMS_TESTS, None),
+     PATH_TESTS, None),
     ("a straddling block draws for its probes too", AXIOMS,
      "drawn = draw(end - max(start, p))", "drawn = draw(end - start)", AXIOMS_TESTS, None),
     ("a straddling block puts its draws first", AXIOMS,

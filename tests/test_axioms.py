@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from capacities import (
 )
 from capacities import axioms, cli
 from capacities.subsets import parse_subset_key
-from helpers import peak_above_input, random_additive_capacity, random_capacity
+from helpers import peak_above_input, random_additive_capacity, random_capacity, verify_args
 
 OVERLAP = as_capacity([0.0, 0.9, 0.9, 1.0])
 CFG = AxiomCheckConfig(samples=300, seed=42)
@@ -619,51 +618,6 @@ class TestBlockDraws:
 # -- the block schedule -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["choquet", "mle"])
-@pytest.mark.parametrize("n", [4, 8])
-def test_kernel_calls_per_axiom(name, n):
-    # One row-kernel call for the first 32 trials, then one per 1,024 trials,
-    # up to the counterexample if there is one.
-    mu = random_capacity(np.random.default_rng(n), n)
-    ext = make_extension(name, mu)
-    calls = []
-
-    def counting(t):
-        calls.append(t.shape[0])
-        return ext.fn(t)
-
-    counted = dataclasses.replace(ext, fn=counting)
-    cfg = dataclasses.replace(UNIT_CFG if ext.domain == "unit" else CFG, samples=250)
-    for axiom in AXIOM_NAMES:
-        calls.clear()
-        report = check_axiom(axiom, counted, mu, cfg)
-        trials = report.samples_tested + report.skipped
-        blocks = 1 + math.ceil(max(0, trials - 32) / 1024)
-        assert len(calls) == blocks, (axiom, trials, calls)
-
-
-@pytest.mark.parametrize("p, count, lengths, draws", [
-    (0, 5, [5], [5]),
-    (3, 2000, [32, 1024, 947], [29, 1024, 947]),
-    (40, 1000, [32, 1008], [1000]),
-    (1100, 0, [32, 1024, 44], []),
-])
-def test_blocks_of_32_trials_then_1024(p, count, lengths, draws):
-    # The probes, then the draws, in order: each column runs 0, 1, ... across blocks.
-    probes = (np.arange(p), -np.arange(p))
-    asked = []
-
-    def draw(k):
-        start = p + sum(asked)
-        asked.append(k)
-        return np.arange(start, start + k), -np.arange(start, start + k)
-
-    blocks = list(axioms._blocks(probes, draw, count))
-    assert [len(b[0]) for b in blocks] == lengths and asked == draws
-    for col, sign in zip(zip(*blocks), (1, -1)):
-        assert np.concatenate(col).tolist() == (sign * np.arange(p + count)).tolist()
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_reports_do_not_depend_on_the_block_schedule(n, monkeypatch):
     # At tol 1e-15 roundoff fails A1, A2 or S1 at a random trial, past the first
@@ -685,22 +639,6 @@ def test_reports_do_not_depend_on_the_block_schedule(n, monkeypatch):
 # -- one axiom at a time -------------------------------------------------------------
 
 
-def _verify_args(tmp_path, mu, losses, name, cfg, names):
-    """The parsed ``verify`` command line of one suite under ``cfg``."""
-    files = []
-    for tag, cap in (("mu", mu), ("losses", losses)):
-        path = tmp_path / ("%s.json" % tag)
-        path.write_text(json.dumps({"n": cap.n, "values_by_mask": cap.values.tolist()}))
-        files.append(str(path))
-    integral = "sugeno-prod" if name == "sugeno_product" else name
-    argv = ["verify", "--capacity", files[0], "--integral", integral, "--axioms", ",".join(names),
-            "--samples", str(cfg.samples), "--seed", str(cfg.seed), "--tol", repr(cfg.tol),
-            "--score-bounds=%r:%r" % cfg.score_bounds, "--alpha-bounds=%r:%r" % cfg.alpha_bounds]
-    argv += ["--capacity2", files[1]] if name == "cpt" else []
-    argv += ["--allow-out-of-domain"] if cfg.allow_out_of_domain else []
-    return cli.build_parser().parse_args(argv)
-
-
 # Reordered, with repeats: each name gets its own stream and its own report.
 SUITE = AXIOM_NAMES[::-1] + ("M", "HE", "M")
 
@@ -718,43 +656,10 @@ def test_a_suite_scan_gives_each_axiom_its_own_report(n, tmp_path):
     for name in EXTENSION_NAMES:
         ext = make_extension(name, mu, losses if name == "cpt" else None)
         for cfg in configs:
-            args = _verify_args(tmp_path, mu, losses, name, cfg, SUITE)
+            args = verify_args(tmp_path, mu, losses, name, cfg, SUITE)
             scanned = args.func(args)["axioms"]
             # repr tells every float apart, -0.0 from 0.0 included
             assert repr(scanned) == repr([check_axiom(a, ext, mu, cfg).to_dict() for a in SUITE])
-
-
-# Row-kernel calls of a verify run of every axiom at 250 samples: one per block
-# and axiom, the sum of ``test_kernel_calls_per_axiom``'s counts.
-SUITE_CALLS = {("choquet", 4): 15, ("choquet", 8): 21, ("mle", 4): 13, ("mle", 8): 14}
-
-
-@pytest.mark.parametrize("name, n", sorted(SUITE_CALLS) + [
-    (name, n) for name in ("sipos", "sugeno_product") for n in (4, 8)])
-def test_kernel_calls_per_suite(name, n, tmp_path, monkeypatch):
-    mu = random_capacity(np.random.default_rng(n), n)
-    ext = make_extension(name, mu)
-    calls = []
-
-    def counting(t):
-        calls.append(t.shape[0])
-        return ext.fn(t)
-
-    counted = dataclasses.replace(ext, fn=counting)
-    monkeypatch.setattr(cli, "make_extension", lambda *_: counted)
-    cfg = dataclasses.replace(UNIT_CFG if ext.domain == "unit" else CFG, samples=250)
-    args = _verify_args(tmp_path, mu, mu, name, cfg, AXIOM_NAMES)
-    reports = args.func(args)["axioms"]
-    scanned = list(calls)
-    alone, blocks = [], []  # each axiom's report and block lengths on its own
-    for axiom in AXIOM_NAMES:
-        calls.clear()
-        alone.append(check_axiom(axiom, counted, mu, cfg).to_dict())
-        blocks += calls
-    # the axioms in turn, each block in one call of its own rows
-    assert reports == alone and scanned == blocks
-    if (name, n) in SUITE_CALLS:
-        assert len(scanned) == SUITE_CALLS[name, n]
 
 
 def test_a_suite_scan_raises_the_first_error_in_name_order(tmp_path, capsys):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,20 +17,21 @@ from hypothesis import strategies as st
 import capacities
 import oracles
 from capacities import (
+    Capacity,
     EmptyCoalition,
     InvalidFormat,
     OutOfDomain,
     SetFunction,
     as_capacity,
     classify,
+    co_mobius,
     interaction_index,
     interaction_report,
     mobius,
     shapley,
 )
-from capacities import set_function, subsets
 from capacities.subsets import lattice, popcounts
-from helpers import random_additive_capacity, random_capacity
+from helpers import HashedCapacity, random_additive_capacity, random_capacity
 
 TOL = 1e-9
 
@@ -409,13 +411,10 @@ class TestPinnedToTheTableFormulas:
         compared = 0
         for mu in self.tables(n):
             for held in (False, True):
-                # The report on mu takes the Shapley values kept on it; the copy
-                # keeps none and runs its own order-1 pass, from its own live
-                # Mobius table where mu has one.
+                # shapley ran on mu, not on its copy; where held, mobius of each is held
                 own = copy.copy(mu)
                 m = self.outcome(mobius, mu) if held else None
                 m_own = self.outcome(mobius, own) if held else None
-                assert set_function._live(mu) is m and set_function._live(own) is m_own
                 phi = self.outcome(shapley, mu)
                 for order in sorted({1, min(2, n)}):
                     reps = [self.outcome(interaction_report, v, order) for v in (mu, own)]
@@ -498,9 +497,10 @@ class TestIndexThroughTheLattice:
         assert child.stdout.decode().strip() == interaction_index(mu, {1}).hex()
 
 
-class TestLiveMobiusTable:
-    """While the caller holds ``mobius(mu)``, ``shapley`` and ``interaction_report``
-    read its table and leave it as it was; their results keep every byte."""
+class TestCallsOnOneCapacity:
+    """``shapley`` and ``interaction_report`` keep every byte, whether the caller
+    holds ``mobius(mu)``, called ``shapley`` on ``mu`` before, or wrote into what
+    it returned; a held Mobius table is left as it was."""
 
     @staticmethod
     def outputs(mu, orders):
@@ -522,54 +522,22 @@ class TestLiveMobiusTable:
             assert m.values.tobytes() == held
             assert not m.values.flags.writeable
 
-    def test_no_mobius_pass_runs_while_the_table_is_live(self, monkeypatch):
-        mu = random_capacity(np.random.default_rng(15), 8)
-        m = mobius(mu)
-        passes = []
-        run = set_function._mobius_pass
-        monkeypatch.setattr(set_function, "_mobius_pass", lambda a: passes.append(a) or run(a))
-        shapley(mu), interaction_report(mu)
-        assert passes == []
-        del m
-        shapley(mu), interaction_report(mu)
-        assert [a is mu.values for a in passes] == [True, True]
-
-    def test_a_dropped_second_result_leaves_the_held_one_live(self, monkeypatch):
-        # The second result used to replace the first in the registry and die at
-        # once, so both calls below ran a Mobius pass of their own.
-        mu = random_capacity(np.random.default_rng(16), 8)
-        m1 = mobius(mu)
-        again = mobius(mu)
-        assert again is not m1 and again.values.tobytes() == m1.values.tobytes()
-        del again
-        assert set_function._live(mu) is m1
-        passes = []
-        run = set_function._mobius_pass
-        monkeypatch.setattr(set_function, "_mobius_pass", lambda a: passes.append(a) or run(a))
-        shapley(mu), interaction_report(mu)
-        assert passes == []
-
-
-class TestKeptShapleyValues:
-    """``shapley`` keeps a read-only copy of its values on ``mu``, and a later
-    report on ``mu`` takes them for its singletons instead of its order-1 pass."""
-
-    @pytest.mark.parametrize("n, order", [(1, 1), (2, 1), (2, 2), (8, 1), (8, 2)])
-    def test_a_report_after_shapley_runs_one_pass_fewer(self, monkeypatch, n, order):
-        mu = random_capacity(np.random.default_rng(30 + n), n)
-        passes = []
-        run = subsets.lattice
-        monkeypatch.setattr(subsets, "lattice", lambda op, *a: passes.append(op) or run(op, *a))
-
-        def count(call, *args):
-            passes.clear()
-            call(*args)
-            return len(passes)
-
-        fresh = count(interaction_report, copy.copy(mu), order)
-        assert count(shapley, mu) == 2  # its Mobius pass and its order-1 pass, every call
-        assert count(shapley, mu) == 2
-        assert count(interaction_report, mu, order) == fresh - 1
+    def test_copies_pickles_and_types_that_cannot_be_hashed(self):
+        mu = as_capacity(random_capacity(np.random.default_rng(23), 6).values,
+                         require_positive_singletons=True)
+        hashed = HashedCapacity(mu.n, mu.values)
+        with pytest.raises(TypeError):
+            hash(hashed)
+        fresh = self.outputs(mu, [1, 2])
+        held = mobius(mu), mobius(hashed)
+        copies = copy.copy(mu), copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))
+        for again in copies:
+            assert type(again) is Capacity and again.strictly_positive_singletons
+            assert again.values.tobytes() == mu.values.tobytes()
+        assert [self.outputs(v, [1, 2]) for v in (mu, hashed) + copies] == [fresh] * 5
+        table = weakref.ref(mu)
+        del mu, copies, again
+        assert table() is None and held[0].n == 6  # the held result keeps no table alive
 
     def test_writing_into_the_returned_values_leaves_a_later_report_as_it_was(self):
         mu = random_capacity(np.random.default_rng(31), 6)
@@ -579,12 +547,13 @@ class TestKeptShapleyValues:
         assert interaction_report(mu).to_dict() == want
         assert shapley(mu).tobytes() == np.array(want["shapley"]).tobytes()
 
-    def test_copies_and_pickles_carry_no_kept_values(self):
-        mu = random_capacity(np.random.default_rng(32), 6)
-        phi = shapley(mu)
-        kept = vars(mu)["_shapley"]
-        assert kept.tobytes() == phi.tobytes() and not kept.flags.writeable
-        for again in (copy.copy(mu), copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
-            assert "_shapley" not in vars(again)
-            assert interaction_report(again).shapley.tobytes() == phi.tobytes()
-        assert vars(mu)["_shapley"] is kept
+    @pytest.mark.parametrize("call", [shapley, interaction_report])
+    def test_what_is_not_a_value_table_keeps_its_error_text(self, call):
+        mu = random_capacity(np.random.default_rng(20), 3)
+        m = mobius(mu)
+        for bad in (m, co_mobius(mu), mu.values, [0.0, 1.0], None):
+            text = "^expected SetFunction or Capacity, got '%s'$" % type(bad).__name__
+            with pytest.raises(InvalidFormat, match=text):
+                call(bad)
+        with pytest.raises(InvalidFormat, match="^coefficients must contain only finite numbers$"):
+            call(SetFunction(2, [0.0, -1e308, -1e308, 1e308]))

@@ -13,7 +13,6 @@ from capacities import (
     AggregationModel,
     CapacitiesError,
     DimensionMismatch,
-    Extension,
     InvalidFormat,
     NonPositiveSingleton,
     NotNormalized,
@@ -26,7 +25,6 @@ from capacities import (
     capacity_from_binary_acts,
     default_scale,
     evaluate_act,
-    make_extension,
     model_from_dict,
     rank_acts,
 )
@@ -370,25 +368,6 @@ class TestRanking:
         with pytest.raises(OutOfDomain):
             rank_acts(sipos_model(), [X, (float("inf"), 0.0)])
 
-    def test_extension_without_batch_ranks_in_one_fn_call(self, monkeypatch):
-        calls = []
-
-        def plain(name, mu, losses=None):
-            ext = make_extension(name, mu, losses)
-
-            def fn(t):
-                calls.append(t.shape)
-                return ext.fn(t)
-
-            return Extension(ext.name, ext.n, ext.domain, fn)
-
-        monkeypatch.setattr(capacities.model, "make_extension", plain)
-        ranked = rank_acts(sipos_model(), [X, Y, Z, T])
-        assert calls == [(4, 2)]
-        assert [r.act.label for r in ranked] == ["z", "y", "t", "x"]
-        assert [r.indifferent_to_previous for r in ranked] == [False, False, True, False]
-
-
     def test_ranked_acts_are_the_constructor_built_ones(self):
         acts = [X, Y, Z, T, Y]
         ranked = rank_acts(sipos_model(), acts)
@@ -502,22 +481,12 @@ class TestUtilityMatrix:
         # every outcome was drawn, a whole matrix included
         assert outcomes == {np.dtype(np.float64), DimensionMismatch, UnknownLevel, InvalidFormat}
 
-    def test_level_names_are_read_without_the_act_loop(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        model = bench_style_model(rng, 6)
-        entries = bench_style_entries(rng, 6, 200)
-        monkeypatch.setattr(capacities.model, "_utilities", None)
-        got = capacities.model._utility_matrix(model, [Act(tuple(e)) for e in entries])
-        want = oracles.loop_utilities(model, [Act(tuple(e)) for e in entries])
-        assert got.tobytes() == want.tobytes()
-
-    def test_integer_entries_are_read_without_the_act_loop(self, monkeypatch):
+    def test_integer_entries_round_as_float_rounds(self):
         # columns of ints are int64 arrays; past 2**53 they round as float() rounds
         model = bench_style_model(np.random.default_rng(4), 3)
         entries = [(1, 0, -2), (2**53 + 1, -(2**62) - 1, 5), (0, 3, 2**63 - 1)]
         acts = [Act(e) for e in entries]
         want = oracles.loop_utilities(model, acts)
-        monkeypatch.setattr(capacities.model, "_utilities", None)
         assert capacities.model._utility_matrix(model, acts).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("entry", ["1.5", "inf", "nan", "0"])
@@ -572,7 +541,7 @@ class TestModelParsing:
         # failed only when an act used it, naming neither level nor criterion
         *[(lambda key=key: model_from_dict({**MODEL_OBJ, "scales": {key: {}}}),
            InvalidFormat, "^%s$" % re.escape("scale key %r is not a criterion number" % key))
-          for key in ("0_2", " 2", "2 ", "+2", "02", "\uff12", "2.0", "")],
+          for key in ("0_2", " 2", "2 ", "+2", "02", "\uff12", "2.0", "", "None")],
         *[(lambda level=level: model_from_dict(
             {**MODEL_OBJ, "scales": {"2": {"neutral": 0, "good": 1, "best": level}}}),
            InvalidFormat, r"^level 'best' of criterion 2 must be finite, got %s$" % shown)
@@ -605,7 +574,7 @@ class TestModelParsing:
          r"^attractiveness must be a dict of subsets to numbers, got 'list'$"),
     ], ids=["level-name", "scale-object", "scale-criterion", "model-list", "scale-key",
             "key-underscore", "key-leading-space", "key-trailing-space", "key-plus",
-            "key-leading-zero", "key-full-width", "key-float", "key-empty",
+            "key-leading-zero", "key-full-width", "key-float", "key-empty", "key-none",
             "level-inf", "level-minus-inf", "level-nan",
             "entries-string", "act-none", "act-str", "act-bytes", "act-dict", "act-set",
             "act-frozenset", "act-label-int", "ranked-act-str", "act-float", "ranked-act-none",

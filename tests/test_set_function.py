@@ -1,12 +1,9 @@
-import contextlib
 import copy
 import gc
 import hashlib
 import json
 import pickle
 import re
-import weakref
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -48,11 +45,11 @@ from capacities import (
     vector_from_dict,
     zeta,
 )
-from capacities import set_function, subsets
 from capacities.interaction import _all_indices
-from capacities.set_function import _drops, _live
+from capacities.set_function import _drops
 from capacities.subsets import BUFSIZE, SLICE, TILE, block_bits, lattice, popcounts, subset_key
-from helpers import edge_tables, peak_above_input, random_capacity, random_set_function
+from helpers import (ORDINAL_TABLES, UFUNC_BUFFERS, distorted, edge_tables, exactly_monotone,
+                     peak_above_input, random_capacity, random_set_function, strictly_monotone)
 
 TOL = 1e-12
 
@@ -440,17 +437,46 @@ class TestCoMobius:
 
 
 class TestOrdinalMobius:
-    def test_strictly_monotone_keeps_everything(self):
-        mu = as_capacity([0.0, 0.3, 0.6, 1.0])
-        mv = ordinal_mobius(mu)
-        assert mv.coefficients == pytest.approx([0.0, 0.3, 0.6, 1.0])
+    """Both ordinal transforms give the bytes of the natural loops, sign bits
+    included, on a validated capacity, on its table in any other form and on
+    their results in any form."""
 
-    def test_flat_step_drops_to_zero(self):
-        # monotone table whose top step is flat: the pair coefficient vanishes
-        mv = ordinal_mobius(SetFunction(2, [0.0, 0.3, 0.6, 0.6]))
-        assert mv[0b11] == 0.0
-        assert mv[0b10] == 0.6
-        assert ordinal_zeta(mv).values == pytest.approx([0.0, 0.3, 0.6, 0.6])
+    @staticmethod
+    def check(mu):
+        """Both transforms of ``mu``, and where it is a capacity of its table bare,
+        copied and pickled, against the loops; or the refusal of a negative kept
+        coefficient."""
+        forms = [mu]
+        if isinstance(mu, Capacity):
+            forms += [SetFunction(mu.n, mu.values), copy.copy(mu), pickle.loads(pickle.dumps(mu))]
+        want = oracles.loop_ordinal_mobius(mu.values)
+        if (want < 0.0).any():
+            for v in forms:
+                with pytest.raises(InvalidFormat, match="must be nonnegative"):
+                    ordinal_mobius(v)
+            return
+        back = oracles.loop_ordinal_zeta(want).tobytes()
+        with np.errstate(over="ignore"):  # an infinite drop is still a drop
+            monotone = (oracles.loop_drops(mu.values) <= 0.0).all()
+        if monotone and not np.signbit(mu.values[0]):
+            assert back == (mu.values + 0.0).tobytes()  # its own round trip, plus 0.0
+        oms = [ordinal_mobius(v) for v in forms]
+        for om in oms:
+            assert om.values.tobytes() == want.tobytes()
+            assert not np.shares_memory(om.values, mu.values)
+        om = oms[0]  # the only one that may refer to its table
+        for again in oms + [copy.copy(om), copy.deepcopy(om), pickle.loads(pickle.dumps(om)),
+                            OrdinalMobiusRepr(mu.n, om.values)]:
+            nu = ordinal_zeta(again)
+            assert nu.values.tobytes() == back
+            assert not np.shares_memory(nu.values, mu.values)
+
+    def test_a_strict_step_keeps_its_value_and_a_flat_one_drops_to_zero(self):
+        strict = as_capacity([0.0, 0.3, 0.6, 1.0])
+        flat = SetFunction(2, [0.0, 0.3, 0.6, 0.6])  # monotone, its top step flat
+        assert ordinal_mobius(strict).coefficients.tolist() == [0.0, 0.3, 0.6, 1.0]
+        assert ordinal_mobius(flat).coefficients.tolist() == [0.0, 0.3, 0.6, 0.0]
+        assert ordinal_zeta(ordinal_mobius(flat)).values.tolist() == [0.0, 0.3, 0.6, 0.6]
 
     def test_max_recovery(self):
         rng = np.random.default_rng(13)
@@ -466,115 +492,6 @@ class TestOrdinalMobius:
         with pytest.raises(InvalidFormat):
             OrdinalMobiusRepr(1, [0.0, -0.1])
 
-
-@contextlib.contextmanager
-def _passes():
-    """The ops of the lattice passes run inside the block, in order."""
-    ops = []
-
-    def counted(op, *tables):
-        ops.append(op)
-        return lattice(op, *tables)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subsets, "lattice", counted)
-        yield ops
-
-
-@pytest.fixture
-def passes():
-    with _passes() as ops:
-        yield ops
-
-
-def _exactly_monotone(n, rng, zeros=0.25):
-    """An exactly monotone table with +0.0 at the empty set and -0.0 at every
-    other zero entry: the max-closure of coefficients of which about ``zeros``
-    are 0, with the first two singletons and their pair at 0 where n > 2, and
-    the first singleton where n = 2."""
-    c = rng.uniform(0.0, 1.0, 1 << n)
-    c[rng.uniform(size=1 << n) < zeros] = 0.0
-    c[: min(4, 1 << (n - 1))] = 0.0
-    t = oracles.loop_ordinal_zeta(c)
-    t[t == 0.0] = -0.0
-    t[0] = 0.0
-    return t
-
-
-def _distorted(n, rng):
-    """A strictly monotone capacity table: a power of an additive one whose
-    weights are all positive."""
-    w = rng.uniform(0.1, 1.0, n)
-    t = oracles.additive_table(w / w.sum()) ** rng.uniform(0.5, 2.0)
-    t[-1] = 1.0
-    return t
-
-
-def _strictly_monotone(values):
-    """A strictly monotone table, 1 at N within a few ulps, from any table: each
-    entry is |v(A)| / max |v|, or the next double above every entry below it
-    where that is larger. v(empty) keeps its sign."""
-    n = values.shape[0].bit_length() - 1
-    t = np.abs(values) / (np.abs(values).max() or 1.0)
-    t[0], t[-1] = values[0], 1.0
-    for a in range(1, 1 << n):
-        below = max(t[a & ~(1 << i)] for i in range(n) if a >> i & 1)
-        t[a] = max(t[a], np.nextafter(below, np.inf))
-    return t
-
-
-class TestOrdinalShortcut:
-    """Only the largest drop v(A) - v(A | i) that validation keeps on a capacity
-    tells ``ordinal_mobius`` that its table is monotone. Below 0, it returns a
-    copy of the table and runs no pass; at most 0, with +0.0 at the empty set,
-    its result refers to the capacity, and ``ordinal_zeta`` of it returns the
-    table plus 0.0 with no pass. A table that keeps no drop, a bare SetFunction,
-    a copy, a pickle or a conjugate, runs both passes and refers to nothing.
-    Every path gives the bytes of the natural loops, sign bits included."""
-
-    @staticmethod
-    def check(mu, passes):
-        """Whether ordinal_mobius(mu) refers to mu, or None where it refuses mu;
-        the same table keeping no drop runs both passes with the same bytes."""
-        drop = vars(mu).get("_largest_drop")
-        if drop is not None:
-            assert drop == oracles.loop_drops(mu.values).max()
-        strict = drop is not None and drop < 0.0
-        referred = drop is not None and drop <= 0.0 and not np.signbit(mu.values[0])
-        want = oracles.loop_ordinal_mobius(mu.values)
-        if (want < 0.0).any():
-            assert not referred
-            with pytest.raises(InvalidFormat, match="must be nonnegative"):
-                ordinal_mobius(mu)
-            return None
-        passes.clear()
-        om = ordinal_mobius(mu)
-        assert passes == ([] if strict else [set_function._below])
-        assert om.values.tobytes() == want.tobytes()
-        assert not np.shares_memory(om.values, mu.values)
-        assert _live(om, "_zeta") is (mu if referred else None)
-        passes.clear()
-        nu = ordinal_zeta(om)
-        assert passes == ([] if referred else [set_function._maximum])
-        back = oracles.loop_ordinal_zeta(want).tobytes()
-        assert nu.values.tobytes() == back
-        if referred:
-            assert back == (mu.values + 0.0).tobytes()
-            assert not np.shares_memory(nu.values, mu.values)
-        copies = (copy.copy(om), copy.deepcopy(om), pickle.loads(pickle.dumps(om)),
-                  OrdinalMobiusRepr(mu.n, om.values))
-        for again in copies:
-            assert _live(again, "_zeta") is None
-            passes.clear()
-            assert ordinal_zeta(again).values.tobytes() == back
-            assert passes == [set_function._maximum]
-        if drop is not None:
-            bares = (SetFunction(mu.n, mu.values), copy.copy(mu), pickle.loads(pickle.dumps(mu)))
-            for bare in bares:
-                assert "_largest_drop" not in vars(bare)
-                assert TestOrdinalShortcut.check(bare, passes) is False
-        return referred
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(v=edge_tables(), seed=st.integers(0, 2**32 - 1))
     def test_edge_tables(self, v, seed):
@@ -584,75 +501,41 @@ class TestOrdinalShortcut:
         monotone[zero] = np.where(np.random.default_rng(seed).uniform(size=1 << n) < 0.5,
                                   -0.0, 0.0)[zero]
         monotone[0] = values[0]  # +0.0 or -0.0, as drawn
-        unsigned = not np.signbit(values[0])
-        with _passes() as passes:
-            for bare in (values, np.abs(values), monotone):
-                assert not self.check(SetFunction(n, bare), passes)
-            assert self.check(as_capacity(_strictly_monotone(values), n=n), passes) == unsigned
-            if monotone[-1] > 0.0:
-                assert self.check(as_capacity(monotone / monotone[-1], n=n), passes) == unsigned
+        for bare in (values, np.abs(values), monotone):
+            self.check(SetFunction(n, bare))
+        self.check(as_capacity(strictly_monotone(values), n=n))
+        if monotone[-1] > 0.0:
+            self.check(as_capacity(monotone / monotone[-1], n=n))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 17, 18])
-    def test_planted_tables(self, n, passes):
-        t = _exactly_monotone(n, np.random.default_rng(300 + n))
+    def test_planted_tables(self, n):
+        # Each kind of capacity, also with -0.0 at the empty set; an exactly
+        # monotone table with -0.0 at some entries as a bare table; a conjugate.
+        for build in ORDINAL_TABLES.values():
+            for empty in (0.0, -0.0):
+                t = build(n, np.random.default_rng(300 + n))
+                t[0] = empty
+                self.check(as_capacity(t, n=n))
+        t = exactly_monotone(n, np.random.default_rng(300 + n))
         assert np.signbit(t).any() or n < 2
-        cap = t / t[-1]
-        signed = cap.copy()
-        signed[0] = -0.0
-        assert self.check(as_capacity(cap, n=n), passes)
-        assert self.check(as_capacity(cap + 0.0, n=n), passes)  # no -0.0 at all
-        assert self.check(as_capacity(signed, n=n), passes) is False
-        assert self.check(SetFunction(n, t), passes) is False
-
-    @pytest.mark.parametrize("n", [3, 18])
-    def test_once_the_table_is_gone_the_pass_runs(self, n, passes):
-        t = _exactly_monotone(n, np.random.default_rng(n))
-        mu = as_capacity(t / t[-1], n=n)
-        om = ordinal_mobius(mu)
-        passes.clear()
-        want = ordinal_zeta(om).values.tobytes()
-        assert not passes
-        source = weakref.ref(mu)
-        del mu
-        gc.collect()
-        assert source() is None
-        assert ordinal_zeta(om).values.tobytes() == want
-        assert passes == [set_function._maximum]
+        self.check(SetFunction(n, t))
+        self.check(conjugate(as_capacity(distorted(n, np.random.default_rng(n)), n=n)))
+        om = ordinal_mobius(as_capacity(t, n=n))
+        gc.collect()  # the capacity it came from is gone
+        assert ordinal_zeta(om).values.tobytes() == oracles.loop_ordinal_zeta(om.values).tobytes()
 
     @pytest.mark.parametrize("n", range(1, 19))
-    def test_a_strict_capacity_is_its_own_ordinal_table(self, n, passes):
-        t = _distorted(n, np.random.default_rng(400 + n))
+    def test_a_strict_capacity_is_its_own_ordinal_table(self, n):
+        t = distorted(n, np.random.default_rng(400 + n))
         for mu in (as_capacity(t, n=n), validate(t).capacity, Capacity(SetFunction(n, t))):
-            assert vars(mu)["_largest_drop"] < 0.0
-            assert self.check(mu, passes)
-
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_what_is_not_strict_keeps_the_outcome_of_the_pass(self, n, passes):
-        # An equal step, or one equal within tol, at N - {1}.
-        t = _distorted(n, np.random.default_rng(500 + n))
-        a = (1 << n) - 2
-        below = max(t[a & ~(1 << i)] for i in range(n) if a >> i & 1)
-        equal, within, signed = t.copy(), t.copy(), t.copy()
-        equal[a] = below
-        within[a] = np.nextafter(below, -np.inf)
-        signed[0] = -0.0
-        assert self.check(as_capacity(equal, n=n), passes)
-        assert self.check(as_capacity(within, n=n), passes) is False
-        assert self.check(as_capacity(signed, n=n), passes) is False
-        equal[0] = -0.0
-        assert self.check(as_capacity(equal, n=n), passes) is False
-
-    def test_a_conjugate_keeps_no_drop(self, passes):
-        conj = conjugate(as_capacity(_distorted(6, np.random.default_rng(6)), n=6))
-        assert "_largest_drop" not in vars(conj)
-        assert self.check(conj, passes) is False
+            assert ordinal_mobius(mu).values.tobytes() == t.tobytes()
+            self.check(mu)
 
     def test_a_negative_kept_coefficient_is_refused(self):
         with pytest.raises(InvalidFormat, match="must be nonnegative, got -0.5 at {1,2}"):
             ordinal_mobius(SetFunction(2, [0.0, -1.0, -1.0, -0.5]))
         # Monotone within tol, with a strict step at {1,2} below 0.
         mu = as_capacity([0.0, -2e-10, -2e-10, -1e-10, 0.5, 0.6, 0.7, 1.0])
-        assert vars(mu)["_largest_drop"] > 0.0
         with pytest.raises(InvalidFormat, match="must be nonnegative, got -1e-10 at {1,2}"):
             ordinal_mobius(mu)
 
@@ -937,11 +820,6 @@ class TestFirstViolation:
         assert str(err.value) == _drop_text(conj.values, DEFAULT_TOL), name
 
 
-# numpy's ufunc buffers for strided operands: at most four operands of
-# np.getbufsize() doubles each, the same whatever n is.
-UFUNC_BUFFERS = 4 * 8 * np.getbufsize()
-
-
 class TestMemory:
     """Peak allocation of each op at n = 16, in bytes per subset beside UFUNC_BUFFERS."""
 
@@ -969,8 +847,7 @@ class TestMemory:
     # one Mobius table and its sizes; a report one Mobius table, one scratch
     # table, the sizes and their scaled copy, and one bool table. With a live
     # Mobius table, shapley allocates its scaled copy in place of a Mobius
-    # table, and a report only the scratch table, the sizes, their copy and a
-    # bool table.
+    # table.
     OPS = [
         ("mobius", "fresh", mobius, 9),
         ("zeta", "m", zeta, 9),
@@ -986,7 +863,6 @@ class TestMemory:
         ("shapley", "fresh", shapley, 9),
         ("interaction_report", "fresh", interaction_report, 19),
         ("shapley with a live Mobius table", "mu", shapley, 9),
-        ("interaction_report with a live Mobius table", "mu", interaction_report, 11),
     ]
     TIGHTER = {}  # budgets below those of OPS at this class's n
 
@@ -994,22 +870,8 @@ class TestMemory:
     def test_peak_stays_within_its_budget(self, tables, op):
         name, arg, call, per_subset = op
         per_subset = self.TIGHTER.get(name, per_subset)
-        assert _live(tables["mu"]) is tables["m"]
-        assert _live(tables["fresh"]) is None  # the mobius row's result is dropped
         peak = peak_above_input(lambda: call(tables[arg]))
         assert peak <= per_subset * (1 << self.N) + UFUNC_BUFFERS
-
-    def test_a_dropped_mobius_table_is_not_kept(self):
-        mu = random_capacity(np.random.default_rng(18), self.N)
-        m = mobius(mu)
-        live = peak_above_input(lambda: interaction_report(mu))
-        del m
-        assert _live(mu) is None
-        fresh = peak_above_input(lambda: interaction_report(mu))
-        assert fresh <= 19 * (1 << self.N) + UFUNC_BUFFERS
-        # a Mobius table of its own again; the peaks also hold a few small
-        # Python objects, which differ by some dozens of bytes with the state
-        assert fresh - live >= 8 * (1 << self.N) - 1024
 
 
 class TestMemoryOverBlocks(TestMemory):
@@ -1024,8 +886,7 @@ class TestMemoryOverBlocks(TestMemory):
     # slice of floats (half a byte per subset), beside the copy of a raw array,
     # and a failing one a slice of bools more. validate holds one Mobius table
     # and a slice of bools; a report one Mobius table, one scratch table, the
-    # sizes and their scaled copy, and a slice of bools, or, with a live Mobius
-    # table, all but the Mobius table.
+    # sizes and their scaled copy, and a slice of bools.
     TIGHTER = {
         "mobius": 8.0625,
         "zeta": 8.0625,
@@ -1039,7 +900,6 @@ class TestMemoryOverBlocks(TestMemory):
         "failing as_capacity": 0.5625,
         "validate": 8.0625,
         "interaction_report": 18.0625,
-        "interaction_report with a live Mobius table": 10.0625,
     }
 
 
@@ -1072,71 +932,6 @@ def test_ordinal_mobius_holds_its_output_and_one_bool_slice():
     finally:
         np.setbufsize(old)
     assert peak <= 9 * (1 << n) + 4 * 8 * BUFSIZE + 4096, peak
-
-
-@dataclass(frozen=True)
-class _HashedCapacity(Capacity):
-    """A capacity type whose generated ``__hash__`` fails on its numpy table."""
-
-
-class TestLiveMobiusRegistry:
-    """A table refers to its live :func:`mobius` result by a weak reference,
-    which keeps neither alive and which copies and pickles leave out."""
-
-    def test_a_table_that_cannot_be_hashed_is_registered(self):
-        mu = random_capacity(np.random.default_rng(21), 5)
-        hashed = _HashedCapacity(mu.n, mu.values)
-        with pytest.raises(TypeError):
-            hash(hashed)
-        fresh = shapley(hashed).tobytes(), interaction_report(hashed).to_dict()
-        m = mobius(hashed)
-        assert _live(hashed) is m
-        assert (shapley(hashed).tobytes(), interaction_report(hashed).to_dict()) == fresh
-
-    def test_the_entry_goes_with_the_table(self):
-        mu = random_capacity(np.random.default_rng(22), 5)
-        m = mobius(mu)
-        table = weakref.ref(mu)
-        assert _live(mu) is m
-        del mu
-        assert table() is None and m.n == 5  # the held m keeps no table alive
-
-    def test_a_capacity_with_a_live_table_pickles_and_copies(self):
-        mu = random_capacity(np.random.default_rng(19), 6)
-        m = mobius(mu)
-        for again in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
-            assert type(again) is Capacity and again.n == mu.n
-            assert again.values.tobytes() == mu.values.tobytes()
-            assert shapley(again).tobytes() == shapley(mu).tobytes()
-        assert _live(mu) is m
-
-    def test_copies_and_pickles_carry_no_live_table(self):
-        mu = as_capacity(random_capacity(np.random.default_rng(23), 6).values,
-                         require_positive_singletons=True)
-        m = mobius(mu)
-        assert mu.strictly_positive_singletons and _live(mu) is m
-
-        def outputs(v):
-            r = interaction_report(v)
-            return (shapley(v).tobytes(), r.shapley.tobytes(), r.pair_matrix.tobytes(),
-                    np.array(list(r.values.values())).tobytes(), r.labels)
-
-        for again in (copy.copy(mu), copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
-            assert _live(again) is None
-            assert type(again) is Capacity and again.strictly_positive_singletons
-            assert outputs(again) == outputs(mu)
-        assert _live(mu) is m
-
-    @pytest.mark.parametrize("call", [shapley, interaction_report])
-    def test_what_is_not_a_value_table_keeps_its_error_text(self, call):
-        mu = random_capacity(np.random.default_rng(20), 3)
-        m = mobius(mu)
-        for bad in (m, co_mobius(mu), mu.values, [0.0, 1.0], None):
-            text = "^expected SetFunction or Capacity, got '%s'$" % type(bad).__name__
-            with pytest.raises(InvalidFormat, match=text):
-                call(bad)
-        with pytest.raises(InvalidFormat, match="^coefficients must contain only finite numbers$"):
-            call(SetFunction(2, [0.0, -1e308, -1e308, 1e308]))
 
 
 class TestJson:
