@@ -19,10 +19,7 @@ def random_capacity(rng, n, lo=0.1):
     """
     v = rng.uniform(lo, 1.0, 1 << n)
     v[0] = 0.0
-    for i in range(n):
-        bit = 1 << i
-        blocks = v.reshape(-1, 2 * bit)
-        np.maximum(blocks[:, bit:], blocks[:, :bit], out=blocks[:, bit:])
+    v = loop_ordinal_zeta(v)
     v /= v[-1]
     return as_capacity(v, n=n)
 
@@ -31,6 +28,23 @@ def random_set_function(rng, n, lo=-1.0, hi=1.0):
     v = rng.uniform(lo, hi, 1 << n)
     v[0] = 0.0
     return SetFunction(n, v)
+
+
+def signed_zeros(t, rng):
+    """The table t, with -0.0 at about half its zeros and +0.0 at the empty set."""
+    t[(t == 0.0) & (rng.uniform(size=t.shape[0]) < 0.5)] = -0.0
+    t[0] = 0.0
+    return t
+
+
+def signed_table(n, rng):
+    """Small integers in [-2, 2] with zeros of either sign: exact transforms."""
+    return signed_zeros(np.round(rng.uniform(-2.0, 2.0, 1 << n)), rng)
+
+
+def max_closure(values, rng):
+    """The max-closure of |values|, exactly monotone, with zeros of either sign."""
+    return signed_zeros(loop_ordinal_zeta(np.abs(values)), rng)
 
 
 def random_additive_capacity(rng, n):

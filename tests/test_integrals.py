@@ -44,7 +44,7 @@ from capacities import (
     symmetric_max_fold,
 )
 from capacities import axioms, integrals, subsets
-from helpers import peak_above_input, random_additive_capacity, random_capacity
+from helpers import peak_above_input, random_additive_capacity, random_capacity, signed_zeros
 
 TOL = 1e-9
 
@@ -1118,9 +1118,7 @@ def sort_kernel_tables(rng, n):
     """Value tables for the sort kernels: capacities (one with drops within tol, one
     with +0.0 and -0.0 plateaus) and non-monotone tables with entries of either sign,
     two of them with v(N) = -0.0 and v(N) < 0."""
-    plateaus = np.round(random_capacity(rng, n, lo=0.0).values ** 2, 1)
-    plateaus[(plateaus == 0.0) & (rng.random(1 << n) < 0.5)] = -0.0
-    plateaus[0] = 0.0
+    plateaus = signed_zeros(np.round(random_capacity(rng, n, lo=0.0).values ** 2, 1), rng)
     tables = [random_capacity(rng, n).values, wobbly_capacity(rng, n).values,
               as_capacity(plateaus, n=n).values]
     for last in (-0.0, -0.5, 0.5):

@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import weakref
 
@@ -31,7 +30,8 @@ from capacities import (
     shapley,
 )
 from capacities.subsets import lattice, popcounts
-from helpers import HashedCapacity, random_additive_capacity, random_capacity
+from helpers import (HashedCapacity, peak_above_input, random_additive_capacity, random_capacity,
+                     signed_table)
 
 TOL = 1e-9
 
@@ -362,9 +362,7 @@ class TestPinnedToTheTableFormulas:
         """A capacity, and set functions of small integers with zeros of either sign,
         the same times 1e300."""
         rng = np.random.default_rng(300 + n)
-        signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
-        signed[(signed == 0.0) & (rng.uniform(size=1 << n) < 0.5)] = -0.0
-        signed[0] = 0.0
+        signed = signed_table(n, rng)
         return [random_capacity(rng, n), SetFunction(n, signed), SetFunction(n, signed * 1e300)]
 
     @staticmethod
@@ -469,12 +467,7 @@ class TestIndexThroughTheLattice:
         n = 20
         mu = random_capacity(np.random.default_rng(20), n)
         for coalition in ({1}, {n}, {1, 2}, set(range(1, n + 1))):
-            tracemalloc.start()
-            try:
-                interaction_index(mu, coalition)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = peak_above_input(lambda: interaction_index(mu, coalition))
             assert peak <= 1.1 * 8 * (1 << n), (coalition, peak)
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):

@@ -7,6 +7,7 @@ mutation script next runs (where pytest exits 4 on a node id it cannot find).
 
 import ast
 
+import large_tables
 import mutants
 
 
@@ -28,3 +29,11 @@ def test_each_mutant_applies_to_the_source_as_it_is():
                               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
             assert len(target) <= 1 and set(target) <= tops[file], (name, test)
         assert reason is None or (isinstance(reason, str) and reason.strip()), name
+
+
+def test_large_tables_runs_at_n_22_to_24():
+    # Importing it binds each tier-1 builder it calls, so renaming one fails here too.
+    tests = [f for name, f in vars(large_tables).items()
+             if name.startswith("test_") and callable(f)]
+    assert [m.args for f in tests for m in f.pytestmark] == [("n", [22, 23, 24])] * 3
+    assert large_tables.TestMemoryAt24.N == 24

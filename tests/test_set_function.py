@@ -49,7 +49,8 @@ from capacities.interaction import _all_indices
 from capacities.set_function import _drops
 from capacities.subsets import BUFSIZE, SLICE, TILE, block_bits, lattice, popcounts, subset_key
 from helpers import (ORDINAL_TABLES, UFUNC_BUFFERS, distorted, edge_tables, exactly_monotone,
-                     peak_above_input, random_capacity, random_set_function, strictly_monotone)
+                     max_closure, peak_above_input, random_additive_capacity, random_capacity,
+                     random_set_function, signed_table, strictly_monotone)
 
 TOL = 1e-12
 
@@ -496,10 +497,7 @@ class TestOrdinalMobius:
     @given(v=edge_tables(), seed=st.integers(0, 2**32 - 1))
     def test_edge_tables(self, v, seed):
         n, values = v.n, v.values
-        monotone = oracles.loop_ordinal_zeta(np.abs(values))
-        zero = monotone == 0.0
-        monotone[zero] = np.where(np.random.default_rng(seed).uniform(size=1 << n) < 0.5,
-                                  -0.0, 0.0)[zero]
+        monotone = max_closure(values, np.random.default_rng(seed))
         monotone[0] = values[0]  # +0.0 or -0.0, as drawn
         for bare in (values, np.abs(values), monotone):
             self.check(SetFunction(n, bare))
@@ -645,9 +643,41 @@ class TestTableContract:
 # to 3 run on tiles from n = 12 on, and a table of more than 2**16 entries
 # runs block by block, the bits above its blocks in a group of 1 to 4 bits at
 # n = 17 to 20 and in a group of 4 and one of 1 at n = 21. n = 16 is the
-# analyze size. The passes at n = 22 to 24, which end on groups of 2, 3 and 4
-# bits as n = 18 to 20 do, are pinned byte for byte in CI.
+# analyze size. At n = 22 to 24 the passes end on groups of 2, 3 and 4 bits,
+# as at n = 18 to 20; tests/large_tables.py runs the checkers below there.
 TILE_SIZES = [11, 12, 16, 17, 18, 19, 20, 21]
+
+
+def _same(got, want):
+    assert got.values.tobytes() == want.tobytes()
+
+
+def check_transforms(v):
+    """mobius, zeta, co_mobius and conjugate of v, the ordinal pair of |v|, by the loops."""
+    n = v.shape[0].bit_length() - 1
+    sf = SetFunction(n, v)
+    _same(mobius(sf), oracles.loop_mobius(v))
+    _same(zeta(MobiusRepr(n, v)), oracles.loop_zeta(v))
+    _same(co_mobius(sf), oracles.loop_co_mobius(v))
+    _same(conjugate(sf), oracles.loop_conjugate(v))
+    a = np.abs(v)
+    _same(ordinal_mobius(SetFunction(n, a)), oracles.loop_ordinal_mobius(a))
+    _same(ordinal_zeta(OrdinalMobiusRepr(n, a)), oracles.loop_ordinal_zeta(a))
+
+
+def check_capacity(mu):
+    """The conjugate and the ordinal round trip of a capacity, by the loops."""
+    v = mu.values
+    _same(conjugate(mu), oracles.loop_conjugate(v))
+    _same(ordinal_zeta(ordinal_mobius(mu)), oracles.loop_ordinal_zeta(oracles.loop_ordinal_mobius(v)))
+
+
+def check_drops(v):
+    """The scan's largest drop of each bit and its first drop at two tols, by the loops."""
+    for tol in (0.0, 1e-9):
+        drops, first = _drops(v, tol)
+        assert drops.tobytes() == oracles.loop_drops(v).tobytes(), tol
+        assert first == oracles.loop_first_drop(v, tol), tol
 
 
 def _drop_text(vals, tol):
@@ -669,33 +699,17 @@ class TestTiledPasses:
         (small integers with zeros of either sign, the same times 1e300)."""
         rng = np.random.default_rng(200 + n)
         mu = random_capacity(rng, n).values
-        w = rng.uniform(0.1, 1.0, n)
-        additive = oracles.additive_table(w / w.sum())
-        additive[-1] = 1.0
-        signed = np.round(rng.uniform(-2.0, 2.0, 1 << n))
-        signed[(signed == 0.0) & (rng.uniform(size=1 << n) < 0.5)] = -0.0
-        signed[0] = 0.0
-        return {"mu": mu, "flat": np.round(mu, 1), "additive": additive}, {
-            "signed": signed,
-            "huge": signed * 1e300,
-        }
-
-    @staticmethod
-    def same(got, want):
-        assert got.values.tobytes() == want.tobytes()
+        additive = random_additive_capacity(rng, n).values
+        signed = signed_table(n, rng)
+        return ({"mu": mu, "flat": np.round(mu, 1), "additive": additive},
+                {"signed": signed, "huge": signed * 1e300})
 
     @pytest.mark.parametrize("n", TILE_SIZES)
     def test_transforms_match_the_natural_loops(self, n):
         caps, others = self.tables(n)
         for v in [*caps.values(), *others.values()]:
+            check_transforms(v)
             sf = SetFunction(n, v)
-            self.same(mobius(sf), oracles.loop_mobius(v))
-            self.same(zeta(MobiusRepr(n, v)), oracles.loop_zeta(v))
-            self.same(co_mobius(sf), oracles.loop_co_mobius(v))
-            self.same(conjugate(sf), oracles.loop_conjugate(v))
-            a = np.abs(v)
-            self.same(ordinal_mobius(SetFunction(n, a)), oracles.loop_ordinal_mobius(a))
-            self.same(ordinal_zeta(OrdinalMobiusRepr(n, a)), oracles.loop_ordinal_zeta(a))
             sizes = popcounts(n)
             for order in (1, 3):  # the superset pass of interaction._up
                 want = oracles.loop_all_indices(oracles.loop_mobius(v), order)
@@ -704,8 +718,8 @@ class TestTiledPasses:
                 assert got.tobytes() == want[masks].tobytes()
         for v in caps.values():
             mu = as_capacity(v, n=n)
-            self.same(mu, v)
-            self.same(conjugate(mu), oracles.loop_conjugate(v))
+            _same(mu, v)
+            check_capacity(mu)
 
     @pytest.mark.parametrize("n", TILE_SIZES)
     def test_validate_flags_match_the_natural_loops(self, n):
@@ -729,11 +743,8 @@ class TestTiledPasses:
         # Above one block, the scan takes a bit's largest drop over the calls of
         # its blocks or chunks.
         caps, others = self.tables(n)
-        for name, v in [*caps.items(), *others.items()]:
-            for tol in (0.0, 1e-9):
-                drops, first = _drops(v, tol)
-                assert drops.tobytes() == oracles.loop_drops(v).tobytes(), name
-                assert first == oracles.loop_first_drop(v, tol), name
+        for v in [*caps.values(), *others.values()]:
+            check_drops(v)
 
 
 class TestFirstViolation:
@@ -856,7 +867,7 @@ class TestMemory:
         ("ordinal_zeta", "om", ordinal_zeta, 9),
         ("conjugate", "sf", conjugate, 9),
         ("conjugate of a capacity", "mu", conjugate, 9),
-        ("as_capacity", "sf", as_capacity, 4.5),
+        ("as_capacity", "fresh", as_capacity, 4.5),
         ("as_capacity of a raw array", "raw", as_capacity, 12),
         ("failing as_capacity", "drop", lambda v: pytest.raises(NotMonotone, as_capacity, v), 4.5),
         ("validate", "mu", validate, 8.5),
