@@ -42,11 +42,14 @@ per score row, in scratch tables of at most 256 KiB (or of one row) that the
 call allocates once and every block reuses; the block's tables are then copied
 out as C-contiguous rows, one per score row, for one ``np.vecdot``. Every entry
 is the same step of the same two doubles, and every dot runs the kernel of a
-one-row ``np.dot``, so each value has the bits of its row alone. ``Extension.many`` may run a faster ``batch``, equal up to rounding
-where both are finite: ``cpt`` as choquet(mu_gains, t+) minus
-choquet(mu_losses, t-), ``mle`` and ``smle`` as one matrix product over the low
-and high halves of the criteria. Near the largest double that product, which
-sums terms before it scales them, can be finite where the row kernel overflows.
+one-row ``np.dot``, so each value has the bits of its row alone. A call whose
+rows are all +0.0 folds one row and copies its value, and a signed block folds no
+t- where no score is below zero (:func:`_mobius_rows`). ``Extension.many`` may
+run a faster ``batch``, equal up to rounding where both are finite: ``cpt`` as
+choquet(mu_gains, t+) minus choquet(mu_losses, t-), ``mle`` and ``smle`` as one
+matrix product over the low and high halves of the criteria. Near the largest
+double that product, which sums terms before it scales them, can be finite where
+the row kernel overflows.
 The sort kernels rank each score row once, with one stable argsort, and hold
 the ranking criterion-major, one row per rank and one column per score row, so
 that every step runs on contiguous rows of k entries. The signed ones, ``cpt``'s
@@ -630,8 +633,16 @@ def _mobius_rows(coef: np.ndarray, step, empty: float, t: np.ndarray, signed=Fal
     entry is the same step of the same two doubles as in a row-by-row fold, and
     ``vecdot`` runs the kernel of a one-row ``np.dot`` on each contiguous row, so a
     row of a block has the bits of the same row alone. A one-term dot (n = 1) is the
-    product itself, as ``np.dot`` keeps its sign where ``vecdot`` turns -0.0 to +0.0."""
+    product itself, as ``np.dot`` keeps its sign where ``vecdot`` turns -0.0 to +0.0.
+
+    A call folds only what its values need. When every score is +0.0, told by the
+    bits so that -0.0 is not, the call folds its first row and copies that value to
+    the others, as each value has the bits of its row alone. A signed block whose
+    t- is all +0.0 runs no fold of t-, as x - (+0.0) is x for every double, -0.0
+    included."""
     k, n = t.shape
+    if k > 1 and not np.count_nonzero(t.view(np.uint64)):  # every row all +0.0
+        return np.repeat(_mobius_rows(coef, step, empty, t[:1], signed), k)
     w = max(1, min(k, _CHUNK >> (n + 3)))  # rows per block: tables of 256 KiB
     first = np.empty(w << n)
     second = np.empty(w << n) if signed or w > 1 else None
@@ -641,7 +652,7 @@ def _mobius_rows(coef: np.ndarray, step, empty: float, t: np.ndarray, signed=Fal
         m = cols.shape[1]
         tp, tn = _split(cols) if signed else (cols, None)
         table = subsets.fold(step, tp, empty, first[: m << n].reshape(1 << n, m))[1:]
-        if signed:
+        if signed and np.count_nonzero(tn.view(np.uint64)):
             table -= subsets.fold(step, tn, empty, second[: m << n].reshape(1 << n, m))[1:]
         rows = table.T  # one row is already C-contiguous
         if m > 1:
@@ -653,7 +664,9 @@ def _mobius_rows(coef: np.ndarray, step, empty: float, t: np.ndarray, signed=Fal
 
 @_quiet
 def _cpt_rows(m1: np.ndarray, m2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`cpt` per row, in coefficient form."""
+    """:func:`cpt` per row, in coefficient form: :func:`_mobius_rows` of t+ against
+    ``m1`` minus that of t- against ``m2``. With no score below zero, t- is all +0.0
+    and its call folds one row."""
     tp, tn = _split(t)
     return _mobius_rows(m1, np.minimum, np.inf, tp) - _mobius_rows(m2, np.minimum, np.inf, tn)
 

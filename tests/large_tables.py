@@ -61,8 +61,7 @@ def test_drops_match_the_natural_loop(n):
     top = 1 << (n - 1)
     late = top | 1 << 16 | 5
     high = planted(n, [(late, 17)])
-    assert oracles.loop_first_drop(high, 0.0) == (late, 17)
-    check_drops(high)
+    assert check_drops(high) == (late, 17)
     del high
     check_drops(planted(n, [(top | 1 << 12 | 7 << 4, 3), (top | 1 << 16, 13), (top | 1 << 14, 17)]))
     check_drops(signed_table(n, np.random.default_rng(n)))

@@ -265,6 +265,11 @@ MUTANTS = [
      "if n == 0 else np.vecdot", INTEGRALS_TESTS, None),
     ("_mobius_rows adds the losses", INTEGRALS, "table -= subsets.fold(step, tn",
      "table += subsets.fold(step, tn", INTEGRALS_TESTS, None),
+    ("_mobius_rows tests for scores of +0.0 by value", INTEGRALS,
+     "not np.count_nonzero(t.view(np.uint64))", "not np.count_nonzero(t)", INTEGRALS_TESTS,
+     None),
+    ("_mobius_rows: the loss skip without its test", INTEGRALS,
+     "if signed and np.count_nonzero(tn.view(np.uint64)):", "if signed:", PATH_TESTS, None),
     ("_mobius_rows blocks of 512 KiB", INTEGRALS, "min(k, _CHUNK >> (n + 3))",
      "min(k, _CHUNK >> (n + 2))", INTEGRALS_TESTS, None),
     ("_mobius_rows dots strided rows", INTEGRALS, "            np.copyto(rows, table.T)\n",

@@ -179,23 +179,31 @@ def loop_conjugate(values):
 
 def loop_drops(values):
     """For each bit, the largest v(mask) - v(mask | 1 << bit) over the masks without it."""
-    vals = np.asarray(values, dtype=np.float64)
-    return np.array([(lo - hi).max() for _, lo, hi in halves(vals)])
+    return loop_scan(values, ())[0]
 
 
 def loop_first_drop(values, tol):
     """The first (mask, bit) with v(mask | 1 << bit) < v(mask) - tol, by mask
     and then by bit, or None."""
+    return loop_scan(values, (tol,))[1][0]
+
+
+def loop_scan(values, tols):
+    """``loop_drops(values)``, and ``loop_first_drop(values, tol)`` for each of
+    ``tols``, from one difference v(mask) - v(mask | 1 << bit) per bit and mask."""
     vals = np.asarray(values, dtype=np.float64)
-    first = None
+    drops, firsts = [], [None] * len(tols)
     for i, lo, hi in halves(vals):
-        flags = (lo - hi) > tol
-        if flags.any():
-            row, col = divmod(int(flags.argmax()), 1 << i)
-            mask = (row << (i + 1)) + col
-            if first is None or mask < first[0]:
-                first = (mask, i)
-    return first
+        diff = lo - hi
+        drops.append(diff.max())
+        for k, tol in enumerate(tols):
+            flags = diff > tol
+            if flags.any():
+                row, col = divmod(int(flags.argmax()), 1 << i)
+                mask = (row << (i + 1)) + col
+                if firsts[k] is None or mask < firsts[k][0]:
+                    firsts[k] = (mask, i)
+    return np.array(drops), firsts
 
 
 def loop_strictly_monotone(values):

@@ -44,7 +44,8 @@ from capacities import (
     symmetric_max_fold,
 )
 from capacities import axioms, integrals, subsets
-from helpers import peak_above_input, random_additive_capacity, random_capacity, signed_zeros
+from helpers import (edge_tables, peak_above_input, random_additive_capacity, random_capacity,
+                     signed_zeros)
 
 TOL = 1e-9
 
@@ -1049,6 +1050,68 @@ class TestRowKernels:
         want -= oracles.loop_mobius_rows(m2, oracles.loop_subset_table(np.minimum, tn, np.inf))
         for _ in range(2):  # nothing carries over from one call to the next
             assert integrals._cpt_rows(m, m2, t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["w-1", "w", "w+1", "2000"])
+    @pytest.mark.parametrize("lo", [0.0, -1.0], ids=["unsigned scores", "signed scores"])
+    def test_rows_of_zeros_equal_a_dot_per_row(self, n, extra, lo):
+        # Rows of all +0.0, of all -0.0 and of both signs, and of no negative score,
+        # whose t- alone is all +0.0 (with lo = 0 every block's t- is all +0.0, so the
+        # signed kernels run no fold of t-); then a matrix of +0.0 alone, whose call
+        # folds one row, and one that holds a -0.0, which is folded row by row.
+        w = max(1, integrals._CHUNK >> (n + 3))
+        k = 2000 if extra is None else w + extra
+        rng = np.random.default_rng(100 * n + k)
+        m, m2 = (MobiusRepr(n, np.append(0.0, rng.uniform(-1.0, 1.0, (1 << n) - 1))).coefficients
+                 for _ in range(2))
+        t = rng.uniform(lo, 1.0, (k, n))
+        kind = rng.integers(0, 5, k)
+        t[kind == 0] = 0.0
+        t[kind == 1] = -0.0
+        t[kind == 2] = np.where(rng.random((np.count_nonzero(kind == 2), n)) < 0.5, -0.0, 0.0)
+        t[kind == 3] = np.abs(t[kind == 3])
+        t[k // 2] = -0.0  # every kind, whatever the draw
+        t[k // 2 + 1 :: 7] = 0.0
+        signed_zero = np.zeros((k, n))
+        signed_zero[k // 2, n // 2] = -0.0
+        for t in (t, np.zeros((k, n)), signed_zero):
+            tp, tn = integrals._split(t)
+            for ufunc, empty in ((np.minimum, np.inf), (np.multiply, 1.0)):
+                with np.errstate(invalid="ignore"):  # inf - inf at the empty set, not in the dot
+                    table, gains, losses = (np.ascontiguousarray(subsets.fold(
+                        ufunc, x.T, empty, np.empty((1 << n, k))).T) for x in (t, tp, tn))
+                    signed_table = gains - losses
+                for signed, want in ((False, table), (True, signed_table)):
+                    got = integrals._mobius_rows(m, ufunc, empty, t, signed=signed)
+                    assert got.tobytes() == oracles.loop_mobius_rows(m, want).tobytes(), (
+                        ufunc.__name__, signed)
+                if ufunc is np.minimum:
+                    want = (oracles.loop_mobius_rows(m, gains)
+                            - oracles.loop_mobius_rows(m2, losses))
+                    assert integrals._cpt_rows(m, m2, t).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(v=edge_tables(), data=st.data())
+    def test_rows_of_zeros_at_the_edges_of_a_double(self, v, data):
+        # Coefficients at the edges of a double against score rows of signed zeros,
+        # subnormals and overflowing scores, beside rows of all +0.0.
+        entry = st.sampled_from([0.0, 0.0, -0.0, 5e-324, -5e-324, 0.5, -1.0, 1e300, -1e300])
+        t = np.array(data.draw(st.lists(st.lists(entry, min_size=v.n, max_size=v.n),
+                                        min_size=1, max_size=6)))
+        t[data.draw(st.lists(st.integers(0, len(t) - 1), max_size=3))] = 0.0
+        m, m2 = v.values, v.values[::-1].copy()
+        tp, tn = integrals._split(t)
+        for ufunc, empty in ((np.minimum, np.inf), (np.multiply, 1.0)):
+            with np.errstate(all="ignore"):
+                table, gains, losses = (oracles.loop_subset_table(ufunc, x, empty)
+                                        for x in (t, tp, tn))
+                wants = [oracles.loop_mobius_rows(m, x) for x in (table, gains - losses)]
+                cpt_want = oracles.loop_mobius_rows(m, gains) - oracles.loop_mobius_rows(m2, losses)
+            for signed, want in zip((False, True), wants):
+                got = integrals._mobius_rows(m, ufunc, empty, t, signed=signed)
+                assert got.tobytes() == want.tobytes(), (ufunc.__name__, signed)
+            if ufunc is np.minimum:
+                assert integrals._cpt_rows(m, m2, t).tobytes() == cpt_want.tobytes()
 
     @pytest.mark.parametrize("n, k", [(8, 2000), (16, 20)])
     def test_the_row_kernels_peak_at_their_scratch(self, n, k):

@@ -22,7 +22,7 @@ from capacities import (AXIOM_NAMES, Act, AggregationModel, AxiomCheckConfig, Ca
                         SetFunction, as_capacity, check_axiom, conjugate, interaction_report,
                         make_extension, mobius, ordinal_mobius, ordinal_zeta, rank_acts, shapley,
                         validate)
-from capacities import axioms, subsets
+from capacities import axioms, integrals, subsets
 from capacities.set_function import _live
 from helpers import (ORDINAL_TABLES, UFUNC_BUFFERS, HashedCapacity, distorted, peak_above_input,
                      random_capacity, verify_args)
@@ -240,6 +240,39 @@ def test_axiom_blocks_of_32_trials_then_1024(p, count, lengths, draws):
     assert [len(b[0]) for b in blocks] == lengths and asked == draws
     for col, sign in zip(zip(*blocks), (1, -1)):
         assert np.concatenate(col).tolist() == (sign * np.arange(p + count)).tolist()
+
+
+# -- integrals: the Mobius-form row kernels ------------------------------------------
+
+ROWS = np.array([[0.5, 0.25, 0.0, 1.0], [0.0] * 4, [1.0, 0.5, 0.5, 0.0], [0.0] * 4,
+                 [0.2, 0.1, 0.3, 0.4]])
+KERNELS = [
+    # kernel, its score rows, and the (n, rows) shape of each of its subsets.fold calls
+    ("cpt, losses all +0.0", "cpt", ROWS, [(4, 5), (4, 1)]),
+    ("cpt, a loss", "cpt", ROWS * [[1], [1], [-1], [1], [1]], [(4, 5), (4, 5)]),
+    ("signed unit-domain block", "signed", ROWS, [(4, 5)]),
+    ("signed block with a loss", "signed", ROWS * [[1], [1], [-1], [1], [1]], [(4, 5), (4, 5)]),
+    ("unsigned, rows of -0.0 and +0.0", "unsigned", np.array([[-0.0] * 4, [0.0] * 4, [0.0] * 4]),
+     [(4, 3)]),
+    ("unsigned, every row +0.0", "unsigned", np.zeros((3, 4)), [(4, 1)]),
+    ("unsigned, every row +0.0, past a block", "unsigned", np.zeros((300, 8)), [(8, 1)]),
+    ("unsigned, rows of +0.0 beside others, over blocks", "unsigned", np.eye(300, 8)[::-1],
+     [(8, 128), (8, 128), (8, 44)]),
+]
+
+
+@pytest.mark.parametrize("kind, kernel, t, folds", KERNELS, ids=[r[0] for r in KERNELS])
+def test_mobius_row_kernels_fold_what_their_values_need(kind, kernel, t, folds):
+    # A call whose scores are all +0.0 folds one row for all, and a signed block
+    # whose t- is all +0.0 folds no t-; a row of +0.0 among others is folded.
+    n = t.shape[1]
+    m = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n)
+    with recording((subsets, "fold")) as calls:
+        if kernel == "cpt":
+            integrals._cpt_rows(m, m[::-1].copy(), t)
+        else:
+            integrals._mobius_rows(m, np.multiply, 1.0, t, signed=kernel == "signed")
+    assert [args[1].shape for _, args in calls] == folds
 
 
 # -- model: one batch per ranking -----------------------------------------------------

@@ -673,11 +673,15 @@ def check_capacity(mu):
 
 
 def check_drops(v):
-    """The scan's largest drop of each bit and its first drop at two tols, by the loops."""
-    for tol in (0.0, 1e-9):
-        drops, first = _drops(v, tol)
-        assert drops.tobytes() == oracles.loop_drops(v).tobytes(), tol
-        assert first == oracles.loop_first_drop(v, tol), tol
+    """The scan's largest drop of each bit and its first drop at two tols, by the loops,
+    which take each difference once for both tols. Returns the loops' first drop at 0."""
+    tols = (0.0, 1e-9)
+    want, firsts = oracles.loop_scan(v, tols)
+    for tol, first in zip(tols, firsts):
+        drops, got = _drops(v, tol)
+        assert drops.tobytes() == want.tobytes(), tol
+        assert got == first, tol
+    return firsts[0]
 
 
 def _drop_text(vals, tol):
