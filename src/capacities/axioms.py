@@ -199,29 +199,96 @@ class _Stream:
       next 32-bit draw; doubles do not touch that half. ``integers(1)`` draws
       nothing.
 
+    Every trial of a block reads its words in the same pattern, save for which
+    32-bit draws open a fresh word: that alternates with the parity of the
+    32-bit draws before it. So a period of one trial, or of two when a trial
+    makes an odd number of 32-bit draws, reads a fixed layout of words, and a
+    block of doubles and 32-bit draws is decoded period by period from that
+    layout, consuming nothing until no draw of its k trials is found rejected.
+    A block with a rejected draw is decoded again from its start by
+    ``_draws``, the general pass, which the tests also take as the reference.
+
     NEP 19 lets a numpy release change these streams; the test of these draws
     against the scalar calls and the golden verify file would then fail.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._raw = rng.bit_generator.random_raw
-        self._words = np.empty(0, dtype=np.uint64)  # read past a rejected draw
+        self._words = np.empty(0, dtype=np.uint64)  # read but not yet consumed
         self._half = np.empty(0, dtype=np.uint64)  # a high half left by a 32-bit draw
 
-    def _next(self, count: int) -> np.ndarray:
+    def _peek(self, count: int) -> np.ndarray:
         if count > self._words.size:
             self._words = np.concatenate([self._words, self._raw(count - self._words.size)])
-        out, self._words = self._words[:count], self._words[count:]
+        return self._words[:count]
+
+    def _next(self, count: int) -> np.ndarray:
+        out = self._peek(count)
+        self._words = self._words[count:]
         return out
 
     def take(self, k: int, outcomes) -> np.ndarray:
         if not any(outcomes):  # all doubles: one fresh word each, no 32-bit half touched
-            return ((self._next(k * len(outcomes)) >> np.uint64(11)) * 2.0**-53).reshape(k, -1)
-        m = np.tile(np.asarray(outcomes, dtype=np.uint64), k)
-        out = np.zeros(m.size)
-        drawn = np.flatnonzero(m != 1)
-        out[drawn] = self._draws(m[drawn])
-        return out.reshape(k, -1)
+            return self._doubles(self._next(k * len(outcomes))).reshape(k, -1)
+        ints = [j for j, m in enumerate(outcomes) if m > 1]
+        doubles = [j for j, m in enumerate(outcomes) if m == 0]
+        period = 1 + len(ints) % 2
+        # The columns of one period's words that its doubles and its opening
+        # 32-bit draws read, in draw order, and how many words its first trial reads.
+        double_at, open_at = [], []
+        width = 0
+        parity = self._half.size
+        for trial in range(period):
+            for m in outcomes:
+                if m == 0:
+                    double_at.append(width)
+                    width += 1
+                elif m > 1:
+                    if parity == 0:
+                        open_at.append(width)
+                        width += 1
+                    parity ^= 1
+            if trial == 0:
+                first = width
+        periods = -(-k // period)
+        used = k // period * width + k % period * first  # the words of the k trials
+        words = self._peek(used)
+        if k % period:  # the trial after the k-th is decoded from zero words, and dropped
+            words = np.append(words, np.zeros(periods * width - used, dtype=np.uint64))
+        words = words.reshape(periods, width)
+        m = np.full((k, len(ints)), [outcomes[j] for j in ints], dtype=np.uint64).ravel()
+        vals, kept, half = self._lemire(words[:, open_at].ravel(), m)
+        if kept < m.size:  # a rejected draw: the general pass, from the block's start
+            m = np.tile(np.asarray(outcomes, dtype=np.uint64), k)
+            out = np.zeros(m.size)
+            drawn = np.flatnonzero(m != 1)
+            out[drawn] = self._draws(m[drawn])
+            return out.reshape(k, -1)
+        self._words = self._words[used:]
+        self._half = half
+        out = np.zeros((k, len(outcomes)))
+        x = words[:, double_at].reshape(periods * period, len(doubles))[:k]
+        out[:, doubles] = self._doubles(x)
+        out[:, ints] = vals.reshape(k, len(ints))
+        return out
+
+    @staticmethod
+    def _doubles(words: np.ndarray) -> np.ndarray:
+        return (words >> np.uint64(11)) * 2.0**-53
+
+    def _lemire(self, opened: np.ndarray, m: np.ndarray):
+        """``integers(m)`` for each entry of m, in order, by Lemire's method on the
+        32-bit draws that read the pending half and then the low and high halves
+        of each ``opened`` word. Returns the values, how many draws precede the
+        first rejected one (m.size if none is), and the half left pending after
+        the draws up to and including that one."""
+        # the little-endian 32-bit view of a word is its low half, then its high half
+        halves = np.concatenate([self._half, opened.astype("<u8", copy=False).view("<u4")])
+        scaled = halves[: m.size] * m
+        rejected = np.flatnonzero((scaled & _LOW) < (np.uint64(1 << 32) - m) % m)
+        kept = int(rejected[0]) if rejected.size else m.size
+        used = kept + (kept < m.size)  # a rejected draw reads its half too
+        return scaled >> _32, kept, halves[used : used + (self._half.size + used) % 2]
 
     def _draws(self, m: np.ndarray) -> np.ndarray:
         """One value per entry of m, as ``take`` describes, with no m of 1. Each
@@ -238,23 +305,15 @@ class _Stream:
             fresh[ints[opens]] = True
             at = np.cumsum(fresh) - 1  # the word read by each fresh draw
             words = self._next(int(at[-1]) + 1)
-            opened = words[at[ints[opens]]]
-            halves = np.append(self._half, np.column_stack([opened & _LOW, opened >> _32]))
-            mi = ev[ints]
-            scaled = halves[: ints.size] * mi
-            rejected = np.flatnonzero((scaled & _LOW) < (np.uint64(1 << 32) - mi) % mi)
             vals = np.empty(ev.size)
-            vals[doubles] = (words[at[doubles]] >> np.uint64(11)) * 2.0**-53
-            vals[ints] = scaled >> _32
-            if rejected.size == 0:
+            vals[doubles] = self._doubles(words[at[doubles]])
+            vals[ints], kept, self._half = self._lemire(words[at[ints[opens]]], ev[ints])
+            if kept == ints.size:
                 out[start:] = vals
-                self._half = halves[ints.size :]
                 return out
-            j = rejected[0]
-            r = ints[j]
+            r = ints[kept]
             out[start : start + r] = vals[:r]
             self._words = np.concatenate([words[at[r] + 1 :], self._words])
-            self._half = halves[j + 1 : j + 2] if opens[j] else halves[:0]
             start += r
         return out
 

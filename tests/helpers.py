@@ -117,6 +117,35 @@ class HashedCapacity(Capacity):
     """A capacity type whose generated ``__hash__`` fails on its numpy table."""
 
 
+def word_at(position, word):
+    """A PCG64 generator whose raw word number ``position`` (from 0) is ``word``.
+    PCG64 outputs the xor of the two 64-bit halves of its state, rotated right
+    by the top 6 bits; ``advance`` then steps back ``position`` + 1 words."""
+    hi = 0x9E3779B97F4A7C15
+    rot = hi >> 58
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
+    bits = np.random.PCG64(7)
+    state = bits.state
+    state["state"]["state"] = hi << 64 | lo
+    bits.state = state
+    bits.advance((1 << 128) - position - 1)
+    return bits
+
+
+# Blocks of axiom draws, each with one crafted raw word that makes a 32-bit draw
+# rejected: (outcomes, k, a pending half before the block, the word's position
+# and the word). Each m is not a power of two, so a zero half is below its
+# threshold (2**32 - m) % m; the pending half, if any, is the high half of word 0.
+REJECTIONS = [
+    ((3, 0), 32, False, 0, 0xDEADBEEF << 32),  # the block's first 32-bit draw
+    ((0, 7), 1, True, 0, 0xDEADBEEF),  # the pending half, a one-trial block's only draw
+    ((7, 7, 7, 7, 0), 32, False, 15, 0xDEADBEEF),  # a high half, inside trial 5's period
+    ((0, 0, 0, 0, 2**24 - 1, 0), 218, False, 37, 0xDEADBEEF),  # trial 7, a period's second
+    ((3, 0), 33, False, 48, 0xDEADBEEF << 32),  # the last draw of an odd block
+    ((0, 0, 3), 33, True, 80, 0xDEADBEEF),  # the same, on a pending half
+]
+
+
 def verify_args(tmp_path, mu, losses, name, cfg, names):
     """The parsed ``verify`` command line of one suite under ``cfg``."""
     files = []

@@ -326,16 +326,29 @@ MUTANTS = [
     ("32-bit draws ignore a pending half", AXIOMS,
      "(np.arange(ints.size) + self._half.size) % 2 == 0", "np.arange(ints.size) % 2 == 0",
      AXIOMS_TESTS, None),
-    ("Lemire rejects below m", AXIOMS, "(scaled & _LOW) < (np.uint64(1 << 32) - mi) % mi",
-     "(scaled & _LOW) < mi", AXIOMS_TESTS, None),
+    ("Lemire rejects below m", AXIOMS, "(scaled & _LOW) < (np.uint64(1 << 32) - m) % m",
+     "(scaled & _LOW) < m", AXIOMS_TESTS, None),
     ("Lemire rejects at the threshold", AXIOMS,
-     "(scaled & _LOW) < (np.uint64(1 << 32) - mi) % mi",
-     "(scaled & _LOW) <= (np.uint64(1 << 32) - mi) % mi", AXIOMS_TESTS, None),
-    ("a block drops its last high half", AXIOMS, "self._half = halves[ints.size :]",
-     "self._half = halves[:0]", AXIOMS_TESTS, None),
+     "(scaled & _LOW) < (np.uint64(1 << 32) - m) % m",
+     "(scaled & _LOW) <= (np.uint64(1 << 32) - m) % m", AXIOMS_TESTS, None),
+    ("a block drops its last high half", AXIOMS,
+     "halves[used : used + (self._half.size + used) % 2]", "halves[:0]", AXIOMS_TESTS, None),
     ("a rejected opening draw drops its high half", AXIOMS,
-     "self._half = halves[j + 1 : j + 2] if opens[j] else halves[:0]",
-     "self._half = halves[:0]", AXIOMS_TESTS, None),
+     "used + (self._half.size + used) % 2]",
+     "used + (self._half.size + used) % 2 * (kept == m.size)]", AXIOMS_TESTS, None),
+    ("a one-trial period where a trial's 32-bit draws are odd", AXIOMS,
+     "period = 1 + len(ints) % 2", "period = 1", AXIOMS_TESTS, None),
+    ("a period layout that ignores the pending half", AXIOMS, "parity = self._half.size",
+     "parity = 0", AXIOMS_TESTS, None),
+    ("a period decode drops its last high half", AXIOMS,
+     "        self._words = self._words[used:]\n        self._half = half\n",
+     "        self._words = self._words[used:]\n        self._half = half[:0]\n", AXIOMS_TESTS,
+     None),
+    ("a block that holds a rejection is committed", AXIOMS, "if kept < m.size:  # a rejected draw",
+     "if False:  # a rejected draw", AXIOMS_TESTS, None),
+    ("an odd k commits all of its periods", AXIOMS,
+     "used = k // period * width + k % period * first", "used = periods * width", AXIOMS_TESTS,
+     None),
     ("a ratio keeps a degenerate extension denominator", AXIOMS, "(np.abs(fc - fd) > tol) & ",
      "", AXIOMS_TESTS, None),
     ("S1 flips alpha on the other draw", AXIOMS, "np.where(x[:, n + 1] == 1, -alpha, alpha)",

@@ -26,7 +26,8 @@ from capacities import (
 )
 from capacities import axioms, cli
 from capacities.subsets import parse_subset_key
-from helpers import peak_above_input, random_additive_capacity, random_capacity, verify_args
+from helpers import (REJECTIONS, peak_above_input, random_additive_capacity, random_capacity,
+                     verify_args, word_at)
 
 OVERLAP = as_capacity([0.0, 0.9, 0.9, 1.0])
 CFG = AxiomCheckConfig(samples=300, seed=42)
@@ -535,19 +536,35 @@ def _assert_same_draws(draw, sampler, rng, sizes):
             assert g.tobytes() == w.tobytes(), (k, g, w)
 
 
-def _word_at(position, word):
-    """A PCG64 generator whose raw word number ``position`` (from 0) is ``word``.
-    PCG64 outputs the xor of the two 64-bit halves of its state, rotated right
-    by the top 6 bits; ``advance`` then steps back ``position`` + 1 words."""
-    hi = 0x9E3779B97F4A7C15
-    rot = hi >> 58
-    lo = hi ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
-    bits = np.random.PCG64(7)
-    state = bits.state
-    state["state"]["state"] = hi << 64 | lo
-    bits.state = state
-    bits.advance((1 << 128) - position - 1)
-    return bits
+# The outcomes of a trial, with m in its integers(m) draws: an odd number of 32-bit
+# draws (the shapes of A, M1, A1, HE and signed S1) or an even number (A2's, and two).
+PERIOD_SHAPES = {
+    "A": lambda m: (m, 0),
+    "M1": lambda m: (0, 0, m),
+    "A1": lambda m: (0, 0, 0, 0, m, 0),
+    "HE": lambda m: (0, m),
+    "S1": lambda m: (0, 0, 0, 0, 0, m),
+    "A2": lambda m: (m, m, m, m, 0),
+    "two": lambda m: (m, 0, 1, m),
+}
+
+
+def _assert_take_is_the_general_pass(rng, half, k, outcomes):
+    """``take(k, outcomes)`` on a stream of ``rng()``, behind a pending half or not,
+    against ``_draws`` alone on another: the values bit for bit, then the words
+    read but not consumed, the pending half and the generator's next word."""
+    fast, general = (axioms._Stream(rng()) for _ in range(2))
+    if half:  # a 32-bit draw from word 0 leaves its high half
+        for stream in (fast, general):
+            stream._draws(np.array([3], dtype=np.uint64))
+    got = fast.take(k, outcomes)
+    m = np.tile(np.asarray(outcomes, dtype=np.uint64), k)
+    want = np.zeros(m.size)
+    want[m != 1] = general._draws(m[m != 1])
+    assert got.tobytes() == want.tobytes() and got.shape == (k, len(outcomes))
+    assert fast._words.tobytes() == general._words.tobytes()
+    assert fast._half.tobytes() == general._half.tobytes()
+    assert fast._raw() == general._raw()
 
 
 class TestBlockDraws:
@@ -583,10 +600,10 @@ class TestBlockDraws:
         # m = n (or 2**11 - 1) is not a power of two, so (2**32 - m) % m > 0 and a
         # zero half is always below it: the draw is rejected and drawn again. A
         # draw from the threshold up is kept, however small.
-        assert _word_at(position, word).random_raw(position + 1)[-1] == word
+        assert word_at(position, word).random_raw(position + 1)[-1] == word
         name, cfg = bounds
-        draw, sampler = _draw(axiom, name, cfg, n, np.random.Generator(_word_at(position, word)))
-        rng = np.random.Generator(_word_at(position, word))
+        draw, sampler = _draw(axiom, name, cfg, n, np.random.Generator(word_at(position, word)))
+        rng = np.random.Generator(word_at(position, word))
         _assert_same_draws(draw, sampler, rng, (1, 32, 37, 64))
 
     @pytest.mark.parametrize("axiom, words", [("A", 1), ("HE", 1), ("M1", 2), ("A1", 5)])
@@ -613,6 +630,20 @@ class TestBlockDraws:
         # the next mixed take reads the same words and the same pending half
         mixed = (7, 0, 3, 0, 1, 5)
         assert fast.take(40, mixed).tobytes() == general.take(40, mixed).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 2**24 - 1])
+    @pytest.mark.parametrize("shape", PERIOD_SHAPES, ids=list(PERIOD_SHAPES))
+    @pytest.mark.parametrize("half", [False, True], ids=["no-half", "half-pending"])
+    def test_a_period_decode_is_the_general_pass(self, half, shape, m):
+        # At m = 1 no entry makes a 32-bit draw; at m = 2 none can be rejected.
+        outcomes = PERIOD_SHAPES[shape](m)
+        for k in (1, 2, 31, 32, 33, 218, 1024):
+            _assert_take_is_the_general_pass(lambda: np.random.default_rng(k), half, k, outcomes)
+
+    @pytest.mark.parametrize("outcomes, k, half, position, word", REJECTIONS)
+    def test_a_block_with_a_rejection_is_the_general_pass(self, outcomes, k, half, position, word):
+        rng = lambda: np.random.Generator(word_at(position, word))  # noqa: E731
+        _assert_take_is_the_general_pass(rng, half, k, outcomes)
 
 
 # -- the block schedule -------------------------------------------------------------

@@ -18,14 +18,14 @@ import pytest
 
 import capacities.model
 import oracles
-from capacities import (AXIOM_NAMES, Act, AggregationModel, AxiomCheckConfig, Capacity, Extension,
-                        SetFunction, as_capacity, check_axiom, conjugate, interaction_report,
-                        make_extension, mobius, ordinal_mobius, ordinal_zeta, rank_acts, shapley,
-                        validate)
+from capacities import (AXIOM_NAMES, EXTENSION_NAMES, Act, AggregationModel, AxiomCheckConfig,
+                        Capacity, Extension, SetFunction, as_capacity, check_axiom, conjugate,
+                        interaction_report, make_extension, mobius, ordinal_mobius, ordinal_zeta,
+                        rank_acts, shapley, validate)
 from capacities import axioms, integrals, subsets
 from capacities.set_function import _live
-from helpers import (ORDINAL_TABLES, UFUNC_BUFFERS, HashedCapacity, distorted, peak_above_input,
-                     random_capacity, verify_args)
+from helpers import (ORDINAL_TABLES, REJECTIONS, UFUNC_BUFFERS, HashedCapacity, distorted,
+                     peak_above_input, random_capacity, verify_args, word_at)
 
 
 @contextlib.contextmanager
@@ -218,6 +218,62 @@ def test_axiom_kernel_calls(name, n, total, tmp_path):
         args.func(args)
     assert [t.shape[0] for _, (_, t) in calls] == blocks
     assert len(blocks) == total, len(blocks)
+
+
+TAKES = [
+    # kind, outcomes, k and a pending half before the block, and the calls of a take:
+    # the one-step decode takes its words alone, the period decode runs one Lemire test
+    ("all doubles", (0, 0, 0), 32, False, ["_next"]),
+    ("mixed", (0, 0, 0, 0, 7, 0), 218, False, ["_lemire"]),
+    ("mixed, an odd block behind a pending half", (0, 7), 33, True, ["_lemire"]),
+]
+# a rejected draw sends the block to the general pass, which draws it again
+REJECTED = ["_lemire", "_draws", "_next", "_lemire", "_next", "_lemire"]
+
+
+def take_paths(rng, half, k, outcomes):
+    """The calls of ``take(k, outcomes)`` on a stream of ``rng``, and the sizes of
+    the ``_draws`` calls among them."""
+    stream = axioms._Stream(rng)
+    if half:
+        stream._draws(np.array([3], dtype=np.uint64))  # leaves the high half of word 0
+    with recording(*((axioms._Stream, name) for name in ("_next", "_lemire", "_draws"))) as calls:
+        stream.take(k, outcomes)
+    sizes = [args[1].size for name, args in calls if name == "_draws"]
+    return taken(calls), sizes
+
+
+@pytest.mark.parametrize("kind, outcomes, k, half, paths", TAKES, ids=[r[0] for r in TAKES])
+def test_stream_take_paths(kind, outcomes, k, half, paths):
+    assert take_paths(np.random.default_rng(5), half, k, outcomes) == (paths, [])
+
+
+@pytest.mark.parametrize("outcomes, k, half, position, word", REJECTIONS)
+def test_a_rejected_draw_sends_its_block_to_the_general_pass(outcomes, k, half, position, word):
+    rng = np.random.Generator(word_at(position, word))
+    # from the block's first trial
+    assert take_paths(rng, half, k, outcomes) == (REJECTED, [k * len(outcomes)])
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_the_bench_verify_draws_take_no_general_pass(seed):
+    # Every mixed block that the bench's verify calls can draw (each extension at n = 4
+    # and 8, 250 samples, seeds 42 and 7) is decoded by the period decode alone.
+    with recording((axioms._Stream, "_lemire"), (axioms._Stream, "_draws")) as calls:
+        for n in (4, 8):
+            mu = random_capacity(np.random.default_rng(n), n)
+            for name in EXTENSION_NAMES:
+                ext = make_extension(name, mu, mu if name == "cpt" else None)
+                unit = ext.domain == "unit"
+                bounds = dict(score_bounds=(0, 1), alpha_bounds=(1e-3, 1)) if unit else {}
+                cfg = AxiomCheckConfig(samples=250, seed=seed, **bounds)
+                for axiom in AXIOM_NAMES:
+                    stream = axioms._Stream(np.random.default_rng(seed))
+                    probes, draw, count, _ = axioms._SPECS[axiom](ext, mu, cfg, stream)
+                    for _ in axioms._blocks(probes, draw, count):
+                        pass
+    names = taken(calls)
+    assert names == ["_lemire"] * len(names) and len(names) == 92
 
 
 @pytest.mark.parametrize("p, count, lengths, draws", [
